@@ -35,6 +35,9 @@ pub struct IncrementalGoGraph {
     in_: Vec<Vec<VertexId>>,
     order: InsertionOrder,
     num_edges: usize,
+    /// `M(O)`: ingested edges whose source precedes their target, kept
+    /// current by every method that adds, drops or re-signs an edge.
+    positive: usize,
 }
 
 impl IncrementalGoGraph {
@@ -53,18 +56,27 @@ impl IncrementalGoGraph {
         for pos in 0..n {
             io.seed(order.vertex_at(pos) as usize, pos as f64);
         }
+        Self::over(g, io)
+    }
+
+    /// A maintainer of `order` over `g`'s edges.
+    fn over(g: &CsrGraph, order: InsertionOrder) -> Self {
+        let n = g.num_vertices();
         let mut out = vec![Vec::new(); n];
         let mut in_ = vec![Vec::new(); n];
         for e in g.edges() {
             out[e.src as usize].push(e.dst);
             in_[e.dst as usize].push(e.src);
         }
-        IncrementalGoGraph {
+        let mut inc = IncrementalGoGraph {
             out,
             in_,
-            order: io,
+            order,
             num_edges: g.num_edges(),
-        }
+            positive: 0,
+        };
+        inc.positive = inc.count_positive();
+        inc
     }
 
     /// An empty maintainer over `n` isolated vertices (identity order).
@@ -110,19 +122,7 @@ impl IncrementalGoGraph {
             vals.iter().all(|v| !v.is_nan()),
             "saved vals must place every vertex"
         );
-        let io = InsertionOrder::from_saved(vals, min_val, max_val);
-        let mut out = vec![Vec::new(); n];
-        let mut in_ = vec![Vec::new(); n];
-        for e in g.edges() {
-            out[e.src as usize].push(e.dst);
-            in_[e.dst as usize].push(e.src);
-        }
-        IncrementalGoGraph {
-            out,
-            in_,
-            order: io,
-            num_edges: g.num_edges(),
-        }
+        Self::over(g, InsertionOrder::from_saved(vals, min_val, max_val))
     }
 
     /// Number of vertices.
@@ -155,6 +155,7 @@ impl IncrementalGoGraph {
         self.out[u as usize].push(v);
         self.in_[v as usize].push(u);
         self.num_edges += 1;
+        self.positive += usize::from(self.precedes(u, v));
         self.reposition(u);
         self.reposition(v);
     }
@@ -171,6 +172,7 @@ impl IncrementalGoGraph {
         let Some(pos) = self.out[u as usize].iter().position(|&x| x == v) else {
             return false;
         };
+        self.positive -= usize::from(self.precedes(u, v));
         self.out[u as usize].swap_remove(pos);
         let in_pos = self.in_[v as usize]
             .iter()
@@ -207,14 +209,15 @@ impl IncrementalGoGraph {
 
     /// `M(O) / |E|` of the maintained order over the ingested edges —
     /// the drift signal streaming callers compare against the fraction a
-    /// full re-run achieved. Computed straight off the adjacency lists
-    /// and `val`s in `O(|E|)`, without materializing a graph. An empty
-    /// edge set reports 1.0 (nothing can be negative).
+    /// full re-run achieved. `O(1)`: `M(O)` is a counter every mutation
+    /// adjusts by the signs it changed, not a sweep. An empty edge set
+    /// reports 1.0 (nothing can be negative).
     pub fn positive_fraction(&self) -> f64 {
+        debug_assert_eq!(self.positive, self.count_positive());
         if self.num_edges == 0 {
             return 1.0;
         }
-        self.count_positive() as f64 / self.num_edges as f64
+        self.positive as f64 / self.num_edges as f64
     }
 
     /// Permutes `members` among the positions they currently occupy so
@@ -259,7 +262,9 @@ impl IncrementalGoGraph {
         let in_set: std::collections::HashSet<VertexId> = members.iter().copied().collect();
         let before = self.incident_positive(members, &in_set);
         self.assign_vals(members, &vals);
-        if self.incident_positive(members, &in_set) >= before {
+        let after = self.incident_positive(members, &in_set);
+        if after >= before {
+            self.positive = self.positive - before + after;
             true
         } else {
             self.assign_vals(&old, &vals);
@@ -303,18 +308,22 @@ impl IncrementalGoGraph {
         }
     }
 
-    /// Total positive edges under the maintained order.
+    /// True when `u` precedes `v` in the order: an edge `(u, v)` is positive.
+    fn precedes(&self, u: VertexId, v: VertexId) -> bool {
+        self.order.val(u as usize) < self.order.val(v as usize)
+    }
+
+    /// `M(O)` by a sweep over every edge — what `positive` must equal.
     fn count_positive(&self) -> usize {
-        let mut positive = 0usize;
-        for (u, outs) in self.out.iter().enumerate() {
-            let val_u = self.order.val(u);
-            for &v in outs {
-                if val_u < self.order.val(v as usize) {
-                    positive += 1;
-                }
-            }
-        }
-        positive
+        self.out
+            .iter()
+            .enumerate()
+            .map(|(u, outs)| {
+                outs.iter()
+                    .filter(|&&v| self.precedes(u as VertexId, v))
+                    .count()
+            })
+            .sum()
     }
 
     /// Removes `w` and re-inserts it at its optimal position (monotone in
@@ -324,32 +333,23 @@ impl IncrementalGoGraph {
         if links.is_empty() {
             return;
         }
-        let current = self.local_positive(w);
+        let before = self.local_positive(w);
         self.order.remove(w as usize);
-        let outcome = self.order.insert(w as usize, &links);
+        self.order.insert(w as usize, &links);
+        let after = self.local_positive(w);
         debug_assert!(
-            outcome.positive_gain + 1e-9 >= current,
-            "reposition decreased local positive count: {} -> {}",
-            current,
-            outcome.positive_gain
+            after >= before,
+            "reposition decreased local positive count: {before} -> {after}"
         );
+        self.positive = self.positive - before + after;
     }
 
-    /// Current positive-edge weight incident to `w` under the order.
-    fn local_positive(&self, w: VertexId) -> f64 {
-        let val = self.order.val(w as usize);
-        let mut count = 0.0;
-        for &x in &self.out[w as usize] {
-            if val < self.order.val(x as usize) {
-                count += 1.0;
-            }
-        }
-        for &x in &self.in_[w as usize] {
-            if self.order.val(x as usize) < val {
-                count += 1.0;
-            }
-        }
-        count
+    /// Positive edges incident to `w` under the order.
+    fn local_positive(&self, w: VertexId) -> usize {
+        let outs = self.out[w as usize].iter();
+        let ins = self.in_[w as usize].iter();
+        outs.filter(|&&x| self.precedes(w, x)).count()
+            + ins.filter(|&&x| self.precedes(x, w)).count()
     }
 
     fn links_of(&self, w: VertexId) -> Vec<NeighborLink> {
@@ -378,8 +378,19 @@ impl IncrementalGoGraph {
 
     /// The maintained processing order.
     pub fn current_order(&self) -> Permutation {
-        let items = self.order.sorted_items();
-        Permutation::from_order(items.into_iter().map(|i| i as u32).collect())
+        Self::permutation_of(&self.order.patched_items())
+    }
+
+    /// [`IncrementalGoGraph::current_order`], remembered: the next call
+    /// of either re-sorts only the vertices repositioned since, so a
+    /// streaming caller that hands the order on after every batch pays
+    /// `O(|V| + d log d)` for `d` moved vertices instead of a sort of all.
+    pub fn commit_order(&mut self) -> Permutation {
+        Self::permutation_of(self.order.commit_items())
+    }
+
+    fn permutation_of(items: &[usize]) -> Permutation {
+        Permutation::from_order(items.iter().map(|&i| i as VertexId).collect())
     }
 
     /// Materializes the ingested edges as a [`CsrGraph`] (for metric

@@ -68,6 +68,12 @@ pub struct InsertionOrder {
     min_val: f64,
     max_val: f64,
     count: usize,
+    /// Ids whose key was set or cleared since the last
+    /// [`InsertionOrder::commit_items`], each once (`is_rekeyed` is the
+    /// set view), and the sorted items as of that call.
+    rekeyed: Vec<usize>,
+    is_rekeyed: Vec<bool>,
+    committed: Vec<usize>,
 }
 
 impl InsertionOrder {
@@ -80,6 +86,9 @@ impl InsertionOrder {
             min_val: 0.0,
             max_val: 0.0,
             count: 0,
+            rekeyed: Vec::new(),
+            is_rekeyed: vec![false; n],
+            committed: Vec::new(),
         }
     }
 
@@ -236,6 +245,7 @@ impl InsertionOrder {
     }
 
     fn finish(&mut self, id: usize, val: f64) {
+        self.mark_rekeyed(id);
         self.vals[id] = val;
         self.inserted[id] = true;
         self.used_vals.insert(val.to_bits());
@@ -255,6 +265,7 @@ impl InsertionOrder {
     pub fn grow_one(&mut self) {
         self.vals.push(f64::NAN);
         self.inserted.push(false);
+        self.is_rekeyed.push(false);
         let id = self.vals.len() - 1;
         let val = if self.count == 0 {
             0.0
@@ -272,6 +283,7 @@ impl InsertionOrder {
     /// Panics if `id` was not inserted.
     pub fn remove(&mut self, id: usize) {
         assert!(self.inserted[id], "item {id} not inserted");
+        self.mark_rekeyed(id);
         self.used_vals.remove(&self.vals[id].to_bits());
         self.inserted[id] = false;
         self.vals[id] = f64::NAN;
@@ -285,13 +297,61 @@ impl InsertionOrder {
     /// are returned.
     pub fn sorted_items(&self) -> Vec<usize> {
         let mut items: Vec<usize> = (0..self.vals.len()).filter(|&i| self.inserted[i]).collect();
-        items.sort_by(|&a, &b| {
-            self.vals[a]
-                .partial_cmp(&self.vals[b])
-                .unwrap()
-                .then(a.cmp(&b))
-        });
+        items.sort_by(|&a, &b| self.key_cmp(a, b));
         items
+    }
+
+    /// The order's sort key: `val` ascending, ties by id.
+    fn key_cmp(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        self.vals[a]
+            .partial_cmp(&self.vals[b])
+            .unwrap()
+            .then(a.cmp(&b))
+    }
+
+    fn mark_rekeyed(&mut self, id: usize) {
+        if !self.is_rekeyed[id] {
+            self.is_rekeyed[id] = true;
+            self.rekeyed.push(id);
+        }
+    }
+
+    /// [`InsertionOrder::sorted_items`] without the full sort: the list
+    /// kept by the last [`InsertionOrder::commit_items`] (empty if there
+    /// was none) minus the ids re-keyed since — the rest kept their keys,
+    /// so their relative order — with those ids sorted and merged back
+    /// in. `O(n + d log d)` for `d` re-keyed ids; with every id re-keyed
+    /// it is the full sort.
+    pub fn patched_items(&self) -> Vec<usize> {
+        let mut moved: Vec<usize> = self
+            .rekeyed
+            .iter()
+            .copied()
+            .filter(|&id| self.inserted[id])
+            .collect();
+        moved.sort_by(|&a, &b| self.key_cmp(a, b));
+        let mut moved = moved.into_iter().peekable();
+        let mut items = Vec::with_capacity(self.count);
+        for &kept in self.committed.iter().filter(|&&id| !self.is_rekeyed[id]) {
+            while let Some(id) = moved.next_if(|&id| self.key_cmp(id, kept).is_lt()) {
+                items.push(id);
+            }
+            items.push(kept);
+        }
+        items.extend(moved);
+        debug_assert_eq!(items, self.sorted_items());
+        items
+    }
+
+    /// [`InsertionOrder::patched_items`], kept as the list the next call
+    /// patches: a caller that reads the order after every few changes
+    /// pays for those changes, not for a sort of everything.
+    pub fn commit_items(&mut self) -> &[usize] {
+        self.committed = self.patched_items();
+        for id in self.rekeyed.drain(..) {
+            self.is_rekeyed[id] = false;
+        }
+        &self.committed
     }
 
     /// Smallest val currently assigned.

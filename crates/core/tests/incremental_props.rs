@@ -4,8 +4,8 @@
 //! the maintainer's materialized graph must equal a from-scratch
 //! [`GraphBuilder`] build of the surviving edge set.
 
-use gograph_core::{metric, IncrementalGoGraph};
-use gograph_graph::{EdgeUpdate, GraphBuilder};
+use gograph_core::{metric, order_members, IncrementalGoGraph};
+use gograph_graph::{EdgeUpdate, GraphBuilder, Permutation, VertexId};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -36,6 +36,74 @@ fn replay(n: usize, ops: &[(u32, u32, u32)]) -> (IncrementalGoGraph, BTreeSet<(u
         }
     }
     (inc, mirror)
+}
+
+/// A random maintenance stream over every mutating entry point: a
+/// vertex count and `(kind, a, b)` steps — see [`step`].
+fn arb_stream() -> impl Strategy<Value = (usize, Vec<(u32, u32, u32)>)> {
+    (2usize..16).prop_flat_map(|n| {
+        proptest::collection::vec((0u32..8, any::<u32>(), any::<u32>()), 0..80)
+            .prop_map(move |steps| (n, steps))
+    })
+}
+
+/// Applies one step of a stream: kinds 0–2 `add_edge`, 3 `remove_edge`,
+/// 4 `add_vertex`, 5 `reorder_within` of a drawn member sequence (kept
+/// or rolled back, as the maintainer decides), 6 `reorder_within` of the
+/// conquer greedy's sequence for drawn members (kept whenever it moves
+/// anything), 7 nothing. Odd `b` also commits the order, so later reads
+/// patch bases of every age.
+fn step(inc: &mut IncrementalGoGraph, (kind, a, b): (u32, u32, u32)) {
+    let n = inc.num_vertices() as u32;
+    // Up to five distinct members starting at `a`, strided by `b`.
+    let members = || -> Vec<VertexId> {
+        let mut seen = BTreeSet::new();
+        (0..2 + a % 4)
+            .map(|i| (a.wrapping_add(i.wrapping_mul(b | 1))) % n)
+            .filter(|&v| seen.insert(v))
+            .collect()
+    };
+    match kind {
+        0..=2 => inc.add_edge(a % n, b % n),
+        3 => {
+            inc.remove_edge(a % n, b % n);
+        }
+        4 if n < 24 => {
+            inc.add_vertex();
+        }
+        5 => {
+            inc.reorder_within(&members());
+        }
+        6 => {
+            let mut sorted = members();
+            sorted.sort_unstable();
+            let greedy = order_members(&inc.to_graph(), &sorted);
+            inc.reorder_within(&greedy);
+        }
+        _ => {}
+    }
+    if b % 2 == 1 {
+        inc.commit_order();
+    }
+}
+
+/// The maintained order and `M(O)/|E|` against their from-scratch
+/// definitions: a full sort of the `val` keys (ties by id), and a sweep
+/// over every edge comparing its endpoints' keys.
+fn assert_matches_oracles(inc: &IncrementalGoGraph) {
+    let (vals, _, _) = inc.order_state();
+    assert_eq!(inc.current_order(), Permutation::from_float_keys(&vals));
+    let g = inc.to_graph();
+    let positive = g
+        .edges()
+        .filter(|e| vals[e.src as usize] < vals[e.dst as usize])
+        .count();
+    let expected = if g.num_edges() == 0 {
+        1.0
+    } else {
+        positive as f64 / g.num_edges() as f64
+    };
+    assert_eq!(inc.positive_fraction().to_bits(), expected.to_bits());
 }
 
 proptest! {
@@ -112,5 +180,40 @@ proptest! {
         let order = inc.current_order();
         prop_assert!(order.validate().is_ok());
         prop_assert_eq!(order.len(), n);
+    }
+
+    #[test]
+    fn maintained_order_and_counter_match_their_oracles_after_every_step(
+        (n, steps) in arb_stream()
+    ) {
+        let mut inc = IncrementalGoGraph::new(n);
+        assert_matches_oracles(&inc);
+        for &s in &steps {
+            step(&mut inc, s);
+            assert_matches_oracles(&inc);
+        }
+    }
+
+    #[test]
+    fn resumed_maintainer_matches_the_oracles_and_the_original(
+        (n, steps) in arb_stream(),
+        cut in 0usize..80
+    ) {
+        let (head, tail) = steps.split_at(cut.min(steps.len()));
+        let mut inc = IncrementalGoGraph::new(n);
+        for &s in head {
+            step(&mut inc, s);
+        }
+        let (vals, lo, hi) = inc.order_state();
+        let mut resumed =
+            IncrementalGoGraph::from_graph_with_saved_order(&inc.to_graph(), &vals, lo, hi);
+        assert_matches_oracles(&resumed);
+        for &s in tail {
+            step(&mut inc, s);
+            step(&mut resumed, s);
+            assert_matches_oracles(&resumed);
+            prop_assert_eq!(resumed.current_order(), inc.current_order());
+            prop_assert_eq!(resumed.positive_fraction(), inc.positive_fraction());
+        }
     }
 }

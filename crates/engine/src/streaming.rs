@@ -8,8 +8,8 @@
 //! 1. folds the updates into an [`IncrementalGoGraph`], which maintains
 //!    the positive-edge-maximizing processing order by local
 //!    repositioning instead of a full GoGraph re-run;
-//! 2. patches the CSR through [`CsrGraph::apply_updates`] (a sorted
-//!    merge, no global re-sort);
+//! 2. patches the CSR through [`CsrGraph::apply_updates`] (untouched
+//!    row spans copied whole, touched rows merged);
 //! 3. when the maintained order's positive-edge fraction has drifted
 //!    more than a configurable threshold below the fraction the last
 //!    full run achieved, repairs it **partition by partition**: the
@@ -177,8 +177,8 @@ impl StreamingPipelineBuilder {
         let po = GoGraph::default()
             .parallelism(reorder_threads)
             .run_partitioned(&graph);
-        let inc = IncrementalGoGraph::from_graph_with_order(&graph, po.order());
-        let order = inc.current_order();
+        let mut inc = IncrementalGoGraph::from_graph_with_order(&graph, po.order());
+        let order = inc.commit_order();
         let baseline_fraction = inc.positive_fraction();
         let reorder_time = t.elapsed();
 
@@ -319,13 +319,13 @@ impl StreamingPipelineBuilder {
             ));
         }
 
-        let inc = IncrementalGoGraph::from_graph_with_saved_order(
+        let mut inc = IncrementalGoGraph::from_graph_with_saved_order(
             &graph,
             &order_vals,
             order_min_val,
             order_max_val,
         );
-        let order = inc.current_order();
+        let order = inc.commit_order();
         let mut pipeline = StreamingPipeline {
             inc,
             graph,
@@ -585,9 +585,9 @@ impl StreamingPipeline {
             .collect();
 
         // Maintain the order and patch the CSR. A (post-filter) empty
-        // batch changes nothing, so the CSR rebuild, drift scan and
-        // order rematerialization are all skipped — only the cheap
-        // confirmation run below remains.
+        // batch changes nothing, so the CSR patch, drift check and
+        // order hand-off are all skipped — only the cheap confirmation
+        // run below remains.
         if !updates.is_empty() {
             self.inc.apply_updates(&updates);
             self.graph = self.graph.apply_updates(&updates);
@@ -603,7 +603,7 @@ impl StreamingPipeline {
             if self.baseline_fraction - fraction > self.drift_threshold {
                 self.repair_order();
             }
-            self.order = self.inc.current_order();
+            self.order = self.inc.commit_order();
         }
         let maintain_time = t_maintain.elapsed();
 
@@ -620,9 +620,9 @@ impl StreamingPipeline {
         let affected = if self.warm_start_is_sound() {
             self.affected_by_deletions(&removal_heads)
         } else {
-            Vec::new()
+            None
         };
-        let warm = if self.warm_start_is_sound() {
+        let warm = affected.map(|affected| {
             let mut states = self.states.clone();
             let mut frontier = Frontier::new(n);
             for &v in &affected {
@@ -632,10 +632,8 @@ impl StreamingPipeline {
             for u in updates.iter().filter(|u| u.is_insert()) {
                 frontier.insert(u.dst());
             }
-            Some(WarmStart::from_states(states).with_frontier_set(frontier))
-        } else {
-            None
-        };
+            WarmStart::from_states(states).with_frontier_set(frontier)
+        });
 
         // Re-converge.
         let strategy = strategy_for(self.mode);
@@ -945,9 +943,15 @@ impl StreamingPipeline {
     /// path survives — correct, just cold-run-priced for that batch.
     /// (KickStarter buys back that precision with per-vertex dependence
     /// levels; a future PR could add them.)
-    fn affected_by_deletions(&self, seeds: &[VertexId]) -> Vec<VertexId> {
+    ///
+    /// Trimming is only worth having while it is cheaper than the cold
+    /// run it avoids: once the walk has visited more edges than the
+    /// graph holds — one engine sweep's worth — it gives up and returns
+    /// `None`, and the batch runs cold. Both roads end at the same
+    /// fixpoint.
+    fn affected_by_deletions(&self, seeds: &[VertexId]) -> Option<Vec<VertexId>> {
         if seeds.is_empty() {
-            return Vec::new();
+            return Some(Vec::new());
         }
         let g = &self.graph;
         let states = &self.states;
@@ -1005,7 +1009,11 @@ impl StreamingPipeline {
             }
         }
         let mut out = Vec::new();
+        let mut edge_visits = 0usize;
         while let Some(v) = queue.pop_front() {
+            if edge_visits > g.num_edges() {
+                return None;
+            }
             queued[v as usize] = false;
             if affected[v as usize] {
                 continue;
@@ -1016,6 +1024,7 @@ impl StreamingPipeline {
             };
             let supported = same(intrinsic(v), sv)
                 || g.in_edges(v).any(|(x, w)| {
+                    edge_visits += 1;
                     !affected[x as usize]
                         && strictly_closer(states[x as usize], sv)
                         && same(candidate(x, v, w, states[x as usize]), sv)
@@ -1026,6 +1035,7 @@ impl StreamingPipeline {
                 // Everything this vertex may have been supporting needs
                 // a recheck.
                 g.for_each_out_neighbor(v, |w| {
+                    edge_visits += 1;
                     if !affected[w as usize] && !queued[w as usize] {
                         queued[w as usize] = true;
                         queue.push_back(w);
@@ -1033,7 +1043,7 @@ impl StreamingPipeline {
                 });
             }
         }
-        out
+        Some(out)
     }
 
     /// Records a finished execution into the pipeline's running state
@@ -1134,7 +1144,7 @@ mod tests {
     use crate::algorithms::{Bfs, ConnectedComponents, PageRank, Sssp};
     use crate::delta::{DeltaPageRank, DeltaSchedule, DeltaSssp};
     use crate::pipeline::Pipeline;
-    use gograph_graph::generators::regular::chain;
+    use gograph_graph::generators::regular::{chain, cycle};
     use gograph_graph::generators::{planted_partition, shuffle_labels, PlantedPartitionConfig};
 
     fn seed_graph() -> CsrGraph {
@@ -1203,6 +1213,53 @@ mod tests {
         assert!(r.stats.converged);
         assert_eq!(sp.states()[20], 6.0);
         assert_eq!(sp.states()[39], 25.0);
+    }
+
+    #[test]
+    fn trimming_gives_up_once_it_costs_more_than_a_sweep() {
+        // SSSP on a chain: a cut near the tail strands five vertices,
+        // and trimming names exactly those.
+        let mut sssp = StreamingPipeline::over(&chain(40))
+            .algorithm(Sssp::new(0))
+            .build()
+            .unwrap();
+        sssp.graph = sssp.graph.apply_updates(&[EdgeUpdate::remove(34, 35)]);
+        assert_eq!(
+            sssp.affected_by_deletions(&[35]),
+            Some((35..40).collect::<Vec<VertexId>>())
+        );
+
+        // CC on a directed cycle: every label is 0 and none certifies
+        // another, so one cut would walk the whole cycle — two visits a
+        // vertex, twice a sweep. Trimming stops at one sweep's worth.
+        let g = cycle(200);
+        let mut cc = StreamingPipeline::over(&g)
+            .algorithm(ConnectedComponents)
+            .build()
+            .unwrap();
+        let cut = [EdgeUpdate::remove(0, 1)];
+        cc.graph = cc.graph.apply_updates(&cut);
+        assert_eq!(cc.affected_by_deletions(&[1]), None);
+
+        // The batch then runs cold, to the fixpoint a cold pipeline finds.
+        let mut cc = StreamingPipeline::over(&g)
+            .algorithm(ConnectedComponents)
+            .build()
+            .unwrap();
+        let r = cc.apply_batch(&cut).unwrap();
+        assert!(r.stats.converged);
+        let cold = Pipeline::on(cc.graph())
+            .order(cc.order().clone())
+            .algorithm(ConnectedComponents)
+            .execute()
+            .unwrap();
+        assert_eq!(cc.states(), &cold.stats.final_states[..]);
+        assert_eq!(
+            r.stats.rounds, cold.stats.rounds,
+            "a cold run, round for round"
+        );
+        assert_eq!(cc.states()[0], 0.0);
+        assert!(cc.states()[1..].iter().all(|&s| s == 1.0));
     }
 
     #[test]
@@ -1531,6 +1588,63 @@ mod tests {
         assert_eq!(resumed.states(), original.states());
         assert_eq!(resumed.full_reorders(), original.full_reorders());
         assert_eq!(control.states(), original.states(), "control sanity");
+    }
+
+    /// The handed-off order and the `M(O)` counter against their
+    /// from-scratch definitions.
+    fn assert_order_and_counter_match_oracles(sp: &StreamingPipeline) {
+        let (vals, _, _) = sp.inc.order_state();
+        assert_eq!(sp.order(), &Permutation::from_float_keys(&vals));
+        let m = gograph_core::metric(sp.graph(), sp.order());
+        let expected = m as f64 / sp.graph().num_edges() as f64;
+        assert_eq!(sp.positive_fraction().to_bits(), expected.to_bits());
+    }
+
+    #[test]
+    fn order_and_counter_match_oracles_across_drift_repairs() {
+        // Insert-only churn against the order densifies the graph and
+        // breaches a tight threshold again and again. With the quality
+        // floor at 1.0 every breach escalates to a full reorder (a fresh
+        // maintainer: every key new); at the default floor the breach
+        // re-baselines in place. Both must hand the engine exactly the
+        // sorted keys, with the counter exact.
+        let g = seed_graph();
+        let build = |floor: f64| {
+            StreamingPipeline::over(&g)
+                .algorithm(Bfs::new(0))
+                .drift_threshold(0.02)
+                .quality_floor(floor)
+                .build()
+                .unwrap()
+        };
+        let mut escalating = build(1.0);
+        let mut rebaselining = build(StreamingPipeline::DEFAULT_QUALITY_FLOOR);
+        assert_order_and_counter_match_oracles(&escalating);
+        let mut rebaselines = 0;
+        for i in 0..40usize {
+            let order = rebaselining.order().clone();
+            let batch: Vec<EdgeUpdate> = (0..4)
+                .map(|k| {
+                    let late = order.vertex_at(order.len() - 1 - (i * 4 + k) % 50);
+                    let early = order.vertex_at((i * 7 + k * 3) % 50);
+                    EdgeUpdate::insert(late, early)
+                })
+                .collect();
+            let (baseline, fulls) = (
+                rebaselining.baseline_fraction(),
+                rebaselining.full_reorders(),
+            );
+            rebaselining.apply_batch(&batch).unwrap();
+            escalating.apply_batch(&batch).unwrap();
+            assert_order_and_counter_match_oracles(&rebaselining);
+            assert_order_and_counter_match_oracles(&escalating);
+            if rebaselining.full_reorders() == fulls && rebaselining.baseline_fraction() != baseline
+            {
+                rebaselines += 1;
+            }
+        }
+        assert!(escalating.full_reorders() > 1, "full-reorder branch ran");
+        assert!(rebaselines > 0, "re-baseline branch ran");
     }
 
     #[test]

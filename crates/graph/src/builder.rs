@@ -107,9 +107,9 @@ impl GraphBuilder {
 
 /// Assembles a [`CsrGraph`] from an edge list that is already sorted by
 /// `(src, dst)` and free of duplicate pairs, in two counting-sort
-/// passes. Shared by [`GraphBuilder::build`] and the batch-update path
-/// ([`CsrGraph::apply_updates`]), which produces its merged edge stream
-/// pre-sorted and so skips the `O(|E| log |E|)` sort above.
+/// passes. Shared by [`GraphBuilder::build`] and
+/// [`CsrGraph::induced_subgraph_with_threads`], whose filtered rows come
+/// out pre-sorted and so skip the `O(|E| log |E|)` sort above.
 pub(crate) fn csr_from_sorted_edges(n: usize, edges: &[Edge]) -> CsrGraph {
     let m = edges.len();
 

@@ -144,6 +144,69 @@ fn offsets_from_degrees(degrees: &[u32]) -> Vec<usize> {
     offsets
 }
 
+/// One adjacency direction with `overrides` spliced in, grown to
+/// `num_rows` rows. `overrides` holds `(row, neighbor, state)` sorted by
+/// `(row, neighbor)` with each pair at most once and every row below
+/// `num_rows`; `Some(w)` sets the pair's weight, `None` drops the pair.
+/// Spans of rows between overridden rows are copied whole; an
+/// overridden row is merged neighbor by neighbor.
+fn splice_rows(
+    num_rows: usize,
+    offsets: &[usize],
+    ids: &[VertexId],
+    weights: &[Weight],
+    overrides: &[(VertexId, VertexId, Option<Weight>)],
+) -> (Vec<usize>, Vec<VertexId>, Vec<Weight>) {
+    let old_rows = offsets.len() - 1;
+    let mut new_offsets = Vec::with_capacity(num_rows + 1);
+    let mut new_ids = Vec::with_capacity(ids.len() + overrides.len());
+    let mut new_weights = Vec::with_capacity(ids.len() + overrides.len());
+    let mut i = 0;
+    loop {
+        // Rows up to the next overridden one (or the end) are unchanged;
+        // those past the old row count are empty.
+        let row = overrides.get(i).map_or(num_rows, |o| o.0 as usize);
+        let from = new_offsets.len();
+        let old_upto = row.min(old_rows);
+        if from < old_upto {
+            let (s, e) = (offsets[from], offsets[old_upto]);
+            let shifted = new_ids.len();
+            new_offsets.extend(offsets[from..old_upto].iter().map(|&o| shifted + (o - s)));
+            new_ids.extend_from_slice(&ids[s..e]);
+            new_weights.extend_from_slice(&weights[s..e]);
+        }
+        new_offsets.resize(row, new_ids.len());
+        if i == overrides.len() {
+            break;
+        }
+        new_offsets.push(new_ids.len());
+        let (mut k, e) = if row < old_rows {
+            (offsets[row], offsets[row + 1])
+        } else {
+            (0, 0)
+        };
+        while i < overrides.len() && overrides[i].0 as usize == row {
+            let (_, neighbor, state) = overrides[i];
+            let upto = k + ids[k..e].partition_point(|&x| x < neighbor);
+            new_ids.extend_from_slice(&ids[k..upto]);
+            new_weights.extend_from_slice(&weights[k..upto]);
+            k = upto;
+            if k < e && ids[k] == neighbor {
+                k += 1;
+            }
+            if let Some(w) = state {
+                new_ids.push(neighbor);
+                new_weights.push(w);
+            }
+            i += 1;
+        }
+        new_ids.extend_from_slice(&ids[k..e]);
+        new_weights.extend_from_slice(&weights[k..e]);
+    }
+    new_offsets.push(new_ids.len());
+    (new_offsets, new_ids, new_weights)
+}
+
 /// `(neighbor, weight)` stream over either backend: borrowed zip of the
 /// flat slices, or a decoded row buffer for compressed storage.
 enum EdgePairs<'g> {
@@ -645,29 +708,35 @@ impl CsrGraph {
     /// weight, while an `Insert` of a surviving edge keeps the smaller of
     /// the old and new weights (the [`GraphBuilder`] duplicate
     /// convention, so a batch-updated graph equals a from-scratch build
-    /// of the surviving edge set). Removing an absent edge is a no-op;
-    /// insert endpoints beyond the current vertex count grow the graph.
+    /// of the surviving edge set). Removing an absent edge is a no-op —
+    /// also when an endpoint is beyond the vertex count, which a `Remove`
+    /// never grows; insert endpoints beyond the current vertex count
+    /// grow the graph.
     ///
-    /// Unlike rebuilding through [`GraphBuilder`] — which re-sorts the
-    /// whole edge list — this folds the batch into per-pair overrides
-    /// (`O(|U| log |U|)`) and merges them with the already-sorted CSR
-    /// edge stream in one linear pass, so a small batch against a large
-    /// graph costs `O(|V| + |E| + |U| log |U|)` with no global sort.
+    /// The batch is folded into per-pair overrides (`O(|U| log |U|)`)
+    /// and spliced into each adjacency direction: rows no override
+    /// touches are copied in whole spans with their offsets shifted, and
+    /// only the touched rows are merged — one copy of the arrays, with
+    /// no edge list, sort or per-edge pass.
     ///
-    /// The result is always on the uncompressed backend.
+    /// The result is always on the uncompressed backend (a compressed
+    /// input is decompressed first).
     pub fn apply_updates(&self, updates: &[EdgeUpdate]) -> CsrGraph {
         use std::collections::HashMap;
+        let base = self.decompress();
+        let f = base.flat();
+        let n_old = self.num_vertices;
         // Fold the batch into the final state of each touched pair:
         // `Some(w)` = present with weight `w`, `None` = absent.
         let mut overrides: HashMap<(VertexId, VertexId), Option<Weight>> =
             HashMap::with_capacity(updates.len());
-        let mut num_vertices = self.num_vertices;
+        let mut num_vertices = n_old;
         for up in updates {
             match *up {
                 EdgeUpdate::Insert { src, dst, weight } => {
                     num_vertices = num_vertices.max(src as usize + 1).max(dst as usize + 1);
-                    let existing = if (src as usize) < self.num_vertices {
-                        self.edge_weight(src, dst)
+                    let existing = if (src as usize) < n_old {
+                        base.edge_weight(src, dst)
                     } else {
                         None
                     };
@@ -682,38 +751,46 @@ impl CsrGraph {
                 }
             }
         }
-        let mut ov: Vec<((VertexId, VertexId), Option<Weight>)> = overrides.into_iter().collect();
-        ov.sort_unstable_by_key(|&(pair, _)| pair);
+        // `(row, neighbor, state)` per direction, sorted. An absent pair
+        // with an endpoint past the old vertex count names no edge and,
+        // unlike an insert, no row either.
+        let mut by_src: Vec<(VertexId, VertexId, Option<Weight>)> = overrides
+            .into_iter()
+            .filter(|&((src, dst), state)| {
+                state.is_some() || ((src as usize) < n_old && (dst as usize) < n_old)
+            })
+            .map(|((src, dst), state)| (src, dst, state))
+            .collect();
+        by_src.sort_unstable_by_key(|&(src, dst, _)| (src, dst));
+        let mut by_dst: Vec<(VertexId, VertexId, Option<Weight>)> = by_src
+            .iter()
+            .map(|&(src, dst, state)| (dst, src, state))
+            .collect();
+        by_dst.sort_unstable_by_key(|&(dst, src, _)| (dst, src));
 
-        // Merge the (src, dst)-sorted old edge stream with the sorted
-        // overrides; both runs stay sorted, so the output needs no sort.
-        let mut merged: Vec<Edge> = Vec::with_capacity(self.num_edges() + ov.len());
-        let mut oi = 0usize;
-        let emit_override = |merged: &mut Vec<Edge>, i: usize| {
-            let ((src, dst), state) = ov[i];
-            if let Some(w) = state {
-                merged.push(Edge::new(src, dst, w));
-            }
-        };
-        for e in self.edges() {
-            let key = (e.src, e.dst);
-            while oi < ov.len() && ov[oi].0 < key {
-                emit_override(&mut merged, oi);
-                oi += 1;
-            }
-            if oi < ov.len() && ov[oi].0 == key {
-                emit_override(&mut merged, oi);
-                oi += 1;
-            } else {
-                merged.push(e);
-            }
-        }
-        while oi < ov.len() {
-            emit_override(&mut merged, oi);
-            oi += 1;
-        }
-
-        csr_from_sorted_edges(num_vertices, &merged)
+        let (out_offsets, out_targets, out_weights) = splice_rows(
+            num_vertices,
+            &f.out_offsets,
+            &f.out_targets,
+            &f.out_weights,
+            &by_src,
+        );
+        let (in_offsets, in_sources, in_weights) = splice_rows(
+            num_vertices,
+            &f.in_offsets,
+            &f.in_sources,
+            &f.in_weights,
+            &by_dst,
+        );
+        CsrGraph::from_parts(
+            num_vertices,
+            out_offsets,
+            out_targets,
+            out_weights,
+            in_offsets,
+            in_sources,
+            in_weights,
+        )
     }
 
     /// Extracts the subgraph induced by `vertices`.
@@ -1292,6 +1369,35 @@ mod tests {
         // Untouched edges survive with in-adjacency intact.
         assert_eq!(updated.in_neighbors(3), &[1, 2]);
         assert_eq!(updated.in_neighbors(4), &[3]);
+    }
+
+    #[test]
+    fn apply_updates_out_of_range_remove_is_a_noop() {
+        let g = diamond();
+        // Remove-only batches naming vertices that do not exist: nothing
+        // to remove, and a remove never grows the vertex set.
+        for batch in [
+            vec![EdgeUpdate::remove(9, 1)],
+            vec![EdgeUpdate::remove(1, 9)],
+            vec![EdgeUpdate::remove(7, 9), EdgeUpdate::remove(4, 4)],
+        ] {
+            let same = g.apply_updates(&batch);
+            assert_eq!(same, g, "{batch:?}");
+            assert_eq!(same.num_vertices(), 4);
+        }
+        // Mixed with a growing insert: only the insert sets the count,
+        // also when the removes name rows past it.
+        let grown = g.apply_updates(&[
+            EdgeUpdate::remove(9, 1),
+            EdgeUpdate::insert(3, 5),
+            EdgeUpdate::remove(1, 9),
+            EdgeUpdate::remove(5, 8),
+        ]);
+        assert_eq!(grown.num_vertices(), 6);
+        assert_eq!(grown.num_edges(), 5);
+        assert!(grown.has_edge(3, 5));
+        assert_eq!(grown.in_neighbors(5), &[3]);
+        assert_eq!(grown.out_degrees(), &[2, 1, 1, 1, 0, 0]);
     }
 
     #[test]

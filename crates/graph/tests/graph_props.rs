@@ -1,8 +1,9 @@
 //! Property tests of the graph substrate's structural invariants.
 
 use gograph_graph::generators::regular::chain;
-use gograph_graph::{CsrGraph, GraphBuilder, Permutation};
+use gograph_graph::{CsrGraph, EdgeUpdate, GraphBuilder, Permutation};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn arb_edges() -> impl Strategy<Value = (usize, Vec<(u32, u32, f64)>)> {
     (2usize..50).prop_flat_map(|n| {
@@ -18,6 +19,107 @@ fn build(n: usize, edges: &[(u32, u32, f64)]) -> CsrGraph {
         b.add_edge(u, v, w);
     }
     b.build()
+}
+
+/// Raw material for one `apply_updates` case: a vertex count (0 = the
+/// empty graph), seed edges and update ops as unreduced endpoint draws —
+/// [`splice_case`] folds them into range — and three shape switches.
+type RawSpliceCase = (
+    usize,
+    Vec<(u32, u32, f64)>,
+    Vec<(u32, u32, u32, f64)>,
+    bool,
+    bool,
+    usize,
+);
+
+fn arb_splice_case() -> impl Strategy<Value = RawSpliceCase> {
+    (
+        0usize..24,
+        proptest::collection::vec((any::<u32>(), any::<u32>(), 0.5f64..9.5), 0..72),
+        proptest::collection::vec((0u32..3, any::<u32>(), any::<u32>(), 0.5f64..9.5), 0..60),
+        any::<bool>(),
+        any::<bool>(),
+        0usize..60,
+    )
+}
+
+/// The seed graph and update batch of a raw case. Seed endpoints fold
+/// into `0..n`; update endpoints into `0..n + 6`, so inserts grow the
+/// vertex set past several empty rows and removes name absent rows. The
+/// few ids and many ops make duplicate pairs, remove-then-insert and
+/// insert-then-remove of one pair, and removes of absent edges routine.
+/// `sweep` prepends one op per existing row, so every row is merged.
+fn splice_case(
+    n: usize,
+    edges: &[(u32, u32, f64)],
+    ops: &[(u32, u32, u32, f64)],
+    sweep: bool,
+) -> (CsrGraph, Vec<EdgeUpdate>) {
+    let seed: Vec<(u32, u32, f64)> = edges
+        .iter()
+        .filter(|_| n > 0)
+        .map(|&(u, v, w)| (u % n as u32, v % n as u32, w))
+        .collect();
+    let span = n as u32 + 6;
+    let mut updates = Vec::new();
+    if sweep {
+        for v in 0..n as u32 {
+            updates.push(if v % 2 == 0 {
+                EdgeUpdate::insert_weighted(v, (v + 1) % n as u32, 0.25)
+            } else {
+                EdgeUpdate::remove(v, (v * 7 + 3) % n as u32)
+            });
+        }
+    }
+    for &(kind, a, b, w) in ops {
+        updates.push(if kind == 2 {
+            EdgeUpdate::remove(a % span, b % span)
+        } else {
+            EdgeUpdate::insert_weighted(a % span, b % span, w)
+        });
+    }
+    (build(n, &seed), updates)
+}
+
+/// A from-scratch [`GraphBuilder`] build of what survives replaying
+/// `updates` one by one over `g`'s edges — the sequential semantics
+/// `apply_updates` promises.
+fn rebuilt(g: &CsrGraph, updates: &[EdgeUpdate]) -> CsrGraph {
+    let mut edges: BTreeMap<(u32, u32), f64> =
+        g.edges().map(|e| ((e.src, e.dst), e.weight)).collect();
+    let mut n = g.num_vertices();
+    for up in updates {
+        match *up {
+            EdgeUpdate::Insert { src, dst, weight } => {
+                n = n.max(src as usize + 1).max(dst as usize + 1);
+                let w = edges.entry((src, dst)).or_insert(weight);
+                *w = w.min(weight);
+            }
+            EdgeUpdate::Remove { src, dst } => {
+                edges.remove(&(src, dst));
+            }
+        }
+    }
+    let mut b = GraphBuilder::with_capacity(n, edges.len());
+    b.reserve_vertices(n);
+    for (&(u, v), &w) in &edges {
+        b.add_edge(u, v, w);
+    }
+    b.build()
+}
+
+fn assert_same_arrays(spliced: &CsrGraph, expected: &CsrGraph) {
+    assert!(!spliced.is_compressed());
+    assert_eq!(spliced.num_vertices(), expected.num_vertices());
+    assert_eq!(spliced.raw_out_offsets(), expected.raw_out_offsets());
+    assert_eq!(spliced.raw_out_targets(), expected.raw_out_targets());
+    assert_eq!(spliced.raw_out_weights(), expected.raw_out_weights());
+    assert_eq!(spliced.raw_in_offsets(), expected.raw_in_offsets());
+    assert_eq!(spliced.raw_in_sources(), expected.raw_in_sources());
+    assert_eq!(spliced.raw_in_weights(), expected.raw_in_weights());
+    assert_eq!(spliced.out_degrees(), expected.out_degrees());
+    assert_eq!(spliced, expected);
 }
 
 proptest! {
@@ -107,6 +209,21 @@ proptest! {
         let two_step = g.relabeled(&p1).relabeled(&p2);
         let one_step = g.relabeled(&p1.then(&p2));
         prop_assert_eq!(two_step, one_step);
+    }
+
+    #[test]
+    fn apply_updates_splice_equals_rebuild(
+        (n, edges, ops, sweep, compressed, cut) in arb_splice_case()
+    ) {
+        let (flat, updates) = splice_case(n, &edges, &ops, sweep);
+        let g = if compressed { flat.compress() } else { flat.clone() };
+        let expected = rebuilt(&flat, &updates);
+        assert_same_arrays(&g.apply_updates(&updates), &expected);
+        // Two chained batches land on the same graph as the one batch.
+        let (first, second) = updates.split_at(cut.min(updates.len()));
+        assert_same_arrays(&g.apply_updates(first).apply_updates(second), &expected);
+        // The input is never disturbed.
+        prop_assert_eq!(g.decompress(), flat);
     }
 
     #[test]

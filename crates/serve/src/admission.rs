@@ -12,6 +12,11 @@
 //!
 //! Global algorithms (empty source sets) combine too: the union is
 //! empty and coalescing is pure dedup of identical work.
+//!
+//! Only queries that execute come here: one the epoch already holds the
+//! answer to is replied to before admission (see
+//! `ServeCore::execute_query`) — it has nothing to share and nothing
+//! worth a window's wait.
 
 use gograph_graph::VertexId;
 use std::collections::HashMap;
@@ -148,6 +153,12 @@ impl<Key: Eq + Hash + Clone, T: Clone> AdmissionQueue<Key, T> {
             }
             st = slot.done.wait(st).unwrap_or_else(|e| e.into_inner());
         }
+    }
+
+    /// Batches currently holding admission open.
+    #[cfg(test)]
+    pub(crate) fn open_slots(&self) -> usize {
+        crate::lock_unpoisoned(&self.open).len()
     }
 
     /// Leader hand-off: publishes `outcome` to every follower of `slot`.

@@ -280,9 +280,12 @@ pub struct QueryOutcome {
     pub effective_sources: Vec<VertexId>,
     /// How many client requests this one execution served.
     pub admitted: usize,
-    /// Whether the run warm-started from the epoch's converged states.
+    /// Whether the reply was answered from or started from the epoch's
+    /// warm states.
     pub warm: bool,
-    /// Rounds the engine executed.
+    /// Rounds the engine executed; 0 exactly when the reply was answered
+    /// from the epoch without running (`states` is then the entry's own
+    /// allocation).
     pub rounds: usize,
     /// Rounds executed in the push direction (direction-optimizing
     /// engines; 0 otherwise).
@@ -304,7 +307,8 @@ pub struct ServeStats {
     pub queries: AtomicU64,
     /// Queries answered from another leader's execution.
     pub coalesced: AtomicU64,
-    /// Executions that warm-started from epoch warm state.
+    /// Queries answered from, and executions warm-started from, epoch
+    /// warm state.
     pub warm_hits: AtomicU64,
     /// Executions that ran cold.
     pub cold_runs: AtomicU64,
@@ -388,7 +392,7 @@ pub struct StatsSnapshot {
     pub queries: u64,
     /// Queries served from a coalesced execution.
     pub coalesced: u64,
-    /// Warm-started executions.
+    /// Queries answered from the epoch plus warm-started executions.
     pub warm_hits: u64,
     /// Cold executions.
     pub cold_runs: u64,
@@ -957,8 +961,12 @@ impl ServeCore {
         &self.faults
     }
 
-    /// Executes `req` against a pinned epoch, possibly coalescing it
-    /// with concurrent compatible requests (see [`crate::admission`]).
+    /// Answers `req` against a pinned epoch. A single-source or global
+    /// query whose [`AlgSpec::warm_is_exact`] algorithm the epoch holds
+    /// a converged entry for is answered *from* that entry (0 rounds, no
+    /// admission wait, never widened); anything else executes, possibly
+    /// coalesced with concurrent compatible requests (see
+    /// [`crate::admission`]).
     pub fn execute_query(&self, req: QueryRequest) -> Result<Arc<QueryOutcome>, ServeError> {
         if let Some(max) = req.max_epoch_lag {
             // On a follower the freshest reference is the primary's
@@ -987,6 +995,38 @@ impl ServeCore {
         } else {
             &[]
         };
+
+        // A state that is already a fixpoint needs zero rounds. The
+        // mutator converged this entry on this very epoch before
+        // publishing it, and for the max-norm algorithms a re-run from
+        // it changes nothing, so the entry *is* the reply: no admission
+        // window, no union with other clients' sources, no kernel.
+        if sources.len() <= 1 && req.alg.warm_is_exact() {
+            let epoch = self.epoch.pin();
+            let source = sources.first().copied().unwrap_or(0);
+            let fixpoint = epoch
+                .warm_for(req.alg, source)
+                .filter(|entry| entry.converged)
+                .map(|entry| Arc::clone(&entry.states));
+            if let Some(states) = fixpoint {
+                self.stats.warm_hits.fetch_add(1, Ordering::Relaxed);
+                self.stats.queries.fetch_add(1, Ordering::Relaxed);
+                return Ok(Arc::new(QueryOutcome {
+                    epoch,
+                    alg: req.alg,
+                    mode: req.mode,
+                    effective_sources: sources.to_vec(),
+                    admitted: 1,
+                    warm: true,
+                    rounds: 0,
+                    push_rounds: 0,
+                    state_memory_bytes: 0,
+                    converged: true,
+                    runtime: Duration::ZERO,
+                    states,
+                }));
+            }
+        }
 
         let outcome = if req.combine {
             let key = (req.alg.code(), req.mode.code());
@@ -1878,6 +1918,7 @@ fn epoch_from_pipelines(epoch: u64, pipelines: &[(WarmSpec, StreamingPipeline)])
                 alg: spec.alg,
                 source: spec.source,
                 states: Arc::new(sp.states().to_vec()),
+                converged: sp.last_result().stats.converged,
             })
             .collect(),
     }
@@ -1886,6 +1927,7 @@ fn epoch_from_pipelines(epoch: u64, pipelines: &[(WarmSpec, StreamingPipeline)])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gograph_engine::IterativeAlgorithm;
     use gograph_graph::generators::{planted_partition, PlantedPartitionConfig};
     use std::path::Path;
 
@@ -1955,7 +1997,7 @@ mod tests {
         for (wa, wb) in a.warm.iter().zip(&b.warm) {
             assert_eq!(wa.alg, wb.alg);
             assert_eq!(wa.source, wb.source);
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(wa.converged, wb.converged);
             assert_eq!(
                 bits(&wa.states),
                 bits(&wb.states),
@@ -1969,8 +2011,8 @@ mod tests {
     fn warm_query_matches_cold_run_exactly() {
         let core = core();
         let warm = core.execute_query(query(AlgSpec::Sssp, vec![0])).unwrap();
-        assert!(warm.warm, "configured warm algorithm must warm-start");
-        assert_eq!(warm.rounds, 1, "fixpoint re-check is one round");
+        assert!(warm.warm, "configured warm algorithm must hit its entry");
+        assert_eq!(warm.rounds, 0, "a published fixpoint needs no rounds");
 
         let cold = core.execute_query(query(AlgSpec::Sssp, vec![3])).unwrap();
         assert!(!cold.warm, "unconfigured source runs cold");
@@ -1979,6 +2021,228 @@ mod tests {
         let ep = core.pin_epoch();
         let entry = ep.warm_for(AlgSpec::Sssp, 0).unwrap();
         assert_eq!(&*warm.states, &*entry.states);
+    }
+
+    /// A fresh cold run of `alg` from `sources` on `ep`, outside the core.
+    fn cold_states(
+        ep: &EpochState,
+        alg: AlgSpec,
+        mode: ModeSpec,
+        sources: &[VertexId],
+    ) -> Vec<f64> {
+        Pipeline::on(&ep.graph)
+            .order_ref(&ep.order)
+            .mode(mode.mode())
+            .algorithm_ref(alg.instantiate(sources).as_ref())
+            .execute()
+            .unwrap()
+            .stats
+            .final_states
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn hot_queries_are_answered_from_the_epoch_under_every_mode() {
+        let core = core();
+        for batch in batches(3) {
+            core.enqueue_updates(batch).unwrap();
+        }
+        core.quiesce();
+        let ep = core.pin_epoch();
+        assert_eq!(ep.epoch, 3);
+
+        for mode in [
+            ModeSpec::Async,
+            ModeSpec::Sync,
+            ModeSpec::Worklist,
+            ModeSpec::Parallel(2),
+        ] {
+            for (alg, sources) in [(AlgSpec::Sssp, vec![0]), (AlgSpec::Cc, vec![])] {
+                let before = core.stats_snapshot();
+                let hot = core
+                    .execute_query(QueryRequest {
+                        mode,
+                        ..query(alg, sources.clone())
+                    })
+                    .unwrap();
+                let after = core.stats_snapshot();
+
+                let entry = ep.warm_for(alg, 0).unwrap();
+                assert!(entry.converged);
+                assert!(
+                    Arc::ptr_eq(&hot.states, &entry.states),
+                    "{alg:?}/{mode:?}: the reply shares the entry's allocation"
+                );
+                assert_eq!(
+                    bits(&hot.states),
+                    bits(&cold_states(&ep, alg, mode, &sources)),
+                    "{alg:?}/{mode:?}: and equals a fresh cold run bit for bit"
+                );
+                assert!(hot.warm && hot.converged);
+                assert_eq!((hot.rounds, hot.push_rounds), (0, 0));
+                assert_eq!(hot.runtime, Duration::ZERO);
+                assert_eq!(hot.state_memory_bytes, 0);
+                assert_eq!(hot.admitted, 1);
+                assert_eq!(hot.effective_sources, sources);
+                assert_eq!(hot.mode, mode);
+                assert_eq!(hot.epoch.epoch, 3);
+
+                assert_eq!(after.warm_hits, before.warm_hits + 1);
+                assert_eq!(after.queries, before.queries + 1);
+                assert_eq!(after.query_rounds, before.query_rounds);
+                assert_eq!(after.cold_runs, before.cold_runs);
+                assert_eq!(after.last_state_bytes, before.last_state_bytes);
+            }
+        }
+        core.shutdown();
+    }
+
+    #[test]
+    fn hot_query_never_waits_for_or_joins_an_admission_window() {
+        let core = core_with(ServeConfig {
+            warm: vec![WarmSpec::new(AlgSpec::Sssp, 0)],
+            admission_window: Duration::from_secs(5),
+            ..ServeConfig::default()
+        });
+        let combining = |sources| QueryRequest {
+            combine: true,
+            ..query(AlgSpec::Sssp, sources)
+        };
+
+        // A cold same-key query opens a slot and sits out its window.
+        let leader = {
+            let core = Arc::clone(&core);
+            let req = combining(vec![3]);
+            std::thread::spawn(move || core.execute_query(req).unwrap())
+        };
+        while core.admission.open_slots() == 0 {
+            std::thread::yield_now();
+        }
+
+        let started = std::time::Instant::now();
+        let hot = core.execute_query(combining(vec![0])).unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "a hot query must not sleep an admission window ({:?})",
+            started.elapsed()
+        );
+        assert_eq!(
+            core.admission.open_slots(),
+            1,
+            "the cold slot is still open"
+        );
+        assert!(hot.warm);
+        assert_eq!(hot.rounds, 0);
+        assert_eq!(hot.admitted, 1);
+        assert_eq!(hot.effective_sources, vec![0], "its own exact answer");
+
+        // The cold query still led its own slot, alone.
+        let cold = leader.join().unwrap();
+        assert!(!cold.warm);
+        assert!(cold.rounds >= 1);
+        assert_eq!(cold.admitted, 1);
+        assert_eq!(cold.effective_sources, vec![3]);
+        let s = core.stats_snapshot();
+        assert_eq!(s.coalesced, 0);
+        assert_eq!((s.queries, s.warm_hits, s.cold_runs), (2, 1, 1));
+        core.shutdown();
+    }
+
+    #[test]
+    fn everything_but_a_hot_exact_query_still_runs_the_kernel() {
+        let core = core_with(ServeConfig {
+            warm: vec![
+                WarmSpec::new(AlgSpec::Sssp, 0),
+                WarmSpec::new(AlgSpec::PageRank, 0),
+            ],
+            admission_window: Duration::ZERO,
+            ..ServeConfig::default()
+        });
+        core.enqueue_updates(batches(1).remove(0)).unwrap();
+        core.quiesce();
+        let ep = core.pin_epoch();
+
+        // SSSP from a source the epoch holds no entry for.
+        let before = core.stats_snapshot();
+        let cold = core.execute_query(query(AlgSpec::Sssp, vec![3])).unwrap();
+        assert!(!cold.warm && cold.rounds >= 1);
+        assert_eq!(core.stats_snapshot().cold_runs, before.cold_runs + 1);
+
+        // A two-source request containing the warm source is a union
+        // query: its fixpoint is not the entry's.
+        let two = core
+            .execute_query(query(AlgSpec::Sssp, vec![0, 3]))
+            .unwrap();
+        assert!(!two.warm && two.rounds >= 1);
+        assert_eq!(two.effective_sources, vec![0, 3]);
+        assert_eq!(
+            bits(&two.states),
+            bits(&cold_states(&ep, AlgSpec::Sssp, ModeSpec::Async, &[0, 3]))
+        );
+
+        // PageRank warm-*starts*: its re-run from the entry is not a
+        // no-op, so the reply is that run's result, not the entry.
+        let before = core.stats_snapshot();
+        let pr = core
+            .execute_query(query(AlgSpec::PageRank, vec![]))
+            .unwrap();
+        let after = core.stats_snapshot();
+        let entry = ep.warm_for(AlgSpec::PageRank, 0).unwrap();
+        assert!(pr.warm && pr.rounds >= 1);
+        assert!(!Arc::ptr_eq(&pr.states, &entry.states));
+        let replica = Pipeline::on(&ep.graph)
+            .order_ref(&ep.order)
+            .algorithm_ref(AlgSpec::PageRank.instantiate(&[]).as_ref())
+            .warm_start(WarmStart::from_states((*entry.states).clone()))
+            .execute()
+            .unwrap()
+            .stats;
+        assert_eq!(bits(&pr.states), bits(&replica.final_states));
+        assert_eq!(pr.rounds, replica.rounds);
+        assert_eq!(after.warm_hits, before.warm_hits + 1);
+        assert_eq!(
+            after.query_rounds,
+            before.query_rounds + replica.rounds as u64
+        );
+        core.shutdown();
+    }
+
+    #[test]
+    fn unconverged_entry_is_not_an_answer() {
+        let core = core_with(ServeConfig {
+            warm: vec![WarmSpec::new(AlgSpec::Sssp, 0)],
+            admission_window: Duration::ZERO,
+            ..ServeConfig::default()
+        });
+        // Publish an epoch whose SSSP entry is what a round-capped run
+        // leaves behind: states short of the fixpoint, flagged as such.
+        let mut ep = (*core.pin_epoch()).clone();
+        let fixpoint = Arc::clone(&ep.warm[0].states);
+        let sssp = Sssp::new(0);
+        let unfinished: Vec<f64> = (0..ep.graph.num_vertices() as VertexId)
+            .map(|v| sssp.init(&ep.graph, v))
+            .collect();
+        assert_ne!(bits(&unfinished), bits(&fixpoint));
+        ep.epoch += 1;
+        ep.warm[0] = WarmEntry {
+            states: Arc::new(unfinished.clone()),
+            converged: false,
+            ..ep.warm[0].clone()
+        };
+        core.epoch.publish(ep);
+
+        let out = core.execute_query(query(AlgSpec::Sssp, vec![0])).unwrap();
+        assert!(out.warm, "it still warm-starts from the entry");
+        assert!(out.rounds >= 1, "but through the kernel");
+        assert!(out.converged, "and reports what that run found");
+        assert_eq!(bits(&out.states), bits(&fixpoint));
+        assert_ne!(bits(&out.states), bits(&unfinished));
+        let s = core.stats_snapshot();
+        assert_eq!(s.query_rounds, out.rounds as u64);
+        core.shutdown();
     }
 
     #[test]
@@ -2058,13 +2322,11 @@ mod tests {
             other => panic!("expected Stale, got {other:?}"),
         }
         // Unbounded queries are still answered (against the old epoch).
-        assert_eq!(
-            core.execute_query(query(AlgSpec::Sssp, vec![0]))
-                .unwrap()
-                .epoch
-                .epoch,
-            0
-        );
+        // This is the hot query: the bound above was judged before the
+        // epoch's entry could answer it.
+        let unbounded = core.execute_query(query(AlgSpec::Sssp, vec![0])).unwrap();
+        assert_eq!(unbounded.epoch.epoch, 0);
+        assert_eq!(unbounded.rounds, 0);
 
         core.quiesce();
         let served = core.execute_query(req).unwrap();
@@ -2223,7 +2485,6 @@ mod tests {
         let qb = recovered
             .execute_query(query(AlgSpec::Sssp, vec![7]))
             .unwrap();
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&qa.states), bits(&qb.states));
 
         core.shutdown();

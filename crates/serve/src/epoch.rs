@@ -16,7 +16,9 @@ use gograph_graph::{CsrGraph, Permutation, VertexId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Converged warm state for one algorithm, carried by an epoch.
+/// Warm state for one algorithm, carried by an epoch: the states the
+/// mutator's pipeline ended its last run with, and whether that run
+/// converged.
 #[derive(Debug, Clone)]
 pub struct WarmEntry {
     /// Which algorithm these states are a fixpoint of.
@@ -25,8 +27,12 @@ pub struct WarmEntry {
     /// algorithms). Only queries for exactly this source may warm-start
     /// from it.
     pub source: VertexId,
-    /// The converged per-vertex states on this epoch's graph.
+    /// The per-vertex states on this epoch's graph.
     pub states: Arc<Vec<f64>>,
+    /// Whether the run that produced `states` converged. A run that hit
+    /// the round cap publishes its states too; only a converged entry is
+    /// a fixpoint a query may be answered from without running.
+    pub converged: bool,
 }
 
 /// One immutable snapshot of the served graph: everything a reader
@@ -168,11 +174,13 @@ mod tests {
             alg: AlgSpec::Sssp,
             source: 2,
             states: Arc::new(vec![0.0; 5]),
+            converged: true,
         });
         e.warm.push(WarmEntry {
             alg: AlgSpec::Cc,
             source: 0,
             states: Arc::new(vec![0.0; 5]),
+            converged: true,
         });
         assert!(e.warm_for(AlgSpec::Sssp, 2).is_some());
         assert!(e.warm_for(AlgSpec::Sssp, 3).is_none(), "wrong source");

@@ -252,7 +252,8 @@ pub struct QueryReply {
     pub epoch: u64,
     /// Algorithm that ran.
     pub alg: AlgSpec,
-    /// Whether the run warm-started from epoch warm state.
+    /// Whether the reply was answered from or started from epoch warm
+    /// state (`rounds == 0` exactly when it was answered from it).
     pub warm: bool,
     /// Whether the run converged.
     pub converged: bool,

@@ -46,6 +46,9 @@ struct CellResult {
     queries: u64,
     client_rounds: u64,
     client_push_rounds: u64,
+    /// Replies the server ran a kernel for (`rounds > 0`); the rest were
+    /// answered from the epoch's converged state.
+    kernel_replies: u64,
     max_state_bytes: u64,
     warm_replies: u64,
     coalesced_replies: u64,
@@ -323,6 +326,7 @@ fn run_cell(
             let mut latencies = Vec::with_capacity(4096);
             let mut rounds = 0u64;
             let mut push_rounds = 0u64;
+            let mut kernel_replies = 0u64;
             let mut state_bytes = 0u64;
             let mut warm_replies = 0u64;
             let mut coalesced = 0u64;
@@ -346,6 +350,7 @@ fn run_cell(
                         latencies.push(t.elapsed().as_micros() as u64);
                         rounds += reply.rounds;
                         push_rounds += reply.push_rounds;
+                        kernel_replies += u64::from(reply.rounds > 0);
                         state_bytes = state_bytes.max(reply.state_bytes);
                         warm_replies += u64::from(reply.warm);
                         coalesced += u64::from(reply.admitted > 1);
@@ -357,6 +362,7 @@ fn run_cell(
                 latencies,
                 rounds,
                 push_rounds,
+                kernel_replies,
                 state_bytes,
                 warm_replies,
                 coalesced,
@@ -370,14 +376,16 @@ fn run_cell(
     let mut latencies = Vec::new();
     let mut rounds = 0u64;
     let mut push_rounds = 0u64;
+    let mut kernel_replies = 0u64;
     let mut max_state_bytes = 0u64;
     let mut warm_replies = 0u64;
     let mut coalesced_replies = 0u64;
     for w in workers {
-        let (l, r, p, sb, wh, co) = w.join().expect("client thread");
+        let (l, r, p, k, sb, wh, co) = w.join().expect("client thread");
         latencies.extend(l);
         rounds += r;
         push_rounds += p;
+        kernel_replies += k;
         max_state_bytes = max_state_bytes.max(sb);
         warm_replies += wh;
         coalesced_replies += co;
@@ -398,6 +406,7 @@ fn run_cell(
         },
         client_rounds: rounds,
         client_push_rounds: push_rounds,
+        kernel_replies,
         max_state_bytes,
         warm_replies,
         coalesced_replies,
@@ -458,6 +467,15 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
+/// `num / den`, 0 when nothing was counted.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den > 0 {
+        num as f64 / den as f64
+    } else {
+        0.0
+    }
+}
+
 fn render_report(
     initial: &gograph_serve::StatsSnapshot,
     cells: &[CellResult],
@@ -500,20 +518,19 @@ fn render_report(
         );
         let _ = writeln!(
             out,
-            "      \"run_stats\": {{ \"rounds\": {}, \"push_rounds\": {}, \"avg_rounds_per_query\": {:.3}, \"max_state_bytes\": {} }},",
+            "      \"run_stats\": {{ \"rounds\": {}, \"push_rounds\": {}, \"avg_rounds_per_query\": {:.3}, \"avg_rounds_per_kernel_query\": {:.3}, \"max_state_bytes\": {} }},",
             c.client_rounds,
             c.client_push_rounds,
-            if c.queries > 0 {
-                c.client_rounds as f64 / c.queries as f64
-            } else {
-                0.0
-            },
+            ratio(c.client_rounds, c.queries),
+            ratio(c.client_rounds, c.kernel_replies),
             c.max_state_bytes
         );
         let _ = writeln!(
             out,
-            "      \"warm_replies\": {}, \"coalesced_replies\": {},",
-            c.warm_replies, c.coalesced_replies
+            "      \"warm_replies\": {}, \"warm_reply_share\": {:.3}, \"coalesced_replies\": {},",
+            c.warm_replies,
+            ratio(c.warm_replies, c.queries),
+            c.coalesced_replies
         );
         let _ = writeln!(
             out,

@@ -5,9 +5,10 @@
 //! verifies every reply *bit-identically* against an independent run on
 //! its pinned epoch's graph:
 //!
-//! - cold replies (and warm replies of max-norm algorithms, whose warm
-//!   re-run provably lands on the cold fixpoint) are compared against a
-//!   **fresh cold run** on the pinned epoch's graph + order;
+//! - cold replies are compared against a **fresh cold run** on the
+//!   pinned epoch's graph + order — and so are hot replies of max-norm
+//!   algorithms, which the service answers from the epoch's converged
+//!   entry without running (they must also *be* that entry, 0 rounds);
 //! - warm sum-norm replies (PageRank) are compared against a replica of
 //!   the exact server configuration — a warm start from the epoch's
 //!   stored converged states — which is deterministic and therefore
@@ -46,35 +47,58 @@ fn stress_graph() -> CsrGraph {
     )
 }
 
-/// Re-executes the outcome's exact configuration against its own pinned
-/// epoch and demands bit-identical states.
+/// Checks the outcome against its own pinned epoch: a hot reply of an
+/// exact-warm algorithm must *be* the epoch's entry, anything else must
+/// equal a re-execution of its exact configuration, bit for bit.
 fn verify_bit_identical(outcome: &QueryOutcome) {
     let epoch = &outcome.epoch;
     let algorithm = outcome.alg.instantiate(&outcome.effective_sources);
-
-    // Replica of the server-side run: warm replies replay the warm
-    // start from the epoch's stored states, cold replies run cold.
-    let mut replica = Pipeline::on(&epoch.graph)
-        .order_ref(&epoch.order)
-        .mode(outcome.mode.mode())
-        .algorithm_ref(algorithm.as_ref());
-    if outcome.warm {
-        let entry = epoch
+    let entry = outcome.warm.then(|| {
+        epoch
             .warm_for(
                 outcome.alg,
                 outcome.effective_sources.first().copied().unwrap_or(0),
             )
-            .expect("warm reply must match a warm entry of its own epoch");
-        replica = replica.warm_start(WarmStart::from_states((*entry.states).clone()));
+            .expect("warm reply must match a warm entry of its own epoch")
+    });
+
+    if let Some(entry) = entry.filter(|_| outcome.alg.warm_is_exact()) {
+        // Answered from the epoch, not re-derived from it.
+        assert_eq!(
+            outcome.rounds,
+            0,
+            "epoch {} {}: a hot exact-warm query runs no kernel",
+            epoch.epoch,
+            outcome.alg.name(),
+        );
+        assert_eq!(
+            &*outcome.states,
+            &*entry.states,
+            "epoch {} {}: a hot reply must be its own epoch's warm entry",
+            epoch.epoch,
+            outcome.alg.name(),
+        );
+    } else {
+        // Replica of the server-side run: warm (PageRank) replies replay
+        // the warm start from the epoch's stored states, cold replies
+        // run cold.
+        let mut replica = Pipeline::on(&epoch.graph)
+            .order_ref(&epoch.order)
+            .mode(outcome.mode.mode())
+            .algorithm_ref(algorithm.as_ref());
+        if let Some(entry) = entry {
+            replica = replica.warm_start(WarmStart::from_states((*entry.states).clone()));
+        }
+        let replica = replica.execute().expect("replica run").stats.final_states;
+        assert!(outcome.rounds >= 1, "an executed query reports its rounds");
+        assert_eq!(
+            &*outcome.states,
+            &replica,
+            "epoch {} {}: server states diverge from a replica run on the pinned snapshot",
+            epoch.epoch,
+            outcome.alg.name(),
+        );
     }
-    let replica = replica.execute().expect("replica run").stats.final_states;
-    assert_eq!(
-        &*outcome.states,
-        &replica,
-        "epoch {} {}: server states diverge from a replica run on the pinned snapshot",
-        epoch.epoch,
-        outcome.alg.name(),
-    );
 
     // For max-norm algorithms the warm fixpoint IS the cold fixpoint,
     // so even warm replies must equal a literal fresh cold run.

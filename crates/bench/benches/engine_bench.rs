@@ -1,13 +1,12 @@
 //! Criterion microbench: per-round engine cost — synchronous vs
 //! asynchronous vs block-parallel PageRank rounds, and the effect of a
 //! GoGraph layout on round cost (the cache half of the paper's win).
-//! All engines are driven through the unified strategy dispatch.
+//! All engines are driven through the engine's one entry point.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gograph_core::GoGraph;
 use gograph_engine::{
-    strategy_for, AlgorithmRef, DeltaPageRank, DeltaSchedule, DynOnly, Mode, PageRank, RunConfig,
-    Sssp,
+    execute, AlgorithmRef, DeltaPageRank, DeltaSchedule, DynOnly, Mode, PageRank, RunConfig, Sssp,
 };
 use gograph_graph::generators::{planted_partition, shuffle_labels, PlantedPartitionConfig};
 use gograph_graph::Permutation;
@@ -66,12 +65,10 @@ fn bench_rounds(c: &mut Criterion) {
         ),
     ];
     for (label, graph, mode, alg) in cells {
-        let strategy = strategy_for(mode);
         group.bench_function(label, |b| {
             b.iter(|| {
                 std::hint::black_box(
-                    strategy
-                        .run(graph, alg, &id, &one_round)
+                    execute(graph, alg, mode, &id, &one_round, None)
                         .expect("valid bench configuration"),
                 )
             })
@@ -117,12 +114,10 @@ fn bench_dispatch(c: &mut Criterion) {
         ("sssp_dyn_fallback", AlgorithmRef::Gather(&dyn_sssp)),
     ];
     for (label, alg) in cells {
-        let strategy = strategy_for(Mode::Async);
         group.bench_function(label, |b| {
             b.iter(|| {
                 std::hint::black_box(
-                    strategy
-                        .run(&g, alg, &id, &one_round)
+                    execute(&g, alg, Mode::Async, &id, &one_round, None)
                         .expect("valid bench configuration"),
                 )
             })

@@ -22,11 +22,11 @@
 
 use gograph_bench::datasets::Scale;
 use gograph_core::GoGraph;
-use gograph_engine::{async_kernel, worklist_kernel, Bfs, PageRank, RunConfig, RunStats};
+use gograph_engine::{Bfs, Mode, PageRank, Pipeline, RunStats};
 use gograph_graph::generators::rmat::{rmat_streaming, RmatConfig};
 use gograph_graph::generators::shuffle_labels;
 use gograph_graph::stats::bytes_per_edge;
-use gograph_graph::{CsrGraph, Permutation, VertexId};
+use gograph_graph::{CsrGraph, VertexId};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -60,13 +60,18 @@ fn max_out_degree_vertex(g: &CsrGraph) -> VertexId {
         .unwrap_or(0)
 }
 
-fn run_cell(g: &CsrGraph, id: &Permutation, algorithm: &str, source: VertexId) -> RunStats {
-    let cfg = RunConfig::default();
-    match algorithm {
-        "pagerank" => async_kernel(g, &PageRank::default(), id, &cfg),
-        "bfs" => worklist_kernel(g, &Bfs::new(source), id, &cfg),
+/// One run on the already-relabeled graph (identity order).
+fn run_cell(g: &CsrGraph, algorithm: &str, source: VertexId) -> RunStats {
+    let pipeline = match algorithm {
+        "pagerank" => Pipeline::on(g)
+            .mode(Mode::Async)
+            .algorithm(PageRank::default()),
+        "bfs" => Pipeline::on(g)
+            .mode(Mode::Worklist)
+            .algorithm(Bfs::new(source)),
         other => unreachable!("unknown algorithm {other}"),
-    }
+    };
+    pipeline.execute().expect("valid configuration").stats
 }
 
 fn measure_scale(scale: u32, edge_factor: usize, seed: u64) -> ScaleRow {
@@ -112,14 +117,13 @@ fn measure_scale(scale: u32, edge_factor: usize, seed: u64) -> ScaleRow {
 
     // Decode-path runtime on the same reordered graph, flat vs
     // compressed, interleaved min-of-REPS; rep 0 gates bit-identity.
-    let id = Permutation::identity(reordered.num_vertices());
     let source = max_out_degree_vertex(&reordered);
     let mut runs = Vec::new();
     for algorithm in ["bfs", "pagerank"] {
         let mut best: [Option<RunStats>; 2] = [None, None];
         for rep in 0..REPS {
             for (i, g) in [&reordered, &reordered_c].into_iter().enumerate() {
-                let stats = run_cell(g, &id, algorithm, source);
+                let stats = run_cell(g, algorithm, source);
                 assert!(
                     stats.converged,
                     "compression_report: {algorithm} did not converge at scale {scale}"

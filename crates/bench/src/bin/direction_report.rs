@@ -35,8 +35,8 @@ use gograph_bench::datasets::Scale;
 use gograph_core::GoGraph;
 use gograph_engine::convergence::DeltaAccumulator;
 use gograph_engine::{
-    async_kernel, parallel_kernel, parallel_kernel_warm, worklist_kernel, Bfs, DirectionPolicy,
-    GatherContext, IterativeAlgorithm, PageRank, RunConfig, RunStats, Sssp,
+    Bfs, DirectionPolicy, GatherContext, IterativeAlgorithm, Mode, PageRank, Pipeline, RunConfig,
+    RunStats, Sssp, WarmStart,
 };
 use gograph_graph::generators::rmat::{rmat, RmatConfig};
 use gograph_graph::generators::with_random_weights;
@@ -209,15 +209,30 @@ struct Cell {
     runtime: Duration,
 }
 
+/// One engine run on the already-relabeled graph (identity order),
+/// cold unless `warm` is given.
+fn engine_run(
+    g: &CsrGraph,
+    alg: impl IterativeAlgorithm + 'static,
+    mode: Mode,
+    cfg: &RunConfig,
+    warm: Option<WarmStart>,
+) -> RunStats {
+    let mut pipeline = Pipeline::on(g).mode(mode).config(*cfg).algorithm(alg);
+    if let Some(warm) = warm {
+        pipeline = pipeline.warm_start(warm);
+    }
+    pipeline.execute().expect("valid configuration").stats
+}
+
 /// Worklist-style seed for the parallel engine: init states plus the
 /// source's out-neighbors as the warm frontier. Seeding the neighbors —
 /// not the source itself — matters: the warm frontier is a set of pull
 /// *targets*, and re-gathering the source alone reproduces its init
 /// value, which would read as instant convergence.
-fn parallel_traversal<A: IterativeAlgorithm>(
+fn parallel_traversal(
     g: &CsrGraph,
-    alg: &A,
-    order: &Permutation,
+    alg: impl IterativeAlgorithm + 'static,
     blocks: usize,
     cfg: &RunConfig,
     source: VertexId,
@@ -228,7 +243,8 @@ fn parallel_traversal<A: IterativeAlgorithm>(
     let mut source_out = Vec::with_capacity(g.out_degree(source));
     g.for_each_out_neighbor(source, |w| source_out.push(w));
     let seed = Frontier::from_members(g.num_vertices(), source_out);
-    parallel_kernel_warm(g, alg, order, blocks, cfg, init, Some(&seed))
+    let warm = WarmStart::from_states(init).with_frontier_set(seed);
+    engine_run(g, alg, Mode::Parallel(blocks), cfg, Some(warm))
 }
 
 fn run_once(
@@ -246,23 +262,27 @@ fn run_once(
     };
     match (engine, variant, alg_name) {
         (Engine::Async, Variant::PrePr, "pagerank") => pre_pr_async(g, &PageRank::default(), &cfg),
-        (Engine::Async, _, "pagerank") => async_kernel(g, &PageRank::default(), order, &cfg),
+        (Engine::Async, _, "pagerank") => {
+            engine_run(g, PageRank::default(), Mode::Async, &cfg, None)
+        }
         (Engine::Worklist, Variant::PrePr, "bfs") => {
             pre_pr_worklist(g, &Bfs::new(source), order, &cfg)
         }
-        (Engine::Worklist, _, "bfs") => worklist_kernel(g, &Bfs::new(source), order, &cfg),
+        (Engine::Worklist, _, "bfs") => engine_run(g, Bfs::new(source), Mode::Worklist, &cfg, None),
         (Engine::Worklist, Variant::PrePr, "sssp") => {
             pre_pr_worklist(g, &Sssp::new(source), order, &cfg)
         }
-        (Engine::Worklist, _, "sssp") => worklist_kernel(g, &Sssp::new(source), order, &cfg),
+        (Engine::Worklist, _, "sssp") => {
+            engine_run(g, Sssp::new(source), Mode::Worklist, &cfg, None)
+        }
         (Engine::Parallel, _, "pagerank") => {
-            parallel_kernel(g, &PageRank::default(), order, blocks, &cfg)
+            engine_run(g, PageRank::default(), Mode::Parallel(blocks), &cfg, None)
         }
         (Engine::Parallel, _, "bfs") => {
-            parallel_traversal(g, &Bfs::new(source), order, blocks, &cfg, source)
+            parallel_traversal(g, Bfs::new(source), blocks, &cfg, source)
         }
         (Engine::Parallel, _, "sssp") => {
-            parallel_traversal(g, &Sssp::new(source), order, blocks, &cfg, source)
+            parallel_traversal(g, Sssp::new(source), blocks, &cfg, source)
         }
         _ => unreachable!("unknown cell"),
     }

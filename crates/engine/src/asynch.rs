@@ -1,62 +1,55 @@
-//! Asynchronous (Gauss–Seidel) engine — the paper's Eq. 2.
+//! The sequential in-place engine — the paper's Eq. 2 — under two
+//! schedules.
 //!
 //! A single state array is updated in place while scanning the processing
 //! order, so a vertex whose in-neighbor appears *earlier* in the order
 //! (a positive edge) consumes that neighbor's state from the **current**
 //! round. This is exactly the mechanism GoGraph's reordering maximizes:
 //! more positive edges ⇒ fresher inputs ⇒ fewer rounds (Theorem 1).
+//!
+//! What a round visits, and when the run is done, is the [`Schedule`]:
+//!
+//! - **sweep** (`Mode::Async`, and `Mode::Parallel` with one block): the
+//!   Gauss–Seidel full scan. The first round evaluates everything,
+//!   rounds whose changed set is dense stay full scans, and the run
+//!   stops when a round's norm-delta is within the algorithm's epsilon.
+//! - **frontier** (`Mode::Worklist`): the Galois/GraphLab-style active
+//!   set. The first round evaluates the seed set (or everything), a
+//!   vertex wakes its out-neighbors only when it moved by more than
+//!   epsilon, and the run stops when nothing is pending. It changes the
+//!   work bound (`RunStats::evaluations`), not the fixpoint.
+//!
+//! Both run the same three round shapes (see [`crate::direction`]) over
+//! the same forward position scan, so a fresh value still reaches later
+//! positions in the round it was produced.
 
 use crate::algorithm::IterativeAlgorithm;
-use crate::convergence::{trace_point, DeltaAccumulator, RunStats};
+use crate::convergence::{state_delta, trace_point, DeltaAccumulator, RunStats};
 use crate::direction::{
     activate_per_source, activate_per_target, choose_push, push_mass, DirectionPolicy,
     PositionScan, DENSE_EVAL_DENOMINATOR, GENERAL_DENSE_DENOMINATOR,
 };
-use crate::dispatch::{dispatch_gather, GatherContext, ScatterContext};
+use crate::dispatch::{GatherContext, ScatterContext};
 use crate::runner::RunConfig;
 use gograph_graph::{CsrGraph, Frontier, Permutation};
 use std::time::Instant;
 
-/// Runs `alg` on `g` asynchronously, visiting vertices in `order` each
-/// round. Unlike the synchronous engine, the visit order changes the
-/// number of rounds (not the fixpoint).
-///
-/// ```
-/// use gograph_engine::{run_async, Sssp, RunConfig};
-/// use gograph_graph::generators::regular::chain;
-/// use gograph_graph::Permutation;
-///
-/// let g = chain(50);
-/// // Every chain edge is positive under the identity order: one
-/// // propagation round + one confirmation round.
-/// let stats = run_async(&g, &Sssp::new(0), &Permutation::identity(50),
-///                       &RunConfig::default());
-/// assert_eq!(stats.rounds, 2);
-/// assert_eq!(stats.final_states[49], 49.0);
-/// ```
-pub fn run_async(
-    g: &CsrGraph,
-    alg: &dyn IterativeAlgorithm,
-    order: &Permutation,
-    cfg: &RunConfig,
-) -> RunStats {
-    dispatch_gather!(alg, a => async_kernel(g, a, order, cfg))
-}
-
-/// The asynchronous round loop, generic over the algorithm so `gather` /
-/// `apply` inline with a concrete `A`. In-place reads: earlier-ordered
-/// neighbors are already fresh (Eq. 2's x^k), later ones still carry
-/// x^{k-1}.
-pub fn async_kernel<A: IterativeAlgorithm + ?Sized>(
-    g: &CsrGraph,
-    alg: &A,
-    order: &Permutation,
-    cfg: &RunConfig,
-) -> RunStats {
-    let init: Vec<f64> = (0..g.num_vertices() as u32)
-        .map(|v| alg.init(g, v))
-        .collect();
-    async_kernel_warm(g, alg, order, cfg, init)
+/// Which vertices a round of [`sequential_kernel`] visits and when the
+/// run stops.
+#[derive(Clone, Copy)]
+pub(crate) enum Schedule<'a> {
+    /// Full first round, dense rounds while the changed set is dense,
+    /// norm-delta stop rule. A warm frontier is not consulted: every
+    /// vertex is re-evaluated on the first round regardless.
+    Sweep,
+    /// First round is `seed` (vertex ids; `None` = every vertex, an
+    /// empty set converges immediately), activation needs a `> epsilon`
+    /// change, the run stops when nothing is pending, and evaluations
+    /// are counted.
+    Frontier {
+        /// The vertices whose inputs changed.
+        seed: Option<&'a Frontier>,
+    },
 }
 
 /// One dense full in-place sweep — the historical hot loop, kept in
@@ -64,8 +57,8 @@ pub fn async_kernel<A: IterativeAlgorithm + ?Sized>(
 /// optimizes as a tight region instead of sharing a frame with the
 /// sparse/push machinery. Returns the change count; member tracking in
 /// `out_set` stops once the count alone pins the next round dense.
-/// (PushOnly never reaches a dense pull round: `force_push` routes
-/// every round to the push arm.)
+/// Sweep schedule only. (PushOnly never reaches a dense pull round:
+/// `force_push` routes every round to the push arm.)
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 // Phase 2 indexes `order_arr` on purpose: the IDENTITY instantiation
@@ -124,37 +117,38 @@ fn dense_async_round<const IDENTITY: bool, A: IterativeAlgorithm + ?Sized>(
     count
 }
 
-/// [`async_kernel`] started from caller-supplied states instead of
-/// `alg.init` — the warm-start entry the streaming subsystem uses to
-/// resume from a previously converged state. A run whose warm states are
-/// already at the fixpoint converges in a single confirmation round.
+/// The sequential round loop, generic over the algorithm so `gather` /
+/// `apply` inline with a concrete `A`, started from `states`. In-place
+/// reads: earlier-ordered neighbors are already fresh (Eq. 2's x^k),
+/// later ones still carry x^{k-1}.
 ///
-/// The round loop is direction-optimized (see [`crate::direction`]):
-/// while the changed set stays dense every round is the historical
-/// in-place full sweep; once it turns sparse, rounds either gather only
-/// the vertices whose inputs changed — a forward [`PositionScan`] that
-/// still consumes in-round activations at later positions, so the pull
-/// path is **round-for-round identical** to the historical full sweep
-/// for any pure algorithm — or, for
-/// [`IterativeAlgorithm::supports_push`] algorithms under
-/// [`DirectionPolicy::Auto`], scatter pending changes directly over
-/// out-edges (same in-round consumption, relaxation instead of
-/// gather). Push rounds reach the same fixpoint bit-identically
+/// Every round is one of three shapes: the dense full sweep (sweep
+/// schedule only — [`dense_async_round`]); a *sparse pull*, a forward
+/// [`PositionScan`] over the vertices whose inputs changed that still
+/// consumes in-round activations at later positions, so it is
+/// round-for-round identical to the full sweep for any pure algorithm;
+/// or, for [`IterativeAlgorithm::supports_push`] algorithms when the
+/// pending out-degree mass is light, a *push* that relaxes the changed
+/// vertices' out-edges in place (same in-round consumption, `Σ
+/// outdeg(changed)` edges instead of the activated neighborhood's whole
+/// in-degree mass). Push rounds reach the same fixpoint bit-identically
 /// (chaotic iteration of the same monotone relaxations).
 ///
 /// # Panics
-/// Panics if `states.len() != g.num_vertices()` — callers go through
-/// [`crate::ExecutionStrategy::run_warm`], which validates first.
-pub fn async_kernel_warm<A: IterativeAlgorithm + ?Sized>(
+/// Panics if `order` or `states` do not cover the graph, or a seed
+/// vertex is out of range; [`crate::execute`] validates all three.
+pub(crate) fn sequential_kernel<A: IterativeAlgorithm + ?Sized>(
     g: &CsrGraph,
     alg: &A,
     order: &Permutation,
     cfg: &RunConfig,
+    schedule: Schedule<'_>,
     mut states: Vec<f64>,
 ) -> RunStats {
     let n = g.num_vertices();
     assert_eq!(order.len(), n, "order length must match vertex count");
     assert_eq!(states.len(), n, "state length must match vertex count");
+    let by_frontier = matches!(schedule, Schedule::Frontier { .. });
     let ctx = GatherContext::new(g);
     let sctx = ScatterContext::new(g);
     let num_edges = g.num_edges();
@@ -179,23 +173,28 @@ pub fn async_kernel_warm<A: IterativeAlgorithm + ?Sized>(
         trace.push(trace_point(0, start.elapsed(), f64::INFINITY, &states));
     }
 
-    /// What `work_set` holds going into a round.
+    /// What `work_set` (order positions) holds going into a round.
     #[derive(Clone, Copy, PartialEq)]
     enum Work {
-        /// Nothing yet — run a full sweep (cold start / warm restart).
-        Dense,
-        /// Positions that changed in a full sweep; the round planner
-        /// expands them into a pull scan or push sources lazily.
+        /// Nothing — the round visits every position.
+        All,
+        /// Positions whose new value their out-neighbors have not all
+        /// seen: pushed as sources, or expanded into a pull scan of
+        /// their out-neighborhoods (plus themselves under the
+        /// per-target plan, `!push_ok`).
         Changed,
-        /// Exact pull set: changed positions and their unconsumed
-        /// out-neighbor activations (per-target plan, `!push_ok`).
-        Pending,
-        /// Changed positions whose new value has unpropagated out-edges
-        /// (per-source plan, `push_ok`).
-        Sources,
+        /// Exact pull set: the seed frontier, or the per-target plan's
+        /// unconsumed activations.
+        Targets,
     }
-    let mut work = Work::Dense;
+    let mut work = Work::All;
     let mut work_set = Frontier::new(n);
+    if let Schedule::Frontier { seed: Some(seed) } = schedule {
+        seed.for_each(|v| {
+            work_set.insert(order.position(v));
+        });
+        work = Work::Targets;
+    }
     // Changes produced by `work_set`'s round; `out_count` is the true
     // change count — dense sweeps stop materializing members once the
     // count alone already forces the next round dense (`work_set` is
@@ -203,9 +202,11 @@ pub fn async_kernel_warm<A: IterativeAlgorithm + ?Sized>(
     let mut work_count = 0usize;
     let mut out_set = Frontier::new(n);
     let mut scan = PositionScan::new(n);
-    // Push-round delta accounting: first-change old values.
-    let mut touched = Frontier::new(n);
+    // Sweep-schedule push rounds owe the norm a delta per vertex, not
+    // per relaxation: first-change old values.
+    let mut touched = Frontier::new(if by_frontier { 0 } else { n });
     let mut touch_log: Vec<(u32, f64)> = Vec::new();
+    let mut evaluations = 0usize;
 
     let mut rounds = 0usize;
     let mut converged = false;
@@ -213,21 +214,21 @@ pub fn async_kernel_warm<A: IterativeAlgorithm + ?Sized>(
     while rounds < cfg.max_rounds {
         rounds += 1;
         let mut acc_delta = DeltaAccumulator::new(alg.norm());
+        // The frontier schedule's round delta: `> eps` changes.
+        let mut round_changes = 0usize;
         out_set.clear();
         let out_count;
 
-        // Plan the round. Near-full changed sets go back to the dense
-        // streaming sweep even for push-capable algorithms — scattering
-        // almost every edge plus touch bookkeeping loses to the
-        // sequential pull; a forced PushOnly policy overrides.
-        let dense = match work {
-            Work::Dense => true,
-            _ => work_count * dense_denom > n,
-        };
+        // Plan the round. Under the sweep schedule near-full changed
+        // sets go back to the dense streaming sweep even for
+        // push-capable algorithms — scattering almost every edge plus
+        // touch bookkeeping loses to the sequential pull; a forced
+        // PushOnly policy overrides.
+        let dense = !by_frontier && (work == Work::All || work_count * dense_denom > n);
         let push = match work {
-            Work::Dense => force_push,
-            Work::Pending => false,
-            Work::Changed | Work::Sources => {
+            Work::All => !by_frontier && force_push,
+            Work::Targets => false,
+            Work::Changed => {
                 (force_push || !dense)
                     && choose_push(
                         cfg.direction,
@@ -246,7 +247,7 @@ pub fn async_kernel_warm<A: IterativeAlgorithm + ?Sized>(
             touched.clear();
             touch_log.clear();
             match work {
-                Work::Dense => (0..n as u32).for_each(|p| scan.set(p)),
+                Work::All => (0..n as u32).for_each(|p| scan.set(p)),
                 _ => scan.load(&work_set),
             }
             let mut wi = 0usize;
@@ -255,6 +256,7 @@ pub fn async_kernel_warm<A: IterativeAlgorithm + ?Sized>(
                     wi += 1;
                     continue;
                 };
+                evaluations += 1;
                 let u = order.vertex_at(pos as usize);
                 let su = states[u as usize];
                 sctx.scatter(alg, u, su, |v, cand| {
@@ -263,7 +265,12 @@ pub fn async_kernel_warm<A: IterativeAlgorithm + ?Sized>(
                     if new != old {
                         states[v as usize] = new;
                         let pv = order.position(v);
-                        if touched.insert(pv) {
+                        if by_frontier {
+                            if state_delta(old, new) <= eps {
+                                return;
+                            }
+                            round_changes += 1;
+                        } else if touched.insert(pv) {
                             touch_log.push((v, old));
                         }
                         if pv > pos {
@@ -281,31 +288,23 @@ pub fn async_kernel_warm<A: IterativeAlgorithm + ?Sized>(
                 acc_delta.record(old, states[v as usize]);
             }
             out_count = out_set.len();
-            work = Work::Sources;
+            work = Work::Changed;
         } else if dense {
-            out_count = if order.is_identity() {
-                dense_async_round::<true, A>(
-                    g,
-                    &ctx,
-                    alg,
-                    order,
-                    &mut states,
-                    &mut out_set,
-                    dense_denom,
-                    &mut acc_delta,
-                )
+            let dense_round = if order.is_identity() {
+                dense_async_round::<true, A>
             } else {
-                dense_async_round::<false, A>(
-                    g,
-                    &ctx,
-                    alg,
-                    order,
-                    &mut states,
-                    &mut out_set,
-                    dense_denom,
-                    &mut acc_delta,
-                )
+                dense_async_round::<false, A>
             };
+            out_count = dense_round(
+                g,
+                &ctx,
+                alg,
+                order,
+                &mut states,
+                &mut out_set,
+                dense_denom,
+                &mut acc_delta,
+            );
             work = Work::Changed;
         } else {
             // Sparse pull with in-round consumption: evaluate scheduled
@@ -313,25 +312,16 @@ pub fn async_kernel_warm<A: IterativeAlgorithm + ?Sized>(
             // out-neighbors into this same sweep and earlier ones into
             // the next round.
             match work {
-                Work::Changed => {
-                    // Lazy expansion of a full sweep's changed set.
-                    work_set.for_each(|p| {
-                        if !push_ok {
-                            scan.set(p); // self re-evaluation (per-target plan)
-                        }
-                        g.for_each_out_neighbor(order.vertex_at(p as usize), |w| {
-                            scan.set(order.position(w));
-                        });
+                Work::All => (0..n as u32).for_each(|p| scan.set(p)),
+                Work::Targets => scan.load(&work_set),
+                Work::Changed => work_set.for_each(|p| {
+                    if !push_ok {
+                        scan.set(p); // self re-evaluation (per-target plan)
+                    }
+                    g.for_each_out_neighbor(order.vertex_at(p as usize), |w| {
+                        scan.set(order.position(w));
                     });
-                }
-                Work::Sources => {
-                    work_set.for_each(|p| {
-                        g.for_each_out_neighbor(order.vertex_at(p as usize), |w| {
-                            scan.set(order.position(w));
-                        });
-                    });
-                }
-                _ => scan.load(&work_set),
+                }),
             }
             let mut wi = 0usize;
             while wi < scan.num_words() {
@@ -339,37 +329,63 @@ pub fn async_kernel_warm<A: IterativeAlgorithm + ?Sized>(
                     wi += 1;
                     continue;
                 };
+                evaluations += 1;
                 let v = order.vertex_at(pos as usize);
                 let acc = ctx.gather(alg, v, &states);
                 let old = states[v as usize];
                 let new = alg.apply(g, v, old, acc);
-                acc_delta.record(old, new);
-                if new != old {
-                    states[v as usize] = new;
+                states[v as usize] = new;
+                let changed = if by_frontier {
+                    state_delta(old, new) > eps
+                } else {
+                    acc_delta.record(old, new);
+                    new != old
+                };
+                if changed {
+                    round_changes += 1;
                     if push_ok {
                         activate_per_source(g, order, v, pos, &mut scan, &mut out_set);
                     } else {
-                        activate_per_target(g, order, v, pos, &mut scan, &mut out_set, true);
+                        // Under the sweep schedule the vertex itself
+                        // re-evaluates next round too — what keeps
+                        // sparse rounds exact for *any* pure algorithm;
+                        // the frontier schedule keeps the worklist's
+                        // no-self activation.
+                        let include_self = !by_frontier;
+                        activate_per_target(
+                            g,
+                            order,
+                            v,
+                            pos,
+                            &mut scan,
+                            &mut out_set,
+                            include_self,
+                        );
                     }
                 }
             }
             out_count = out_set.len();
             work = if push_ok {
-                Work::Sources
+                Work::Changed
             } else {
-                Work::Pending
+                Work::Targets
             };
         }
 
+        let round_delta = if by_frontier {
+            round_changes as f64
+        } else {
+            acc_delta.value()
+        };
         if cfg.record_trace {
-            trace.push(trace_point(
-                rounds,
-                start.elapsed(),
-                acc_delta.value(),
-                &states,
-            ));
+            trace.push(trace_point(rounds, start.elapsed(), round_delta, &states));
         }
-        if acc_delta.value() <= eps {
+        let done = if by_frontier {
+            round_changes == 0 || out_set.is_empty()
+        } else {
+            round_delta <= eps
+        };
+        if done {
             converged = true;
             break;
         }
@@ -390,7 +406,7 @@ pub fn async_kernel_warm<A: IterativeAlgorithm + ?Sized>(
             + out_set.memory_bytes()
             + touched.memory_bytes()
             + scan.memory_bytes(),
-        evaluations: None,
+        evaluations: by_frontier.then_some(evaluations),
         push_rounds,
     }
 }
@@ -398,24 +414,29 @@ pub fn async_kernel_warm<A: IterativeAlgorithm + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{PageRank, Sssp};
-    use crate::sync::run_sync;
+    use crate::algorithms::{Bfs, PageRank, Sssp};
+    use crate::runner::Mode;
+    use crate::strategy::run_cold;
     use gograph_graph::generators::regular::chain;
     use gograph_graph::generators::{
         planted_partition, with_random_weights, PlantedPartitionConfig,
     };
+
+    fn run(
+        g: &CsrGraph,
+        alg: &dyn IterativeAlgorithm,
+        mode: Mode,
+        order: &Permutation,
+    ) -> RunStats {
+        run_cold(g, alg, mode, order, &RunConfig::default())
+    }
 
     #[test]
     fn chain_converges_in_two_rounds_with_good_order() {
         // Identity order on a chain: every edge is positive, so one round
         // fully propagates + 1 confirmation round.
         let g = chain(50);
-        let stats = run_async(
-            &g,
-            &Sssp::new(0),
-            &Permutation::identity(50),
-            &RunConfig::default(),
-        );
+        let stats = run(&g, &Sssp::new(0), Mode::Async, &Permutation::identity(50));
         assert!(stats.converged);
         assert_eq!(stats.rounds, 2);
         assert_eq!(stats.final_states[49], 49.0);
@@ -427,7 +448,7 @@ mod tests {
         // sync-like propagation, one hop per round.
         let g = chain(20);
         let rev = Permutation::identity(20).reversed();
-        let stats = run_async(&g, &Sssp::new(0), &rev, &RunConfig::default());
+        let stats = run(&g, &Sssp::new(0), Mode::Async, &rev);
         assert!(stats.converged);
         assert!(stats.rounds >= 19, "rounds = {}", stats.rounds);
     }
@@ -447,11 +468,10 @@ mod tests {
             10.0,
             7,
         );
-        let cfg = RunConfig::default();
         let id = Permutation::identity(200);
         let alg = Sssp::new(0);
-        let s = run_sync(&g, &alg, &id, &cfg);
-        let a = run_async(&g, &alg, &id, &cfg);
+        let s = run(&g, &alg, Mode::Sync, &id);
+        let a = run(&g, &alg, Mode::Async, &id);
         assert_eq!(s.final_states, a.final_states);
         assert!(
             a.rounds <= s.rounds,
@@ -468,11 +488,10 @@ mod tests {
             num_edges: 1200,
             ..Default::default()
         });
-        let cfg = RunConfig::default();
         let id = Permutation::identity(150);
         let pr = PageRank::default();
-        let s = run_sync(&g, &pr, &id, &cfg);
-        let a = run_async(&g, &pr, &id, &cfg);
+        let s = run(&g, &pr, Mode::Sync, &id);
+        let a = run(&g, &pr, Mode::Async, &id);
         assert!(s.converged && a.converged);
         for (x, y) in s.final_states.iter().zip(&a.final_states) {
             assert!((x - y).abs() < 1e-3, "sync {x} vs async {y}");
@@ -486,10 +505,9 @@ mod tests {
         // now also report their frontier structures, so the relation is
         // an inequality rather than an exact 2x.
         let g = chain(10);
-        let cfg = RunConfig::default();
         let id = Permutation::identity(10);
-        let s = run_sync(&g, &Sssp::new(0), &id, &cfg);
-        let a = run_async(&g, &Sssp::new(0), &id, &cfg);
+        let s = run(&g, &Sssp::new(0), Mode::Sync, &id);
+        let a = run(&g, &Sssp::new(0), Mode::Async, &id);
         assert!(
             s.state_memory_bytes > a.state_memory_bytes,
             "sync {} vs async {}",
@@ -499,5 +517,86 @@ mod tests {
         // The double-buffer portion itself is exactly 2x one state
         // array.
         assert!(s.state_memory_bytes >= 2 * 10 * std::mem::size_of::<f64>());
+    }
+
+    fn community_graph() -> CsrGraph {
+        with_random_weights(
+            &planted_partition(PlantedPartitionConfig {
+                num_vertices: 400,
+                num_edges: 3000,
+                communities: 8,
+                p_intra: 0.8,
+                gamma: 2.4,
+                seed: 77,
+            }),
+            1.0,
+            4.0,
+            5,
+        )
+    }
+
+    #[test]
+    fn frontier_matches_sweep_fixpoint_sssp() {
+        let g = community_graph();
+        let id = Permutation::identity(400);
+        let reference = run(&g, &Sssp::new(0), Mode::Async, &id);
+        let wl = run(&g, &Sssp::new(0), Mode::Worklist, &id);
+        assert!(wl.converged);
+        assert_eq!(reference.final_states, wl.final_states);
+    }
+
+    #[test]
+    fn frontier_matches_sweep_fixpoint_pagerank() {
+        let g = community_graph();
+        let id = Permutation::identity(400);
+        let reference = run(&g, &PageRank::default(), Mode::Async, &id);
+        let wl = run(&g, &PageRank::default(), Mode::Worklist, &id);
+        assert!(wl.converged);
+        for (a, b) in reference.final_states.iter().zip(&wl.final_states) {
+            assert!((a - b).abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn frontier_does_less_work_than_full_scans_on_bfs() {
+        let g = community_graph();
+        let id = Permutation::identity(400);
+        let full = run(&g, &Bfs::new(0), Mode::Async, &id);
+        let wl = run(&g, &Bfs::new(0), Mode::Worklist, &id);
+        assert_eq!(full.final_states, wl.final_states);
+        assert_eq!(
+            full.evaluations, None,
+            "the sweep schedule reports no count"
+        );
+        let full_evals = full.rounds * 400;
+        let evals = wl.evaluations.unwrap();
+        assert!(
+            evals < full_evals,
+            "worklist {evals} evals vs full-scan {full_evals}"
+        );
+    }
+
+    #[test]
+    fn chain_frontier_is_narrow() {
+        let g = chain(100);
+        let id = Permutation::identity(100);
+        let wl = run(&g, &Sssp::new(0), Mode::Worklist, &id);
+        assert!(wl.converged);
+        // Identity order on a chain: all work done in round 1 plus
+        // reactivation checks — far below rounds * n.
+        let evals = wl.evaluations.unwrap();
+        assert!(evals <= 3 * 100, "evaluations {evals}");
+    }
+
+    #[test]
+    fn order_still_matters_to_the_frontier_schedule() {
+        let g = chain(60);
+        let fwd = Permutation::identity(60);
+        let rev = fwd.reversed();
+        let a = run(&g, &Sssp::new(0), Mode::Worklist, &fwd);
+        let b = run(&g, &Sssp::new(0), Mode::Worklist, &rev);
+        assert_eq!(a.final_states, b.final_states);
+        assert!(a.rounds < b.rounds);
+        assert!(a.evaluations.unwrap() < b.evaluations.unwrap());
     }
 }

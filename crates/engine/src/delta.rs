@@ -8,10 +8,11 @@
 //! `g_{v→w}(Δ_v)` into each out-neighbor's delta. The scheduling freedom
 //! is where the variants differ:
 //!
-//! - [`run_delta_round_robin`] scans a fixed processing order each round
-//!   (so GoGraph's reordering helps exactly as in the gather engine);
-//! - [`run_delta_priority`] processes the highest-|delta| vertices first
-//!   (PrIter), trading scheduling overhead for fewer updates.
+//! - [`DeltaSchedule::RoundRobin`] scans a fixed processing order each
+//!   round (so GoGraph's reordering helps exactly as in the gather
+//!   engine);
+//! - [`DeltaSchedule::Priority`] processes the highest-|delta| vertices
+//!   first (PrIter), trading scheduling overhead for fewer updates.
 
 use crate::convergence::{trace_point, RunStats};
 use crate::direction::{
@@ -203,83 +204,32 @@ impl DeltaAlgorithm for DeltaSssp {
     }
 }
 
-/// Round-robin delta engine: each round scans the processing order,
-/// consuming significant deltas and propagating to out-neighbors.
-/// A round with no significant delta terminates the run.
-///
-/// # Panics
-/// Panics on invalid input — use [`crate::Pipeline`] with
-/// `Mode::Delta(DeltaSchedule::RoundRobin)` for fallible execution.
-#[deprecated(
-    since = "0.2.0",
-    note = "use gograph_engine::Pipeline with Mode::Delta(DeltaSchedule::RoundRobin)"
-)]
-pub fn run_delta_round_robin(
-    g: &CsrGraph,
-    alg: &dyn DeltaAlgorithm,
-    order: &Permutation,
-    cfg: &RunConfig,
-) -> RunStats {
-    crate::pipeline::Pipeline::on(g)
-        .delta_algorithm_ref(alg)
-        .mode(crate::runner::Mode::Delta(DeltaSchedule::RoundRobin))
-        .order_ref(order)
-        .config(*cfg)
-        .execute()
-        .expect("legacy run_delta_round_robin(): invalid configuration")
-        .stats
-}
-
-/// The round-robin delta engine proper.
-pub(crate) fn delta_round_robin_core(
-    g: &CsrGraph,
-    alg: &dyn DeltaAlgorithm,
-    order: &Permutation,
-    cfg: &RunConfig,
-) -> RunStats {
-    crate::dispatch::dispatch_delta!(alg, a => delta_round_robin_kernel(g, a, order, cfg))
-}
-
 /// The round-robin delta round loop, generic over the algorithm so
-/// `combine` / `propagate` / `significant` inline with a concrete `D`.
-pub fn delta_round_robin_kernel<D: DeltaAlgorithm + ?Sized>(
-    g: &CsrGraph,
-    alg: &D,
-    order: &Permutation,
-    cfg: &RunConfig,
-) -> RunStats {
-    let state: Vec<f64> = (0..g.num_vertices() as u32)
-        .map(|v| alg.init_state(g, v))
-        .collect();
-    let delta: Vec<f64> = (0..g.num_vertices() as u32)
-        .map(|v| alg.init_delta(g, v))
-        .collect();
-    delta_round_robin_kernel_warm(g, alg, order, cfg, state, delta)
-}
-
-/// [`delta_round_robin_kernel`] started from caller-supplied states and
-/// pending deltas instead of `init_state` / `init_delta` — the
-/// warm-start entry for streaming: settled states are carried over and
-/// only the deltas seeded at the update frontier are still pending, so
-/// convergence is reached in as many rounds as the changes propagate.
+/// `combine` / `propagate` / `significant` inline with a concrete `D`:
+/// each round scans the processing order, consuming significant deltas
+/// and propagating to out-neighbors, and a round with no significant
+/// delta terminates the run. It starts from `state` with `delta`
+/// pending — for a cold run `init_state` / `init_delta`; for streaming
+/// the settled states with only the deltas seeded at the update
+/// frontier, so convergence is reached in as many rounds as the changes
+/// propagate.
 ///
 /// The round loop is direction-optimized with the gather engines'
-/// shared [`choose_push`] heuristic: while the pending-significance set
+/// shared `choose_push` heuristic: while the pending-significance set
 /// is dense the round is the historical full order scan; once it turns
-/// narrow, a [`PositionScan`] sparse sweep visits only pending
-/// positions (with the same in-round consumption of forward
-/// contributions). The two shapes are **trajectory-identical** — the
-/// sparse sweep visits a superset of the significant positions in the
-/// same ascending order, and an insignificant visit is a no-op in both
-/// — so states, rounds, and convergence never depend on which shape
-/// ran. `RunStats::push_rounds` counts the rounds that actually
-/// scattered (consumed at least one significant delta).
+/// narrow, a `PositionScan` sparse sweep visits only pending positions
+/// (with the same in-round consumption of forward contributions). The
+/// two shapes are **trajectory-identical** — the sparse sweep visits a
+/// superset of the significant positions in the same ascending order,
+/// and an insignificant visit is a no-op in both — so states, rounds,
+/// and convergence never depend on which shape ran.
+/// `RunStats::push_rounds` counts the rounds that actually scattered
+/// (consumed at least one significant delta).
 ///
 /// # Panics
-/// Panics if `state.len()` or `delta.len()` differ from
-/// `g.num_vertices()` — callers go through
-/// [`crate::ExecutionStrategy::run_warm`], which validates first.
-pub fn delta_round_robin_kernel_warm<D: DeltaAlgorithm + ?Sized>(
+/// Panics if `order`, `state` or `delta` do not cover the graph;
+/// [`crate::execute`] validates all three.
+pub(crate) fn delta_round_robin_kernel<D: DeltaAlgorithm + ?Sized>(
     g: &CsrGraph,
     alg: &D,
     order: &Permutation,
@@ -420,76 +370,15 @@ pub fn delta_round_robin_kernel_warm<D: DeltaAlgorithm + ?Sized>(
     }
 }
 
-/// PrIter-style prioritized delta engine: repeatedly extracts the batch
-/// of vertices with the largest pending |delta| impact and processes
-/// them. `rounds` in the returned stats counts processed batches.
-///
-/// Out-of-range `batch_fraction` values are clamped into `(0, 1]`, as
-/// this function always has (the batch size clamps to `1..=n`); the
-/// [`crate::Pipeline`] API rejects them as
-/// [`crate::EngineError::InvalidParameter`] instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "use gograph_engine::Pipeline with Mode::Delta(DeltaSchedule::Priority { .. })"
-)]
-pub fn run_delta_priority(
-    g: &CsrGraph,
-    alg: &dyn DeltaAlgorithm,
-    batch_fraction: f64,
-    cfg: &RunConfig,
-) -> RunStats {
-    // Reproduce the seed's clamp: any non-positive/NaN fraction meant a
-    // batch of 1, anything above 1.0 meant the whole vertex set.
-    let batch_fraction = if batch_fraction > 0.0 {
-        batch_fraction.min(1.0)
-    } else {
-        f64::MIN_POSITIVE
-    };
-    crate::pipeline::Pipeline::on(g)
-        .delta_algorithm_ref(alg)
-        .mode(crate::runner::Mode::Delta(DeltaSchedule::Priority {
-            batch_fraction,
-        }))
-        .config(*cfg)
-        .execute()
-        .expect("legacy run_delta_priority(): invalid configuration")
-        .stats
-}
-
-/// The prioritized delta engine proper.
-pub(crate) fn delta_priority_core(
-    g: &CsrGraph,
-    alg: &dyn DeltaAlgorithm,
-    batch_fraction: f64,
-    cfg: &RunConfig,
-) -> RunStats {
-    crate::dispatch::dispatch_delta!(alg, a => delta_priority_kernel(g, a, batch_fraction, cfg))
-}
-
-/// The prioritized delta loop, generic over the algorithm so the
-/// per-edge `propagate` / `combine` inline with a concrete `D`.
-pub fn delta_priority_kernel<D: DeltaAlgorithm + ?Sized>(
-    g: &CsrGraph,
-    alg: &D,
-    batch_fraction: f64,
-    cfg: &RunConfig,
-) -> RunStats {
-    let state: Vec<f64> = (0..g.num_vertices() as u32)
-        .map(|v| alg.init_state(g, v))
-        .collect();
-    let delta: Vec<f64> = (0..g.num_vertices() as u32)
-        .map(|v| alg.init_delta(g, v))
-        .collect();
-    delta_priority_kernel_warm(g, alg, batch_fraction, cfg, state, delta)
-}
-
-/// [`delta_priority_kernel`] started from caller-supplied states and
-/// pending deltas — the prioritized counterpart of
-/// [`delta_round_robin_kernel_warm`].
+/// The PrIter-style prioritized delta loop, generic over the algorithm
+/// so the per-edge `propagate` / `combine` inline with a concrete `D`:
+/// repeatedly extracts the batch of vertices with the largest pending
+/// |delta| impact and processes them, starting from `state` with `delta`
+/// pending. `rounds` in the returned stats counts processed batches.
 ///
 /// The sort-and-truncate batch selection only pays while the active set
 /// is narrow; on dense rounds (pending out-degree mass at or above the
-/// edge total under the shared [`choose_push`] heuristic) the whole
+/// edge total under the shared `choose_push` heuristic) the whole
 /// active set processes in vertex order instead — a gather-style dense
 /// fallback that cuts the priority-queue pressure of sorting nearly
 /// every vertex just to drop most of them. `DirectionPolicy::PushOnly`
@@ -497,10 +386,9 @@ pub fn delta_priority_kernel<D: DeltaAlgorithm + ?Sized>(
 /// sorts. `RunStats::push_rounds` counts rounds that processed a batch.
 ///
 /// # Panics
-/// Panics if `state.len()` or `delta.len()` differ from
-/// `g.num_vertices()` — callers go through
-/// [`crate::ExecutionStrategy::run_warm`], which validates first.
-pub fn delta_priority_kernel_warm<D: DeltaAlgorithm + ?Sized>(
+/// Panics if `state` or `delta` do not cover the graph, which
+/// [`crate::execute`] validates along with `batch_fraction ∈ (0, 1]`.
+pub(crate) fn delta_priority_kernel<D: DeltaAlgorithm + ?Sized>(
     g: &CsrGraph,
     alg: &D,
     batch_fraction: f64,
@@ -605,11 +493,33 @@ fn priority_key<D: DeltaAlgorithm + ?Sized>(alg: &D, state: f64, delta: f64) -> 
 mod tests {
     use super::*;
     use crate::algorithms::{PageRank, Sssp};
-    use crate::asynch::run_async;
+    use crate::runner::Mode;
+    use crate::strategy::{execute, run_cold, AlgorithmRef};
     use gograph_graph::generators::regular::chain;
     use gograph_graph::generators::{
         planted_partition, with_random_weights, PlantedPartitionConfig,
     };
+
+    fn run_round_robin(
+        g: &CsrGraph,
+        alg: &dyn DeltaAlgorithm,
+        order: &Permutation,
+        cfg: &RunConfig,
+    ) -> RunStats {
+        let mode = Mode::Delta(DeltaSchedule::RoundRobin);
+        execute(g, AlgorithmRef::Delta(alg), mode, order, cfg, None).unwrap()
+    }
+
+    fn run_priority(
+        g: &CsrGraph,
+        alg: &dyn DeltaAlgorithm,
+        batch_fraction: f64,
+        cfg: &RunConfig,
+    ) -> RunStats {
+        let mode = Mode::Delta(DeltaSchedule::Priority { batch_fraction });
+        let id = Permutation::identity(g.num_vertices());
+        execute(g, AlgorithmRef::Delta(alg), mode, &id, cfg, None).unwrap()
+    }
 
     fn test_graph() -> CsrGraph {
         with_random_weights(
@@ -632,8 +542,8 @@ mod tests {
         let g = test_graph();
         let cfg = RunConfig::default();
         let id = Permutation::identity(300);
-        let gather = run_async(&g, &PageRank::default(), &id, &cfg);
-        let delta = delta_round_robin_core(&g, &DeltaPageRank::default(), &id, &cfg);
+        let gather = run_cold(&g, &PageRank::default(), Mode::Async, &id, &cfg);
+        let delta = run_round_robin(&g, &DeltaPageRank::default(), &id, &cfg);
         assert!(delta.converged);
         for (a, b) in gather.final_states.iter().zip(&delta.final_states) {
             assert!((a - b).abs() < 1e-4, "gather {a} vs delta {b}");
@@ -645,8 +555,8 @@ mod tests {
         let g = test_graph();
         let cfg = RunConfig::default();
         let id = Permutation::identity(300);
-        let gather = run_async(&g, &Sssp::new(0), &id, &cfg);
-        let delta = delta_round_robin_core(&g, &DeltaSssp { source: 0 }, &id, &cfg);
+        let gather = run_cold(&g, &Sssp::new(0), Mode::Async, &id, &cfg);
+        let delta = run_round_robin(&g, &DeltaSssp { source: 0 }, &id, &cfg);
         assert!(delta.converged);
         assert_eq!(gather.final_states, delta.final_states);
     }
@@ -656,8 +566,8 @@ mod tests {
         let g = test_graph();
         let cfg = RunConfig::default();
         let id = Permutation::identity(300);
-        let rr = delta_round_robin_core(&g, &DeltaSssp { source: 0 }, &id, &cfg);
-        let pr = delta_priority_core(&g, &DeltaSssp { source: 0 }, 0.1, &cfg);
+        let rr = run_round_robin(&g, &DeltaSssp { source: 0 }, &id, &cfg);
+        let pr = run_priority(&g, &DeltaSssp { source: 0 }, 0.1, &cfg);
         assert!(pr.converged);
         assert_eq!(rr.final_states, pr.final_states);
     }
@@ -667,8 +577,8 @@ mod tests {
         let g = test_graph();
         let cfg = RunConfig::default();
         let id = Permutation::identity(300);
-        let rr = delta_round_robin_core(&g, &DeltaPageRank::default(), &id, &cfg);
-        let pr = delta_priority_core(&g, &DeltaPageRank::default(), 0.05, &cfg);
+        let rr = run_round_robin(&g, &DeltaPageRank::default(), &id, &cfg);
+        let pr = run_priority(&g, &DeltaPageRank::default(), 0.05, &cfg);
         assert!(pr.converged);
         let sum_rr: f64 = rr.final_states.iter().sum();
         let sum_pr: f64 = pr.final_states.iter().sum();
@@ -681,8 +591,8 @@ mod tests {
         let g = chain(30);
         let cfg = RunConfig::default();
         let alg = DeltaSssp { source: 0 };
-        let fwd = delta_round_robin_core(&g, &alg, &Permutation::identity(30), &cfg);
-        let rev = delta_round_robin_core(&g, &alg, &Permutation::identity(30).reversed(), &cfg);
+        let fwd = run_round_robin(&g, &alg, &Permutation::identity(30), &cfg);
+        let rev = run_round_robin(&g, &alg, &Permutation::identity(30).reversed(), &cfg);
         assert!(
             fwd.rounds < rev.rounds,
             "fwd {} !< rev {}",
@@ -693,27 +603,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn legacy_priority_wrapper_clamps_batch_fraction_like_the_seed() {
-        // The original engine clamped the batch to 1..=n for any input
-        // fraction; the compatibility wrapper must keep accepting the
-        // values the strict Pipeline API rejects.
-        let g = chain(12);
-        let cfg = RunConfig::default();
-        let alg = DeltaSssp { source: 0 };
-        let reference = delta_priority_core(&g, &alg, 0.5, &cfg);
-        for bad in [0.0, -1.0, 2.5, f64::NAN] {
-            let stats = run_delta_priority(&g, &alg, bad, &cfg);
-            assert!(stats.converged, "batch_fraction {bad} should still run");
-            assert_eq!(stats.final_states, reference.final_states);
-        }
-    }
-
-    #[test]
     fn dangling_vertices_swallow_delta_mass() {
         let g = CsrGraph::from_edges(2, [(0u32, 1u32)]);
         let cfg = RunConfig::default();
-        let stats = delta_round_robin_core(
+        let stats = run_round_robin(
             &g,
             &DeltaPageRank::default(),
             &Permutation::identity(2),

@@ -1,5 +1,5 @@
 //! Direction-optimizing execution support: per-round push/pull choice,
-//! hybrid frontier bookkeeping shared by the sync/async/worklist
+//! hybrid frontier bookkeeping shared by the synchronous and sequential
 //! kernels, and the cache-blocked dense pull sweep.
 //!
 //! The kernels track which vertices *changed* in a round (a hybrid
@@ -9,10 +9,10 @@
 //!
 //! - **full pull** — the historical dense sweep: gather every vertex in
 //!   processing order. Chosen while the changed set is dense (more than
-//!   `1/`[`DENSE_EVAL_DENOMINATOR`] of the vertices), where skip
+//!   `1/DENSE_EVAL_DENOMINATOR` = 1/32 of the vertices), where skip
 //!   bookkeeping would cost more than it saves. On the synchronous
-//!   engine this sweep is additionally *cache-blocked* (see
-//!   [`BlockedSweep`]).
+//!   engine this sweep is additionally *cache-blocked* when the state
+//!   array overflows [`crate::RunConfig::llc_bytes`].
 //! - **sparse pull** — gather only vertices whose inputs may have
 //!   changed (the changed set and its out-neighborhoods), skipping
 //!   inactive sources through the bitmap.
@@ -24,8 +24,8 @@
 //!
 //! The per-round choice is the Beamer direction heuristic adapted to
 //! value iteration: push when the frontier's out-degree mass is below
-//! `|E| / `[`PUSH_ALPHA`] (the pull side pays the in-degree mass of the
-//! frontier's entire out-neighborhood, which the edge total bounds).
+//! `|E| / PUSH_ALPHA` = `|E|` (the pull side pays the in-degree mass of
+//! the frontier's entire out-neighborhood, which the edge total bounds).
 
 use crate::algorithm::IterativeAlgorithm;
 use crate::dispatch::GatherContext;
@@ -42,9 +42,8 @@ pub enum DirectionPolicy {
     /// Never push: gather-only, the historical engine behaviour.
     PullOnly,
     /// Always push (scatter). Requires an algorithm with
-    /// [`crate::IterativeAlgorithm::supports_push`]; the strategies
-    /// reject the combination otherwise, and the kernels fall back to
-    /// pull if reached directly.
+    /// [`crate::IterativeAlgorithm::supports_push`]; [`crate::execute`]
+    /// rejects the combination otherwise.
     PushOnly,
 }
 
@@ -169,8 +168,8 @@ impl PositionScan {
     }
 }
 
-/// The per-source activation rule shared by the async and worklist
-/// sparse sweeps: a changed vertex's later-positioned out-neighbors
+/// The per-source activation rule of the sequential kernel's sparse
+/// sweeps: a changed vertex's later-positioned out-neighbors
 /// join the current [`PositionScan`] (in-round consumption); if any
 /// out-neighbor sits at or before the cursor, the change itself stays
 /// `pending` — its value is complete (push-capable algebra) but not yet
@@ -202,8 +201,9 @@ pub(crate) fn activate_per_source(
 /// vertex's later-positioned out-neighbors join the current sweep,
 /// earlier ones go to `pending` for the next round. With
 /// `include_self`, the vertex itself re-evaluates next round too — what
-/// makes the async engine's sparse rounds exact for *any* pure
-/// algorithm; the worklist keeps its historical no-self activation.
+/// makes the sweep schedule's sparse rounds exact for *any* pure
+/// algorithm; the frontier schedule keeps the worklist's historical
+/// no-self activation.
 #[inline(always)]
 pub(crate) fn activate_per_target(
     g: &CsrGraph,

@@ -1,10 +1,10 @@
 //! The static-dispatch layer between the [`crate::Pipeline`] API and the
 //! engine kernels, plus the prebuilt gather context those kernels consume.
 //!
-//! Every engine entry point (`run_sync`, `run_async`, ...) still accepts a
-//! `&dyn` algorithm, so the public API is unchanged — but before entering
-//! the round loop it asks the algorithm to identify itself as one of the
-//! built-ins via [`IterativeAlgorithm::monomorphized`]. A `Some` answer
+//! [`crate::execute`] accepts a `&dyn` algorithm, so callers never name
+//! a concrete type — but before entering the round loop it asks the
+//! algorithm to identify itself as one of the built-ins via
+//! [`IterativeAlgorithm::monomorphized`]. A `Some` answer
 //! routes into a kernel instantiated for that concrete type, so `gather`
 //! / `apply` / `norm` inline into the per-edge loop (no vtable call per
 //! edge); `None` — the default for user-supplied algorithms — falls back
@@ -15,8 +15,8 @@
 //!
 //! 1. [`AlgorithmKind`] / [`DeltaAlgorithmKind`] — enum over the built-in
 //!    algorithms, matched **once per run**;
-//! 2. the monomorphized kernel (`sync_kernel`, `async_kernel`, ...) — the
-//!    round loop with everything statically dispatched;
+//! 2. the monomorphized kernel (one per engine) — the round loop with
+//!    everything statically dispatched;
 //! 3. the `dyn` fallback — the same kernel with `A = dyn
 //!    IterativeAlgorithm`, for user-supplied boxed algorithms.
 
@@ -423,7 +423,7 @@ enum ScatterStreams<'g> {
     },
 }
 
-// Compile-time thread-safety audit: parallel strategies and snapshot
+// Compile-time thread-safety audit: the parallel kernel and snapshot
 // readers share these borrowed adjacency views across threads, so they
 // must stay `Send + Sync`.
 const _: () = {

@@ -1,9 +1,9 @@
-//! Error type for the engine's [`crate::Pipeline`] and
-//! [`crate::ExecutionStrategy`] entry points.
+//! Error type of [`crate::Pipeline`], [`crate::StreamingPipeline`] and
+//! [`crate::execute`].
 //!
-//! The legacy free functions (`run`, `run_relabeled`, ...) panicked on
-//! invalid input; the unified API surfaces the same conditions as
-//! values so callers embedding the engine (services, CLIs) can recover.
+//! The kernels assert their preconditions; the entry points check the
+//! same conditions first and surface them as values so callers
+//! embedding the engine (services, CLIs) can recover.
 
 use std::fmt;
 
@@ -45,11 +45,6 @@ pub enum EngineError {
         /// Rounds executed before giving up.
         rounds: usize,
     },
-    /// A warm start was supplied to a strategy that cannot consume one.
-    WarmStartUnsupported {
-        /// The execution mode's name.
-        mode: &'static str,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -75,9 +70,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::DidNotConverge { rounds } => {
                 write!(f, "did not converge within {rounds} rounds")
-            }
-            EngineError::WarmStartUnsupported { mode } => {
-                write!(f, "mode {mode:?} does not support warm-started execution")
             }
         }
     }

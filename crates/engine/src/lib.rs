@@ -1,14 +1,20 @@
 //! # gograph-engine
 //!
 //! Iterative graph computation engine for the GoGraph reproduction:
-//! synchronous (Jacobi, paper Eq. 1), asynchronous (Gauss–Seidel, Eq. 2)
-//! and block-parallel asynchronous execution of monotonic vertex
-//! programs, with convergence traces and memory accounting.
+//! synchronous (Jacobi, paper Eq. 1), asynchronous (Gauss–Seidel, Eq. 2),
+//! block-parallel asynchronous and delta-accumulative execution of
+//! monotonic vertex programs, with convergence traces and memory
+//! accounting.
 //!
 //! The asynchronous engine consumes in-neighbor states that were already
 //! updated in the *current* round whenever the neighbor precedes the
 //! vertex in the processing order — the behaviour whose benefit GoGraph's
 //! reordering maximizes.
+//!
+//! Runs go through [`Pipeline`] (reorder → relabel → iterate) or, over
+//! an evolving graph, [`StreamingPipeline`]; both end in [`execute`],
+//! the one function that validates a run, builds its start state and
+//! picks the kernel for its [`Mode`].
 //!
 //! Algorithms (paper §V-A workloads + §III monotone examples):
 //! PageRank, SSSP, BFS, PHP, CC, SSWP, Katz, Adsorption.
@@ -17,48 +23,31 @@
 
 pub mod algorithm;
 pub mod algorithms;
-pub mod asynch;
+mod asynch;
 pub mod convergence;
 pub mod delta;
 pub mod direction;
 pub mod dispatch;
 pub mod error;
-pub mod parallel;
+mod parallel;
 pub mod pipeline;
 pub mod runner;
 pub mod strategy;
 pub mod streaming;
-pub mod sync;
-pub mod worklist;
+mod sync;
 
 pub use algorithm::{ConvergenceNorm, IterativeAlgorithm, Monotonicity};
 pub use algorithms::{Adsorption, Bfs, ConnectedComponents, Katz, PageRank, Php, Sssp, Sswp};
-pub use asynch::{async_kernel, async_kernel_warm, run_async};
 pub use convergence::{RunStats, TracePoint};
-pub use delta::{
-    delta_priority_kernel, delta_priority_kernel_warm, delta_round_robin_kernel,
-    delta_round_robin_kernel_warm, DeltaAlgorithm, DeltaPageRank, DeltaSchedule, DeltaSssp,
-};
-#[allow(deprecated)]
-pub use delta::{run_delta_priority, run_delta_round_robin};
+pub use delta::{DeltaAlgorithm, DeltaPageRank, DeltaSchedule, DeltaSssp};
 pub use direction::{DirectionPolicy, DEFAULT_LLC_BYTES};
 pub use dispatch::{
     AlgorithmKind, DeltaAlgorithmKind, DynOnly, DynOnlyDelta, GatherContext, ScatterContext,
 };
 pub use error::EngineError;
-pub use parallel::{parallel_kernel, parallel_kernel_warm, run_parallel};
 pub use pipeline::{Pipeline, PipelineResult, StageTimings};
-#[allow(deprecated)]
-pub use runner::{run, run_relabeled};
 pub use runner::{total_memory_bytes, Mode, RunConfig};
-pub use strategy::{
-    strategy_for, AlgorithmRef, AsyncStrategy, DeltaStrategy, ExecutionStrategy, ParallelStrategy,
-    SyncStrategy, WarmStart, WorklistStrategy,
-};
+pub use strategy::{execute, AlgorithmRef, WarmStart};
 pub use streaming::{
     split_batches, ResumableState, SplitBatchesError, StreamingPipeline, StreamingPipelineBuilder,
 };
-pub use sync::{run_sync, sync_kernel, sync_kernel_warm};
-#[allow(deprecated)]
-pub use worklist::run_worklist;
-pub use worklist::{worklist_kernel, worklist_kernel_warm, WorklistStats};

@@ -14,9 +14,9 @@
 //!   have changed, the scheduled positions split into per-worker chunks
 //!   swept in parallel.
 //! - **push rounds** scatter pending changes over out-edges with CAS
-//!   min/max relaxations on the atomic cells ([`AtomicF64::relax`]),
-//!   chosen per round by the shared Beamer-style
-//!   [`choose_push`] heuristic.
+//!   min/max relaxations on the atomic cells (`AtomicF64::relax`),
+//!   chosen per round by the shared Beamer-style `choose_push`
+//!   heuristic.
 //!
 //! Each worker records the positions it changed in its own [`Frontier`]
 //! buffer; the buffers merge into one set at the round barrier
@@ -38,7 +38,7 @@ use crate::convergence::{trace_point, DeltaAccumulator, RunStats};
 use crate::direction::{
     choose_push, push_mass, DirectionPolicy, DENSE_EVAL_DENOMINATOR, GENERAL_DENSE_DENOMINATOR,
 };
-use crate::dispatch::{dispatch_gather, GatherContext, ScatterContext};
+use crate::dispatch::{GatherContext, ScatterContext};
 use crate::runner::RunConfig;
 use gograph_graph::{CsrGraph, Frontier, Permutation, VertexId};
 use rayon::prelude::*;
@@ -108,53 +108,22 @@ fn par_round_cutoff() -> usize {
         .unwrap_or(PAR_ROUND_CUTOFF)
 }
 
-/// Runs `alg` on `g` with `num_blocks` parallel order blocks per round.
-/// `num_blocks = 1` degenerates to the sequential async engine.
-pub fn run_parallel(
-    g: &CsrGraph,
-    alg: &dyn IterativeAlgorithm,
-    order: &Permutation,
-    num_blocks: usize,
-    cfg: &RunConfig,
-) -> RunStats {
-    dispatch_gather!(alg, a => parallel_kernel(g, a, order, num_blocks, cfg))
-}
-
 /// The block-parallel round loop, generic over the algorithm so the
-/// per-edge gather/scatter inlines inside each worker's sweep.
-pub fn parallel_kernel<A: IterativeAlgorithm + ?Sized>(
-    g: &CsrGraph,
-    alg: &A,
-    order: &Permutation,
-    num_blocks: usize,
-    cfg: &RunConfig,
-) -> RunStats {
-    let init: Vec<f64> = (0..g.num_vertices() as u32)
-        .map(|v| alg.init(g, v))
-        .collect();
-    parallel_kernel_warm(g, alg, order, num_blocks, cfg, init, None)
-}
-
-/// [`parallel_kernel`] started from caller-supplied states instead of
-/// `alg.init` — the warm-start entry the streaming subsystem uses to
-/// resume from a previously converged state.
+/// per-edge gather/scatter inlines inside each worker's sweep, started
+/// from `init_states` with `num_blocks >= 2` order blocks per round (one
+/// block is the sequential sweep, which [`crate::execute`] routes there
+/// directly).
 ///
-/// `initial_frontier` (vertex ids, as in
-/// [`crate::worklist::worklist_kernel_warm`]) seeds the first round as
-/// an exact pull set: only the seeded vertices re-gather, and the run
-/// grows outward from whatever they change — the warm-start carryover
-/// the streaming path feeds through
-/// [`crate::strategy::ParallelStrategy::run_warm`]. Without a frontier
-/// the first round is a full sweep. The single-block degenerate case
-/// delegates to the async engine, which re-evaluates everything on its
-/// first round regardless (the frontier is an optimization hint, never
-/// required for correctness).
+/// `initial_frontier` (vertex ids) seeds the first round as an exact
+/// pull set: only the seeded vertices re-gather, and the run grows
+/// outward from whatever they change — the warm-start carryover the
+/// streaming path feeds through [`crate::WarmStart::with_frontier_set`].
+/// Without a frontier the first round is a full sweep.
 ///
 /// # Panics
-/// Panics if `init_states.len() != g.num_vertices()` — callers go
-/// through [`crate::ExecutionStrategy::run_warm`], which validates
-/// first.
-pub fn parallel_kernel_warm<A: IterativeAlgorithm + ?Sized>(
+/// Panics if `order` or `init_states` do not cover the graph;
+/// [`crate::execute`] validates both.
+pub(crate) fn parallel_kernel<A: IterativeAlgorithm + ?Sized>(
     g: &CsrGraph,
     alg: &A,
     order: &Permutation,
@@ -166,13 +135,10 @@ pub fn parallel_kernel_warm<A: IterativeAlgorithm + ?Sized>(
     let n = g.num_vertices();
     assert_eq!(order.len(), n, "order length must match vertex count");
     assert_eq!(init_states.len(), n, "state length must match vertex count");
-    let num_blocks = num_blocks.clamp(1, n.max(1));
-    if num_blocks == 1 {
-        // One block *is* the sequential async engine — delegate so the
-        // degenerate case inherits its direction optimization (and its
-        // memory accounting: what it reports is what is allocated).
-        return crate::asynch::async_kernel_warm(g, alg, order, cfg, init_states);
-    }
+    debug_assert!(
+        (2..=n).contains(&num_blocks),
+        "execute clamps the block count"
+    );
     let ctx = GatherContext::new(g);
     let sctx = ScatterContext::new(g);
     let num_edges = g.num_edges();
@@ -505,7 +471,8 @@ pub fn parallel_kernel_warm<A: IterativeAlgorithm + ?Sized>(
 mod tests {
     use super::*;
     use crate::algorithms::{Bfs, PageRank, Sssp};
-    use crate::asynch::run_async;
+    use crate::runner::Mode;
+    use crate::strategy::run_cold;
     use gograph_graph::generators::{
         planted_partition, with_random_weights, PlantedPartitionConfig,
     };
@@ -542,8 +509,8 @@ mod tests {
         let cfg = RunConfig::default();
         let id = Permutation::identity(300);
         let alg = Sssp::new(0);
-        let seq = run_async(&g, &alg, &id, &cfg);
-        let par = run_parallel(&g, &alg, &id, 8, &cfg);
+        let seq = run_cold(&g, &alg, Mode::Async, &id, &cfg);
+        let par = run_cold(&g, &alg, Mode::Parallel(8), &id, &cfg);
         assert!(par.converged);
         assert_eq!(seq.final_states, par.final_states);
     }
@@ -554,8 +521,8 @@ mod tests {
         let cfg = RunConfig::default();
         let id = Permutation::identity(300);
         let pr = PageRank::default();
-        let seq = run_async(&g, &pr, &id, &cfg);
-        let par = run_parallel(&g, &pr, &id, 4, &cfg);
+        let seq = run_cold(&g, &pr, Mode::Async, &id, &cfg);
+        let par = run_cold(&g, &pr, Mode::Parallel(4), &id, &cfg);
         assert!(par.converged);
         for (x, y) in seq.final_states.iter().zip(&par.final_states) {
             assert!((x - y).abs() < 1e-3, "{x} vs {y}");
@@ -568,8 +535,8 @@ mod tests {
         let cfg = RunConfig::default();
         let id = Permutation::identity(300);
         let alg = Sssp::new(0);
-        let seq = run_async(&g, &alg, &id, &cfg);
-        let par = run_parallel(&g, &alg, &id, 1, &cfg);
+        let seq = run_cold(&g, &alg, Mode::Async, &id, &cfg);
+        let par = run_cold(&g, &alg, Mode::Parallel(1), &id, &cfg);
         assert_eq!(seq.rounds, par.rounds);
         assert_eq!(seq.final_states, par.final_states);
     }
@@ -585,14 +552,14 @@ mod tests {
         };
         let id = Permutation::identity(300);
         let alg = Sssp::new(0);
-        let reference = run_async(&g, &alg, &id, &cfg_for(DirectionPolicy::Auto));
+        let reference = run_cold(&g, &alg, Mode::Async, &id, &cfg_for(DirectionPolicy::Auto));
         for blocks in [2, test_blocks(), 8] {
             for direction in [
                 DirectionPolicy::Auto,
                 DirectionPolicy::PullOnly,
                 DirectionPolicy::PushOnly,
             ] {
-                let par = run_parallel(&g, &alg, &id, blocks, &cfg_for(direction));
+                let par = run_cold(&g, &alg, Mode::Parallel(blocks), &id, &cfg_for(direction));
                 assert!(par.converged, "{blocks} blocks / {direction:?}");
                 assert_eq!(
                     reference.final_states, par.final_states,
@@ -619,7 +586,7 @@ mod tests {
         };
         let id = Permutation::identity(300);
         let alg = Bfs::new(0);
-        let first = run_parallel(&g, &alg, &id, test_blocks(), &cfg);
+        let first = run_cold(&g, &alg, Mode::Parallel(test_blocks()), &id, &cfg);
         assert!(first.converged);
         assert!(
             first.push_rounds > 0,
@@ -627,7 +594,7 @@ mod tests {
         );
         assert!(first.push_rounds <= first.rounds);
         for _ in 0..3 {
-            let again = run_parallel(&g, &alg, &id, test_blocks(), &cfg);
+            let again = run_cold(&g, &alg, Mode::Parallel(test_blocks()), &id, &cfg);
             assert_eq!(first.final_states, again.final_states);
         }
     }
@@ -654,16 +621,16 @@ mod tests {
         );
         let id = Permutation::identity(5_000);
         let alg = Sssp::new(0);
-        let reference = run_async(&g, &alg, &id, &RunConfig::default());
+        let reference = run_cold(&g, &alg, Mode::Async, &id, &RunConfig::default());
         let cfg = RunConfig {
             direction: DirectionPolicy::PushOnly,
             ..Default::default()
         };
-        let first = run_parallel(&g, &alg, &id, test_blocks(), &cfg);
+        let first = run_cold(&g, &alg, Mode::Parallel(test_blocks()), &id, &cfg);
         assert!(first.converged);
         assert!(first.push_rounds > 0, "forced push must scatter");
         assert_eq!(reference.final_states, first.final_states);
-        let again = run_parallel(&g, &alg, &id, test_blocks(), &cfg);
+        let again = run_cold(&g, &alg, Mode::Parallel(test_blocks()), &id, &cfg);
         assert_eq!(first.final_states, again.final_states);
     }
 
@@ -676,15 +643,15 @@ mod tests {
         let cfg = RunConfig::default();
         let id = Permutation::identity(300);
         let alg = Sssp::new(0);
-        let cold = run_parallel(&g, &alg, &id, 4, &cfg);
+        let cold = run_cold(&g, &alg, Mode::Parallel(4), &id, &cfg);
         let init: Vec<f64> = (0..300u32).map(|v| alg.init(&g, v)).collect();
         let seed = Frontier::from_members(300, g.out_neighbors(0).iter().copied());
-        let warm = parallel_kernel_warm(&g, &alg, &id, 4, &cfg, init, Some(&seed));
+        let warm = parallel_kernel(&g, &alg, &id, 4, &cfg, init, Some(&seed));
         assert!(warm.converged);
         assert_eq!(cold.final_states, warm.final_states);
         // An empty frontier with fixpoint states confirms in one round.
         let empty = Frontier::new(300);
-        let confirm = parallel_kernel_warm(
+        let confirm = parallel_kernel(
             &g,
             &alg,
             &id,
@@ -705,7 +672,13 @@ mod tests {
         // shared state array and the planner's sets.
         let g = gograph_graph::generators::regular::chain(10);
         let cfg = RunConfig::default();
-        let stats = run_parallel(&g, &Sssp::new(0), &Permutation::identity(10), 7, &cfg);
+        let stats = run_cold(
+            &g,
+            &Sssp::new(0),
+            Mode::Parallel(7),
+            &Permutation::identity(10),
+            &cfg,
+        );
         let states = 10 * std::mem::size_of::<f64>();
         let barrier_cells = 5 * std::mem::size_of::<(f64, usize)>();
         // Eight frontiers exist (work/out/expand + 5 worker buffers),
@@ -725,7 +698,13 @@ mod tests {
     fn excessive_block_count_clamped() {
         let g = gograph_graph::generators::regular::chain(5);
         let cfg = RunConfig::default();
-        let stats = run_parallel(&g, &Sssp::new(0), &Permutation::identity(5), 1000, &cfg);
+        let stats = run_cold(
+            &g,
+            &Sssp::new(0),
+            Mode::Parallel(1000),
+            &Permutation::identity(5),
+            &cfg,
+        );
         assert!(stats.converged);
         assert_eq!(stats.final_states[4], 4.0);
     }

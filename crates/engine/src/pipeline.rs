@@ -2,7 +2,7 @@
 //! one composable entry point: compute an order `R(G) -> O_V`
 //! (*reorder*), optionally physically *relabel* the graph so that order
 //! becomes a sequential scan, then *iterate* a monotonic algorithm under
-//! any [`ExecutionStrategy`].
+//! any [`Mode`] through [`crate::execute`].
 //!
 //! ```
 //! use gograph_engine::{Mode, PageRank, Pipeline};
@@ -35,7 +35,7 @@ use crate::convergence::RunStats;
 use crate::delta::DeltaAlgorithm;
 use crate::error::EngineError;
 use crate::runner::{Mode, RunConfig};
-use crate::strategy::{strategy_for, AlgorithmRef, WarmStart};
+use crate::strategy::{check_family, execute, AlgorithmRef, WarmStart};
 use gograph_graph::{CsrGraph, Permutation, VertexId};
 use gograph_reorder::Reorderer;
 use std::time::{Duration, Instant};
@@ -46,7 +46,7 @@ enum OrderSpec<'a> {
     Identity,
     /// A caller-supplied order, owned.
     Explicit(Permutation),
-    /// A caller-supplied order, borrowed (used by the legacy wrappers).
+    /// A caller-supplied order, borrowed.
     Borrowed(&'a Permutation),
     /// Computed by a reordering method at execute time.
     Reorder(Box<dyn Reorderer + 'a>),
@@ -197,7 +197,7 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Selects the execution strategy (default: [`Mode::Async`]).
+    /// Selects the execution mode (default: [`Mode::Async`]).
     pub fn mode(mut self, mode: Mode) -> Self {
         self.mode = mode;
         self
@@ -315,8 +315,8 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Makes `execute` return [`EngineError::DidNotConverge`] when the
-    /// round cap is hit before convergence (default: off, matching the
-    /// legacy engines which report `converged: false` in the stats).
+    /// round cap is hit before convergence (default: off — the stats
+    /// report `converged: false`).
     pub fn require_convergence(mut self, yes: bool) -> Self {
         self.require_convergence = yes;
         self
@@ -379,60 +379,20 @@ impl<'a> Pipeline<'a> {
         // --- Resolve the algorithm for the selected mode. Only the
         // family the mode consumes gets resolved, so a factory of the
         // other family is never run just to be discarded. ---
-        let strategy = strategy_for(mode);
-        let has_gather = gather.is_some();
-        let has_delta = delta.is_some();
-        let mut resolved_gather: Option<GatherSpec<'a>> = None;
-        let mut resolved_delta: Option<DeltaSpec<'a>> = None;
-        match mode {
-            Mode::Delta(_) => {
-                resolved_delta = match delta {
-                    Some(DeltaSpec::Factory(f)) => Some(DeltaSpec::Owned(f(&order))),
-                    other => other,
-                }
-            }
-            _ => {
-                resolved_gather = match gather {
-                    Some(GatherSpec::Factory(f)) => Some(GatherSpec::Owned(f(&order))),
-                    other => other,
-                }
-            }
-        }
-        let alg: AlgorithmRef<'_> = match mode {
-            Mode::Delta(_) => match &resolved_delta {
-                Some(DeltaSpec::Owned(a)) => AlgorithmRef::Delta(a.as_ref()),
-                Some(DeltaSpec::Borrowed(a)) => AlgorithmRef::Delta(*a),
-                Some(DeltaSpec::Factory(_)) => unreachable!("factories resolved above"),
-                None if has_gather => {
-                    return Err(EngineError::IncompatibleAlgorithm {
-                        mode: strategy.name(),
-                        provided: "gather",
-                    })
-                }
-                None => {
-                    return Err(EngineError::MissingAlgorithm {
-                        mode: strategy.name(),
-                        expected: "delta",
-                    })
-                }
-            },
-            _ => match &resolved_gather {
-                Some(GatherSpec::Owned(a)) => AlgorithmRef::Gather(a.as_ref()),
-                Some(GatherSpec::Borrowed(a)) => AlgorithmRef::Gather(*a),
-                Some(GatherSpec::Factory(_)) => unreachable!("factories resolved above"),
-                None if has_delta => {
-                    return Err(EngineError::IncompatibleAlgorithm {
-                        mode: strategy.name(),
-                        provided: "delta",
-                    })
-                }
-                None => {
-                    return Err(EngineError::MissingAlgorithm {
-                        mode: strategy.name(),
-                        expected: "gather",
-                    })
-                }
-            },
+        check_family(mode, gather.is_some(), delta.is_some())?;
+        let mut owned_gather: Option<Box<dyn IterativeAlgorithm>> = None;
+        let mut owned_delta: Option<Box<dyn DeltaAlgorithm>> = None;
+        let alg = match mode {
+            Mode::Delta(_) => AlgorithmRef::Delta(match delta.expect("family checked") {
+                DeltaSpec::Borrowed(a) => a,
+                DeltaSpec::Owned(a) => &**owned_delta.insert(a),
+                DeltaSpec::Factory(f) => &**owned_delta.insert(f(&order)),
+            }),
+            _ => AlgorithmRef::Gather(match gather.expect("family checked") {
+                GatherSpec::Borrowed(a) => a,
+                GatherSpec::Owned(a) => &**owned_gather.insert(a),
+                GatherSpec::Factory(f) => &**owned_gather.insert(f(&order)),
+            }),
         };
 
         // --- Stage 2: physical relabeling (optional). ---
@@ -451,10 +411,7 @@ impl<'a> Pipeline<'a> {
 
         // --- Stage 3: iterate. ---
         let t = Instant::now();
-        let stats = match warm {
-            Some(w) => strategy.run_warm(run_graph, alg, run_order, &cfg, w)?,
-            None => strategy.run(run_graph, alg, run_order, &cfg)?,
-        };
+        let stats = execute(run_graph, alg, mode, run_order, &cfg, warm)?;
         let execute_time = t.elapsed();
         if require_convergence && !stats.converged {
             return Err(EngineError::DidNotConverge {

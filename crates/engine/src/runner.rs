@@ -1,18 +1,12 @@
-//! Execution modes and the legacy free-function entry points.
-//!
-//! The mode enum is the value-level selector consumed by
-//! [`crate::strategy::strategy_for`]; the free functions predate the
-//! [`Pipeline`] API and survive as thin deprecated delegates so existing
-//! callers keep working while they migrate.
+//! The run vocabulary: [`Mode`] selects the engine [`crate::execute`]
+//! hands a run to, [`RunConfig`] carries what every engine honours.
 
-use crate::algorithm::IterativeAlgorithm;
 use crate::convergence::RunStats;
 use crate::delta::DeltaSchedule;
 use crate::direction::DirectionPolicy;
-use crate::pipeline::Pipeline;
-use gograph_graph::{CsrGraph, Permutation};
+use gograph_graph::CsrGraph;
 
-/// Engine execution mode — one variant per [`crate::ExecutionStrategy`].
+/// Engine execution mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Mode {
     /// Synchronous (Jacobi, Eq. 1) — double-buffered.
@@ -29,7 +23,7 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// The mode's display name (matches its strategy's name).
+    /// The mode's display name, as error messages and tables print it.
     pub fn name(&self) -> &'static str {
         match self {
             Mode::Sync => "sync",
@@ -74,124 +68,27 @@ impl Default for RunConfig {
     }
 }
 
-/// Runs `alg` on `g` visiting vertices in `order` under `mode`.
-///
-/// # Panics
-/// Panics on invalid input (mismatched order length, wrong algorithm
-/// family for the mode) — use [`Pipeline`] for fallible execution.
-#[deprecated(since = "0.2.0", note = "use gograph_engine::Pipeline")]
-pub fn run(
-    g: &CsrGraph,
-    alg: &dyn IterativeAlgorithm,
-    mode: Mode,
-    order: &Permutation,
-    cfg: &RunConfig,
-) -> RunStats {
-    Pipeline::on(g)
-        .algorithm_ref(alg)
-        .mode(mode)
-        .order_ref(order)
-        .config(*cfg)
-        .execute()
-        .expect("legacy run(): invalid configuration")
-        .stats
-}
-
-/// A run whose graph has been physically relabeled so that the processing
-/// order is the sequential scan `0..n` — the deployment configuration the
-/// paper benchmarks (reordering happens offline, then every engine pass
-/// enjoys the improved layout).
-///
-/// Returns the relabeled graph together with the stats; vertex `v`'s
-/// final state lives at index `order.position(v)` of `final_states`.
-///
-/// # Panics
-/// Panics on invalid input — use [`Pipeline`] with `.relabel(true)` for
-/// fallible execution.
-#[deprecated(
-    since = "0.2.0",
-    note = "use gograph_engine::Pipeline with .relabel(true)"
-)]
-pub fn run_relabeled(
-    g: &CsrGraph,
-    alg: &dyn IterativeAlgorithm,
-    mode: Mode,
-    order: &Permutation,
-    cfg: &RunConfig,
-) -> (CsrGraph, RunStats) {
-    let r = Pipeline::on(g)
-        .algorithm_ref(alg)
-        .mode(mode)
-        .order_ref(order)
-        .relabel(true)
-        .config(*cfg)
-        .execute()
-        .expect("legacy run_relabeled(): invalid configuration");
-    (
-        r.relabeled.expect("relabel(true) produces a graph"),
-        r.stats,
-    )
-}
-
 /// Total memory footprint of a run: CSR arrays + engine state
 /// (Fig. 11's comparison).
 pub fn total_memory_bytes(g: &CsrGraph, stats: &RunStats) -> usize {
     g.memory_bytes() + stats.state_memory_bytes
 }
 
-// The tests below exercise the *legacy* wrappers on purpose: they are the
-// compatibility contract the deprecation keeps alive.
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::algorithms::Sssp;
+    use crate::pipeline::Pipeline;
     use gograph_graph::generators::regular::chain;
-
-    #[test]
-    fn mode_dispatch() {
-        let g = chain(10);
-        let id = Permutation::identity(10);
-        let cfg = RunConfig::default();
-        let alg = Sssp::new(0);
-        let s = run(&g, &alg, Mode::Sync, &id, &cfg);
-        let a = run(&g, &alg, Mode::Async, &id, &cfg);
-        let p = run(&g, &alg, Mode::Parallel(2), &id, &cfg);
-        let w = run(&g, &alg, Mode::Worklist, &id, &cfg);
-        assert_eq!(s.final_states, a.final_states);
-        assert_eq!(s.final_states, p.final_states);
-        assert_eq!(s.final_states, w.final_states);
-        assert!(a.rounds <= s.rounds);
-    }
-
-    #[test]
-    fn relabeled_run_equivalent_modulo_permutation() {
-        let g = chain(10);
-        // Reverse the labels; relabeled graph is the chain 9 <- ... <- 0,
-        // i.e. new id of old v is 9 - v. Source old-0 becomes new-9.
-        let order = Permutation::identity(10).reversed();
-        let cfg = RunConfig::default();
-        let alg = Sssp::new(9); // source in new labels
-        let (rg, stats) = run_relabeled(&g, &alg, Mode::Async, &order, &cfg);
-        assert_eq!(rg.num_edges(), 9);
-        // old vertex v had distance v; it now lives at position 9 - v.
-        for old_v in 0..10usize {
-            let new_pos = order.position(old_v as u32) as usize;
-            assert_eq!(stats.final_states[new_pos], old_v as f64);
-        }
-    }
 
     #[test]
     fn memory_accounting_includes_graph() {
         let g = chain(10);
-        let cfg = RunConfig::default();
-        let stats = run(
-            &g,
-            &Sssp::new(0),
-            Mode::Async,
-            &Permutation::identity(10),
-            &cfg,
-        );
+        let stats = Pipeline::on(&g)
+            .algorithm(Sssp::new(0))
+            .execute()
+            .unwrap()
+            .stats;
         assert!(total_memory_bytes(&g, &stats) > stats.state_memory_bytes);
     }
 }

@@ -1,27 +1,27 @@
-//! The [`ExecutionStrategy`] trait: one dispatch point unifying the
-//! sync, async, block-parallel, worklist and delta engines.
+//! The engine's one entry point: [`execute`] runs an algorithm under a
+//! [`Mode`] from a start state.
 //!
-//! Every engine family consumes the same inputs — a graph, an algorithm,
-//! a processing order and a [`RunConfig`] — and produces [`RunStats`].
-//! The strategies validate those inputs and return [`EngineError`]
-//! instead of panicking, which is what lets [`crate::Pipeline`] expose a
-//! single fallible entry point over the whole family.
+//! Every engine consumes the same inputs — a graph, an algorithm, a
+//! processing order, a [`RunConfig`] and a start state — and produces
+//! [`RunStats`]. `execute` validates those inputs once and returns
+//! [`EngineError`] instead of panicking, builds the cold start state
+//! when the caller brought none, matches the algorithm against the
+//! built-ins once (see [`crate::dispatch`]) and hands over to the one
+//! kernel the mode names. [`crate::Pipeline`] and
+//! [`crate::StreamingPipeline`] are the two callers.
 
 use crate::algorithm::IterativeAlgorithm;
+use crate::asynch::{sequential_kernel, Schedule};
 use crate::convergence::RunStats;
 use crate::delta::{
-    delta_priority_core, delta_priority_kernel_warm, delta_round_robin_core,
-    delta_round_robin_kernel_warm, DeltaAlgorithm, DeltaSchedule,
+    delta_priority_kernel, delta_round_robin_kernel, DeltaAlgorithm, DeltaSchedule,
 };
+use crate::direction::DirectionPolicy;
 use crate::dispatch::{dispatch_delta, dispatch_gather};
 use crate::error::EngineError;
+use crate::parallel::parallel_kernel;
 use crate::runner::{Mode, RunConfig};
-use crate::worklist::{worklist_core, worklist_kernel_warm};
-use crate::{
-    asynch::{async_kernel_warm, run_async},
-    parallel::{parallel_kernel_warm, run_parallel},
-    sync::{run_sync, sync_kernel_warm},
-};
+use crate::sync::sync_kernel;
 use gograph_graph::{CsrGraph, Frontier, Permutation, VertexId};
 
 /// A borrowed algorithm of either family. The gather family
@@ -53,9 +53,11 @@ impl AlgorithmRef<'_> {
     }
 }
 
-/// Caller-supplied starting point for a [`ExecutionStrategy::run_warm`]
-/// execution — the carrier of previously converged state when a graph
-/// evolves (see [`crate::StreamingPipeline`]).
+/// Caller-supplied starting point for [`execute`] — the carrier of
+/// previously converged state when a graph evolves (see
+/// [`crate::StreamingPipeline`]). A cold run is the same thing started
+/// from the algorithm's `init` states with no frontier, which `execute`
+/// fills in when handed no start at all.
 ///
 /// Soundness is the *caller's* responsibility: for a monotonically
 /// decreasing gather algorithm the states must be element-wise upper
@@ -68,12 +70,12 @@ pub struct WarmStart {
     /// Initial per-vertex states (length = vertex count).
     pub states: Vec<f64>,
     /// Vertices whose inputs changed and that must be re-evaluated
-    /// first, as a hybrid [`Frontier`] set. Consumed by the worklist
-    /// engine (activation spreads from here), the block-parallel engine
-    /// (first round pulls exactly this set, then activation spreads),
-    /// and the delta engines (pending deltas are seeded here); the
-    /// remaining full-scan engines re-evaluate everything regardless.
-    /// `None` means every vertex.
+    /// first, as a hybrid [`Frontier`] set. Consumed by
+    /// [`Mode::Worklist`] (activation spreads from here), the
+    /// block-parallel engine at two or more blocks (first round pulls
+    /// exactly this set, then activation spreads), and the delta
+    /// engines (pending deltas are seeded here); the full-scan modes
+    /// re-evaluate everything regardless. `None` means every vertex.
     pub frontier: Option<Frontier>,
     /// Pending per-vertex deltas for the delta-family engines (length =
     /// vertex count). `None` derives frontier deltas by gathering each
@@ -116,60 +118,47 @@ impl WarmStart {
     }
 }
 
-/// One execution engine behind a uniform, fallible interface.
-pub trait ExecutionStrategy {
-    /// Strategy name (matches [`Mode::name`]).
-    fn name(&self) -> &'static str;
-
-    /// Runs `alg` on `g` visiting vertices in `order` under `cfg`.
-    fn run(
-        &self,
-        g: &CsrGraph,
-        alg: AlgorithmRef<'_>,
-        order: &Permutation,
-        cfg: &RunConfig,
-    ) -> Result<RunStats, EngineError>;
-
-    /// Runs `alg` on `g` starting from a [`WarmStart`] instead of the
-    /// algorithm's initial state. The default rejects warm execution
-    /// ([`EngineError::WarmStartUnsupported`]); every built-in strategy
-    /// overrides it.
-    fn run_warm(
-        &self,
-        _g: &CsrGraph,
-        _alg: AlgorithmRef<'_>,
-        _order: &Permutation,
-        _cfg: &RunConfig,
-        _warm: WarmStart,
-    ) -> Result<RunStats, EngineError> {
-        Err(EngineError::WarmStartUnsupported { mode: self.name() })
+/// Checks that the algorithm family `mode` consumes was supplied: the
+/// delta modes run delta algorithms, every other mode gathers. The one
+/// family check behind [`execute`], [`crate::Pipeline::execute`] and
+/// [`crate::StreamingPipelineBuilder::build`].
+pub(crate) fn check_family(
+    mode: Mode,
+    has_gather: bool,
+    has_delta: bool,
+) -> Result<(), EngineError> {
+    let (expected, other, supplied, other_supplied) = match mode {
+        Mode::Delta(_) => ("delta", "gather", has_delta, has_gather),
+        _ => ("gather", "delta", has_gather, has_delta),
+    };
+    if supplied {
+        Ok(())
+    } else if other_supplied {
+        Err(EngineError::IncompatibleAlgorithm {
+            mode: mode.name(),
+            provided: other,
+        })
+    } else {
+        Err(EngineError::MissingAlgorithm {
+            mode: mode.name(),
+            expected,
+        })
     }
 }
 
-/// Shared validation: the order must cover the graph exactly.
-fn check_order(g: &CsrGraph, order: &Permutation) -> Result<(), EngineError> {
-    if order.len() != g.num_vertices() {
-        return Err(EngineError::OrderLengthMismatch {
-            order_len: order.len(),
-            num_vertices: g.num_vertices(),
-        });
-    }
-    Ok(())
-}
-
-/// Shared warm-start validation: state/delta lengths and frontier range.
-fn check_warm(g: &CsrGraph, warm: &WarmStart) -> Result<(), EngineError> {
+/// Start-state validation: state/delta lengths and frontier range.
+fn check_start(g: &CsrGraph, start: &WarmStart) -> Result<(), EngineError> {
     let n = g.num_vertices();
-    if warm.states.len() != n {
+    if start.states.len() != n {
         return Err(EngineError::InvalidParameter {
             name: "warm_start.states",
             message: format!(
                 "length {} does not match vertex count {n}",
-                warm.states.len()
+                start.states.len()
             ),
         });
     }
-    if let Some(deltas) = &warm.deltas {
+    if let Some(deltas) = &start.deltas {
         if deltas.len() != n {
             return Err(EngineError::InvalidParameter {
                 name: "warm_start.deltas",
@@ -177,7 +166,7 @@ fn check_warm(g: &CsrGraph, warm: &WarmStart) -> Result<(), EngineError> {
             });
         }
     }
-    if let Some(frontier) = &warm.frontier {
+    if let Some(frontier) = &start.frontier {
         let mut out_of_range = None;
         frontier.for_each(|v| {
             if v as usize >= n && out_of_range.is_none() {
@@ -194,383 +183,210 @@ fn check_warm(g: &CsrGraph, warm: &WarmStart) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// Gather-family strategies have no notion of pending deltas; passing
-/// them is a caller mix-up worth surfacing.
-fn reject_deltas(strategy: &dyn ExecutionStrategy, warm: &WarmStart) -> Result<(), EngineError> {
-    if warm.deltas.is_some() {
+/// Pending deltas for a delta-family start that brought none: each
+/// frontier vertex gathers the candidates its in-neighbors' *settled*
+/// states offer (a settled state consumed as a delta). Sound only when
+/// `⊕` is idempotent (min/max-style): for an accumulative `⊕` the
+/// candidates would double-count mass already folded into the states,
+/// so those algorithms must pass explicit deltas.
+fn derive_frontier_deltas(
+    g: &CsrGraph,
+    alg: &dyn DeltaAlgorithm,
+    states: &[f64],
+    frontier: Option<&Frontier>,
+) -> Result<Vec<f64>, EngineError> {
+    if !alg.combine_is_idempotent() {
         return Err(EngineError::InvalidParameter {
             name: "warm_start.deltas",
             message: format!(
-                "mode {:?} runs gather algorithms; pending deltas only apply to delta modes",
-                strategy.name()
-            ),
-        });
-    }
-    Ok(())
-}
-
-/// [`crate::DirectionPolicy::PushOnly`] demands an algorithm whose
-/// `apply` distributes over its gather fold
-/// ([`IterativeAlgorithm::supports_push`]); anything else cannot run
-/// scatter-only and is rejected up front instead of silently pulling.
-fn check_push_only(cfg: &RunConfig, alg: &dyn IterativeAlgorithm) -> Result<(), EngineError> {
-    if cfg.direction == crate::direction::DirectionPolicy::PushOnly && !alg.supports_push() {
-        return Err(EngineError::InvalidParameter {
-            name: "direction",
-            message: format!(
-                "DirectionPolicy::PushOnly requires an algorithm with supports_push(); \
-                 {} gathers accumulatively and can only run pull",
+                "{} does not declare an idempotent ⊕ \
+                 (DeltaAlgorithm::combine_is_idempotent): frontier delta \
+                 derivation would double-count accumulated mass — supply \
+                 explicit pending deltas",
                 alg.name()
             ),
         });
     }
-    Ok(())
-}
-
-fn require_gather<'a>(
-    strategy: &dyn ExecutionStrategy,
-    alg: AlgorithmRef<'a>,
-) -> Result<&'a dyn IterativeAlgorithm, EngineError> {
-    match alg {
-        AlgorithmRef::Gather(a) => Ok(a),
-        AlgorithmRef::Delta(_) => Err(EngineError::IncompatibleAlgorithm {
-            mode: strategy.name(),
-            provided: "delta",
-        }),
-    }
-}
-
-fn require_delta<'a>(
-    strategy: &dyn ExecutionStrategy,
-    alg: AlgorithmRef<'a>,
-) -> Result<&'a dyn DeltaAlgorithm, EngineError> {
-    match alg {
-        AlgorithmRef::Delta(a) => Ok(a),
-        AlgorithmRef::Gather(_) => Err(EngineError::IncompatibleAlgorithm {
-            mode: strategy.name(),
-            provided: "gather",
-        }),
-    }
-}
-
-/// Synchronous (Jacobi) execution — [`crate::sync::run_sync`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SyncStrategy;
-
-impl ExecutionStrategy for SyncStrategy {
-    fn name(&self) -> &'static str {
-        "sync"
-    }
-
-    fn run(
-        &self,
-        g: &CsrGraph,
-        alg: AlgorithmRef<'_>,
-        order: &Permutation,
-        cfg: &RunConfig,
-    ) -> Result<RunStats, EngineError> {
-        check_order(g, order)?;
-        let alg = require_gather(self, alg)?;
-        check_push_only(cfg, alg)?;
-        Ok(run_sync(g, alg, order, cfg))
-    }
-
-    fn run_warm(
-        &self,
-        g: &CsrGraph,
-        alg: AlgorithmRef<'_>,
-        order: &Permutation,
-        cfg: &RunConfig,
-        warm: WarmStart,
-    ) -> Result<RunStats, EngineError> {
-        check_order(g, order)?;
-        check_warm(g, &warm)?;
-        reject_deltas(self, &warm)?;
-        let alg = require_gather(self, alg)?;
-        check_push_only(cfg, alg)?;
-        Ok(dispatch_gather!(alg, a => sync_kernel_warm(g, a, order, cfg, warm.states)))
-    }
-}
-
-/// Asynchronous (Gauss–Seidel) execution — [`crate::asynch::run_async`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AsyncStrategy;
-
-impl ExecutionStrategy for AsyncStrategy {
-    fn name(&self) -> &'static str {
-        "async"
-    }
-
-    fn run(
-        &self,
-        g: &CsrGraph,
-        alg: AlgorithmRef<'_>,
-        order: &Permutation,
-        cfg: &RunConfig,
-    ) -> Result<RunStats, EngineError> {
-        check_order(g, order)?;
-        let alg = require_gather(self, alg)?;
-        check_push_only(cfg, alg)?;
-        Ok(run_async(g, alg, order, cfg))
-    }
-
-    fn run_warm(
-        &self,
-        g: &CsrGraph,
-        alg: AlgorithmRef<'_>,
-        order: &Permutation,
-        cfg: &RunConfig,
-        warm: WarmStart,
-    ) -> Result<RunStats, EngineError> {
-        check_order(g, order)?;
-        check_warm(g, &warm)?;
-        reject_deltas(self, &warm)?;
-        let alg = require_gather(self, alg)?;
-        check_push_only(cfg, alg)?;
-        Ok(dispatch_gather!(alg, a => async_kernel_warm(g, a, order, cfg, warm.states)))
-    }
-}
-
-/// Block-parallel asynchronous execution —
-/// [`crate::parallel::run_parallel`]. Direction-optimized like the
-/// sequential engines (`parallelism(n)` × [`DirectionPolicy`] compose),
-/// so `PushOnly` validation matches the async strategy at every block
-/// count, and a [`WarmStart::with_frontier`] seed flows into the kernel
-/// as the first round's exact pull set.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelStrategy {
-    /// Number of order blocks executed concurrently per round. Clamped
-    /// to `1..=n` like the underlying engine always has (so
-    /// `Parallel(0)` degenerates to one block, never an error).
-    pub blocks: usize,
-}
-
-impl ExecutionStrategy for ParallelStrategy {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn run(
-        &self,
-        g: &CsrGraph,
-        alg: AlgorithmRef<'_>,
-        order: &Permutation,
-        cfg: &RunConfig,
-    ) -> Result<RunStats, EngineError> {
-        check_order(g, order)?;
-        let alg = require_gather(self, alg)?;
-        check_push_only(cfg, alg)?;
-        Ok(run_parallel(g, alg, order, self.blocks, cfg))
-    }
-
-    fn run_warm(
-        &self,
-        g: &CsrGraph,
-        alg: AlgorithmRef<'_>,
-        order: &Permutation,
-        cfg: &RunConfig,
-        warm: WarmStart,
-    ) -> Result<RunStats, EngineError> {
-        check_order(g, order)?;
-        check_warm(g, &warm)?;
-        reject_deltas(self, &warm)?;
-        let alg = require_gather(self, alg)?;
-        check_push_only(cfg, alg)?;
-        let blocks = self.blocks;
-        let WarmStart {
-            states, frontier, ..
-        } = warm;
-        Ok(dispatch_gather!(
-            alg,
-            a => parallel_kernel_warm(g, a, order, blocks, cfg, states, frontier.as_ref())
-        ))
-    }
-}
-
-/// Active-frontier worklist execution — the engine of
-/// [`crate::worklist`]. The returned stats carry
-/// [`RunStats::evaluations`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorklistStrategy;
-
-impl ExecutionStrategy for WorklistStrategy {
-    fn name(&self) -> &'static str {
-        "worklist"
-    }
-
-    fn run(
-        &self,
-        g: &CsrGraph,
-        alg: AlgorithmRef<'_>,
-        order: &Permutation,
-        cfg: &RunConfig,
-    ) -> Result<RunStats, EngineError> {
-        check_order(g, order)?;
-        let alg = require_gather(self, alg)?;
-        check_push_only(cfg, alg)?;
-        Ok(worklist_core(g, alg, order, cfg))
-    }
-
-    fn run_warm(
-        &self,
-        g: &CsrGraph,
-        alg: AlgorithmRef<'_>,
-        order: &Permutation,
-        cfg: &RunConfig,
-        warm: WarmStart,
-    ) -> Result<RunStats, EngineError> {
-        check_order(g, order)?;
-        check_warm(g, &warm)?;
-        reject_deltas(self, &warm)?;
-        let alg = require_gather(self, alg)?;
-        check_push_only(cfg, alg)?;
-        let WarmStart {
-            states, frontier, ..
-        } = warm;
-        Ok(dispatch_gather!(
-            alg,
-            a => worklist_kernel_warm(g, a, order, cfg, states, frontier.as_ref())
-        ))
-    }
-}
-
-/// Delta-accumulative execution (Maiter round-robin or PrIter
-/// prioritized) — the engines of [`crate::delta`].
-#[derive(Debug, Clone, Copy)]
-pub struct DeltaStrategy {
-    /// Which delta scheduling discipline to run.
-    pub schedule: DeltaSchedule,
-}
-
-impl ExecutionStrategy for DeltaStrategy {
-    fn name(&self) -> &'static str {
-        match self.schedule {
-            DeltaSchedule::RoundRobin => "delta-rr",
-            DeltaSchedule::Priority { .. } => "delta-priority",
-        }
-    }
-
-    fn run(
-        &self,
-        g: &CsrGraph,
-        alg: AlgorithmRef<'_>,
-        order: &Permutation,
-        cfg: &RunConfig,
-    ) -> Result<RunStats, EngineError> {
-        let alg = require_delta(self, alg)?;
-        match self.schedule {
-            DeltaSchedule::RoundRobin => {
-                check_order(g, order)?;
-                Ok(delta_round_robin_core(g, alg, order, cfg))
+    let n = g.num_vertices();
+    let mut derived = vec![alg.identity(); n];
+    let mut derive = |v: VertexId| {
+        // Re-offer the vertex's base contribution (the algorithm's
+        // source term — e.g. the SSSP source's distance 0): a frontier
+        // vertex whose state was reset must be able to recover it
+        // without waiting on any neighbor.
+        let mut acc = alg.combine(alg.identity(), alg.init_delta(g, v));
+        for (u, w) in g.in_edges(v) {
+            let settled = states[u as usize];
+            if settled.is_finite() {
+                acc = alg.combine(acc, alg.propagate(g, u, v, w, settled));
             }
-            DeltaSchedule::Priority { batch_fraction } => {
+        }
+        derived[v as usize] = acc;
+    };
+    match frontier {
+        Some(f) => f.for_each_ascending(&mut derive),
+        None => (0..n as VertexId).for_each(&mut derive),
+    }
+    Ok(derived)
+}
+
+/// Runs `alg` on `g` under `mode`, visiting vertices in `order`, from
+/// `start` — or, when `start` is `None`, cold from the algorithm's
+/// initial state. Everything a kernel would otherwise panic on comes
+/// back as an [`EngineError`]: an order or start state that does not
+/// cover the graph, an algorithm of the wrong family for the mode,
+/// pending deltas handed to a gather mode,
+/// [`DirectionPolicy::PushOnly`] with an algorithm that cannot scatter,
+/// a batch fraction outside `(0, 1]`.
+///
+/// [`Mode::Async`], [`Mode::Worklist`] and `Mode::Parallel(1)` are one
+/// loop under two schedules; `Parallel(n)` clamps `n` to `1..=|V|` as
+/// it always has, so `Parallel(0)` is one block, never an error.
+///
+/// ```
+/// use gograph_engine::{execute, AlgorithmRef, Mode, RunConfig, Sssp};
+/// use gograph_graph::generators::regular::chain;
+/// use gograph_graph::Permutation;
+///
+/// let g = chain(50);
+/// // Every chain edge is positive under the identity order: one
+/// // propagation round + one confirmation round. Unlike the synchronous
+/// // mode, the visit order changes the number of rounds (not the
+/// // fixpoint).
+/// let stats = execute(
+///     &g,
+///     AlgorithmRef::Gather(&Sssp::new(0)),
+///     Mode::Async,
+///     &Permutation::identity(50),
+///     &RunConfig::default(),
+///     None,
+/// )
+/// .unwrap();
+/// assert_eq!(stats.rounds, 2);
+/// assert_eq!(stats.final_states[49], 49.0);
+/// ```
+pub fn execute(
+    g: &CsrGraph,
+    alg: AlgorithmRef<'_>,
+    mode: Mode,
+    order: &Permutation,
+    cfg: &RunConfig,
+    start: Option<WarmStart>,
+) -> Result<RunStats, EngineError> {
+    let n = g.num_vertices();
+    if order.len() != n {
+        return Err(EngineError::OrderLengthMismatch {
+            order_len: order.len(),
+            num_vertices: n,
+        });
+    }
+    check_family(
+        mode,
+        matches!(alg, AlgorithmRef::Gather(_)),
+        matches!(alg, AlgorithmRef::Delta(_)),
+    )?;
+    // A cold run is a start with nothing in it: the dispatch arms below
+    // fill in `init` states (and, for the delta family, every
+    // `init_delta` pending) with the algorithm's concrete type in hand.
+    let (states, frontier, deltas) = match start {
+        Some(start) => {
+            check_start(g, &start)?;
+            (Some(start.states), start.frontier, start.deltas)
+        }
+        None => (None, None, None),
+    };
+    let vertices = 0..n as VertexId;
+    match (alg, mode) {
+        (AlgorithmRef::Delta(alg), Mode::Delta(schedule)) => {
+            if let DeltaSchedule::Priority { batch_fraction } = schedule {
                 if !(batch_fraction > 0.0 && batch_fraction <= 1.0) {
                     return Err(EngineError::InvalidParameter {
                         name: "batch_fraction",
                         message: format!("must be in (0, 1], got {batch_fraction}"),
                     });
                 }
-                // The priority engine schedules by |delta|, not by
-                // position, so the order is intentionally unused.
-                Ok(delta_priority_core(g, alg, batch_fraction, cfg))
             }
-        }
-    }
-
-    fn run_warm(
-        &self,
-        g: &CsrGraph,
-        alg: AlgorithmRef<'_>,
-        order: &Permutation,
-        cfg: &RunConfig,
-        warm: WarmStart,
-    ) -> Result<RunStats, EngineError> {
-        let alg = require_delta(self, alg)?;
-        check_warm(g, &warm)?;
-        let WarmStart {
-            states,
-            frontier,
-            deltas,
-        } = warm;
-        let deltas = match deltas {
-            Some(d) => d,
-            // Derive pending deltas at the frontier: each frontier
-            // vertex gathers the candidates its in-neighbors' *settled*
-            // states offer (a settled state consumed as a delta). Sound
-            // only when `⊕` is idempotent (min/max-style): for an
-            // accumulative `⊕` the candidates would double-count mass
-            // already folded into the states, so those algorithms must
-            // pass explicit deltas.
-            None => {
-                if !alg.combine_is_idempotent() {
-                    return Err(EngineError::InvalidParameter {
-                        name: "warm_start.deltas",
-                        message: format!(
-                            "{} does not declare an idempotent ⊕ \
-                             (DeltaAlgorithm::combine_is_idempotent): frontier delta \
-                             derivation would double-count accumulated mass — supply \
-                             explicit pending deltas",
-                            alg.name()
-                        ),
-                    });
+            let deltas = match (&states, deltas) {
+                (Some(states), None) => {
+                    Some(derive_frontier_deltas(g, alg, states, frontier.as_ref())?)
                 }
-                let n = g.num_vertices();
-                let mut derived = vec![alg.identity(); n];
-                let derive = |d: &mut Vec<f64>, v: VertexId| {
-                    // Re-offer the vertex's base contribution (the
-                    // algorithm's source term — e.g. the SSSP source's
-                    // distance 0): a frontier vertex whose state was
-                    // reset must be able to recover it without waiting
-                    // on any neighbor.
-                    let mut acc = alg.combine(alg.identity(), alg.init_delta(g, v));
-                    for (u, w) in g.in_edges(v) {
-                        let settled = states[u as usize];
-                        if settled.is_finite() {
-                            acc = alg.combine(acc, alg.propagate(g, u, v, w, settled));
-                        }
+                (_, deltas) => deltas,
+            };
+            Ok(dispatch_delta!(alg, alg => {
+                let states = states
+                    .unwrap_or_else(|| vertices.clone().map(|v| alg.init_state(g, v)).collect());
+                let deltas =
+                    deltas.unwrap_or_else(|| vertices.map(|v| alg.init_delta(g, v)).collect());
+                match schedule {
+                    DeltaSchedule::RoundRobin => {
+                        delta_round_robin_kernel(g, alg, order, cfg, states, deltas)
                     }
-                    d[v as usize] = acc;
-                };
-                match &frontier {
-                    Some(f) => f.for_each_ascending(|v| derive(&mut derived, v)),
-                    None => (0..n as VertexId).for_each(|v| derive(&mut derived, v)),
+                    // The priority engine schedules by |delta|, not by
+                    // position: the order is validated and then unused.
+                    DeltaSchedule::Priority { batch_fraction } => {
+                        delta_priority_kernel(g, alg, batch_fraction, cfg, states, deltas)
+                    }
                 }
-                derived
-            }
-        };
-        match self.schedule {
-            DeltaSchedule::RoundRobin => {
-                check_order(g, order)?;
-                Ok(dispatch_delta!(
-                    alg,
-                    a => delta_round_robin_kernel_warm(g, a, order, cfg, states, deltas)
-                ))
-            }
-            DeltaSchedule::Priority { batch_fraction } => {
-                if !(batch_fraction > 0.0 && batch_fraction <= 1.0) {
-                    return Err(EngineError::InvalidParameter {
-                        name: "batch_fraction",
-                        message: format!("must be in (0, 1], got {batch_fraction}"),
-                    });
-                }
-                Ok(dispatch_delta!(
-                    alg,
-                    a => delta_priority_kernel_warm(g, a, batch_fraction, cfg, states, deltas)
-                ))
-            }
+            }))
         }
+        (AlgorithmRef::Gather(alg), mode) => {
+            // Gather modes have no notion of pending deltas; passing
+            // them is a caller mix-up worth surfacing.
+            if deltas.is_some() {
+                return Err(EngineError::InvalidParameter {
+                    name: "warm_start.deltas",
+                    message: format!(
+                        "mode {:?} runs gather algorithms; pending deltas only apply to \
+                         delta modes",
+                        mode.name()
+                    ),
+                });
+            }
+            // PushOnly demands an algorithm whose `apply` distributes
+            // over its gather fold; anything else cannot run
+            // scatter-only and is rejected instead of silently pulling.
+            if cfg.direction == DirectionPolicy::PushOnly && !alg.supports_push() {
+                return Err(EngineError::InvalidParameter {
+                    name: "direction",
+                    message: format!(
+                        "DirectionPolicy::PushOnly requires an algorithm with supports_push(); \
+                         {} gathers accumulatively and can only run pull",
+                        alg.name()
+                    ),
+                });
+            }
+            let seed = frontier.as_ref();
+            Ok(dispatch_gather!(alg, alg => {
+                let states = states.unwrap_or_else(|| vertices.map(|v| alg.init(g, v)).collect());
+                match mode {
+                    Mode::Sync => sync_kernel(g, alg, order, cfg, states),
+                    Mode::Async => sequential_kernel(g, alg, order, cfg, Schedule::Sweep, states),
+                    Mode::Worklist => {
+                        sequential_kernel(g, alg, order, cfg, Schedule::Frontier { seed }, states)
+                    }
+                    Mode::Parallel(blocks) => match blocks.clamp(1, n.max(1)) {
+                        // One block *is* the sequential sweep.
+                        1 => sequential_kernel(g, alg, order, cfg, Schedule::Sweep, states),
+                        blocks => parallel_kernel(g, alg, order, blocks, cfg, states, seed),
+                    },
+                    Mode::Delta(_) => unreachable!("family checked"),
+                }
+            }))
+        }
+        (AlgorithmRef::Delta(_), _) => unreachable!("family checked"),
     }
 }
 
-/// The strategy implementing a [`Mode`].
-pub fn strategy_for(mode: Mode) -> Box<dyn ExecutionStrategy> {
-    match mode {
-        Mode::Sync => Box::new(SyncStrategy),
-        Mode::Async => Box::new(AsyncStrategy),
-        Mode::Parallel(blocks) => Box::new(ParallelStrategy { blocks }),
-        Mode::Worklist => Box::new(WorklistStrategy),
-        Mode::Delta(schedule) => Box::new(DeltaStrategy { schedule }),
-    }
+/// Test shorthand: a cold gather run that must be valid.
+#[cfg(test)]
+pub(crate) fn run_cold(
+    g: &CsrGraph,
+    alg: &dyn IterativeAlgorithm,
+    mode: Mode,
+    order: &Permutation,
+    cfg: &RunConfig,
+) -> RunStats {
+    execute(g, AlgorithmRef::Gather(alg), mode, order, cfg, None).expect("valid cold run")
 }
 
 #[cfg(test)]
@@ -582,6 +398,13 @@ mod tests {
 
     #[test]
     fn every_mode_resolves_to_its_strategy() {
+        // Every mode runs through `execute`, and reports itself by its
+        // display name when handed the wrong algorithm family.
+        let g = chain(8);
+        let id = Permutation::identity(8);
+        let cfg = RunConfig::default();
+        let gather = Sssp::new(0);
+        let delta = DeltaSssp { source: 0 };
         for (mode, name) in [
             (Mode::Sync, "sync"),
             (Mode::Async, "async"),
@@ -595,26 +418,56 @@ mod tests {
                 "delta-priority",
             ),
         ] {
-            assert_eq!(strategy_for(mode).name(), name);
             assert_eq!(mode.name(), name);
+            let (right, wrong) = match mode {
+                Mode::Delta(_) => (AlgorithmRef::Delta(&delta), AlgorithmRef::Gather(&gather)),
+                _ => (AlgorithmRef::Gather(&gather), AlgorithmRef::Delta(&delta)),
+            };
+            let stats = execute(&g, right, mode, &id, &cfg, None).unwrap();
+            assert!(stats.converged, "{name}");
+            assert_eq!(stats.final_states[7], 7.0, "{name}");
+            assert_eq!(
+                execute(&g, wrong, mode, &id, &cfg, None).unwrap_err(),
+                EngineError::IncompatibleAlgorithm {
+                    mode: name,
+                    provided: wrong.kind(),
+                }
+            );
         }
     }
 
     #[test]
     fn order_mismatch_is_an_error_not_a_panic() {
+        // One rule for every mode — the priority schedule never reads
+        // the order and is held to it all the same.
         let g = chain(10);
         let bad = Permutation::identity(7);
-        let alg = Sssp::new(0);
-        let err = strategy_for(Mode::Async)
-            .run(&g, AlgorithmRef::Gather(&alg), &bad, &RunConfig::default())
-            .unwrap_err();
-        assert_eq!(
-            err,
-            EngineError::OrderLengthMismatch {
-                order_len: 7,
-                num_vertices: 10
-            }
-        );
+        let gather = Sssp::new(0);
+        let delta = DeltaSssp { source: 0 };
+        for mode in [
+            Mode::Sync,
+            Mode::Async,
+            Mode::Parallel(2),
+            Mode::Worklist,
+            Mode::Delta(DeltaSchedule::RoundRobin),
+            Mode::Delta(DeltaSchedule::Priority {
+                batch_fraction: 0.5,
+            }),
+        ] {
+            let alg = match mode {
+                Mode::Delta(_) => AlgorithmRef::Delta(&delta),
+                _ => AlgorithmRef::Gather(&gather),
+            };
+            assert_eq!(
+                execute(&g, alg, mode, &bad, &RunConfig::default(), None).unwrap_err(),
+                EngineError::OrderLengthMismatch {
+                    order_len: 7,
+                    num_vertices: 10
+                },
+                "{}",
+                mode.name()
+            );
+        }
     }
 
     #[test]
@@ -624,9 +477,15 @@ mod tests {
         let gather = Sssp::new(0);
         let delta = DeltaSssp { source: 0 };
         let cfg = RunConfig::default();
-        let err = strategy_for(Mode::Delta(DeltaSchedule::RoundRobin))
-            .run(&g, AlgorithmRef::Gather(&gather), &id, &cfg)
-            .unwrap_err();
+        let err = execute(
+            &g,
+            AlgorithmRef::Gather(&gather),
+            Mode::Delta(DeltaSchedule::RoundRobin),
+            &id,
+            &cfg,
+            None,
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             EngineError::IncompatibleAlgorithm {
@@ -634,9 +493,15 @@ mod tests {
                 ..
             }
         ));
-        let err = strategy_for(Mode::Async)
-            .run(&g, AlgorithmRef::Delta(&delta), &id, &cfg)
-            .unwrap_err();
+        let err = execute(
+            &g,
+            AlgorithmRef::Delta(&delta),
+            Mode::Async,
+            &id,
+            &cfg,
+            None,
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             EngineError::IncompatibleAlgorithm {
@@ -648,14 +513,17 @@ mod tests {
 
     #[test]
     fn zero_blocks_clamps_like_the_legacy_engine() {
-        // Parallel(0) has always meant "one block" (run_parallel clamps);
-        // the strategy layer must preserve that, not reject it.
+        // Parallel(0) has always meant "one block"; the entry point must
+        // preserve that, not reject it.
         let g = chain(6);
         let id = Permutation::identity(6);
-        let alg = Sssp::new(0);
-        let stats = strategy_for(Mode::Parallel(0))
-            .run(&g, AlgorithmRef::Gather(&alg), &id, &RunConfig::default())
-            .unwrap();
+        let stats = run_cold(
+            &g,
+            &Sssp::new(0),
+            Mode::Parallel(0),
+            &id,
+            &RunConfig::default(),
+        );
         assert!(stats.converged);
         assert_eq!(stats.final_states[5], 5.0);
     }
@@ -666,10 +534,16 @@ mod tests {
         let id = Permutation::identity(5);
         let delta = DeltaSssp { source: 0 };
         for bad in [0.0, -0.5, 1.5, f64::NAN] {
-            let err = strategy_for(Mode::Delta(DeltaSchedule::Priority {
-                batch_fraction: bad,
-            }))
-            .run(&g, AlgorithmRef::Delta(&delta), &id, &RunConfig::default())
+            let err = execute(
+                &g,
+                AlgorithmRef::Delta(&delta),
+                Mode::Delta(DeltaSchedule::Priority {
+                    batch_fraction: bad,
+                }),
+                &id,
+                &RunConfig::default(),
+                None,
+            )
             .unwrap_err();
             assert!(matches!(
                 err,
@@ -687,34 +561,32 @@ mod tests {
         let id = Permutation::identity(30);
         let cfg = RunConfig::default();
         let alg = Sssp::new(0);
-        let cold = strategy_for(Mode::Async)
-            .run(&g, AlgorithmRef::Gather(&alg), &id, &cfg)
-            .unwrap();
+        let cold = run_cold(&g, &alg, Mode::Async, &id, &cfg);
         for mode in [Mode::Sync, Mode::Async, Mode::Parallel(3), Mode::Worklist] {
-            let warm = strategy_for(mode)
-                .run_warm(
-                    &g,
-                    AlgorithmRef::Gather(&alg),
-                    &id,
-                    &cfg,
-                    WarmStart::from_states(cold.final_states.clone()),
-                )
-                .unwrap();
+            let warm = execute(
+                &g,
+                AlgorithmRef::Gather(&alg),
+                mode,
+                &id,
+                &cfg,
+                Some(WarmStart::from_states(cold.final_states.clone())),
+            )
+            .unwrap();
             assert!(warm.converged, "{}", mode.name());
             assert_eq!(warm.rounds, 1, "{}", mode.name());
             assert_eq!(warm.final_states, cold.final_states, "{}", mode.name());
         }
         // Delta: settled states with nothing pending confirm in one round.
         let dalg = DeltaSssp { source: 0 };
-        let warm = strategy_for(Mode::Delta(DeltaSchedule::RoundRobin))
-            .run_warm(
-                &g,
-                AlgorithmRef::Delta(&dalg),
-                &id,
-                &cfg,
-                WarmStart::from_states(cold.final_states.clone()).with_frontier(vec![]),
-            )
-            .unwrap();
+        let warm = execute(
+            &g,
+            AlgorithmRef::Delta(&dalg),
+            Mode::Delta(DeltaSchedule::RoundRobin),
+            &id,
+            &cfg,
+            Some(WarmStart::from_states(cold.final_states.clone()).with_frontier(vec![])),
+        )
+        .unwrap();
         assert!(warm.converged);
         assert_eq!(warm.rounds, 1);
         assert_eq!(warm.final_states, cold.final_states);
@@ -726,101 +598,57 @@ mod tests {
         let id = Permutation::identity(10);
         let cfg = RunConfig::default();
         let alg = Sssp::new(0);
+        let rejected_parameter =
+            |alg: AlgorithmRef<'_>, mode: Mode, start: WarmStart| match execute(
+                &g,
+                alg,
+                mode,
+                &id,
+                &cfg,
+                Some(start),
+            )
+            .unwrap_err()
+            {
+                EngineError::InvalidParameter { name, .. } => name,
+                other => panic!("expected an invalid parameter, got {other:?}"),
+            };
         // Wrong state length.
-        let err = strategy_for(Mode::Async)
-            .run_warm(
-                &g,
+        assert_eq!(
+            rejected_parameter(
                 AlgorithmRef::Gather(&alg),
-                &id,
-                &cfg,
+                Mode::Async,
                 WarmStart::from_states(vec![0.0; 4]),
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            EngineError::InvalidParameter {
-                name: "warm_start.states",
-                ..
-            }
-        ));
+            ),
+            "warm_start.states"
+        );
         // Out-of-range frontier vertex.
-        let err = strategy_for(Mode::Worklist)
-            .run_warm(
-                &g,
+        assert_eq!(
+            rejected_parameter(
                 AlgorithmRef::Gather(&alg),
-                &id,
-                &cfg,
+                Mode::Worklist,
                 WarmStart::from_states(vec![0.0; 10]).with_frontier(vec![99]),
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            EngineError::InvalidParameter {
-                name: "warm_start.frontier",
-                ..
-            }
-        ));
-        // Deltas handed to a gather strategy.
-        let err = strategy_for(Mode::Sync)
-            .run_warm(
-                &g,
+            ),
+            "warm_start.frontier"
+        );
+        // Deltas handed to a gather mode.
+        assert_eq!(
+            rejected_parameter(
                 AlgorithmRef::Gather(&alg),
-                &id,
-                &cfg,
+                Mode::Sync,
                 WarmStart::from_states(vec![0.0; 10]).with_deltas(vec![0.0; 10]),
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            EngineError::InvalidParameter {
-                name: "warm_start.deltas",
-                ..
-            }
-        ));
+            ),
+            "warm_start.deltas"
+        );
         // Sum-style delta algorithm without explicit deltas.
         let dpr = crate::delta::DeltaPageRank::default();
-        let err = strategy_for(Mode::Delta(DeltaSchedule::RoundRobin))
-            .run_warm(
-                &g,
+        assert_eq!(
+            rejected_parameter(
                 AlgorithmRef::Delta(&dpr),
-                &id,
-                &cfg,
+                Mode::Delta(DeltaSchedule::RoundRobin),
                 WarmStart::from_states(vec![0.0; 10]).with_frontier(vec![0]),
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            EngineError::InvalidParameter {
-                name: "warm_start.deltas",
-                ..
-            }
-        ));
-        // A strategy without an override rejects warm execution.
-        struct NoWarm;
-        impl ExecutionStrategy for NoWarm {
-            fn name(&self) -> &'static str {
-                "no-warm"
-            }
-            fn run(
-                &self,
-                _g: &CsrGraph,
-                _alg: AlgorithmRef<'_>,
-                _order: &Permutation,
-                _cfg: &RunConfig,
-            ) -> Result<RunStats, EngineError> {
-                unreachable!()
-            }
-        }
-        let err = NoWarm
-            .run_warm(
-                &g,
-                AlgorithmRef::Gather(&alg),
-                &id,
-                &cfg,
-                WarmStart::from_states(vec![0.0; 10]),
-            )
-            .unwrap_err();
-        assert_eq!(err, EngineError::WarmStartUnsupported { mode: "no-warm" });
+            ),
+            "warm_start.deltas"
+        );
     }
 
     #[test]
@@ -831,10 +659,9 @@ mod tests {
         let g0 = chain(10);
         let id = Permutation::identity(10);
         let cfg = RunConfig::default();
-        let dalg = DeltaSssp { source: 0 };
-        let cold = strategy_for(Mode::Delta(DeltaSchedule::RoundRobin))
-            .run(&g0, AlgorithmRef::Delta(&dalg), &id, &cfg)
-            .unwrap();
+        let dalg = AlgorithmRef::Delta(&DeltaSssp { source: 0 });
+        let rr = Mode::Delta(DeltaSchedule::RoundRobin);
+        let cold = execute(&g0, dalg, rr, &id, &cfg, None).unwrap();
         let mut edges: Vec<(u32, u32, f64)> =
             g0.edges().map(|e| (e.src, e.dst, e.weight)).collect();
         edges.push((0, 5, 1.0));
@@ -845,15 +672,15 @@ mod tests {
                 batch_fraction: 0.3,
             },
         ] {
-            let warm = strategy_for(Mode::Delta(schedule))
-                .run_warm(
-                    &g1,
-                    AlgorithmRef::Delta(&dalg),
-                    &id,
-                    &cfg,
-                    WarmStart::from_states(cold.final_states.clone()).with_frontier(vec![5]),
-                )
-                .unwrap();
+            let warm = execute(
+                &g1,
+                dalg,
+                Mode::Delta(schedule),
+                &id,
+                &cfg,
+                Some(WarmStart::from_states(cold.final_states.clone()).with_frontier(vec![5])),
+            )
+            .unwrap();
             assert!(warm.converged);
             assert_eq!(warm.final_states[5], 1.0);
             assert_eq!(warm.final_states[9], 5.0);
@@ -866,19 +693,20 @@ mod tests {
         let id = Permutation::identity(12);
         let cfg = RunConfig::default();
         let gather = Sssp::new(0);
-        let delta = DeltaSssp { source: 0 };
-        let reference = strategy_for(Mode::Sync)
-            .run(&g, AlgorithmRef::Gather(&gather), &id, &cfg)
-            .unwrap();
+        let reference = run_cold(&g, &gather, Mode::Sync, &id, &cfg);
         for mode in [Mode::Async, Mode::Parallel(3), Mode::Worklist] {
-            let got = strategy_for(mode)
-                .run(&g, AlgorithmRef::Gather(&gather), &id, &cfg)
-                .unwrap();
+            let got = run_cold(&g, &gather, mode, &id, &cfg);
             assert_eq!(got.final_states, reference.final_states, "{}", mode.name());
         }
-        let got = strategy_for(Mode::Delta(DeltaSchedule::RoundRobin))
-            .run(&g, AlgorithmRef::Delta(&delta), &id, &cfg)
-            .unwrap();
+        let got = execute(
+            &g,
+            AlgorithmRef::Delta(&DeltaSssp { source: 0 }),
+            Mode::Delta(DeltaSchedule::RoundRobin),
+            &id,
+            &cfg,
+            None,
+        )
+        .unwrap();
         assert_eq!(got.final_states, reference.final_states);
     }
 }

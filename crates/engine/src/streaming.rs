@@ -48,7 +48,7 @@ use crate::delta::DeltaAlgorithm;
 use crate::error::EngineError;
 use crate::pipeline::{PipelineResult, StageTimings};
 use crate::runner::{Mode, RunConfig};
-use crate::strategy::{strategy_for, AlgorithmRef, WarmStart};
+use crate::strategy::{check_family, execute, AlgorithmRef, WarmStart};
 use gograph_core::{
     order_members, partition_contributions, GoGraph, IncrementalGoGraph, PartitionContribution,
     PartitionedOrder, UNPARTITIONED,
@@ -70,7 +70,7 @@ pub struct StreamingPipelineBuilder {
 }
 
 impl StreamingPipelineBuilder {
-    /// Selects the execution strategy (default: [`Mode::Async`]).
+    /// Selects the execution mode (default: [`Mode::Async`]).
     pub fn mode(mut self, mode: Mode) -> Self {
         self.mode = mode;
         self
@@ -211,12 +211,7 @@ impl StreamingPipelineBuilder {
 
         // Bootstrap execution: a cold run to the initial fixpoint.
         let t = Instant::now();
-        let stats = strategy_for(pipeline.mode).run(
-            &pipeline.graph,
-            pipeline.algorithm_ref(),
-            &pipeline.order,
-            &pipeline.cfg,
-        )?;
+        let stats = pipeline.run_engine(None)?;
         let execute_time = t.elapsed();
         pipeline.absorb(stats, reorder_time, execute_time);
         Ok(pipeline)
@@ -398,40 +393,7 @@ fn validate_streaming_params(
             message: format!("must be a fraction in [0, 1], got {quality_floor}"),
         });
     }
-    let strategy_name = strategy_for(mode).name();
-    match mode {
-        Mode::Delta(_) => {
-            if delta.is_none() {
-                return Err(if gather.is_some() {
-                    EngineError::IncompatibleAlgorithm {
-                        mode: strategy_name,
-                        provided: "gather",
-                    }
-                } else {
-                    EngineError::MissingAlgorithm {
-                        mode: strategy_name,
-                        expected: "delta",
-                    }
-                });
-            }
-        }
-        _ => {
-            if gather.is_none() {
-                return Err(if delta.is_some() {
-                    EngineError::IncompatibleAlgorithm {
-                        mode: strategy_name,
-                        provided: "delta",
-                    }
-                } else {
-                    EngineError::MissingAlgorithm {
-                        mode: strategy_name,
-                        expected: "gather",
-                    }
-                });
-            }
-        }
-    }
-    Ok(())
+    check_family(mode, gather.is_some(), delta.is_some())
 }
 
 /// A value-complete snapshot of a [`StreamingPipeline`]'s evolving
@@ -636,14 +598,8 @@ impl StreamingPipeline {
         });
 
         // Re-converge.
-        let strategy = strategy_for(self.mode);
         let t = Instant::now();
-        let stats = match warm {
-            Some(w) => {
-                strategy.run_warm(&self.graph, self.algorithm_ref(), &self.order, &self.cfg, w)?
-            }
-            None => strategy.run(&self.graph, self.algorithm_ref(), &self.order, &self.cfg)?,
-        };
+        let stats = self.run_engine(warm)?;
         let execute_time = t.elapsed();
         self.batches_applied += 1;
         Ok(self.absorb(stats, maintain_time, execute_time))
@@ -878,22 +834,17 @@ impl StreamingPipeline {
     /// the insert-frontier seeding does not track — such algorithms
     /// must not be streamed warm.
     pub fn warm_start_is_sound(&self) -> bool {
-        match self.mode {
+        match self.algorithm() {
             // Enforced through the trait hook, not inferred from the
             // identity value: a non-idempotent ⊕ defaults to `false`
             // and restarts safely.
-            Mode::Delta(_) => self
-                .delta
-                .as_ref()
-                .is_some_and(|a| a.combine_is_idempotent()),
-            _ => self
-                .gather
-                .as_ref()
-                .is_some_and(|a| a.norm() == ConvergenceNorm::Max),
+            AlgorithmRef::Delta(alg) => alg.combine_is_idempotent(),
+            AlgorithmRef::Gather(alg) => alg.norm() == ConvergenceNorm::Max,
         }
     }
 
-    fn algorithm_ref(&self) -> AlgorithmRef<'_> {
+    /// The algorithm of the family the mode consumes.
+    fn algorithm(&self) -> AlgorithmRef<'_> {
         match self.mode {
             Mode::Delta(_) => {
                 AlgorithmRef::Delta(self.delta.as_deref().expect("validated by build()"))
@@ -902,19 +853,21 @@ impl StreamingPipeline {
         }
     }
 
+    /// One engine run over the current graph and order, cold when
+    /// `start` is `None`.
+    fn run_engine(
+        &self,
+        start: Option<WarmStart>,
+    ) -> Result<crate::convergence::RunStats, EngineError> {
+        let alg = self.algorithm();
+        execute(&self.graph, alg, self.mode, &self.order, &self.cfg, start)
+    }
+
     /// The algorithm's initial state for `v` on the current graph.
     fn init_state_of(&self, v: VertexId) -> f64 {
-        match self.mode {
-            Mode::Delta(_) => self
-                .delta
-                .as_ref()
-                .expect("validated by build()")
-                .init_state(&self.graph, v),
-            _ => self
-                .gather
-                .as_ref()
-                .expect("validated by build()")
-                .init(&self.graph, v),
+        match self.algorithm() {
+            AlgorithmRef::Delta(alg) => alg.init_state(&self.graph, v),
+            AlgorithmRef::Gather(alg) => alg.init(&self.graph, v),
         }
     }
 
@@ -959,44 +912,25 @@ impl StreamingPipeline {
 
         // Per-family hooks: the value a single settled in-edge offers,
         // the vertex's intrinsic value, and the strict progress order.
-        let candidate: Box<dyn Fn(VertexId, VertexId, f64, f64) -> f64> = match self.mode {
-            Mode::Delta(_) => {
-                let alg = self.delta.as_deref().expect("validated by build()");
-                Box::new(move |x, v, w, sx| alg.propagate(g, x, v, w, sx))
-            }
-            _ => {
-                let alg = self.gather.as_deref().expect("validated by build()");
-                Box::new(move |x, _v, w, sx| {
-                    alg.gather(alg.gather_identity(), sx, w, g.out_degree(x))
-                })
-            }
-        };
-        let intrinsic: Box<dyn Fn(VertexId) -> f64> = match self.mode {
-            Mode::Delta(_) => {
-                let alg = self.delta.as_deref().expect("validated by build()");
-                Box::new(move |v| alg.combine(alg.init_state(g, v), alg.init_delta(g, v)))
-            }
-            _ => {
-                let alg = self.gather.as_deref().expect("validated by build()");
-                Box::new(move |v| alg.init(g, v))
-            }
-        };
-        let decreasing = match self.mode {
-            // Min-style delta algorithms start at `+inf` and come down.
-            Mode::Delta(_) => self
-                .delta
-                .as_deref()
-                .expect("validated by build()")
-                .identity()
-                .is_sign_positive(),
-            _ => {
-                self.gather
-                    .as_deref()
-                    .expect("validated by build()")
-                    .monotonicity()
-                    == crate::algorithm::Monotonicity::Decreasing
-            }
-        };
+        type Candidate<'a> = Box<dyn Fn(VertexId, VertexId, f64, f64) -> f64 + 'a>;
+        type Intrinsic<'a> = Box<dyn Fn(VertexId) -> f64 + 'a>;
+        let (candidate, intrinsic, decreasing): (Candidate<'_>, Intrinsic<'_>, bool) =
+            match self.algorithm() {
+                AlgorithmRef::Delta(alg) => (
+                    Box::new(move |x, v, w, sx| alg.propagate(g, x, v, w, sx)),
+                    Box::new(move |v| alg.combine(alg.init_state(g, v), alg.init_delta(g, v))),
+                    // Min-style delta algorithms start at `+inf` and
+                    // come down.
+                    alg.identity().is_sign_positive(),
+                ),
+                AlgorithmRef::Gather(alg) => (
+                    Box::new(move |x, _v, w, sx| {
+                        alg.gather(alg.gather_identity(), sx, w, g.out_degree(x))
+                    }),
+                    Box::new(move |v| alg.init(g, v)),
+                    alg.monotonicity() == crate::algorithm::Monotonicity::Decreasing,
+                ),
+            };
         let strictly_closer = |sx: f64, sv: f64| if decreasing { sx < sv } else { sx > sv };
 
         let mut affected = vec![false; n];

@@ -20,47 +20,20 @@ use crate::convergence::{trace_point, DeltaAccumulator, RunStats};
 use crate::direction::{
     choose_push, push_mass, BlockedSweep, DENSE_EVAL_DENOMINATOR, GENERAL_DENSE_DENOMINATOR,
 };
-use crate::dispatch::{dispatch_gather, GatherContext, ScatterContext};
+use crate::dispatch::{GatherContext, ScatterContext};
 use crate::runner::RunConfig;
 use gograph_graph::{CsrGraph, Frontier, Permutation};
 use std::time::Instant;
 
-/// Runs `alg` on `g` synchronously, visiting vertices in `order` each
-/// round (the visit order cannot change the result in this mode — only
-/// memory access locality). Built-in algorithms are routed to a
-/// statically dispatched instantiation of [`sync_kernel`]; user-supplied
-/// ones run the same kernel through `dyn` dispatch.
-pub fn run_sync(
-    g: &CsrGraph,
-    alg: &dyn IterativeAlgorithm,
-    order: &Permutation,
-    cfg: &RunConfig,
-) -> RunStats {
-    dispatch_gather!(alg, a => sync_kernel(g, a, order, cfg))
-}
-
 /// The synchronous round loop, generic over the algorithm so `gather` /
-/// `apply` inline with a concrete `A`.
-pub fn sync_kernel<A: IterativeAlgorithm + ?Sized>(
-    g: &CsrGraph,
-    alg: &A,
-    order: &Permutation,
-    cfg: &RunConfig,
-) -> RunStats {
-    let init: Vec<f64> = (0..g.num_vertices() as u32)
-        .map(|v| alg.init(g, v))
-        .collect();
-    sync_kernel_warm(g, alg, order, cfg, init)
-}
-
-/// [`sync_kernel`] started from caller-supplied states instead of
-/// `alg.init` — the warm-start entry the streaming subsystem uses to
-/// resume from a previously converged state.
+/// `apply` inline with a concrete `A`, started from `states`. The visit
+/// order cannot change the result in this mode — only memory access
+/// locality.
 ///
 /// # Panics
-/// Panics if `states.len() != g.num_vertices()` — callers go through
-/// [`crate::ExecutionStrategy::run_warm`], which validates first.
-pub fn sync_kernel_warm<A: IterativeAlgorithm + ?Sized>(
+/// Panics if `order` or `states` do not cover the graph;
+/// [`crate::execute`] validates both.
+pub(crate) fn sync_kernel<A: IterativeAlgorithm + ?Sized>(
     g: &CsrGraph,
     alg: &A,
     order: &Permutation,
@@ -288,14 +261,17 @@ pub fn sync_kernel_warm<A: IterativeAlgorithm + ?Sized>(
 mod tests {
     use super::*;
     use crate::algorithms::{PageRank, Sssp};
+    use crate::runner::Mode;
+    use crate::strategy::run_cold;
     use gograph_graph::generators::regular::{chain, cycle};
 
     #[test]
     fn sssp_on_chain_takes_n_minus_1_rounds_plus_fixpoint_check() {
         let g = chain(6);
-        let stats = run_sync(
+        let stats = run_cold(
             &g,
             &Sssp::new(0),
+            Mode::Sync,
             &Permutation::identity(6),
             &RunConfig::default(),
         );
@@ -310,14 +286,15 @@ mod tests {
     #[test]
     fn sync_result_is_order_independent() {
         let g = cycle(8);
-        let a = run_sync(
+        let a = run_cold(
             &g,
             &Sssp::new(0),
+            Mode::Sync,
             &Permutation::identity(8),
             &RunConfig::default(),
         );
         let rev = Permutation::identity(8).reversed();
-        let b = run_sync(&g, &Sssp::new(0), &rev, &RunConfig::default());
+        let b = run_cold(&g, &Sssp::new(0), Mode::Sync, &rev, &RunConfig::default());
         assert_eq!(a.final_states, b.final_states);
         assert_eq!(a.rounds, b.rounds);
     }
@@ -325,9 +302,10 @@ mod tests {
     #[test]
     fn pagerank_converges_on_cycle() {
         let g = cycle(5);
-        let stats = run_sync(
+        let stats = run_cold(
             &g,
             &PageRank::default(),
+            Mode::Sync,
             &Permutation::identity(5),
             &RunConfig::default(),
         );
@@ -344,7 +322,13 @@ mod tests {
             record_trace: true,
             ..Default::default()
         };
-        let stats = run_sync(&g, &Sssp::new(0), &Permutation::identity(4), &cfg);
+        let stats = run_cold(
+            &g,
+            &Sssp::new(0),
+            Mode::Sync,
+            &Permutation::identity(4),
+            &cfg,
+        );
         assert_eq!(stats.trace.len(), stats.rounds + 1);
         assert_eq!(stats.trace[0].round, 0);
         // finite sum grows as vertices are reached... and the last round's
@@ -359,7 +343,13 @@ mod tests {
             max_rounds: 3,
             ..Default::default()
         };
-        let stats = run_sync(&g, &Sssp::new(0), &Permutation::identity(100), &cfg);
+        let stats = run_cold(
+            &g,
+            &Sssp::new(0),
+            Mode::Sync,
+            &Permutation::identity(100),
+            &cfg,
+        );
         assert!(!stats.converged);
         assert_eq!(stats.rounds, 3);
     }

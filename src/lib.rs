@@ -70,17 +70,12 @@ pub mod prelude {
         refine_adjacent_swaps, GoGraph, IncrementalGoGraph, ParallelGoGraph, PartitionContribution,
         PartitionedOrder, PartitionerChoice, UNPARTITIONED,
     };
-    #[allow(deprecated)]
-    pub use gograph_engine::{
-        run, run_delta_priority, run_delta_round_robin, run_relabeled, run_worklist,
-    };
     pub use gograph_engine::{
         split_batches, Adsorption, AlgorithmKind, AlgorithmRef, Bfs, ConnectedComponents,
         DeltaAlgorithm, DeltaAlgorithmKind, DeltaPageRank, DeltaSchedule, DeltaSssp,
-        DirectionPolicy, DynOnly, DynOnlyDelta, EngineError, ExecutionStrategy, GatherContext,
-        IterativeAlgorithm, Katz, Mode, PageRank, Php, Pipeline, PipelineResult, RunConfig,
-        RunStats, ScatterContext, SplitBatchesError, Sssp, Sswp, StageTimings, StreamingPipeline,
-        WarmStart,
+        DirectionPolicy, DynOnly, DynOnlyDelta, EngineError, GatherContext, IterativeAlgorithm,
+        Katz, Mode, PageRank, Php, Pipeline, PipelineResult, RunConfig, RunStats, ScatterContext,
+        SplitBatchesError, Sssp, Sswp, StageTimings, StreamingPipeline, WarmStart,
     };
     pub use gograph_graph::generators::{
         barabasi_albert, erdos_renyi, planted_partition, rmat, shuffle_labels, with_random_weights,

@@ -13,7 +13,7 @@
 //! corrupt or truncated compressed binary sections surface as `Err`,
 //! never a panic.
 
-use gograph::engine::strategy_for;
+use gograph::engine::execute;
 use gograph::graph::compressed::{decode_row_with, encode_row};
 use gograph::graph::io::{compressed_from_binary, compressed_to_binary};
 use gograph::prelude::*;
@@ -70,9 +70,7 @@ fn run_with(
         direction,
         ..Default::default()
     };
-    strategy_for(mode)
-        .run(g, AlgorithmRef::Gather(alg), order, &cfg)
-        .expect("valid run")
+    execute(g, AlgorithmRef::Gather(alg), mode, order, &cfg, None).expect("valid run")
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //! cache-blocked sweep is bit-identical to the unblocked one, and that
 //! `PushOnly` is rejected for accumulative algorithms.
 
-use gograph::engine::strategy_for;
+use gograph::engine::execute;
 use gograph::prelude::*;
 use gograph_graph::generators::regular::chain;
 
@@ -95,9 +95,7 @@ fn run_with(
         direction,
         ..Default::default()
     };
-    strategy_for(mode)
-        .run(g, AlgorithmRef::Gather(alg), order, &cfg)
-        .expect("valid run")
+    execute(g, AlgorithmRef::Gather(alg), mode, order, &cfg, None).expect("valid run")
 }
 
 fn assert_states_agree(exact: bool, reference: &[f64], got: &[f64], label: &str) {
@@ -208,9 +206,15 @@ fn warm_push_pull_and_legacy_kernels_agree() {
                 if mode == Mode::Worklist {
                     warm = warm.with_frontier(seeds.clone());
                 }
-                strategy_for(mode)
-                    .run_warm(warm_graph, AlgorithmRef::Gather(a), &order, &cfg, warm)
-                    .expect("valid warm run")
+                execute(
+                    warm_graph,
+                    AlgorithmRef::Gather(a),
+                    mode,
+                    &order,
+                    &cfg,
+                    Some(warm),
+                )
+                .expect("valid warm run")
             };
             let legacy = run_warm(&Opaque(alg), DirectionPolicy::Auto);
             assert!(legacy.converged);
@@ -329,15 +333,15 @@ fn parallel_engine_joins_the_direction_matrix_warm() {
         };
         let reference = {
             let cfg = RunConfig::default();
-            strategy_for(Mode::Async)
-                .run_warm(
-                    &g,
-                    AlgorithmRef::Gather(alg),
-                    &order,
-                    &cfg,
-                    WarmStart::from_states(stale_states.clone()),
-                )
-                .expect("valid warm reference")
+            execute(
+                &g,
+                AlgorithmRef::Gather(alg),
+                Mode::Async,
+                &order,
+                &cfg,
+                Some(WarmStart::from_states(stale_states.clone())),
+            )
+            .expect("valid warm reference")
         };
         assert!(reference.converged);
         let mut policies = vec![DirectionPolicy::Auto, DirectionPolicy::PullOnly];
@@ -353,9 +357,15 @@ fn parallel_engine_joins_the_direction_matrix_warm() {
                 };
                 let warm =
                     WarmStart::from_states(stale_states.clone()).with_frontier(seeds.clone());
-                let got = strategy_for(Mode::Parallel(blocks))
-                    .run_warm(&g, AlgorithmRef::Gather(alg), &order, &cfg, warm)
-                    .expect("valid warm run");
+                let got = execute(
+                    &g,
+                    AlgorithmRef::Gather(alg),
+                    Mode::Parallel(blocks),
+                    &order,
+                    &cfg,
+                    Some(warm),
+                )
+                .expect("valid warm run");
                 assert!(got.converged, "{label}");
                 assert_states_agree(exact, &reference.final_states, &got.final_states, &label);
             }
@@ -397,9 +407,15 @@ fn blocked_sync_sweep_is_bit_identical_for_every_algorithm() {
             llc_bytes: 2 * 1024, // 128-position blocks over 500 vertices
             ..Default::default()
         };
-        let blocked = strategy_for(Mode::Sync)
-            .run(&g, AlgorithmRef::Gather(alg), &id, &blocked_cfg)
-            .expect("valid blocked run");
+        let blocked = execute(
+            &g,
+            AlgorithmRef::Gather(alg),
+            Mode::Sync,
+            &id,
+            &blocked_cfg,
+            None,
+        )
+        .expect("valid blocked run");
         assert_eq!(
             plain.final_states, blocked.final_states,
             "{name}: blocked sweep must be bit-identical"
@@ -426,9 +442,7 @@ fn push_only_rejected_for_accumulative_algorithms() {
         Mode::Parallel(2),
     ] {
         let pr = PageRank::default();
-        let err = strategy_for(mode)
-            .run(&g, AlgorithmRef::Gather(&pr), &id, &cfg)
-            .unwrap_err();
+        let err = execute(&g, AlgorithmRef::Gather(&pr), mode, &id, &cfg, None).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -441,8 +455,14 @@ fn push_only_rejected_for_accumulative_algorithms() {
             mode.name()
         );
         // A push-capable algorithm is accepted.
-        assert!(strategy_for(mode)
-            .run(&g, AlgorithmRef::Gather(&Sssp::new(0)), &id, &cfg)
-            .is_ok());
+        assert!(execute(
+            &g,
+            AlgorithmRef::Gather(&Sssp::new(0)),
+            mode,
+            &id,
+            &cfg,
+            None
+        )
+        .is_ok());
     }
 }

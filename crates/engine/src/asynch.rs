@@ -10,14 +10,20 @@
 //! What a round visits, and when the run is done, is the [`Schedule`]:
 //!
 //! - **sweep** (`Mode::Async`, and `Mode::Parallel` with one block): the
-//!   Gauss–Seidel full scan. The first round evaluates everything,
-//!   rounds whose changed set is dense stay full scans, and the run
-//!   stops when a round's norm-delta is within the algorithm's epsilon.
+//!   Gauss–Seidel scan. Rounds whose changed set is dense are full
+//!   scans, and the run stops when a round's norm-delta is within the
+//!   algorithm's epsilon.
 //! - **frontier** (`Mode::Worklist`): the Galois/GraphLab-style active
-//!   set. The first round evaluates the seed set (or everything), a
-//!   vertex wakes its out-neighbors only when it moved by more than
-//!   epsilon, and the run stops when nothing is pending. It changes the
-//!   work bound (`RunStats::evaluations`), not the fixpoint.
+//!   set. A vertex wakes its out-neighbors only when it moved by more
+//!   than epsilon, and the run stops when nothing is pending. It changes
+//!   the work bound (`RunStats::evaluations`), not the fixpoint.
+//!
+//! Under both, the first round evaluates the caller's seed set when it
+//! brought one — a pull over exactly those vertices, with in-round
+//! activation — and everything otherwise. Where the seed is exact (every
+//! other vertex already sits at its fixpoint value), the seeded sweep
+//! leaves the same states after every round as a full first scan: it
+//! only stops visiting the vertices that cannot move.
 //!
 //! Both run the same three round shapes (see [`crate::direction`]) over
 //! the same forward position scan, so a fresh value still reaches later
@@ -34,22 +40,17 @@ use crate::runner::RunConfig;
 use gograph_graph::{CsrGraph, Frontier, Permutation};
 use std::time::Instant;
 
-/// Which vertices a round of [`sequential_kernel`] visits and when the
-/// run stops.
-#[derive(Clone, Copy)]
-pub(crate) enum Schedule<'a> {
-    /// Full first round, dense rounds while the changed set is dense,
-    /// norm-delta stop rule. A warm frontier is not consulted: every
-    /// vertex is re-evaluated on the first round regardless.
+/// Which vertices a round of [`sequential_kernel`] visits after the
+/// first and when the run stops. The first round is the same under
+/// both: the kernel's `seed` when there is one, every vertex otherwise.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Schedule {
+    /// Dense rounds while the changed set is dense, activation on any
+    /// bit change, norm-delta stop rule.
     Sweep,
-    /// First round is `seed` (vertex ids; `None` = every vertex, an
-    /// empty set converges immediately), activation needs a `> epsilon`
-    /// change, the run stops when nothing is pending, and evaluations
-    /// are counted.
-    Frontier {
-        /// The vertices whose inputs changed.
-        seed: Option<&'a Frontier>,
-    },
+    /// Activation needs a `> epsilon` change, the run stops when nothing
+    /// is pending, and evaluations are counted.
+    Frontier,
 }
 
 /// One dense full in-place sweep — the historical hot loop, kept in
@@ -134,6 +135,10 @@ fn dense_async_round<const IDENTITY: bool, A: IterativeAlgorithm + ?Sized>(
 /// in-degree mass). Push rounds reach the same fixpoint bit-identically
 /// (chaotic iteration of the same monotone relaxations).
 ///
+/// `seed` (vertex ids) is the first round's exact pull set: the vertices
+/// whose inputs changed since `states` was a fixpoint. `None` evaluates
+/// every vertex; an empty set converges immediately.
+///
 /// # Panics
 /// Panics if `order` or `states` do not cover the graph, or a seed
 /// vertex is out of range; [`crate::execute`] validates all three.
@@ -142,13 +147,14 @@ pub(crate) fn sequential_kernel<A: IterativeAlgorithm + ?Sized>(
     alg: &A,
     order: &Permutation,
     cfg: &RunConfig,
-    schedule: Schedule<'_>,
+    schedule: Schedule,
+    seed: Option<&Frontier>,
     mut states: Vec<f64>,
 ) -> RunStats {
     let n = g.num_vertices();
     assert_eq!(order.len(), n, "order length must match vertex count");
     assert_eq!(states.len(), n, "state length must match vertex count");
-    let by_frontier = matches!(schedule, Schedule::Frontier { .. });
+    let by_frontier = schedule == Schedule::Frontier;
     let ctx = GatherContext::new(g);
     let sctx = ScatterContext::new(g);
     let num_edges = g.num_edges();
@@ -189,7 +195,7 @@ pub(crate) fn sequential_kernel<A: IterativeAlgorithm + ?Sized>(
     }
     let mut work = Work::All;
     let mut work_set = Frontier::new(n);
-    if let Schedule::Frontier { seed: Some(seed) } = schedule {
+    if let Some(seed) = seed {
         seed.for_each(|v| {
             work_set.insert(order.position(v));
         });

@@ -43,7 +43,10 @@ pub enum DirectionPolicy {
     PullOnly,
     /// Always push (scatter). Requires an algorithm with
     /// [`crate::IterativeAlgorithm::supports_push`]; [`crate::execute`]
-    /// rejects the combination otherwise.
+    /// rejects the combination otherwise. The one round that still
+    /// gathers is the first round of a run seeded with a
+    /// [`crate::WarmStart::frontier`]: the seed names vertices whose
+    /// *inputs* changed, which only a pull can re-evaluate.
     PushOnly,
 }
 

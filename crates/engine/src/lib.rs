@@ -34,6 +34,7 @@ pub mod pipeline;
 pub mod runner;
 pub mod strategy;
 pub mod streaming;
+mod support;
 mod sync;
 
 pub use algorithm::{ConvergenceNorm, IterativeAlgorithm, Monotonicity};

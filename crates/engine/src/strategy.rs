@@ -70,12 +70,14 @@ pub struct WarmStart {
     /// Initial per-vertex states (length = vertex count).
     pub states: Vec<f64>,
     /// Vertices whose inputs changed and that must be re-evaluated
-    /// first, as a hybrid [`Frontier`] set. Consumed by
-    /// [`Mode::Worklist`] (activation spreads from here), the
-    /// block-parallel engine at two or more blocks (first round pulls
-    /// exactly this set, then activation spreads), and the delta
-    /// engines (pending deltas are seeded here); the full-scan modes
-    /// re-evaluate everything regardless. `None` means every vertex.
+    /// first, as a hybrid [`Frontier`] set: the caller's claim that
+    /// every *other* vertex's state is already consistent with its
+    /// in-neighbors. Every frontier-capable engine starts from it —
+    /// [`Mode::Async`], [`Mode::Worklist`] and [`Mode::Parallel`] pull
+    /// exactly this set in their first round and let activation spread
+    /// from there, and the delta engines seed their pending deltas here.
+    /// Only [`Mode::Sync`] ignores it and re-evaluates everything.
+    /// `None` means every vertex.
     pub frontier: Option<Frontier>,
     /// Pending per-vertex deltas for the delta-family engines (length =
     /// vertex count). `None` derives frontier deltas by gathering each
@@ -358,15 +360,15 @@ pub fn execute(
             let seed = frontier.as_ref();
             Ok(dispatch_gather!(alg, alg => {
                 let states = states.unwrap_or_else(|| vertices.map(|v| alg.init(g, v)).collect());
+                let sequential =
+                    |schedule, states| sequential_kernel(g, alg, order, cfg, schedule, seed, states);
                 match mode {
                     Mode::Sync => sync_kernel(g, alg, order, cfg, states),
-                    Mode::Async => sequential_kernel(g, alg, order, cfg, Schedule::Sweep, states),
-                    Mode::Worklist => {
-                        sequential_kernel(g, alg, order, cfg, Schedule::Frontier { seed }, states)
-                    }
+                    Mode::Async => sequential(Schedule::Sweep, states),
+                    Mode::Worklist => sequential(Schedule::Frontier, states),
                     Mode::Parallel(blocks) => match blocks.clamp(1, n.max(1)) {
                         // One block *is* the sequential sweep.
-                        1 => sequential_kernel(g, alg, order, cfg, Schedule::Sweep, states),
+                        1 => sequential(Schedule::Sweep, states),
                         blocks => parallel_kernel(g, alg, order, blocks, cfg, states, seed),
                     },
                     Mode::Delta(_) => unreachable!("family checked"),
@@ -590,6 +592,80 @@ mod tests {
         assert!(warm.converged);
         assert_eq!(warm.rounds, 1);
         assert_eq!(warm.final_states, cold.final_states);
+    }
+
+    #[test]
+    fn sweep_schedule_starts_from_the_warm_frontier() {
+        use crate::algorithm::{ConvergenceNorm, Monotonicity};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// SSSP that counts its `apply` calls. It keeps the default
+        /// `monomorphized()`, so the engine runs this wrapper, not a
+        /// copy of the built-in.
+        struct CountingSssp(Sssp, AtomicUsize);
+        impl IterativeAlgorithm for CountingSssp {
+            fn name(&self) -> &'static str {
+                "counting-sssp"
+            }
+            fn init(&self, g: &CsrGraph, v: VertexId) -> f64 {
+                self.0.init(g, v)
+            }
+            fn gather_identity(&self) -> f64 {
+                self.0.gather_identity()
+            }
+            fn gather(&self, acc: f64, s: f64, w: f64, d: usize) -> f64 {
+                self.0.gather(acc, s, w, d)
+            }
+            fn apply(&self, g: &CsrGraph, v: VertexId, current: f64, acc: f64) -> f64 {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.apply(g, v, current, acc)
+            }
+            fn monotonicity(&self) -> Monotonicity {
+                self.0.monotonicity()
+            }
+            fn norm(&self) -> ConvergenceNorm {
+                self.0.norm()
+            }
+            fn epsilon(&self) -> f64 {
+                self.0.epsilon()
+            }
+            fn supports_push(&self) -> bool {
+                self.0.supports_push()
+            }
+        }
+
+        // A shortcut lands ten vertices from the end of a 1000-chain:
+        // the warm frontier is its head, and ten states can move.
+        let n = 1000;
+        let g0 = chain(n);
+        let id = Permutation::identity(n);
+        let cfg = RunConfig::default();
+        let old = run_cold(&g0, &Sssp::new(0), Mode::Async, &id, &cfg).final_states;
+        let g1 = g0.apply_updates(&[gograph_graph::EdgeUpdate::insert(0, 990)]);
+        let cold = run_cold(&g1, &Sssp::new(0), Mode::Async, &id, &cfg);
+        for mode in [Mode::Async, Mode::Parallel(1)] {
+            let applies = |start: WarmStart| {
+                let alg = CountingSssp(Sssp::new(0), AtomicUsize::new(0));
+                let stats = execute(
+                    &g1,
+                    AlgorithmRef::Gather(&alg),
+                    mode,
+                    &id,
+                    &cfg,
+                    Some(start),
+                )
+                .unwrap();
+                assert!(stats.converged);
+                assert_eq!(stats.final_states, cold.final_states);
+                (alg.1.into_inner(), stats.rounds)
+            };
+            let (seeded, seeded_rounds) =
+                applies(WarmStart::from_states(old.clone()).with_frontier(vec![990]));
+            let (unseeded, unseeded_rounds) = applies(WarmStart::from_states(old.clone()));
+            assert!(unseeded >= n, "no frontier: round 1 is a full scan");
+            assert!(seeded <= 40, "{seeded} applies to move ten states");
+            assert_eq!(seeded_rounds, unseeded_rounds, "same rounds either way");
+        }
     }
 
     #[test]

@@ -22,18 +22,33 @@
 //!    degraded;
 //! 4. warm-starts the engine from the previous converged states,
 //!    resetting only the *affected frontier* — vertices whose state
-//!    could depend on a deleted edge — and seeding re-evaluation at the
-//!    endpoints the batch touched.
+//!    loses its last certificate to a deleted edge — and seeding
+//!    re-evaluation there and at the heads of the inserted edges. Every
+//!    engine but the synchronous one starts its first round from exactly
+//!    that set, so a batch's re-converge costs what the batch perturbed,
+//!    not a sweep.
 //!
 //! # When is warm-starting sound?
 //!
 //! For **max-norm** algorithms (SSSP, BFS, CC, SSWP — a vertex's value is
 //! witnessed by a single best path) the previous states stay valid
 //! bounds after an insert-only batch, and deletions only invalidate
-//! vertices whose value loses its *support* — see
-//! [`StreamingPipeline::apply_batch`]'s trimming pass: resetting that
-//! set to `init` restores validity, so the engines converge to the
-//! exact new fixpoint from the warm states. For **sum-norm** algorithms (PageRank,
+//! vertices whose value loses its *support*: no surviving in-edge from a
+//! vertex that precedes it — strictly closer to the root, or equally
+//! close and fewer equal-state hops from a vertex that is — still offers
+//! exactly its value. Those hop counts are the pipeline's per-vertex
+//! **dependence levels**: derived from the graph and the states (so
+//! never exported or checkpointed — a resumed pipeline rebuilds the same
+//! ones), rebuilt in one pass after a cold run and repaired around the
+//! vertices a warm run moved. They are what lets the equal labels of a
+//! CC component certify each other, so that a deletion resets its
+//! dependence subtree rather than the component. Resetting the
+//! unsupported set to `init` restores validity, so the engines converge
+//! to the exact new fixpoint from the warm states. A batch still runs
+//! cold when the trimming walk outgrows one sweep's worth of edge visits
+//! (the cut really did strand a region: the only edge out of a
+//! component's root, say) — [`StreamingPipeline::cold_batches`] counts
+//! them. For **sum-norm** algorithms (PageRank,
 //! Katz, PHP, Adsorption — a value aggregates *all* paths and degree
 //! normalizations) any edge change can move any vertex's fixpoint in
 //! either direction, which the monotone-from-init formulation cannot
@@ -49,6 +64,7 @@ use crate::error::EngineError;
 use crate::pipeline::{PipelineResult, StageTimings};
 use crate::runner::{Mode, RunConfig};
 use crate::strategy::{check_family, execute, AlgorithmRef, WarmStart};
+use crate::support::Support;
 use gograph_core::{
     order_members, partition_contributions, GoGraph, IncrementalGoGraph, PartitionContribution,
     PartitionedOrder, UNPARTITIONED,
@@ -200,9 +216,11 @@ impl StreamingPipelineBuilder {
             baseline_intra: Vec::new(),
             baseline_density: 0.0,
             states: Vec::new(),
+            levels: Vec::new(),
             last: None,
             total_rounds: 0,
             batches_applied: 0,
+            cold_batches: 0,
             full_reorders: 1, // the bootstrap run
             partition_reorders: 0,
             partition_repair_attempts: 0,
@@ -212,6 +230,7 @@ impl StreamingPipelineBuilder {
         // Bootstrap execution: a cold run to the initial fixpoint.
         let t = Instant::now();
         let stats = pipeline.run_engine(None)?;
+        pipeline.update_levels(&stats.final_states, None);
         let execute_time = t.elapsed();
         pipeline.absorb(stats, reorder_time, execute_time);
         Ok(pipeline)
@@ -339,13 +358,20 @@ impl StreamingPipelineBuilder {
             baseline_intra,
             baseline_density,
             states,
+            levels: Vec::new(),
             last: None,
             total_rounds,
             batches_applied,
+            cold_batches: 0,
             full_reorders,
             partition_reorders,
             partition_repair_attempts,
         };
+        // Levels are derived from the graph and the states, so a resumed
+        // pipeline trims exactly like the one that exported them.
+        if pipeline.warm_start_is_sound() {
+            pipeline.levels = pipeline.support().build_levels(&pipeline.states);
+        }
         // A synthetic last-result so `last_result()` is well-defined
         // before the first post-resume batch: the adopted fixpoint.
         let stats = crate::convergence::RunStats {
@@ -490,9 +516,15 @@ pub struct StreamingPipeline {
     /// evidence check for the densification re-baseline rule.
     baseline_density: f64,
     states: Vec<f64>,
+    /// Per-vertex dependence level of `states` (see
+    /// `StreamingPipeline::affected_by_deletions`): derived from the
+    /// graph and the states, so never exported. Empty for algorithms
+    /// that restart on every batch.
+    levels: Vec<u32>,
     last: Option<PipelineResult>,
     total_rounds: usize,
     batches_applied: usize,
+    cold_batches: usize,
     full_reorders: usize,
     partition_reorders: usize,
     partition_repair_attempts: usize,
@@ -520,8 +552,8 @@ impl StreamingPipeline {
     /// Self-loop updates are skipped (they are neither positive nor
     /// negative under any order, matching [`IncrementalGoGraph`]); a
     /// batch may grow the vertex set by inserting edges whose endpoints
-    /// are beyond the current count. An empty batch is a cheap
-    /// confirmation run over unchanged state.
+    /// are beyond the current count. An empty batch is a one-round
+    /// confirmation that evaluates nothing.
     pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> Result<PipelineResult, EngineError> {
         let t_maintain = Instant::now();
         let updates: Vec<EdgeUpdate> = updates
@@ -530,29 +562,29 @@ impl StreamingPipeline {
             .filter(|u| u.src() != u.dst())
             .collect();
 
-        // Heads of deleted edges: the only vertices whose state can
-        // *directly* lose its justification. The affected set proper is
-        // trimmed after the CSR is patched, against surviving edges.
-        let removal_heads: Vec<VertexId> = updates
-            .iter()
-            .filter_map(|u| match *u {
-                EdgeUpdate::Remove { src, dst }
-                    if (src as usize) < self.graph.num_vertices()
-                        && self.graph.has_edge(src, dst) =>
-                {
-                    Some(dst)
-                }
-                _ => None,
-            })
-            .collect();
-
         // Maintain the order and patch the CSR. A (post-filter) empty
         // batch changes nothing, so the CSR patch, drift check and
         // order hand-off are all skipped — only the cheap confirmation
         // run below remains.
+        let mut lost_support = Vec::new();
         if !updates.is_empty() {
             self.inc.apply_updates(&updates);
-            self.graph = self.graph.apply_updates(&updates);
+            let patched = self.graph.apply_updates(&updates);
+            // Heads of edges the batch took away or re-weighted (a
+            // duplicate insert keeps the smaller weight, which narrows
+            // a widest path): the only vertices whose state can
+            // *directly* lose its justification. The affected set
+            // proper is trimmed below, against the surviving edges.
+            let before = &self.graph;
+            lost_support.extend(updates.iter().filter_map(|u| {
+                let (src, dst) = (u.src(), u.dst());
+                if src as usize >= before.num_vertices() {
+                    return None; // no edge to lose
+                }
+                let had = before.edge_weight(src, dst);
+                (had.is_some() && had != patched.edge_weight(src, dst)).then_some(dst)
+            }));
+            self.graph = patched;
             debug_assert_eq!(self.inc.num_vertices(), self.graph.num_vertices());
             // Vertices that joined mid-stream belong to no partition
             // until the next full reorder re-partitions them.
@@ -569,18 +601,19 @@ impl StreamingPipeline {
         }
         let maintain_time = t_maintain.elapsed();
 
-        // Warm-start preparation: extend state over new vertices, then
-        // either carry the converged states (max-norm / min-style) with
-        // the affected frontier reset, or restart (sum-norm). The
-        // frontier reaches every frontier-consuming engine — worklist,
-        // block-parallel (its first round pulls exactly this set), and
-        // the delta family.
+        // Warm-start preparation: extend state over new vertices (they
+        // start at `init`, which is level 0), then either carry the
+        // converged states (max-norm / min-style) with the affected
+        // frontier reset, or restart (sum-norm, or trimming gave up).
+        // The frontier reaches every engine but the synchronous one:
+        // the first round pulls exactly this set.
         let n = self.graph.num_vertices();
         for v in self.states.len() as VertexId..n as VertexId {
             self.states.push(self.init_state_of(v));
         }
         let affected = if self.warm_start_is_sound() {
-            self.affected_by_deletions(&removal_heads)
+            self.levels.resize(n, 0);
+            self.affected_by_deletions(&lost_support)
         } else {
             None
         };
@@ -594,14 +627,27 @@ impl StreamingPipeline {
             for u in updates.iter().filter(|u| u.is_insert()) {
                 frontier.insert(u.dst());
             }
-            WarmStart::from_states(states).with_frontier_set(frontier)
+            let warm = WarmStart::from_states(states);
+            // The frontier claims every other vertex sits at its
+            // fixpoint. A round-capped previous run cannot say so: its
+            // states are sound bounds still on their way, and the
+            // engine goes on re-evaluating all of them.
+            if self.last_result().stats.converged {
+                warm.with_frontier_set(frontier)
+            } else {
+                warm
+            }
         });
 
-        // Re-converge.
+        // Re-converge, and bring the levels along: repaired around what
+        // a warm run moved, rebuilt after a cold one.
+        let repair = warm.is_some().then_some(&updates[..]);
         let t = Instant::now();
         let stats = self.run_engine(warm)?;
+        self.update_levels(&stats.final_states, repair);
         let execute_time = t.elapsed();
         self.batches_applied += 1;
+        self.cold_batches += usize::from(repair.is_none());
         Ok(self.absorb(stats, maintain_time, execute_time))
     }
 
@@ -666,6 +712,15 @@ impl StreamingPipeline {
     /// Full GoGraph reorders executed, including the bootstrap run.
     pub fn full_reorders(&self) -> usize {
         self.full_reorders
+    }
+
+    /// Batches that re-converged from `init` instead of from the
+    /// previous fixpoint, since this pipeline was built or resumed:
+    /// deletion trimming gave up (see [`StreamingPipeline::apply_batch`])
+    /// or the algorithm restarts on every batch
+    /// ([`StreamingPipeline::warm_start_is_sound`] is false).
+    pub fn cold_batches(&self) -> usize {
+        self.cold_batches
     }
 
     /// Partition-scoped re-reorders **adopted**: conquer-phase re-runs
@@ -871,113 +926,74 @@ impl StreamingPipeline {
         }
     }
 
+    /// The algorithm's view of support on the current graph.
+    fn support(&self) -> Support<'_> {
+        Support::new(&self.graph, self.algorithm())
+    }
+
     /// The set of vertices whose converged state is invalidated by the
     /// batch's deletions — KickStarter-style support trimming instead of
-    /// a blunt downstream-reachability sweep.
+    /// a blunt downstream-reachability sweep. `seeds` are the heads of
+    /// the removed (or re-weighted) edges.
     ///
     /// A vertex keeps its state when it is *supported*: either the
     /// state equals the algorithm's intrinsic value for the vertex (the
     /// source term / `init`), or some surviving in-edge from an
-    /// unaffected, strictly-closer-to-the-root neighbor offers exactly
-    /// the same value. The strictness requirement (neighbor state
-    /// strictly below for decreasing algorithms, strictly above for
-    /// increasing ones) makes support chains well-founded, so cyclic
-    /// self-support — two stale CC labels justifying each other — cannot
-    /// keep an invalidated value alive. Everything that loses
-    /// certifiable support cascades.
-    ///
-    /// Precision depends on the algorithm's value structure: where
-    /// candidates strictly progress along edges (SSSP/BFS with positive
-    /// weights) surviving witnesses are recognized and deletions stay
-    /// surgical; where converged values are *equal* across a region
-    /// (CC's per-component labels) strict support can never be
-    /// certified, so a deletion conservatively resets the forward
-    /// reach of its head within that region even when an alternate
-    /// path survives — correct, just cold-run-priced for that batch.
-    /// (KickStarter buys back that precision with per-vertex dependence
-    /// levels; a future PR could add them.)
+    /// unaffected neighbor that *precedes* it offers exactly the same
+    /// value. "Precedes" is lexicographic on `(state, level)`: the
+    /// neighbor's state is strictly closer to the root, or it is equal
+    /// and the neighbor's dependence level (`self.levels`) is lower —
+    /// see the `support` module for why that order is well-founded and
+    /// what it buys: cyclic self-support cannot keep a stale value
+    /// alive, yet the equal values that fill a CC component or an SSWP
+    /// bottleneck region can certify each other, so a deletion resets
+    /// its dependence subtree, not the region. Where candidates strictly
+    /// progress along every edge (SSSP/BFS with positive weights) every
+    /// level is 0 and the rule is the strict one alone.
     ///
     /// Trimming is only worth having while it is cheaper than the cold
     /// run it avoids: once the walk has visited more edges than the
-    /// graph holds — one engine sweep's worth — it gives up and returns
-    /// `None`, and the batch runs cold. Both roads end at the same
-    /// fixpoint.
+    /// graph holds — one engine sweep's worth, e.g. when the only edge
+    /// out of a component's root goes and the whole component hangs off
+    /// it — it gives up and returns `None`, and the batch runs cold.
+    /// Both roads end at the same fixpoint.
     fn affected_by_deletions(&self, seeds: &[VertexId]) -> Option<Vec<VertexId>> {
-        if seeds.is_empty() {
-            return Some(Vec::new());
-        }
-        let g = &self.graph;
-        let states = &self.states;
-        let n = g.num_vertices();
+        self.support()
+            .affected_by_deletions(&self.states, &self.levels, seeds)
+    }
 
-        // Per-family hooks: the value a single settled in-edge offers,
-        // the vertex's intrinsic value, and the strict progress order.
-        type Candidate<'a> = Box<dyn Fn(VertexId, VertexId, f64, f64) -> f64 + 'a>;
-        type Intrinsic<'a> = Box<dyn Fn(VertexId) -> f64 + 'a>;
-        let (candidate, intrinsic, decreasing): (Candidate<'_>, Intrinsic<'_>, bool) =
-            match self.algorithm() {
-                AlgorithmRef::Delta(alg) => (
-                    Box::new(move |x, v, w, sx| alg.propagate(g, x, v, w, sx)),
-                    Box::new(move |v| alg.combine(alg.init_state(g, v), alg.init_delta(g, v))),
-                    // Min-style delta algorithms start at `+inf` and
-                    // come down.
-                    alg.identity().is_sign_positive(),
-                ),
-                AlgorithmRef::Gather(alg) => (
-                    Box::new(move |x, _v, w, sx| {
-                        alg.gather(alg.gather_identity(), sx, w, g.out_degree(x))
-                    }),
-                    Box::new(move |v| alg.init(g, v)),
-                    alg.monotonicity() == crate::algorithm::Monotonicity::Decreasing,
-                ),
-            };
-        let strictly_closer = |sx: f64, sv: f64| if decreasing { sx < sv } else { sx > sv };
-
-        let mut affected = vec![false; n];
-        let mut queued = vec![false; n];
-        let mut queue: std::collections::VecDeque<VertexId> = std::collections::VecDeque::new();
-        for &s in seeds {
-            if (s as usize) < n && !queued[s as usize] {
-                queued[s as usize] = true;
-                queue.push_back(s);
+    /// Brings the dependence levels to `new_states` (the run that is
+    /// about to be absorbed; `self.states` still holds what it started
+    /// from). After a warm run over `batch` they are repaired around
+    /// what moved; with no batch — a cold run — they are rebuilt.
+    /// Algorithms that never trim keep none.
+    fn update_levels(&mut self, new_states: &[f64], batch: Option<&[EdgeUpdate]>) {
+        if !self.warm_start_is_sound() {
+            return;
+        }
+        let mut levels = std::mem::take(&mut self.levels);
+        let support = self.support();
+        match batch {
+            None => levels = support.build_levels(new_states),
+            Some(updates) => {
+                let changed: Vec<VertexId> = (0..new_states.len())
+                    .filter(|&v| self.states[v].to_bits() != new_states[v].to_bits())
+                    .map(|v| v as VertexId)
+                    .collect();
+                // A remove may name a vertex the graph never had.
+                let heads = updates
+                    .iter()
+                    .map(EdgeUpdate::dst)
+                    .filter(|&v| (v as usize) < new_states.len());
+                support.repair_levels(new_states, &mut levels, &changed, heads);
+                debug_assert_eq!(
+                    levels,
+                    support.build_levels(new_states),
+                    "repaired levels must equal a from-scratch build"
+                );
             }
         }
-        let mut out = Vec::new();
-        let mut edge_visits = 0usize;
-        while let Some(v) = queue.pop_front() {
-            if edge_visits > g.num_edges() {
-                return None;
-            }
-            queued[v as usize] = false;
-            if affected[v as usize] {
-                continue;
-            }
-            let sv = states[v as usize];
-            let same = |a: f64, b: f64| {
-                a == b || (a.is_infinite() && b.is_infinite() && a.signum() == b.signum())
-            };
-            let supported = same(intrinsic(v), sv)
-                || g.in_edges(v).any(|(x, w)| {
-                    edge_visits += 1;
-                    !affected[x as usize]
-                        && strictly_closer(states[x as usize], sv)
-                        && same(candidate(x, v, w, states[x as usize]), sv)
-                });
-            if !supported {
-                affected[v as usize] = true;
-                out.push(v);
-                // Everything this vertex may have been supporting needs
-                // a recheck.
-                g.for_each_out_neighbor(v, |w| {
-                    edge_visits += 1;
-                    if !affected[w as usize] && !queued[w as usize] {
-                        queued[w as usize] = true;
-                        queue.push_back(w);
-                    }
-                });
-            }
-        }
-        Some(out)
+        self.levels = levels;
     }
 
     /// Records a finished execution into the pipeline's running state
@@ -1059,6 +1075,7 @@ impl std::fmt::Debug for StreamingPipeline {
             .field("mode", &self.mode)
             .field("batches_applied", &self.batches_applied)
             .field("total_rounds", &self.total_rounds)
+            .field("cold_batches", &self.cold_batches)
             .field("full_reorders", &self.full_reorders)
             .field("partition_reorders", &self.partition_reorders)
             .field("partition_repair_attempts", &self.partition_repair_attempts)
@@ -1075,11 +1092,12 @@ impl std::fmt::Debug for StreamingPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{Bfs, ConnectedComponents, PageRank, Sssp};
+    use crate::algorithms::{Bfs, ConnectedComponents, PageRank, Sssp, Sswp};
     use crate::delta::{DeltaPageRank, DeltaSchedule, DeltaSssp};
     use crate::pipeline::Pipeline;
     use gograph_graph::generators::regular::{chain, cycle};
     use gograph_graph::generators::{planted_partition, shuffle_labels, PlantedPartitionConfig};
+    use proptest::prelude::*;
 
     fn seed_graph() -> CsrGraph {
         shuffle_labels(
@@ -1163,9 +1181,10 @@ mod tests {
             Some((35..40).collect::<Vec<VertexId>>())
         );
 
-        // CC on a directed cycle: every label is 0 and none certifies
-        // another, so one cut would walk the whole cycle — two visits a
-        // vertex, twice a sweep. Trimming stops at one sweep's worth.
+        // CC on a directed cycle: vertex 0 is the component's root and
+        // 0 -> 1 its only out-edge, so the whole cycle hangs off the cut
+        // and one removal would walk all of it — two visits a vertex,
+        // twice a sweep. Trimming stops at one sweep's worth.
         let g = cycle(200);
         let mut cc = StreamingPipeline::over(&g)
             .algorithm(ConnectedComponents)
@@ -1182,6 +1201,8 @@ mod tests {
             .unwrap();
         let r = cc.apply_batch(&cut).unwrap();
         assert!(r.stats.converged);
+        assert_eq!(cc.cold_batches(), 1);
+        assert!(format!("{cc:?}").contains("cold_batches: 1"));
         let cold = Pipeline::on(cc.graph())
             .order(cc.order().clone())
             .algorithm(ConnectedComponents)
@@ -1194,6 +1215,126 @@ mod tests {
         );
         assert_eq!(cc.states()[0], 0.0);
         assert!(cc.states()[1..].iter().all(|&s| s == 1.0));
+    }
+
+    /// States and cold-batch count after `batch`, checked against a
+    /// cold pipeline on the resulting graph.
+    fn apply_and_check_cc(cc: &mut StreamingPipeline, batch: &[EdgeUpdate]) -> PipelineResult {
+        let r = cc.apply_batch(batch).unwrap();
+        assert!(r.stats.converged);
+        let cold = Pipeline::on(cc.graph())
+            .order(cc.order().clone())
+            .algorithm(ConnectedComponents)
+            .execute()
+            .unwrap();
+        assert_eq!(cc.states(), &cold.stats.final_states[..]);
+        r
+    }
+
+    #[test]
+    fn cc_stays_warm_when_a_cycle_loses_a_non_tree_edge() {
+        // Directed cycle: labels are all 0 and vertex v sits v tie hops
+        // from the root. The closing edge 199 -> 0 supports nobody: its
+        // head is the root, intrinsically 0.
+        let mut cc = StreamingPipeline::over(&cycle(200))
+            .algorithm(ConnectedComponents)
+            .build()
+            .unwrap();
+        assert_eq!(cc.levels, (0..200).collect::<Vec<u32>>());
+        let cut = [EdgeUpdate::remove(199, 0)];
+        let patched = cc.graph.apply_updates(&cut);
+        let before = std::mem::replace(&mut cc.graph, patched);
+        assert_eq!(cc.affected_by_deletions(&[0]), Some(vec![]));
+        cc.graph = before;
+
+        let r = apply_and_check_cc(&mut cc, &cut);
+        assert_eq!(r.stats.rounds, 1);
+        assert_eq!(cc.cold_batches(), 0);
+        assert!(cc.states().iter().all(|&s| s == 0.0));
+    }
+
+    #[test]
+    fn cc_stays_warm_when_a_tree_edge_has_an_equal_label_alternative() {
+        // One component under label 0: a diamond 0 -> {1, 2} -> 3, a
+        // tail 3 -> 4 -> 7 -> 8, a detour 2 -> 5 -> 6 -> 9 -> 7 one hop
+        // longer, and a 50-vertex chain off the root that no cut below
+        // comes near.
+        let mut edges = vec![
+            (0u32, 1u32),
+            (0, 2),
+            (1, 3),
+            (2, 3),
+            (3, 4),
+            (4, 7),
+            (7, 8),
+            (2, 5),
+            (5, 6),
+            (6, 9),
+            (9, 7),
+            (0, 10),
+        ];
+        edges.extend((10..59).map(|v| (v, v + 1)));
+        let g = CsrGraph::from_edges(60, edges);
+        let mut cc = StreamingPipeline::over(&g)
+            .algorithm(ConnectedComponents)
+            .build()
+            .unwrap();
+        assert_eq!(cc.levels[..10], [0, 1, 1, 2, 3, 2, 3, 4, 5, 4]);
+        let trimmed = |cc: &mut StreamingPipeline, cut: EdgeUpdate| {
+            let patched = cc.graph.apply_updates(&[cut]);
+            let before = std::mem::replace(&mut cc.graph, patched);
+            let affected = cc.affected_by_deletions(&[cut.dst()]);
+            cc.graph = before;
+            affected
+        };
+
+        // 1 -> 3 goes: 2 offers the same label from a lower level, so
+        // nothing is reset.
+        let cut = EdgeUpdate::remove(1, 3);
+        assert_eq!(trimmed(&mut cc, cut), Some(vec![]));
+        let r = apply_and_check_cc(&mut cc, &[cut]);
+        assert_eq!(r.stats.rounds, 1);
+
+        // 3 -> 4 goes: 4 has no other in-edge, and 7 and 8 counted their
+        // hops through it (9 offers 7 the label from 7's own level, which
+        // certifies nothing). The dependence subtree is reset — three
+        // vertices of sixty — and the detour brings the label back.
+        let cut = EdgeUpdate::remove(3, 4);
+        assert_eq!(trimmed(&mut cc, cut), Some(vec![4, 7, 8]));
+        let r = apply_and_check_cc(&mut cc, &[cut]);
+        assert!(r.stats.rounds <= 3, "took {} rounds", r.stats.rounds);
+        assert_eq!(cc.states()[4], 4.0);
+        assert_eq!(cc.states()[7], 0.0);
+        assert_eq!(cc.levels[..10], [0, 1, 1, 2, 0, 2, 3, 5, 6, 4]);
+        assert_eq!(cc.cold_batches(), 0);
+    }
+
+    #[test]
+    fn a_round_capped_pipeline_keeps_converging_across_batches() {
+        // One round per run: the bootstrap stops short of the fixpoint,
+        // so no later batch may treat the states as settled outside its
+        // own frontier — empty batches go on sweeping until the norm
+        // says done, and only then report convergence.
+        let g = seed_graph();
+        let mut sp = StreamingPipeline::over(&g)
+            .algorithm(Sssp::new(0))
+            .max_rounds(1)
+            .build()
+            .unwrap();
+        assert!(!sp.last_result().stats.converged);
+        let cold = Pipeline::on(&g)
+            .order(sp.order().clone())
+            .algorithm(Sssp::new(0))
+            .execute()
+            .unwrap();
+        assert_ne!(sp.states(), &cold.stats.final_states[..]);
+        let mut batches = 0;
+        while !sp.apply_batch(&[]).unwrap().stats.converged {
+            batches += 1;
+            assert!(batches < 50, "never converged");
+        }
+        assert!(batches > 0);
+        assert_eq!(sp.states(), &cold.stats.final_states[..]);
     }
 
     #[test]
@@ -1211,6 +1352,7 @@ mod tests {
         ];
         let r = sp.apply_batch(&updates).unwrap();
         assert!(r.stats.converged);
+        assert_eq!(sp.cold_batches(), 1, "a restart is a cold batch");
         let cold = Pipeline::on(sp.graph())
             .order(sp.order().clone())
             .algorithm(PageRank::default())
@@ -1670,6 +1812,22 @@ mod tests {
     }
 
     #[test]
+    fn removes_beyond_the_vertex_count_are_no_ops() {
+        let mut sp = StreamingPipeline::over(&chain(6))
+            .algorithm(Sssp::new(0))
+            .build()
+            .unwrap();
+        let before = sp.states().to_vec();
+        let r = sp
+            .apply_batch(&[EdgeUpdate::remove(2, 40), EdgeUpdate::remove(40, 2)])
+            .unwrap();
+        assert!(r.stats.converged);
+        assert_eq!(sp.graph().num_vertices(), 6);
+        assert_eq!(sp.states(), &before[..]);
+        assert_eq!(sp.cold_batches(), 0);
+    }
+
+    #[test]
     fn self_loops_are_skipped() {
         let g = chain(6);
         let mut sp = StreamingPipeline::over(&g)
@@ -1682,5 +1840,189 @@ mod tests {
         assert!(r.stats.converged);
         assert_eq!(sp.graph().num_edges(), 5);
         assert!(!sp.graph().has_edge(3, 3));
+    }
+    /// The algorithms the oracle property streams, each under the modes
+    /// that run it.
+    #[derive(Debug, Clone, Copy)]
+    enum Subject {
+        Cc,
+        Sswp,
+        Sssp,
+        Bfs,
+        DeltaSssp,
+    }
+
+    impl Subject {
+        const ALL: [Subject; 5] = [
+            Subject::Cc,
+            Subject::Sswp,
+            Subject::Sssp,
+            Subject::Bfs,
+            Subject::DeltaSssp,
+        ];
+
+        fn modes(self) -> Vec<Mode> {
+            match self {
+                Subject::DeltaSssp => vec![Mode::Delta(DeltaSchedule::RoundRobin)],
+                _ => vec![Mode::Async, Mode::Worklist, Mode::Parallel(2)],
+            }
+        }
+
+        fn gather(self) -> Option<Box<dyn IterativeAlgorithm>> {
+            Some(match self {
+                Subject::Cc => Box::new(ConnectedComponents),
+                Subject::Sswp => Box::new(Sswp::new(0)),
+                Subject::Sssp => Box::new(Sssp::new(0)),
+                Subject::Bfs => Box::new(Bfs::new(0)),
+                Subject::DeltaSssp => return None,
+            })
+        }
+
+        fn over(self, g: &CsrGraph, mode: Mode) -> StreamingPipelineBuilder {
+            let mut b = StreamingPipeline::over(g).mode(mode);
+            b.gather = self.gather();
+            if b.gather.is_none() {
+                b = b.delta_algorithm(DeltaSssp { source: 0 });
+            }
+            b
+        }
+
+        /// The fixpoint a cold run finds on `g`.
+        fn cold(self, g: &CsrGraph, order: &Permutation) -> Vec<f64> {
+            let p = Pipeline::on(g).order_ref(order);
+            let r = match self.gather() {
+                Some(alg) => p.algorithm_ref(alg.as_ref()).execute(),
+                None => p
+                    .mode(Mode::Delta(DeltaSchedule::RoundRobin))
+                    .delta_algorithm(DeltaSssp { source: 0 })
+                    .execute(),
+            };
+            r.unwrap().stats.final_states
+        }
+
+        /// The certificate invariant, spelled out without `Support`:
+        /// every vertex is intrinsic or has an in-edge, from a vertex
+        /// that precedes it on `(state, level)`, offering exactly its
+        /// state.
+        fn assert_certified(self, sp: &StreamingPipeline, label: &str) {
+            let (g, s, l) = (sp.graph(), sp.states(), &sp.levels);
+            let gather = self.gather();
+            let delta = DeltaSssp { source: 0 };
+            for v in g.vertices() {
+                let sv = s[v as usize];
+                let intrinsic = match &gather {
+                    Some(alg) => alg.init(g, v),
+                    None => delta.combine(delta.init_state(g, v), delta.init_delta(g, v)),
+                };
+                let certified = sv == intrinsic
+                    || g.in_edges(v).any(|(x, w)| {
+                        let sx = s[x as usize];
+                        let offer = match &gather {
+                            Some(alg) => alg.gather(alg.gather_identity(), sx, w, g.out_degree(x)),
+                            None => delta.propagate(g, x, v, w, sx),
+                        };
+                        let precedes = match self {
+                            _ if sx == sv => l[x as usize] < l[v as usize],
+                            Subject::Sswp => sx > sv,
+                            _ => sx < sv,
+                        };
+                        offer == sv && precedes
+                    });
+                assert!(
+                    certified,
+                    "{label}: vertex {v} (state {sv}, level {}) has no certificate",
+                    l[v as usize]
+                );
+            }
+        }
+    }
+
+    /// One abstract update, resolved against the graph it lands on:
+    /// `(kind, a, b, weight)`.
+    type Op = (u8, usize, usize, u8);
+
+    /// Turns `ops` into a batch for `g`: inserts between random
+    /// endpoints (up to two ids past the vertex count, so batches grow
+    /// the graph; duplicates re-weight), removals of existing edges, and
+    /// a remove + re-insert of one existing pair under a new weight.
+    fn resolve(g: &CsrGraph, ops: &[Op]) -> Vec<EdgeUpdate> {
+        let mut batch = Vec::new();
+        for &(kind, a, b, w) in ops {
+            let span = g.num_vertices() + 2;
+            let existing = (g.num_edges() > 0).then(|| g.edges().nth(a % g.num_edges()).unwrap());
+            match (kind, existing) {
+                (2, Some(e)) => batch.push(EdgeUpdate::remove(e.src, e.dst)),
+                (3, Some(e)) => {
+                    batch.push(EdgeUpdate::remove(e.src, e.dst));
+                    batch.push(EdgeUpdate::insert_weighted(e.src, e.dst, w as f64));
+                }
+                (4, Some(e)) => batch.push(EdgeUpdate::insert_weighted(e.src, e.dst, w as f64)),
+                _ => batch.push(EdgeUpdate::insert_weighted(
+                    (a % span) as VertexId,
+                    (b % span) as VertexId,
+                    w as f64,
+                )),
+            }
+        }
+        batch
+    }
+
+    /// A small graph with small integer weights — zero included, so
+    /// SSSP ties and SSWP dead ends occur — and a stream of abstract
+    /// batches.
+    fn arb_stream() -> impl Strategy<Value = (CsrGraph, Vec<Vec<Op>>)> {
+        (3usize..20).prop_flat_map(|n| {
+            let edges = proptest::collection::vec((0..n as u32, 0..n as u32, 0u8..4), 0..n * 3);
+            let ops = proptest::collection::vec((0u8..5, 0usize..1000, 0usize..1000, 0u8..4), 0..8);
+            (edges, proptest::collection::vec(ops, 1..7)).prop_map(move |(edges, batches)| {
+                let edges = edges
+                    .into_iter()
+                    .filter(|(u, v, _)| u != v)
+                    .map(|(u, v, w)| (u, v, w as f64));
+                (CsrGraph::from_edges(n, edges), batches)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn streamed_states_and_levels_match_their_oracles((g, batches) in arb_stream()) {
+            for subject in Subject::ALL {
+                for mode in subject.modes() {
+                    let label = format!("{subject:?}/{}", mode.name());
+                    let mut sp = subject.over(&g, mode).build().unwrap();
+                    // A second pipeline takes over from a checkpoint
+                    // halfway through and must end where this one does.
+                    let mut resumed = None;
+                    for (i, ops) in batches.iter().enumerate() {
+                        if i == batches.len() / 2 {
+                            let state = sp.export_state();
+                            resumed = Some(subject.over(&g, mode).resume(state).unwrap());
+                        }
+                        let batch = resolve(sp.graph(), ops);
+                        let r = sp.apply_batch(&batch).unwrap();
+                        prop_assert!(r.stats.converged, "{}: batch {}", label, i);
+                        let cold = subject.cold(sp.graph(), sp.order());
+                        prop_assert_eq!(bits_of(sp.states()), bits_of(&cold), "{}: batch {}", label, i);
+                        subject.assert_certified(&sp, &label);
+                        if let Some(resumed) = resumed.as_mut() {
+                            let rr = resumed.apply_batch(&batch).unwrap();
+                            prop_assert_eq!(rr.stats.rounds, r.stats.rounds, "{}", label);
+                        }
+                    }
+                    let resumed = resumed.expect("at least one batch");
+                    prop_assert_eq!(bits_of(resumed.states()), bits_of(sp.states()), "{}", label);
+                    prop_assert_eq!(resumed.graph(), sp.graph(), "{}", label);
+                    prop_assert_eq!(resumed.order(), sp.order(), "{}", label);
+                    prop_assert_eq!(&resumed.levels, &sp.levels, "{}", label);
+                }
+            }
+        }
+    }
+
+    fn bits_of(states: &[f64]) -> Vec<u64> {
+        states.iter().map(|s| s.to_bits()).collect()
     }
 }

@@ -3,7 +3,9 @@
 //! Sweeps client counts × update rates against a running server. Each
 //! cell runs for a fixed duration: C closed-loop client threads (each
 //! waits for its reply before issuing the next query) plus one updater
-//! thread streaming edge-update batches at the configured rate. Client
+//! thread streaming edge-update batches at the configured rate (85 %
+//! inserts between random vertices, 15 % removes of edges its earlier
+//! batches inserted). Client
 //! side latencies give p50/p99; the server's stats reply (before/after
 //! deltas) gives epochs published, coalescing counts and engine
 //! `RunStats` aggregates. Results land in a JSON report comparable to
@@ -284,6 +286,11 @@ fn run_cell(
             let mut rng = StdRng::seed_from_u64(0xfeed);
             let period = Duration::from_secs_f64(1.0 / update_rate);
             let mut sent = 0u64;
+            // Pairs earlier batches inserted: a remove takes one of
+            // these back, so it deletes an edge the server really has (a
+            // random pair almost never names one, and a no-op remove
+            // exercises nothing on the write path).
+            let mut inserted: Vec<(u32, u32)> = Vec::new();
             while !stop.load(Ordering::Relaxed) {
                 let started = Instant::now();
                 let mut batch = Vec::with_capacity(batch_size);
@@ -298,6 +305,11 @@ fn run_cell(
                                 rng.random_range(1.0..10.0),
                             ));
                         } else {
+                            let (src, dst) = if inserted.is_empty() {
+                                (src, dst)
+                            } else {
+                                inserted.swap_remove(rng.random_range(0..inserted.len()))
+                            };
                             batch.push(EdgeUpdate::remove(src, dst));
                         }
                     }
@@ -305,6 +317,12 @@ fn run_cell(
                 if !batch.is_empty() && c.send_updates(&batch).is_err() {
                     break;
                 }
+                inserted.extend(
+                    batch
+                        .iter()
+                        .filter(|u| u.is_insert())
+                        .map(|u| (u.src(), u.dst())),
+                );
                 sent += 1;
                 let elapsed = started.elapsed();
                 if elapsed < period {

@@ -14,6 +14,21 @@
 //! it; a change that means to alter a trajectory re-records the table
 //! (the failure message prints it in source form).
 //!
+//! Re-recorded once since, on purpose: the sweep schedule (`async`,
+//! `parallel1`) now starts from the warm frontier instead of a dense
+//! first scan, so twelve *warm* rows under those two modes moved and
+//! nothing else did. For the max-norm algorithms `rounds`, `converged`
+//! and the state hash are what they were — the seeded sweep leaves the
+//! same states after every round — and only `push_rounds` changed: round
+//! 1 is a pull over the seed even under `PushOnly` (as it always was
+//! under `worklist`), and later rounds plan from the exact changed set
+//! instead of the dense sweep's sentinel count (`sssp` PushOnly 5→4,
+//! `cc` PushOnly 1→0, `bfs` Auto 1→2 and PushOnly 3→2). PageRank's two
+//! warm rows keep their 22 rounds and change hash: its one-vertex
+//! frontier is not an exact claim (the insert also changed the source's
+//! out-degree, hence every sibling's input), so a run that honours it
+//! and a run that ignores it stop at different points inside epsilon.
+//!
 //! `Parallel(2)` reads race across blocks, so only its states are
 //! pinned: the hash for the max-norm algorithms (whose fixpoint is
 //! unique), a tolerance against the async run for sum-norm PageRank, and
@@ -338,17 +353,17 @@ const PINS: &[Pin] = &[
     ("pagerank/sync/PullOnly/cold", 96, 0, None, true, 0xd442e9ad12d243d7),
     ("pagerank/sync/PullOnly/warm", 52, 0, None, true, 0xa962d79038a8c5c1),
     ("pagerank/async/Auto/cold", 42, 0, None, true, 0x14fead447a13a5b6),
-    ("pagerank/async/Auto/warm", 22, 0, None, true, 0xb5345154a8d65a9e),
+    ("pagerank/async/Auto/warm", 22, 0, None, true, 0x2e431940fc91fd53),
     ("pagerank/async/PullOnly/cold", 42, 0, None, true, 0x14fead447a13a5b6),
-    ("pagerank/async/PullOnly/warm", 22, 0, None, true, 0xb5345154a8d65a9e),
+    ("pagerank/async/PullOnly/warm", 22, 0, None, true, 0x2e431940fc91fd53),
     ("pagerank/worklist/Auto/cold", 32, 0, Some(14685), true, 0x301a55d74702aa2a),
     ("pagerank/worklist/Auto/warm", 15, 0, Some(5815), true, 0x747a5dc76ad10b72),
     ("pagerank/worklist/PullOnly/cold", 32, 0, Some(14685), true, 0x301a55d74702aa2a),
     ("pagerank/worklist/PullOnly/warm", 15, 0, Some(5815), true, 0x747a5dc76ad10b72),
     ("pagerank/parallel1/Auto/cold", 42, 0, None, true, 0x14fead447a13a5b6),
-    ("pagerank/parallel1/Auto/warm", 22, 0, None, true, 0xb5345154a8d65a9e),
+    ("pagerank/parallel1/Auto/warm", 22, 0, None, true, 0x2e431940fc91fd53),
     ("pagerank/parallel1/PullOnly/cold", 42, 0, None, true, 0x14fead447a13a5b6),
-    ("pagerank/parallel1/PullOnly/warm", 22, 0, None, true, 0xb5345154a8d65a9e),
+    ("pagerank/parallel1/PullOnly/warm", 22, 0, None, true, 0x2e431940fc91fd53),
     ("sssp/sync/Auto/cold", 8, 2, None, true, 0x11eff33c376879c5),
     ("sssp/sync/Auto/warm", 7, 3, None, true, 0x5611e1664b0816a9),
     ("sssp/sync/PullOnly/cold", 8, 0, None, true, 0x11eff33c376879c5),
@@ -360,7 +375,7 @@ const PINS: &[Pin] = &[
     ("sssp/async/PullOnly/cold", 6, 0, None, true, 0x11eff33c376879c5),
     ("sssp/async/PullOnly/warm", 4, 0, None, true, 0x5611e1664b0816a9),
     ("sssp/async/PushOnly/cold", 5, 5, None, true, 0x11eff33c376879c5),
-    ("sssp/async/PushOnly/warm", 5, 5, None, true, 0x5611e1664b0816a9),
+    ("sssp/async/PushOnly/warm", 5, 4, None, true, 0x5611e1664b0816a9),
     ("sssp/worklist/Auto/cold", 6, 5, Some(1291), true, 0x11eff33c376879c5),
     ("sssp/worklist/Auto/warm", 4, 3, Some(206), true, 0x5611e1664b0816a9),
     ("sssp/worklist/PullOnly/cold", 5, 0, Some(1568), true, 0x11eff33c376879c5),
@@ -372,7 +387,7 @@ const PINS: &[Pin] = &[
     ("sssp/parallel1/PullOnly/cold", 6, 0, None, true, 0x11eff33c376879c5),
     ("sssp/parallel1/PullOnly/warm", 4, 0, None, true, 0x5611e1664b0816a9),
     ("sssp/parallel1/PushOnly/cold", 5, 5, None, true, 0x11eff33c376879c5),
-    ("sssp/parallel1/PushOnly/warm", 5, 5, None, true, 0x5611e1664b0816a9),
+    ("sssp/parallel1/PushOnly/warm", 5, 4, None, true, 0x5611e1664b0816a9),
     ("cc/sync/Auto/cold", 6, 0, None, true, 0x6775009b61237966),
     ("cc/sync/Auto/warm", 1, 0, None, true, 0x6775009b61237966),
     ("cc/sync/PullOnly/cold", 6, 0, None, true, 0x6775009b61237966),
@@ -384,7 +399,7 @@ const PINS: &[Pin] = &[
     ("cc/async/PullOnly/cold", 4, 0, None, true, 0x6775009b61237966),
     ("cc/async/PullOnly/warm", 1, 0, None, true, 0x6775009b61237966),
     ("cc/async/PushOnly/cold", 4, 4, None, true, 0x6775009b61237966),
-    ("cc/async/PushOnly/warm", 1, 1, None, true, 0x6775009b61237966),
+    ("cc/async/PushOnly/warm", 1, 0, None, true, 0x6775009b61237966),
     ("cc/worklist/Auto/cold", 4, 3, Some(1020), true, 0x6775009b61237966),
     ("cc/worklist/Auto/warm", 1, 0, Some(1), true, 0x6775009b61237966),
     ("cc/worklist/PullOnly/cold", 3, 0, Some(1045), true, 0x6775009b61237966),
@@ -396,7 +411,7 @@ const PINS: &[Pin] = &[
     ("cc/parallel1/PullOnly/cold", 4, 0, None, true, 0x6775009b61237966),
     ("cc/parallel1/PullOnly/warm", 1, 0, None, true, 0x6775009b61237966),
     ("cc/parallel1/PushOnly/cold", 4, 4, None, true, 0x6775009b61237966),
-    ("cc/parallel1/PushOnly/warm", 1, 1, None, true, 0x6775009b61237966),
+    ("cc/parallel1/PushOnly/warm", 1, 0, None, true, 0x6775009b61237966),
     ("bfs/sync/Auto/cold", 6, 1, None, true, 0x1e8bcf5727b17fa1),
     ("bfs/sync/Auto/warm", 5, 4, None, true, 0xea21eda3f98f6c18),
     ("bfs/sync/PullOnly/cold", 6, 0, None, true, 0x1e8bcf5727b17fa1),
@@ -404,11 +419,11 @@ const PINS: &[Pin] = &[
     ("bfs/sync/PushOnly/cold", 6, 6, None, true, 0x1e8bcf5727b17fa1),
     ("bfs/sync/PushOnly/warm", 5, 5, None, true, 0xea21eda3f98f6c18),
     ("bfs/async/Auto/cold", 5, 1, None, true, 0x1e8bcf5727b17fa1),
-    ("bfs/async/Auto/warm", 3, 1, None, true, 0xea21eda3f98f6c18),
+    ("bfs/async/Auto/warm", 3, 2, None, true, 0xea21eda3f98f6c18),
     ("bfs/async/PullOnly/cold", 5, 0, None, true, 0x1e8bcf5727b17fa1),
     ("bfs/async/PullOnly/warm", 3, 0, None, true, 0xea21eda3f98f6c18),
     ("bfs/async/PushOnly/cold", 5, 5, None, true, 0x1e8bcf5727b17fa1),
-    ("bfs/async/PushOnly/warm", 3, 3, None, true, 0xea21eda3f98f6c18),
+    ("bfs/async/PushOnly/warm", 3, 2, None, true, 0xea21eda3f98f6c18),
     ("bfs/worklist/Auto/cold", 5, 4, Some(1112), true, 0x1e8bcf5727b17fa1),
     ("bfs/worklist/Auto/warm", 3, 2, Some(59), true, 0xea21eda3f98f6c18),
     ("bfs/worklist/PullOnly/cold", 5, 0, Some(1281), true, 0x1e8bcf5727b17fa1),
@@ -416,11 +431,11 @@ const PINS: &[Pin] = &[
     ("bfs/worklist/PushOnly/cold", 5, 4, Some(1112), true, 0x1e8bcf5727b17fa1),
     ("bfs/worklist/PushOnly/warm", 3, 2, Some(59), true, 0xea21eda3f98f6c18),
     ("bfs/parallel1/Auto/cold", 5, 1, None, true, 0x1e8bcf5727b17fa1),
-    ("bfs/parallel1/Auto/warm", 3, 1, None, true, 0xea21eda3f98f6c18),
+    ("bfs/parallel1/Auto/warm", 3, 2, None, true, 0xea21eda3f98f6c18),
     ("bfs/parallel1/PullOnly/cold", 5, 0, None, true, 0x1e8bcf5727b17fa1),
     ("bfs/parallel1/PullOnly/warm", 3, 0, None, true, 0xea21eda3f98f6c18),
     ("bfs/parallel1/PushOnly/cold", 5, 5, None, true, 0x1e8bcf5727b17fa1),
-    ("bfs/parallel1/PushOnly/warm", 3, 3, None, true, 0xea21eda3f98f6c18),
+    ("bfs/parallel1/PushOnly/warm", 3, 2, None, true, 0xea21eda3f98f6c18),
     ("delta-pagerank/rr/cold", 48, 47, None, true, 0x55e89f709002c4b4),
     ("delta-pagerank/priority0.1/cold", 411, 410, None, true, 0xf1048b72294891f4),
     ("delta-sssp/rr/cold", 6, 5, None, true, 0x11eff33c376879c5),

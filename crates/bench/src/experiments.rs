@@ -1,6 +1,6 @@
 //! Experiment implementations — one function per paper table/figure.
-//! The `src/bin/*` binaries are thin wrappers that call these and print
-//! the returned [`Table`]s.
+//! The `paper` binary's sections call these and print the returned
+//! [`Table`]s.
 
 use crate::datasets::{default_source, paper_datasets, wiki_analogue, Dataset, Scale};
 use crate::harness::{timed, Table};

@@ -1,10 +1,10 @@
 //! # gograph-bench
 //!
-//! Benchmark harness reproducing every table and figure of the paper's
-//! evaluation (§V) on the synthetic dataset analogues of
-//! [`datasets`] (see DESIGN.md for the experiment index). Each figure has
-//! a runnable binary under `src/bin/`; Criterion microbenches live under
-//! `benches/`.
+//! Reproduces every table and figure of the paper's evaluation (§V) on
+//! the synthetic dataset analogues of [`datasets`]: one function per
+//! figure in [`experiments`], one section per figure in the `paper`
+//! binary (`src/bin/paper.rs`). Timing of the system itself is the
+//! stand-alone harness under `benchmark/`, not this crate.
 
 #![warn(missing_docs)]
 

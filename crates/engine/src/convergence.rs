@@ -28,7 +28,7 @@ pub struct RunStats {
     pub rounds: usize,
     /// Wall-clock runtime of the iteration loop.
     pub runtime: Duration,
-    /// Whether the convergence criterion was met within the round cap.
+    /// Whether the convergence test was met within the round cap.
     pub converged: bool,
     /// Final vertex states.
     pub final_states: Vec<f64>,

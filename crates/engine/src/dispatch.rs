@@ -61,8 +61,8 @@ pub enum DeltaAlgorithmKind {
 
 /// Opts an algorithm out of kernel monomorphization: the engines treat the
 /// wrapped algorithm as user-supplied and run the `dyn`-dispatch fallback
-/// path. Used by the equivalence tests and `bench_report` to compare the
-/// two paths; delegates every trait method unchanged.
+/// path. Used by the equivalence tests to compare the two paths;
+/// delegates every trait method unchanged.
 #[derive(Debug, Clone, Copy)]
 pub struct DynOnly<A>(pub A);
 

@@ -186,22 +186,19 @@ pub(crate) fn parallel_kernel<A: IterativeAlgorithm + ?Sized>(
         }
     };
 
-    /// What `work_set` holds going into a round — the async planner's
-    /// states minus `Pending` (no in-round activation exists here), plus
-    /// `Targets`: the warm-seeded exact pull set.
+    /// What `work_set` holds going into a round — the same three states
+    /// as the sequential planner in `asynch.rs`.
     #[derive(Clone, Copy, PartialEq)]
     enum Work {
         /// Nothing yet — run a full sweep (cold start / warm restart).
         Dense,
-        /// Positions that changed last round; expanded lazily into a
-        /// pull schedule (out-neighbors, plus self for the per-target
-        /// plan) or used directly as push sources.
+        /// Positions whose new value their out-neighbors have not all
+        /// seen: pushed as sources, or expanded lazily into a pull
+        /// schedule of their out-neighborhoods (plus themselves under
+        /// the per-target plan, `!push_ok`).
         Changed,
         /// Exact pull set (warm-start seed): gather these, nothing else.
         Targets,
-        /// Changed positions whose new value has unpropagated out-edges
-        /// (per-source plan, `push_ok`).
-        Sources,
     }
     let mut work = Work::Dense;
     let mut work_set = Frontier::new(n);
@@ -246,12 +243,12 @@ pub(crate) fn parallel_kernel<A: IterativeAlgorithm + ?Sized>(
             // density reroute to the full sweep would silently discard
             // the seed and replay the cold trajectory.
             Work::Targets => false,
-            Work::Changed | Work::Sources => work_count * dense_denom > n,
+            Work::Changed => work_count * dense_denom > n,
         };
         let push = match work {
             Work::Dense => force_push,
             Work::Targets => false,
-            Work::Changed | Work::Sources => {
+            Work::Changed => {
                 let pull_bound = if dense { 2 * num_edges } else { num_edges };
                 choose_push(
                     cfg.direction,
@@ -308,7 +305,7 @@ pub(crate) fn parallel_kernel<A: IterativeAlgorithm + ?Sized>(
                 out_set.union_with(&s.lock().unwrap());
             }
             out_count = out_set.len();
-            work = Work::Sources;
+            work = Work::Changed;
         } else if dense {
             // Dense round: contiguous order blocks in parallel, the
             // historical block-parallel sweep plus changed-member
@@ -370,7 +367,7 @@ pub(crate) fn parallel_kernel<A: IterativeAlgorithm + ?Sized>(
             sched.clear();
             match work {
                 Work::Targets => work_set.for_each_ascending(|p| sched.push(p)),
-                Work::Changed | Work::Sources => {
+                Work::Changed => {
                     expand.clear();
                     work_set.for_each(|p| {
                         if !push_ok {
@@ -417,11 +414,7 @@ pub(crate) fn parallel_kernel<A: IterativeAlgorithm + ?Sized>(
                 out_set.union_with(&s.lock().unwrap());
             }
             out_count = out_set.len();
-            work = if push_ok {
-                Work::Sources
-            } else {
-                Work::Changed
-            };
+            work = Work::Changed;
         }
 
         if cfg.record_trace {

@@ -52,6 +52,7 @@ use crate::checkpoint::{
 use crate::epoch::{EpochCell, EpochState, WarmEntry};
 use crate::fault::{splitmix64, FaultPlan};
 use crate::spec::{AlgSpec, ModeSpec};
+pub use crate::stats::{ServeStats, StatsSnapshot};
 use crate::wal::{
     compact_wal, read_wal, read_wal_segment, truncate_wal, SyncPolicy, TailStatus, WalWriter,
 };
@@ -298,156 +299,6 @@ pub struct QueryOutcome {
     pub runtime: Duration,
     /// Final per-vertex states (in original vertex ids).
     pub states: Arc<Vec<f64>>,
-}
-
-/// Shared atomic counters, snapshotted into the wire stats reply.
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    /// Queries answered (leaders and followers alike).
-    pub queries: AtomicU64,
-    /// Queries answered from another leader's execution.
-    pub coalesced: AtomicU64,
-    /// Queries answered from, and executions warm-started from, epoch
-    /// warm state.
-    pub warm_hits: AtomicU64,
-    /// Executions that ran cold.
-    pub cold_runs: AtomicU64,
-    /// Total rounds across query executions.
-    pub query_rounds: AtomicU64,
-    /// Total push-direction rounds across query executions.
-    pub query_push_rounds: AtomicU64,
-    /// State bytes of the most recent query execution.
-    pub last_state_bytes: AtomicU64,
-    /// Update batches accepted into the queue.
-    pub batches_enqueued: AtomicU64,
-    /// Update batches the mutator applied (== epochs published).
-    pub batches_applied: AtomicU64,
-    /// Individual edge updates applied.
-    pub updates_applied: AtomicU64,
-    /// Total rounds the mutator's warm pipelines spent re-converging.
-    pub mutator_rounds: AtomicU64,
-    /// Update batches the mutator failed to apply (skipped after
-    /// rollback).
-    pub mutator_errors: AtomicU64,
-    /// Times the supervisor rolled the mutator back to its pre-batch
-    /// state after a panic or engine error.
-    pub mutator_restarts: AtomicU64,
-    /// Admission slots poisoned because their leader's execution
-    /// failed (followers retried solo).
-    pub poisoned_slots: AtomicU64,
-    /// 1 while the last batch application failed and no epoch has been
-    /// published since; 0 once publication resumes.
-    pub degraded: AtomicU64,
-    /// Batches appended to the write-ahead log.
-    pub wal_appends: AtomicU64,
-    /// Bytes appended to the write-ahead log.
-    pub wal_bytes: AtomicU64,
-    /// WAL records replayed during the last recovery.
-    pub wal_replayed: AtomicU64,
-    /// Checkpoints written (boot, periodic, and shutdown).
-    pub checkpoints_written: AtomicU64,
-    /// Connections refused at accept time because the cap was reached.
-    pub connections_shed: AtomicU64,
-    /// WAL segments shipped to followers (primary side).
-    pub repl_segments_shipped: AtomicU64,
-    /// WAL records shipped inside those segments (primary side).
-    pub repl_records_shipped: AtomicU64,
-    /// Follower acks received (primary side).
-    pub repl_acks: AtomicU64,
-    /// Worst live-follower lag in batches behind the settled sequence
-    /// number, at the last subscribe/ack (primary side; gauge).
-    pub repl_follower_lag: AtomicU64,
-    /// Follower fingerprint mismatches detected (primary side).
-    pub repl_divergences: AtomicU64,
-    /// Checkpoint re-syncs: served with `resync` set on the primary,
-    /// performed on the follower.
-    pub repl_resyncs: AtomicU64,
-    /// Last sequence number this node settled and fingerprinted
-    /// (gauge; both roles).
-    pub repl_last_seq: AtomicU64,
-    /// The primary's settled sequence number as of the last received
-    /// segment (follower side; gauge — the bounded-staleness
-    /// reference point).
-    pub repl_primary_seq: AtomicU64,
-    /// Checkpoints written as deltas against the previous one.
-    pub delta_checkpoints_written: AtomicU64,
-    /// Total bytes of checkpoint files written (full and delta).
-    pub checkpoint_bytes_written: AtomicU64,
-}
-
-/// A plain-value copy of every counter plus epoch/graph facts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Current epoch number.
-    pub epoch: u64,
-    /// Epochs published since bootstrap.
-    pub epochs_published: u64,
-    /// Vertices in the current epoch's graph.
-    pub num_vertices: u64,
-    /// Edges in the current epoch's graph.
-    pub num_edges: u64,
-    /// Partitions tracked by the current epoch.
-    pub num_partitions: u64,
-    /// Queries answered.
-    pub queries: u64,
-    /// Queries served from a coalesced execution.
-    pub coalesced: u64,
-    /// Queries answered from the epoch plus warm-started executions.
-    pub warm_hits: u64,
-    /// Cold executions.
-    pub cold_runs: u64,
-    /// Total query rounds.
-    pub query_rounds: u64,
-    /// Total query push rounds.
-    pub query_push_rounds: u64,
-    /// State bytes of the most recent execution.
-    pub last_state_bytes: u64,
-    /// Update batches enqueued.
-    pub batches_enqueued: u64,
-    /// Update batches applied.
-    pub batches_applied: u64,
-    /// Individual updates applied.
-    pub updates_applied: u64,
-    /// Mutator re-convergence rounds.
-    pub mutator_rounds: u64,
-    /// Mutator failures (skipped batches).
-    pub mutator_errors: u64,
-    /// Supervisor rollbacks of the mutator.
-    pub mutator_restarts: u64,
-    /// Admission slots poisoned by failed leaders.
-    pub poisoned_slots: u64,
-    /// 1 while publication is stalled on a failed batch.
-    pub degraded: u64,
-    /// WAL appends.
-    pub wal_appends: u64,
-    /// WAL bytes written.
-    pub wal_bytes: u64,
-    /// WAL records replayed at recovery.
-    pub wal_replayed: u64,
-    /// Checkpoints written.
-    pub checkpoints_written: u64,
-    /// Connections shed at the accept cap.
-    pub connections_shed: u64,
-    /// WAL segments shipped to followers.
-    pub repl_segments_shipped: u64,
-    /// WAL records shipped to followers.
-    pub repl_records_shipped: u64,
-    /// Follower acks received.
-    pub repl_acks: u64,
-    /// Worst live-follower lag behind the settled seq (gauge).
-    pub repl_follower_lag: u64,
-    /// Follower divergences detected by probe comparison.
-    pub repl_divergences: u64,
-    /// Checkpoint re-syncs (served or performed).
-    pub repl_resyncs: u64,
-    /// Last settled-and-fingerprinted sequence number (gauge).
-    pub repl_last_seq: u64,
-    /// Last known primary settled seq (follower gauge).
-    pub repl_primary_seq: u64,
-    /// Delta checkpoints written.
-    pub delta_checkpoints_written: u64,
-    /// Checkpoint bytes written (full + delta).
-    pub checkpoint_bytes_written: u64,
 }
 
 /// Which side of a replicated pair this node is.
@@ -901,7 +752,7 @@ impl ServeCore {
         // Seed the probe history: an ack or probe at the boot
         // watermark has an answer before any batch settles.
         repl.record_probe(last_seq, epoch, fingerprints(&pipelines));
-        stats.repl_last_seq.store(last_seq, Ordering::Relaxed);
+        stats.repl_last_seq.store(last_seq, Ordering::Release);
         let ctx = MutatorCtx {
             pipelines,
             build,
@@ -1182,43 +1033,13 @@ impl ServeCore {
     /// A point-in-time copy of every counter.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let ep = self.epoch.pin();
-        let s = &self.stats;
         StatsSnapshot {
             epoch: ep.epoch,
             epochs_published: self.epoch.epochs_published(),
             num_vertices: ep.graph.num_vertices() as u64,
             num_edges: ep.graph.num_edges() as u64,
             num_partitions: ep.num_partitions as u64,
-            queries: s.queries.load(Ordering::Relaxed),
-            coalesced: s.coalesced.load(Ordering::Relaxed),
-            warm_hits: s.warm_hits.load(Ordering::Relaxed),
-            cold_runs: s.cold_runs.load(Ordering::Relaxed),
-            query_rounds: s.query_rounds.load(Ordering::Relaxed),
-            query_push_rounds: s.query_push_rounds.load(Ordering::Relaxed),
-            last_state_bytes: s.last_state_bytes.load(Ordering::Relaxed),
-            batches_enqueued: s.batches_enqueued.load(Ordering::Relaxed),
-            batches_applied: s.batches_applied.load(Ordering::Relaxed),
-            updates_applied: s.updates_applied.load(Ordering::Relaxed),
-            mutator_rounds: s.mutator_rounds.load(Ordering::Relaxed),
-            mutator_errors: s.mutator_errors.load(Ordering::Relaxed),
-            mutator_restarts: s.mutator_restarts.load(Ordering::Relaxed),
-            poisoned_slots: s.poisoned_slots.load(Ordering::Relaxed),
-            degraded: s.degraded.load(Ordering::Relaxed),
-            wal_appends: s.wal_appends.load(Ordering::Relaxed),
-            wal_bytes: s.wal_bytes.load(Ordering::Relaxed),
-            wal_replayed: s.wal_replayed.load(Ordering::Relaxed),
-            checkpoints_written: s.checkpoints_written.load(Ordering::Relaxed),
-            connections_shed: s.connections_shed.load(Ordering::Relaxed),
-            repl_segments_shipped: s.repl_segments_shipped.load(Ordering::Relaxed),
-            repl_records_shipped: s.repl_records_shipped.load(Ordering::Relaxed),
-            repl_acks: s.repl_acks.load(Ordering::Relaxed),
-            repl_follower_lag: s.repl_follower_lag.load(Ordering::Relaxed),
-            repl_divergences: s.repl_divergences.load(Ordering::Relaxed),
-            repl_resyncs: s.repl_resyncs.load(Ordering::Relaxed),
-            repl_last_seq: s.repl_last_seq.load(Ordering::Relaxed),
-            repl_primary_seq: s.repl_primary_seq.load(Ordering::Relaxed),
-            delta_checkpoints_written: s.delta_checkpoints_written.load(Ordering::Relaxed),
-            checkpoint_bytes_written: s.checkpoint_bytes_written.load(Ordering::Relaxed),
+            ..self.stats.load()
         }
     }
 
@@ -1238,17 +1059,23 @@ impl ServeCore {
         }
     }
 
-    /// Blocks until the mutator has applied every batch enqueued before
-    /// this call (used by tests and the CI smoke to make "≥ 1 epoch
-    /// published" deterministic).
+    /// Blocks until the mutator has settled every batch enqueued before
+    /// this call — applied or skipped, epoch published, probe recorded
+    /// (used by tests and the CI smoke to make "≥ 1 epoch published"
+    /// deterministic, and by the replica puller before it reads its
+    /// fingerprints).
     pub fn quiesce(&self) {
-        loop {
-            let s = self.stats_snapshot();
-            if s.batches_applied + s.mutator_errors >= s.batches_enqueued {
-                return;
-            }
+        while self.settled_seq() < self.stats.batches_enqueued.load(Ordering::Relaxed) {
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    /// The last sequence number the mutator finished with, probe
+    /// included. `batches_applied + mutator_errors` reaches the same
+    /// number earlier — before the probe lands — so anything that goes
+    /// on to read or compare fingerprints waits on this instead.
+    fn settled_seq(&self) -> u64 {
+        self.stats.repl_last_seq.load(Ordering::Acquire)
     }
 
     /// This node's current replication role.
@@ -1286,8 +1113,7 @@ impl ServeCore {
                 "replication requires a durable primary (no WAL to ship)".to_string(),
             )
         })?;
-        let settled = self.stats.batches_applied.load(Ordering::Relaxed)
-            + self.stats.mutator_errors.load(Ordering::Relaxed);
+        let settled = self.settled_seq();
         let marked = {
             let mut followers = crate::lock_unpoisoned(&self.repl.followers);
             let entry = followers.entry(follower).or_default();
@@ -1349,16 +1175,28 @@ impl ServeCore {
         if self.role() != Role::Primary {
             return Err(ServeError::NotPrimary);
         }
+        // One fingerprint per warm pipeline, and a pair shares its warm
+        // set: any other count is a malformed ack — not a state to
+        // judge, and not one that may move the follower's watermark.
+        let own = self.repl.probe_at(Some(seq));
+        if let Some(own) = own
+            .as_ref()
+            .filter(|o| o.fingerprints.len() != fingerprints.len())
+        {
+            return Err(ServeError::InvalidRequest(format!(
+                "ack at seq {seq} carries {} fingerprints, this node keeps {}",
+                fingerprints.len(),
+                own.fingerprints.len()
+            )));
+        }
         self.stats.repl_acks.fetch_add(1, Ordering::Relaxed);
         {
             let mut followers = crate::lock_unpoisoned(&self.repl.followers);
             let entry = followers.entry(follower).or_default();
             entry.acked_seq = entry.acked_seq.max(seq);
         }
-        let settled = self.stats.batches_applied.load(Ordering::Relaxed)
-            + self.stats.mutator_errors.load(Ordering::Relaxed);
-        self.update_follower_lag(settled);
-        match self.repl.probe_at(Some(seq)) {
+        self.update_follower_lag(self.settled_seq());
+        match own {
             Some(own) if own.fingerprints == fingerprints => Ok(ProbeReport {
                 seq,
                 epoch: own.epoch,
@@ -1772,7 +1610,7 @@ fn resync_mutator(ctx: &mut MutatorCtx, ck: Checkpoint, cell: &EpochCell, stats:
     crate::lock_unpoisoned(&ctx.repl.probes).clear();
     ctx.repl
         .record_probe(ck.seq, ck.epoch, fingerprints(&ctx.pipelines));
-    stats.repl_last_seq.store(ck.seq, Ordering::Relaxed);
+    stats.repl_last_seq.store(ck.seq, Ordering::Release);
 }
 
 fn mutator_loop(
@@ -1818,9 +1656,12 @@ fn mutator_loop(
                 // Fingerprint every settled batch, applied or skipped:
                 // failure is deterministic, so a healthy replicated
                 // pair records identical hashes at every watermark.
+                if let Some(d) = ctx.faults.probe_delay(seq) {
+                    std::thread::sleep(d);
+                }
                 ctx.repl
                     .record_probe(seq, ctx.epoch, fingerprints(&ctx.pipelines));
-                stats.repl_last_seq.store(seq, Ordering::Relaxed);
+                stats.repl_last_seq.store(seq, Ordering::Release);
             }
             Ok(MutatorMsg::Resync(ck)) => {
                 resync_mutator(&mut ctx, *ck, cell, stats);

@@ -43,6 +43,7 @@ const KIND_LINK_DROP: u64 = 6;
 const KIND_FOLLOWER_CRASH: u64 = 7;
 const KIND_ACK_DELAY: u64 = 8;
 const KIND_CORRUPT: u64 = 9;
+const KIND_PROBE_DELAY: u64 = 10;
 
 /// A seeded, deterministic schedule of injected faults. The default
 /// ([`FaultPlan::none`]) injects nothing and costs one branch per
@@ -62,6 +63,8 @@ pub struct FaultPlan {
     ack_delay_rate: f64,
     ack_delay: Duration,
     corrupt_state_rate: f64,
+    probe_delay_rate: f64,
+    probe_delay: Duration,
 }
 
 impl Default for FaultPlan {
@@ -93,6 +96,8 @@ impl FaultPlan {
             ack_delay_rate: 0.0,
             ack_delay: Duration::ZERO,
             corrupt_state_rate: 0.0,
+            probe_delay_rate: 0.0,
+            probe_delay: Duration::ZERO,
         }
     }
 
@@ -165,6 +170,16 @@ impl FaultPlan {
         self
     }
 
+    /// Hold the mutator for `delay` between publishing batch `seq` and
+    /// recording its probe, at this rate — widens the window in which a
+    /// batch counts as applied but has no fingerprint yet, so anything
+    /// that reads fingerprints too early does so deterministically.
+    pub fn with_probe_delay(mut self, rate: f64, delay: Duration) -> FaultPlan {
+        self.probe_delay_rate = rate.clamp(0.0, 1.0);
+        self.probe_delay = delay;
+        self
+    }
+
     /// True when no fault kind is armed (the hot-path short-circuit).
     pub fn is_none(&self) -> bool {
         self.mutator_panic_rate == 0.0
@@ -176,6 +191,7 @@ impl FaultPlan {
             && self.follower_crash_rate == 0.0
             && self.ack_delay_rate == 0.0
             && self.corrupt_state_rate == 0.0
+            && self.probe_delay_rate == 0.0
     }
 
     /// Should the mutator panic before applying batch `seq`?
@@ -243,6 +259,17 @@ impl FaultPlan {
     pub fn corrupt_state(&self, seq: u64) -> bool {
         self.corrupt_state_rate > 0.0
             && unit(self.seed, KIND_CORRUPT, seq) < self.corrupt_state_rate
+    }
+
+    /// Should batch `seq`'s probe be recorded late, and by how much?
+    pub fn probe_delay(&self, seq: u64) -> Option<Duration> {
+        if self.probe_delay_rate > 0.0
+            && unit(self.seed, KIND_PROBE_DELAY, seq) < self.probe_delay_rate
+        {
+            Some(self.probe_delay)
+        } else {
+            None
+        }
     }
 }
 
@@ -316,5 +343,10 @@ mod tests {
         assert!(!acks.is_none());
         assert!(FaultPlan::none().ack_delay(7).is_none());
         assert!(!FaultPlan::none().corrupt_state(7));
+
+        let probes = FaultPlan::seeded(4).with_probe_delay(1.0, Duration::from_millis(5));
+        assert_eq!(probes.probe_delay(7), Some(Duration::from_millis(5)));
+        assert!(!probes.is_none());
+        assert!(FaultPlan::none().probe_delay(7).is_none());
     }
 }

@@ -10,8 +10,10 @@
 //!   epoch with a swap and old epochs retire with their last reader.
 //! - **[`core`]** — [`ServeCore`], the transport-agnostic service:
 //!   epoch-pinned query execution, a single mutator thread draining
-//!   update batches through `StreamingPipeline::apply_batch`, and
-//!   counters.
+//!   update batches through `StreamingPipeline::apply_batch`.
+//! - **[`stats`]** — the one table every counter is declared in;
+//!   [`StatsSnapshot`], its wire order and its window delta derive
+//!   from it.
 //! - **[`admission`]** — leader/follower combining of concurrent
 //!   same-algorithm queries into one multi-source run.
 //! - **[`spec`]** — wire-addressable algorithm/mode codes and the
@@ -42,6 +44,7 @@ pub mod fault;
 pub mod replication;
 pub mod server;
 pub mod spec;
+pub mod stats;
 pub mod wal;
 pub mod wire;
 

@@ -204,11 +204,22 @@ impl ReplicaPuller {
         if let Some(d) = faults.ack_delay(k) {
             std::thread::sleep(d);
         }
-        let fingerprints = self.core.probe(Some(self.acked_seq)).fingerprints;
-        match self
-            .client
-            .replica_ack(self.config.follower_id, self.acked_seq, &fingerprints)
-        {
+        // `quiesce` returned, so the probe at our watermark is recorded.
+        // One that is not `known` is never a fingerprint vector to send:
+        // skip the ack (the primary sees a stale one, as after a dropped
+        // link) and let the caller retry.
+        let report = self.core.probe(Some(self.acked_seq));
+        if !report.known {
+            return Err(ClientError::Protocol(format!(
+                "no probe at settled seq {}",
+                self.acked_seq
+            )));
+        }
+        match self.client.replica_ack(
+            self.config.follower_id,
+            self.acked_seq,
+            &report.fingerprints,
+        ) {
             Ok(_) => Ok(StepOutcome::Applied(n)),
             Err(ClientError::Server {
                 code: ErrorCode::Divergent,

@@ -585,43 +585,7 @@ pub fn encode_reply(reply: &Reply) -> Bytes {
         }
         Reply::Stats(s) => {
             buf.put_slice(&[REP_STATS]);
-            for v in [
-                s.epoch,
-                s.epochs_published,
-                s.num_vertices,
-                s.num_edges,
-                s.num_partitions,
-                s.queries,
-                s.coalesced,
-                s.warm_hits,
-                s.cold_runs,
-                s.query_rounds,
-                s.query_push_rounds,
-                s.last_state_bytes,
-                s.batches_enqueued,
-                s.batches_applied,
-                s.updates_applied,
-                s.mutator_rounds,
-                s.mutator_errors,
-                s.mutator_restarts,
-                s.poisoned_slots,
-                s.degraded,
-                s.wal_appends,
-                s.wal_bytes,
-                s.wal_replayed,
-                s.checkpoints_written,
-                s.connections_shed,
-                s.repl_segments_shipped,
-                s.repl_records_shipped,
-                s.repl_acks,
-                s.repl_follower_lag,
-                s.repl_divergences,
-                s.repl_resyncs,
-                s.repl_last_seq,
-                s.repl_primary_seq,
-                s.delta_checkpoints_written,
-                s.checkpoint_bytes_written,
-            ] {
+            for v in s.to_array() {
                 buf.put_u64_le(v);
             }
         }
@@ -728,53 +692,11 @@ pub fn decode_reply(mut buf: Bytes) -> Result<Reply, WireError> {
             expect_consumed(reply, &buf)
         }
         REP_STATS => {
-            if buf.remaining() < 35 * 8 {
+            if buf.remaining() < StatsSnapshot::FIELDS * 8 {
                 return err("truncated stats reply");
             }
-            let mut f = [0u64; 35];
-            for v in f.iter_mut() {
-                *v = buf.get_u64_le();
-            }
-            expect_consumed(
-                Reply::Stats(StatsSnapshot {
-                    epoch: f[0],
-                    epochs_published: f[1],
-                    num_vertices: f[2],
-                    num_edges: f[3],
-                    num_partitions: f[4],
-                    queries: f[5],
-                    coalesced: f[6],
-                    warm_hits: f[7],
-                    cold_runs: f[8],
-                    query_rounds: f[9],
-                    query_push_rounds: f[10],
-                    last_state_bytes: f[11],
-                    batches_enqueued: f[12],
-                    batches_applied: f[13],
-                    updates_applied: f[14],
-                    mutator_rounds: f[15],
-                    mutator_errors: f[16],
-                    mutator_restarts: f[17],
-                    poisoned_slots: f[18],
-                    degraded: f[19],
-                    wal_appends: f[20],
-                    wal_bytes: f[21],
-                    wal_replayed: f[22],
-                    checkpoints_written: f[23],
-                    connections_shed: f[24],
-                    repl_segments_shipped: f[25],
-                    repl_records_shipped: f[26],
-                    repl_acks: f[27],
-                    repl_follower_lag: f[28],
-                    repl_divergences: f[29],
-                    repl_resyncs: f[30],
-                    repl_last_seq: f[31],
-                    repl_primary_seq: f[32],
-                    delta_checkpoints_written: f[33],
-                    checkpoint_bytes_written: f[34],
-                }),
-                &buf,
-            )
+            let fields = std::array::from_fn(|_| buf.get_u64_le());
+            expect_consumed(Reply::Stats(StatsSnapshot::from_array(fields)), &buf)
         }
         REP_WAL_SEGMENT => {
             if buf.remaining() < 13 {
@@ -965,42 +887,12 @@ mod tests {
                 accepted: 8,
                 epochs_published: 3,
             },
+            // Every field, slot by slot: `stats_reply_bytes_are_golden`.
             Reply::Stats(StatsSnapshot {
                 epoch: 2,
-                epochs_published: 2,
-                num_vertices: 100,
-                num_edges: 500,
-                num_partitions: 4,
                 queries: 42,
-                coalesced: 7,
-                warm_hits: 30,
-                cold_runs: 5,
-                query_rounds: 90,
-                query_push_rounds: 11,
-                last_state_bytes: 800,
-                batches_enqueued: 3,
-                batches_applied: 2,
-                updates_applied: 64,
-                mutator_rounds: 9,
-                mutator_errors: 0,
-                mutator_restarts: 1,
-                poisoned_slots: 2,
-                degraded: 0,
-                wal_appends: 12,
-                wal_bytes: 4096,
-                wal_replayed: 3,
-                checkpoints_written: 2,
-                connections_shed: 1,
-                repl_segments_shipped: 5,
-                repl_records_shipped: 17,
-                repl_acks: 5,
-                repl_follower_lag: 1,
-                repl_divergences: 0,
-                repl_resyncs: 1,
-                repl_last_seq: 40,
-                repl_primary_seq: 41,
-                delta_checkpoints_written: 3,
                 checkpoint_bytes_written: 9999,
+                ..StatsSnapshot::default()
             }),
             Reply::WalSegment {
                 primary_seq: 9,
@@ -1031,6 +923,60 @@ mod tests {
             let decoded = decode_reply(encode_reply(&reply)).unwrap();
             assert_eq!(decoded, reply);
         }
+    }
+
+    /// The stats reply is 35 little-endian `u64`s in the order clients
+    /// in the field already decode. The order comes from the table in
+    /// `stats.rs`; this pins each *name* to its slot, so moving,
+    /// inserting or dropping a row there fails here.
+    #[test]
+    fn stats_reply_bytes_are_golden() {
+        let snapshot = StatsSnapshot {
+            epoch: 1,
+            epochs_published: 2,
+            num_vertices: 3,
+            num_edges: 4,
+            num_partitions: 5,
+            queries: 6,
+            coalesced: 7,
+            warm_hits: 8,
+            cold_runs: 9,
+            query_rounds: 10,
+            query_push_rounds: 11,
+            last_state_bytes: 12,
+            batches_enqueued: 13,
+            batches_applied: 14,
+            updates_applied: 15,
+            mutator_rounds: 16,
+            mutator_errors: 17,
+            mutator_restarts: 18,
+            poisoned_slots: 19,
+            degraded: 20,
+            wal_appends: 21,
+            wal_bytes: 22,
+            wal_replayed: 23,
+            checkpoints_written: 24,
+            connections_shed: 25,
+            repl_segments_shipped: 26,
+            repl_records_shipped: 27,
+            repl_acks: 28,
+            repl_follower_lag: 29,
+            repl_divergences: 30,
+            repl_resyncs: 31,
+            repl_last_seq: 32,
+            repl_primary_seq: 33,
+            delta_checkpoints_written: 34,
+            checkpoint_bytes_written: 35,
+        };
+        let mut golden = vec![REP_STATS];
+        for slot in 1..=35u64 {
+            golden.extend_from_slice(&slot.to_le_bytes());
+        }
+        assert_eq!(&encode_reply(&Reply::Stats(snapshot))[..], &golden[..]);
+        assert_eq!(
+            decode_reply(Bytes::from(golden)).unwrap(),
+            Reply::Stats(snapshot)
+        );
     }
 
     #[test]

@@ -411,7 +411,7 @@ fn run_cell(
     let update_batches_sent = updater.join().expect("updater thread");
 
     let after = control.stats().expect("stats after cell");
-    let delta = diff_stats(&before, &after);
+    let delta = after.delta_since(&before);
     CellResult {
         clients,
         update_rate,
@@ -431,49 +431,6 @@ fn run_cell(
         update_batches_sent,
         stats_delta: delta,
         epoch_end: after.epoch,
-    }
-}
-
-fn diff_stats(
-    a: &gograph_serve::StatsSnapshot,
-    b: &gograph_serve::StatsSnapshot,
-) -> gograph_serve::StatsSnapshot {
-    gograph_serve::StatsSnapshot {
-        epoch: b.epoch,
-        epochs_published: b.epochs_published - a.epochs_published,
-        num_vertices: b.num_vertices,
-        num_edges: b.num_edges,
-        num_partitions: b.num_partitions,
-        queries: b.queries - a.queries,
-        coalesced: b.coalesced - a.coalesced,
-        warm_hits: b.warm_hits - a.warm_hits,
-        cold_runs: b.cold_runs - a.cold_runs,
-        query_rounds: b.query_rounds - a.query_rounds,
-        query_push_rounds: b.query_push_rounds - a.query_push_rounds,
-        last_state_bytes: b.last_state_bytes,
-        batches_enqueued: b.batches_enqueued - a.batches_enqueued,
-        batches_applied: b.batches_applied - a.batches_applied,
-        updates_applied: b.updates_applied - a.updates_applied,
-        mutator_rounds: b.mutator_rounds - a.mutator_rounds,
-        mutator_errors: b.mutator_errors - a.mutator_errors,
-        mutator_restarts: b.mutator_restarts - a.mutator_restarts,
-        poisoned_slots: b.poisoned_slots - a.poisoned_slots,
-        degraded: b.degraded, // gauge, not a counter
-        wal_appends: b.wal_appends - a.wal_appends,
-        wal_bytes: b.wal_bytes - a.wal_bytes,
-        wal_replayed: b.wal_replayed - a.wal_replayed,
-        checkpoints_written: b.checkpoints_written - a.checkpoints_written,
-        connections_shed: b.connections_shed - a.connections_shed,
-        repl_segments_shipped: b.repl_segments_shipped - a.repl_segments_shipped,
-        repl_records_shipped: b.repl_records_shipped - a.repl_records_shipped,
-        repl_acks: b.repl_acks - a.repl_acks,
-        repl_follower_lag: b.repl_follower_lag, // gauge, not a counter
-        repl_divergences: b.repl_divergences - a.repl_divergences,
-        repl_resyncs: b.repl_resyncs - a.repl_resyncs,
-        repl_last_seq: b.repl_last_seq,       // gauge
-        repl_primary_seq: b.repl_primary_seq, // gauge
-        delta_checkpoints_written: b.delta_checkpoints_written - a.delta_checkpoints_written,
-        checkpoint_bytes_written: b.checkpoint_bytes_written - a.checkpoint_bytes_written,
     }
 }
 

@@ -240,8 +240,8 @@ impl DeltaAlgorithm for DynRefDelta<'_> {
 
 #[test]
 fn owned_dyn_only_wrappers_also_hit_the_fallback() {
-    // The public `DynOnly` / `DynOnlyDelta` wrappers (what bench_report
-    // uses) must behave exactly like the borrowed test shims above.
+    // The public `DynOnly` / `DynOnlyDelta` wrappers must behave
+    // exactly like the borrowed test shims above.
     let g = workload_graph();
     let order = workload_order(&g);
     let pr = PageRank::default();

@@ -817,6 +817,79 @@ fn replication_faults_converge_without_divergence() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A batch counts as applied a moment before its probe is recorded.
+/// With that moment stretched to 5 ms — on the follower alone, then on
+/// both nodes — a healthy pair driven in lock step (one batch,
+/// `quiesce`, one replication step) must never be called divergent:
+/// `quiesce` and the primary's settled watermark wait for the probe,
+/// and the follower never acks with fingerprints it does not have yet.
+#[test]
+fn late_probes_never_read_as_divergence() {
+    let g = graph();
+    let late = FaultPlan::seeded(5).with_probe_delay(1.0, Duration::from_millis(5));
+    for (tag, primary_faults) in [("follower", FaultPlan::none()), ("both", late.clone())] {
+        let dir = tmp_dir(&format!("repl-late-probe-{tag}"));
+        let primary = ServeCore::start(
+            &g,
+            ServeConfig {
+                faults: primary_faults,
+                ..durable_config(&dir, 4)
+            },
+        )
+        .unwrap();
+        let mut handle =
+            serve_with("127.0.0.1:0", Arc::clone(&primary), ServerConfig::default()).unwrap();
+        let (follower, mut puller) = bootstrap_follower(
+            handle.local_addr(),
+            ServeConfig {
+                faults: late.clone(),
+                ..base_config()
+            },
+            ReplicationConfig {
+                follower_id: 3,
+                ..ReplicationConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(puller.step().unwrap(), StepOutcome::Idle);
+
+        let total = 6u64;
+        for k in 1..=total {
+            primary.enqueue_updates(batch(k)).unwrap();
+            primary.quiesce();
+            assert_eq!(
+                puller.step().unwrap(),
+                StepOutcome::Applied(1),
+                "late {tag}: lock-step batch {k}"
+            );
+            assert_eq!(puller.acked_seq(), k);
+        }
+
+        let ps = primary.stats_snapshot();
+        assert_eq!(ps.repl_divergences, 0, "late {tag}: healthy pair");
+        assert_eq!(ps.repl_resyncs, 0, "late {tag}");
+        assert_eq!(follower.stats_snapshot().repl_resyncs, 0, "late {tag}");
+        let (pp, fp) = (primary.probe(Some(total)), follower.probe(Some(total)));
+        assert!(pp.known && fp.known, "late {tag}: final probes settled");
+        assert_eq!(pp.fingerprints, fp.fingerprints, "late {tag}: final probes");
+        assert_cores_bit_identical(&follower, &primary, "lock-stepped follower");
+
+        // An ack with the wrong number of fingerprints is malformed:
+        // not a state that differs, and not an ack to record.
+        let acks = ps.repl_acks;
+        assert!(matches!(
+            primary.replica_ack(3, total, &[]),
+            Err(ServeError::InvalidRequest(_))
+        ));
+        let ps = primary.stats_snapshot();
+        assert_eq!((ps.repl_divergences, ps.repl_acks), (0, acks));
+
+        handle.shutdown();
+        follower.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// End-to-end crash recovery over TCP: kill the server abruptly (the
 /// OS process stays, but the durable directory is copied out mid-run,
 /// exactly what `kill -9` preserves), restart from the copy, and the

@@ -103,6 +103,13 @@ impl IncrementalGoGraph {
         )
     }
 
+    /// Multiset digest of the order's keys
+    /// ([`InsertionOrder::digest`]): two maintainers whose future
+    /// decisions coincide digest equally. `O(1)`.
+    pub fn order_digest(&self) -> u64 {
+        self.order.digest()
+    }
+
     /// Rebuilds a maintainer from a graph and a saved order snapshot
     /// (from [`IncrementalGoGraph::order_state`]), resuming maintenance
     /// exactly where the exporting instance left off.

@@ -52,6 +52,30 @@ pub struct InsertOutcome {
     pub total_link_weight: f64,
 }
 
+/// One `(id, bits)` element's term in a commutative multiset digest:
+/// the digest of a set of elements is the wrapping sum of their terms,
+/// so it does not depend on the order they were added in, and changing
+/// one element patches it in `O(1)` (subtract the old term, add the
+/// new). Used for the order's keys here and for converged states in the
+/// streaming engine.
+pub fn digest_term(id: usize, bits: u64) -> u64 {
+    splitmix64(splitmix64(id as u64) ^ bits)
+}
+
+/// The digest of `(id, bits)` for every id of `items`, from scratch.
+pub fn digest_of(items: impl IntoIterator<Item = (usize, u64)>) -> u64 {
+    items
+        .into_iter()
+        .fold(0, |d, (id, bits)| d.wrapping_add(digest_term(id, bits)))
+}
+
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// A growing processing order keyed by float `val`s.
 ///
 /// Vals are kept **globally unique**: a collision would make the final
@@ -68,6 +92,9 @@ pub struct InsertionOrder {
     min_val: f64,
     max_val: f64,
     count: usize,
+    /// [`digest_term`] summed over every inserted `(id, val bits)`, kept
+    /// current by `finish` and `remove`.
+    digest: u64,
     /// Ids whose key was set or cleared since the last
     /// [`InsertionOrder::commit_items`], each once (`is_rekeyed` is the
     /// set view), and the sorted items as of that call.
@@ -86,6 +113,7 @@ impl InsertionOrder {
             min_val: 0.0,
             max_val: 0.0,
             count: 0,
+            digest: 0,
             rekeyed: Vec::new(),
             is_rekeyed: vec![false; n],
             committed: Vec::new(),
@@ -249,6 +277,7 @@ impl InsertionOrder {
         self.vals[id] = val;
         self.inserted[id] = true;
         self.used_vals.insert(val.to_bits());
+        self.digest = self.digest.wrapping_add(digest_term(id, val.to_bits()));
         if self.count == 0 {
             self.min_val = val;
             self.max_val = val;
@@ -285,6 +314,9 @@ impl InsertionOrder {
         assert!(self.inserted[id], "item {id} not inserted");
         self.mark_rekeyed(id);
         self.used_vals.remove(&self.vals[id].to_bits());
+        self.digest = self
+            .digest
+            .wrapping_sub(digest_term(id, self.vals[id].to_bits()));
         self.inserted[id] = false;
         self.vals[id] = f64::NAN;
         self.count -= 1;
@@ -352,6 +384,23 @@ impl InsertionOrder {
             self.is_rekeyed[id] = false;
         }
         &self.committed
+    }
+
+    /// Multiset digest of the inserted `(id, val bits)` pairs (see
+    /// [`digest_term`]) — equal for two orders exactly when their keys
+    /// are, with overwhelming probability. `O(1)`: kept current by every
+    /// insertion and removal, not a walk.
+    pub fn digest(&self) -> u64 {
+        debug_assert_eq!(
+            self.digest,
+            digest_of(
+                (0..self.vals.len())
+                    .filter(|&id| self.inserted[id])
+                    .map(|id| (id, self.vals[id].to_bits()))
+            ),
+            "maintained key digest must equal the walk"
+        );
+        self.digest
     }
 
     /// Smallest val currently assigned.
@@ -562,6 +611,27 @@ mod tests {
         // positions: head = 5 (out to 1); after 0 = 5 + 1 = 6; after 1 = 6 - 5 = 1.
         assert_eq!(r.positive_gain, 6.0);
         assert!(o.val(2) > o.val(0) && o.val(2) < o.val(1));
+    }
+
+    #[test]
+    fn key_digest_follows_the_keys_not_the_history() {
+        let mut a = InsertionOrder::new(4);
+        for (id, val) in [(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0)] {
+            a.seed(id, val);
+        }
+        let mut b = InsertionOrder::new(4);
+        for (id, val) in [(3, 3.0), (1, 1.0), (0, 0.0), (2, 2.0)] {
+            b.seed(id, val);
+        }
+        assert_eq!(a.digest(), b.digest(), "insertion order does not matter");
+        let before = a.digest();
+        a.remove(2);
+        a.seed(2, 2.5);
+        assert_ne!(a.digest(), before, "a re-keyed item changes it");
+        a.remove(2);
+        a.seed(2, 2.0);
+        assert_eq!(a.digest(), before, "and putting the key back restores it");
+        assert_eq!(InsertionOrder::new(3).digest(), 0);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod theory;
 
 pub use gograph::{order_members, GoGraph, ParallelGoGraph, PartitionerChoice};
 pub use incremental::IncrementalGoGraph;
-pub use insertion::{InsertOutcome, InsertionOrder, NeighborLink};
+pub use insertion::{digest_of, digest_term, InsertOutcome, InsertionOrder, NeighborLink};
 pub use metric::{metric, metric_report, MetricReport};
 pub use partitioned::{
     partition_contributions, PartitionContribution, PartitionedOrder, UNPARTITIONED,

@@ -1,7 +1,8 @@
-//! The evolving-graph subsystem: a [`StreamingPipeline`] owns a graph
-//! together with its converged algorithm state and consumes batches of
-//! [`EdgeUpdate`]s, reusing everything a cold [`crate::Pipeline`] run
-//! would recompute from scratch.
+//! The evolving-graph subsystem: a [`StreamingPipeline`] owns a graph,
+//! its processing order and one or more *tracks* — an algorithm with
+//! its converged states — and consumes batches of [`EdgeUpdate`]s,
+//! reusing everything a cold [`crate::Pipeline`] run would recompute
+//! from scratch.
 //!
 //! Per batch it
 //!
@@ -20,13 +21,19 @@
 //!    parallel — GoGraph reorder happens only if the order is still past
 //!    threshold afterwards, i.e. when the partitioning itself has
 //!    degraded;
-//! 4. warm-starts the engine from the previous converged states,
-//!    resetting only the *affected frontier* — vertices whose state
-//!    loses its last certificate to a deleted edge — and seeding
+//! 4. warm-starts every track's engine from its previous converged
+//!    states, resetting only the *affected frontier* — vertices whose
+//!    state loses its last certificate to a deleted edge — and seeding
 //!    re-evaluation there and at the heads of the inserted edges. Every
 //!    engine but the synchronous one starts its first round from exactly
 //!    that set, so a batch's re-converge costs what the batch perturbed,
 //!    not a sweep.
+//!
+//! Steps 1–3 depend on no algorithm, so they run once per batch however
+//! many tracks read their result: a service that keeps CC and SSSP
+//! converged over one graph maintains one order and splices one CSR, and
+//! both tracks re-converge over that graph and order. A one-algorithm
+//! pipeline is the one-track case of the same code.
 //!
 //! # When is warm-starting sound?
 //!
@@ -36,7 +43,7 @@
 //! vertices whose value loses its *support*: no surviving in-edge from a
 //! vertex that precedes it — strictly closer to the root, or equally
 //! close and fewer equal-state hops from a vertex that is — still offers
-//! exactly its value. Those hop counts are the pipeline's per-vertex
+//! exactly its value. Those hop counts are the track's per-vertex
 //! **dependence levels**: derived from the graph and the states (so
 //! never exported or checkpointed — a resumed pipeline rebuilds the same
 //! ones), rebuilt in one pass after a cold run and repaired around the
@@ -47,8 +54,8 @@
 //! to the exact new fixpoint from the warm states. A batch still runs
 //! cold when the trimming walk outgrows one sweep's worth of edge visits
 //! (the cut really did strand a region: the only edge out of a
-//! component's root, say) — [`StreamingPipeline::cold_batches`] counts
-//! them. For **sum-norm** algorithms (PageRank,
+//! component's root, say) — [`Track::cold_batches`] counts them. For
+//! **sum-norm** algorithms (PageRank,
 //! Katz, PHP, Adsorption — a value aggregates *all* paths and degree
 //! normalizations) any edge change can move any vertex's fixpoint in
 //! either direction, which the monotone-from-init formulation cannot
@@ -59,26 +66,64 @@
 //! deltas, sum-style ones restart.
 
 use crate::algorithm::{ConvergenceNorm, IterativeAlgorithm};
+use crate::convergence::RunStats;
 use crate::delta::DeltaAlgorithm;
 use crate::error::EngineError;
-use crate::pipeline::{PipelineResult, StageTimings};
+use crate::pipeline::StageTimings;
 use crate::runner::{Mode, RunConfig};
 use crate::strategy::{check_family, execute, AlgorithmRef, WarmStart};
 use crate::support::Support;
 use gograph_core::{
-    order_members, partition_contributions, GoGraph, IncrementalGoGraph, PartitionContribution,
-    PartitionedOrder, UNPARTITIONED,
+    digest_of, digest_term, order_members, partition_contributions, GoGraph, IncrementalGoGraph,
+    PartitionContribution, PartitionedOrder, UNPARTITIONED,
 };
 use gograph_graph::{CsrGraph, EdgeUpdate, Frontier, Permutation, VertexId};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Builder for a [`StreamingPipeline`]; see [`StreamingPipeline::over`].
 pub struct StreamingPipelineBuilder {
     graph: CsrGraph,
+    /// Never empty: the mode, algorithm and run-configuration calls
+    /// configure the last one.
+    tracks: Vec<TrackSpec>,
+    policy: OrderPolicy,
+}
+
+/// What one track runs, as the builder collected it.
+struct TrackSpec {
     mode: Mode,
     gather: Option<Box<dyn IterativeAlgorithm>>,
     delta: Option<Box<dyn DeltaAlgorithm>>,
     cfg: RunConfig,
+}
+
+impl Default for TrackSpec {
+    fn default() -> TrackSpec {
+        TrackSpec {
+            mode: Mode::Async,
+            gather: None,
+            delta: None,
+            cfg: RunConfig::default(),
+        }
+    }
+}
+
+impl TrackSpec {
+    /// The algorithm of the family the mode consumes.
+    fn algorithm(&self) -> AlgorithmRef<'_> {
+        match self.mode {
+            Mode::Delta(_) => {
+                AlgorithmRef::Delta(self.delta.as_deref().expect("validated by build()"))
+            }
+            _ => AlgorithmRef::Gather(self.gather.as_deref().expect("validated by build()")),
+        }
+    }
+}
+
+/// How the shared order is kept fresh: the builder's drift knobs.
+#[derive(Debug, Clone, Copy)]
+struct OrderPolicy {
     drift_threshold: f64,
     quality_floor: f64,
     reorder_threads: usize,
@@ -86,38 +131,53 @@ pub struct StreamingPipelineBuilder {
 }
 
 impl StreamingPipelineBuilder {
+    fn current(&mut self) -> &mut TrackSpec {
+        self.tracks
+            .last_mut()
+            .expect("a builder always holds a track")
+    }
+
     /// Selects the execution mode (default: [`Mode::Async`]).
     pub fn mode(mut self, mode: Mode) -> Self {
-        self.mode = mode;
+        self.current().mode = mode;
         self
     }
 
     /// Supplies the gather algorithm (for every mode but `Delta`).
     ///
-    /// Custom algorithms: see
-    /// [`StreamingPipeline::warm_start_is_sound`] for the contract a
-    /// max-norm algorithm must meet to be streamed warm (its gather
-    /// must not read the neighbor-out-degree argument).
+    /// Custom algorithms: see [`Track::warm_start_is_sound`] for the
+    /// contract a max-norm algorithm must meet to be streamed warm (its
+    /// gather must not read the neighbor-out-degree argument).
     pub fn algorithm(mut self, alg: impl IterativeAlgorithm + 'static) -> Self {
-        self.gather = Some(Box::new(alg));
+        self.current().gather = Some(Box::new(alg));
         self
     }
 
     /// Supplies the delta algorithm (for [`Mode::Delta`]).
     pub fn delta_algorithm(mut self, alg: impl DeltaAlgorithm + 'static) -> Self {
-        self.delta = Some(Box::new(alg));
+        self.current().delta = Some(Box::new(alg));
         self
     }
 
     /// Replaces the run configuration shared by every batch execution.
     pub fn config(mut self, cfg: RunConfig) -> Self {
-        self.cfg = cfg;
+        self.current().cfg = cfg;
         self
     }
 
     /// Safety cap on rounds per batch execution (default 10 000).
     pub fn max_rounds(mut self, n: usize) -> Self {
-        self.cfg.max_rounds = n;
+        self.current().cfg.max_rounds = n;
+        self
+    }
+
+    /// Starts another track over the same graph and order: the mode,
+    /// algorithm and run-configuration calls after this one configure
+    /// it, the ones before configured the previous track. Every batch
+    /// maintains the order and patches the graph once, then re-converges
+    /// each track in the order they were added.
+    pub fn track(mut self) -> Self {
+        self.tracks.push(TrackSpec::default());
         self
     }
 
@@ -127,7 +187,7 @@ impl StreamingPipelineBuilder {
     /// triggered (default 0.05). `0.0` re-reorders on any regression;
     /// `1.0` effectively never re-reorders.
     pub fn drift_threshold(mut self, threshold: f64) -> Self {
-        self.drift_threshold = threshold;
+        self.policy.drift_threshold = threshold;
         self
     }
 
@@ -139,7 +199,7 @@ impl StreamingPipelineBuilder {
     /// tolerate more drift before paying full reorders, raise it to
     /// re-reorder more eagerly; must lie in `[0, 1]`.
     pub fn quality_floor(mut self, floor: f64) -> Self {
-        self.quality_floor = floor;
+        self.policy.quality_floor = floor;
         self
     }
 
@@ -149,7 +209,7 @@ impl StreamingPipelineBuilder {
     /// construction is bit-identical to sequential, so this is purely a
     /// latency knob (default 1).
     pub fn reorder_parallelism(mut self, n: usize) -> Self {
-        self.reorder_threads = n.max(1);
+        self.policy.reorder_threads = n.max(1);
         self
     }
 
@@ -164,269 +224,255 @@ impl StreamingPipelineBuilder {
     /// full reorder — the pre-PartitionedOrder behaviour, kept for
     /// comparison benchmarks.
     pub fn partition_scoped_reorder(mut self, yes: bool) -> Self {
-        self.partition_scoped = yes;
+        self.policy.partition_scoped = yes;
         self
     }
 
     /// Bootstraps the pipeline: one full GoGraph reorder of the seed
-    /// graph and one cold engine run to the fixpoint. Fails like
-    /// [`crate::Pipeline::execute`] on a missing or wrong-family
+    /// graph and one cold engine run per track to its fixpoint. Fails
+    /// like [`crate::Pipeline::execute`] on a missing or wrong-family
     /// algorithm, and on a non-finite or negative drift threshold.
     pub fn build(self) -> Result<StreamingPipeline, EngineError> {
+        self.validate()?;
         let StreamingPipelineBuilder {
             graph,
-            mode,
-            gather,
-            delta,
-            cfg,
-            drift_threshold,
-            quality_floor,
-            reorder_threads,
-            partition_scoped,
+            tracks,
+            policy,
         } = self;
-        validate_streaming_params(mode, &gather, &delta, drift_threshold, quality_floor)?;
 
         // Bootstrap reorder: one full (optionally parallel) GoGraph run,
         // loaded into the incremental maintainer together with its
         // partition structure — the per-partition drift baseline.
-        let t = Instant::now();
         let po = GoGraph::default()
-            .parallelism(reorder_threads)
+            .parallelism(policy.reorder_threads)
             .run_partitioned(&graph);
         let mut inc = IncrementalGoGraph::from_graph_with_order(&graph, po.order());
-        let order = inc.commit_order();
-        let baseline_fraction = inc.positive_fraction();
-        let reorder_time = t.elapsed();
-
-        let mut pipeline = StreamingPipeline {
+        let order = Arc::new(inc.commit_order());
+        let mut shared = Shared {
+            policy,
+            baselines: Baselines::default(),
+            counters: Counters {
+                full_reorders: 1, // the bootstrap run
+                ..Counters::default()
+            },
             inc,
             graph,
             order,
-            mode,
-            gather,
-            delta,
-            cfg,
-            drift_threshold,
-            quality_floor,
-            reorder_threads,
-            partition_scoped,
-            baseline_fraction,
-            part_of: Vec::new(),
-            part_members: Vec::new(),
-            baseline_intra: Vec::new(),
-            baseline_density: 0.0,
-            states: Vec::new(),
-            levels: Vec::new(),
-            last: None,
-            total_rounds: 0,
-            batches_applied: 0,
-            cold_batches: 0,
-            full_reorders: 1, // the bootstrap run
-            partition_reorders: 0,
-            partition_repair_attempts: 0,
         };
-        pipeline.adopt_partitioning(&po);
+        shared.adopt_partitioning(&po);
 
-        // Bootstrap execution: a cold run to the initial fixpoint.
-        let t = Instant::now();
-        let stats = pipeline.run_engine(None)?;
-        pipeline.update_levels(&stats.final_states, None);
-        let execute_time = t.elapsed();
-        pipeline.absorb(stats, reorder_time, execute_time);
-        Ok(pipeline)
+        // Bootstrap execution: a cold run per track to its fixpoint.
+        let tracks = tracks
+            .into_iter()
+            .map(|spec| {
+                let mut track = Track::new(spec);
+                let stats = track.run(&shared, None)?;
+                track.absorb(&shared.graph, stats, None);
+                Ok(track)
+            })
+            .collect::<Result<Vec<Track>, EngineError>>()?;
+        Ok(StreamingPipeline { shared, tracks })
     }
 
-    /// Reconstructs a pipeline from a previously
+    /// Reconstructs a one-track pipeline from a previously
     /// [exported](StreamingPipeline::export_state) state instead of
-    /// bootstrapping: no reorder, no cold run — the graph, maintained
-    /// order, drift baselines and converged states are adopted as-is and
-    /// the incremental order maintainer is rebuilt from the saved
-    /// insertion-order keys ([`ResumableState::order_vals`]), restoring
-    /// its exact decision state.
+    /// bootstrapping — [`resume_tracks`](Self::resume_tracks) with one
+    /// state.
+    pub fn resume(self, state: ResumableState) -> Result<StreamingPipeline, EngineError> {
+        self.resume_tracks(vec![state])
+    }
+
+    /// Reconstructs a pipeline from one exported state per configured
+    /// track ([`StreamingPipeline::export_track`], in track order)
+    /// instead of bootstrapping: no reorder, no cold run — the graph,
+    /// maintained order, drift baselines and converged states are
+    /// adopted as-is and the incremental order maintainer is rebuilt
+    /// from the saved insertion-order keys
+    /// ([`ResumableState::order_vals`]), restoring its exact decision
+    /// state.
     ///
-    /// Given the same builder configuration (mode, algorithm, run
-    /// config, thresholds) as the exporting pipeline, the resumed
+    /// Given the same builder configuration (modes, algorithms, run
+    /// configs, thresholds) as the exporting pipeline, the resumed
     /// pipeline is **bit-identical going forward**: applying the same
     /// batch sequence to both produces coinciding graphs, orders and
     /// states. This is the foundation of crash recovery — a checkpoint
-    /// is an exported state, and WAL replay is `apply_batch` on the
+    /// is the exported states, and WAL replay is `apply_batch` on the
     /// resumed pipeline. The graph passed to [`StreamingPipeline::over`]
-    /// is ignored; `state.graph` is authoritative.
-    pub fn resume(self, state: ResumableState) -> Result<StreamingPipeline, EngineError> {
-        let StreamingPipelineBuilder {
-            graph: _,
-            mode,
-            gather,
-            delta,
-            cfg,
+    /// is ignored; the states' graph is authoritative. Every state must
+    /// carry the same graph, order keys, partition structure, baselines
+    /// and pipeline counters (exports of one pipeline always do), one
+    /// state per track.
+    pub fn resume_tracks(
+        self,
+        states: Vec<ResumableState>,
+    ) -> Result<StreamingPipeline, EngineError> {
+        self.validate()?;
+        let StreamingPipelineBuilder { tracks, policy, .. } = self;
+        if let Some((name, message)) = resume_problem(&states, tracks.len()) {
+            return Err(EngineError::InvalidParameter { name, message });
+        }
+        let mut split = states.into_iter().map(SharedImage::split);
+        let (shared, first) = split.next().expect("one state per track");
+        let shared = Shared::resume(policy, shared);
+        let images = std::iter::once(first).chain(split.map(|(_, image)| image));
+        let tracks = tracks
+            .into_iter()
+            .zip(images)
+            .map(|(spec, image)| {
+                let mut track = Track::new(spec);
+                track.adopt(&shared.graph, image);
+                track
+            })
+            .collect();
+        Ok(StreamingPipeline { shared, tracks })
+    }
+
+    /// The checks `build` and `resume_tracks` share: the drift knobs'
+    /// ranges and every track's algorithm family against its mode.
+    fn validate(&self) -> Result<(), EngineError> {
+        let OrderPolicy {
             drift_threshold,
             quality_floor,
-            reorder_threads,
-            partition_scoped,
-        } = self;
-        validate_streaming_params(mode, &gather, &delta, drift_threshold, quality_floor)?;
-        let ResumableState {
-            graph,
-            order_vals,
-            order_min_val,
-            order_max_val,
-            part_of,
-            part_members,
-            baseline_intra,
-            baseline_fraction,
-            baseline_density,
-            states,
-            total_rounds,
-            batches_applied,
-            full_reorders,
-            partition_reorders,
-            partition_repair_attempts,
-        } = state;
-        let n = graph.num_vertices();
-        let shape_err =
-            |name: &'static str, message: String| EngineError::InvalidParameter { name, message };
-        if order_vals.len() != n {
-            return Err(shape_err(
-                "order_vals",
-                format!("order val count {} != vertex count {n}", order_vals.len()),
-            ));
+            ..
+        } = self.policy;
+        if !(drift_threshold >= 0.0 && drift_threshold.is_finite()) {
+            return Err(EngineError::InvalidParameter {
+                name: "drift_threshold",
+                message: format!("must be finite and >= 0, got {drift_threshold}"),
+            });
         }
-        if order_vals.iter().any(|v| v.is_nan())
-            || order_vals
+        if !(0.0..=1.0).contains(&quality_floor) {
+            return Err(EngineError::InvalidParameter {
+                name: "quality_floor",
+                message: format!("must be a fraction in [0, 1], got {quality_floor}"),
+            });
+        }
+        (self.tracks.iter())
+            .try_for_each(|t| check_family(t.mode, t.gather.is_some(), t.delta.is_some()))
+    }
+}
+
+/// What is wrong with resuming `tracks` tracks from `states`, if
+/// anything: one state per track; the first state's
+/// algorithm-independent part indexes only what it describes (a value
+/// past it would panic a later drift repair); and every state carries a
+/// state per vertex and that same graph, order keys, partition
+/// structure, baselines and counters.
+fn resume_problem(states: &[ResumableState], tracks: usize) -> Option<(&'static str, String)> {
+    if states.len() != tracks {
+        return Some((
+            "states",
+            format!("{} states for {tracks} tracks", states.len()),
+        ));
+    }
+    let s = &states[0];
+    let n = s.graph.num_vertices();
+    let parts = s.part_members.len();
+    let past_parts = s
+        .part_of
+        .iter()
+        .position(|&p| p != UNPARTITIONED && p as usize >= parts);
+    let mut listed = vec![false; n];
+    let bad_member = s.part_members.iter().flatten().find(|&&v| {
+        listed
+            .get_mut(v as usize)
+            .is_none_or(|seen| std::mem::replace(seen, true))
+    });
+    if s.order_vals.len() != n {
+        let count = s.order_vals.len();
+        Some((
+            "order_vals",
+            format!("order val count {count} != vertex count {n}"),
+        ))
+    } else if s
+        .order_vals
+        .iter()
+        .any(|&v| !(s.order_min_val <= v && v <= s.order_max_val))
+    {
+        let message = "order vals must be non-NaN and covered by the saved bounds";
+        Some(("order_vals", message.to_string()))
+    } else if !s.part_of.is_empty() && s.part_of.len() != n {
+        let len = s.part_of.len();
+        Some((
+            "part_of",
+            format!("partition assignment length {len} != vertex count {n}"),
+        ))
+    } else if let Some(v) = past_parts {
+        let p = s.part_of[v];
+        Some((
+            "part_of",
+            format!("vertex {v} assigned to partition {p} of {parts}"),
+        ))
+    } else if parts != s.baseline_intra.len() {
+        let intra = s.baseline_intra.len();
+        Some((
+            "part_members",
+            format!("{parts} partitions but {intra} intra baselines"),
+        ))
+    } else if let Some(v) = bad_member {
+        Some((
+            "part_members",
+            format!("member {v} out of range or listed twice"),
+        ))
+    } else if !(0.0..=1.0).contains(&s.baseline_fraction) {
+        let fraction = s.baseline_fraction;
+        Some((
+            "baseline_fraction",
+            format!("must be a fraction in [0, 1], got {fraction}"),
+        ))
+    } else {
+        let keys = |t: &ResumableState| {
+            let bounds = [t.order_min_val, t.order_max_val];
+            bounds
                 .iter()
-                .any(|&v| !(order_min_val <= v && v <= order_max_val))
-        {
-            return Err(shape_err(
-                "order_vals",
-                "order vals must be non-NaN and covered by the saved bounds".to_string(),
-            ));
-        }
-        if states.len() != n {
-            return Err(shape_err(
-                "states",
-                format!("state length {} != vertex count {n}", states.len()),
-            ));
-        }
-        if !part_of.is_empty() && part_of.len() != n {
-            return Err(shape_err(
-                "part_of",
-                format!(
-                    "partition assignment length {} != vertex count {n}",
-                    part_of.len()
-                ),
-            ));
-        }
-        if part_members.len() != baseline_intra.len() {
-            return Err(shape_err(
-                "part_members",
-                format!(
-                    "{} partitions but {} intra baselines",
-                    part_members.len(),
-                    baseline_intra.len()
-                ),
-            ));
-        }
-        if !(0.0..=1.0).contains(&baseline_fraction) {
-            return Err(shape_err(
-                "baseline_fraction",
-                format!("must be a fraction in [0, 1], got {baseline_fraction}"),
-            ));
-        }
-
-        let mut inc = IncrementalGoGraph::from_graph_with_saved_order(
-            &graph,
-            &order_vals,
-            order_min_val,
-            order_max_val,
-        );
-        let order = inc.commit_order();
-        let mut pipeline = StreamingPipeline {
-            inc,
-            graph,
-            order,
-            mode,
-            gather,
-            delta,
-            cfg,
-            drift_threshold,
-            quality_floor,
-            reorder_threads,
-            partition_scoped,
-            baseline_fraction,
-            part_of,
-            part_members,
-            baseline_intra,
-            baseline_density,
-            states,
-            levels: Vec::new(),
-            last: None,
-            total_rounds,
-            batches_applied,
-            cold_batches: 0,
-            full_reorders,
-            partition_reorders,
-            partition_repair_attempts,
+                .chain(&t.order_vals)
+                .map(|x| x.to_bits())
+                .collect::<Vec<u64>>()
         };
-        // Levels are derived from the graph and the states, so a resumed
-        // pipeline trims exactly like the one that exported them.
-        if pipeline.warm_start_is_sound() {
-            pipeline.levels = pipeline.support().build_levels(&pipeline.states);
-        }
-        // A synthetic last-result so `last_result()` is well-defined
-        // before the first post-resume batch: the adopted fixpoint.
-        let stats = crate::convergence::RunStats {
-            rounds: 0,
-            runtime: Duration::ZERO,
-            converged: true,
-            final_states: pipeline.states.clone(),
-            trace: Vec::new(),
-            state_memory_bytes: 0,
-            evaluations: None,
-            push_rounds: 0,
+        let scalars = |t: &ResumableState| {
+            [
+                t.baseline_fraction.to_bits(),
+                t.baseline_density.to_bits(),
+                t.batches_applied as u64,
+                t.full_reorders as u64,
+                t.partition_reorders as u64,
+                t.partition_repair_attempts as u64,
+            ]
         };
-        pipeline.last = Some(PipelineResult {
-            order: pipeline.order.clone(),
-            relabeled: None,
-            stats,
-            timings: StageTimings {
-                reorder: Duration::ZERO,
-                relabel: Duration::ZERO,
-                execute: Duration::ZERO,
-            },
-        });
-        Ok(pipeline)
+        states.iter().enumerate().find_map(|(i, t)| {
+            let differs = |what| Some((what, format!("track {i} disagrees with track 0")));
+            if t.states.len() != n {
+                let len = t.states.len();
+                Some((
+                    "states",
+                    format!("track {i}: state length {len} != vertex count {n}"),
+                ))
+            } else if i == 0 {
+                None
+            } else if t.graph != s.graph {
+                differs("graph")
+            } else if keys(t) != keys(s) {
+                differs("order_vals")
+            } else if t.part_of != s.part_of
+                || t.part_members != s.part_members
+                || t.baseline_intra != s.baseline_intra
+                || scalars(t) != scalars(s)
+            {
+                differs("baselines")
+            } else {
+                None
+            }
+        })
     }
 }
 
-/// Shared parameter validation for [`StreamingPipelineBuilder::build`]
-/// and [`StreamingPipelineBuilder::resume`].
-fn validate_streaming_params(
-    mode: Mode,
-    gather: &Option<Box<dyn IterativeAlgorithm>>,
-    delta: &Option<Box<dyn DeltaAlgorithm>>,
-    drift_threshold: f64,
-    quality_floor: f64,
-) -> Result<(), EngineError> {
-    if !(drift_threshold >= 0.0 && drift_threshold.is_finite()) {
-        return Err(EngineError::InvalidParameter {
-            name: "drift_threshold",
-            message: format!("must be finite and >= 0, got {drift_threshold}"),
-        });
-    }
-    if !(0.0..=1.0).contains(&quality_floor) {
-        return Err(EngineError::InvalidParameter {
-            name: "quality_floor",
-            message: format!("must be a fraction in [0, 1], got {quality_floor}"),
-        });
-    }
-    check_family(mode, gather.is_some(), delta.is_some())
-}
-
-/// A value-complete snapshot of a [`StreamingPipeline`]'s evolving
-/// state — everything `apply_batch` reads that is not builder
-/// configuration. Exported by [`StreamingPipeline::export_state`] and
-/// consumed by [`StreamingPipelineBuilder::resume`]; the serve crate's
-/// checkpoint format is a serialization of this.
+/// A value-complete snapshot of one track of a [`StreamingPipeline`]
+/// together with the pipeline's algorithm-independent state — everything
+/// `apply_batch` reads for that track that is not builder
+/// configuration. Exported by [`StreamingPipeline::export_track`] and
+/// consumed by [`StreamingPipelineBuilder::resume_tracks`]; the serve
+/// crate's checkpoint format is a serialization of one per warm
+/// algorithm.
 #[derive(Debug, Clone)]
 pub struct ResumableState {
     /// The evolved graph.
@@ -452,9 +498,9 @@ pub struct ResumableState {
     pub baseline_fraction: f64,
     /// Edges-per-vertex at the last full reorder or re-baseline.
     pub baseline_density: f64,
-    /// The converged per-vertex states.
+    /// The track's converged per-vertex states.
     pub states: Vec<f64>,
-    /// Engine rounds across the bootstrap and every batch.
+    /// The track's engine rounds across the bootstrap and every batch.
     pub total_rounds: usize,
     /// Batches applied so far.
     pub batches_applied: usize,
@@ -466,14 +512,69 @@ pub struct ResumableState {
     pub partition_repair_attempts: usize,
 }
 
-/// A pipeline over an **evolving** graph: converged state, the
-/// incrementally maintained processing order and the CSR all persist
-/// across [`StreamingPipeline::apply_batch`] calls, so each batch costs
-/// rounds proportional to how far the updates actually perturbed the
-/// fixpoint — not a cold recompute.
+/// What one engine run of one track did: the bootstrap, a batch's
+/// re-converge, or — after a resume — the adopted fixpoint (0 rounds,
+/// converged).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RunSummary {
+    /// Rounds executed.
+    pub rounds: usize,
+    /// Rounds executed in the push direction.
+    pub push_rounds: usize,
+    /// Vertex evaluations, for engines that count them.
+    pub evaluations: Option<usize>,
+    /// Whether the run reached its fixpoint within the round cap.
+    pub converged: bool,
+    /// The engine's iteration time.
+    pub runtime: Duration,
+}
+
+impl RunSummary {
+    fn of(stats: &RunStats) -> RunSummary {
+        RunSummary {
+            rounds: stats.rounds,
+            push_rounds: stats.push_rounds,
+            evaluations: stats.evaluations,
+            converged: stats.converged,
+            runtime: stats.runtime,
+        }
+    }
+
+    /// Several runs as one: counts and times summed, evaluations only
+    /// when every run counted them, converged when every run did.
+    fn total(runs: impl Iterator<Item = RunSummary> + Clone) -> RunSummary {
+        RunSummary {
+            rounds: runs.clone().map(|r| r.rounds).sum(),
+            push_rounds: runs.clone().map(|r| r.push_rounds).sum(),
+            evaluations: runs.clone().map(|r| r.evaluations).sum(),
+            converged: runs.clone().all(|r| r.converged),
+            runtime: runs.map(|r| r.runtime).sum(),
+        }
+    }
+}
+
+/// What one batch did.
+#[derive(Debug, Clone)]
+pub struct BatchResult {
+    /// Every track's run taken together (each alone is its
+    /// [`Track::last_run`]): rounds and evaluations summed, converged
+    /// when every track converged. For a one-track pipeline, that
+    /// track's run.
+    pub stats: RunSummary,
+    /// `reorder` is the order maintenance and CSR patch, `execute`
+    /// every track's re-converge.
+    pub timings: StageTimings,
+}
+
+/// A pipeline over an **evolving** graph: the CSR, the incrementally
+/// maintained processing order and each track's converged states all
+/// persist across [`StreamingPipeline::apply_batch`] calls, so each
+/// batch costs order upkeep once plus, per track, rounds proportional
+/// to how far the updates actually perturbed its fixpoint — not a cold
+/// recompute.
 ///
 /// ```
-/// use gograph_engine::{Mode, Sssp, StreamingPipeline};
+/// use gograph_engine::{ConnectedComponents, Mode, Sssp, StreamingPipeline};
 /// use gograph_graph::generators::regular::chain;
 /// use gograph_graph::EdgeUpdate;
 ///
@@ -481,246 +582,344 @@ pub struct ResumableState {
 /// let mut sp = StreamingPipeline::over(&g)
 ///     .mode(Mode::Async)
 ///     .algorithm(Sssp::new(0))
+///     .track()
+///     .algorithm(ConnectedComponents)
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(sp.states()[49], 49.0);
 ///
-/// // A shortcut edge arrives: the warm-started re-run only has to
-/// // propagate the improvement.
+/// // A shortcut edge arrives: the order and the CSR are updated once,
+/// // and each warm-started track only has to propagate the change.
 /// let r = sp.apply_batch(&[EdgeUpdate::insert(0, 48)]).unwrap();
 /// assert!(r.stats.converged);
 /// assert_eq!(sp.states()[49], 2.0);
+/// assert_eq!(sp.tracks()[1].states()[49], 0.0);
 /// ```
 pub struct StreamingPipeline {
+    shared: Shared,
+    tracks: Vec<Track>,
+}
+
+/// The algorithm-independent part of a pipeline: graph, maintained
+/// order, partition structure and drift baselines.
+struct Shared {
+    policy: OrderPolicy,
     inc: IncrementalGoGraph,
     graph: CsrGraph,
-    order: Permutation,
-    mode: Mode,
-    gather: Option<Box<dyn IterativeAlgorithm>>,
-    delta: Option<Box<dyn DeltaAlgorithm>>,
-    cfg: RunConfig,
-    drift_threshold: f64,
-    quality_floor: f64,
-    reorder_threads: usize,
-    partition_scoped: bool,
-    baseline_fraction: f64,
+    /// The order handed to every engine run and to epoch publishers;
+    /// replaced, never written in place, so a published copy stays put.
+    order: Arc<Permutation>,
+    baselines: Baselines,
+    counters: Counters,
+}
+
+/// The partition structure and drift baselines of the last full reorder
+/// (or re-baseline). `Arc`-shared: a full reorder replaces them, and
+/// only a batch that grows the vertex set copies `part_of` to extend it.
+#[derive(Debug, Clone, Default)]
+struct Baselines {
     /// Vertex → partition of the last full reorder; vertices that joined
     /// since are [`UNPARTITIONED`] until the next full reorder.
-    part_of: Vec<u32>,
+    part_of: Arc<Vec<u32>>,
     /// Members of each partition, as of the last full reorder.
-    part_members: Vec<Vec<VertexId>>,
+    part_members: Arc<Vec<Vec<VertexId>>>,
     /// Per-partition intra positive fraction right after the last full
     /// reorder — what per-partition drift is measured against.
-    baseline_intra: Vec<PartitionContribution>,
+    baseline_intra: Arc<Vec<PartitionContribution>>,
+    baseline_fraction: f64,
     /// Edges-per-vertex at the last full reorder (or re-baseline): the
     /// evidence check for the densification re-baseline rule.
     baseline_density: f64,
-    states: Vec<f64>,
-    /// Per-vertex dependence level of `states` (see
-    /// `StreamingPipeline::affected_by_deletions`): derived from the
-    /// graph and the states, so never exported. Empty for algorithms
-    /// that restart on every batch.
-    levels: Vec<u32>,
-    last: Option<PipelineResult>,
-    total_rounds: usize,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Counters {
     batches_applied: usize,
-    cold_batches: usize,
     full_reorders: usize,
     partition_reorders: usize,
     partition_repair_attempts: usize,
 }
 
+/// One algorithm kept converged over a [`StreamingPipeline`]'s graph and
+/// order: its mode, states, dependence levels and run counters.
+pub struct Track {
+    spec: TrackSpec,
+    /// Replaced by each run's result, never written in place (a batch
+    /// that grows the vertex set extends a private copy), so a
+    /// published `Arc` stays the states it was published with.
+    states: Arc<Vec<f64>>,
+    /// [`digest_term`] summed over `(vertex, state bits)`.
+    digest: u64,
+    /// Per-vertex dependence level of `states` (see
+    /// `Support::affected_by_deletions`): derived from the graph and the
+    /// states, so never exported. Empty for algorithms that restart on
+    /// every batch.
+    levels: Vec<u32>,
+    last: RunSummary,
+    total_rounds: usize,
+    cold_batches: usize,
+}
+
+/// Everything [`StreamingPipeline::restore`] needs to undo the batches
+/// applied since [`StreamingPipeline::savepoint`] — even one that
+/// stopped between two tracks. The graph, the partition structure and
+/// every track's states are `Arc`-shared with the pipeline, which
+/// replaces rather than writes them, so a savepoint costs one copy of
+/// the order's keys and nothing proportional to the tracks.
+pub struct Savepoint {
+    shared: SharedImage,
+    tracks: Vec<TrackImage>,
+}
+
+/// The algorithm-independent part as saved: what a resume or a restore
+/// rebuilds [`Shared`] from.
+struct SharedImage {
+    graph: CsrGraph,
+    order_vals: Vec<f64>,
+    order_min_val: f64,
+    order_max_val: f64,
+    baselines: Baselines,
+    counters: Counters,
+}
+
+impl SharedImage {
+    /// An exported track, split into the pipeline's part and its own.
+    fn split(s: ResumableState) -> (SharedImage, TrackImage) {
+        let shared = SharedImage {
+            graph: s.graph,
+            order_vals: s.order_vals,
+            order_min_val: s.order_min_val,
+            order_max_val: s.order_max_val,
+            baselines: Baselines {
+                part_of: Arc::new(s.part_of),
+                part_members: Arc::new(s.part_members),
+                baseline_intra: Arc::new(s.baseline_intra),
+                baseline_fraction: s.baseline_fraction,
+                baseline_density: s.baseline_density,
+            },
+            counters: Counters {
+                batches_applied: s.batches_applied,
+                full_reorders: s.full_reorders,
+                partition_reorders: s.partition_reorders,
+                partition_repair_attempts: s.partition_repair_attempts,
+            },
+        };
+        (shared, TrackImage::resumed(s.states, s.total_rounds))
+    }
+
+    /// What [`SharedImage::split`] takes apart: `track`'s export.
+    fn join(self, track: &Track) -> ResumableState {
+        let (b, c) = (self.baselines, self.counters);
+        ResumableState {
+            graph: self.graph,
+            order_vals: self.order_vals,
+            order_min_val: self.order_min_val,
+            order_max_val: self.order_max_val,
+            part_of: b.part_of.to_vec(),
+            part_members: b.part_members.to_vec(),
+            baseline_intra: b.baseline_intra.to_vec(),
+            baseline_fraction: b.baseline_fraction,
+            baseline_density: b.baseline_density,
+            states: track.states.to_vec(),
+            total_rounds: track.total_rounds,
+            batches_applied: c.batches_applied,
+            full_reorders: c.full_reorders,
+            partition_reorders: c.partition_reorders,
+            partition_repair_attempts: c.partition_repair_attempts,
+        }
+    }
+}
+
+/// A track's evolving state, minus what is derived from it.
+struct TrackImage {
+    states: Arc<Vec<f64>>,
+    digest: u64,
+    last: RunSummary,
+    total_rounds: usize,
+    cold_batches: usize,
+}
+
+impl TrackImage {
+    /// A resumed track: the adopted states are a fixpoint as far as
+    /// anyone can tell, reached in no rounds.
+    fn resumed(states: Vec<f64>, total_rounds: usize) -> TrackImage {
+        TrackImage {
+            digest: state_digest(&states),
+            states: Arc::new(states),
+            last: RunSummary {
+                converged: true,
+                ..RunSummary::default()
+            },
+            total_rounds,
+            cold_batches: 0,
+        }
+    }
+}
+
+/// [`digest_term`] summed over `(vertex, state bits)`.
+fn state_digest(states: &[f64]) -> u64 {
+    digest_of(states.iter().enumerate().map(|(v, s)| (v, s.to_bits())))
+}
+
 impl StreamingPipeline {
     /// Starts building a streaming pipeline seeded from `graph` (which
-    /// is copied: the pipeline owns and evolves its graph).
+    /// is copied: the pipeline owns and evolves its graph), with one
+    /// track; [`StreamingPipelineBuilder::track`] adds more.
     pub fn over(graph: &CsrGraph) -> StreamingPipelineBuilder {
         StreamingPipelineBuilder {
             graph: graph.clone(),
-            mode: Mode::Async,
-            gather: None,
-            delta: None,
-            cfg: RunConfig::default(),
-            drift_threshold: 0.05,
-            quality_floor: Self::DEFAULT_QUALITY_FLOOR,
-            reorder_threads: 1,
-            partition_scoped: true,
+            tracks: vec![TrackSpec::default()],
+            policy: OrderPolicy {
+                drift_threshold: 0.05,
+                quality_floor: Self::DEFAULT_QUALITY_FLOOR,
+                reorder_threads: 1,
+                partition_scoped: true,
+            },
         }
     }
 
-    /// Applies one batch of edge updates and re-converges.
+    /// Applies one batch of edge updates and re-converges every track.
     ///
     /// Self-loop updates are skipped (they are neither positive nor
     /// negative under any order, matching [`IncrementalGoGraph`]); a
     /// batch may grow the vertex set by inserting edges whose endpoints
     /// are beyond the current count. An empty batch is a one-round
-    /// confirmation that evaluates nothing.
-    pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> Result<PipelineResult, EngineError> {
-        let t_maintain = Instant::now();
+    /// confirmation that evaluates nothing. On an engine error the
+    /// pipeline is left part-way through the batch:
+    /// [`restore`](Self::restore) a [`Savepoint`] taken before it.
+    pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> Result<BatchResult, EngineError> {
+        self.apply_batch_with(updates, |_| {})
+    }
+
+    /// [`apply_batch`](Self::apply_batch), calling `before_track(i)`
+    /// once the batch is folded into the shared graph and order and
+    /// before track `i` re-converges — where a fault injected between
+    /// two tracks (the service's mid-batch panic) lands.
+    pub fn apply_batch_with(
+        &mut self,
+        updates: &[EdgeUpdate],
+        mut before_track: impl FnMut(usize),
+    ) -> Result<BatchResult, EngineError> {
+        let t = Instant::now();
         let updates: Vec<EdgeUpdate> = updates
             .iter()
             .copied()
             .filter(|u| u.src() != u.dst())
             .collect();
+        let lost_support = self.shared.maintain(&updates);
+        let reorder = t.elapsed();
 
-        // Maintain the order and patch the CSR. A (post-filter) empty
-        // batch changes nothing, so the CSR patch, drift check and
-        // order hand-off are all skipped — only the cheap confirmation
-        // run below remains.
-        let mut lost_support = Vec::new();
-        if !updates.is_empty() {
-            self.inc.apply_updates(&updates);
-            let patched = self.graph.apply_updates(&updates);
-            // Heads of edges the batch took away or re-weighted (a
-            // duplicate insert keeps the smaller weight, which narrows
-            // a widest path): the only vertices whose state can
-            // *directly* lose its justification. The affected set
-            // proper is trimmed below, against the surviving edges.
-            let before = &self.graph;
-            lost_support.extend(updates.iter().filter_map(|u| {
-                let (src, dst) = (u.src(), u.dst());
-                if src as usize >= before.num_vertices() {
-                    return None; // no edge to lose
-                }
-                let had = before.edge_weight(src, dst);
-                (had.is_some() && had != patched.edge_weight(src, dst)).then_some(dst)
-            }));
-            self.graph = patched;
-            debug_assert_eq!(self.inc.num_vertices(), self.graph.num_vertices());
-            // Vertices that joined mid-stream belong to no partition
-            // until the next full reorder re-partitions them.
-            self.part_of
-                .resize(self.graph.num_vertices(), UNPARTITIONED);
-
-            // Drift-triggered repair: partition-scoped re-reordering
-            // first, full (parallel) reorder only if that is not enough.
-            let fraction = self.inc.positive_fraction();
-            if self.baseline_fraction - fraction > self.drift_threshold {
-                self.repair_order();
-            }
-            self.order = self.inc.commit_order();
-        }
-        let maintain_time = t_maintain.elapsed();
-
-        // Warm-start preparation: extend state over new vertices (they
-        // start at `init`, which is level 0), then either carry the
-        // converged states (max-norm / min-style) with the affected
-        // frontier reset, or restart (sum-norm, or trimming gave up).
-        // The frontier reaches every engine but the synchronous one:
-        // the first round pulls exactly this set.
-        let n = self.graph.num_vertices();
-        for v in self.states.len() as VertexId..n as VertexId {
-            self.states.push(self.init_state_of(v));
-        }
-        let affected = if self.warm_start_is_sound() {
-            self.levels.resize(n, 0);
-            self.affected_by_deletions(&lost_support)
-        } else {
-            None
-        };
-        let warm = affected.map(|affected| {
-            let mut states = self.states.clone();
-            let mut frontier = Frontier::new(n);
-            for &v in &affected {
-                states[v as usize] = self.init_state_of(v);
-                frontier.insert(v);
-            }
-            for u in updates.iter().filter(|u| u.is_insert()) {
-                frontier.insert(u.dst());
-            }
-            let warm = WarmStart::from_states(states);
-            // The frontier claims every other vertex sits at its
-            // fixpoint. A round-capped previous run cannot say so: its
-            // states are sound bounds still on their way, and the
-            // engine goes on re-evaluating all of them.
-            if self.last_result().stats.converged {
-                warm.with_frontier_set(frontier)
-            } else {
-                warm
-            }
-        });
-
-        // Re-converge, and bring the levels along: repaired around what
-        // a warm run moved, rebuilt after a cold one.
-        let repair = warm.is_some().then_some(&updates[..]);
         let t = Instant::now();
-        let stats = self.run_engine(warm)?;
-        self.update_levels(&stats.final_states, repair);
-        let execute_time = t.elapsed();
-        self.batches_applied += 1;
-        self.cold_batches += usize::from(repair.is_none());
-        Ok(self.absorb(stats, maintain_time, execute_time))
+        for (i, track) in self.tracks.iter_mut().enumerate() {
+            before_track(i);
+            track.reconverge(&self.shared, &updates, &lost_support)?;
+        }
+        self.shared.counters.batches_applied += 1;
+        Ok(BatchResult {
+            stats: RunSummary::total(self.tracks.iter().map(|t| t.last)),
+            timings: StageTimings {
+                reorder,
+                relabel: Duration::ZERO,
+                execute: t.elapsed(),
+            },
+        })
     }
 
-    /// Snapshots everything `apply_batch` evolves into a
-    /// [`ResumableState`], from which
-    /// [`StreamingPipelineBuilder::resume`] reconstructs a pipeline
-    /// that behaves bit-identically from this point on. The graph
-    /// payload is `Arc`-shared (cheap); orders, baselines and states
-    /// are value copies.
+    /// Snapshots what `apply_batch` evolves for track `i` into a
+    /// [`ResumableState`]; one per track is what
+    /// [`StreamingPipelineBuilder::resume_tracks`] reconstructs a
+    /// pipeline from that behaves bit-identically from this point on.
+    /// The graph payload is `Arc`-shared (cheap); order keys, partition
+    /// structure, baselines and states are value copies.
+    ///
+    /// # Panics
+    /// Panics if there is no track `i`.
+    pub fn export_track(&self, i: usize) -> ResumableState {
+        self.shared.image().join(&self.tracks[i])
+    }
+
+    /// [`export_track`](Self::export_track) of the first track — a
+    /// one-track pipeline's whole state, what
+    /// [`StreamingPipelineBuilder::resume`] takes.
     pub fn export_state(&self) -> ResumableState {
-        let (order_vals, order_min_val, order_max_val) = self.inc.order_state();
-        ResumableState {
-            graph: self.graph.snapshot(),
-            order_vals,
-            order_min_val,
-            order_max_val,
-            part_of: self.part_of.clone(),
-            part_members: self.part_members.clone(),
-            baseline_intra: self.baseline_intra.clone(),
-            baseline_fraction: self.baseline_fraction,
-            baseline_density: self.baseline_density,
-            states: self.states.clone(),
-            total_rounds: self.total_rounds,
-            batches_applied: self.batches_applied,
-            full_reorders: self.full_reorders,
-            partition_reorders: self.partition_reorders,
-            partition_repair_attempts: self.partition_repair_attempts,
+        self.export_track(0)
+    }
+
+    /// The pre-batch image [`restore`](Self::restore) rolls back to;
+    /// see [`Savepoint`] for what it costs.
+    pub fn savepoint(&self) -> Savepoint {
+        Savepoint {
+            shared: self.shared.image(),
+            tracks: self.tracks.iter().map(Track::image).collect(),
+        }
+    }
+
+    /// Puts the pipeline back where it was when `save` was taken —
+    /// whatever happened since, a batch that panicked between two
+    /// tracks included. Going forward it behaves bit-identically to a
+    /// pipeline that never applied those batches: the order maintainer
+    /// is rebuilt from the saved keys and the dependence levels from the
+    /// saved states, exactly as [`StreamingPipelineBuilder::resume`]
+    /// does, at `O(|E|)` per track — a cost paid only on rollback.
+    ///
+    /// # Panics
+    /// Panics if `save` was taken from a pipeline with a different
+    /// number of tracks.
+    pub fn restore(&mut self, save: Savepoint) {
+        assert_eq!(
+            save.tracks.len(),
+            self.tracks.len(),
+            "savepoint of another pipeline"
+        );
+        self.shared = Shared::resume(self.shared.policy, save.shared);
+        for (track, image) in self.tracks.iter_mut().zip(save.tracks) {
+            track.adopt(&self.shared.graph, image);
         }
     }
 
     /// The current graph (after all applied batches).
     pub fn graph(&self) -> &CsrGraph {
-        &self.graph
+        &self.shared.graph
     }
 
     /// The maintained processing order.
     pub fn order(&self) -> &Permutation {
-        &self.order
+        &self.shared.order
     }
 
-    /// The converged per-vertex states, indexed by vertex id.
+    /// The maintained processing order as the pipeline holds it: an
+    /// epoch publisher keeps this `Arc` instead of copying the order
+    /// (the next batch that moves a vertex replaces the pipeline's).
+    pub fn shared_order(&self) -> &Arc<Permutation> {
+        &self.shared.order
+    }
+
+    /// Multiset digest of the maintained order's keys
+    /// ([`IncrementalGoGraph::order_digest`]): two pipelines whose
+    /// orders will evolve identically digest equally. `O(1)`.
+    pub fn order_digest(&self) -> u64 {
+        self.shared.inc.order_digest()
+    }
+
+    /// The tracks, in the order the builder added them.
+    pub fn tracks(&self) -> &[Track] {
+        &self.tracks
+    }
+
+    /// The first track's converged per-vertex states — a one-track
+    /// pipeline's states; [`tracks`](Self::tracks) has every track's.
     pub fn states(&self) -> &[f64] {
-        &self.states
-    }
-
-    /// The result of the most recent execution (bootstrap or batch).
-    pub fn last_result(&self) -> &PipelineResult {
-        self.last.as_ref().expect("set by build()")
-    }
-
-    /// Total engine rounds across the bootstrap and every batch — the
-    /// quantity the warm-vs-cold benchmark compares.
-    pub fn total_rounds(&self) -> usize {
-        self.total_rounds
+        self.tracks[0].states()
     }
 
     /// Batches applied so far (the bootstrap run is not a batch).
     pub fn batches_applied(&self) -> usize {
-        self.batches_applied
+        self.shared.counters.batches_applied
     }
 
     /// Full GoGraph reorders executed, including the bootstrap run.
     pub fn full_reorders(&self) -> usize {
-        self.full_reorders
-    }
-
-    /// Batches that re-converged from `init` instead of from the
-    /// previous fixpoint, since this pipeline was built or resumed:
-    /// deletion trimming gave up (see [`StreamingPipeline::apply_batch`])
-    /// or the algorithm restarts on every batch
-    /// ([`StreamingPipeline::warm_start_is_sound`] is false).
-    pub fn cold_batches(&self) -> usize {
-        self.cold_batches
+        self.shared.counters.full_reorders
     }
 
     /// Partition-scoped re-reorders **adopted**: conquer-phase re-runs
@@ -729,30 +928,31 @@ impl StreamingPipeline {
     /// that matched the current arrangement, are not counted — see
     /// [`StreamingPipeline::partition_repair_attempts`]).
     pub fn partition_reorders(&self) -> usize {
-        self.partition_reorders
+        self.shared.counters.partition_reorders
     }
 
     /// Partition-scoped repair *attempts*: every dirty partition whose
     /// conquer ordering was re-run on a drift breach, whether or not the
     /// resulting splice was adopted.
     pub fn partition_repair_attempts(&self) -> usize {
-        self.partition_repair_attempts
+        self.shared.counters.partition_repair_attempts
     }
 
     /// Partitions tracked from the last full reorder (the divide phase's
     /// output; mid-stream vertices stay unpartitioned until the next
     /// full run).
     pub fn num_partitions(&self) -> usize {
-        self.part_members.len()
+        self.shared.baselines.part_members.len()
     }
 
     /// Vertex → partition id from the last full reorder
-    /// ([`UNPARTITIONED`] for vertices that joined since)
-    /// — exposed so an epoch publisher can snapshot the partition
-    /// structure alongside the order. Empty until the first full
+    /// ([`UNPARTITIONED`] for vertices that joined since) — exposed,
+    /// `Arc` and all, so an epoch publisher can keep the partition
+    /// structure alongside the order without copying it (the pipeline
+    /// replaces rather than writes it). Empty until the first full
     /// reorder of a partition-scoped pipeline.
-    pub fn part_assignment(&self) -> &[u32] {
-        &self.part_of
+    pub fn part_assignment(&self) -> &Arc<Vec<u32>> {
+        &self.shared.baselines.part_of
     }
 
     /// Default [`StreamingPipelineBuilder::quality_floor`]: Theorem 2
@@ -765,7 +965,98 @@ impl StreamingPipeline {
     /// breach always escalates to a full reorder (see
     /// [`StreamingPipelineBuilder::quality_floor`]).
     pub fn quality_floor(&self) -> f64 {
-        self.quality_floor
+        self.shared.policy.quality_floor
+    }
+
+    /// Current positive-edge fraction `M(O)/|E|` of the maintained order.
+    pub fn positive_fraction(&self) -> f64 {
+        self.shared.inc.positive_fraction()
+    }
+
+    /// The positive-edge fraction right after the last full reorder —
+    /// the level the drift threshold is measured against.
+    pub fn baseline_fraction(&self) -> f64 {
+        self.shared.baselines.baseline_fraction
+    }
+}
+
+impl Shared {
+    /// The shared part of a resumed pipeline: the order maintainer
+    /// rebuilt from its saved keys, the rest adopted as saved.
+    fn resume(policy: OrderPolicy, image: SharedImage) -> Shared {
+        let mut inc = IncrementalGoGraph::from_graph_with_saved_order(
+            &image.graph,
+            &image.order_vals,
+            image.order_min_val,
+            image.order_max_val,
+        );
+        let order = Arc::new(inc.commit_order());
+        Shared {
+            policy,
+            inc,
+            graph: image.graph,
+            order,
+            baselines: image.baselines,
+            counters: image.counters,
+        }
+    }
+
+    /// What [`Shared::resume`] needs: the graph and partition structure
+    /// shared, the order's keys copied.
+    fn image(&self) -> SharedImage {
+        let (order_vals, order_min_val, order_max_val) = self.inc.order_state();
+        SharedImage {
+            graph: self.graph.snapshot(),
+            order_vals,
+            order_min_val,
+            order_max_val,
+            baselines: self.baselines.clone(),
+            counters: self.counters,
+        }
+    }
+
+    /// Folds a (self-loop-free) batch into the order and the CSR and
+    /// hands the order on. Returns the heads of edges the batch took
+    /// away or re-weighted (a duplicate insert keeps the smaller weight,
+    /// which narrows a widest path): the only vertices whose state can
+    /// *directly* lose its justification, in any track. An empty batch
+    /// changes nothing, so the CSR patch, drift check and order hand-off
+    /// are all skipped.
+    fn maintain(&mut self, updates: &[EdgeUpdate]) -> Vec<VertexId> {
+        if updates.is_empty() {
+            return Vec::new();
+        }
+        self.inc.apply_updates(updates);
+        let patched = self.graph.apply_updates(updates);
+        let before = &self.graph;
+        let lost_support = updates
+            .iter()
+            .filter_map(|u| {
+                let (src, dst) = (u.src(), u.dst());
+                if src as usize >= before.num_vertices() {
+                    return None; // no edge to lose
+                }
+                let had = before.edge_weight(src, dst);
+                (had.is_some() && had != patched.edge_weight(src, dst)).then_some(dst)
+            })
+            .collect();
+        self.graph = patched;
+        let n = self.graph.num_vertices();
+        debug_assert_eq!(self.inc.num_vertices(), n);
+        // Vertices that joined mid-stream belong to no partition until
+        // the next full reorder re-partitions them.
+        if self.baselines.part_of.len() < n {
+            Arc::make_mut(&mut self.baselines.part_of).resize(n, UNPARTITIONED);
+        }
+
+        // Drift-triggered repair: partition-scoped re-reordering first,
+        // full (parallel) reorder only if that is not enough.
+        let fraction = self.inc.positive_fraction();
+        if self.baselines.baseline_fraction - fraction > self.policy.drift_threshold {
+            self.repair_order();
+        }
+        self.order = Arc::new(self.inc.commit_order());
+        lost_support
     }
 
     /// On a drift breach, repairs the order as locally as possible.
@@ -791,57 +1082,57 @@ impl StreamingPipeline {
     ///    the density evidence (e.g. deletion-driven cross-partition
     ///    decay) the full reorder runs, exactly as it did pre-PR-4.
     fn repair_order(&mut self) {
+        let policy = self.policy;
         let before = self.inc.positive_fraction();
-        if self.partition_scoped && !self.part_members.is_empty() {
-            let order_now = self.inc.current_order();
+        if policy.partition_scoped && !self.baselines.part_members.is_empty() {
             let (intra, _cross) = partition_contributions(
                 &self.graph,
-                &self.part_of,
-                &order_now,
-                self.part_members.len(),
+                &self.baselines.part_of,
+                &self.inc.current_order(),
+                self.baselines.part_members.len(),
             );
-            let local_threshold = self.drift_threshold / 2.0;
+            let local_threshold = policy.drift_threshold / 2.0;
             for (members, (cur, base)) in self
+                .baselines
                 .part_members
                 .iter()
-                .zip(intra.iter().zip(&self.baseline_intra))
+                .zip(intra.iter().zip(self.baselines.baseline_intra.iter()))
             {
                 if cur.total > 0 && base.fraction() - cur.fraction() > local_threshold {
                     let repaired = order_members(&self.graph, members);
-                    self.partition_repair_attempts += 1;
+                    self.counters.partition_repair_attempts += 1;
                     if self.inc.reorder_within(&repaired) {
-                        self.partition_reorders += 1;
+                        self.counters.partition_reorders += 1;
                     }
                 }
             }
         }
         let now = self.inc.positive_fraction();
-        if self.baseline_fraction - now <= self.drift_threshold {
+        if self.baselines.baseline_fraction - now <= policy.drift_threshold {
             return;
         }
-        let repairs_recovered = now - before > self.drift_threshold * 0.1;
-        let densified = self.density() > self.baseline_density;
-        if !self.partition_scoped || repairs_recovered || !densified || now < self.quality_floor {
+        let repairs_recovered = now - before > policy.drift_threshold * 0.1;
+        let densified = self.density() > self.baselines.baseline_density;
+        if !policy.partition_scoped || repairs_recovered || !densified || now < policy.quality_floor
+        {
             let po = GoGraph::default()
-                .parallelism(self.reorder_threads)
+                .parallelism(policy.reorder_threads)
                 .run_partitioned(&self.graph);
             self.inc = IncrementalGoGraph::from_graph_with_order(&self.graph, po.order());
             self.adopt_partitioning(&po);
-            self.baseline_fraction = self.inc.positive_fraction();
-            self.full_reorders += 1;
+            self.counters.full_reorders += 1;
         } else {
             // Densification drift: adopt the current (locally optimal)
             // order as the new reference, per partition too.
-            self.baseline_fraction = now;
-            self.baseline_density = self.density();
-            let order_now = self.inc.current_order();
             let (intra, _cross) = partition_contributions(
                 &self.graph,
-                &self.part_of,
-                &order_now,
-                self.part_members.len(),
+                &self.baselines.part_of,
+                &self.inc.current_order(),
+                self.baselines.part_members.len(),
             );
-            self.baseline_intra = intra;
+            self.baselines.baseline_intra = Arc::new(intra);
+            self.baselines.baseline_fraction = now;
+            self.baselines.baseline_density = self.density();
         }
     }
 
@@ -850,28 +1141,72 @@ impl StreamingPipeline {
         self.graph.num_edges() as f64 / self.graph.num_vertices().max(1) as f64
     }
 
-    /// Loads the partition structure of a fresh full reorder as the new
-    /// per-partition drift baseline.
+    /// Loads the partition structure of a fresh full reorder (already in
+    /// `inc`) as the new per-partition drift baseline.
     fn adopt_partitioning(&mut self, po: &PartitionedOrder) {
-        self.part_of = po.part_assignment().to_vec();
-        self.part_members = (0..po.num_parts() as u32)
-            .map(|p| po.members(p).to_vec())
-            .collect();
-        self.baseline_intra = (0..po.num_parts() as u32)
-            .map(|p| po.intra_contribution(p))
-            .collect();
-        self.baseline_density = self.density();
+        let parts = 0..po.num_parts() as u32;
+        self.baselines = Baselines {
+            part_of: Arc::new(po.part_assignment().to_vec()),
+            part_members: Arc::new(parts.clone().map(|p| po.members(p).to_vec()).collect()),
+            baseline_intra: Arc::new(parts.map(|p| po.intra_contribution(p)).collect()),
+            baseline_fraction: self.inc.positive_fraction(),
+            baseline_density: self.density(),
+        };
+    }
+}
+
+impl Track {
+    fn new(spec: TrackSpec) -> Track {
+        Track {
+            spec,
+            states: Arc::default(),
+            digest: 0,
+            levels: Vec::new(),
+            last: RunSummary::default(),
+            total_rounds: 0,
+            cold_batches: 0,
+        }
     }
 
-    /// Current positive-edge fraction `M(O)/|E|` of the maintained order.
-    pub fn positive_fraction(&self) -> f64 {
-        self.inc.positive_fraction()
+    /// The track's converged per-vertex states, indexed by vertex id —
+    /// `Arc` and all, so an epoch publisher can keep them without a copy
+    /// (the next run replaces the track's rather than writing them).
+    pub fn states(&self) -> &Arc<Vec<f64>> {
+        &self.states
     }
 
-    /// The positive-edge fraction right after the last full reorder —
-    /// the level the drift threshold is measured against.
-    pub fn baseline_fraction(&self) -> f64 {
-        self.baseline_fraction
+    /// Multiset digest of `(vertex, state bits)` over the states: equal
+    /// for two tracks exactly when their states are bit-equal, with
+    /// overwhelming probability. `O(1)`: each run patches it for the
+    /// vertices it moved.
+    pub fn state_digest(&self) -> u64 {
+        debug_assert_eq!(
+            self.digest,
+            state_digest(&self.states),
+            "patched state digest must equal the walk"
+        );
+        self.digest
+    }
+
+    /// The most recent run (bootstrap, batch, or — after a resume — the
+    /// adopted fixpoint).
+    pub fn last_run(&self) -> RunSummary {
+        self.last
+    }
+
+    /// Engine rounds across the bootstrap and every batch — the
+    /// quantity the warm-vs-cold benchmark compares.
+    pub fn total_rounds(&self) -> usize {
+        self.total_rounds
+    }
+
+    /// Batches that re-converged from `init` instead of from the
+    /// previous fixpoint, since the pipeline was built or resumed:
+    /// deletion trimming gave up (see [`StreamingPipeline::apply_batch`])
+    /// or the algorithm restarts on every batch
+    /// ([`Track::warm_start_is_sound`] is false).
+    pub fn cold_batches(&self) -> usize {
+        self.cold_batches
     }
 
     /// Whether batches may reuse the converged states (see the module
@@ -900,41 +1235,101 @@ impl StreamingPipeline {
 
     /// The algorithm of the family the mode consumes.
     fn algorithm(&self) -> AlgorithmRef<'_> {
-        match self.mode {
-            Mode::Delta(_) => {
-                AlgorithmRef::Delta(self.delta.as_deref().expect("validated by build()"))
-            }
-            _ => AlgorithmRef::Gather(self.gather.as_deref().expect("validated by build()")),
-        }
+        self.spec.algorithm()
     }
 
-    /// One engine run over the current graph and order, cold when
-    /// `start` is `None`.
-    fn run_engine(
-        &self,
-        start: Option<WarmStart>,
-    ) -> Result<crate::convergence::RunStats, EngineError> {
-        let alg = self.algorithm();
-        execute(&self.graph, alg, self.mode, &self.order, &self.cfg, start)
-    }
-
-    /// The algorithm's initial state for `v` on the current graph.
-    fn init_state_of(&self, v: VertexId) -> f64 {
+    /// The algorithm's initial state for `v` on `g`.
+    fn init_state_of(&self, g: &CsrGraph, v: VertexId) -> f64 {
         match self.algorithm() {
-            AlgorithmRef::Delta(alg) => alg.init_state(&self.graph, v),
-            AlgorithmRef::Gather(alg) => alg.init(&self.graph, v),
+            AlgorithmRef::Delta(alg) => alg.init_state(g, v),
+            AlgorithmRef::Gather(alg) => alg.init(g, v),
         }
     }
 
-    /// The algorithm's view of support on the current graph.
-    fn support(&self) -> Support<'_> {
-        Support::new(&self.graph, self.algorithm())
+    /// The algorithm's view of support on `g`.
+    fn support<'a>(&'a self, g: &'a CsrGraph) -> Support<'a> {
+        Support::new(g, self.algorithm())
+    }
+
+    /// One engine run over the shared graph and order, cold when
+    /// `start` is `None`.
+    fn run(&self, shared: &Shared, start: Option<WarmStart>) -> Result<RunStats, EngineError> {
+        execute(
+            &shared.graph,
+            self.algorithm(),
+            self.spec.mode,
+            &shared.order,
+            &self.spec.cfg,
+            start,
+        )
+    }
+
+    /// Re-converges after the shared part took a batch: extends the
+    /// states over new vertices (they start at `init`, which is level
+    /// 0), then either carries the converged states (max-norm /
+    /// min-style) with the affected frontier reset, or restarts
+    /// (sum-norm, or trimming gave up). The frontier reaches every
+    /// engine but the synchronous one: the first round pulls exactly
+    /// this set.
+    fn reconverge(
+        &mut self,
+        shared: &Shared,
+        updates: &[EdgeUpdate],
+        lost_support: &[VertexId],
+    ) -> Result<(), EngineError> {
+        let g = &shared.graph;
+        let n = g.num_vertices();
+        if self.states.len() < n {
+            let old = self.states.len() as VertexId;
+            let joined: Vec<f64> = (old..n as VertexId)
+                .map(|v| self.init_state_of(g, v))
+                .collect();
+            for (v, s) in (old..).zip(&joined) {
+                self.digest = self
+                    .digest
+                    .wrapping_add(digest_term(v as usize, s.to_bits()));
+            }
+            Arc::make_mut(&mut self.states).extend(joined);
+        }
+        let affected = if self.warm_start_is_sound() {
+            self.levels.resize(n, 0);
+            self.affected_by_deletions(g, lost_support)
+        } else {
+            None
+        };
+        let warm = affected.map(|affected| {
+            let mut states = self.states.to_vec();
+            let mut frontier = Frontier::new(n);
+            for &v in &affected {
+                states[v as usize] = self.init_state_of(g, v);
+                frontier.insert(v);
+            }
+            for u in updates.iter().filter(|u| u.is_insert()) {
+                frontier.insert(u.dst());
+            }
+            let warm = WarmStart::from_states(states);
+            // The frontier claims every other vertex sits at its
+            // fixpoint. A round-capped previous run cannot say so: its
+            // states are sound bounds still on their way, and the
+            // engine goes on re-evaluating all of them.
+            if self.last.converged {
+                warm.with_frontier_set(frontier)
+            } else {
+                warm
+            }
+        });
+
+        let repair = warm.is_some().then_some(updates);
+        let stats = self.run(shared, warm)?;
+        self.absorb(g, stats, repair);
+        self.cold_batches += usize::from(repair.is_none());
+        Ok(())
     }
 
     /// The set of vertices whose converged state is invalidated by the
     /// batch's deletions — KickStarter-style support trimming instead of
     /// a blunt downstream-reachability sweep. `seeds` are the heads of
-    /// the removed (or re-weighted) edges.
+    /// the removed (or re-weighted) edges; `g` is the graph after them.
     ///
     /// A vertex keeps its state when it is *supported*: either the
     /// state equals the algorithm's intrinsic value for the vertex (the
@@ -957,67 +1352,81 @@ impl StreamingPipeline {
     /// out of a component's root goes and the whole component hangs off
     /// it — it gives up and returns `None`, and the batch runs cold.
     /// Both roads end at the same fixpoint.
-    fn affected_by_deletions(&self, seeds: &[VertexId]) -> Option<Vec<VertexId>> {
-        self.support()
+    fn affected_by_deletions(&self, g: &CsrGraph, seeds: &[VertexId]) -> Option<Vec<VertexId>> {
+        self.support(g)
             .affected_by_deletions(&self.states, &self.levels, seeds)
     }
 
-    /// Brings the dependence levels to `new_states` (the run that is
-    /// about to be absorbed; `self.states` still holds what it started
-    /// from). After a warm run over `batch` they are repaired around
-    /// what moved; with no batch — a cold run — they are rebuilt.
-    /// Algorithms that never trim keep none.
-    fn update_levels(&mut self, new_states: &[f64], batch: Option<&[EdgeUpdate]>) {
-        if !self.warm_start_is_sound() {
-            return;
-        }
-        let mut levels = std::mem::take(&mut self.levels);
-        let support = self.support();
+    /// Takes a finished run's states as the track's own and brings the
+    /// dependence levels and the digest to them: after a warm run over
+    /// `batch` both are repaired around the vertices that moved (the
+    /// levels also around the batch's edge heads); after a cold run —
+    /// no batch — both are rebuilt. Algorithms that never trim keep no
+    /// levels.
+    fn absorb(&mut self, g: &CsrGraph, stats: RunStats, batch: Option<&[EdgeUpdate]>) {
+        self.last = RunSummary::of(&stats);
+        self.total_rounds += stats.rounds;
+        let new = stats.final_states;
         match batch {
-            None => levels = support.build_levels(new_states),
             Some(updates) => {
-                let changed: Vec<VertexId> = (0..new_states.len())
-                    .filter(|&v| self.states[v].to_bits() != new_states[v].to_bits())
+                let changed: Vec<VertexId> = (0..new.len())
+                    .filter(|&v| self.states[v].to_bits() != new[v].to_bits())
                     .map(|v| v as VertexId)
                     .collect();
+                for &v in &changed {
+                    let (old, now) = (self.states[v as usize], new[v as usize]);
+                    self.digest = self
+                        .digest
+                        .wrapping_sub(digest_term(v as usize, old.to_bits()))
+                        .wrapping_add(digest_term(v as usize, now.to_bits()));
+                }
                 // A remove may name a vertex the graph never had.
                 let heads = updates
                     .iter()
                     .map(EdgeUpdate::dst)
-                    .filter(|&v| (v as usize) < new_states.len());
-                support.repair_levels(new_states, &mut levels, &changed, heads);
+                    .filter(|&v| (v as usize) < new.len());
+                let support = Support::new(g, self.spec.algorithm());
+                support.repair_levels(&new, &mut self.levels, &changed, heads);
                 debug_assert_eq!(
-                    levels,
-                    support.build_levels(new_states),
+                    self.levels,
+                    support.build_levels(&new),
                     "repaired levels must equal a from-scratch build"
                 );
             }
+            None => {
+                self.digest = state_digest(&new);
+                if self.warm_start_is_sound() {
+                    self.levels = self.support(g).build_levels(&new);
+                }
+            }
         }
-        self.levels = levels;
+        self.states = Arc::new(new);
     }
 
-    /// Records a finished execution into the pipeline's running state
-    /// and packages it as a [`PipelineResult`].
-    fn absorb(
-        &mut self,
-        stats: crate::convergence::RunStats,
-        reorder_time: Duration,
-        execute_time: Duration,
-    ) -> PipelineResult {
-        self.states.clone_from(&stats.final_states);
-        self.total_rounds += stats.rounds;
-        let result = PipelineResult {
-            order: self.order.clone(),
-            relabeled: None,
-            stats,
-            timings: StageTimings {
-                reorder: reorder_time,
-                relabel: Duration::ZERO,
-                execute: execute_time,
-            },
+    /// What [`Track::adopt`] restores.
+    fn image(&self) -> TrackImage {
+        TrackImage {
+            states: Arc::clone(&self.states),
+            digest: self.digest,
+            last: self.last,
+            total_rounds: self.total_rounds,
+            cold_batches: self.cold_batches,
+        }
+    }
+
+    /// Takes over a saved or resumed image on `g`, rebuilding the
+    /// levels it does not carry.
+    fn adopt(&mut self, g: &CsrGraph, image: TrackImage) {
+        self.states = image.states;
+        self.digest = image.digest;
+        self.last = image.last;
+        self.total_rounds = image.total_rounds;
+        self.cold_batches = image.cold_batches;
+        self.levels = if self.warm_start_is_sound() {
+            self.support(g).build_levels(&self.states)
+        } else {
+            Vec::new()
         };
-        self.last = Some(result.clone());
-        result
     }
 }
 
@@ -1067,24 +1476,37 @@ pub fn split_batches<T: Clone>(
     Ok(items.chunks(size).map(<[T]>::to_vec).collect())
 }
 
-impl std::fmt::Debug for StreamingPipeline {
+impl std::fmt::Debug for Track {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamingPipeline")
-            .field("vertices", &self.graph.num_vertices())
-            .field("edges", &self.graph.num_edges())
-            .field("mode", &self.mode)
-            .field("batches_applied", &self.batches_applied)
+        f.debug_struct("Track")
+            .field("algorithm", &self.algorithm().name())
+            .field("mode", &self.spec.mode)
             .field("total_rounds", &self.total_rounds)
             .field("cold_batches", &self.cold_batches)
-            .field("full_reorders", &self.full_reorders)
-            .field("partition_reorders", &self.partition_reorders)
-            .field("partition_repair_attempts", &self.partition_repair_attempts)
-            .field("num_partitions", &self.part_members.len())
-            .field("partition_scoped", &self.partition_scoped)
-            .field("reorder_threads", &self.reorder_threads)
-            .field("positive_fraction", &self.inc.positive_fraction())
-            .field("baseline_fraction", &self.baseline_fraction)
-            .field("drift_threshold", &self.drift_threshold)
+            .finish_non_exhaustive()
+    }
+}
+
+impl std::fmt::Debug for StreamingPipeline {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (policy, counters) = (self.shared.policy, self.shared.counters);
+        f.debug_struct("StreamingPipeline")
+            .field("vertices", &self.shared.graph.num_vertices())
+            .field("edges", &self.shared.graph.num_edges())
+            .field("tracks", &self.tracks)
+            .field("batches_applied", &counters.batches_applied)
+            .field("full_reorders", &counters.full_reorders)
+            .field("partition_reorders", &counters.partition_reorders)
+            .field(
+                "partition_repair_attempts",
+                &counters.partition_repair_attempts,
+            )
+            .field("num_partitions", &self.num_partitions())
+            .field("partition_scoped", &policy.partition_scoped)
+            .field("reorder_threads", &policy.reorder_threads)
+            .field("positive_fraction", &self.positive_fraction())
+            .field("baseline_fraction", &self.baseline_fraction())
+            .field("drift_threshold", &policy.drift_threshold)
             .finish_non_exhaustive()
     }
 }
@@ -1128,7 +1550,7 @@ mod tests {
         assert_eq!(sp.states(), &cold.stats.final_states[..]);
         assert_eq!(sp.full_reorders(), 1);
         assert_eq!(sp.batches_applied(), 0);
-        assert!(sp.total_rounds() > 0);
+        assert!(sp.tracks()[0].total_rounds() > 0);
     }
 
     #[test]
@@ -1171,13 +1593,13 @@ mod tests {
     fn trimming_gives_up_once_it_costs_more_than_a_sweep() {
         // SSSP on a chain: a cut near the tail strands five vertices,
         // and trimming names exactly those.
-        let mut sssp = StreamingPipeline::over(&chain(40))
+        let sssp = StreamingPipeline::over(&chain(40))
             .algorithm(Sssp::new(0))
             .build()
             .unwrap();
-        sssp.graph = sssp.graph.apply_updates(&[EdgeUpdate::remove(34, 35)]);
+        let cut = sssp.graph().apply_updates(&[EdgeUpdate::remove(34, 35)]);
         assert_eq!(
-            sssp.affected_by_deletions(&[35]),
+            sssp.tracks[0].affected_by_deletions(&cut, &[35]),
             Some((35..40).collect::<Vec<VertexId>>())
         );
 
@@ -1186,13 +1608,13 @@ mod tests {
         // and one removal would walk all of it — two visits a vertex,
         // twice a sweep. Trimming stops at one sweep's worth.
         let g = cycle(200);
-        let mut cc = StreamingPipeline::over(&g)
+        let cc = StreamingPipeline::over(&g)
             .algorithm(ConnectedComponents)
             .build()
             .unwrap();
         let cut = [EdgeUpdate::remove(0, 1)];
-        cc.graph = cc.graph.apply_updates(&cut);
-        assert_eq!(cc.affected_by_deletions(&[1]), None);
+        let after = cc.graph().apply_updates(&cut);
+        assert_eq!(cc.tracks[0].affected_by_deletions(&after, &[1]), None);
 
         // The batch then runs cold, to the fixpoint a cold pipeline finds.
         let mut cc = StreamingPipeline::over(&g)
@@ -1201,7 +1623,7 @@ mod tests {
             .unwrap();
         let r = cc.apply_batch(&cut).unwrap();
         assert!(r.stats.converged);
-        assert_eq!(cc.cold_batches(), 1);
+        assert_eq!(cc.tracks()[0].cold_batches(), 1);
         assert!(format!("{cc:?}").contains("cold_batches: 1"));
         let cold = Pipeline::on(cc.graph())
             .order(cc.order().clone())
@@ -1219,7 +1641,7 @@ mod tests {
 
     /// States and cold-batch count after `batch`, checked against a
     /// cold pipeline on the resulting graph.
-    fn apply_and_check_cc(cc: &mut StreamingPipeline, batch: &[EdgeUpdate]) -> PipelineResult {
+    fn apply_and_check_cc(cc: &mut StreamingPipeline, batch: &[EdgeUpdate]) -> BatchResult {
         let r = cc.apply_batch(batch).unwrap();
         assert!(r.stats.converged);
         let cold = Pipeline::on(cc.graph())
@@ -1240,16 +1662,17 @@ mod tests {
             .algorithm(ConnectedComponents)
             .build()
             .unwrap();
-        assert_eq!(cc.levels, (0..200).collect::<Vec<u32>>());
+        assert_eq!(cc.tracks[0].levels, (0..200).collect::<Vec<u32>>());
         let cut = [EdgeUpdate::remove(199, 0)];
-        let patched = cc.graph.apply_updates(&cut);
-        let before = std::mem::replace(&mut cc.graph, patched);
-        assert_eq!(cc.affected_by_deletions(&[0]), Some(vec![]));
-        cc.graph = before;
+        let patched = cc.graph().apply_updates(&cut);
+        assert_eq!(
+            cc.tracks[0].affected_by_deletions(&patched, &[0]),
+            Some(vec![])
+        );
 
         let r = apply_and_check_cc(&mut cc, &cut);
         assert_eq!(r.stats.rounds, 1);
-        assert_eq!(cc.cold_batches(), 0);
+        assert_eq!(cc.tracks()[0].cold_batches(), 0);
         assert!(cc.states().iter().all(|&s| s == 0.0));
     }
 
@@ -1279,19 +1702,16 @@ mod tests {
             .algorithm(ConnectedComponents)
             .build()
             .unwrap();
-        assert_eq!(cc.levels[..10], [0, 1, 1, 2, 3, 2, 3, 4, 5, 4]);
-        let trimmed = |cc: &mut StreamingPipeline, cut: EdgeUpdate| {
-            let patched = cc.graph.apply_updates(&[cut]);
-            let before = std::mem::replace(&mut cc.graph, patched);
-            let affected = cc.affected_by_deletions(&[cut.dst()]);
-            cc.graph = before;
-            affected
+        assert_eq!(cc.tracks[0].levels[..10], [0, 1, 1, 2, 3, 2, 3, 4, 5, 4]);
+        let trimmed = |cc: &StreamingPipeline, cut: EdgeUpdate| {
+            let patched = cc.graph().apply_updates(&[cut]);
+            cc.tracks[0].affected_by_deletions(&patched, &[cut.dst()])
         };
 
         // 1 -> 3 goes: 2 offers the same label from a lower level, so
         // nothing is reset.
         let cut = EdgeUpdate::remove(1, 3);
-        assert_eq!(trimmed(&mut cc, cut), Some(vec![]));
+        assert_eq!(trimmed(&cc, cut), Some(vec![]));
         let r = apply_and_check_cc(&mut cc, &[cut]);
         assert_eq!(r.stats.rounds, 1);
 
@@ -1300,13 +1720,13 @@ mod tests {
         // certifies nothing). The dependence subtree is reset — three
         // vertices of sixty — and the detour brings the label back.
         let cut = EdgeUpdate::remove(3, 4);
-        assert_eq!(trimmed(&mut cc, cut), Some(vec![4, 7, 8]));
+        assert_eq!(trimmed(&cc, cut), Some(vec![4, 7, 8]));
         let r = apply_and_check_cc(&mut cc, &[cut]);
         assert!(r.stats.rounds <= 3, "took {} rounds", r.stats.rounds);
         assert_eq!(cc.states()[4], 4.0);
         assert_eq!(cc.states()[7], 0.0);
-        assert_eq!(cc.levels[..10], [0, 1, 1, 2, 0, 2, 3, 5, 6, 4]);
-        assert_eq!(cc.cold_batches(), 0);
+        assert_eq!(cc.tracks[0].levels[..10], [0, 1, 1, 2, 0, 2, 3, 5, 6, 4]);
+        assert_eq!(cc.tracks()[0].cold_batches(), 0);
     }
 
     #[test]
@@ -1321,7 +1741,7 @@ mod tests {
             .max_rounds(1)
             .build()
             .unwrap();
-        assert!(!sp.last_result().stats.converged);
+        assert!(!sp.tracks()[0].last_run().converged);
         let cold = Pipeline::on(&g)
             .order(sp.order().clone())
             .algorithm(Sssp::new(0))
@@ -1344,7 +1764,7 @@ mod tests {
             .algorithm(PageRank::default())
             .build()
             .unwrap();
-        assert!(!sp.warm_start_is_sound());
+        assert!(!sp.tracks()[0].warm_start_is_sound());
         let updates = [
             EdgeUpdate::insert(3, 99),
             EdgeUpdate::insert(99, 3),
@@ -1352,7 +1772,11 @@ mod tests {
         ];
         let r = sp.apply_batch(&updates).unwrap();
         assert!(r.stats.converged);
-        assert_eq!(sp.cold_batches(), 1, "a restart is a cold batch");
+        assert_eq!(
+            sp.tracks()[0].cold_batches(),
+            1,
+            "a restart is a cold batch"
+        );
         let cold = Pipeline::on(sp.graph())
             .order(sp.order().clone())
             .algorithm(PageRank::default())
@@ -1369,7 +1793,7 @@ mod tests {
             .algorithm(Sssp::new(0))
             .build()
             .unwrap();
-        let bootstrap_evals = sp.last_result().stats.evaluations.unwrap();
+        let bootstrap_evals = sp.tracks()[0].last_run().evaluations.unwrap();
         let r = sp.apply_batch(&[EdgeUpdate::insert(0, 190)]).unwrap();
         let batch_evals = r.stats.evaluations.unwrap();
         assert!(r.stats.converged);
@@ -1390,7 +1814,7 @@ mod tests {
             .delta_algorithm(DeltaSssp { source: 0 })
             .build()
             .unwrap();
-        assert!(sp.warm_start_is_sound());
+        assert!(sp.tracks()[0].warm_start_is_sound());
         let r = sp.apply_batch(&[EdgeUpdate::insert(0, 40)]).unwrap();
         assert!(r.stats.converged);
         assert_eq!(sp.states()[40], 1.0);
@@ -1410,7 +1834,7 @@ mod tests {
             .delta_algorithm(DeltaPageRank::default())
             .build()
             .unwrap();
-        assert!(!sp.warm_start_is_sound());
+        assert!(!sp.tracks()[0].warm_start_is_sound());
         let r = sp.apply_batch(&[EdgeUpdate::insert(1, 117)]).unwrap();
         assert!(r.stats.converged);
     }
@@ -1669,7 +2093,7 @@ mod tests {
     /// The handed-off order and the `M(O)` counter against their
     /// from-scratch definitions.
     fn assert_order_and_counter_match_oracles(sp: &StreamingPipeline) {
-        let (vals, _, _) = sp.inc.order_state();
+        let (vals, _, _) = sp.shared.inc.order_state();
         assert_eq!(sp.order(), &Permutation::from_float_keys(&vals));
         let m = gograph_core::metric(sp.graph(), sp.order());
         let expected = m as f64 / sp.graph().num_edges() as f64;
@@ -1794,7 +2218,7 @@ mod tests {
             }
         ));
 
-        let mut bad_parts = good;
+        let mut bad_parts = good.clone();
         bad_parts
             .baseline_intra
             .push(PartitionContribution::default());
@@ -1809,6 +2233,119 @@ mod tests {
                 ..
             }
         ));
+
+        // Partition data whose values index past what it describes would
+        // resume and then panic the first drift repair; each is refused.
+        let resume = |state: ResumableState| {
+            StreamingPipeline::over(&g)
+                .algorithm(Sssp::new(0))
+                .resume(state)
+                .unwrap_err()
+        };
+        let mut past_parts = good.clone();
+        past_parts.part_of[3] = past_parts.part_members.len() as u32 + 7;
+        assert!(matches!(
+            resume(past_parts),
+            EngineError::InvalidParameter {
+                name: "part_of",
+                ..
+            }
+        ));
+        let with_partition = |members: Vec<VertexId>| {
+            let mut state = good.clone();
+            state.part_members.push(members);
+            state.baseline_intra.push(PartitionContribution::default());
+            state
+        };
+        for members in [vec![10], vec![4, 4]] {
+            assert!(matches!(
+                resume(with_partition(members)),
+                EngineError::InvalidParameter {
+                    name: "part_members",
+                    ..
+                }
+            ));
+        }
+
+        // Several tracks: one state each, all of one pipeline.
+        let two = |states: Vec<ResumableState>| {
+            StreamingPipeline::over(&g)
+                .algorithm(Sssp::new(0))
+                .track()
+                .algorithm(Bfs::new(0))
+                .resume_tracks(states)
+        };
+        assert!(matches!(
+            two(vec![good.clone()]).unwrap_err(),
+            EngineError::InvalidParameter { name: "states", .. }
+        ));
+        let mut other_keys = good.clone();
+        other_keys.order_vals.swap(0, 1);
+        assert!(matches!(
+            two(vec![good.clone(), other_keys]).unwrap_err(),
+            EngineError::InvalidParameter {
+                name: "order_vals",
+                ..
+            }
+        ));
+        let mut other_graph = good.clone();
+        other_graph.graph = other_graph.graph.apply_updates(&[EdgeUpdate::insert(9, 0)]);
+        assert!(matches!(
+            two(vec![good.clone(), other_graph]).unwrap_err(),
+            EngineError::InvalidParameter { name: "graph", .. }
+        ));
+        assert!(two(vec![good.clone(), good]).is_ok());
+    }
+
+    #[test]
+    fn restore_undoes_a_batch_that_stopped_between_tracks() {
+        let g = seed_graph();
+        let build = || {
+            StreamingPipeline::over(&g)
+                .algorithm(Sssp::new(0))
+                .track()
+                .algorithm(ConnectedComponents)
+                .drift_threshold(0.01)
+                .build()
+                .unwrap()
+        };
+        let mut sp = build();
+        let mut control = build();
+        let batches: Vec<Vec<EdgeUpdate>> = (0..6u32)
+            .map(|i| {
+                vec![
+                    EdgeUpdate::insert(i * 7 % 120, (i * 13 + 5) % 120),
+                    EdgeUpdate::remove(i, i + 1),
+                    EdgeUpdate::insert(119 - i, i * 3 + 120), // grows the graph
+                ]
+            })
+            .collect();
+        for (i, b) in batches.iter().enumerate() {
+            let save = sp.savepoint();
+            // The batch reaches the shared graph and the first track,
+            // then dies: the second track is still on the old graph.
+            let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sp.apply_batch_with(b, |t| assert!(t == 0, "fault before track {t}"))
+            }));
+            assert!(torn.is_err());
+            sp.restore(save);
+            assert_eq!(sp.batches_applied(), i);
+            sp.apply_batch(b).unwrap();
+            control.apply_batch(b).unwrap();
+            assert_eq!(sp.graph(), control.graph());
+            assert_eq!(sp.order(), control.order());
+            assert_eq!(sp.order_digest(), control.order_digest());
+            assert_eq!(sp.full_reorders(), control.full_reorders());
+            for (a, c) in sp.tracks().iter().zip(control.tracks()) {
+                assert_eq!(bits_of(a.states()), bits_of(c.states()));
+                assert_eq!(a.state_digest(), c.state_digest());
+                assert_eq!(a.levels, c.levels);
+                assert_eq!(
+                    (a.total_rounds(), a.cold_batches()),
+                    (c.total_rounds(), c.cold_batches())
+                );
+            }
+        }
     }
 
     #[test]
@@ -1824,7 +2361,7 @@ mod tests {
         assert!(r.stats.converged);
         assert_eq!(sp.graph().num_vertices(), 6);
         assert_eq!(sp.states(), &before[..]);
-        assert_eq!(sp.cold_batches(), 0);
+        assert_eq!(sp.tracks()[0].cold_batches(), 0);
     }
 
     #[test]
@@ -1879,12 +2416,24 @@ mod tests {
         }
 
         fn over(self, g: &CsrGraph, mode: Mode) -> StreamingPipelineBuilder {
-            let mut b = StreamingPipeline::over(g).mode(mode);
-            b.gather = self.gather();
-            if b.gather.is_none() {
+            self.add_to(StreamingPipeline::over(g), mode)
+        }
+
+        /// `b` with this subject as its last track.
+        fn add_to(self, b: StreamingPipelineBuilder, mode: Mode) -> StreamingPipelineBuilder {
+            let mut b = b.mode(mode);
+            b.current().gather = self.gather();
+            if b.current().gather.is_none() {
                 b = b.delta_algorithm(DeltaSssp { source: 0 });
             }
             b
+        }
+
+        /// One pipeline with a track per subject, all under `mode`.
+        fn tracks_over(subjects: &[Subject], g: &CsrGraph, mode: Mode) -> StreamingPipelineBuilder {
+            let (first, rest) = subjects.split_first().expect("a subject");
+            rest.iter()
+                .fold(first.over(g, mode), |b, s| s.add_to(b.track(), mode))
         }
 
         /// The fixpoint a cold run finds on `g`.
@@ -1904,8 +2453,8 @@ mod tests {
         /// every vertex is intrinsic or has an in-edge, from a vertex
         /// that precedes it on `(state, level)`, offering exactly its
         /// state.
-        fn assert_certified(self, sp: &StreamingPipeline, label: &str) {
-            let (g, s, l) = (sp.graph(), sp.states(), &sp.levels);
+        fn assert_certified(self, g: &CsrGraph, track: &Track, label: &str) {
+            let (s, l) = (track.states(), &track.levels);
             let gather = self.gather();
             let delta = DeltaSssp { source: 0 };
             for v in g.vertices() {
@@ -1984,6 +2533,18 @@ mod tests {
         })
     }
 
+    /// Whether two runs of `mode` over the same input take the same
+    /// number of rounds. Racing `Parallel(b ≥ 2)` blocks reach bit-equal
+    /// states every time, but whether a block sees a neighbour block's
+    /// write within a round is up to the scheduler, so their round
+    /// counts vary run to run (visible once small rounds cross the pool,
+    /// e.g. under `GOGRAPH_PAR_CUTOFF=0`). The oracle compares rounds
+    /// only where they repeat, and states, levels, graph and order
+    /// everywhere.
+    fn rounds_repeat(mode: Mode) -> bool {
+        !matches!(mode, Mode::Parallel(b) if b > 1)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -2006,17 +2567,74 @@ mod tests {
                         prop_assert!(r.stats.converged, "{}: batch {}", label, i);
                         let cold = subject.cold(sp.graph(), sp.order());
                         prop_assert_eq!(bits_of(sp.states()), bits_of(&cold), "{}: batch {}", label, i);
-                        subject.assert_certified(&sp, &label);
+                        subject.assert_certified(sp.graph(), &sp.tracks()[0], &label);
                         if let Some(resumed) = resumed.as_mut() {
                             let rr = resumed.apply_batch(&batch).unwrap();
-                            prop_assert_eq!(rr.stats.rounds, r.stats.rounds, "{}", label);
+                            if rounds_repeat(mode) {
+                                prop_assert_eq!(rr.stats.rounds, r.stats.rounds, "{}", label);
+                            }
                         }
                     }
                     let resumed = resumed.expect("at least one batch");
                     prop_assert_eq!(bits_of(resumed.states()), bits_of(sp.states()), "{}", label);
                     prop_assert_eq!(resumed.graph(), sp.graph(), "{}", label);
                     prop_assert_eq!(resumed.order(), sp.order(), "{}", label);
-                    prop_assert_eq!(&resumed.levels, &sp.levels, "{}", label);
+                    prop_assert_eq!(&resumed.tracks[0].levels, &sp.tracks[0].levels, "{}", label);
+                }
+            }
+
+            // Several tracks over one graph and order, and the same set
+            // resumed halfway: each track is the one-track pipeline of
+            // its algorithm, batch for batch.
+            let subjects = [Subject::Cc, Subject::Sssp, Subject::Bfs];
+            for mode in [Mode::Async, Mode::Worklist, Mode::Parallel(2)] {
+                let label = format!("tracks/{}", mode.name());
+                let mut multi = Subject::tracks_over(&subjects, &g, mode).build().unwrap();
+                let mut singles: Vec<StreamingPipeline> = subjects
+                    .iter()
+                    .map(|s| s.over(&g, mode).build().unwrap())
+                    .collect();
+                let mut resumed = None;
+                for (i, ops) in batches.iter().enumerate() {
+                    if i == batches.len() / 2 {
+                        let states = (0..subjects.len()).map(|t| multi.export_track(t)).collect();
+                        resumed = Some(
+                            Subject::tracks_over(&subjects, &g, mode).resume_tracks(states).unwrap(),
+                        );
+                    }
+                    let batch = resolve(multi.graph(), ops);
+                    multi.apply_batch(&batch).unwrap();
+                    for (t, single) in singles.iter_mut().enumerate() {
+                        let one = single.apply_batch(&batch).unwrap();
+                        let track = &multi.tracks()[t];
+                        let label = format!("{label}/{:?}: batch {i}", subjects[t]);
+                        prop_assert_eq!(multi.graph(), single.graph(), "{}", label);
+                        prop_assert_eq!(multi.order(), single.order(), "{}", label);
+                        prop_assert_eq!(multi.order_digest(), single.order_digest(), "{}", label);
+                        prop_assert_eq!(bits_of(track.states()), bits_of(single.states()), "{}", label);
+                        prop_assert_eq!(track.state_digest(), single.tracks()[0].state_digest(), "{}", label);
+                        prop_assert_eq!(&track.levels, &single.tracks[0].levels, "{}", label);
+                        prop_assert_eq!(track.cold_batches(), single.tracks()[0].cold_batches(), "{}", label);
+                        if rounds_repeat(mode) {
+                            prop_assert_eq!(track.last_run().rounds, one.stats.rounds, "{}", label);
+                        }
+                    }
+                    if let Some(resumed) = resumed.as_mut() {
+                        resumed.apply_batch(&batch).unwrap();
+                        if rounds_repeat(mode) {
+                            let rounds = |p: &StreamingPipeline| {
+                                p.tracks().iter().map(|t| t.last_run().rounds).collect::<Vec<_>>()
+                            };
+                            prop_assert_eq!(rounds(resumed), rounds(&multi), "{}", label);
+                        }
+                    }
+                }
+                let resumed = resumed.expect("at least one batch");
+                prop_assert_eq!(resumed.graph(), multi.graph(), "{}", label);
+                prop_assert_eq!(resumed.order(), multi.order(), "{}", label);
+                for (a, b) in resumed.tracks().iter().zip(multi.tracks()) {
+                    prop_assert_eq!(bits_of(a.states()), bits_of(b.states()), "{}", label);
+                    prop_assert_eq!(&a.levels, &b.levels, "{}", label);
                 }
             }
         }

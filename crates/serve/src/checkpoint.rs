@@ -1,9 +1,10 @@
 //! Epoch checkpoints: the compaction half of crash recovery.
 //!
-//! A checkpoint is a serialized [`ResumableState`] per warm pipeline
-//! plus the WAL sequence number and epoch it captures — everything
-//! needed to rebuild the mutator's exact decision state via
-//! [`StreamingPipelineBuilder::resume`](gograph_engine::StreamingPipelineBuilder::resume)
+//! A checkpoint is a serialized [`ResumableState`] per warm track of the
+//! mutator's pipeline (each carrying the same graph, order keys and
+//! baselines) plus the WAL sequence number and epoch it captures —
+//! everything needed to rebuild the mutator's exact decision state via
+//! [`StreamingPipelineBuilder::resume_tracks`](gograph_engine::StreamingPipelineBuilder::resume_tracks)
 //! and then replay only the WAL records with `seq >` the checkpoint's.
 //! Because the streaming pipeline is deterministic and the resumable
 //! state carries the insertion order's full float-key state, recovery
@@ -77,11 +78,11 @@ pub struct Checkpoint {
     pub updates_applied: u64,
     /// `ServeStats::mutator_rounds` at the capture point.
     pub mutator_rounds: u64,
-    /// One entry per warm pipeline, in `ServeConfig::warm` order.
+    /// One entry per warm track, in `ServeConfig::warm` order.
     pub pipelines: Vec<PipelineCheckpoint>,
 }
 
-/// One warm pipeline's identity and exported state.
+/// One warm track's identity and exported state.
 #[derive(Debug, Clone)]
 pub struct PipelineCheckpoint {
     /// Which warm pipeline this is.

@@ -20,13 +20,14 @@
 //! # Mutator supervision
 //!
 //! A panicking or failing batch application no longer halts epoch
-//! publication: the mutator exports each pipeline's resumable state
-//! before applying a batch, catches panics, and on any failure restores
-//! every pipeline to the pre-batch state. The failed batch is skipped
-//! (deterministically — a recovery replaying the same batches under the
-//! same [`FaultPlan`] skips the same ones), `mutator_restarts` counts
-//! the rollback, and the `degraded` flag stays raised until the next
-//! successful publish.
+//! publication: the mutator takes a
+//! [`Savepoint`](gograph_engine::Savepoint) of its pipeline before
+//! applying a batch, catches panics, and on any failure restores the
+//! shared graph and order and every warm track to the pre-batch state.
+//! The failed batch is skipped (deterministically — a recovery replaying
+//! the same batches under the same [`FaultPlan`] skips the same ones),
+//! `mutator_restarts` counts the rollback, and the `degraded` flag stays
+//! raised until the next successful publish.
 //!
 //! # Replication
 //!
@@ -35,7 +36,7 @@
 //! the *same* supervised apply path — a follower is a crash recovery
 //! that never stops replaying). Because batch application and batch
 //! *failure* are deterministic, a healthy follower's epochs are
-//! bit-identical to the primary's; both sides record a per-pipeline
+//! bit-identical to the primary's; both sides record a per-track
 //! state fingerprint after every settled batch, and the primary
 //! compares the follower's fingerprints on every ack — a mismatch is a
 //! detected divergence (typed error + counter), repaired by re-syncing
@@ -58,7 +59,7 @@ use crate::wal::{
 };
 use gograph_engine::{
     Bfs, ConnectedComponents, EngineError, PageRank, Pipeline, ResumableState, Sssp, Sswp,
-    StreamingPipeline, WarmStart,
+    StreamingPipeline, StreamingPipelineBuilder, WarmStart,
 };
 use gograph_graph::{CsrGraph, EdgeUpdate, VertexId};
 use std::collections::{HashMap, VecDeque};
@@ -139,14 +140,14 @@ impl DurabilityConfig {
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Algorithms the mutator maintains warm across epochs. When empty,
-    /// a single global CC pipeline is used so the order still gets
-    /// maintained.
+    /// Algorithms the mutator maintains warm across epochs, one track
+    /// each over the mutator's one graph and order. When empty, a single
+    /// global CC track is used so the order still gets maintained.
     pub warm: Vec<WarmSpec>,
     /// How long an admission-batch leader holds its slot open for
     /// followers. Zero disables request combining.
     pub admission_window: Duration,
-    /// Reorder parallelism handed to the mutator's pipelines.
+    /// Reorder parallelism handed to the mutator's pipeline.
     pub reorder_threads: usize,
     /// Whether the mutator uses partition-scoped re-reordering.
     pub partition_scoped: bool,
@@ -324,8 +325,8 @@ struct FollowerEntry {
     needs_resync: bool,
 }
 
-/// One quiesced fingerprint record: the per-pipeline state hashes
-/// after the batch with sequence number `seq` settled.
+/// One quiesced fingerprint record: the per-track state hashes after
+/// the batch with sequence number `seq` settled.
 #[derive(Debug, Clone)]
 struct ProbeEntry {
     seq: u64,
@@ -415,7 +416,7 @@ impl ReplicationState {
 /// ascending seq order, exactly as the primary's mutator settled them.
 pub type SegmentRecords = Vec<(u64, Vec<EdgeUpdate>)>;
 
-/// A fingerprint probe answer: the per-pipeline state hashes this node
+/// A fingerprint probe answer: the per-track state hashes this node
 /// recorded when `seq` settled.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeReport {
@@ -426,33 +427,36 @@ pub struct ProbeReport {
     /// Whether this node still holds a record at the requested
     /// watermark (the history is bounded; old entries age out).
     pub known: bool,
-    /// One hash per warm pipeline, in `ServeConfig::warm` order.
+    /// One hash per warm track, in `ServeConfig::warm` order.
     pub fingerprints: Vec<u64>,
 }
 
-/// A 64-bit fingerprint of one pipeline's externally visible state:
-/// graph shape, exact converged-state bits, and the processing order.
-/// Two pipelines that replayed the same batches from the same start
-/// hash identically (the bit-identical-replay guarantee); any
-/// divergence flips the hash with overwhelming probability.
-fn pipeline_fingerprint(sp: &StreamingPipeline) -> u64 {
-    let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut mix = |x: u64| h = splitmix64(h ^ x);
-    mix(sp.graph().num_vertices() as u64);
-    mix(sp.graph().num_edges() as u64);
-    for &s in sp.states() {
-        mix(s.to_bits());
-    }
-    for &v in sp.order().order() {
-        mix(v as u64);
-    }
-    h
-}
-
-fn fingerprints(pipelines: &[(WarmSpec, StreamingPipeline)]) -> Vec<u64> {
-    pipelines
+/// One 64-bit fingerprint per warm track of the externally visible
+/// state: graph shape, the processing order's keys and the track's exact
+/// converged-state bits. Two nodes that replayed the same batches from
+/// the same start hash identically (the bit-identical-replay
+/// guarantee); any divergence flips the hash with overwhelming
+/// probability. The order and states enter as the multiset digests the
+/// pipeline patches for what each batch moved
+/// ([`StreamingPipeline::order_digest`],
+/// [`Track::state_digest`](gograph_engine::Track::state_digest)), so
+/// this costs `O(tracks)`, not a walk; debug builds check every digest
+/// against the walk.
+fn fingerprints(sp: &StreamingPipeline) -> Vec<u64> {
+    let g = sp.graph();
+    let shape = [
+        g.num_vertices() as u64,
+        g.num_edges() as u64,
+        sp.order_digest(),
+    ];
+    sp.tracks()
         .iter()
-        .map(|(_, sp)| pipeline_fingerprint(sp))
+        .map(|t| {
+            shape
+                .iter()
+                .chain([&t.state_digest()])
+                .fold(0x9e37_79b9_7f4a_7c15, |h, &x| splitmix64(h ^ x))
+        })
         .collect()
 }
 
@@ -472,7 +476,7 @@ struct UpdateLane {
     wal: Option<WalWriter>,
 }
 
-/// Pipeline construction knobs threaded to the supervisor so restored
+/// Pipeline construction knobs threaded to the mutator so resumed
 /// pipelines are built exactly like the originals.
 #[derive(Debug, Clone, Copy)]
 struct PipelineBuild {
@@ -491,7 +495,9 @@ impl PipelineBuild {
 
 /// Everything the mutator thread owns.
 struct MutatorCtx {
-    pipelines: Vec<(WarmSpec, StreamingPipeline)>,
+    /// One track per entry of `warm`, in order.
+    pipeline: StreamingPipeline,
+    warm: Vec<WarmSpec>,
     build: PipelineBuild,
     faults: FaultPlan,
     durability: Option<DurabilityConfig>,
@@ -534,10 +540,10 @@ pub struct ServeCore {
 }
 
 impl ServeCore {
-    /// Boots the service over `graph`: builds one warm
-    /// [`StreamingPipeline`] per configured algorithm (cold bootstrap
-    /// runs happen here), publishes the bootstrap epoch, and starts the
-    /// mutator thread.
+    /// Boots the service over `graph`: builds the mutator's
+    /// [`StreamingPipeline`] — one bootstrap reorder, one warm track and
+    /// cold bootstrap run per configured algorithm — publishes the
+    /// bootstrap epoch, and starts the mutator thread.
     ///
     /// With durability configured, a fresh start refuses to run over
     /// existing durable state (that is what [`recover`](Self::recover)
@@ -560,12 +566,7 @@ impl ServeCore {
         }
 
         let build = PipelineBuild::from_config(&config);
-        let mut pipelines: Vec<(WarmSpec, StreamingPipeline)> =
-            Vec::with_capacity(warm_specs.len());
-        for spec in &warm_specs {
-            let sp = build_warm_pipeline(graph, *spec, build)?;
-            pipelines.push((*spec, sp));
-        }
+        let pipeline = warm_pipeline(graph, &warm_specs, build).build()?;
 
         let stats = Arc::new(ServeStats::default());
         let mut wal = None;
@@ -580,7 +581,7 @@ impl ServeCore {
             }
             // Bootstrap checkpoint: recovery always has a base state,
             // even if the process dies before the first periodic one.
-            let ck = make_checkpoint(&pipelines, 0, 0, &stats);
+            let ck = make_checkpoint(&warm_specs, &pipeline, 0, 0, &stats);
             let bytes = write_checkpoint(&d.checkpoint_path(), &ck)?;
             stats.checkpoints_written.fetch_add(1, Ordering::Relaxed);
             stats
@@ -592,10 +593,11 @@ impl ServeCore {
             wal = Some(WalWriter::open(&d.wal_path(), d.sync)?);
         }
 
-        let bootstrap = epoch_from_pipelines(0, &pipelines);
+        let bootstrap = epoch_from_pipeline(0, &warm_specs, &pipeline);
         Self::launch(
             Arc::new(EpochCell::new(bootstrap)),
-            pipelines,
+            warm_specs,
+            pipeline,
             stats,
             config,
             build,
@@ -607,7 +609,7 @@ impl ServeCore {
         )
     }
 
-    /// Rebuilds the service from its durable state: resumes every warm
+    /// Rebuilds the service from its durable state: resumes the warm
     /// pipeline from the last checkpoint, truncates any torn WAL tail,
     /// replays the records the checkpoint does not cover, and restores
     /// the counters — the recovered epoch is bit-identical to the
@@ -637,12 +639,7 @@ impl ServeCore {
         };
 
         let build = PipelineBuild::from_config(&config);
-        let mut pipelines: Vec<(WarmSpec, StreamingPipeline)> =
-            Vec::with_capacity(ck.pipelines.len());
-        for p in ck.pipelines {
-            let sp = resume_warm_pipeline(p.warm, p.state, build)?;
-            pipelines.push((p.warm, sp));
-        }
+        let (warm, mut pipeline) = resume_warm_pipeline(ck.pipelines, build)?;
 
         // Only the longest intact WAL prefix is replayable; anything
         // past it is a torn (never acked) append and is discarded.
@@ -673,14 +670,9 @@ impl ServeCore {
         for rec in contents.records.iter().filter(|r| r.seq > ck.seq) {
             last_seq = rec.seq;
             replayed += 1;
-            if let Some(rounds) = apply_supervised(
-                &mut pipelines,
-                rec.seq,
-                &rec.updates,
-                &stats,
-                &config.faults,
-                build,
-            ) {
+            if let Some(rounds) =
+                apply_supervised(&mut pipeline, rec.seq, &rec.updates, &stats, &config.faults)
+            {
                 epoch += 1;
                 stats.batches_applied.fetch_add(1, Ordering::Relaxed);
                 stats
@@ -698,13 +690,14 @@ impl ServeCore {
         stats.wal_replayed.store(replayed, Ordering::Relaxed);
 
         let cell = Arc::new(EpochCell::with_published(
-            epoch_from_pipelines(epoch, &pipelines),
+            epoch_from_pipeline(epoch, &warm, &pipeline),
             epoch,
         ));
         let wal = Some(WalWriter::open(&wal_path, d.sync)?);
         Self::launch(
             cell,
-            pipelines,
+            warm,
+            pipeline,
             stats,
             config,
             build,
@@ -737,7 +730,8 @@ impl ServeCore {
     #[allow(clippy::too_many_arguments)]
     fn launch(
         cell: Arc<EpochCell>,
-        pipelines: Vec<(WarmSpec, StreamingPipeline)>,
+        warm: Vec<WarmSpec>,
+        pipeline: StreamingPipeline,
         stats: Arc<ServeStats>,
         config: ServeConfig,
         build: PipelineBuild,
@@ -751,10 +745,11 @@ impl ServeCore {
         let repl = Arc::new(ReplicationState::new(role));
         // Seed the probe history: an ack or probe at the boot
         // watermark has an answer before any batch settles.
-        repl.record_probe(last_seq, epoch, fingerprints(&pipelines));
+        repl.record_probe(last_seq, epoch, fingerprints(&pipeline));
         stats.repl_last_seq.store(last_seq, Ordering::Release);
         let ctx = MutatorCtx {
-            pipelines,
+            pipeline,
+            warm,
             build,
             faults: config.faults.clone(),
             durability: config.durability.clone(),
@@ -1277,12 +1272,7 @@ impl ServeCore {
             ));
         }
         let build = PipelineBuild::from_config(&config);
-        let mut pipelines: Vec<(WarmSpec, StreamingPipeline)> =
-            Vec::with_capacity(ck.pipelines.len());
-        for p in ck.pipelines {
-            let sp = resume_warm_pipeline(p.warm, p.state, build)?;
-            pipelines.push((p.warm, sp));
-        }
+        let (warm, pipeline) = resume_warm_pipeline(ck.pipelines, build)?;
         let stats = Arc::new(ServeStats::default());
         stats.batches_applied.store(ck.epoch, Ordering::Relaxed);
         stats
@@ -1297,12 +1287,13 @@ impl ServeCore {
         stats.batches_enqueued.store(ck.seq, Ordering::Relaxed);
         stats.repl_primary_seq.store(ck.seq, Ordering::Relaxed);
         let cell = Arc::new(EpochCell::with_published(
-            epoch_from_pipelines(ck.epoch, &pipelines),
+            epoch_from_pipeline(ck.epoch, &warm, &pipeline),
             ck.epoch,
         ));
         Self::launch(
             cell,
-            pipelines,
+            warm,
+            pipeline,
             stats,
             config,
             build,
@@ -1394,40 +1385,38 @@ impl ServeCore {
     }
 }
 
-/// Applies one batch to every pipeline under a supervisor: on a panic
-/// or engine error anywhere, every pipeline is restored to its
-/// pre-batch exported state and the batch is skipped. Returns the total
+/// Applies one batch to the pipeline under a supervisor: on a panic or
+/// engine error anywhere — before the batch, in the shared order
+/// maintenance, or between two tracks — the pipeline is restored to its
+/// pre-batch savepoint and the batch is skipped. Returns the total
 /// re-convergence rounds on success, `None` on a (rolled-back) failure.
 fn apply_supervised(
-    pipelines: &mut [(WarmSpec, StreamingPipeline)],
+    pipeline: &mut StreamingPipeline,
     seq: u64,
     updates: &[EdgeUpdate],
     stats: &ServeStats,
     faults: &FaultPlan,
-    build: PipelineBuild,
 ) -> Option<u64> {
     if let Some(stall) = faults.mutator_stall(seq) {
         std::thread::sleep(stall);
     }
-    // Export the pre-batch state first: a panic can leave some
-    // pipelines one batch ahead of others, and publishing (or building
-    // on) that torn mix is exactly what the supervisor must prevent.
-    let saved: Vec<ResumableState> = pipelines.iter().map(|(_, sp)| sp.export_state()).collect();
+    // Save the pre-batch state first: a panic can leave some tracks one
+    // batch ahead of others, and publishing (or building on) that torn
+    // mix is exactly what the supervisor must prevent. `Arc`s and one
+    // copy of the order keys, not a copy of every track.
+    let save = pipeline.savepoint();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if faults.mutator_panic(seq) {
             panic!("injected fault: mutator panic before batch {seq}");
         }
-        let mut rounds = 0u64;
-        for (i, (_, sp)) in pipelines.iter_mut().enumerate() {
-            if i > 0 && faults.mutator_panic_mid(seq) {
+        pipeline.apply_batch_with(updates, |track| {
+            if track > 0 && faults.mutator_panic_mid(seq) {
                 panic!("injected fault: mutator panic mid-batch {seq}");
             }
-            rounds += sp.apply_batch(updates)?.stats.rounds as u64;
-        }
-        Ok::<u64, EngineError>(rounds)
+        })
     }));
     match outcome {
-        Ok(Ok(rounds)) => Some(rounds),
+        Ok(Ok(r)) => Some(r.stats.rounds as u64),
         failure => {
             match &failure {
                 Ok(Err(e)) => {
@@ -1435,18 +1424,7 @@ fn apply_supervised(
                 }
                 _ => eprintln!("gograph-serve: mutator panicked on batch {seq}; rolling back"),
             }
-            for ((spec, sp), state) in pipelines.iter_mut().zip(saved) {
-                match resume_warm_pipeline(*spec, state, build) {
-                    Ok(fresh) => *sp = fresh,
-                    // Resuming a just-exported state cannot ordinarily
-                    // fail; if it does, the old pipeline (a valid
-                    // state, never published) is the safest fallback.
-                    Err(e) => eprintln!(
-                        "gograph-serve: could not restore {} pipeline: {e}",
-                        spec.alg.name()
-                    ),
-                }
-            }
+            pipeline.restore(save);
             stats.mutator_errors.fetch_add(1, Ordering::Relaxed);
             stats.mutator_restarts.fetch_add(1, Ordering::Relaxed);
             stats.degraded.store(1, Ordering::Relaxed);
@@ -1455,8 +1433,19 @@ fn apply_supervised(
     }
 }
 
+/// One [`PipelineCheckpoint`] per warm track, all sharing the graph.
+fn export_tracks(warm: &[WarmSpec], pipeline: &StreamingPipeline) -> Vec<PipelineCheckpoint> {
+    (warm.iter().enumerate())
+        .map(|(i, spec)| PipelineCheckpoint {
+            warm: *spec,
+            state: pipeline.export_track(i),
+        })
+        .collect()
+}
+
 fn make_checkpoint(
-    pipelines: &[(WarmSpec, StreamingPipeline)],
+    warm: &[WarmSpec],
+    pipeline: &StreamingPipeline,
     seq: u64,
     epoch: u64,
     stats: &ServeStats,
@@ -1466,13 +1455,7 @@ fn make_checkpoint(
         epoch,
         updates_applied: stats.updates_applied.load(Ordering::Relaxed),
         mutator_rounds: stats.mutator_rounds.load(Ordering::Relaxed),
-        pipelines: pipelines
-            .iter()
-            .map(|(spec, sp)| PipelineCheckpoint {
-                warm: *spec,
-                state: sp.export_state(),
-            })
-            .collect(),
+        pipelines: export_tracks(warm, pipeline),
     }
 }
 
@@ -1493,7 +1476,7 @@ fn checkpoint_step(
     let Some(d) = ctx.durability.clone() else {
         return false;
     };
-    let cur = make_checkpoint(&ctx.pipelines, seq, ctx.epoch, stats);
+    let cur = make_checkpoint(&ctx.warm, &ctx.pipeline, seq, ctx.epoch, stats);
     let mut wrote = false;
     let want_delta = d.delta_checkpoints
         && !force_full
@@ -1556,21 +1539,21 @@ fn checkpoint_step(
 }
 
 /// Chaos drill (armed only by follower test plans): flips one
-/// converged state in the first pipeline to an impossible value and
+/// converged state of the first track to an impossible value and
 /// resumes the pipeline over it, so subsequent epochs and fingerprints
 /// silently diverge from the primary's — exactly the fault the probe
 /// comparison must catch.
 fn corrupt_pipeline_state(ctx: &mut MutatorCtx, seq: u64) {
-    let (spec, sp) = &mut ctx.pipelines[0];
-    let mut st = sp.export_state();
-    if st.states.is_empty() {
+    let mut tracks = export_tracks(&ctx.warm, &ctx.pipeline);
+    let states = &mut tracks[0].state.states;
+    if states.is_empty() {
         return;
     }
-    let idx = seq as usize % st.states.len();
-    st.states[idx] = -4096.5;
-    match resume_warm_pipeline(*spec, st, ctx.build) {
-        Ok(fresh) => {
-            *sp = fresh;
+    let idx = seq as usize % states.len();
+    states[idx] = -4096.5;
+    match resume_warm_pipeline(tracks, ctx.build) {
+        Ok((_, fresh)) => {
+            ctx.pipeline = fresh;
             eprintln!("gograph-serve: injected state corruption after batch {seq}");
         }
         Err(e) => eprintln!("gograph-serve: corruption injection failed to resume: {e}"),
@@ -1582,17 +1565,13 @@ fn corrupt_pipeline_state(ctx: &mut MutatorCtx, seq: u64) {
 /// probe history — stale fingerprints of diverged state must not
 /// answer probes at watermarks the follower is about to replay again.
 fn resync_mutator(ctx: &mut MutatorCtx, ck: Checkpoint, cell: &EpochCell, stats: &ServeStats) {
-    let mut pipelines = Vec::with_capacity(ck.pipelines.len());
-    for p in &ck.pipelines {
-        match resume_warm_pipeline(p.warm, p.state.clone(), ctx.build) {
-            Ok(sp) => pipelines.push((p.warm, sp)),
-            Err(e) => {
-                eprintln!("gograph-serve: re-sync resume failed: {e}; keeping current state");
-                return;
-            }
+    match resume_warm_pipeline(ck.pipelines, ctx.build) {
+        Ok((warm, pipeline)) => (ctx.warm, ctx.pipeline) = (warm, pipeline),
+        Err(e) => {
+            eprintln!("gograph-serve: re-sync resume failed: {e}; keeping current state");
+            return;
         }
     }
-    ctx.pipelines = pipelines;
     ctx.epoch = ck.epoch;
     ctx.last_seq = ck.seq;
     stats.batches_applied.store(ck.epoch, Ordering::Relaxed);
@@ -1606,10 +1585,10 @@ fn resync_mutator(ctx: &mut MutatorCtx, ck: Checkpoint, cell: &EpochCell, stats:
         .mutator_rounds
         .store(ck.mutator_rounds, Ordering::Relaxed);
     stats.degraded.store(0, Ordering::Relaxed);
-    cell.publish(epoch_from_pipelines(ctx.epoch, &ctx.pipelines));
+    cell.publish(epoch_from_pipeline(ctx.epoch, &ctx.warm, &ctx.pipeline));
     crate::lock_unpoisoned(&ctx.repl.probes).clear();
     ctx.repl
-        .record_probe(ck.seq, ck.epoch, fingerprints(&ctx.pipelines));
+        .record_probe(ck.seq, ck.epoch, fingerprints(&ctx.pipeline));
     stats.repl_last_seq.store(ck.seq, Ordering::Release);
 }
 
@@ -1623,19 +1602,14 @@ fn mutator_loop(
         match rx.recv() {
             Ok(MutatorMsg::Batch { seq, updates }) => {
                 ctx.last_seq = seq;
-                if let Some(rounds) = apply_supervised(
-                    &mut ctx.pipelines,
-                    seq,
-                    &updates,
-                    stats,
-                    &ctx.faults,
-                    ctx.build,
-                ) {
+                if let Some(rounds) =
+                    apply_supervised(&mut ctx.pipeline, seq, &updates, stats, &ctx.faults)
+                {
                     ctx.epoch += 1;
                     if ctx.faults.corrupt_state(seq) {
                         corrupt_pipeline_state(&mut ctx, seq);
                     }
-                    cell.publish(epoch_from_pipelines(ctx.epoch, &ctx.pipelines));
+                    cell.publish(epoch_from_pipeline(ctx.epoch, &ctx.warm, &ctx.pipeline));
                     stats.batches_applied.fetch_add(1, Ordering::Relaxed);
                     stats
                         .updates_applied
@@ -1660,7 +1634,7 @@ fn mutator_loop(
                     std::thread::sleep(d);
                 }
                 ctx.repl
-                    .record_probe(seq, ctx.epoch, fingerprints(&ctx.pipelines));
+                    .record_probe(seq, ctx.epoch, fingerprints(&ctx.pipeline));
                 stats.repl_last_seq.store(seq, Ordering::Release);
             }
             Ok(MutatorMsg::Resync(ck)) => {
@@ -1707,59 +1681,64 @@ impl std::fmt::Debug for ServeCore {
     }
 }
 
-fn build_warm_pipeline(
+/// The mutator's pipeline over `graph`, one track per warm spec.
+fn warm_pipeline(
     graph: &CsrGraph,
-    spec: WarmSpec,
+    warm: &[WarmSpec],
     build: PipelineBuild,
-) -> Result<StreamingPipeline, EngineError> {
-    let b = StreamingPipeline::over(graph)
+) -> StreamingPipelineBuilder {
+    let mut b = StreamingPipeline::over(graph)
         .reorder_parallelism(build.reorder_threads)
         .partition_scoped_reorder(build.partition_scoped);
-    match spec.alg {
-        AlgSpec::Sssp => b.algorithm(Sssp::new(spec.source)).build(),
-        AlgSpec::Bfs => b.algorithm(Bfs::new(spec.source)).build(),
-        AlgSpec::Cc => b.algorithm(ConnectedComponents).build(),
-        AlgSpec::PageRank => b.algorithm(PageRank::default()).build(),
-        AlgSpec::Sswp => b.algorithm(Sswp::new(spec.source)).build(),
+    for (i, spec) in warm.iter().enumerate() {
+        if i > 0 {
+            b = b.track();
+        }
+        b = match spec.alg {
+            AlgSpec::Sssp => b.algorithm(Sssp::new(spec.source)),
+            AlgSpec::Bfs => b.algorithm(Bfs::new(spec.source)),
+            AlgSpec::Cc => b.algorithm(ConnectedComponents),
+            AlgSpec::PageRank => b.algorithm(PageRank::default()),
+            AlgSpec::Sswp => b.algorithm(Sswp::new(spec.source)),
+        };
     }
+    b
 }
 
-/// Rebuilds a warm pipeline from an exported state — the restore half
-/// of both supervision (rollback) and recovery (checkpoint resume).
+/// Rebuilds the warm pipeline from a checkpoint's per-track states —
+/// recovery, follower bootstrap, re-sync and the corruption drill.
 fn resume_warm_pipeline(
-    spec: WarmSpec,
-    state: ResumableState,
+    tracks: Vec<PipelineCheckpoint>,
     build: PipelineBuild,
-) -> Result<StreamingPipeline, EngineError> {
-    let b = StreamingPipeline::over(&state.graph)
-        .reorder_parallelism(build.reorder_threads)
-        .partition_scoped_reorder(build.partition_scoped);
-    match spec.alg {
-        AlgSpec::Sssp => b.algorithm(Sssp::new(spec.source)).resume(state),
-        AlgSpec::Bfs => b.algorithm(Bfs::new(spec.source)).resume(state),
-        AlgSpec::Cc => b.algorithm(ConnectedComponents).resume(state),
-        AlgSpec::PageRank => b.algorithm(PageRank::default()).resume(state),
-        AlgSpec::Sswp => b.algorithm(Sswp::new(spec.source)).resume(state),
-    }
+) -> Result<(Vec<WarmSpec>, StreamingPipeline), EngineError> {
+    let (warm, states): (Vec<WarmSpec>, Vec<ResumableState>) =
+        tracks.into_iter().map(|p| (p.warm, p.state)).unzip();
+    let graph = states
+        .first()
+        .map_or_else(|| CsrGraph::empty(0), |s| s.graph.snapshot());
+    let pipeline = warm_pipeline(&graph, &warm, build).resume_tracks(states)?;
+    Ok((warm, pipeline))
 }
 
-fn epoch_from_pipelines(epoch: u64, pipelines: &[(WarmSpec, StreamingPipeline)]) -> EpochState {
-    let (_, first) = &pipelines[0];
+/// The epoch a pipeline's current state publishes: graph, order,
+/// partition assignment and every track's states are `Arc`-shared with
+/// the pipeline, which replaces them on the next batch instead of
+/// writing into them.
+fn epoch_from_pipeline(epoch: u64, warm: &[WarmSpec], sp: &StreamingPipeline) -> EpochState {
     EpochState {
         epoch,
-        // O(1): the CSR payloads are Arc-shared with the pipeline's
-        // copy, which stops aliasing them the moment it next mutates.
-        graph: first.graph().snapshot(),
-        order: Arc::new(first.order().clone()),
-        part_of: Arc::new(first.part_assignment().to_vec()),
-        num_partitions: first.num_partitions(),
-        warm: pipelines
+        graph: sp.graph().snapshot(),
+        order: Arc::clone(sp.shared_order()),
+        part_of: Arc::clone(sp.part_assignment()),
+        num_partitions: sp.num_partitions(),
+        warm: warm
             .iter()
-            .map(|(spec, sp)| WarmEntry {
+            .zip(sp.tracks())
+            .map(|(spec, track)| WarmEntry {
                 alg: spec.alg,
                 source: spec.source,
-                states: Arc::new(sp.states().to_vec()),
-                converged: sp.last_result().stats.converged,
+                states: Arc::clone(track.states()),
+                converged: track.last_run().converged,
             })
             .collect(),
     }

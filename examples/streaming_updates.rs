@@ -56,7 +56,7 @@ fn main() {
         "bootstrap: {} edges, full reorder + cold SSSP in {:.1} ms ({} rounds, M/|E| = {:.3}, {} partitions tracked)",
         bootstrap_cut,
         t0.elapsed().as_secs_f64() * 1e3,
-        sp.last_result().stats.rounds,
+        sp.tracks()[0].last_run().rounds,
         sp.positive_fraction(),
         sp.num_partitions(),
     );
@@ -72,7 +72,7 @@ fn main() {
         "batch split must produce non-empty batches"
     );
 
-    let mut warm_total_rounds = sp.last_result().stats.rounds;
+    let mut warm_total_rounds = sp.tracks()[0].last_run().rounds;
     let mut cold_total_rounds = 0usize;
     for (i, chunk) in batches.iter().enumerate() {
         let mut updates: Vec<EdgeUpdate> = chunk
@@ -132,7 +132,7 @@ fn main() {
         .algorithm(PageRank::default())
         .build()
         .expect("valid streaming pipeline");
-    assert!(!pr.warm_start_is_sound());
+    assert!(!pr.tracks()[0].warm_start_is_sound());
     let r = pr
         .apply_batch(&[EdgeUpdate::insert(0, (num_vertices - 1) as u32)])
         .expect("batch applies");

@@ -103,12 +103,20 @@ fn compressed_storage_matches_flat_across_the_engine_matrix() {
                     assert!(got.converged, "{label}");
                     // The racing accumulates of sum-norm PageRank at
                     // >1 block are the one tolerance carve-out.
-                    if exact || !matches!(mode, Mode::Parallel(b) if b > 1) {
+                    let racing = matches!(mode, Mode::Parallel(b) if b > 1);
+                    if exact || !racing {
                         assert_eq!(
                             flat.final_states, got.final_states,
                             "{label}: compressed states must be bit-identical"
                         );
-                        assert_eq!(flat.rounds, got.rounds, "{label}: rounds drifted");
+                        // Racing blocks land on the same max-norm states
+                        // every time but not in the same number of
+                        // rounds (whether a block sees its neighbour's
+                        // write within a round is up to the scheduler),
+                        // so only the other modes' rounds must repeat.
+                        if !racing {
+                            assert_eq!(flat.rounds, got.rounds, "{label}: rounds drifted");
+                        }
                     } else {
                         for (i, (a, b)) in
                             flat.final_states.iter().zip(&got.final_states).enumerate()

@@ -510,11 +510,16 @@ pub struct ResumableState {
     pub partition_reorders: usize,
     /// Partition-scoped repair attempts.
     pub partition_repair_attempts: usize,
+    /// Whether the track's last run reached its fixpoint. A resumed
+    /// track reports it as its [`Track::last_run`], so a round-capped
+    /// run that stopped short stays unconverged: the next batch goes on
+    /// sweeping every vertex, as it would have without the resume.
+    pub converged: bool,
 }
 
 /// What one engine run of one track did: the bootstrap, a batch's
-/// re-converge, or — after a resume — the adopted fixpoint (0 rounds,
-/// converged).
+/// re-converge, or — after a resume — the adopted states (0 rounds,
+/// converged as the exporting track's last run was).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunSummary {
     /// Rounds executed.
@@ -704,7 +709,8 @@ impl SharedImage {
                 partition_repair_attempts: s.partition_repair_attempts,
             },
         };
-        (shared, TrackImage::resumed(s.states, s.total_rounds))
+        let track = TrackImage::resumed(s.states, s.total_rounds, s.converged);
+        (shared, track)
     }
 
     /// What [`SharedImage::split`] takes apart: `track`'s export.
@@ -726,6 +732,7 @@ impl SharedImage {
             full_reorders: c.full_reorders,
             partition_reorders: c.partition_reorders,
             partition_repair_attempts: c.partition_repair_attempts,
+            converged: track.last.converged,
         }
     }
 }
@@ -740,14 +747,14 @@ struct TrackImage {
 }
 
 impl TrackImage {
-    /// A resumed track: the adopted states are a fixpoint as far as
-    /// anyone can tell, reached in no rounds.
-    fn resumed(states: Vec<f64>, total_rounds: usize) -> TrackImage {
+    /// A resumed track: the adopted states, reached in no rounds, and
+    /// converged exactly when the exporting track's last run was.
+    fn resumed(states: Vec<f64>, total_rounds: usize, converged: bool) -> TrackImage {
         TrackImage {
             digest: state_digest(&states),
             states: Arc::new(states),
             last: RunSummary {
-                converged: true,
+                converged,
                 ..RunSummary::default()
             },
             total_rounds,
@@ -1189,7 +1196,7 @@ impl Track {
     }
 
     /// The most recent run (bootstrap, batch, or — after a resume — the
-    /// adopted fixpoint).
+    /// adopted states, with the exported `converged` flag).
     pub fn last_run(&self) -> RunSummary {
         self.last
     }
@@ -2044,15 +2051,18 @@ mod tests {
     #[test]
     fn resume_is_bit_identical_going_forward() {
         let g = seed_graph();
-        let build = || {
+        // A second, round-capped track: its runs stop short of the
+        // fixpoint, and a resume must not claim otherwise.
+        let builder = || {
             StreamingPipeline::over(&g)
                 .algorithm(Sssp::new(0))
                 .drift_threshold(0.01)
-                .build()
-                .unwrap()
+                .track()
+                .algorithm(Sssp::new(7))
+                .max_rounds(1)
         };
-        let mut original = build();
-        let mut control = build();
+        let mut original = builder().build().unwrap();
+        let mut control = builder().build().unwrap();
         // Drive both through a prefix, export mid-stream, resume a third.
         let batches: Vec<Vec<EdgeUpdate>> = (0..6)
             .map(|i| {
@@ -2067,16 +2077,19 @@ mod tests {
             original.apply_batch(b).unwrap();
             control.apply_batch(b).unwrap();
         }
-        let state = original.export_state();
-        let mut resumed = StreamingPipeline::over(&g)
-            .algorithm(Sssp::new(0))
-            .drift_threshold(0.01)
-            .resume(state)
-            .unwrap();
+        assert!(!original.tracks()[1].last_run().converged);
+        let exported = vec![original.export_track(0), original.export_track(1)];
+        assert_eq!(
+            exported.iter().map(|s| s.converged).collect::<Vec<_>>(),
+            [true, false]
+        );
+        let mut resumed = builder().resume_tracks(exported).unwrap();
         assert_eq!(resumed.graph(), original.graph());
         assert_eq!(resumed.order(), original.order());
         assert_eq!(resumed.states(), original.states());
         assert_eq!(resumed.batches_applied(), 3);
+        assert!(resumed.tracks()[0].last_run().converged);
+        assert!(!resumed.tracks()[1].last_run().converged);
         // The tail must evolve identically on all three pipelines.
         for b in &batches[3..] {
             original.apply_batch(b).unwrap();
@@ -2085,7 +2098,10 @@ mod tests {
         }
         assert_eq!(resumed.graph(), original.graph());
         assert_eq!(resumed.order(), original.order());
-        assert_eq!(resumed.states(), original.states());
+        for (r, o) in resumed.tracks().iter().zip(original.tracks()) {
+            assert_eq!(r.states(), o.states());
+            assert_eq!(r.last_run().converged, o.last_run().converged);
+        }
         assert_eq!(resumed.full_reorders(), original.full_reorders());
         assert_eq!(control.states(), original.states(), "control sanity");
     }

@@ -46,10 +46,7 @@
 //! re-sync instead of letting it pin the log forever.
 
 use crate::admission::{Admission, AdmissionQueue};
-use crate::checkpoint::{
-    delta_path, diff_checkpoint, read_checkpoint_chain, remove_deltas, write_checkpoint,
-    write_delta, Checkpoint, PipelineCheckpoint,
-};
+use crate::checkpoint::{read_checkpoint, write_checkpoint, Checkpoint, PipelineCheckpoint};
 use crate::epoch::{EpochCell, EpochState, WarmEntry};
 use crate::fault::{splitmix64, FaultPlan};
 use crate::spec::{AlgSpec, ModeSpec};
@@ -101,28 +98,16 @@ pub struct DurabilityConfig {
     pub checkpoint_every_batches: u64,
     /// How eagerly WAL appends reach stable storage.
     pub sync: SyncPolicy,
-    /// When true, periodic checkpoints write only the state changed
-    /// since the previous one (sparse patches + the applied batches),
-    /// cutting the fsync burst at high update rates. Boot and shutdown
-    /// checkpoints are always full; recovery chains base + deltas and
-    /// is bit-identical to full-checkpoint recovery.
-    pub delta_checkpoints: bool,
-    /// With delta checkpoints: rebase onto a fresh full checkpoint
-    /// after this many consecutive deltas (bounds the recovery chain).
-    /// 0 forces every checkpoint full.
-    pub full_rebase_every: u32,
 }
 
 impl DurabilityConfig {
     /// Durability under `dir` with the defaults: checkpoint every 16
-    /// batches, fsync every append, full (non-delta) checkpoints.
+    /// batches, fsync every append.
     pub fn new(dir: impl Into<PathBuf>) -> DurabilityConfig {
         DurabilityConfig {
             dir: dir.into(),
             checkpoint_every_batches: 16,
             sync: SyncPolicy::EveryBatch,
-            delta_checkpoints: false,
-            full_rebase_every: 4,
         }
     }
 
@@ -506,22 +491,6 @@ struct MutatorCtx {
     max_follower_lag: u64,
     epoch: u64,
     last_seq: u64,
-    /// Base of the next delta checkpoint (kept only when delta
-    /// checkpoints are enabled — it holds full exported state).
-    ckpt_base: Option<Checkpoint>,
-    /// Successfully applied batches since `ckpt_base` was captured.
-    pending_batches: Vec<(u64, Vec<EdgeUpdate>)>,
-    /// Delta files written since the last full rebase.
-    deltas_since_rebase: u32,
-}
-
-/// Delta-checkpoint bookkeeping carried from `start`/`recover` into
-/// the mutator (empty for followers and non-delta configurations).
-#[derive(Default)]
-struct RecoverySeed {
-    ckpt_base: Option<Checkpoint>,
-    pending_batches: Vec<(u64, Vec<EdgeUpdate>)>,
-    deltas_since_rebase: u32,
 }
 
 /// The service core. `Arc<ServeCore>` is shared by every connection
@@ -570,7 +539,6 @@ impl ServeCore {
 
         let stats = Arc::new(ServeStats::default());
         let mut wal = None;
-        let mut seed = RecoverySeed::default();
         if let Some(d) = &config.durability {
             std::fs::create_dir_all(&d.dir)?;
             if d.checkpoint_path().exists() || d.wal_path().exists() {
@@ -587,9 +555,6 @@ impl ServeCore {
             stats
                 .checkpoint_bytes_written
                 .fetch_add(bytes, Ordering::Relaxed);
-            if d.delta_checkpoints {
-                seed.ckpt_base = Some(ck);
-            }
             wal = Some(WalWriter::open(&d.wal_path(), d.sync)?);
         }
 
@@ -605,7 +570,6 @@ impl ServeCore {
             0,
             0,
             Role::Primary,
-            seed,
         )
     }
 
@@ -613,15 +577,15 @@ impl ServeCore {
     /// pipeline from the last checkpoint, truncates any torn WAL tail,
     /// replays the records the checkpoint does not cover, and restores
     /// the counters — the recovered epoch is bit-identical to the
-    /// epoch the crashed process would have served.
+    /// epoch the crashed process would have served. A WAL whose records
+    /// do not continue the checkpoint's seq one by one is refused
+    /// ([`ServeError::InvalidRequest`]): replaying past the gap would
+    /// recover a shorter history than was acked.
     pub fn recover(config: ServeConfig) -> Result<Arc<ServeCore>, ServeError> {
         let d = config.durability.clone().ok_or_else(|| {
             ServeError::InvalidRequest("recover requires a durability config".to_string())
         })?;
-        // Chained read: the base checkpoint plus any delta files a
-        // delta-checkpointing run left behind (stale deltas from a
-        // crashed rebase are detected by their base_seq and ignored).
-        let (ck, chained) = read_checkpoint_chain(&d.checkpoint_path())?.ok_or_else(|| {
+        let ck = read_checkpoint(&d.checkpoint_path())?.ok_or_else(|| {
             ServeError::InvalidRequest(format!(
                 "no checkpoint in {}; nothing to recover",
                 d.dir.display()
@@ -632,11 +596,6 @@ impl ServeCore {
                 "checkpoint carries no pipelines".to_string(),
             ));
         }
-        let mut seed = RecoverySeed {
-            ckpt_base: d.delta_checkpoints.then(|| ck.clone()),
-            pending_batches: Vec::new(),
-            deltas_since_rebase: chained,
-        };
 
         let build = PipelineBuild::from_config(&config);
         let (warm, mut pipeline) = resume_warm_pipeline(ck.pipelines, build)?;
@@ -668,6 +627,15 @@ impl ServeCore {
         let mut last_seq = ck.seq;
         let mut replayed = 0u64;
         for rec in contents.records.iter().filter(|r| r.seq > ck.seq) {
+            if rec.seq != last_seq + 1 {
+                return Err(ServeError::InvalidRequest(format!(
+                    "WAL gap in {}: expected seq {} after checkpoint seq {}, found {}",
+                    d.dir.display(),
+                    last_seq + 1,
+                    ck.seq,
+                    rec.seq
+                )));
+            }
             last_seq = rec.seq;
             replayed += 1;
             if let Some(rounds) =
@@ -680,10 +648,6 @@ impl ServeCore {
                     .fetch_add(rec.updates.len() as u64, Ordering::Relaxed);
                 stats.mutator_rounds.fetch_add(rounds, Ordering::Relaxed);
                 stats.degraded.store(0, Ordering::Relaxed);
-                if seed.ckpt_base.is_some() {
-                    // The replayed tail belongs to the next delta.
-                    seed.pending_batches.push((rec.seq, rec.updates.clone()));
-                }
             }
         }
         stats.batches_enqueued.store(last_seq, Ordering::Relaxed);
@@ -705,7 +669,6 @@ impl ServeCore {
             epoch,
             last_seq,
             Role::Primary,
-            seed,
         )
     }
 
@@ -739,7 +702,6 @@ impl ServeCore {
         epoch: u64,
         last_seq: u64,
         role: Role,
-        seed: RecoverySeed,
     ) -> Result<Arc<ServeCore>, ServeError> {
         let compact_after = Arc::new(AtomicU64::new(NO_COMPACTION));
         let repl = Arc::new(ReplicationState::new(role));
@@ -758,9 +720,6 @@ impl ServeCore {
             max_follower_lag: config.max_follower_lag,
             epoch,
             last_seq,
-            ckpt_base: seed.ckpt_base,
-            pending_batches: seed.pending_batches,
-            deltas_since_rebase: seed.deltas_since_rebase,
         };
         // The mutator owns only the shared inner pieces (epoch cell +
         // counters), never an `Arc<ServeCore>` — a core handle here
@@ -1237,8 +1196,8 @@ impl ServeCore {
         }
     }
 
-    /// The latest on-disk checkpoint (base plus delta chain) — what a
-    /// bootstrapping or re-syncing follower resumes from.
+    /// The latest on-disk checkpoint — what a bootstrapping or
+    /// re-syncing follower resumes from.
     pub fn fetch_checkpoint(&self) -> Result<Checkpoint, ServeError> {
         if self.role() != Role::Primary {
             return Err(ServeError::NotPrimary);
@@ -1246,8 +1205,7 @@ impl ServeCore {
         let d = self.durability.as_ref().ok_or_else(|| {
             ServeError::InvalidRequest("no durability configured; nothing to ship".to_string())
         })?;
-        read_checkpoint_chain(&d.checkpoint_path())?
-            .map(|(ck, _)| ck)
+        read_checkpoint(&d.checkpoint_path())?
             .ok_or_else(|| ServeError::InvalidRequest("no checkpoint on disk yet".to_string()))
     }
 
@@ -1301,7 +1259,6 @@ impl ServeCore {
             ck.epoch,
             ck.seq,
             Role::Follower,
-            RecoverySeed::default(),
         )
     }
 
@@ -1459,83 +1416,37 @@ fn make_checkpoint(
     }
 }
 
-/// Writes the periodic checkpoint — a delta against the previous one
-/// when enabled and the rebase cadence allows, a full (rebasing)
-/// checkpoint otherwise. On success optionally publishes `seq` as the
-/// compaction watermark *proposal* (clamping to follower acks happens
-/// at the compaction site). A failed write is not fatal — the WAL
-/// still covers everything since the last good checkpoint, recovery
+/// Writes the checkpoint at `seq`. On success optionally publishes `seq`
+/// as the compaction watermark *proposal* (clamping to follower acks
+/// happens at the compaction site). A failed write is not fatal — the
+/// WAL still covers everything since the last good checkpoint, recovery
 /// just replays more.
 fn checkpoint_step(
-    ctx: &mut MutatorCtx,
+    ctx: &MutatorCtx,
     seq: u64,
     stats: &ServeStats,
-    force_full: bool,
     propose_compaction: bool,
 ) -> bool {
-    let Some(d) = ctx.durability.clone() else {
+    let Some(d) = &ctx.durability else {
         return false;
     };
-    let cur = make_checkpoint(&ctx.warm, &ctx.pipeline, seq, ctx.epoch, stats);
-    let mut wrote = false;
-    let want_delta = d.delta_checkpoints
-        && !force_full
-        && ctx.ckpt_base.is_some()
-        && ctx.deltas_since_rebase < d.full_rebase_every;
-    if want_delta {
-        let base = ctx.ckpt_base.as_ref().expect("delta base present");
-        match diff_checkpoint(base, &cur, ctx.pending_batches.clone()) {
-            Ok(delta) => {
-                let k = ctx.deltas_since_rebase + 1;
-                match write_delta(&delta_path(&d.checkpoint_path(), k), &delta) {
-                    Ok(bytes) => {
-                        stats.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-                        stats
-                            .delta_checkpoints_written
-                            .fetch_add(1, Ordering::Relaxed);
-                        stats
-                            .checkpoint_bytes_written
-                            .fetch_add(bytes, Ordering::Relaxed);
-                        ctx.deltas_since_rebase = k;
-                        ctx.pending_batches.clear();
-                        wrote = true;
-                    }
-                    Err(e) => eprintln!("gograph-serve: delta checkpoint write failed: {e}"),
-                }
+    let ck = make_checkpoint(&ctx.warm, &ctx.pipeline, seq, ctx.epoch, stats);
+    match write_checkpoint(&d.checkpoint_path(), &ck) {
+        Ok(bytes) => {
+            stats.checkpoints_written.fetch_add(1, Ordering::Relaxed);
+            stats
+                .checkpoint_bytes_written
+                .fetch_add(bytes, Ordering::Relaxed);
+            if propose_compaction {
+                ctx.compact_after.store(seq, Ordering::Release);
             }
-            Err(e) => eprintln!("gograph-serve: delta diff failed: {e}"),
+            true
+        }
+        Err(e) => {
+            eprintln!("gograph-serve: checkpoint write failed: {e}");
+            false
         }
     }
-    if !wrote {
-        // Full checkpoint (rebase): write the new base first, then
-        // drop the old chain — a crash in between leaves stale deltas
-        // whose base_seq no longer matches, which chain reading
-        // detects and ignores.
-        match write_checkpoint(&d.checkpoint_path(), &cur) {
-            Ok(bytes) => {
-                stats.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .checkpoint_bytes_written
-                    .fetch_add(bytes, Ordering::Relaxed);
-                if let Err(e) = remove_deltas(&d.checkpoint_path()) {
-                    eprintln!("gograph-serve: stale delta removal failed: {e}");
-                }
-                ctx.deltas_since_rebase = 0;
-                ctx.pending_batches.clear();
-                wrote = true;
-            }
-            Err(e) => eprintln!("gograph-serve: checkpoint write failed: {e}"),
-        }
-    }
-    if wrote {
-        if d.delta_checkpoints {
-            ctx.ckpt_base = Some(cur);
-        }
-        if propose_compaction {
-            ctx.compact_after.store(seq, Ordering::Release);
-        }
-    }
-    wrote
 }
 
 /// Chaos drill (armed only by follower test plans): flips one
@@ -1616,15 +1527,12 @@ fn mutator_loop(
                         .fetch_add(updates.len() as u64, Ordering::Relaxed);
                     stats.mutator_rounds.fetch_add(rounds, Ordering::Relaxed);
                     stats.degraded.store(0, Ordering::Relaxed);
-                    if ctx.ckpt_base.is_some() {
-                        ctx.pending_batches.push((seq, updates));
-                    }
                     let every = ctx
                         .durability
                         .as_ref()
                         .map_or(0, |d| d.checkpoint_every_batches);
                     if every > 0 && seq % every == 0 {
-                        checkpoint_step(&mut ctx, seq, stats, false, true);
+                        checkpoint_step(&ctx, seq, stats, true);
                     }
                 }
                 // Fingerprint every settled batch, applied or skipped:
@@ -1644,14 +1552,13 @@ fn mutator_loop(
             Ok(MutatorMsg::Stop) | Err(_) => break,
         }
     }
-    // Clean shutdown: capture everything in a final (always full)
-    // checkpoint and compact the WAL directly — the update lane is
-    // already closed, so no append can race the rename. The watermark
-    // is still clamped to live-follower acks.
-    if let Some(d) = ctx.durability.clone() {
-        let last_seq = ctx.last_seq;
-        if checkpoint_step(&mut ctx, last_seq, stats, true, false) {
-            let w = ctx.repl.clamp_watermark(last_seq, ctx.max_follower_lag);
+    // Clean shutdown: capture everything in a final checkpoint and
+    // compact the WAL directly — the update lane is already closed, so
+    // no append can race the rename. The watermark is still clamped to
+    // live-follower acks.
+    if let Some(d) = &ctx.durability {
+        if checkpoint_step(&ctx, ctx.last_seq, stats, false) {
+            let w = ctx.repl.clamp_watermark(ctx.last_seq, ctx.max_follower_lag);
             match compact_wal(&d.wal_path(), w) {
                 Ok(_) => ctx.repl.compacted_through.store(w, Ordering::Release),
                 Err(e) => eprintln!("gograph-serve: final WAL compaction failed: {e}"),

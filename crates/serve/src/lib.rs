@@ -22,9 +22,9 @@
 //! - **[`server`] / [`client`]** — thread-per-connection TCP front end
 //!   and the matching blocking client.
 //! - **[`wal`] / [`checkpoint`]** — the durability layer: a CRC-framed
-//!   write-ahead log of admitted update batches plus atomic epoch
-//!   checkpoints (full or delta-chained), so a crashed server recovers
-//!   to a bit-identical epoch by replaying the WAL tail.
+//!   write-ahead log of admitted update batches plus one atomically
+//!   rewritten epoch checkpoint file, so a crashed server recovers to a
+//!   bit-identical epoch by replaying the WAL tail.
 //! - **[`replication`]** — WAL-shipping primary/follower pairs: the
 //!   follower replays the primary's records through the same
 //!   supervised apply path (bit-identical epochs), fingerprint probes
@@ -54,8 +54,7 @@ pub use crate::core::{
 };
 pub use admission::{Admission, AdmissionQueue};
 pub use checkpoint::{
-    read_checkpoint, read_checkpoint_chain, write_checkpoint, Checkpoint, DeltaCheckpoint,
-    PipelineCheckpoint,
+    read_checkpoint, write_checkpoint, Checkpoint, PipelineCheckpoint, UnsupportedVersion,
 };
 pub use client::{ClientError, RetryPolicy, ServeClient};
 pub use epoch::{EpochCell, EpochState, WarmEntry};

@@ -17,7 +17,7 @@
 //! fingerprints of its own quiesced state at that seq, and the primary
 //! compares them against its recorded probe history. A mismatch is a
 //! typed [`ErrorCode::Divergent`] fault — the follower discards its
-//! state and re-syncs from the primary's checkpoint chain, then
+//! state and re-syncs from the primary's checkpoint, then
 //! replays the newer WAL tail. The same re-sync path serves as the
 //! escape hatch when a follower lags past the primary's compaction
 //! horizon.
@@ -241,7 +241,7 @@ impl ReplicaPuller {
             .map_err(|e| ClientError::Protocol(format!("replicate_batch(seq {seq}): {e}")))
     }
 
-    /// Fetches the primary's checkpoint chain and resets the follower
+    /// Fetches the primary's checkpoint and resets the follower
     /// core (and our watermark) to it.
     fn resync(&mut self) -> Result<(), ClientError> {
         let bytes = self.client.fetch_checkpoint()?;

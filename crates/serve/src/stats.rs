@@ -163,9 +163,7 @@ stats_table! {
         /// segment (follower side — the bounded-staleness reference
         /// point).
         repl_primary_seq: gauge,
-        /// Checkpoints written as deltas against the previous one.
-        delta_checkpoints_written: counter,
-        /// Total bytes of checkpoint files written (full and delta).
+        /// Total bytes of checkpoint files written.
         checkpoint_bytes_written: counter,
     }
 }

@@ -16,7 +16,7 @@
 //! | 5    | Subscribe    | follower u64 · after_seq u64 · max_records u32 — follower asks for the WAL tail after `after_seq` (which doubles as its cumulative ack) |
 //! | 6    | ReplicaAck   | follower u64 · seq u64 · n u32 · fingerprints u64× — follower reports its per-pipeline state fingerprints at applied watermark `seq` |
 //! | 7    | Probe        | flags u8 (bit0 = at_seq present) · \[at_seq u64\] — ask for the node's state fingerprints (at a past watermark, or the latest) |
-//! | 8    | FetchCheckpoint | — follower bootstrap: ship the effective checkpoint |
+//! | 8    | FetchCheckpoint | — follower bootstrap: ship the checkpoint |
 //! | 9    | Promote      | — flip a follower to primary (failover) |
 //!
 //! Server → client:
@@ -25,7 +25,7 @@
 //! |------|--------------|---------|
 //! | 1    | QueryReply   | epoch u64 · alg u8 · flags u8 (bit0 warm, bit1 converged) · admitted u32 · rounds u64 · push_rounds u64 · state_bytes u64 · runtime_micros u64 · n_eff u32 · eff_sources u32× · n_values u32 · (vertex u32 · value f64)× |
 //! | 2    | UpdateAck    | accepted u32 · epochs_published u64 |
-//! | 3    | StatsReply   | the 35 [`StatsSnapshot`] fields as u64, in declaration order |
+//! | 3    | StatsReply   | the 34 [`StatsSnapshot`] fields as u64, in declaration order |
 //! | 4    | WalSegment   | primary_seq u64 · flags u8 (bit0 = resync: the tail is gone, re-bootstrap from checkpoint) · n u32 · n × (seq u64 · update batch) |
 //! | 5    | ProbeReply   | seq u64 · epoch u64 · verdict u8 ([`ProbeVerdict`]) · n u32 · fingerprints u64× |
 //! | 6    | CheckpointReply | n u32 · n bytes (an encoded checkpoint, opaque at the wire layer) |
@@ -925,10 +925,12 @@ mod tests {
         }
     }
 
-    /// The stats reply is 35 little-endian `u64`s in the order clients
+    /// The stats reply is 34 little-endian `u64`s in the order clients
     /// in the field already decode. The order comes from the table in
     /// `stats.rs`; this pins each *name* to its slot, so moving,
-    /// inserting or dropping a row there fails here.
+    /// inserting or dropping a row there fails here. Slot 34 counted
+    /// delta checkpoints until that second checkpoint path was deleted;
+    /// `checkpoint_bytes_written` moved up from 35 to take it.
     #[test]
     fn stats_reply_bytes_are_golden() {
         let snapshot = StatsSnapshot {
@@ -965,11 +967,10 @@ mod tests {
             repl_resyncs: 31,
             repl_last_seq: 32,
             repl_primary_seq: 33,
-            delta_checkpoints_written: 34,
-            checkpoint_bytes_written: 35,
+            checkpoint_bytes_written: 34,
         };
         let mut golden = vec![REP_STATS];
-        for slot in 1..=35u64 {
+        for slot in 1..=34u64 {
             golden.extend_from_slice(&slot.to_le_bytes());
         }
         assert_eq!(&encode_reply(&Reply::Stats(snapshot))[..], &golden[..]);

@@ -529,14 +529,13 @@ fn render_report(
         );
         let _ = writeln!(
             out,
-            "      \"replication_delta\": {{ \"segments_shipped\": {}, \"records_shipped\": {}, \"acks\": {}, \"follower_lag\": {}, \"divergences\": {}, \"resyncs\": {}, \"delta_checkpoints_written\": {}, \"checkpoint_bytes_written\": {} }},",
+            "      \"replication_delta\": {{ \"segments_shipped\": {}, \"records_shipped\": {}, \"acks\": {}, \"follower_lag\": {}, \"divergences\": {}, \"resyncs\": {}, \"checkpoint_bytes_written\": {} }},",
             d.repl_segments_shipped,
             d.repl_records_shipped,
             d.repl_acks,
             d.repl_follower_lag,
             d.repl_divergences,
             d.repl_resyncs,
-            d.delta_checkpoints_written,
             d.checkpoint_bytes_written
         );
         let _ = writeln!(

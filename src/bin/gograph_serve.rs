@@ -6,17 +6,15 @@
 //! gograph_serve [--listen 127.0.0.1:7421] [--scale tiny|standard]
 //!               [--window-ms 2] [--warm cc,sssp:0,pagerank]
 //!               [--durable-dir DIR] [--checkpoint-every N]
-//!               [--delta-checkpoints]
 //!               [--role primary|follower] [--peer ADDR]
 //! ```
 //!
 //! `--scale` defaults to the `GOGRAPH_SCALE` environment variable
 //! (`standard` when unset). With `--durable-dir`, admitted update
-//! batches are WAL-logged before the ack and the server checkpoints
-//! every N batches (delta-chained when `--delta-checkpoints` is set);
-//! if the directory already holds durable state the server *recovers*
-//! from it (checkpoint + WAL tail replay) instead of booting fresh,
-//! printing `gograph-serve: recovered epoch <E> (replayed <K> batches)`.
+//! batches are WAL-logged before the ack and the server rewrites its
+//! one checkpoint file every N batches; if the directory already holds
+//! durable state the server *recovers* from it (checkpoint + WAL tail
+//! replay) instead of booting fresh, printing `gograph-serve: recovered epoch <E> (replayed <K> batches)`.
 //!
 //! `--role follower --peer ADDR` boots a read replica instead: the
 //! graph is shipped from the primary's checkpoint (no local generation,
@@ -41,7 +39,6 @@ fn main() {
     let mut warm_arg = "cc,sssp:0".to_string();
     let mut durable_dir: Option<String> = None;
     let mut checkpoint_every: u64 = 16;
-    let mut delta_checkpoints = false;
     let mut role = RoleSpec::Primary;
     let mut peer: Option<String> = None;
 
@@ -72,7 +69,6 @@ fn main() {
                     std::process::exit(2);
                 })
             }
-            "--delta-checkpoints" => delta_checkpoints = true,
             "--role" => {
                 let name = value(&mut i);
                 role = RoleSpec::from_name(&name).unwrap_or_else(|| {
@@ -86,7 +82,7 @@ fn main() {
                     "usage: gograph_serve [--listen ADDR] [--scale tiny|standard] \
                      [--window-ms N] [--warm cc,sssp:0,...] \
                      [--durable-dir DIR] [--checkpoint-every N] \
-                     [--delta-checkpoints] [--role primary|follower] [--peer ADDR]"
+                     [--role primary|follower] [--peer ADDR]"
                 );
                 return;
             }
@@ -167,7 +163,6 @@ fn main() {
         admission_window: Duration::from_millis(window_ms),
         durability: durable_dir.as_ref().map(|dir| DurabilityConfig {
             checkpoint_every_batches: checkpoint_every,
-            delta_checkpoints,
             ..DurabilityConfig::new(dir)
         }),
         ..ServeConfig::default()

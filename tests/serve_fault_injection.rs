@@ -19,9 +19,9 @@
 use gograph_graph::generators::{planted_partition, shuffle_labels, PlantedPartitionConfig};
 use gograph_graph::{CsrGraph, EdgeUpdate};
 use gograph_serve::{
-    bootstrap_follower, read_checkpoint, read_checkpoint_chain, read_wal, serve_with, AlgSpec,
-    ClientError, DurabilityConfig, ErrorCode, FaultPlan, ModeSpec, ReplicationConfig, RetryPolicy,
-    Role, ServeClient, ServeConfig, ServeCore, ServeError, ServerConfig, StepOutcome, WarmSpec,
+    bootstrap_follower, compact_wal, read_checkpoint, read_wal, serve_with, AlgSpec, ClientError,
+    DurabilityConfig, ErrorCode, FaultPlan, ModeSpec, ReplicationConfig, RetryPolicy, Role,
+    ServeClient, ServeConfig, ServeCore, ServeError, ServerConfig, StepOutcome, WarmSpec,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -223,7 +223,9 @@ fn recovery_under_the_same_fault_plan_matches_the_live_run() {
 /// Periodic checkpoints move the WAL watermark forward and compaction
 /// reclaims everything at or before it, so the log's size tracks the
 /// checkpoint cadence instead of total history; a clean shutdown
-/// compacts to empty and recovery replays nothing.
+/// compacts to empty and recovery replays nothing. A WAL that does not
+/// pick up where the checkpoint leaves off is refused, not replayed
+/// into a shorter history.
 #[test]
 fn checkpoints_compact_the_wal_and_bound_replay() {
     let g = graph();
@@ -258,7 +260,34 @@ fn checkpoints_compact_the_wal_and_bound_replay() {
     recovered.quiesce();
     assert_eq!(recovered.stats_snapshot().epoch, 11);
     recovered.shutdown();
+
+    // Four acked batches past the checkpoint at 11, then lose the first
+    // two of them from the log: a gap between checkpoint and WAL.
+    let live = ServeCore::recover(durable_config(&dir, 0)).unwrap();
+    for k in 12..=15 {
+        live.enqueue_updates(batch(k)).unwrap();
+    }
+    live.quiesce();
+    let crash = crash_copy(&dir, "compact-gap");
+    let ck = read_checkpoint(&crash.join("epoch.ckpt")).unwrap().unwrap();
+    assert_eq!(ck.seq, 11);
+    compact_wal(&crash.join("updates.wal"), ck.seq + 2).unwrap();
+    match ServeCore::recover(durable_config(&crash, 0)) {
+        Err(ServeError::InvalidRequest(m)) => {
+            assert!(
+                m.contains("expected seq 12") && m.contains("found 14"),
+                "{m}"
+            )
+        }
+        Ok(core) => panic!(
+            "recovered past a WAL gap to epoch {}",
+            core.stats_snapshot().epoch
+        ),
+        Err(e) => panic!("expected the WAL gap to be refused, got {e}"),
+    }
+    live.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&crash);
 }
 
 /// Over TCP: a query carrying `max_epoch_lag` is rejected with the
@@ -657,8 +686,8 @@ fn slow_followers_are_evicted_to_checkpoint_resync() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Copies every durable artifact (WAL, base checkpoint, delta files) —
-/// what `kill -9` preserves.
+/// Copies every durable artifact (WAL and checkpoint) — what `kill -9`
+/// preserves.
 fn crash_copy(from: &Path, tag: &str) -> PathBuf {
     let to = tmp_dir(tag);
     for entry in std::fs::read_dir(from).unwrap() {
@@ -667,97 +696,6 @@ fn crash_copy(from: &Path, tag: &str) -> PathBuf {
         std::fs::copy(entry.path(), to.join(&name)).unwrap();
     }
     to
-}
-
-/// Delta checkpoints are an encoding, not a semantic: recovery through
-/// a base + delta chain is pinned bit-identical to recovery from full
-/// checkpoints of the same history, both mid-chain (deltas on disk)
-/// and after a periodic full rebase (deltas retired), and stale delta
-/// files left by a crash-during-rebase are cut, not applied.
-#[test]
-fn delta_checkpoint_recovery_is_bit_identical_to_full() {
-    let g = graph();
-    let delta_dir = tmp_dir("delta-ckpt");
-    let full_dir = tmp_dir("full-ckpt");
-    let durable = |dir: &Path, delta: bool| ServeConfig {
-        durability: Some(DurabilityConfig {
-            checkpoint_every_batches: 2,
-            delta_checkpoints: delta,
-            full_rebase_every: 3,
-            ..DurabilityConfig::new(dir)
-        }),
-        ..base_config()
-    };
-
-    let delta_core = ServeCore::start(&g, durable(&delta_dir, true)).unwrap();
-    let full_core = ServeCore::start(&g, durable(&full_dir, false)).unwrap();
-    // Checkpoints land at 2 (d1), 4 (d2), 6 (d3); batch 7 leaves a WAL
-    // tail past the chain. The full-rebase threshold (3) retires the
-    // chain at the next checkpoint, seq 8.
-    for k in 1..=7 {
-        delta_core.enqueue_updates(batch(k)).unwrap();
-        full_core.enqueue_updates(batch(k)).unwrap();
-        delta_core.quiesce();
-        full_core.quiesce();
-    }
-    let ds = delta_core.stats_snapshot();
-    assert_eq!(ds.delta_checkpoints_written, 3);
-    assert!(ds.checkpoint_bytes_written > 0);
-    assert_eq!(full_core.stats_snapshot().delta_checkpoints_written, 0);
-
-    // Crash both mid-chain and recover.
-    let delta_crash = crash_copy(&delta_dir, "delta-ckpt-crash");
-    let full_crash = crash_copy(&full_dir, "full-ckpt-crash");
-    let (ck, chained) = read_checkpoint_chain(&delta_crash.join("epoch.ckpt"))
-        .unwrap()
-        .expect("chain present");
-    assert_eq!(chained, 3, "three deltas chain onto the base");
-    assert_eq!(ck.seq, 6);
-    let delta_rec = ServeCore::recover(durable(&delta_crash, true)).unwrap();
-    let full_rec = ServeCore::recover(durable(&full_crash, false)).unwrap();
-    assert_cores_bit_identical(&delta_rec, &delta_core, "delta recovery vs live");
-    assert_cores_bit_identical(&delta_rec, &full_rec, "delta vs full recovery");
-    delta_rec.shutdown();
-    full_rec.shutdown();
-
-    // Cross the rebase threshold: seq 8's checkpoint is full and the
-    // chain retires.
-    for k in 8..=9 {
-        delta_core.enqueue_updates(batch(k)).unwrap();
-        full_core.enqueue_updates(batch(k)).unwrap();
-        delta_core.quiesce();
-        full_core.quiesce();
-    }
-    let rebased_crash = crash_copy(&delta_dir, "delta-ckpt-rebased");
-    let (ck, chained) = read_checkpoint_chain(&rebased_crash.join("epoch.ckpt"))
-        .unwrap()
-        .expect("chain present");
-    assert_eq!(chained, 0, "the full rebase retires the delta chain");
-    assert_eq!(ck.seq, 8);
-
-    // A crash between the rebase write and the delta removal leaves
-    // stale delta files; their base-seq chain no longer matches the
-    // rebased base, so recovery must cut them, not apply them.
-    for d in std::fs::read_dir(&delta_crash).unwrap() {
-        let d = d.unwrap();
-        let name = d.file_name().into_string().unwrap();
-        if name.starts_with("epoch.ckpt.d") {
-            std::fs::copy(d.path(), rebased_crash.join(&name)).unwrap();
-        }
-    }
-    let rebased_rec = ServeCore::recover(durable(&rebased_crash, true)).unwrap();
-    assert_cores_bit_identical(
-        &rebased_rec,
-        &delta_core,
-        "rebased recovery ignores stale deltas",
-    );
-
-    rebased_rec.shutdown();
-    delta_core.shutdown();
-    full_core.shutdown();
-    for d in [delta_dir, full_dir, delta_crash, full_crash, rebased_crash] {
-        let _ = std::fs::remove_dir_all(&d);
-    }
 }
 
 /// The deterministic link/crash/delay faults: a link dropped

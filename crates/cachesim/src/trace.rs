@@ -81,74 +81,6 @@ pub fn cache_misses_of_order(g: &CsrGraph, order: &Permutation, rounds: usize) -
     simulate_pagerank_rounds(&relabeled, &mut h, rounds)
 }
 
-/// Replays the access pattern of the engine's **cache-blocked** dense
-/// pull sweep (`gograph_engine::direction::BlockedSweep`):
-/// sources are cut into id blocks of `block_vertices`, and each round
-/// visits blocks outermost —
-///
-/// 1. stream the per-block span metadata (`(v, start, end)` triples),
-/// 2. scan the span's slice of `in_sources` sequentially,
-/// 3. read `state[u]` and the degree entry `out_offsets[u]`/`[u+1]`
-///    for each in-neighbor `u` — now confined to one block's id range,
-/// 4. fold into the destination accumulator `acc[v]`,
-///
-/// followed by an apply sweep reading `acc[v]` and writing `state[v]`
-/// sequentially. Same logical work as [`simulate_pagerank_rounds`]; the
-/// only difference is the visit order — which is exactly what bounds
-/// the random-read working set to `block_vertices` states per pass.
-pub fn simulate_blocked_pull_rounds(
-    g: &CsrGraph,
-    hierarchy: &mut CacheHierarchy,
-    rounds: usize,
-    block_vertices: usize,
-) -> HierarchyStats {
-    let lay = layout(g);
-    let acc_base = 4 * PAD;
-    let span_base = 5 * PAD;
-    let n = g.num_vertices();
-    let block_vertices = block_vertices.max(1);
-    let num_blocks = n.div_ceil(block_vertices).max(1);
-
-    // The span partition is the *engine's own* (CsrGraph::
-    // in_source_block_spans, the structure BlockedSweep executes), so
-    // the replayed access pattern cannot drift from the executed one.
-    let spans = g.in_source_block_spans(block_vertices);
-    debug_assert_eq!(spans.len(), num_blocks);
-
-    for _ in 0..rounds {
-        let mut span_cursor = 0u64;
-        for block in &spans {
-            for &(v, s, e) in block {
-                let (s, e) = (s as usize, e as usize);
-                // Span metadata stream (12 bytes per span, sequential).
-                hierarchy.access(span_base + 12 * span_cursor);
-                span_cursor += 1;
-                let row_start = g.raw_in_offsets()[v as usize];
-                let ins = g.in_neighbors(v);
-                for i in s..e {
-                    // Sequential in_sources scan within the span.
-                    hierarchy.access(lay.in_sources_base + 4 * i as u64);
-                    let u = ins[i - row_start];
-                    // Block-confined state read.
-                    hierarchy.access(lay.state_base + 8 * u as u64);
-                    // Degree lookup of the neighbor.
-                    hierarchy.access(lay.out_offsets_base + 8 * u as u64);
-                    hierarchy.access(lay.out_offsets_base + 8 * (u as u64 + 1));
-                }
-                // Accumulator write-back: the span folds in a register
-                // and stores once.
-                hierarchy.access(acc_base + 8 * v as u64);
-            }
-        }
-        // Apply sweep: acc read + state write, both sequential.
-        for v in 0..n as u64 {
-            hierarchy.access(acc_base + 8 * v);
-            hierarchy.access(lay.state_base + 8 * v);
-        }
-    }
-    hierarchy.stats()
-}
-
 /// Replays the access pattern of a dense pull round on the
 /// **compressed** CSR backend (`CsrStorage::Compressed`): per vertex
 /// `v` the gather reads the out-of-band degree entry, streams the

@@ -8,7 +8,7 @@
 //! fewer iterations (*Fast Iterative Graph Computing with Updated
 //! Neighbor States*, ICDE 2024).
 //!
-//! - [`metric`] — `M(·)` and the positive/negative edge breakdown (§III),
+//! - [`metric`](mod@metric) — `M(·)` and the positive/negative edge breakdown (§III),
 //! - [`insertion`] — the `GetOptVal` greedy optimal-position inserter
 //!   (Algorithm 1, §IV-C),
 //! - [`hubs`] — high-degree / isolated vertex extraction (§IV-A),

@@ -1,5 +1,5 @@
-//! The sequential in-place engine — the paper's Eq. 2 — under two
-//! schedules.
+//! The sequential engine — the paper's Eq. 2 and, as its Jacobi
+//! schedule, Eq. 1 — under three schedules.
 //!
 //! A single state array is updated in place while scanning the processing
 //! order, so a vertex whose in-neighbor appears *earlier* in the order
@@ -7,7 +7,8 @@
 //! round. This is exactly the mechanism GoGraph's reordering maximizes:
 //! more positive edges ⇒ fresher inputs ⇒ fewer rounds (Theorem 1).
 //!
-//! What a round visits, and when the run is done, is the [`Schedule`]:
+//! What a round visits, what it reads, and when the run is done, is the
+//! [`Schedule`]:
 //!
 //! - **sweep** (`Mode::Async`, and `Mode::Parallel` with one block): the
 //!   Gauss–Seidel scan. Rounds whose changed set is dense are full
@@ -17,17 +18,22 @@
 //!   set. A vertex wakes its out-neighbors only when it moved by more
 //!   than epsilon, and the run stops when nothing is pending. It changes
 //!   the work bound (`RunStats::evaluations`), not the fixpoint.
+//! - **jacobi** (`Mode::Sync`): the sweep with Eq. 1's reads. Gathers
+//!   read a second buffer holding the previous round's states, and a
+//!   change never joins the round that produced it, so the visit order
+//!   changes only memory locality, never the result. The second buffer
+//!   is the synchronous baseline's extra footprint in Fig. 11.
 //!
-//! Under both, the first round evaluates the caller's seed set when it
-//! brought one — a pull over exactly those vertices, with in-round
-//! activation — and everything otherwise. Where the seed is exact (every
-//! other vertex already sits at its fixpoint value), the seeded sweep
-//! leaves the same states after every round as a full first scan: it
-//! only stops visiting the vertices that cannot move.
+//! Under all three, the first round evaluates the caller's seed set when
+//! it brought one — a pull over exactly those vertices — and everything
+//! otherwise. Where the seed is exact (every other vertex already sits at
+//! its fixpoint value), the seeded run leaves the same states after
+//! every round as a full first scan: it only stops visiting the vertices
+//! that cannot move.
 //!
-//! Both run the same three round shapes (see [`crate::direction`]) over
-//! the same forward position scan, so a fresh value still reaches later
-//! positions in the round it was produced.
+//! All three run the same three round shapes (see [`crate::direction`])
+//! over the same forward position scan; under sweep and frontier a fresh
+//! value still reaches later positions in the round it was produced.
 
 use crate::algorithm::IterativeAlgorithm;
 use crate::convergence::{state_delta, trace_point, DeltaAccumulator, RunStats};
@@ -41,8 +47,9 @@ use gograph_graph::{CsrGraph, Frontier, Permutation};
 use std::time::Instant;
 
 /// Which vertices a round of [`sequential_kernel`] visits after the
-/// first and when the run stops. The first round is the same under
-/// both: the kernel's `seed` when there is one, every vertex otherwise.
+/// first, which states its gathers read, and when the run stops. The
+/// first round is the same under all three: the kernel's `seed` when
+/// there is one, every vertex otherwise.
 #[derive(Clone, Copy, PartialEq)]
 pub(crate) enum Schedule {
     /// Dense rounds while the changed set is dense, activation on any
@@ -51,25 +58,30 @@ pub(crate) enum Schedule {
     /// Activation needs a `> epsilon` change, the run stops when nothing
     /// is pending, and evaluations are counted.
     Frontier,
+    /// The sweep's rounds and stop rule, with gathers reading the
+    /// previous round's states: every change waits for the next round.
+    Jacobi,
 }
 
-/// One dense full in-place sweep — the historical hot loop, kept in
-/// its own (deliberately un-inlined) function so the per-edge gather
-/// optimizes as a tight region instead of sharing a frame with the
-/// sparse/push machinery. Returns the change count; member tracking in
-/// `out_set` stops once the count alone pins the next round dense.
-/// Sweep schedule only. (PushOnly never reaches a dense pull round:
+/// One dense full sweep — the historical hot loop, kept in its own
+/// (deliberately un-inlined) function so the per-edge gather optimizes
+/// as a tight region instead of sharing a frame with the sparse/push
+/// machinery. Returns the change count; member tracking in `out_set`
+/// stops once the count alone pins the next round dense. Sweep and
+/// Jacobi schedules only; `JACOBI` gathers from `prev` instead of the
+/// in-place `states`. (PushOnly never reaches a dense pull round:
 /// `force_push` routes every round to the push arm.)
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 // Phase 2 indexes `order_arr` on purpose: the IDENTITY instantiation
 // must not materialize the iterator at all.
 #[allow(clippy::needless_range_loop)]
-fn dense_async_round<const IDENTITY: bool, A: IterativeAlgorithm + ?Sized>(
+fn dense_round<const IDENTITY: bool, const JACOBI: bool, A: IterativeAlgorithm + ?Sized>(
     g: &CsrGraph,
     ctx: &GatherContext<'_>,
     alg: &A,
     order: &Permutation,
+    prev: &[f64],
     states: &mut [f64],
     out_set: &mut Frontier,
     dense_denom: usize,
@@ -86,7 +98,11 @@ fn dense_async_round<const IDENTITY: bool, A: IterativeAlgorithm + ?Sized>(
     let mut pos = 0usize;
     while pos < n {
         let v = if IDENTITY { pos as u32 } else { order_arr[pos] };
-        let acc = ctx.gather(alg, v, states);
+        let acc = if JACOBI {
+            ctx.gather(alg, v, prev)
+        } else {
+            ctx.gather(alg, v, states)
+        };
         let old = states[v as usize];
         let new = alg.apply(g, v, old, acc);
         delta.record(old, new);
@@ -106,7 +122,11 @@ fn dense_async_round<const IDENTITY: bool, A: IterativeAlgorithm + ?Sized>(
     if pos < n {
         for p in pos..n {
             let v = if IDENTITY { p as u32 } else { order_arr[p] };
-            let acc = ctx.gather(alg, v, states);
+            let acc = if JACOBI {
+                ctx.gather(alg, v, prev)
+            } else {
+                ctx.gather(alg, v, states)
+            };
             let old = states[v as usize];
             let new = alg.apply(g, v, old, acc);
             delta.record(old, new);
@@ -121,10 +141,11 @@ fn dense_async_round<const IDENTITY: bool, A: IterativeAlgorithm + ?Sized>(
 /// The sequential round loop, generic over the algorithm so `gather` /
 /// `apply` inline with a concrete `A`, started from `states`. In-place
 /// reads: earlier-ordered neighbors are already fresh (Eq. 2's x^k),
-/// later ones still carry x^{k-1}.
+/// later ones still carry x^{k-1} — except under [`Schedule::Jacobi`],
+/// where every read is x^{k-1} (Eq. 1).
 ///
-/// Every round is one of three shapes: the dense full sweep (sweep
-/// schedule only — [`dense_async_round`]); a *sparse pull*, a forward
+/// Every round is one of three shapes: the dense full sweep (sweep and
+/// Jacobi schedules only — [`dense_round`]); a *sparse pull*, a forward
 /// [`PositionScan`] over the vertices whose inputs changed that still
 /// consumes in-round activations at later positions, so it is
 /// round-for-round identical to the full sweep for any pure algorithm;
@@ -143,6 +164,26 @@ fn dense_async_round<const IDENTITY: bool, A: IterativeAlgorithm + ?Sized>(
 /// Panics if `order` or `states` do not cover the graph, or a seed
 /// vertex is out of range; [`crate::execute`] validates all three.
 pub(crate) fn sequential_kernel<A: IterativeAlgorithm + ?Sized>(
+    g: &CsrGraph,
+    alg: &A,
+    order: &Permutation,
+    cfg: &RunConfig,
+    schedule: Schedule,
+    seed: Option<&Frontier>,
+    states: Vec<f64>,
+) -> RunStats {
+    // Which buffer a round reads is fixed at compile time, so the
+    // in-place schedules' loops carry no test for it.
+    if schedule == Schedule::Jacobi {
+        schedule_rounds::<A, true>(g, alg, order, cfg, schedule, seed, states)
+    } else {
+        schedule_rounds::<A, false>(g, alg, order, cfg, schedule, seed, states)
+    }
+}
+
+/// [`sequential_kernel`]'s round loop; `JACOBI` is
+/// `schedule == Schedule::Jacobi`.
+fn schedule_rounds<A: IterativeAlgorithm + ?Sized, const JACOBI: bool>(
     g: &CsrGraph,
     alg: &A,
     order: &Permutation,
@@ -187,7 +228,7 @@ pub(crate) fn sequential_kernel<A: IterativeAlgorithm + ?Sized>(
         /// Positions whose new value their out-neighbors have not all
         /// seen: pushed as sources, or expanded into a pull scan of
         /// their out-neighborhoods (plus themselves under the
-        /// per-target plan, `!push_ok`).
+        /// per-target plan, `!push_ok`, and under Jacobi).
         Changed,
         /// Exact pull set: the seed frontier, or the per-target plan's
         /// unconsumed activations.
@@ -208,10 +249,16 @@ pub(crate) fn sequential_kernel<A: IterativeAlgorithm + ?Sized>(
     let mut work_count = 0usize;
     let mut out_set = Frontier::new(n);
     let mut scan = PositionScan::new(n);
-    // Sweep-schedule push rounds owe the norm a delta per vertex, not
-    // per relaxation: first-change old values.
+    // Sweep- and Jacobi-schedule push rounds owe the norm a delta per
+    // vertex, not per relaxation: first-change old values (Jacobi reads
+    // them from `prev`).
     let mut touched = Frontier::new(if by_frontier { 0 } else { n });
     let mut touch_log: Vec<(u32, f64)> = Vec::new();
+    // The Jacobi schedule's previous-round states (empty under the
+    // in-place schedules): gathers and push sources read it, and every
+    // round copies its changes in, so it equals `states` at each round
+    // start.
+    let mut prev = if JACOBI { states.clone() } else { Vec::new() };
     let mut evaluations = 0usize;
 
     let mut rounds = 0usize;
@@ -248,7 +295,8 @@ pub(crate) fn sequential_kernel<A: IterativeAlgorithm + ?Sized>(
         if push {
             // Push round: pending changes relax their out-edges in
             // place; an improved vertex at a later position joins the
-            // sweep and scatters its own improvement this round.
+            // sweep and scatters its own improvement this round (under
+            // Jacobi, next round).
             push_rounds += 1;
             touched.clear();
             touch_log.clear();
@@ -264,13 +312,21 @@ pub(crate) fn sequential_kernel<A: IterativeAlgorithm + ?Sized>(
                 };
                 evaluations += 1;
                 let u = order.vertex_at(pos as usize);
-                let su = states[u as usize];
+                let su = if JACOBI {
+                    prev[u as usize]
+                } else {
+                    states[u as usize]
+                };
                 sctx.scatter(alg, u, su, |v, cand| {
                     let old = states[v as usize];
                     let new = alg.apply(g, v, old, cand);
                     if new != old {
                         states[v as usize] = new;
                         let pv = order.position(v);
+                        if JACOBI {
+                            touched.insert(pv);
+                            return;
+                        }
                         if by_frontier {
                             if state_delta(old, new) <= eps {
                                 return;
@@ -293,36 +349,54 @@ pub(crate) fn sequential_kernel<A: IterativeAlgorithm + ?Sized>(
             for &(v, old) in &touch_log {
                 acc_delta.record(old, states[v as usize]);
             }
+            if JACOBI {
+                // In ascending positions, as dense and sparse rounds
+                // record: a sum norm adds the same floats in the same
+                // order whatever the round's shape.
+                touched.for_each_ascending(|p| {
+                    let v = order.vertex_at(p as usize) as usize;
+                    acc_delta.record(prev[v], states[v]);
+                    if states[v] != prev[v] {
+                        prev[v] = states[v];
+                        out_set.insert(p);
+                    }
+                });
+            }
             out_count = out_set.len();
             work = Work::Changed;
         } else if dense {
-            let dense_round = if order.is_identity() {
-                dense_async_round::<true, A>
+            let round = if order.is_identity() {
+                dense_round::<true, JACOBI, A>
             } else {
-                dense_async_round::<false, A>
+                dense_round::<false, JACOBI, A>
             };
-            out_count = dense_round(
+            out_count = round(
                 g,
                 &ctx,
                 alg,
                 order,
+                &prev,
                 &mut states,
                 &mut out_set,
                 dense_denom,
                 &mut acc_delta,
             );
+            if JACOBI {
+                prev.copy_from_slice(&states);
+            }
             work = Work::Changed;
         } else {
             // Sparse pull with in-round consumption: evaluate scheduled
             // positions in ascending order; a change activates later
             // out-neighbors into this same sweep and earlier ones into
-            // the next round.
+            // the next round. Under Jacobi every change waits for the
+            // next round, which re-evaluates it and its out-neighbors.
             match work {
                 Work::All => (0..n as u32).for_each(|p| scan.set(p)),
                 Work::Targets => scan.load(&work_set),
                 Work::Changed => work_set.for_each(|p| {
-                    if !push_ok {
-                        scan.set(p); // self re-evaluation (per-target plan)
+                    if JACOBI || !push_ok {
+                        scan.set(p); // self re-evaluation
                     }
                     g.for_each_out_neighbor(order.vertex_at(p as usize), |w| {
                         scan.set(order.position(w));
@@ -337,7 +411,7 @@ pub(crate) fn sequential_kernel<A: IterativeAlgorithm + ?Sized>(
                 };
                 evaluations += 1;
                 let v = order.vertex_at(pos as usize);
-                let acc = ctx.gather(alg, v, &states);
+                let acc = ctx.gather(alg, v, if JACOBI { &prev } else { &states });
                 let old = states[v as usize];
                 let new = alg.apply(g, v, old, acc);
                 states[v as usize] = new;
@@ -349,7 +423,9 @@ pub(crate) fn sequential_kernel<A: IterativeAlgorithm + ?Sized>(
                 };
                 if changed {
                     round_changes += 1;
-                    if push_ok {
+                    if JACOBI {
+                        out_set.insert(pos);
+                    } else if push_ok {
                         activate_per_source(g, order, v, pos, &mut scan, &mut out_set);
                     } else {
                         // Under the sweep schedule the vertex itself
@@ -370,8 +446,14 @@ pub(crate) fn sequential_kernel<A: IterativeAlgorithm + ?Sized>(
                     }
                 }
             }
+            if JACOBI {
+                out_set.for_each(|p| {
+                    let v = order.vertex_at(p as usize) as usize;
+                    prev[v] = states[v];
+                });
+            }
             out_count = out_set.len();
-            work = if push_ok {
+            work = if JACOBI || push_ok {
                 Work::Changed
             } else {
                 Work::Targets
@@ -405,9 +487,10 @@ pub(crate) fn sequential_kernel<A: IterativeAlgorithm + ?Sized>(
         converged,
         final_states: states,
         trace,
-        // Single state array (the async memory advantage of Fig. 11)
-        // plus the direction machinery's frontier sets and sweep bitmap.
-        state_memory_bytes: n * std::mem::size_of::<f64>()
+        // One state array in place (the async memory advantage of
+        // Fig. 11), two under Jacobi, plus the direction machinery's
+        // frontier sets and sweep bitmap.
+        state_memory_bytes: (n + prev.capacity()) * std::mem::size_of::<f64>()
             + work_set.memory_bytes()
             + out_set.memory_bytes()
             + touched.memory_bytes()
@@ -423,7 +506,7 @@ mod tests {
     use crate::algorithms::{Bfs, PageRank, Sssp};
     use crate::runner::Mode;
     use crate::strategy::run_cold;
-    use gograph_graph::generators::regular::chain;
+    use gograph_graph::generators::regular::{chain, cycle};
     use gograph_graph::generators::{
         planted_partition, with_random_weights, PlantedPartitionConfig,
     };
@@ -604,5 +687,94 @@ mod tests {
         assert_eq!(a.final_states, b.final_states);
         assert!(a.rounds < b.rounds);
         assert!(a.evaluations.unwrap() < b.evaluations.unwrap());
+    }
+
+    #[test]
+    fn sssp_on_chain_takes_n_minus_1_rounds_plus_fixpoint_check() {
+        let g = chain(6);
+        let stats = run_cold(
+            &g,
+            &Sssp::new(0),
+            Mode::Sync,
+            &Permutation::identity(6),
+            &RunConfig::default(),
+        );
+        assert!(stats.converged);
+        // Distance i reaches vertex i in round i; one extra round detects
+        // stability... but with identity order each round relaxes the next
+        // hop, so 5 rounds propagate + 1 to confirm.
+        assert_eq!(stats.final_states, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert!(stats.rounds >= 5);
+    }
+
+    #[test]
+    fn sync_result_is_order_independent() {
+        let g = cycle(8);
+        let a = run_cold(
+            &g,
+            &Sssp::new(0),
+            Mode::Sync,
+            &Permutation::identity(8),
+            &RunConfig::default(),
+        );
+        let rev = Permutation::identity(8).reversed();
+        let b = run_cold(&g, &Sssp::new(0), Mode::Sync, &rev, &RunConfig::default());
+        assert_eq!(a.final_states, b.final_states);
+        assert_eq!(a.rounds, b.rounds);
+    }
+
+    #[test]
+    fn pagerank_converges_on_cycle() {
+        let g = cycle(5);
+        let stats = run_cold(
+            &g,
+            &PageRank::default(),
+            Mode::Sync,
+            &Permutation::identity(5),
+            &RunConfig::default(),
+        );
+        assert!(stats.converged);
+        for &x in &stats.final_states {
+            assert!((x - 1.0).abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn trace_records_rounds() {
+        let g = chain(4);
+        let cfg = RunConfig {
+            record_trace: true,
+            ..Default::default()
+        };
+        let stats = run_cold(
+            &g,
+            &Sssp::new(0),
+            Mode::Sync,
+            &Permutation::identity(4),
+            &cfg,
+        );
+        assert_eq!(stats.trace.len(), stats.rounds + 1);
+        assert_eq!(stats.trace[0].round, 0);
+        // finite sum grows as vertices are reached... and the last round's
+        // delta is 0 (stability confirmation).
+        assert_eq!(stats.trace.last().unwrap().delta, 0.0);
+    }
+
+    #[test]
+    fn round_cap_respected() {
+        let g = chain(100);
+        let cfg = RunConfig {
+            max_rounds: 3,
+            ..Default::default()
+        };
+        let stats = run_cold(
+            &g,
+            &Sssp::new(0),
+            Mode::Sync,
+            &Permutation::identity(100),
+            &cfg,
+        );
+        assert!(!stats.converged);
+        assert_eq!(stats.rounds, 3);
     }
 }

@@ -1,6 +1,6 @@
-//! Direction-optimizing execution support: per-round push/pull choice,
-//! hybrid frontier bookkeeping shared by the synchronous and sequential
-//! kernels, and the cache-blocked dense pull sweep.
+//! Direction-optimizing execution support: the per-round push/pull
+//! choice and the hybrid frontier bookkeeping of the sequential kernel's
+//! three schedules (the block-parallel kernel shares the choice).
 //!
 //! The kernels track which vertices *changed* in a round (a hybrid
 //! [`Frontier`] over **order positions**, so in-order emission is a
@@ -10,9 +10,7 @@
 //! - **full pull** — the historical dense sweep: gather every vertex in
 //!   processing order. Chosen while the changed set is dense (more than
 //!   `1/DENSE_EVAL_DENOMINATOR` = 1/32 of the vertices), where skip
-//!   bookkeeping would cost more than it saves. On the synchronous
-//!   engine this sweep is additionally *cache-blocked* when the state
-//!   array overflows [`crate::RunConfig::llc_bytes`].
+//!   bookkeeping would cost more than it saves.
 //! - **sparse pull** — gather only vertices whose inputs may have
 //!   changed (the changed set and its out-neighborhoods), skipping
 //!   inactive sources through the bitmap.
@@ -27,8 +25,6 @@
 //! `|E| / PUSH_ALPHA` = `|E|` (the pull side pays the in-degree mass of
 //! the frontier's entire out-neighborhood, which the edge total bounds).
 
-use crate::algorithm::IterativeAlgorithm;
-use crate::dispatch::GatherContext;
 use gograph_graph::{CsrGraph, Frontier, Permutation, VertexId};
 
 /// Which traversal directions an engine run may use.
@@ -49,11 +45,6 @@ pub enum DirectionPolicy {
     /// *inputs* changed, which only a pull can re-evaluate.
     PushOnly,
 }
-
-/// Default last-level-cache budget assumed by the blocked pull sweep
-/// (overridable via [`crate::RunConfig::llc_bytes`]): 8 MiB, a common
-/// desktop LLC slice.
-pub const DEFAULT_LLC_BYTES: usize = 8 << 20;
 
 /// A round whose frontier out-degree mass is below `|E| / PUSH_ALPHA`
 /// runs push under [`DirectionPolicy::Auto`]. The pull side's cost —
@@ -230,92 +221,9 @@ pub(crate) fn activate_per_target(
     }
 }
 
-/// The cache-blocked dense pull sweep (synchronous engine only — the
-/// accumulate-then-apply shape is Jacobi).
-///
-/// When the processing order is the identity (the relabeled deployment
-/// configuration: the GoGraph order is baked into the vertex ids), each
-/// vertex's in-source list ascends in *order positions* too, so it
-/// splits into contiguous spans per source block. A full pull round then
-/// visits blocks outermost: within one block pass every state read
-/// falls inside one LLC-sized id range, so the reordered layout's
-/// locality is bounded by construction instead of by luck, at the cost
-/// of streaming per-block span metadata and revisiting destination
-/// accumulators once per contributing block.
-///
-/// Per-destination contributions still fold in ascending source order
-/// (blocks ascend, spans ascend within a vertex), i.e. **exactly the
-/// order the unblocked sweep folds** — so the blocked sweep is
-/// bit-identical for every algorithm, including sum-norm gathers: the
-/// per-block accumulators only regroup *when* a partial fold happens,
-/// never in what order.
-pub(crate) struct BlockedSweep {
-    /// Per block `b`: `(v, start, end)` spans — the slice
-    /// `in_sources[start..end]` of `v`'s in-edges whose sources fall in
-    /// block `b`'s id range.
-    spans: Vec<Vec<(VertexId, u32, u32)>>,
-}
-
-impl BlockedSweep {
-    /// Positions per block for a given LLC budget: half the budget in
-    /// 8-byte states, leaving the other half for the destination
-    /// accumulators and streamed structure.
-    pub(crate) fn block_positions(llc_bytes: usize) -> usize {
-        (llc_bytes / 2 / std::mem::size_of::<f64>()).max(1)
-    }
-
-    /// Builds the span partition (shared with the cache simulator via
-    /// [`CsrGraph::in_source_block_spans`], so the simulated access
-    /// pattern can never drift from the executed one), or `None` when
-    /// blocking cannot help: fewer than two blocks, an edge stream
-    /// too large for the u32 span indices, or compressed storage (whose
-    /// rows are byte blocks with no flat index ranges to span; the
-    /// dense sweep falls back to the unblocked path there).
-    pub(crate) fn build(g: &CsrGraph, block_positions: usize) -> Option<Self> {
-        let num_blocks = g.num_vertices().div_ceil(block_positions.max(1));
-        if num_blocks < 2 || g.num_edges() > u32::MAX as usize || g.is_compressed() {
-            return None;
-        }
-        Some(BlockedSweep {
-            spans: g.in_source_block_spans(block_positions),
-        })
-    }
-
-    /// Heap bytes held by the span table (~12 bytes per span, between
-    /// `n` and `|E|` spans).
-    pub(crate) fn memory_bytes(&self) -> usize {
-        self.spans
-            .iter()
-            .map(|b| b.capacity() * std::mem::size_of::<(VertexId, u32, u32)>())
-            .sum::<usize>()
-            + self.spans.capacity() * std::mem::size_of::<Vec<(VertexId, u32, u32)>>()
-    }
-
-    /// One blocked accumulation pass: folds every in-edge contribution
-    /// into `acc` (which the caller pre-fills with the gather identity),
-    /// block by block.
-    #[inline]
-    pub(crate) fn accumulate<A: IterativeAlgorithm + ?Sized>(
-        &self,
-        ctx: &GatherContext<'_>,
-        alg: &A,
-        states: &[f64],
-        acc: &mut [f64],
-    ) {
-        for block in &self.spans {
-            for &(v, s, e) in block {
-                acc[v as usize] =
-                    ctx.gather_range(alg, acc[v as usize], s as usize, e as usize, |u| states[u]);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::Sssp;
-    use gograph_graph::CsrGraph;
 
     #[test]
     fn direction_choice_honors_policy_and_masses() {
@@ -339,33 +247,6 @@ mod tests {
         changed.insert(3); // position 3 = vertex 0, out-degree 3
         changed.insert(1); // position 1 = vertex 2, out-degree 1
         assert_eq!(push_mass(&changed, &order, g.out_degrees()), 4);
-    }
-
-    #[test]
-    fn blocked_sweep_matches_unblocked_gather() {
-        let g = CsrGraph::from_edges(
-            6,
-            [
-                (0u32, 5u32, 2.0f64),
-                (1, 5, 1.0),
-                (4, 5, 3.0),
-                (0, 2, 1.0),
-                (3, 2, 4.0),
-                (5, 0, 1.0),
-            ],
-        );
-        let ctx = GatherContext::new(&g);
-        let alg = Sssp::new(0);
-        let states = vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
-        let blocked = BlockedSweep::build(&g, 2).expect("3 blocks");
-        let mut acc = vec![alg.gather_identity(); 6];
-        blocked.accumulate(&ctx, &alg, &states, &mut acc);
-        for v in g.vertices() {
-            assert_eq!(acc[v as usize], ctx.gather(&alg, v, &states), "vertex {v}");
-        }
-        // One block (or zero vertices) declines to build.
-        assert!(BlockedSweep::build(&g, 6).is_none());
-        assert!(BlockedSweep::build(&g, 100).is_none());
     }
 
     #[test]
@@ -399,11 +280,5 @@ mod tests {
             }
         }
         assert_eq!(rest, 0);
-    }
-
-    #[test]
-    fn block_positions_track_llc_budget() {
-        assert_eq!(BlockedSweep::block_positions(16), 1);
-        assert_eq!(BlockedSweep::block_positions(1 << 20), 1 << 16);
     }
 }

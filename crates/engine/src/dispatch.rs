@@ -59,10 +59,10 @@ pub enum DeltaAlgorithmKind {
     Sssp(DeltaSssp),
 }
 
-/// Opts an algorithm out of kernel monomorphization: the engines treat the
-/// wrapped algorithm as user-supplied and run the `dyn`-dispatch fallback
-/// path. Used by the equivalence tests to compare the two paths;
-/// delegates every trait method unchanged.
+/// Opts an algorithm of either family out of kernel monomorphization:
+/// the engines treat the wrapped algorithm as user-supplied and run the
+/// `dyn`-dispatch fallback path. Used by the equivalence tests to compare
+/// the two paths; delegates every trait method unchanged.
 #[derive(Debug, Clone, Copy)]
 pub struct DynOnly<A>(pub A);
 
@@ -104,11 +104,7 @@ impl<A: IterativeAlgorithm> IterativeAlgorithm for DynOnly<A> {
     }
 }
 
-/// [`DynOnly`] for the delta algorithm family.
-#[derive(Debug, Clone, Copy)]
-pub struct DynOnlyDelta<A>(pub A);
-
-impl<A: DeltaAlgorithm> DeltaAlgorithm for DynOnlyDelta<A> {
+impl<A: DeltaAlgorithm> DeltaAlgorithm for DynOnly<A> {
     fn name(&self) -> &'static str {
         self.0.name()
     }
@@ -358,10 +354,9 @@ impl<'g> GatherContext<'g> {
     }
 
     /// Folds the in-edge stream slice `[s, e)` into `acc` — the
-    /// innermost per-edge loop, also entered mid-list by the blocked
-    /// sweep, which folds one source-block span at a time. Flat storage
-    /// only ([`crate::BlockedSweep`] declines to build on compressed
-    /// graphs, whose rows have no flat index ranges).
+    /// innermost per-edge loop of [`GatherContext::gather_with`] on flat
+    /// storage (compressed rows are byte blocks with no flat index
+    /// ranges).
     #[inline(always)]
     pub(crate) fn gather_range<A: IterativeAlgorithm + ?Sized>(
         &self,
@@ -546,9 +541,7 @@ mod tests {
         let plain = Sssp::new(0);
         let wrapped = DynOnly(plain);
         assert!(wrapped.monomorphized().is_none());
-        assert!(DynOnlyDelta(DeltaSssp { source: 0 })
-            .monomorphized()
-            .is_none());
+        assert!(DynOnly(DeltaSssp { source: 0 }).monomorphized().is_none());
         let states = vec![0.0, 2.0, f64::INFINITY];
         assert_eq!(
             evaluate_vertex(&plain, &g, 2, &states),

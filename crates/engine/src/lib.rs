@@ -35,16 +35,13 @@ pub mod runner;
 pub mod strategy;
 pub mod streaming;
 mod support;
-mod sync;
 
 pub use algorithm::{ConvergenceNorm, IterativeAlgorithm, Monotonicity};
 pub use algorithms::{Adsorption, Bfs, ConnectedComponents, Katz, PageRank, Php, Sssp, Sswp};
 pub use convergence::{RunStats, TracePoint};
 pub use delta::{DeltaAlgorithm, DeltaPageRank, DeltaSchedule, DeltaSssp};
-pub use direction::{DirectionPolicy, DEFAULT_LLC_BYTES};
-pub use dispatch::{
-    AlgorithmKind, DeltaAlgorithmKind, DynOnly, DynOnlyDelta, GatherContext, ScatterContext,
-};
+pub use direction::DirectionPolicy;
+pub use dispatch::{AlgorithmKind, DeltaAlgorithmKind, DynOnly, GatherContext, ScatterContext};
 pub use error::EngineError;
 pub use pipeline::{Pipeline, PipelineResult, StageTimings};
 pub use runner::{total_memory_bytes, Mode, RunConfig};

@@ -9,7 +9,8 @@ use gograph_graph::CsrGraph;
 /// Engine execution mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Mode {
-    /// Synchronous (Jacobi, Eq. 1) — double-buffered.
+    /// Synchronous (Jacobi, Eq. 1) — reads the previous round's
+    /// states from a second buffer.
     Sync,
     /// Asynchronous (Gauss–Seidel, Eq. 2) — in-place, order-sensitive.
     Async,
@@ -45,16 +46,11 @@ pub struct RunConfig {
     pub record_trace: bool,
     /// Traversal-direction policy (default [`DirectionPolicy::Auto`]:
     /// Beamer-style per-round choice). Honoured by every engine: the
-    /// sequential sync/async/worklist kernels, the block-parallel engine
-    /// at every block count, and the delta engines (where push = the
-    /// sparse pending sweep or prioritized batch, pull = the dense
-    /// full-scan fallback).
+    /// sequential kernel under all three schedules (sync, async,
+    /// worklist), the block-parallel engine at every block count, and
+    /// the delta engines (where push = the sparse pending sweep or
+    /// prioritized batch, pull = the dense full-scan fallback).
     pub direction: DirectionPolicy,
-    /// Last-level-cache budget the synchronous engine's blocked dense
-    /// pull sweep sizes its order-position blocks to (default
-    /// [`crate::direction::DEFAULT_LLC_BYTES`] = 8 MiB). Runs whose
-    /// state array already fits the budget skip blocking entirely.
-    pub llc_bytes: usize,
 }
 
 impl Default for RunConfig {
@@ -63,7 +59,6 @@ impl Default for RunConfig {
             max_rounds: 10_000,
             record_trace: false,
             direction: DirectionPolicy::Auto,
-            llc_bytes: crate::direction::DEFAULT_LLC_BYTES,
         }
     }
 }

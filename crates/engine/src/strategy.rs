@@ -21,7 +21,6 @@ use crate::dispatch::{dispatch_delta, dispatch_gather};
 use crate::error::EngineError;
 use crate::parallel::parallel_kernel;
 use crate::runner::{Mode, RunConfig};
-use crate::sync::sync_kernel;
 use gograph_graph::{CsrGraph, Frontier, Permutation, VertexId};
 
 /// A borrowed algorithm of either family. The gather family
@@ -72,11 +71,9 @@ pub struct WarmStart {
     /// Vertices whose inputs changed and that must be re-evaluated
     /// first, as a hybrid [`Frontier`] set: the caller's claim that
     /// every *other* vertex's state is already consistent with its
-    /// in-neighbors. Every frontier-capable engine starts from it —
-    /// [`Mode::Async`], [`Mode::Worklist`] and [`Mode::Parallel`] pull
+    /// in-neighbors. Every engine starts from it — the gather modes pull
     /// exactly this set in their first round and let activation spread
     /// from there, and the delta engines seed their pending deltas here.
-    /// Only [`Mode::Sync`] ignores it and re-evaluates everything.
     /// `None` means every vertex.
     pub frontier: Option<Frontier>,
     /// Pending per-vertex deltas for the delta-family engines (length =
@@ -241,8 +238,8 @@ fn derive_frontier_deltas(
 /// [`DirectionPolicy::PushOnly`] with an algorithm that cannot scatter,
 /// a batch fraction outside `(0, 1]`.
 ///
-/// [`Mode::Async`], [`Mode::Worklist`] and `Mode::Parallel(1)` are one
-/// loop under two schedules; `Parallel(n)` clamps `n` to `1..=|V|` as
+/// [`Mode::Sync`], [`Mode::Async`], [`Mode::Worklist`] and
+/// `Mode::Parallel(1)` are one loop under three schedules; `Parallel(n)` clamps `n` to `1..=|V|` as
 /// it always has, so `Parallel(0)` is one block, never an error.
 ///
 /// ```
@@ -363,7 +360,7 @@ pub fn execute(
                 let sequential =
                     |schedule, states| sequential_kernel(g, alg, order, cfg, schedule, seed, states);
                 match mode {
-                    Mode::Sync => sync_kernel(g, alg, order, cfg, states),
+                    Mode::Sync => sequential(Schedule::Jacobi, states),
                     Mode::Async => sequential(Schedule::Sweep, states),
                     Mode::Worklist => sequential(Schedule::Frontier, states),
                     Mode::Parallel(blocks) => match blocks.clamp(1, n.max(1)) {
@@ -643,7 +640,7 @@ mod tests {
         let old = run_cold(&g0, &Sssp::new(0), Mode::Async, &id, &cfg).final_states;
         let g1 = g0.apply_updates(&[gograph_graph::EdgeUpdate::insert(0, 990)]);
         let cold = run_cold(&g1, &Sssp::new(0), Mode::Async, &id, &cfg);
-        for mode in [Mode::Async, Mode::Parallel(1)] {
+        for mode in [Mode::Async, Mode::Parallel(1), Mode::Sync] {
             let applies = |start: WarmStart| {
                 let alg = CountingSssp(Sssp::new(0), AtomicUsize::new(0));
                 let stats = execute(

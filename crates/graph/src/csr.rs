@@ -7,7 +7,7 @@
 //! which makes `has_edge` a binary search and keeps all downstream
 //! algorithms deterministic.
 //!
-//! A graph lives in one of two storage backends behind [`CsrStorage`]:
+//! A graph lives in one of two storage backends behind `CsrStorage`:
 //!
 //! - **Uncompressed** — flat offset/target/weight arrays, the default and
 //!   the only backend the reordering pipeline and cache simulator accept
@@ -881,41 +881,6 @@ impl CsrGraph {
         )
     }
 
-    /// Splits every vertex's in-edge list into contiguous spans whose
-    /// sources share one `block_vertices`-sized id block: entry
-    /// `(v, start, end)` of block `b` means `raw_in_sources[start..end]`
-    /// are `v`'s in-neighbors with ids in `[b·block, (b+1)·block)`
-    /// (in-neighbor lists are id-sorted, so the split is contiguous and
-    /// fold order is preserved when blocks are visited in order).
-    ///
-    /// This is the span partition behind the engines' cache-blocked
-    /// dense pull sweep **and** the cache simulator's replay of it —
-    /// shared here so the simulated access pattern can never drift from
-    /// the executed one. Flat indices are `u32`; callers must check
-    /// `num_edges() <= u32::MAX`. Flat storage only (the blocked sweep
-    /// declines to build on compressed graphs).
-    pub fn in_source_block_spans(&self, block_vertices: usize) -> Vec<Vec<(VertexId, u32, u32)>> {
-        let f = self.flat();
-        let block_vertices = block_vertices.max(1);
-        let num_blocks = self.num_vertices.div_ceil(block_vertices).max(1);
-        let mut spans: Vec<Vec<(VertexId, u32, u32)>> = vec![Vec::new(); num_blocks];
-        for v in 0..self.num_vertices {
-            let (s, e) = f.in_range(v as VertexId);
-            let mut i = s;
-            while i < e {
-                let b = f.in_sources[i] as usize / block_vertices;
-                let block_end = ((b + 1) * block_vertices) as VertexId;
-                let mut j = i + 1;
-                while j < e && f.in_sources[j] < block_end {
-                    j += 1;
-                }
-                spans[b].push((v as VertexId, i as u32, j as u32));
-                i = j;
-            }
-        }
-        spans
-    }
-
     // ---- compressed backend -------------------------------------------
 
     /// True when the graph is on the compressed backend.
@@ -942,9 +907,9 @@ impl CsrGraph {
     }
 
     /// Compresses the graph into delta-varint sharded storage with
-    /// evenly split vertex-range shards (~[`DEFAULT_SHARD_VERTICES`]
-    /// vertices each). See [`CsrGraph::compress_with_shards`] to shard
-    /// along a partition's ranges instead.
+    /// evenly split vertex-range shards (~65 536 vertices each). See
+    /// [`CsrGraph::compress_with_shards`] to shard along a partition's
+    /// ranges instead.
     pub fn compress(&self) -> CsrGraph {
         let k = (self.num_vertices / DEFAULT_SHARD_VERTICES).clamp(1, MAX_DEFAULT_SHARDS);
         let starts: Vec<VertexId> = (1..k)

@@ -52,8 +52,9 @@ impl RmatConfig {
 ///
 /// Delegates to [`rmat_streaming`], whose peak memory is one 4-byte
 /// target per sampled edge plus the CSR index — not the 16-byte edge
-/// list plus `O(m log m)` sort the [`GraphBuilder`] path pays — so
-/// scale-20+ generation fits alongside the finished graph.
+/// list plus `O(m log m)` sort the
+/// [`GraphBuilder`](crate::GraphBuilder) path pays — so scale-20+
+/// generation fits alongside the finished graph.
 pub fn rmat(cfg: RmatConfig) -> CsrGraph {
     rmat_streaming(cfg)
 }
@@ -69,8 +70,9 @@ fn validated_d(cfg: &RmatConfig) -> f64 {
 }
 
 /// Streaming two-pass RMAT build producing exactly the graph the
-/// [`GraphBuilder`] path would (same sample stream, same sort + dedup
-/// semantics), without ever materializing the edge list:
+/// [`GraphBuilder`](crate::GraphBuilder) path would (same sample stream,
+/// same sort + dedup semantics), without ever materializing the edge
+/// list:
 ///
 /// 1. **Pass 1** streams the `m` samples and histograms out-degrees
 ///    (the RNG is re-seeded, so the stream itself is never stored).

@@ -132,10 +132,6 @@ pub struct ServeConfig {
     /// How long an admission-batch leader holds its slot open for
     /// followers. Zero disables request combining.
     pub admission_window: Duration,
-    /// Reorder parallelism handed to the mutator's pipeline.
-    pub reorder_threads: usize,
-    /// Whether the mutator uses partition-scoped re-reordering.
-    pub partition_scoped: bool,
     /// When set, updates are write-ahead logged and epochs checkpointed
     /// so the service can [`recover`](ServeCore::recover) after a
     /// crash. `None` keeps the pre-durability in-memory behavior.
@@ -159,8 +155,6 @@ impl Default for ServeConfig {
                 WarmSpec::new(AlgSpec::Sssp, 0),
             ],
             admission_window: Duration::from_millis(2),
-            reorder_threads: 1,
-            partition_scoped: true,
             durability: None,
             faults: FaultPlan::none(),
             max_follower_lag: 1024,
@@ -461,29 +455,11 @@ struct UpdateLane {
     wal: Option<WalWriter>,
 }
 
-/// Pipeline construction knobs threaded to the mutator so resumed
-/// pipelines are built exactly like the originals.
-#[derive(Debug, Clone, Copy)]
-struct PipelineBuild {
-    reorder_threads: usize,
-    partition_scoped: bool,
-}
-
-impl PipelineBuild {
-    fn from_config(config: &ServeConfig) -> PipelineBuild {
-        PipelineBuild {
-            reorder_threads: config.reorder_threads,
-            partition_scoped: config.partition_scoped,
-        }
-    }
-}
-
 /// Everything the mutator thread owns.
 struct MutatorCtx {
     /// One track per entry of `warm`, in order.
     pipeline: StreamingPipeline,
     warm: Vec<WarmSpec>,
-    build: PipelineBuild,
     faults: FaultPlan,
     durability: Option<DurabilityConfig>,
     compact_after: Arc<AtomicU64>,
@@ -534,8 +510,7 @@ impl ServeCore {
             }
         }
 
-        let build = PipelineBuild::from_config(&config);
-        let pipeline = warm_pipeline(graph, &warm_specs, build).build()?;
+        let pipeline = warm_pipeline(graph, &warm_specs).build()?;
 
         let stats = Arc::new(ServeStats::default());
         let mut wal = None;
@@ -565,7 +540,6 @@ impl ServeCore {
             pipeline,
             stats,
             config,
-            build,
             wal,
             0,
             0,
@@ -597,8 +571,9 @@ impl ServeCore {
             ));
         }
 
-        let build = PipelineBuild::from_config(&config);
-        let (warm, mut pipeline) = resume_warm_pipeline(ck.pipelines, build)?;
+        let stats = Arc::new(ServeStats::default());
+        adopt_counters(&stats, &ck);
+        let (warm, mut pipeline) = resume_warm_pipeline(ck.pipelines)?;
 
         // Only the longest intact WAL prefix is replayable; anything
         // past it is a torn (never acked) append and is discarded.
@@ -607,21 +582,6 @@ impl ServeCore {
         if contents.tail == TailStatus::CorruptTail {
             truncate_wal(&wal_path, contents.valid_bytes)?;
         }
-
-        let stats = Arc::new(ServeStats::default());
-        // The checkpoint pins the counter identities: every assigned
-        // seq was enqueued, every published epoch was an applied batch,
-        // and the difference is the skipped (failed) batches.
-        stats.batches_applied.store(ck.epoch, Ordering::Relaxed);
-        stats
-            .mutator_errors
-            .store(ck.seq.saturating_sub(ck.epoch), Ordering::Relaxed);
-        stats
-            .updates_applied
-            .store(ck.updates_applied, Ordering::Relaxed);
-        stats
-            .mutator_rounds
-            .store(ck.mutator_rounds, Ordering::Relaxed);
 
         let mut epoch = ck.epoch;
         let mut last_seq = ck.seq;
@@ -642,12 +602,7 @@ impl ServeCore {
                 apply_supervised(&mut pipeline, rec.seq, &rec.updates, &stats, &config.faults)
             {
                 epoch += 1;
-                stats.batches_applied.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .updates_applied
-                    .fetch_add(rec.updates.len() as u64, Ordering::Relaxed);
-                stats.mutator_rounds.fetch_add(rounds, Ordering::Relaxed);
-                stats.degraded.store(0, Ordering::Relaxed);
+                count_applied(&stats, rec.updates.len(), rounds);
             }
         }
         stats.batches_enqueued.store(last_seq, Ordering::Relaxed);
@@ -664,7 +619,6 @@ impl ServeCore {
             pipeline,
             stats,
             config,
-            build,
             wal,
             epoch,
             last_seq,
@@ -697,7 +651,6 @@ impl ServeCore {
         pipeline: StreamingPipeline,
         stats: Arc<ServeStats>,
         config: ServeConfig,
-        build: PipelineBuild,
         wal: Option<WalWriter>,
         epoch: u64,
         last_seq: u64,
@@ -712,7 +665,6 @@ impl ServeCore {
         let ctx = MutatorCtx {
             pipeline,
             warm,
-            build,
             faults: config.faults.clone(),
             durability: config.durability.clone(),
             compact_after: Arc::clone(&compact_after),
@@ -1229,19 +1181,9 @@ impl ServeCore {
                 "checkpoint carries no pipelines".to_string(),
             ));
         }
-        let build = PipelineBuild::from_config(&config);
-        let (warm, pipeline) = resume_warm_pipeline(ck.pipelines, build)?;
         let stats = Arc::new(ServeStats::default());
-        stats.batches_applied.store(ck.epoch, Ordering::Relaxed);
-        stats
-            .mutator_errors
-            .store(ck.seq.saturating_sub(ck.epoch), Ordering::Relaxed);
-        stats
-            .updates_applied
-            .store(ck.updates_applied, Ordering::Relaxed);
-        stats
-            .mutator_rounds
-            .store(ck.mutator_rounds, Ordering::Relaxed);
+        adopt_counters(&stats, &ck);
+        let (warm, pipeline) = resume_warm_pipeline(ck.pipelines)?;
         stats.batches_enqueued.store(ck.seq, Ordering::Relaxed);
         stats.repl_primary_seq.store(ck.seq, Ordering::Relaxed);
         let cell = Arc::new(EpochCell::with_published(
@@ -1254,7 +1196,6 @@ impl ServeCore {
             pipeline,
             stats,
             config,
-            build,
             None,
             ck.epoch,
             ck.seq,
@@ -1390,6 +1331,34 @@ fn apply_supervised(
     }
 }
 
+/// Counts one applied batch of `updates` updates that re-converged in
+/// `rounds` rounds — the mutator loop and WAL replay alike.
+fn count_applied(stats: &ServeStats, updates: usize, rounds: u64) {
+    stats.batches_applied.fetch_add(1, Ordering::Relaxed);
+    stats
+        .updates_applied
+        .fetch_add(updates as u64, Ordering::Relaxed);
+    stats.mutator_rounds.fetch_add(rounds, Ordering::Relaxed);
+    stats.degraded.store(0, Ordering::Relaxed);
+}
+
+/// Stores the counters a checkpoint pins — recovery, follower bootstrap
+/// and re-sync alike. Every assigned seq was enqueued, every published
+/// epoch was an applied batch, and the difference is the skipped
+/// (failed) batches.
+fn adopt_counters(stats: &ServeStats, ck: &Checkpoint) {
+    stats.batches_applied.store(ck.epoch, Ordering::Relaxed);
+    stats
+        .mutator_errors
+        .store(ck.seq.saturating_sub(ck.epoch), Ordering::Relaxed);
+    stats
+        .updates_applied
+        .store(ck.updates_applied, Ordering::Relaxed);
+    stats
+        .mutator_rounds
+        .store(ck.mutator_rounds, Ordering::Relaxed);
+}
+
 /// One [`PipelineCheckpoint`] per warm track, all sharing the graph.
 fn export_tracks(warm: &[WarmSpec], pipeline: &StreamingPipeline) -> Vec<PipelineCheckpoint> {
     (warm.iter().enumerate())
@@ -1462,7 +1431,7 @@ fn corrupt_pipeline_state(ctx: &mut MutatorCtx, seq: u64) {
     }
     let idx = seq as usize % states.len();
     states[idx] = -4096.5;
-    match resume_warm_pipeline(tracks, ctx.build) {
+    match resume_warm_pipeline(tracks) {
         Ok((_, fresh)) => {
             ctx.pipeline = fresh;
             eprintln!("gograph-serve: injected state corruption after batch {seq}");
@@ -1475,8 +1444,8 @@ fn corrupt_pipeline_state(ctx: &mut MutatorCtx, seq: u64) {
 /// (divergence repair). Publishes the restored epoch and resets the
 /// probe history — stale fingerprints of diverged state must not
 /// answer probes at watermarks the follower is about to replay again.
-fn resync_mutator(ctx: &mut MutatorCtx, ck: Checkpoint, cell: &EpochCell, stats: &ServeStats) {
-    match resume_warm_pipeline(ck.pipelines, ctx.build) {
+fn resync_mutator(ctx: &mut MutatorCtx, mut ck: Checkpoint, cell: &EpochCell, stats: &ServeStats) {
+    match resume_warm_pipeline(std::mem::take(&mut ck.pipelines)) {
         Ok((warm, pipeline)) => (ctx.warm, ctx.pipeline) = (warm, pipeline),
         Err(e) => {
             eprintln!("gograph-serve: re-sync resume failed: {e}; keeping current state");
@@ -1485,16 +1454,7 @@ fn resync_mutator(ctx: &mut MutatorCtx, ck: Checkpoint, cell: &EpochCell, stats:
     }
     ctx.epoch = ck.epoch;
     ctx.last_seq = ck.seq;
-    stats.batches_applied.store(ck.epoch, Ordering::Relaxed);
-    stats
-        .mutator_errors
-        .store(ck.seq.saturating_sub(ck.epoch), Ordering::Relaxed);
-    stats
-        .updates_applied
-        .store(ck.updates_applied, Ordering::Relaxed);
-    stats
-        .mutator_rounds
-        .store(ck.mutator_rounds, Ordering::Relaxed);
+    adopt_counters(stats, &ck);
     stats.degraded.store(0, Ordering::Relaxed);
     cell.publish(epoch_from_pipeline(ctx.epoch, &ctx.warm, &ctx.pipeline));
     crate::lock_unpoisoned(&ctx.repl.probes).clear();
@@ -1521,12 +1481,7 @@ fn mutator_loop(
                         corrupt_pipeline_state(&mut ctx, seq);
                     }
                     cell.publish(epoch_from_pipeline(ctx.epoch, &ctx.warm, &ctx.pipeline));
-                    stats.batches_applied.fetch_add(1, Ordering::Relaxed);
-                    stats
-                        .updates_applied
-                        .fetch_add(updates.len() as u64, Ordering::Relaxed);
-                    stats.mutator_rounds.fetch_add(rounds, Ordering::Relaxed);
-                    stats.degraded.store(0, Ordering::Relaxed);
+                    count_applied(stats, updates.len(), rounds);
                     let every = ctx
                         .durability
                         .as_ref()
@@ -1589,14 +1544,8 @@ impl std::fmt::Debug for ServeCore {
 }
 
 /// The mutator's pipeline over `graph`, one track per warm spec.
-fn warm_pipeline(
-    graph: &CsrGraph,
-    warm: &[WarmSpec],
-    build: PipelineBuild,
-) -> StreamingPipelineBuilder {
-    let mut b = StreamingPipeline::over(graph)
-        .reorder_parallelism(build.reorder_threads)
-        .partition_scoped_reorder(build.partition_scoped);
+fn warm_pipeline(graph: &CsrGraph, warm: &[WarmSpec]) -> StreamingPipelineBuilder {
+    let mut b = StreamingPipeline::over(graph);
     for (i, spec) in warm.iter().enumerate() {
         if i > 0 {
             b = b.track();
@@ -1616,14 +1565,13 @@ fn warm_pipeline(
 /// recovery, follower bootstrap, re-sync and the corruption drill.
 fn resume_warm_pipeline(
     tracks: Vec<PipelineCheckpoint>,
-    build: PipelineBuild,
 ) -> Result<(Vec<WarmSpec>, StreamingPipeline), EngineError> {
     let (warm, states): (Vec<WarmSpec>, Vec<ResumableState>) =
         tracks.into_iter().map(|p| (p.warm, p.state)).unzip();
     let graph = states
         .first()
         .map_or_else(|| CsrGraph::empty(0), |s| s.graph.snapshot());
-    let pipeline = warm_pipeline(&graph, &warm, build).resume_tracks(states)?;
+    let pipeline = warm_pipeline(&graph, &warm).resume_tracks(states)?;
     Ok((warm, pipeline))
 }
 

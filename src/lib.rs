@@ -73,8 +73,8 @@ pub mod prelude {
     pub use gograph_engine::{
         split_batches, Adsorption, AlgorithmKind, AlgorithmRef, Bfs, ConnectedComponents,
         DeltaAlgorithm, DeltaAlgorithmKind, DeltaPageRank, DeltaSchedule, DeltaSssp,
-        DirectionPolicy, DynOnly, DynOnlyDelta, EngineError, GatherContext, IterativeAlgorithm,
-        Katz, Mode, PageRank, Php, Pipeline, PipelineResult, RunConfig, RunStats, ScatterContext,
+        DirectionPolicy, DynOnly, EngineError, GatherContext, IterativeAlgorithm, Katz, Mode,
+        PageRank, Php, Pipeline, PipelineResult, RunConfig, RunStats, ScatterContext,
         SplitBatchesError, Sssp, Sswp, StageTimings, StreamingPipeline, WarmStart,
     };
     pub use gograph_graph::generators::{

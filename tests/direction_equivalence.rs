@@ -7,9 +7,8 @@
 //! floating-point trajectory may legitimately regroup.
 //!
 //! Also pins that the heuristic actually engages (push rounds happen
-//! under `Auto` for frontier-driven algorithms), that the synchronous
-//! cache-blocked sweep is bit-identical to the unblocked one, and that
-//! `PushOnly` is rejected for accumulative algorithms.
+//! under `Auto` for frontier-driven algorithms) and that `PushOnly` is
+//! rejected for accumulative algorithms.
 
 use gograph::engine::execute;
 use gograph::prelude::*;
@@ -389,38 +388,6 @@ fn auto_direction_actually_pushes_on_frontier_algorithms() {
         );
         let pull = run_with(&g, &rev, mode, &Sssp::new(0), DirectionPolicy::PullOnly);
         assert_eq!(auto.final_states, pull.final_states);
-    }
-}
-
-#[test]
-fn blocked_sync_sweep_is_bit_identical_for_every_algorithm() {
-    // Identity order + an LLC budget far below the state array forces
-    // the cache-blocked dense sweep; per-vertex fold order is preserved
-    // across block boundaries, so even sum-norm gathers are exact.
-    let (g, _) = workload();
-    let id = Permutation::identity(g.num_vertices());
-    for (name, alg, _) in algorithms() {
-        let alg = alg.as_ref();
-        let plain = run_with(&g, &id, Mode::Sync, alg, DirectionPolicy::PullOnly);
-        let blocked_cfg = RunConfig {
-            direction: DirectionPolicy::PullOnly,
-            llc_bytes: 2 * 1024, // 128-position blocks over 500 vertices
-            ..Default::default()
-        };
-        let blocked = execute(
-            &g,
-            AlgorithmRef::Gather(alg),
-            Mode::Sync,
-            &id,
-            &blocked_cfg,
-            None,
-        )
-        .expect("valid blocked run");
-        assert_eq!(
-            plain.final_states, blocked.final_states,
-            "{name}: blocked sweep must be bit-identical"
-        );
-        assert_eq!(plain.rounds, blocked.rounds, "{name}: blocked rounds");
     }
 }
 

@@ -1,9 +1,8 @@
 //! Equivalence suite for the kernel monomorphization: for every built-in
 //! algorithm × execution mode, the statically dispatched kernel must
 //! produce **bit-identical** output to the `dyn`-dispatch fallback path
-//! (reached by wrapping the algorithm in [`DynOnly`] /
-//! [`DynOnlyDelta`]), on a seeded planted-partition workload under a
-//! non-trivial processing order.
+//! (reached by wrapping the algorithm in [`DynOnly`]), on a seeded
+//! planted-partition workload under a non-trivial processing order.
 //!
 //! The one sanctioned exception: Sum-norm algorithms under the
 //! block-parallel engine, where concurrent blocks race on state reads, so
@@ -240,7 +239,7 @@ impl DeltaAlgorithm for DynRefDelta<'_> {
 
 #[test]
 fn owned_dyn_only_wrappers_also_hit_the_fallback() {
-    // The public `DynOnly` / `DynOnlyDelta` wrappers must behave
+    // The public `DynOnly` wrapper, over either family, must behave
     // exactly like the borrowed test shims above.
     let g = workload_graph();
     let order = workload_order(&g);
@@ -259,5 +258,5 @@ fn owned_dyn_only_wrappers_also_hit_the_fallback() {
             .unwrap()
             .stats
     };
-    assert_eq!(run(&dpr).final_states, run(&DynOnlyDelta(dpr)).final_states);
+    assert_eq!(run(&dpr).final_states, run(&DynOnly(dpr)).final_states);
 }

@@ -131,8 +131,7 @@ impl GoGraph {
     }
 
     /// Runs the full pipeline, returning the order *with* its partition
-    /// structure — rank ranges and per-partition metric contributions —
-    /// for streaming consumers that maintain the order incrementally
+    /// structure — rank ranges and per-partition metric contributions
     /// (see [`PartitionedOrder`]).
     pub fn run_partitioned(&self, g: &CsrGraph) -> PartitionedOrder {
         self.run_with_threads(g, 1)
@@ -276,8 +275,8 @@ impl ParallelGoGraph {
         self.base.run_with_threads(g, self.threads).into_order()
     }
 
-    /// Runs the pipeline, keeping the partition structure (the streaming
-    /// layer's drift baseline) — see [`GoGraph::run_partitioned`].
+    /// Runs the pipeline, keeping the partition structure — see
+    /// [`GoGraph::run_partitioned`].
     pub fn run_partitioned(&self, g: &CsrGraph) -> PartitionedOrder {
         self.base.run_with_threads(g, self.threads)
     }
@@ -346,11 +345,7 @@ fn conquer(resid: &CsrGraph, members: &[Vec<VertexId>], threads: usize) -> Vec<V
 /// canonicalized to ascending id first, which both makes the tie-break
 /// id-based for every caller and keeps `induced_subgraph` on its
 /// sort-free ascending fast path.
-///
-/// Exposed so the streaming layer can re-run the conquer ordering for a
-/// *single* degraded partition and splice the result back into a
-/// maintained order, instead of paying a full-graph cold reorder.
-pub fn order_members(g: &CsrGraph, members: &[VertexId]) -> Vec<VertexId> {
+pub(crate) fn order_members(g: &CsrGraph, members: &[VertexId]) -> Vec<VertexId> {
     if members.len() <= 1 {
         return members.to_vec();
     }

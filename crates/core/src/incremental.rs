@@ -227,94 +227,6 @@ impl IncrementalGoGraph {
         self.positive as f64 / self.num_edges as f64
     }
 
-    /// Permutes `members` among the positions they currently occupy so
-    /// that they appear in the given sequence, leaving every other
-    /// vertex untouched — the splice primitive behind partition-scoped
-    /// re-reordering: a streaming caller re-runs the conquer-phase
-    /// greedy ([`crate::order_members`]) for one degraded partition and
-    /// splices the result back here.
-    ///
-    /// The members' val *multiset* is preserved (ascending vals are
-    /// reassigned to `members` in sequence order), so the rest of the
-    /// order cannot shift. Because the permutation also flips the signs
-    /// of members' cross edges, the splice is only **kept when the
-    /// global positive-edge count does not decrease**; otherwise it is
-    /// rolled back. Returns `true` only when a *different* arrangement
-    /// was adopted — a sequence already in place, a rejected one, and
-    /// degenerate inputs all report `false`, so callers can count
-    /// effective repairs honestly.
-    ///
-    /// Only edges incident to `members` can change sign, so the
-    /// keep/rollback comparison scans exactly those — `O(vol(members))`,
-    /// not a full-graph sweep.
-    ///
-    /// # Panics
-    /// Panics if `members` contains duplicates or uninserted ids.
-    pub fn reorder_within(&mut self, members: &[VertexId]) -> bool {
-        if members.len() <= 1 {
-            return false;
-        }
-        // Current arrangement (and the val multiset), ascending by val.
-        let mut old: Vec<VertexId> = members.to_vec();
-        old.sort_by(|&a, &b| {
-            self.order
-                .val(a as usize)
-                .partial_cmp(&self.order.val(b as usize))
-                .unwrap()
-        });
-        let vals: Vec<f64> = old.iter().map(|&v| self.order.val(v as usize)).collect();
-        if old == members {
-            return false;
-        }
-        let in_set: std::collections::HashSet<VertexId> = members.iter().copied().collect();
-        let before = self.incident_positive(members, &in_set);
-        self.assign_vals(members, &vals);
-        let after = self.incident_positive(members, &in_set);
-        if after >= before {
-            self.positive = self.positive - before + after;
-            true
-        } else {
-            self.assign_vals(&old, &vals);
-            false
-        }
-    }
-
-    /// Positive edges incident to `members` (`in_set` is their set view):
-    /// member→anyone out-edges plus outsider→member in-edges, each edge
-    /// counted once.
-    fn incident_positive(
-        &self,
-        members: &[VertexId],
-        in_set: &std::collections::HashSet<VertexId>,
-    ) -> usize {
-        let mut positive = 0usize;
-        for &u in members {
-            let val_u = self.order.val(u as usize);
-            for &v in &self.out[u as usize] {
-                if val_u < self.order.val(v as usize) {
-                    positive += 1;
-                }
-            }
-            for &x in &self.in_[u as usize] {
-                if !in_set.contains(&x) && self.order.val(x as usize) < val_u {
-                    positive += 1;
-                }
-            }
-        }
-        positive
-    }
-
-    /// Reassigns `vals[i]` to `vs[i]` (all of `vs` must be inserted).
-    fn assign_vals(&mut self, vs: &[VertexId], vals: &[f64]) {
-        debug_assert_eq!(vs.len(), vals.len());
-        for &v in vs {
-            self.order.remove(v as usize);
-        }
-        for (&v, &val) in vs.iter().zip(vals) {
-            self.order.seed(v as usize, val);
-        }
-    }
-
     /// True when `u` precedes `v` in the order: an edge `(u, v)` is positive.
     fn precedes(&self, u: VertexId, v: VertexId) -> bool {
         self.order.val(u as usize) < self.order.val(v as usize)
@@ -697,91 +609,6 @@ mod tests {
         assert!(g.has_edge(0, 1) && g.has_edge(1, 3));
         assert!(!g.has_edge(3, 0));
         inc.current_order().validate().unwrap();
-    }
-
-    #[test]
-    fn reorder_within_splices_and_preserves_everyone_else() {
-        // Chain streamed in reverse leaves 3..6 in a suboptimal
-        // arrangement once we scramble them by hand; reorder_within must
-        // recover without moving 0..3 or 6..10.
-        let mut inc = IncrementalGoGraph::new(10);
-        for v in 0..9u32 {
-            inc.add_edge(v, v + 1);
-        }
-        let before = inc.current_order();
-        // Identity splice changes nothing and reports so.
-        assert!(!inc.reorder_within(&[3, 4, 5]));
-        assert_eq!(inc.current_order(), before);
-        // A deliberately bad sequence is rolled back (chain order is
-        // optimal, any permutation loses positive edges).
-        assert!(!inc.reorder_within(&[5, 4, 3]));
-        assert_eq!(inc.current_order(), before);
-        // Re-running the conquer greedy over the members is a no-op,
-        // reported as not-a-change.
-        let g = inc.to_graph();
-        let new_order = crate::order_members(&g, &[3, 4, 5]);
-        assert!(!inc.reorder_within(&new_order));
-        assert_eq!(metric(&g, &inc.current_order()), 9);
-        // Degenerate inputs.
-        assert!(!inc.reorder_within(&[]));
-        assert!(!inc.reorder_within(&[7]));
-    }
-
-    #[test]
-    fn reorder_within_adopts_an_improving_splice() {
-        // Seed with a deliberately reversed order: the conquer re-run
-        // over the whole chain is a genuine improvement and is adopted.
-        let g = {
-            let mut b = GraphBuilder::with_capacity(4, 3);
-            b.reserve_vertices(4);
-            b.add_edge(0, 1, 1.0);
-            b.add_edge(1, 2, 1.0);
-            b.add_edge(2, 3, 1.0);
-            b.build()
-        };
-        let mut inc =
-            IncrementalGoGraph::from_graph_with_order(&g, &Permutation::identity(4).reversed());
-        assert_eq!(metric(&g, &inc.current_order()), 0);
-        let repaired = crate::order_members(&g, &[0, 1, 2, 3]);
-        assert!(inc.reorder_within(&repaired), "improving splice adopted");
-        assert_eq!(metric(&g, &inc.current_order()), 3);
-    }
-
-    #[test]
-    fn reorder_within_repairs_a_degraded_partition() {
-        // Two cliques of a chain each: stream edges adversarially so the
-        // first block's internal order degrades, then splice-repair it.
-        let mut inc = IncrementalGoGraph::new(12);
-        // Block A: 0..6 chained; block B: 6..12 chained.
-        for v in 0..5u32 {
-            inc.add_edge(v, v + 1);
-        }
-        for v in 6..11u32 {
-            inc.add_edge(v, v + 1);
-        }
-        // Scramble block A by splicing a bad order in through the public
-        // surface: a worse arrangement is refused...
-        assert!(!inc.reorder_within(&[5, 3, 1, 4, 0, 2]));
-        // ...so force degradation through adversarial edge churn
-        // instead: heavy back-edges drag 0 to the back of the block,
-        // then vanish.
-        for v in 1..6u32 {
-            inc.add_edge(v, 0);
-        }
-        for v in 1..6u32 {
-            inc.remove_edge(v, 0);
-        }
-        let g = inc.to_graph();
-        let members: Vec<VertexId> = (0..6).collect();
-        let m_before = metric(&g, &inc.current_order());
-        let repaired = crate::order_members(&g, &members);
-        inc.reorder_within(&repaired);
-        let m_after = metric(&g, &inc.current_order());
-        assert!(
-            m_after >= m_before,
-            "splice repair must not lose metric: {m_before} -> {m_after}"
-        );
-        assert_eq!(m_after, 10, "both chains fully positive after repair");
     }
 
     #[test]

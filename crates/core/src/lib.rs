@@ -16,7 +16,7 @@
 //! - [`gograph`] — the full pipeline with pluggable partitioner, and its
 //!   parallel conquer fan-out ([`ParallelGoGraph`]),
 //! - [`partitioned`] — orders that remember their divide phase
-//!   ([`PartitionedOrder`]), the streaming layer's drift baseline,
+//!   ([`PartitionedOrder`]),
 //! - [`theory`] — executable checks of Lemma 2 / Theorem 2.
 //!
 //! ```
@@ -42,12 +42,10 @@ pub mod refine;
 pub mod supergraph;
 pub mod theory;
 
-pub use gograph::{order_members, GoGraph, ParallelGoGraph, PartitionerChoice};
+pub use gograph::{GoGraph, ParallelGoGraph, PartitionerChoice};
 pub use incremental::IncrementalGoGraph;
 pub use insertion::{digest_of, digest_term, InsertOutcome, InsertionOrder, NeighborLink};
 pub use metric::{metric, metric_report, MetricReport};
-pub use partitioned::{
-    partition_contributions, PartitionContribution, PartitionedOrder, UNPARTITIONED,
-};
+pub use partitioned::{PartitionContribution, PartitionedOrder, UNPARTITIONED};
 pub use refine::{is_adjacent_swap_optimal, refine_adjacent_swaps, RefineResult};
 pub use theory::{check_theorem2, Theorem2Check};

@@ -2,14 +2,11 @@
 //! phase it came from.
 //!
 //! `GoGraph::run` flattens its divide-and-conquer structure into a bare
-//! [`Permutation`], which is all a batch engine needs — but a *streaming*
-//! consumer wants more: when the maintained order drifts, re-running the
-//! greedy insertion for the handful of partitions that actually degraded
-//! is far cheaper than a full cold reorder. `PartitionedOrder` carries
-//! exactly the structure that makes this possible: which partition each
+//! [`Permutation`], which is all an engine needs. `PartitionedOrder`
+//! keeps the structure for callers that want more: which partition each
 //! vertex belongs to, the contiguous residual-rank range each partition
-//! occupies, and each partition's contribution to the metric `M(O)` at
-//! construction time (the per-partition drift baseline).
+//! occupies (where compressed shards or row blocks can be cut), and each
+//! partition's contribution to the metric `M(O)` at construction time.
 
 use gograph_graph::{CsrGraph, Permutation, VertexId};
 use std::sync::Arc;
@@ -53,7 +50,7 @@ impl PartitionContribution {
 /// # Panics
 /// Panics if `part_of` is shorter than the vertex count or `order` has
 /// the wrong length.
-pub fn partition_contributions(
+pub(crate) fn partition_contributions(
     g: &CsrGraph,
     part_of: &[u32],
     order: &Permutation,
@@ -83,9 +80,7 @@ pub fn partition_contributions(
 }
 
 /// A processing order together with the partition structure that
-/// produced it — the exchange type between `gograph-core`'s
-/// divide-and-conquer construction and `gograph-engine`'s streaming
-/// maintenance.
+/// produced it.
 ///
 /// Invariants (guaranteed by construction in
 /// [`GoGraph::run_partitioned`](crate::GoGraph::run_partitioned)):
@@ -95,8 +90,7 @@ pub fn partition_contributions(
 /// - among the partitioned (residual) vertices, each partition occupies
 ///   a **contiguous residual-rank range** ([`PartitionedOrder::rank_range`]):
 ///   partition members are consecutive once hubs are skipped, which is
-///   what makes partition-local re-reordering a splice rather than a
-///   global shuffle;
+///   what lets storage be cut at partition starts;
 /// - [`PartitionedOrder::members`] lists each partition's vertices in
 ///   within-partition rank order.
 ///
@@ -157,12 +151,6 @@ impl PartitionedOrder {
         Arc::clone(&self.order)
     }
 
-    /// The vertex → partition map behind its sharing handle (see
-    /// [`PartitionedOrder::part_assignment`]).
-    pub fn part_assignment_arc(&self) -> Arc<Vec<u32>> {
-        Arc::clone(&self.part_of)
-    }
-
     /// True when `self` and `other` share the same backing arrays (one
     /// is a `clone` of the other).
     pub fn shares_storage_with(&self, other: &PartitionedOrder) -> bool {
@@ -180,16 +168,10 @@ impl PartitionedOrder {
 
     /// Partition of `v`, or `None` for hubs / isolated vertices.
     pub fn part_of(&self, v: VertexId) -> Option<u32> {
-        match self.part_assignment()[v as usize] {
+        match self.part_of[v as usize] {
             UNPARTITIONED => None,
             p => Some(p),
         }
-    }
-
-    /// The raw vertex → partition map ([`UNPARTITIONED`] for hubs and
-    /// isolated vertices).
-    pub fn part_assignment(&self) -> &[u32] {
-        &self.part_of
     }
 
     /// Partition `p`'s vertices in within-partition rank order.
@@ -206,8 +188,7 @@ impl PartitionedOrder {
     }
 
     /// Partition `p`'s intra-partition metric contribution at
-    /// construction time — the baseline streaming drift is measured
-    /// against.
+    /// construction time.
     pub fn intra_contribution(&self, p: u32) -> PartitionContribution {
         self.intra[p as usize]
     }
@@ -357,7 +338,6 @@ mod tests {
         let snap = po.clone();
         assert!(snap.shares_storage_with(&po));
         assert_eq!(snap.order(), po.order());
-        assert!(std::ptr::eq(po.part_assignment(), snap.part_assignment()));
         // into_order with a live snapshot copies; without one it moves.
         let order_copy = po.clone().into_order();
         assert_eq!(&order_copy, snap.order());

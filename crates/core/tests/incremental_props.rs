@@ -4,8 +4,8 @@
 //! the maintainer's materialized graph must equal a from-scratch
 //! [`GraphBuilder`] build of the surviving edge set.
 
-use gograph_core::{metric, order_members, IncrementalGoGraph};
-use gograph_graph::{EdgeUpdate, GraphBuilder, Permutation, VertexId};
+use gograph_core::{metric, IncrementalGoGraph};
+use gograph_graph::{EdgeUpdate, GraphBuilder, Permutation};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -42,27 +42,16 @@ fn replay(n: usize, ops: &[(u32, u32, u32)]) -> (IncrementalGoGraph, BTreeSet<(u
 /// vertex count and `(kind, a, b)` steps — see [`step`].
 fn arb_stream() -> impl Strategy<Value = (usize, Vec<(u32, u32, u32)>)> {
     (2usize..16).prop_flat_map(|n| {
-        proptest::collection::vec((0u32..8, any::<u32>(), any::<u32>()), 0..80)
+        proptest::collection::vec((0u32..6, any::<u32>(), any::<u32>()), 0..80)
             .prop_map(move |steps| (n, steps))
     })
 }
 
 /// Applies one step of a stream: kinds 0–2 `add_edge`, 3 `remove_edge`,
-/// 4 `add_vertex`, 5 `reorder_within` of a drawn member sequence (kept
-/// or rolled back, as the maintainer decides), 6 `reorder_within` of the
-/// conquer greedy's sequence for drawn members (kept whenever it moves
-/// anything), 7 nothing. Odd `b` also commits the order, so later reads
-/// patch bases of every age.
+/// 4 `add_vertex`, 5 nothing. Odd `b` also commits the order, so later
+/// reads patch bases of every age.
 fn step(inc: &mut IncrementalGoGraph, (kind, a, b): (u32, u32, u32)) {
     let n = inc.num_vertices() as u32;
-    // Up to five distinct members starting at `a`, strided by `b`.
-    let members = || -> Vec<VertexId> {
-        let mut seen = BTreeSet::new();
-        (0..2 + a % 4)
-            .map(|i| (a.wrapping_add(i.wrapping_mul(b | 1))) % n)
-            .filter(|&v| seen.insert(v))
-            .collect()
-    };
     match kind {
         0..=2 => inc.add_edge(a % n, b % n),
         3 => {
@@ -70,15 +59,6 @@ fn step(inc: &mut IncrementalGoGraph, (kind, a, b): (u32, u32, u32)) {
         }
         4 if n < 24 => {
             inc.add_vertex();
-        }
-        5 => {
-            inc.reorder_within(&members());
-        }
-        6 => {
-            let mut sorted = members();
-            sorted.sort_unstable();
-            let greedy = order_members(&inc.to_graph(), &sorted);
-            inc.reorder_within(&greedy);
         }
         _ => {}
     }

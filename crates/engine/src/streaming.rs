@@ -11,16 +11,15 @@
 //!    repositioning instead of a full GoGraph re-run;
 //! 2. patches the CSR through [`CsrGraph::apply_updates`] (untouched
 //!    row spans copied whole, touched rows merged);
-//! 3. when the maintained order's positive-edge fraction has drifted
-//!    more than a configurable threshold below the fraction the last
-//!    full run achieved, repairs it **partition by partition**: the
-//!    [`PartitionedOrder`] kept from the last full run says which
-//!    partitions' intra fractions degraded, and only those get their
-//!    conquer-phase insertion ordering re-run and spliced back
-//!    ([`IncrementalGoGraph::reorder_within`]); a full — optionally
-//!    parallel — GoGraph reorder happens only if the order is still past
-//!    threshold afterwards, i.e. when the partitioning itself has
-//!    degraded;
+//! 3. when the maintained order's positive-edge fraction `M(O)/|E|` has
+//!    drifted more than a configurable threshold below its baseline,
+//!    runs a full — optionally parallel — GoGraph reorder and adopts it
+//!    only if it has strictly more positive edges than the maintained
+//!    order; otherwise it keeps the maintained order untouched. Either
+//!    way the baseline becomes the fraction of the order kept, which is
+//!    never below what a fresh GoGraph run reaches (Theorem 2: at least
+//!    half the edges of a loop-free graph), so the order never sits more
+//!    than the threshold below one half;
 //! 4. warm-starts every track's engine from its previous converged
 //!    states, resetting only the *affected frontier* — vertices whose
 //!    state loses its last certificate to a deleted edge — and seeding
@@ -73,10 +72,7 @@ use crate::pipeline::StageTimings;
 use crate::runner::{Mode, RunConfig};
 use crate::strategy::{check_family, execute, AlgorithmRef, WarmStart};
 use crate::support::Support;
-use gograph_core::{
-    digest_of, digest_term, order_members, partition_contributions, GoGraph, IncrementalGoGraph,
-    PartitionContribution, PartitionedOrder, UNPARTITIONED,
-};
+use gograph_core::{digest_of, digest_term, GoGraph, IncrementalGoGraph};
 use gograph_graph::{CsrGraph, EdgeUpdate, Frontier, Permutation, VertexId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -125,9 +121,7 @@ impl TrackSpec {
 #[derive(Debug, Clone, Copy)]
 struct OrderPolicy {
     drift_threshold: f64,
-    quality_floor: f64,
     reorder_threads: usize,
-    partition_scoped: bool,
 }
 
 impl StreamingPipelineBuilder {
@@ -182,24 +176,13 @@ impl StreamingPipelineBuilder {
     }
 
     /// Sets how far the maintained order's positive-edge fraction
-    /// `M(O)/|E|` may drop below the fraction the last full GoGraph run
-    /// achieved before a full reorder + relabel of the order is
-    /// triggered (default 0.05). `0.0` re-reorders on any regression;
-    /// `1.0` effectively never re-reorders.
+    /// `M(O)/|E|` may drop below its baseline before a batch runs a full
+    /// GoGraph reorder (default 0.05). The reorder replaces the order
+    /// only if it has strictly more positive edges; either way the
+    /// baseline moves to the order kept. `0.0` checks on any regression;
+    /// `1.0` effectively never does.
     pub fn drift_threshold(mut self, threshold: f64) -> Self {
         self.policy.drift_threshold = threshold;
-        self
-    }
-
-    /// Sets the positive-fraction floor below which a drift breach
-    /// always escalates to a full reorder instead of accepting local
-    /// repairs or a densification re-baseline (default 0.55: the
-    /// Theorem-2 guarantee that a fresh GoGraph run reaches at least
-    /// `|E|/2` positive edges, plus margin). Lower it toward 0.5 to
-    /// tolerate more drift before paying full reorders, raise it to
-    /// re-reorder more eagerly; must lie in `[0, 1]`.
-    pub fn quality_floor(mut self, floor: f64) -> Self {
-        self.policy.quality_floor = floor;
         self
     }
 
@@ -210,21 +193,6 @@ impl StreamingPipelineBuilder {
     /// latency knob (default 1).
     pub fn reorder_parallelism(mut self, n: usize) -> Self {
         self.policy.reorder_threads = n.max(1);
-        self
-    }
-
-    /// Enables or disables partition-scoped re-reordering (default on).
-    ///
-    /// When on, a drift-threshold breach first re-runs the conquer-phase
-    /// insertion ordering for the *dirty* partitions only — those whose
-    /// intra-partition positive fraction degraded — splicing each result
-    /// back into the maintained order, and escalates to a full reorder
-    /// only if the order is still below threshold afterwards (the
-    /// partitioning itself has degraded). When off, every breach pays a
-    /// full reorder — the pre-PartitionedOrder behaviour, kept for
-    /// comparison benchmarks.
-    pub fn partition_scoped_reorder(mut self, yes: bool) -> Self {
-        self.policy.partition_scoped = yes;
         self
     }
 
@@ -241,16 +209,16 @@ impl StreamingPipelineBuilder {
         } = self;
 
         // Bootstrap reorder: one full (optionally parallel) GoGraph run,
-        // loaded into the incremental maintainer together with its
-        // partition structure — the per-partition drift baseline.
-        let po = GoGraph::default()
+        // loaded into the incremental maintainer; its fraction is the
+        // first drift baseline.
+        let order = GoGraph::default()
             .parallelism(policy.reorder_threads)
-            .run_partitioned(&graph);
-        let mut inc = IncrementalGoGraph::from_graph_with_order(&graph, po.order());
+            .run(&graph);
+        let mut inc = IncrementalGoGraph::from_graph_with_order(&graph, &order);
         let order = Arc::new(inc.commit_order());
-        let mut shared = Shared {
+        let shared = Shared {
             policy,
-            baselines: Baselines::default(),
+            baseline_fraction: inc.positive_fraction(),
             counters: Counters {
                 full_reorders: 1, // the bootstrap run
                 ..Counters::default()
@@ -259,7 +227,6 @@ impl StreamingPipelineBuilder {
             graph,
             order,
         };
-        shared.adopt_partitioning(&po);
 
         // Bootstrap execution: a cold run per track to its fixpoint.
         let tracks = tracks
@@ -299,8 +266,7 @@ impl StreamingPipelineBuilder {
     /// is the exported states, and WAL replay is `apply_batch` on the
     /// resumed pipeline. The graph passed to [`StreamingPipeline::over`]
     /// is ignored; the states' graph is authoritative. Every state must
-    /// carry the same graph, order keys, partition structure, baselines
-    /// and pipeline counters (exports of one pipeline always do), one
+    /// carry the same graph, order keys, baseline and pipeline counters (exports of one pipeline always do), one
     /// state per track.
     pub fn resume_tracks(
         self,
@@ -327,24 +293,15 @@ impl StreamingPipelineBuilder {
         Ok(StreamingPipeline { shared, tracks })
     }
 
-    /// The checks `build` and `resume_tracks` share: the drift knobs'
-    /// ranges and every track's algorithm family against its mode.
+    /// The checks `build` and `resume_tracks` share: the drift
+    /// threshold's range and every track's algorithm family against its
+    /// mode.
     fn validate(&self) -> Result<(), EngineError> {
-        let OrderPolicy {
-            drift_threshold,
-            quality_floor,
-            ..
-        } = self.policy;
+        let drift_threshold = self.policy.drift_threshold;
         if !(drift_threshold >= 0.0 && drift_threshold.is_finite()) {
             return Err(EngineError::InvalidParameter {
                 name: "drift_threshold",
                 message: format!("must be finite and >= 0, got {drift_threshold}"),
-            });
-        }
-        if !(0.0..=1.0).contains(&quality_floor) {
-            return Err(EngineError::InvalidParameter {
-                name: "quality_floor",
-                message: format!("must be a fraction in [0, 1], got {quality_floor}"),
             });
         }
         (self.tracks.iter())
@@ -353,11 +310,10 @@ impl StreamingPipelineBuilder {
 }
 
 /// What is wrong with resuming `tracks` tracks from `states`, if
-/// anything: one state per track; the first state's
-/// algorithm-independent part indexes only what it describes (a value
-/// past it would panic a later drift repair); and every state carries a
-/// state per vertex and that same graph, order keys, partition
-/// structure, baselines and counters.
+/// anything: one state per track; the first state's order keys cover
+/// every vertex within their bounds and its baseline is a fraction; and
+/// every state carries a state per vertex and that same graph, order
+/// keys, baseline and counters.
 fn resume_problem(states: &[ResumableState], tracks: usize) -> Option<(&'static str, String)> {
     if states.len() != tracks {
         return Some((
@@ -367,17 +323,6 @@ fn resume_problem(states: &[ResumableState], tracks: usize) -> Option<(&'static 
     }
     let s = &states[0];
     let n = s.graph.num_vertices();
-    let parts = s.part_members.len();
-    let past_parts = s
-        .part_of
-        .iter()
-        .position(|&p| p != UNPARTITIONED && p as usize >= parts);
-    let mut listed = vec![false; n];
-    let bad_member = s.part_members.iter().flatten().find(|&&v| {
-        listed
-            .get_mut(v as usize)
-            .is_none_or(|seen| std::mem::replace(seen, true))
-    });
     if s.order_vals.len() != n {
         let count = s.order_vals.len();
         Some((
@@ -391,29 +336,6 @@ fn resume_problem(states: &[ResumableState], tracks: usize) -> Option<(&'static 
     {
         let message = "order vals must be non-NaN and covered by the saved bounds";
         Some(("order_vals", message.to_string()))
-    } else if !s.part_of.is_empty() && s.part_of.len() != n {
-        let len = s.part_of.len();
-        Some((
-            "part_of",
-            format!("partition assignment length {len} != vertex count {n}"),
-        ))
-    } else if let Some(v) = past_parts {
-        let p = s.part_of[v];
-        Some((
-            "part_of",
-            format!("vertex {v} assigned to partition {p} of {parts}"),
-        ))
-    } else if parts != s.baseline_intra.len() {
-        let intra = s.baseline_intra.len();
-        Some((
-            "part_members",
-            format!("{parts} partitions but {intra} intra baselines"),
-        ))
-    } else if let Some(v) = bad_member {
-        Some((
-            "part_members",
-            format!("member {v} out of range or listed twice"),
-        ))
     } else if !(0.0..=1.0).contains(&s.baseline_fraction) {
         let fraction = s.baseline_fraction;
         Some((
@@ -432,11 +354,8 @@ fn resume_problem(states: &[ResumableState], tracks: usize) -> Option<(&'static 
         let scalars = |t: &ResumableState| {
             [
                 t.baseline_fraction.to_bits(),
-                t.baseline_density.to_bits(),
                 t.batches_applied as u64,
                 t.full_reorders as u64,
-                t.partition_reorders as u64,
-                t.partition_repair_attempts as u64,
             ]
         };
         states.iter().enumerate().find_map(|(i, t)| {
@@ -453,11 +372,7 @@ fn resume_problem(states: &[ResumableState], tracks: usize) -> Option<(&'static 
                 differs("graph")
             } else if keys(t) != keys(s) {
                 differs("order_vals")
-            } else if t.part_of != s.part_of
-                || t.part_members != s.part_members
-                || t.baseline_intra != s.baseline_intra
-                || scalars(t) != scalars(s)
-            {
+            } else if scalars(t) != scalars(s) {
                 differs("baselines")
             } else {
                 None
@@ -488,28 +403,17 @@ pub struct ResumableState {
     pub order_min_val: f64,
     /// See [`ResumableState::order_min_val`].
     pub order_max_val: f64,
-    /// Vertex → partition of the last full reorder.
-    pub part_of: Vec<u32>,
-    /// Members of each partition, as of the last full reorder.
-    pub part_members: Vec<Vec<VertexId>>,
-    /// Per-partition intra positive-fraction baselines.
-    pub baseline_intra: Vec<PartitionContribution>,
-    /// The positive fraction the last full reorder achieved.
+    /// The positive fraction drift is measured against: the bootstrap
+    /// order's, or the kept order's at the last breach.
     pub baseline_fraction: f64,
-    /// Edges-per-vertex at the last full reorder or re-baseline.
-    pub baseline_density: f64,
     /// The track's converged per-vertex states.
     pub states: Vec<f64>,
     /// The track's engine rounds across the bootstrap and every batch.
     pub total_rounds: usize,
     /// Batches applied so far.
     pub batches_applied: usize,
-    /// Full reorders executed (bootstrap included).
+    /// Full reorders adopted (bootstrap included).
     pub full_reorders: usize,
-    /// Partition-scoped re-reorders adopted.
-    pub partition_reorders: usize,
-    /// Partition-scoped repair attempts.
-    pub partition_repair_attempts: usize,
     /// Whether the track's last run reached its fixpoint. A resumed
     /// track reports it as its [`Track::last_run`], so a round-capped
     /// run that stopped short stays unconverged: the next batch goes on
@@ -606,7 +510,7 @@ pub struct StreamingPipeline {
 }
 
 /// The algorithm-independent part of a pipeline: graph, maintained
-/// order, partition structure and drift baselines.
+/// order and drift baseline.
 struct Shared {
     policy: OrderPolicy,
     inc: IncrementalGoGraph,
@@ -614,35 +518,15 @@ struct Shared {
     /// The order handed to every engine run and to epoch publishers;
     /// replaced, never written in place, so a published copy stays put.
     order: Arc<Permutation>,
-    baselines: Baselines,
-    counters: Counters,
-}
-
-/// The partition structure and drift baselines of the last full reorder
-/// (or re-baseline). `Arc`-shared: a full reorder replaces them, and
-/// only a batch that grows the vertex set copies `part_of` to extend it.
-#[derive(Debug, Clone, Default)]
-struct Baselines {
-    /// Vertex → partition of the last full reorder; vertices that joined
-    /// since are [`UNPARTITIONED`] until the next full reorder.
-    part_of: Arc<Vec<u32>>,
-    /// Members of each partition, as of the last full reorder.
-    part_members: Arc<Vec<Vec<VertexId>>>,
-    /// Per-partition intra positive fraction right after the last full
-    /// reorder — what per-partition drift is measured against.
-    baseline_intra: Arc<Vec<PartitionContribution>>,
+    /// The positive fraction drift is measured against.
     baseline_fraction: f64,
-    /// Edges-per-vertex at the last full reorder (or re-baseline): the
-    /// evidence check for the densification re-baseline rule.
-    baseline_density: f64,
+    counters: Counters,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Counters {
     batches_applied: usize,
     full_reorders: usize,
-    partition_reorders: usize,
-    partition_repair_attempts: usize,
 }
 
 /// One algorithm kept converged over a [`StreamingPipeline`]'s graph and
@@ -667,10 +551,10 @@ pub struct Track {
 
 /// Everything [`StreamingPipeline::restore`] needs to undo the batches
 /// applied since [`StreamingPipeline::savepoint`] — even one that
-/// stopped between two tracks. The graph, the partition structure and
-/// every track's states are `Arc`-shared with the pipeline, which
-/// replaces rather than writes them, so a savepoint costs one copy of
-/// the order's keys and nothing proportional to the tracks.
+/// stopped between two tracks. The graph and every track's states are
+/// `Arc`-shared with the pipeline, which replaces rather than writes
+/// them, so a savepoint costs one copy of the order's keys and nothing
+/// proportional to the tracks.
 pub struct Savepoint {
     shared: SharedImage,
     tracks: Vec<TrackImage>,
@@ -683,7 +567,7 @@ struct SharedImage {
     order_vals: Vec<f64>,
     order_min_val: f64,
     order_max_val: f64,
-    baselines: Baselines,
+    baseline_fraction: f64,
     counters: Counters,
 }
 
@@ -695,18 +579,10 @@ impl SharedImage {
             order_vals: s.order_vals,
             order_min_val: s.order_min_val,
             order_max_val: s.order_max_val,
-            baselines: Baselines {
-                part_of: Arc::new(s.part_of),
-                part_members: Arc::new(s.part_members),
-                baseline_intra: Arc::new(s.baseline_intra),
-                baseline_fraction: s.baseline_fraction,
-                baseline_density: s.baseline_density,
-            },
+            baseline_fraction: s.baseline_fraction,
             counters: Counters {
                 batches_applied: s.batches_applied,
                 full_reorders: s.full_reorders,
-                partition_reorders: s.partition_reorders,
-                partition_repair_attempts: s.partition_repair_attempts,
             },
         };
         let track = TrackImage::resumed(s.states, s.total_rounds, s.converged);
@@ -715,23 +591,16 @@ impl SharedImage {
 
     /// What [`SharedImage::split`] takes apart: `track`'s export.
     fn join(self, track: &Track) -> ResumableState {
-        let (b, c) = (self.baselines, self.counters);
         ResumableState {
             graph: self.graph,
             order_vals: self.order_vals,
             order_min_val: self.order_min_val,
             order_max_val: self.order_max_val,
-            part_of: b.part_of.to_vec(),
-            part_members: b.part_members.to_vec(),
-            baseline_intra: b.baseline_intra.to_vec(),
-            baseline_fraction: b.baseline_fraction,
-            baseline_density: b.baseline_density,
+            baseline_fraction: self.baseline_fraction,
             states: track.states.to_vec(),
             total_rounds: track.total_rounds,
-            batches_applied: c.batches_applied,
-            full_reorders: c.full_reorders,
-            partition_reorders: c.partition_reorders,
-            partition_repair_attempts: c.partition_repair_attempts,
+            batches_applied: self.counters.batches_applied,
+            full_reorders: self.counters.full_reorders,
             converged: track.last.converged,
         }
     }
@@ -778,9 +647,7 @@ impl StreamingPipeline {
             tracks: vec![TrackSpec::default()],
             policy: OrderPolicy {
                 drift_threshold: 0.05,
-                quality_floor: Self::DEFAULT_QUALITY_FLOOR,
                 reorder_threads: 1,
-                partition_scoped: true,
             },
         }
     }
@@ -836,8 +703,8 @@ impl StreamingPipeline {
     /// [`ResumableState`]; one per track is what
     /// [`StreamingPipelineBuilder::resume_tracks`] reconstructs a
     /// pipeline from that behaves bit-identically from this point on.
-    /// The graph payload is `Arc`-shared (cheap); order keys, partition
-    /// structure, baselines and states are value copies.
+    /// The graph payload is `Arc`-shared (cheap); order keys and states
+    /// are value copies.
     ///
     /// # Panics
     /// Panics if there is no track `i`.
@@ -924,55 +791,19 @@ impl StreamingPipeline {
         self.shared.counters.batches_applied
     }
 
-    /// Full GoGraph reorders executed, including the bootstrap run.
+    /// Full GoGraph reorders adopted, including the bootstrap run: a
+    /// drift breach whose reorder did not beat the maintained order is
+    /// not counted.
     pub fn full_reorders(&self) -> usize {
         self.shared.counters.full_reorders
     }
 
-    /// Partition-scoped re-reorders **adopted**: conquer-phase re-runs
-    /// over single dirty partitions whose result actually changed the
-    /// maintained order (splices the keep/rollback check rejected, or
-    /// that matched the current arrangement, are not counted — see
-    /// [`StreamingPipeline::partition_repair_attempts`]).
-    pub fn partition_reorders(&self) -> usize {
-        self.shared.counters.partition_reorders
-    }
-
-    /// Partition-scoped repair *attempts*: every dirty partition whose
-    /// conquer ordering was re-run on a drift breach, whether or not the
-    /// resulting splice was adopted.
+    /// Always 0: the partition-scoped repair tier this counted is gone.
+    /// Kept only for the benchmark harness's
+    /// `engine.stream_repair_attempts` row; the next change to the
+    /// benchmark removes that row and this method.
     pub fn partition_repair_attempts(&self) -> usize {
-        self.shared.counters.partition_repair_attempts
-    }
-
-    /// Partitions tracked from the last full reorder (the divide phase's
-    /// output; mid-stream vertices stay unpartitioned until the next
-    /// full run).
-    pub fn num_partitions(&self) -> usize {
-        self.shared.baselines.part_members.len()
-    }
-
-    /// Vertex → partition id from the last full reorder
-    /// ([`UNPARTITIONED`] for vertices that joined since) — exposed,
-    /// `Arc` and all, so an epoch publisher can keep the partition
-    /// structure alongside the order without copying it (the pipeline
-    /// replaces rather than writes it). Empty until the first full
-    /// reorder of a partition-scoped pipeline.
-    pub fn part_assignment(&self) -> &Arc<Vec<u32>> {
-        &self.shared.baselines.part_of
-    }
-
-    /// Default [`StreamingPipelineBuilder::quality_floor`]: Theorem 2
-    /// guarantees a fresh GoGraph run at least `|E|/2` positive edges,
-    /// so under 0.5-plus-margin the full run is certain to be worth
-    /// paying.
-    pub const DEFAULT_QUALITY_FLOOR: f64 = 0.55;
-
-    /// The configured positive-fraction floor below which a drift
-    /// breach always escalates to a full reorder (see
-    /// [`StreamingPipelineBuilder::quality_floor`]).
-    pub fn quality_floor(&self) -> f64 {
-        self.shared.policy.quality_floor
+        0
     }
 
     /// Current positive-edge fraction `M(O)/|E|` of the maintained order.
@@ -980,10 +811,11 @@ impl StreamingPipeline {
         self.shared.inc.positive_fraction()
     }
 
-    /// The positive-edge fraction right after the last full reorder —
-    /// the level the drift threshold is measured against.
+    /// The level the drift threshold is measured against: the
+    /// bootstrap order's positive-edge fraction, or the kept order's at
+    /// the last breach.
     pub fn baseline_fraction(&self) -> f64 {
-        self.shared.baselines.baseline_fraction
+        self.shared.baseline_fraction
     }
 }
 
@@ -1003,13 +835,13 @@ impl Shared {
             inc,
             graph: image.graph,
             order,
-            baselines: image.baselines,
+            baseline_fraction: image.baseline_fraction,
             counters: image.counters,
         }
     }
 
-    /// What [`Shared::resume`] needs: the graph and partition structure
-    /// shared, the order's keys copied.
+    /// What [`Shared::resume`] needs: the graph shared, the order's keys
+    /// copied.
     fn image(&self) -> SharedImage {
         let (order_vals, order_min_val, order_max_val) = self.inc.order_state();
         SharedImage {
@@ -1017,7 +849,7 @@ impl Shared {
             order_vals,
             order_min_val,
             order_max_val,
-            baselines: self.baselines.clone(),
+            baseline_fraction: self.baseline_fraction,
             counters: self.counters,
         }
     }
@@ -1048,117 +880,30 @@ impl Shared {
             })
             .collect();
         self.graph = patched;
-        let n = self.graph.num_vertices();
-        debug_assert_eq!(self.inc.num_vertices(), n);
-        // Vertices that joined mid-stream belong to no partition until
-        // the next full reorder re-partitions them.
-        if self.baselines.part_of.len() < n {
-            Arc::make_mut(&mut self.baselines.part_of).resize(n, UNPARTITIONED);
-        }
-
-        // Drift-triggered repair: partition-scoped re-reordering first,
-        // full (parallel) reorder only if that is not enough.
-        let fraction = self.inc.positive_fraction();
-        if self.baselines.baseline_fraction - fraction > self.policy.drift_threshold {
+        debug_assert_eq!(self.inc.num_vertices(), self.graph.num_vertices());
+        if self.baseline_fraction - self.inc.positive_fraction() > self.policy.drift_threshold {
             self.repair_order();
         }
         self.order = Arc::new(self.inc.commit_order());
         lost_support
     }
 
-    /// On a drift breach, repairs the order as locally as possible.
-    ///
-    /// 1. Re-runs the conquer-phase greedy for each *dirty* partition
-    ///    (intra positive fraction degraded beyond half the threshold —
-    ///    local repair is cheap, so it triggers more eagerly than the
-    ///    global fallback) and splices the results into the maintained
-    ///    order.
-    /// 2. If the order is back within threshold, done: the partition
-    ///    repairs replaced a full reorder.
-    /// 3. Otherwise, escalate to a full parallel reorder unless the
-    ///    residual drift is demonstrably *densification*: the breach can
-    ///    skip the full reorder only when local repairs recovered
-    ///    nothing (the order is partition-locally optimal), the fraction
-    ///    is still comfortably above the Theorem-2 floor, **and** the
-    ///    graph has actually grown denser since the last full run — a
-    ///    baseline computed on a sparser graph is then no longer
-    ///    achievable by anyone, full rerun included (which local
-    ///    repositioning routinely *beats* in that regime), so the
-    ///    breach **re-baselines** to the current fraction instead of
-    ///    paying a full reorder that would lower order quality. Without
-    ///    the density evidence (e.g. deletion-driven cross-partition
-    ///    decay) the full reorder runs, exactly as it did pre-PR-4.
+    /// On a drift breach, runs a full GoGraph reorder and adopts it only
+    /// if it has strictly more positive edges than the maintained order
+    /// (both fractions share `|E|`, so comparing them compares `M`).
+    /// Otherwise the maintained order stays, keys and all. Either way
+    /// the baseline becomes the fraction of the order kept, so the next
+    /// batch measures drift from here.
     fn repair_order(&mut self) {
-        let policy = self.policy;
-        let before = self.inc.positive_fraction();
-        if policy.partition_scoped && !self.baselines.part_members.is_empty() {
-            let (intra, _cross) = partition_contributions(
-                &self.graph,
-                &self.baselines.part_of,
-                &self.inc.current_order(),
-                self.baselines.part_members.len(),
-            );
-            let local_threshold = policy.drift_threshold / 2.0;
-            for (members, (cur, base)) in self
-                .baselines
-                .part_members
-                .iter()
-                .zip(intra.iter().zip(self.baselines.baseline_intra.iter()))
-            {
-                if cur.total > 0 && base.fraction() - cur.fraction() > local_threshold {
-                    let repaired = order_members(&self.graph, members);
-                    self.counters.partition_repair_attempts += 1;
-                    if self.inc.reorder_within(&repaired) {
-                        self.counters.partition_reorders += 1;
-                    }
-                }
-            }
-        }
-        let now = self.inc.positive_fraction();
-        if self.baselines.baseline_fraction - now <= policy.drift_threshold {
-            return;
-        }
-        let repairs_recovered = now - before > policy.drift_threshold * 0.1;
-        let densified = self.density() > self.baselines.baseline_density;
-        if !policy.partition_scoped || repairs_recovered || !densified || now < policy.quality_floor
-        {
-            let po = GoGraph::default()
-                .parallelism(policy.reorder_threads)
-                .run_partitioned(&self.graph);
-            self.inc = IncrementalGoGraph::from_graph_with_order(&self.graph, po.order());
-            self.adopt_partitioning(&po);
+        let order = GoGraph::default()
+            .parallelism(self.policy.reorder_threads)
+            .run(&self.graph);
+        let fresh = IncrementalGoGraph::from_graph_with_order(&self.graph, &order);
+        if fresh.positive_fraction() > self.inc.positive_fraction() {
+            self.inc = fresh;
             self.counters.full_reorders += 1;
-        } else {
-            // Densification drift: adopt the current (locally optimal)
-            // order as the new reference, per partition too.
-            let (intra, _cross) = partition_contributions(
-                &self.graph,
-                &self.baselines.part_of,
-                &self.inc.current_order(),
-                self.baselines.part_members.len(),
-            );
-            self.baselines.baseline_intra = Arc::new(intra);
-            self.baselines.baseline_fraction = now;
-            self.baselines.baseline_density = self.density();
         }
-    }
-
-    /// Edges per vertex of the current graph.
-    fn density(&self) -> f64 {
-        self.graph.num_edges() as f64 / self.graph.num_vertices().max(1) as f64
-    }
-
-    /// Loads the partition structure of a fresh full reorder (already in
-    /// `inc`) as the new per-partition drift baseline.
-    fn adopt_partitioning(&mut self, po: &PartitionedOrder) {
-        let parts = 0..po.num_parts() as u32;
-        self.baselines = Baselines {
-            part_of: Arc::new(po.part_assignment().to_vec()),
-            part_members: Arc::new(parts.clone().map(|p| po.members(p).to_vec()).collect()),
-            baseline_intra: Arc::new(parts.map(|p| po.intra_contribution(p)).collect()),
-            baseline_fraction: self.inc.positive_fraction(),
-            baseline_density: self.density(),
-        };
+        self.baseline_fraction = self.inc.positive_fraction();
     }
 }
 
@@ -1503,13 +1248,6 @@ impl std::fmt::Debug for StreamingPipeline {
             .field("tracks", &self.tracks)
             .field("batches_applied", &counters.batches_applied)
             .field("full_reorders", &counters.full_reorders)
-            .field("partition_reorders", &counters.partition_reorders)
-            .field(
-                "partition_repair_attempts",
-                &counters.partition_repair_attempts,
-            )
-            .field("num_partitions", &self.num_partitions())
-            .field("partition_scoped", &policy.partition_scoped)
             .field("reorder_threads", &policy.reorder_threads)
             .field("positive_fraction", &self.positive_fraction())
             .field("baseline_fraction", &self.baseline_fraction())
@@ -1910,39 +1648,67 @@ mod tests {
     }
 
     #[test]
-    fn partition_scoped_repair_replaces_full_reorders() {
+    fn a_declined_breach_keeps_the_maintained_order() {
+        // Random churn at a steady edge count lets local repositioning
+        // climb past what a fresh GoGraph run reaches on the evolved
+        // graph; threshold 1.0 keeps every breach away meanwhile.
         let g = seed_graph();
-        // Same adversarial schedule, with and without partition-scoped
-        // repair, at a hair-trigger threshold so breaches actually occur.
-        let build = |scoped: bool| {
-            StreamingPipeline::over(&g)
-                .algorithm(Sssp::new(0))
-                .drift_threshold(0.01)
-                .partition_scoped_reorder(scoped)
-                .build()
-                .unwrap()
+        let mut maintained = StreamingPipeline::over(&g)
+            .algorithm(Sssp::new(0))
+            .drift_threshold(1.0)
+            .build()
+            .unwrap();
+        let fresh_fraction = |sp: &StreamingPipeline| {
+            let order = GoGraph::default().run(sp.graph());
+            gograph_core::metric(sp.graph(), &order) as f64 / sp.graph().num_edges() as f64
         };
-        let mut scoped = build(true);
-        let mut full_only = build(false);
-        assert!(scoped.num_partitions() > 1, "divide phase must partition");
-        for i in 0..10 {
-            let order = full_only.order().clone();
-            let late = order.vertex_at(order.len() - 1 - i);
-            let early = order.vertex_at(i);
-            let batch = [EdgeUpdate::insert(late, early)];
-            scoped.apply_batch(&batch).unwrap();
-            full_only.apply_batch(&batch).unwrap();
+        let mut x = 0x9e37_79b9_u32;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        };
+        let remove = |sp: &StreamingPipeline, pick: u32| {
+            let e = sp
+                .graph()
+                .edges()
+                .nth(pick as usize % sp.graph().num_edges());
+            let e = e.expect("a live edge");
+            EdgeUpdate::remove(e.src, e.dst)
+        };
+        let mut batches = 0;
+        while maintained.positive_fraction() <= fresh_fraction(&maintained) + 0.01 {
+            let mut batch: Vec<EdgeUpdate> = (0..4)
+                .map(|_| EdgeUpdate::insert(next() % 120, next() % 120))
+                .collect();
+            batch.extend((0..5).map(|_| remove(&maintained, next())));
+            maintained.apply_batch(&batch).unwrap();
+            batches += 1;
+            assert!(batches < 200, "maintenance never beat a fresh reorder");
         }
-        assert_eq!(full_only.partition_reorders(), 0);
-        assert!(
-            scoped.full_reorders() <= full_only.full_reorders(),
-            "partition-scoped repair must not add full reorders: {} vs {}",
-            scoped.full_reorders(),
-            full_only.full_reorders()
+
+        // A baseline far above the maintained fraction: the next batch
+        // breaches, and its reorder scores below the maintained order.
+        let mut state = maintained.export_state();
+        state.baseline_fraction = 1.0;
+        let mut breached = StreamingPipeline::over(&g)
+            .algorithm(Sssp::new(0))
+            .resume(state)
+            .unwrap();
+        let fulls = breached.full_reorders();
+        let batch = [remove(&maintained, next())];
+        maintained.apply_batch(&batch).unwrap();
+        breached.apply_batch(&batch).unwrap();
+        assert_eq!(breached.order(), maintained.order(), "order kept");
+        assert_eq!(breached.order_digest(), maintained.order_digest());
+        assert_eq!(breached.full_reorders(), fulls, "declined, not counted");
+        assert_eq!(
+            breached.baseline_fraction().to_bits(),
+            breached.positive_fraction().to_bits(),
+            "re-baselined to the kept order"
         );
-        // Both end at the same fixpoint regardless of repair strategy.
-        assert_eq!(scoped.graph(), full_only.graph());
-        assert_eq!(scoped.states(), full_only.states());
+        assert_eq!(breached.states(), maintained.states());
     }
 
     #[test]
@@ -2118,27 +1884,21 @@ mod tests {
 
     #[test]
     fn order_and_counter_match_oracles_across_drift_repairs() {
-        // Insert-only churn against the order densifies the graph and
-        // breaches a tight threshold again and again. With the quality
-        // floor at 1.0 every breach escalates to a full reorder (a fresh
-        // maintainer: every key new); at the default floor the breach
-        // re-baselines in place. Both must hand the engine exactly the
-        // sorted keys, with the counter exact.
+        // Insert-only churn against the order breaches a tight threshold
+        // in the end, and the maintained order beats the reorder there: a
+        // re-baseline in place. A pipeline resumed on the reverse of its
+        // order breaches at once, and the reorder wins: a fresh
+        // maintainer, every key new. Both must hand the engine exactly
+        // the sorted keys, with the counter exact.
         let g = seed_graph();
-        let build = |floor: f64| {
+        let builder = || {
             StreamingPipeline::over(&g)
                 .algorithm(Bfs::new(0))
                 .drift_threshold(0.02)
-                .quality_floor(floor)
-                .build()
-                .unwrap()
         };
-        let mut escalating = build(1.0);
-        let mut rebaselining = build(StreamingPipeline::DEFAULT_QUALITY_FLOOR);
-        assert_order_and_counter_match_oracles(&escalating);
-        let mut rebaselines = 0;
-        for i in 0..40usize {
-            let order = rebaselining.order().clone();
+        let (mut adopted, mut rebaselines) = (0, 0);
+        let mut churn = |sp: &mut StreamingPipeline, i: usize| {
+            let order = sp.order().clone();
             let batch: Vec<EdgeUpdate> = (0..4)
                 .map(|k| {
                     let late = order.vertex_at(order.len() - 1 - (i * 4 + k) % 50);
@@ -2146,20 +1906,31 @@ mod tests {
                     EdgeUpdate::insert(late, early)
                 })
                 .collect();
-            let (baseline, fulls) = (
-                rebaselining.baseline_fraction(),
-                rebaselining.full_reorders(),
-            );
-            rebaselining.apply_batch(&batch).unwrap();
-            escalating.apply_batch(&batch).unwrap();
-            assert_order_and_counter_match_oracles(&rebaselining);
-            assert_order_and_counter_match_oracles(&escalating);
-            if rebaselining.full_reorders() == fulls && rebaselining.baseline_fraction() != baseline
-            {
+            let (baseline, fulls) = (sp.baseline_fraction(), sp.full_reorders());
+            sp.apply_batch(&batch).unwrap();
+            assert_order_and_counter_match_oracles(sp);
+            if sp.full_reorders() > fulls {
+                adopted += 1;
+            } else if sp.baseline_fraction() != baseline {
                 rebaselines += 1;
             }
+        };
+        let mut sp = builder().build().unwrap();
+        assert_order_and_counter_match_oracles(&sp);
+        for i in 0..40 {
+            churn(&mut sp, i);
         }
-        assert!(escalating.full_reorders() > 1, "full-reorder branch ran");
+        let mut state = sp.export_state();
+        for v in &mut state.order_vals {
+            *v = -*v;
+        }
+        (state.order_min_val, state.order_max_val) = (-state.order_max_val, -state.order_min_val);
+        let mut reversed = builder().resume(state).unwrap();
+        assert_order_and_counter_match_oracles(&reversed);
+        for i in 40..44 {
+            churn(&mut reversed, i);
+        }
+        assert!(adopted > 0, "adopting branch ran");
         assert!(rebaselines > 0, "re-baseline branch ran");
     }
 
@@ -2176,7 +1947,6 @@ mod tests {
             .unwrap();
         assert_eq!(resumed.order(), built.order());
         assert_eq!(resumed.states(), built.states());
-        assert_eq!(resumed.num_partitions(), built.num_partitions());
         let r = resumed.apply_batch(&[EdgeUpdate::insert(0, 110)]).unwrap();
         assert!(r.stats.converged);
     }
@@ -2233,55 +2003,6 @@ mod tests {
                 ..
             }
         ));
-
-        let mut bad_parts = good.clone();
-        bad_parts
-            .baseline_intra
-            .push(PartitionContribution::default());
-        let err = StreamingPipeline::over(&g)
-            .algorithm(Sssp::new(0))
-            .resume(bad_parts)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            EngineError::InvalidParameter {
-                name: "part_members",
-                ..
-            }
-        ));
-
-        // Partition data whose values index past what it describes would
-        // resume and then panic the first drift repair; each is refused.
-        let resume = |state: ResumableState| {
-            StreamingPipeline::over(&g)
-                .algorithm(Sssp::new(0))
-                .resume(state)
-                .unwrap_err()
-        };
-        let mut past_parts = good.clone();
-        past_parts.part_of[3] = past_parts.part_members.len() as u32 + 7;
-        assert!(matches!(
-            resume(past_parts),
-            EngineError::InvalidParameter {
-                name: "part_of",
-                ..
-            }
-        ));
-        let with_partition = |members: Vec<VertexId>| {
-            let mut state = good.clone();
-            state.part_members.push(members);
-            state.baseline_intra.push(PartitionContribution::default());
-            state
-        };
-        for members in [vec![10], vec![4, 4]] {
-            assert!(matches!(
-                resume(with_partition(members)),
-                EngineError::InvalidParameter {
-                    name: "part_members",
-                    ..
-                }
-            ));
-        }
 
         // Several tracks: one state each, all of one pipeline.
         let two = |states: Vec<ResumableState>| {

@@ -14,43 +14,41 @@
 //! round-trips are exact):
 //!
 //! ```text
-//! GGCKPT2\0 · payload · crc u32
+//! GGCKPT3\0 · payload · crc u32
 //! payload = seq u64 · epoch u64 · updates_applied u64 · mutator_rounds u64
 //!         · n_pipelines u32 · n × pipeline
 //! pipeline = alg u8 · source u32 · state
 //! state   = graph (len u64 · binary CSR) · order_vals (n u64 bits)
-//!         · min/max bits u64 · part_of (n u32) · part_members
-//!         · baseline_intra ((positive, total) u64 pairs)
-//!         · baseline_fraction/density bits u64 · states (n u64 bits)
-//!         · 5 evolution counters u64 · converged u8
+//!         · min/max bits u64 · baseline_fraction bits u64
+//!         · states (n u64 bits) · 3 evolution counters u64 · converged u8
 //! ```
 //!
 //! The trailing CRC-32 covers the whole payload; a mismatch (torn
 //! write, bit rot) is an error — the file is written atomically
 //! (temp + fsync + rename) precisely so this never happens in normal
-//! crash windows. Version 2 added the `converged` byte; a version-1
-//! file is refused with [`UnsupportedVersion`], never guessed at.
+//! crash windows. Version 2 added the `converged` byte; version 3
+//! dropped the partition arrays, the density baseline and two repair
+//! counters. A file of any other version is refused with
+//! [`UnsupportedVersion`], never guessed at.
 
 use crate::core::WarmSpec;
 use crate::spec::AlgSpec;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use gograph_core::PartitionContribution;
 use gograph_engine::ResumableState;
 use gograph_graph::io::{crc32, from_binary, to_binary};
-use gograph_graph::VertexId;
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 
-/// File magic: identifies a GoGraph checkpoint, version 2.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"GGCKPT2\0";
+/// File magic: identifies a GoGraph checkpoint, version 3.
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"GGCKPT3\0";
 
 /// A checkpoint written in a format version this build does not read,
 /// carried inside the [`io::Error`] that [`decode_checkpoint`] returns
 /// (reach it with `get_ref()` and `downcast_ref`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnsupportedVersion {
-    /// The version the file's magic names: 1 for `GGCKPT1`.
+    /// The version the file's magic names: 2 for `GGCKPT2`.
     pub found: u8,
 }
 
@@ -58,7 +56,7 @@ impl std::fmt::Display for UnsupportedVersion {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "checkpoint format version {} (GGCKPT{}) is not readable; this build reads GGCKPT2 only",
+            "checkpoint format version {} (GGCKPT{}) is not readable; this build reads GGCKPT3 only",
             self.found, self.found
         )
     }
@@ -131,32 +129,9 @@ fn put_state(buf: &mut BytesMut, s: &ResumableState) {
     put_f64s(buf, &s.order_vals);
     buf.put_u64_le(s.order_min_val.to_bits());
     buf.put_u64_le(s.order_max_val.to_bits());
-    buf.put_u64_le(s.part_of.len() as u64);
-    for &p in &s.part_of {
-        buf.put_u32_le(p);
-    }
-    buf.put_u64_le(s.part_members.len() as u64);
-    for members in &s.part_members {
-        buf.put_u64_le(members.len() as u64);
-        for &v in members {
-            buf.put_u32_le(v);
-        }
-    }
-    buf.put_u64_le(s.baseline_intra.len() as u64);
-    for c in &s.baseline_intra {
-        buf.put_u64_le(c.positive as u64);
-        buf.put_u64_le(c.total as u64);
-    }
     buf.put_u64_le(s.baseline_fraction.to_bits());
-    buf.put_u64_le(s.baseline_density.to_bits());
     put_f64s(buf, &s.states);
-    for c in [
-        s.total_rounds,
-        s.batches_applied,
-        s.full_reorders,
-        s.partition_reorders,
-        s.partition_repair_attempts,
-    ] {
+    for c in [s.total_rounds, s.batches_applied, s.full_reorders] {
         buf.put_u64_le(c as u64);
     }
     buf.put_u8(u8::from(s.converged));
@@ -166,37 +141,17 @@ fn get_state(buf: &mut Bytes) -> io::Result<ResumableState> {
     let graph_len = get_len(buf, 1)?;
     let graph = from_binary(buf.split_to(graph_len))?;
     let order_vals = get_f64s(buf)?;
-    if buf.remaining() < 16 {
-        return Err(corrupt("truncated order bounds"));
+    if buf.remaining() < 24 {
+        return Err(corrupt("truncated order bounds and baseline"));
     }
     let order_min_val = f64::from_bits(buf.get_u64_le());
     let order_max_val = f64::from_bits(buf.get_u64_le());
-    let n_part_of = get_len(buf, 4)?;
-    let part_of: Vec<u32> = (0..n_part_of).map(|_| buf.get_u32_le()).collect();
-    let n_parts = get_len(buf, 8)?;
-    let mut part_members: Vec<Vec<VertexId>> = Vec::with_capacity(n_parts.min(4096));
-    for _ in 0..n_parts {
-        let m = get_len(buf, 4)?;
-        part_members.push((0..m).map(|_| buf.get_u32_le()).collect());
-    }
-    let n_intra = get_len(buf, 16)?;
-    let baseline_intra: Vec<PartitionContribution> = (0..n_intra)
-        .map(|_| {
-            let positive = buf.get_u64_le() as usize;
-            let total = buf.get_u64_le() as usize;
-            PartitionContribution { positive, total }
-        })
-        .collect();
-    if buf.remaining() < 16 {
-        return Err(corrupt("truncated baselines"));
-    }
     let baseline_fraction = f64::from_bits(buf.get_u64_le());
-    let baseline_density = f64::from_bits(buf.get_u64_le());
     let states = get_f64s(buf)?;
-    if buf.remaining() < 5 * 8 + 1 {
+    if buf.remaining() < 3 * 8 + 1 {
         return Err(corrupt("truncated evolution counters"));
     }
-    let mut counters = [0u64; 5];
+    let mut counters = [0u64; 3];
     for c in counters.iter_mut() {
         *c = buf.get_u64_le();
     }
@@ -210,17 +165,11 @@ fn get_state(buf: &mut Bytes) -> io::Result<ResumableState> {
         order_vals,
         order_min_val,
         order_max_val,
-        part_of,
-        part_members,
-        baseline_intra,
         baseline_fraction,
-        baseline_density,
         states,
         total_rounds: counters[0] as usize,
         batches_applied: counters[1] as usize,
         full_reorders: counters[2] as usize,
-        partition_reorders: counters[3] as usize,
-        partition_repair_attempts: counters[4] as usize,
         converged,
     })
 }
@@ -407,9 +356,10 @@ mod tests {
             d.state.order_max_val.to_bits(),
             state.order_max_val.to_bits()
         );
-        assert_eq!(d.state.part_of, state.part_of);
-        assert_eq!(d.state.part_members, state.part_members);
-        assert_eq!(d.state.baseline_intra, state.baseline_intra);
+        assert_eq!(
+            d.state.baseline_fraction.to_bits(),
+            state.baseline_fraction.to_bits()
+        );
         assert_eq!(bits(&d.state.states), bits(&state.states));
         assert_eq!(d.state.total_rounds, state.total_rounds);
         assert_eq!(d.state.batches_applied, state.batches_applied);
@@ -475,17 +425,21 @@ mod tests {
         let ck2 = Checkpoint { seq: 8, ..ck };
         write_checkpoint(&path, &ck2).unwrap();
         assert_eq!(read_checkpoint(&path).unwrap().unwrap().seq, 8);
-        // A version-1 file (no converged flags) is refused by version,
-        // not misread as a corrupt version-2 one.
-        let mut v1 = std::fs::read(&path).unwrap();
-        v1[..8].copy_from_slice(b"GGCKPT1\0");
-        std::fs::write(&path, v1).unwrap();
-        let err = read_checkpoint(&path).unwrap_err();
-        let refused = err
-            .get_ref()
-            .and_then(|e| e.downcast_ref::<UnsupportedVersion>());
-        assert_eq!(refused, Some(&UnsupportedVersion { found: 1 }));
-        assert!(err.to_string().contains("GGCKPT1"), "{err}");
+        // A version-1 file (no converged flags) and a version-2 one
+        // (partition arrays) are refused by version, not misread as a
+        // corrupt version-3 one.
+        let current = std::fs::read(&path).unwrap();
+        for found in [1u8, 2] {
+            let mut old = current.clone();
+            old[6] = b'0' + found;
+            std::fs::write(&path, old).unwrap();
+            let err = read_checkpoint(&path).unwrap_err();
+            let refused = err
+                .get_ref()
+                .and_then(|e| e.downcast_ref::<UnsupportedVersion>());
+            assert_eq!(refused, Some(&UnsupportedVersion { found }));
+            assert!(err.to_string().contains(&format!("GGCKPT{found}")), "{err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

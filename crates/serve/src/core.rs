@@ -944,7 +944,6 @@ impl ServeCore {
             epochs_published: self.epoch.epochs_published(),
             num_vertices: ep.graph.num_vertices() as u64,
             num_edges: ep.graph.num_edges() as u64,
-            num_partitions: ep.num_partitions as u64,
             ..self.stats.load()
         }
     }
@@ -1575,8 +1574,8 @@ fn resume_warm_pipeline(
     Ok((warm, pipeline))
 }
 
-/// The epoch a pipeline's current state publishes: graph, order,
-/// partition assignment and every track's states are `Arc`-shared with
+/// The epoch a pipeline's current state publishes: graph, order and
+/// every track's states are `Arc`-shared with
 /// the pipeline, which replaces them on the next batch instead of
 /// writing into them.
 fn epoch_from_pipeline(epoch: u64, warm: &[WarmSpec], sp: &StreamingPipeline) -> EpochState {
@@ -1584,8 +1583,6 @@ fn epoch_from_pipeline(epoch: u64, warm: &[WarmSpec], sp: &StreamingPipeline) ->
         epoch,
         graph: sp.graph().snapshot(),
         order: Arc::clone(sp.shared_order()),
-        part_of: Arc::clone(sp.part_assignment()),
-        num_partitions: sp.num_partitions(),
         warm: warm
             .iter()
             .zip(sp.tracks())
@@ -1666,8 +1663,6 @@ mod tests {
         assert_eq!(a.epoch, b.epoch, "epoch number");
         assert_eq!(a.graph, b.graph, "graph");
         assert_eq!(a.order, b.order, "processing order");
-        assert_eq!(a.part_of, b.part_of, "partition assignment");
-        assert_eq!(a.num_partitions, b.num_partitions, "partition count");
         assert_eq!(a.warm.len(), b.warm.len(), "warm entries");
         for (wa, wb) in a.warm.iter().zip(&b.warm) {
             assert_eq!(wa.alg, wb.alg);

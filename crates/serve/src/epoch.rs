@@ -46,11 +46,6 @@ pub struct EpochState {
     pub graph: CsrGraph,
     /// The maintained GoGraph processing order for this graph.
     pub order: Arc<Permutation>,
-    /// Vertex → partition assignment from the last full reorder (empty
-    /// when the mutator runs without partition-scoped maintenance).
-    pub part_of: Arc<Vec<u32>>,
-    /// Partitions tracked at this epoch.
-    pub num_partitions: usize,
     /// Converged warm states, one entry per configured warm algorithm.
     pub warm: Vec<WarmEntry>,
 }
@@ -129,8 +124,6 @@ mod tests {
             epoch: n,
             graph: g.snapshot(),
             order: Arc::new(Permutation::identity(g.num_vertices())),
-            part_of: Arc::new(Vec::new()),
-            num_partitions: 0,
             warm: Vec::new(),
         }
     }

@@ -91,8 +91,6 @@ stats_table! {
         num_vertices: gauge,
         /// Edges in the current epoch's graph.
         num_edges: gauge,
-        /// Partitions tracked by the current epoch.
-        num_partitions: gauge,
     }
     atomics {
         /// Queries answered (leaders and followers alike).

@@ -25,7 +25,7 @@
 //! |------|--------------|---------|
 //! | 1    | QueryReply   | epoch u64 · alg u8 · flags u8 (bit0 warm, bit1 converged) · admitted u32 · rounds u64 · push_rounds u64 · state_bytes u64 · runtime_micros u64 · n_eff u32 · eff_sources u32× · n_values u32 · (vertex u32 · value f64)× |
 //! | 2    | UpdateAck    | accepted u32 · epochs_published u64 |
-//! | 3    | StatsReply   | the 34 [`StatsSnapshot`] fields as u64, in declaration order |
+//! | 3    | StatsReply   | the 33 [`StatsSnapshot`] fields as u64, in declaration order |
 //! | 4    | WalSegment   | primary_seq u64 · flags u8 (bit0 = resync: the tail is gone, re-bootstrap from checkpoint) · n u32 · n × (seq u64 · update batch) |
 //! | 5    | ProbeReply   | seq u64 · epoch u64 · verdict u8 ([`ProbeVerdict`]) · n u32 · fingerprints u64× |
 //! | 6    | CheckpointReply | n u32 · n bytes (an encoded checkpoint, opaque at the wire layer) |
@@ -925,12 +925,10 @@ mod tests {
         }
     }
 
-    /// The stats reply is 34 little-endian `u64`s in the order clients
+    /// The stats reply is 33 little-endian `u64`s in the order clients
     /// in the field already decode. The order comes from the table in
     /// `stats.rs`; this pins each *name* to its slot, so moving,
-    /// inserting or dropping a row there fails here. Slot 34 counted
-    /// delta checkpoints until that second checkpoint path was deleted;
-    /// `checkpoint_bytes_written` moved up from 35 to take it.
+    /// inserting or dropping a row there fails here.
     #[test]
     fn stats_reply_bytes_are_golden() {
         let snapshot = StatsSnapshot {
@@ -938,39 +936,38 @@ mod tests {
             epochs_published: 2,
             num_vertices: 3,
             num_edges: 4,
-            num_partitions: 5,
-            queries: 6,
-            coalesced: 7,
-            warm_hits: 8,
-            cold_runs: 9,
-            query_rounds: 10,
-            query_push_rounds: 11,
-            last_state_bytes: 12,
-            batches_enqueued: 13,
-            batches_applied: 14,
-            updates_applied: 15,
-            mutator_rounds: 16,
-            mutator_errors: 17,
-            mutator_restarts: 18,
-            poisoned_slots: 19,
-            degraded: 20,
-            wal_appends: 21,
-            wal_bytes: 22,
-            wal_replayed: 23,
-            checkpoints_written: 24,
-            connections_shed: 25,
-            repl_segments_shipped: 26,
-            repl_records_shipped: 27,
-            repl_acks: 28,
-            repl_follower_lag: 29,
-            repl_divergences: 30,
-            repl_resyncs: 31,
-            repl_last_seq: 32,
-            repl_primary_seq: 33,
-            checkpoint_bytes_written: 34,
+            queries: 5,
+            coalesced: 6,
+            warm_hits: 7,
+            cold_runs: 8,
+            query_rounds: 9,
+            query_push_rounds: 10,
+            last_state_bytes: 11,
+            batches_enqueued: 12,
+            batches_applied: 13,
+            updates_applied: 14,
+            mutator_rounds: 15,
+            mutator_errors: 16,
+            mutator_restarts: 17,
+            poisoned_slots: 18,
+            degraded: 19,
+            wal_appends: 20,
+            wal_bytes: 21,
+            wal_replayed: 22,
+            checkpoints_written: 23,
+            connections_shed: 24,
+            repl_segments_shipped: 25,
+            repl_records_shipped: 26,
+            repl_acks: 27,
+            repl_follower_lag: 28,
+            repl_divergences: 29,
+            repl_resyncs: 30,
+            repl_last_seq: 31,
+            repl_primary_seq: 32,
+            checkpoint_bytes_written: 33,
         };
         let mut golden = vec![REP_STATS];
-        for slot in 1..=34u64 {
+        for slot in 1..=33u64 {
             golden.extend_from_slice(&slot.to_le_bytes());
         }
         assert_eq!(&encode_reply(&Reply::Stats(snapshot))[..], &golden[..]);

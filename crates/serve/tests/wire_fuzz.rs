@@ -155,45 +155,42 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
                 epochs_published,
             }
         }),
-        // 34 slots: the delta checkpoint counter (old slot 34) went with
-        // the delta checkpoint path, and `checkpoint_bytes_written` took
-        // its place.
-        proptest::collection::vec(any::<u64>(), 34..=34).prop_map(|f| {
+        // One slot per field, in wire order.
+        proptest::collection::vec(any::<u64>(), 33..=33).prop_map(|f| {
             Reply::Stats(StatsSnapshot {
                 epoch: f[0],
                 epochs_published: f[1],
                 num_vertices: f[2],
                 num_edges: f[3],
-                num_partitions: f[4],
-                queries: f[5],
-                coalesced: f[6],
-                warm_hits: f[7],
-                cold_runs: f[8],
-                query_rounds: f[9],
-                query_push_rounds: f[10],
-                last_state_bytes: f[11],
-                batches_enqueued: f[12],
-                batches_applied: f[13],
-                updates_applied: f[14],
-                mutator_rounds: f[15],
-                mutator_errors: f[16],
-                mutator_restarts: f[17],
-                poisoned_slots: f[18],
-                degraded: f[19],
-                wal_appends: f[20],
-                wal_bytes: f[21],
-                wal_replayed: f[22],
-                checkpoints_written: f[23],
-                connections_shed: f[24],
-                repl_segments_shipped: f[25],
-                repl_records_shipped: f[26],
-                repl_acks: f[27],
-                repl_follower_lag: f[28],
-                repl_divergences: f[29],
-                repl_resyncs: f[30],
-                repl_last_seq: f[31],
-                repl_primary_seq: f[32],
-                checkpoint_bytes_written: f[33],
+                queries: f[4],
+                coalesced: f[5],
+                warm_hits: f[6],
+                cold_runs: f[7],
+                query_rounds: f[8],
+                query_push_rounds: f[9],
+                last_state_bytes: f[10],
+                batches_enqueued: f[11],
+                batches_applied: f[12],
+                updates_applied: f[13],
+                mutator_rounds: f[14],
+                mutator_errors: f[15],
+                mutator_restarts: f[16],
+                poisoned_slots: f[17],
+                degraded: f[18],
+                wal_appends: f[19],
+                wal_bytes: f[20],
+                wal_replayed: f[21],
+                checkpoints_written: f[22],
+                connections_shed: f[23],
+                repl_segments_shipped: f[24],
+                repl_records_shipped: f[25],
+                repl_acks: f[26],
+                repl_follower_lag: f[27],
+                repl_divergences: f[28],
+                repl_resyncs: f[29],
+                repl_last_seq: f[30],
+                repl_primary_seq: f[31],
+                checkpoint_bytes_written: f[32],
             })
         }),
         (any::<u64>(), any::<bool>(), arb_wal_records()).prop_map(

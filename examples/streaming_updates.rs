@@ -1,11 +1,13 @@
 //! Streaming scenario on the evolving-graph subsystem: a social graph
 //! receives batches of edge insertions *and* deletions while a
 //! [`StreamingPipeline`] keeps the processing order (incremental
-//! GoGraph maintenance; drift breaches repaired partition by partition,
-//! with full — parallel — re-reorders only on escalation) and the
+//! GoGraph maintenance; a drift breach runs a full — parallel — reorder
+//! and keeps it only if it beats the maintained order) and the
 //! converged algorithm state (warm-started kernels) alive across
 //! batches. Each batch is compared against the cold alternative — a
 //! fresh full reorder plus a from-scratch engine run on the same graph.
+//! The run fails if the warm batches take as many rounds as the cold
+//! ones, or if the order falls below the drift rule's floor.
 //!
 //! Run with: `cargo run --release --example streaming_updates`
 //! (`GOGRAPH_SCALE=tiny` shrinks the workload for CI smoke runs).
@@ -45,20 +47,20 @@ fn main() {
     }
     let seed_graph = b.build();
     let t0 = Instant::now();
+    let drift_threshold = 0.03;
     let mut sp = StreamingPipeline::over(&seed_graph)
         .mode(Mode::Async)
         .algorithm(Sssp::new(0))
-        .drift_threshold(0.03)
+        .drift_threshold(drift_threshold)
         .reorder_parallelism(2)
         .build()
         .expect("valid streaming pipeline");
     println!(
-        "bootstrap: {} edges, full reorder + cold SSSP in {:.1} ms ({} rounds, M/|E| = {:.3}, {} partitions tracked)",
+        "bootstrap: {} edges, full reorder + cold SSSP in {:.1} ms ({} rounds, M/|E| = {:.3})",
         bootstrap_cut,
         t0.elapsed().as_secs_f64() * 1e3,
         sp.tracks()[0].last_run().rounds,
         sp.positive_fraction(),
-        sp.num_partitions(),
     );
 
     // Batches: the remaining arrivals, split robustly into at most
@@ -107,22 +109,34 @@ fn main() {
         cold_total_rounds += cold.stats.rounds;
 
         println!(
-            "batch {}: {:4} updates in {:7.1} ms, {} rounds warm (M/|E| {:.3}, {} full + {} partition-scoped reorders) \
+            "batch {}: {:4} updates in {:7.1} ms, {} rounds warm (M/|E| {:.3}, baseline {:.3}, {} full reorders adopted) \
              | cold recompute {:7.1} ms, {} rounds",
             i + 1,
             updates.len(),
             warm_ms,
             r.stats.rounds,
             sp.positive_fraction(),
+            sp.baseline_fraction(),
             sp.full_reorders(),
-            sp.partition_reorders(),
             cold_ms,
             cold.stats.rounds,
+        );
+        // Every baseline is at least a fresh GoGraph run's fraction,
+        // which Theorem 2 puts at one half.
+        assert!(
+            sp.positive_fraction() >= 0.5 - drift_threshold,
+            "batch {}: M/|E| {:.3} fell below 0.5 - {drift_threshold}",
+            i + 1,
+            sp.positive_fraction(),
         );
     }
     println!(
         "\ntotal SSSP rounds: warm-start {} vs cold per-batch {} (plus bootstrap)",
         warm_total_rounds, cold_total_rounds
+    );
+    assert!(
+        warm_total_rounds < cold_total_rounds,
+        "warm-starting must take fewer rounds than cold recomputes"
     );
 
     // PageRank is sum-norm: the pipeline documents that warm-starting

@@ -66,9 +66,8 @@ pub use gograph_reorder as reorder;
 pub mod prelude {
     pub use gograph_cachesim::{cache_misses_of_order, CacheHierarchy};
     pub use gograph_core::{
-        check_theorem2, metric, metric_report, order_members, partition_contributions,
-        refine_adjacent_swaps, GoGraph, IncrementalGoGraph, ParallelGoGraph, PartitionContribution,
-        PartitionedOrder, PartitionerChoice, UNPARTITIONED,
+        check_theorem2, metric, metric_report, refine_adjacent_swaps, GoGraph, IncrementalGoGraph,
+        ParallelGoGraph, PartitionContribution, PartitionedOrder, PartitionerChoice, UNPARTITIONED,
     };
     pub use gograph_engine::{
         split_batches, Adsorption, AlgorithmKind, AlgorithmRef, Bfs, ConnectedComponents,

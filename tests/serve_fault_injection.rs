@@ -80,14 +80,13 @@ fn durable_config(dir: &Path, checkpoint_every: u64) -> ServeConfig {
     }
 }
 
-/// Full bit-level equality of two cores' current epochs: graph, order,
-/// partition assignment, and every warm pipeline's converged states.
+/// Full bit-level equality of two cores' current epochs: graph, order
+/// and every warm pipeline's converged states.
 fn assert_cores_bit_identical(a: &ServeCore, b: &ServeCore, what: &str) {
     let (ea, eb) = (a.pin_epoch(), b.pin_epoch());
     assert_eq!(ea.epoch, eb.epoch, "{what}: epoch number");
     assert_eq!(ea.graph, eb.graph, "{what}: graph");
     assert_eq!(*ea.order, *eb.order, "{what}: insertion order");
-    assert_eq!(*ea.part_of, *eb.part_of, "{what}: partition assignment");
     for spec in [(AlgSpec::Sssp, 0u32), (AlgSpec::Cc, 0u32)] {
         let wa = ea.warm_for(spec.0, spec.1).expect("warm entry");
         let wb = eb.warm_for(spec.0, spec.1).expect("warm entry");

@@ -233,56 +233,95 @@ fn delta_sssp_streaming_matches_cold_recompute() {
 }
 
 #[test]
-fn partition_scoped_reorder_preserves_warm_cold_equivalence() {
-    // PR 4's partition-scoped repair path, driven hard: a hair-trigger
-    // drift threshold makes every schedule breach repeatedly, so dirty
-    // partitions get their conquer ordering re-run and spliced
-    // mid-stream — and the final states must still equal a cold run on
-    // the final graph, exactly (max-norm) or within tolerance (PageRank).
-    fn check_scoped<A: IterativeAlgorithm + Clone + 'static>(
-        alg: A,
-        schedule: &Schedule,
-        tolerance: f64,
-    ) -> usize {
-        let label = format!("{} × {} (partition-scoped)", alg.name(), schedule.name);
-        let mut sp = StreamingPipeline::over(&schedule.bootstrap)
-            .algorithm(alg.clone())
-            .drift_threshold(0.005)
-            .reorder_parallelism(2)
-            .build()
-            .unwrap_or_else(|e| panic!("{label}: bootstrap failed: {e}"));
-        for (i, batch) in schedule.batches.iter().enumerate() {
-            let r = sp
-                .apply_batch(batch)
-                .unwrap_or_else(|e| panic!("{label}: batch {i} failed: {e}"));
-            assert!(r.stats.converged, "{label}: batch {i} did not converge");
+fn deleting_positive_edges_breaches_and_keeps_the_half_floor() {
+    // The adversarial stream for the drift rule: every update deletes an
+    // edge that is positive under the current order. The graph is the
+    // target with every edge also reversed — exactly half of it positive
+    // under any order — plus a chain over extra vertices, which GoGraph
+    // orders positive and whose edges the stream deletes: repositioning
+    // an endpoint of a lost chain edge wins nothing back, so `M(O)/|E|`
+    // falls toward one half until it breaches. Whichever order a breach
+    // keeps, its fraction is at least a fresh GoGraph run's, which
+    // Theorem 2 puts at one half on a loop-free graph. One pipeline with
+    // three tracks: every track must end where a cold run on the final
+    // graph does.
+    const THRESHOLD: f64 = 0.01;
+    const CHAIN: u32 = 1200;
+    let g = target_graph();
+    let n = g.num_vertices() as u32;
+    let symmetric = g
+        .edges()
+        .filter(|e| e.src != e.dst)
+        .flat_map(|e| [e, Edge::new(e.dst, e.src, e.weight)]);
+    let chain = (n..n + CHAIN - 1).map(|v| Edge::new(v, v + 1, 1.0));
+    let edges: Vec<Edge> = symmetric.chain(chain).collect();
+    let bootstrap = build_graph((n + CHAIN) as usize, &edges);
+    let mut sp = StreamingPipeline::over(&bootstrap)
+        .algorithm(Sssp::new(0))
+        .track()
+        .algorithm(ConnectedComponents)
+        .track()
+        .algorithm(PageRank::default())
+        .drift_threshold(THRESHOLD)
+        .reorder_parallelism(2)
+        .build()
+        .unwrap();
+    let mut breaches = 0;
+    for i in 0..12 {
+        let order = sp.order().clone();
+        let positive_chain_edges: Vec<EdgeUpdate> = sp
+            .graph()
+            .edges()
+            .filter(|e| e.src >= n && order.position(e.src) < order.position(e.dst))
+            .step_by(2)
+            .take(100)
+            .map(|e| EdgeUpdate::remove(e.src, e.dst))
+            .collect();
+        assert!(
+            !positive_chain_edges.is_empty(),
+            "batch {i}: nothing left to delete"
+        );
+        let (baseline, fulls) = (sp.baseline_fraction(), sp.full_reorders());
+        let r = sp
+            .apply_batch(&positive_chain_edges)
+            .unwrap_or_else(|e| panic!("batch {i} failed: {e}"));
+        assert!(r.stats.converged, "batch {i} did not converge");
+        if sp.full_reorders() != fulls || sp.baseline_fraction() != baseline {
+            breaches += 1;
         }
-        assert_eq!(sp.graph(), &schedule.final_graph, "{label}: CSR diverged");
-        let cold = Pipeline::on(&schedule.final_graph)
+        assert!(
+            sp.positive_fraction() >= 0.5 - THRESHOLD,
+            "batch {i}: M/|E| {} below the floor",
+            sp.positive_fraction()
+        );
+    }
+    assert!(breaches > 0, "deleting positive edges must breach");
+
+    let algorithms: [(&dyn IterativeAlgorithm, f64); 3] = [
+        (&Sssp::new(0), 0.0),
+        (&ConnectedComponents, 0.0),
+        (&PageRank::default(), 1e-4),
+    ];
+    for (track, (alg, tolerance)) in sp.tracks().iter().zip(algorithms) {
+        let cold = Pipeline::on(sp.graph())
             .order(sp.order().clone())
-            .algorithm(alg)
+            .algorithm_ref(alg)
             .execute()
-            .unwrap_or_else(|e| panic!("{label}: cold run failed: {e}"));
-        for (v, (warm, gold)) in sp.states().iter().zip(&cold.stats.final_states).enumerate() {
+            .unwrap();
+        for (v, (warm, gold)) in track
+            .states()
+            .iter()
+            .zip(&cold.stats.final_states)
+            .enumerate()
+        {
             let same_inf = warm.is_infinite() && gold.is_infinite();
             assert!(
                 same_inf || (warm - gold).abs() <= tolerance,
-                "{label}: vertex {v}: warm {warm} vs cold {gold}"
+                "{}: vertex {v}: warm {warm} vs cold {gold}",
+                alg.name()
             );
         }
-        sp.partition_repair_attempts()
     }
-
-    let mut total_repair_attempts = 0;
-    for schedule in [insert_only_schedule(), mixed_schedule()] {
-        total_repair_attempts += check_scoped(Sssp::new(0), &schedule, 0.0);
-        total_repair_attempts += check_scoped(ConnectedComponents, &schedule, 0.0);
-        total_repair_attempts += check_scoped(PageRank::default(), &schedule, 1e-4);
-    }
-    assert!(
-        total_repair_attempts > 0,
-        "the hair-trigger threshold must actually exercise partition-scoped repair"
-    );
 }
 
 #[test]

@@ -193,6 +193,11 @@ impl ServeClient {
     /// Runs `alg` from `sources`, asking for the final states of
     /// `targets`. Retries transparently on transport failure —
     /// queries are read-only and safe to repeat.
+    ///
+    /// `combine` is inert: the server ignores it and runs every query
+    /// alone on its own sources. It stays only because the benchmark
+    /// harness (`benchmark/src/{service,probes}.rs`) passes it; the next
+    /// benchmark change removes it.
     pub fn query(
         &mut self,
         alg: AlgSpec,

@@ -45,7 +45,6 @@
 //! max-lag escape hatch that evicts a dead follower to checkpoint
 //! re-sync instead of letting it pin the log forever.
 
-use crate::admission::{Admission, AdmissionQueue};
 use crate::checkpoint::{read_checkpoint, write_checkpoint, Checkpoint, PipelineCheckpoint};
 use crate::epoch::{EpochCell, EpochState, WarmEntry};
 use crate::fault::{splitmix64, FaultPlan};
@@ -129,9 +128,6 @@ pub struct ServeConfig {
     /// each over the mutator's one graph and order. When empty, a single
     /// global CC track is used so the order still gets maintained.
     pub warm: Vec<WarmSpec>,
-    /// How long an admission-batch leader holds its slot open for
-    /// followers. Zero disables request combining.
-    pub admission_window: Duration,
     /// When set, updates are write-ahead logged and epochs checkpointed
     /// so the service can [`recover`](ServeCore::recover) after a
     /// crash. `None` keeps the pre-durability in-memory behavior.
@@ -154,7 +150,6 @@ impl Default for ServeConfig {
                 WarmSpec::new(AlgSpec::Cc, 0),
                 WarmSpec::new(AlgSpec::Sssp, 0),
             ],
-            admission_window: Duration::from_millis(2),
             durability: None,
             faults: FaultPlan::none(),
             max_follower_lag: 1024,
@@ -233,10 +228,13 @@ pub struct QueryRequest {
     pub alg: AlgSpec,
     /// Execution mode.
     pub mode: ModeSpec,
-    /// Source vertices (exactly the client's own; admission may widen).
+    /// Source vertices, exactly the client's own; the run uses them as
+    /// given.
     pub sources: Vec<VertexId>,
-    /// Whether this request may be coalesced with concurrent
-    /// same-algorithm requests into one multi-source run.
+    /// Inert: every query runs alone on its own sources whatever this
+    /// says. Kept only because the benchmark harness
+    /// (`benchmark/src/probes.rs`) sets it; the next benchmark change
+    /// removes it.
     pub combine: bool,
     /// Bounded staleness: reject (typed, retryable) instead of
     /// answering when more than this many admitted batches are not yet
@@ -245,7 +243,7 @@ pub struct QueryRequest {
 }
 
 /// A finished query: the pinned epoch it ran against plus the full
-/// result. Shared by every coalesced follower via `Arc`.
+/// result of the client's own query.
 #[derive(Debug)]
 pub struct QueryOutcome {
     /// The epoch snapshot the query executed against (still pinned as
@@ -255,11 +253,13 @@ pub struct QueryOutcome {
     pub alg: AlgSpec,
     /// Mode it ran under.
     pub mode: ModeSpec,
-    /// The *effective* source set — the admitted union when the run was
-    /// coalesced, the client's own sources otherwise. Replies carry
-    /// this so any client can reproduce the exact run.
+    /// The source set the run used: the client's own sources (empty
+    /// for a global algorithm). Replies carry it so any client can
+    /// reproduce the exact run.
     pub effective_sources: Vec<VertexId>,
-    /// How many client requests this one execution served.
+    /// Inert: always 1, since every query runs alone. Kept only because
+    /// the benchmark harness (`benchmark/src/probes.rs`) reads it; the
+    /// next benchmark change removes it.
     pub admitted: usize,
     /// Whether the reply was answered from or started from the epoch's
     /// warm states.
@@ -473,7 +473,6 @@ struct MutatorCtx {
 /// handler; all methods take `&self`.
 pub struct ServeCore {
     epoch: Arc<EpochCell>,
-    admission: AdmissionQueue<(u8, u8), Arc<QueryOutcome>>,
     stats: Arc<ServeStats>,
     update_lane: Mutex<Option<UpdateLane>>,
     mutator: Mutex<Option<JoinHandle<()>>>,
@@ -685,7 +684,6 @@ impl ServeCore {
 
         Ok(Arc::new(ServeCore {
             epoch: cell,
-            admission: AdmissionQueue::new(config.admission_window),
             stats,
             update_lane: Mutex::new(Some(UpdateLane {
                 tx,
@@ -718,13 +716,12 @@ impl ServeCore {
         &self.faults
     }
 
-    /// Answers `req` against a pinned epoch. A single-source or global
-    /// query whose [`AlgSpec::warm_is_exact`] algorithm the epoch holds
-    /// a converged entry for is answered *from* that entry (0 rounds, no
-    /// admission wait, never widened); anything else executes, possibly
-    /// coalesced with concurrent compatible requests (see
-    /// [`crate::admission`]).
-    pub fn execute_query(&self, req: QueryRequest) -> Result<Arc<QueryOutcome>, ServeError> {
+    /// Answers `req` against a pinned epoch, on the client's own
+    /// sources. A single-source or global query whose
+    /// [`AlgSpec::warm_is_exact`] algorithm the epoch holds a converged
+    /// entry for is answered *from* that entry (0 rounds); anything else
+    /// runs the kernel at once against a freshly pinned epoch.
+    pub fn execute_query(&self, req: QueryRequest) -> Result<QueryOutcome, ServeError> {
         if let Some(max) = req.max_epoch_lag {
             // On a follower the freshest reference is the primary's
             // settled seq from the last WAL segment — bounded staleness
@@ -747,17 +744,16 @@ impl ServeCore {
                 req.alg.name()
             )));
         }
-        let sources: &[VertexId] = if req.alg.needs_sources() {
-            &req.sources
+        let sources = if req.alg.needs_sources() {
+            req.sources
         } else {
-            &[]
+            Vec::new()
         };
 
         // A state that is already a fixpoint needs zero rounds. The
         // mutator converged this entry on this very epoch before
         // publishing it, and for the max-norm algorithms a re-run from
-        // it changes nothing, so the entry *is* the reply: no admission
-        // window, no union with other clients' sources, no kernel.
+        // it changes nothing, so the entry *is* the reply: no kernel.
         if sources.len() <= 1 && req.alg.warm_is_exact() {
             let epoch = self.epoch.pin();
             let source = sources.first().copied().unwrap_or(0);
@@ -768,11 +764,11 @@ impl ServeCore {
             if let Some(states) = fixpoint {
                 self.stats.warm_hits.fetch_add(1, Ordering::Relaxed);
                 self.stats.queries.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::new(QueryOutcome {
+                return Ok(QueryOutcome {
                     epoch,
                     alg: req.alg,
                     mode: req.mode,
-                    effective_sources: sources.to_vec(),
+                    effective_sources: sources,
                     admitted: 1,
                     warm: true,
                     rounds: 0,
@@ -781,36 +777,11 @@ impl ServeCore {
                     converged: true,
                     runtime: Duration::ZERO,
                     states,
-                }));
+                });
             }
         }
 
-        let outcome = if req.combine {
-            let key = (req.alg.code(), req.mode.code());
-            match self.admission.submit(key, sources) {
-                Admission::Lead {
-                    slot,
-                    sources,
-                    admitted,
-                } => match self.run(req.alg, req.mode, sources, admitted) {
-                    Ok(outcome) => {
-                        self.admission.complete(&slot, Arc::clone(&outcome));
-                        outcome
-                    }
-                    Err(e) => {
-                        self.stats.poisoned_slots.fetch_add(1, Ordering::Relaxed);
-                        self.admission.poison(&slot);
-                        return Err(e);
-                    }
-                },
-                Admission::Follow(outcome) => {
-                    self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
-                    outcome
-                }
-            }
-        } else {
-            self.run(req.alg, req.mode, sources.to_vec(), 1)?
-        };
+        let outcome = self.run(req.alg, req.mode, sources)?;
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
         Ok(outcome)
     }
@@ -821,8 +792,7 @@ impl ServeCore {
         alg: AlgSpec,
         mode: ModeSpec,
         sources: Vec<VertexId>,
-        admitted: usize,
-    ) -> Result<Arc<QueryOutcome>, ServeError> {
+    ) -> Result<QueryOutcome, ServeError> {
         let epoch = self.epoch.pin();
         let n = epoch.graph.num_vertices();
         if let Some(&bad) = sources.iter().find(|&&s| (s as usize) >= n) {
@@ -866,12 +836,12 @@ impl ServeCore {
             .last_state_bytes
             .store(stats.state_memory_bytes as u64, Ordering::Relaxed);
 
-        Ok(Arc::new(QueryOutcome {
+        Ok(QueryOutcome {
             epoch,
             alg,
             mode,
             effective_sources: sources,
-            admitted,
+            admitted: 1,
             warm,
             rounds: stats.rounds,
             push_rounds: stats.push_rounds,
@@ -879,7 +849,7 @@ impl ServeCore {
             converged: stats.converged,
             runtime: stats.runtime,
             states: Arc::new(stats.final_states),
-        }))
+        })
     }
 
     /// Queues an update batch for the mutator. With durability, the
@@ -1620,7 +1590,6 @@ mod tests {
                 WarmSpec::new(AlgSpec::Sssp, 0),
                 WarmSpec::new(AlgSpec::Cc, 0),
             ],
-            admission_window: Duration::ZERO,
             ..ServeConfig::default()
         })
     }
@@ -1771,53 +1740,39 @@ mod tests {
     }
 
     #[test]
-    fn hot_query_never_waits_for_or_joins_an_admission_window() {
+    fn concurrent_cold_queries_each_run_alone_on_their_own_source() {
         let core = core_with(ServeConfig {
             warm: vec![WarmSpec::new(AlgSpec::Sssp, 0)],
-            admission_window: Duration::from_secs(5),
             ..ServeConfig::default()
         });
-        let combining = |sources| QueryRequest {
-            combine: true,
-            ..query(AlgSpec::Sssp, sources)
-        };
-
-        // A cold same-key query opens a slot and sits out its window.
-        let leader = {
-            let core = Arc::clone(&core);
-            let req = combining(vec![3]);
-            std::thread::spawn(move || core.execute_query(req).unwrap())
-        };
-        while core.admission.open_slots() == 0 {
-            std::thread::yield_now();
+        let barrier = Arc::new(std::sync::Barrier::new(8));
+        let readers: Vec<_> = (1..=8)
+            .map(|source: VertexId| {
+                let (core, barrier) = (Arc::clone(&core), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    let req = QueryRequest {
+                        combine: true,
+                        ..query(AlgSpec::Sssp, vec![source])
+                    };
+                    (source, core.execute_query(req).unwrap())
+                })
+            })
+            .collect();
+        for reader in readers {
+            let (source, o) = reader.join().unwrap();
+            assert_eq!(o.effective_sources, vec![source], "its own sources only");
+            assert_eq!(o.admitted, 1);
+            assert!(!o.warm && o.rounds >= 1, "source {source} runs cold");
+            assert_eq!(
+                bits(&o.states),
+                bits(&cold_states(&o.epoch, AlgSpec::Sssp, o.mode, &[source])),
+                "source {source}: a fresh single-source run on the pinned epoch"
+            );
         }
-
-        let started = std::time::Instant::now();
-        let hot = core.execute_query(combining(vec![0])).unwrap();
-        assert!(
-            started.elapsed() < Duration::from_secs(1),
-            "a hot query must not sleep an admission window ({:?})",
-            started.elapsed()
-        );
-        assert_eq!(
-            core.admission.open_slots(),
-            1,
-            "the cold slot is still open"
-        );
-        assert!(hot.warm);
-        assert_eq!(hot.rounds, 0);
-        assert_eq!(hot.admitted, 1);
-        assert_eq!(hot.effective_sources, vec![0], "its own exact answer");
-
-        // The cold query still led its own slot, alone.
-        let cold = leader.join().unwrap();
-        assert!(!cold.warm);
-        assert!(cold.rounds >= 1);
-        assert_eq!(cold.admitted, 1);
-        assert_eq!(cold.effective_sources, vec![3]);
         let s = core.stats_snapshot();
         assert_eq!(s.coalesced, 0);
-        assert_eq!((s.queries, s.warm_hits, s.cold_runs), (2, 1, 1));
+        assert_eq!((s.queries, s.cold_runs), (8, 8));
         core.shutdown();
     }
 
@@ -1828,7 +1783,6 @@ mod tests {
                 WarmSpec::new(AlgSpec::Sssp, 0),
                 WarmSpec::new(AlgSpec::PageRank, 0),
             ],
-            admission_window: Duration::ZERO,
             ..ServeConfig::default()
         });
         core.enqueue_updates(batches(1).remove(0)).unwrap();
@@ -1884,7 +1838,6 @@ mod tests {
     fn unconverged_entry_is_not_an_answer() {
         let core = core_with(ServeConfig {
             warm: vec![WarmSpec::new(AlgSpec::Sssp, 0)],
-            admission_window: Duration::ZERO,
             ..ServeConfig::default()
         });
         // Publish an epoch whose SSSP entry is what a round-capped run
@@ -1975,7 +1928,6 @@ mod tests {
         // open when the bounded-staleness query arrives.
         let core = core_with(ServeConfig {
             warm: vec![WarmSpec::new(AlgSpec::Sssp, 0)],
-            admission_window: Duration::ZERO,
             faults: FaultPlan::seeded(5).with_mutator_stalls(1.0, Duration::from_millis(400)),
             ..ServeConfig::default()
         });
@@ -2024,7 +1976,6 @@ mod tests {
                 WarmSpec::new(AlgSpec::Sssp, 0),
                 WarmSpec::new(AlgSpec::Cc, 0),
             ],
-            admission_window: Duration::ZERO,
             ..ServeConfig::default()
         };
         let faulty = core_with(ServeConfig {
@@ -2074,7 +2025,6 @@ mod tests {
         let dir = tmp_dir("clean-shutdown");
         let config = ServeConfig {
             warm: vec![WarmSpec::new(AlgSpec::Sssp, 0)],
-            admission_window: Duration::ZERO,
             durability: Some(DurabilityConfig::new(&dir)),
             ..ServeConfig::default()
         };
@@ -2118,7 +2068,6 @@ mod tests {
                 WarmSpec::new(AlgSpec::Sssp, 0),
                 WarmSpec::new(AlgSpec::Cc, 0),
             ],
-            admission_window: Duration::ZERO,
             durability: Some(DurabilityConfig {
                 checkpoint_every_batches: 3,
                 ..DurabilityConfig::new(d)
@@ -2168,7 +2117,6 @@ mod tests {
         let dir = tmp_dir("refuse");
         let config = ServeConfig {
             warm: vec![WarmSpec::new(AlgSpec::Cc, 0)],
-            admission_window: Duration::ZERO,
             durability: Some(DurabilityConfig::new(&dir)),
             ..ServeConfig::default()
         };

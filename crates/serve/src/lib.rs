@@ -9,15 +9,14 @@
 //!   states) and never see a mutation; the mutator publishes the next
 //!   epoch with a swap and old epochs retire with their last reader.
 //! - **[`core`]** — [`ServeCore`], the transport-agnostic service:
-//!   epoch-pinned query execution, a single mutator thread draining
-//!   update batches through `StreamingPipeline::apply_batch`.
+//!   epoch-pinned query execution, each query alone on its own
+//!   sources, and a single mutator thread draining update batches
+//!   through `StreamingPipeline::apply_batch`.
 //! - **[`stats`]** — the one table every counter is declared in;
 //!   [`StatsSnapshot`], its wire order and its window delta derive
 //!   from it.
-//! - **[`admission`]** — leader/follower combining of concurrent
-//!   same-algorithm queries into one multi-source run.
 //! - **[`spec`]** — wire-addressable algorithm/mode codes and the
-//!   [`MultiSource`] widening wrapper.
+//!   [`MultiSource`] wrapper a multi-source query runs under.
 //! - **[`wire`]** — the length-prefixed binary protocol.
 //! - **[`server`] / [`client`]** — thread-per-connection TCP front end
 //!   and the matching blocking client.
@@ -35,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod checkpoint;
 pub mod client;
 pub mod core;
@@ -52,7 +50,6 @@ pub use crate::core::{
     DurabilityConfig, ProbeReport, QueryOutcome, QueryRequest, Role, SegmentRecords, ServeConfig,
     ServeCore, ServeError, StatsSnapshot, WarmSpec,
 };
-pub use admission::{Admission, AdmissionQueue};
 pub use checkpoint::{
     read_checkpoint, write_checkpoint, Checkpoint, PipelineCheckpoint, UnsupportedVersion,
 };
@@ -87,24 +84,26 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 mod end_to_end {
     use super::*;
     use gograph_graph::generators::{planted_partition, PlantedPartitionConfig};
-    use gograph_graph::EdgeUpdate;
-    use std::time::Duration;
+    use gograph_graph::{CsrGraph, EdgeUpdate};
 
-    #[test]
-    fn tcp_roundtrip_query_update_stats_shutdown() {
-        let g = planted_partition(PlantedPartitionConfig {
+    fn graph() -> CsrGraph {
+        planted_partition(PlantedPartitionConfig {
             num_vertices: 60,
             num_edges: 300,
             communities: 3,
             p_intra: 0.8,
             gamma: 2.4,
             seed: 5,
-        });
+        })
+    }
+
+    #[test]
+    fn tcp_roundtrip_query_update_stats_shutdown() {
+        let g = graph();
         let core = ServeCore::start(
             &g,
             ServeConfig {
                 warm: vec![WarmSpec::new(AlgSpec::Sssp, 0)],
-                admission_window: Duration::ZERO,
                 ..ServeConfig::default()
             },
         )
@@ -146,5 +145,28 @@ mod end_to_end {
         let mut server = server;
         server.shutdown();
         assert!(server.is_stopped());
+    }
+
+    #[test]
+    fn out_of_range_targets_are_refused_not_dropped() {
+        let g = graph();
+        let core = ServeCore::start(&g, ServeConfig::default()).unwrap();
+        let mut server = serve("127.0.0.1:0", core).unwrap();
+        let mut c = ServeClient::connect(server.local_addr()).unwrap();
+        match c.query(AlgSpec::Sssp, ModeSpec::Async, false, &[0], &[5, 60]) {
+            Err(ClientError::Server { code, message }) => {
+                assert_eq!(code, ErrorCode::InvalidRequest);
+                assert!(
+                    message.contains("target vertex 60") && message.contains("60 vertices"),
+                    "names the vertex and the vertex count: {message}"
+                );
+            }
+            other => panic!("an out-of-range target must be refused, got {other:?}"),
+        }
+        let q = c
+            .query(AlgSpec::Sssp, ModeSpec::Async, false, &[0], &[5, 59])
+            .unwrap();
+        assert_eq!(q.values.len(), 2, "in-range targets still answer");
+        server.shutdown();
     }
 }

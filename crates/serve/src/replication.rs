@@ -260,8 +260,8 @@ impl ReplicaPuller {
 /// builds a follower [`ServeCore`] from it, and returns the core plus
 /// a [`ReplicaPuller`] positioned at the checkpoint's seq.
 ///
-/// `config` shapes the follower's serving behaviour (staleness bound,
-/// admission window, fault plan); its `durability` must be `None` —
+/// `config` shapes the follower's serving behaviour (warm tracks,
+/// fault plan); its `durability` must be `None` —
 /// a follower's durable truth lives on the primary.
 pub fn bootstrap_follower(
     peer: impl ToSocketAddrs,

@@ -289,10 +289,13 @@ fn respond(core: &Arc<ServeCore>, request: Request) -> Reply {
             });
             match outcome {
                 Ok(o) => {
-                    let values = targets
-                        .iter()
-                        .filter_map(|&v| o.states.get(v as usize).map(|&x| (v, x)))
-                        .collect();
+                    let n = o.epoch.graph.num_vertices();
+                    if let Some(&bad) = targets.iter().find(|&&v| (v as usize) >= n) {
+                        return error_reply(ServeError::InvalidRequest(format!(
+                            "target vertex {bad} out of range for {n} vertices"
+                        )));
+                    }
+                    let values = targets.iter().map(|&v| (v, o.states[v as usize])).collect();
                     Reply::Query(QueryReply {
                         epoch: o.epoch.epoch,
                         alg: o.alg,
@@ -303,7 +306,7 @@ fn respond(core: &Arc<ServeCore>, request: Request) -> Reply {
                         push_rounds: o.push_rounds as u64,
                         state_bytes: o.state_memory_bytes as u64,
                         runtime_micros: o.runtime.as_micros() as u64,
-                        effective_sources: o.effective_sources.clone(),
+                        effective_sources: o.effective_sources,
                         values,
                     })
                 }

@@ -3,11 +3,11 @@
 //! The service cannot ship trait objects over TCP, so queries name one
 //! of the built-in iterative algorithms by a one-byte code plus a
 //! source list, and [`AlgSpec::instantiate`] rebuilds the concrete
-//! [`IterativeAlgorithm`] on the server. Multi-source queries (the
-//! product of admission batching — see [`crate::admission`]) wrap the
-//! single-source algorithm in [`MultiSource`], which widens only the
-//! initial state: every admitted source starts at the source value and
-//! the fixpoint becomes the per-vertex best over all sources.
+//! [`IterativeAlgorithm`] on the server. A client's own multi-source
+//! query wraps the single-source algorithm in [`MultiSource`], which
+//! widens only the initial state: every source the client named starts
+//! at the source value and the fixpoint becomes the per-vertex best over
+//! all of them.
 
 use gograph_engine::{Bfs, ConnectedComponents, IterativeAlgorithm, Mode, PageRank, Sssp, Sswp};
 use gograph_graph::{CsrGraph, VertexId, Weight};
@@ -207,11 +207,11 @@ impl ModeSpec {
 }
 
 /// Widens a single-source algorithm to a set of sources by overriding
-/// only [`IterativeAlgorithm::init`]: every vertex in the admitted
+/// only [`IterativeAlgorithm::init`]: every vertex in the client's
 /// source set starts at the inner algorithm's source value, everything
 /// else keeps the non-source default. All folding behavior delegates,
 /// so the fixpoint is the per-vertex best over all sources — exactly
-/// the fixpoint of the union query that admission batching promises.
+/// the fixpoint of the client's multi-source query.
 ///
 /// Deliberately does **not** forward `monomorphized()`: a `Some` answer
 /// would make the engine run the inner by-value copy instead of this

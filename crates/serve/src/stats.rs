@@ -93,9 +93,11 @@ stats_table! {
         num_edges: gauge,
     }
     atomics {
-        /// Queries answered (leaders and followers alike).
+        /// Queries answered.
         queries: counter,
-        /// Queries answered from another leader's execution.
+        /// Inert: always 0, since every query runs alone. Kept only
+        /// because the benchmark harness (`benchmark/src/main.rs`) reads
+        /// it; the next benchmark change removes it.
         coalesced: counter,
         /// Queries answered from, and executions warm-started from, epoch
         /// warm state.
@@ -122,9 +124,6 @@ stats_table! {
         /// Times the supervisor rolled the mutator back to its pre-batch
         /// state after a panic or engine error.
         mutator_restarts: counter,
-        /// Admission slots poisoned because their leader's execution
-        /// failed (followers retried solo).
-        poisoned_slots: counter,
         /// 1 while the last batch application failed and no epoch has been
         /// published since; 0 once publication resumes.
         degraded: gauge,

@@ -9,7 +9,7 @@
 //!
 //! | type | message      | payload |
 //! |------|--------------|---------|
-//! | 1    | Query        | alg u8 · mode u8 · flags u8 (bit0 = combine, bit1 = max_epoch_lag present) · \[max_epoch_lag u64\] · n_sources u32 · sources u32× · n_targets u32 · targets u32× |
+//! | 1    | Query        | alg u8 · mode u8 · flags u8 (bit0 = combine, ignored · bit1 = max_epoch_lag present) · \[max_epoch_lag u64\] · n_sources u32 · sources u32× · n_targets u32 · targets u32× |
 //! | 2    | UpdateBatch  | n u32 · n × (kind u8 (0 insert / 1 remove) · src u32 · dst u32 · weight f64 if insert) |
 //! | 3    | Stats        | — |
 //! | 4    | Shutdown     | — |
@@ -137,7 +137,10 @@ pub enum Request {
         alg: AlgSpec,
         /// Execution mode.
         mode: ModeSpec,
-        /// May this query be admission-batched?
+        /// Inert: decoded and validated (flag bit 0), then ignored —
+        /// every query runs alone on its own sources. Kept only because
+        /// the benchmark harness (`benchmark/src/probes.rs`) builds it;
+        /// the next benchmark change removes it.
         combine: bool,
         /// Reject (with [`ErrorCode::Stale`]) instead of answering if
         /// the serving snapshot lags the newest enqueued batch by more
@@ -257,7 +260,9 @@ pub struct QueryReply {
     pub warm: bool,
     /// Whether the run converged.
     pub converged: bool,
-    /// Requests served by this execution (>1 ⇒ coalesced).
+    /// Inert: always 1, since every query runs alone. Kept only because
+    /// the benchmark harness (`benchmark/src/probes.rs`) builds it; the
+    /// next benchmark change removes it.
     pub admitted: u32,
     /// Rounds executed.
     pub rounds: u64,
@@ -267,7 +272,8 @@ pub struct QueryReply {
     pub state_bytes: u64,
     /// Engine-side runtime in microseconds.
     pub runtime_micros: u64,
-    /// The effective (possibly admission-widened) source set.
+    /// The source set the run used: the client's own (empty for a
+    /// global algorithm).
     pub effective_sources: Vec<VertexId>,
     /// `(vertex, final state)` for each requested target.
     pub values: Vec<(VertexId, f64)>,
@@ -925,7 +931,7 @@ mod tests {
         }
     }
 
-    /// The stats reply is 33 little-endian `u64`s in the order clients
+    /// The stats reply is 32 little-endian `u64`s in the order clients
     /// in the field already decode. The order comes from the table in
     /// `stats.rs`; this pins each *name* to its slot, so moving,
     /// inserting or dropping a row there fails here.
@@ -949,25 +955,24 @@ mod tests {
             mutator_rounds: 15,
             mutator_errors: 16,
             mutator_restarts: 17,
-            poisoned_slots: 18,
-            degraded: 19,
-            wal_appends: 20,
-            wal_bytes: 21,
-            wal_replayed: 22,
-            checkpoints_written: 23,
-            connections_shed: 24,
-            repl_segments_shipped: 25,
-            repl_records_shipped: 26,
-            repl_acks: 27,
-            repl_follower_lag: 28,
-            repl_divergences: 29,
-            repl_resyncs: 30,
-            repl_last_seq: 31,
-            repl_primary_seq: 32,
-            checkpoint_bytes_written: 33,
+            degraded: 18,
+            wal_appends: 19,
+            wal_bytes: 20,
+            wal_replayed: 21,
+            checkpoints_written: 22,
+            connections_shed: 23,
+            repl_segments_shipped: 24,
+            repl_records_shipped: 25,
+            repl_acks: 26,
+            repl_follower_lag: 27,
+            repl_divergences: 28,
+            repl_resyncs: 29,
+            repl_last_seq: 30,
+            repl_primary_seq: 31,
+            checkpoint_bytes_written: 32,
         };
         let mut golden = vec![REP_STATS];
-        for slot in 1..=33u64 {
+        for slot in 1..=32u64 {
             golden.extend_from_slice(&slot.to_le_bytes());
         }
         assert_eq!(&encode_reply(&Reply::Stats(snapshot))[..], &golden[..]);

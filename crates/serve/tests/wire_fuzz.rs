@@ -156,7 +156,7 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
             }
         }),
         // One slot per field, in wire order.
-        proptest::collection::vec(any::<u64>(), 33..=33).prop_map(|f| {
+        proptest::collection::vec(any::<u64>(), 32..=32).prop_map(|f| {
             Reply::Stats(StatsSnapshot {
                 epoch: f[0],
                 epochs_published: f[1],
@@ -175,22 +175,21 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
                 mutator_rounds: f[14],
                 mutator_errors: f[15],
                 mutator_restarts: f[16],
-                poisoned_slots: f[17],
-                degraded: f[18],
-                wal_appends: f[19],
-                wal_bytes: f[20],
-                wal_replayed: f[21],
-                checkpoints_written: f[22],
-                connections_shed: f[23],
-                repl_segments_shipped: f[24],
-                repl_records_shipped: f[25],
-                repl_acks: f[26],
-                repl_follower_lag: f[27],
-                repl_divergences: f[28],
-                repl_resyncs: f[29],
-                repl_last_seq: f[30],
-                repl_primary_seq: f[31],
-                checkpoint_bytes_written: f[32],
+                degraded: f[17],
+                wal_appends: f[18],
+                wal_bytes: f[19],
+                wal_replayed: f[20],
+                checkpoints_written: f[21],
+                connections_shed: f[22],
+                repl_segments_shipped: f[23],
+                repl_records_shipped: f[24],
+                repl_acks: f[25],
+                repl_follower_lag: f[26],
+                repl_divergences: f[27],
+                repl_resyncs: f[28],
+                repl_last_seq: f[29],
+                repl_primary_seq: f[30],
+                checkpoint_bytes_written: f[31],
             })
         }),
         (any::<u64>(), any::<bool>(), arb_wal_records()).prop_map(

@@ -7,8 +7,10 @@
 //! inserts between random vertices, 15 % removes of edges its earlier
 //! batches inserted). Client
 //! side latencies give p50/p99; the server's stats reply (before/after
-//! deltas) gives epochs published, coalescing counts and engine
-//! `RunStats` aggregates. Results land in a JSON report comparable to
+//! deltas) gives epochs published and engine `RunStats` aggregates.
+//! `widened_replies` counts replies whose `effective_sources` differ
+//! from the sources sent; every query runs alone on its own sources, so
+//! it must be 0. Results land in a JSON report comparable to
 //! `BENCH_PR2`–`PR5`.
 //!
 //! ```text
@@ -53,7 +55,8 @@ struct CellResult {
     kernel_replies: u64,
     max_state_bytes: u64,
     warm_replies: u64,
-    coalesced_replies: u64,
+    /// Replies whose `effective_sources` differ from the sources sent.
+    widened_replies: u64,
     update_batches_sent: u64,
     stats_delta: gograph_serve::StatsSnapshot,
     epoch_end: u64,
@@ -347,10 +350,10 @@ fn run_cell(
             let mut kernel_replies = 0u64;
             let mut state_bytes = 0u64;
             let mut warm_replies = 0u64;
-            let mut coalesced = 0u64;
+            let mut widened = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                // Query mix: mostly the warm hot source (coalescible),
-                // some cold sources, some global CC.
+                // Query mix: mostly the warm hot source, some cold
+                // sources, some global CC.
                 let roll: f64 = rng.random();
                 let (alg, sources): (AlgSpec, Vec<u32>) = if roll < 0.55 {
                     (AlgSpec::Sssp, vec![0])
@@ -371,7 +374,7 @@ fn run_cell(
                         kernel_replies += u64::from(reply.rounds > 0);
                         state_bytes = state_bytes.max(reply.state_bytes);
                         warm_replies += u64::from(reply.warm);
-                        coalesced += u64::from(reply.admitted > 1);
+                        widened += u64::from(reply.effective_sources != sources);
                     }
                     Err(_) => break,
                 }
@@ -383,7 +386,7 @@ fn run_cell(
                 kernel_replies,
                 state_bytes,
                 warm_replies,
-                coalesced,
+                widened,
             )
         }));
     }
@@ -397,16 +400,16 @@ fn run_cell(
     let mut kernel_replies = 0u64;
     let mut max_state_bytes = 0u64;
     let mut warm_replies = 0u64;
-    let mut coalesced_replies = 0u64;
+    let mut widened_replies = 0u64;
     for w in workers {
-        let (l, r, p, k, sb, wh, co) = w.join().expect("client thread");
+        let (l, r, p, k, sb, wh, wi) = w.join().expect("client thread");
         latencies.extend(l);
         rounds += r;
         push_rounds += p;
         kernel_replies += k;
         max_state_bytes = max_state_bytes.max(sb);
         warm_replies += wh;
-        coalesced_replies += co;
+        widened_replies += wi;
     }
     let update_batches_sent = updater.join().expect("updater thread");
 
@@ -427,7 +430,7 @@ fn run_cell(
         kernel_replies,
         max_state_bytes,
         warm_replies,
-        coalesced_replies,
+        widened_replies,
         update_batches_sent,
         stats_delta: delta,
         epoch_end: after.epoch,
@@ -502,16 +505,15 @@ fn render_report(
         );
         let _ = writeln!(
             out,
-            "      \"warm_replies\": {}, \"warm_reply_share\": {:.3}, \"coalesced_replies\": {},",
+            "      \"warm_replies\": {}, \"warm_reply_share\": {:.3}, \"widened_replies\": {},",
             c.warm_replies,
             ratio(c.warm_replies, c.queries),
-            c.coalesced_replies
+            c.widened_replies
         );
         let _ = writeln!(
             out,
-            "      \"server_delta\": {{ \"queries\": {}, \"coalesced\": {}, \"warm_hits\": {}, \"cold_runs\": {}, \"query_rounds\": {}, \"query_push_rounds\": {}, \"epochs_published\": {}, \"update_batches_applied\": {}, \"updates_applied\": {}, \"mutator_rounds\": {}, \"mutator_errors\": {}, \"mutator_restarts\": {}, \"degraded\": {}, \"wal_appends\": {}, \"checkpoints_written\": {}, \"connections_shed\": {} }},",
+            "      \"server_delta\": {{ \"queries\": {}, \"warm_hits\": {}, \"cold_runs\": {}, \"query_rounds\": {}, \"query_push_rounds\": {}, \"epochs_published\": {}, \"update_batches_applied\": {}, \"updates_applied\": {}, \"mutator_rounds\": {}, \"mutator_errors\": {}, \"mutator_restarts\": {}, \"degraded\": {}, \"wal_appends\": {}, \"checkpoints_written\": {}, \"connections_shed\": {} }},",
             d.queries,
-            d.coalesced,
             d.warm_hits,
             d.cold_runs,
             d.query_rounds,

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! gograph_serve [--listen 127.0.0.1:7421] [--scale tiny|standard]
-//!               [--window-ms 2] [--warm cc,sssp:0,pagerank]
+//!               [--warm cc,sssp:0,pagerank]
 //!               [--durable-dir DIR] [--checkpoint-every N]
 //!               [--role primary|follower] [--peer ADDR]
 //! ```
@@ -30,12 +30,10 @@ use gograph_serve::{
     bootstrap_follower, serve, AlgSpec, DurabilityConfig, ReplicationConfig, RoleSpec, ServeConfig,
     ServeCore, WarmSpec,
 };
-use std::time::Duration;
 
 fn main() {
     let mut listen = "127.0.0.1:7421".to_string();
     let mut scale = std::env::var("GOGRAPH_SCALE").unwrap_or_else(|_| "standard".to_string());
-    let mut window_ms: u64 = 2;
     let mut warm_arg = "cc,sssp:0".to_string();
     let mut durable_dir: Option<String> = None;
     let mut checkpoint_every: u64 = 16;
@@ -55,12 +53,6 @@ fn main() {
         match args[i].as_str() {
             "--listen" => listen = value(&mut i),
             "--scale" => scale = value(&mut i),
-            "--window-ms" => {
-                window_ms = value(&mut i).parse().unwrap_or_else(|_| {
-                    eprintln!("--window-ms wants an integer");
-                    std::process::exit(2);
-                })
-            }
             "--warm" => warm_arg = value(&mut i),
             "--durable-dir" => durable_dir = Some(value(&mut i)),
             "--checkpoint-every" => {
@@ -80,7 +72,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: gograph_serve [--listen ADDR] [--scale tiny|standard] \
-                     [--window-ms N] [--warm cc,sssp:0,...] \
+                     [--warm cc,sssp:0,...] \
                      [--durable-dir DIR] [--checkpoint-every N] \
                      [--role primary|follower] [--peer ADDR]"
                 );
@@ -107,7 +99,6 @@ fn main() {
         }
         let config = ServeConfig {
             warm,
-            admission_window: Duration::from_millis(window_ms),
             ..ServeConfig::default()
         };
         let (core, puller) =
@@ -160,7 +151,6 @@ fn main() {
 
     let config = ServeConfig {
         warm,
-        admission_window: Duration::from_millis(window_ms),
         durability: durable_dir.as_ref().map(|dir| DurabilityConfig {
             checkpoint_every_batches: checkpoint_every,
             ..DurabilityConfig::new(dir)

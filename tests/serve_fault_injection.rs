@@ -65,7 +65,6 @@ fn base_config() -> ServeConfig {
             WarmSpec::new(AlgSpec::Sssp, 0),
             WarmSpec::new(AlgSpec::Cc, 0),
         ],
-        admission_window: Duration::ZERO,
         ..ServeConfig::default()
     }
 }

@@ -132,7 +132,6 @@ fn concurrent_readers_always_see_consistent_epochs() {
                 WarmSpec::new(AlgSpec::Cc, 0),
                 WarmSpec::new(AlgSpec::PageRank, 0),
             ],
-            admission_window: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     )
@@ -154,9 +153,9 @@ fn concurrent_readers_always_see_consistent_epochs() {
                 let (alg, sources, combine) = if roll < 0.35 {
                     (AlgSpec::Sssp, vec![0], true) // warm hot source
                 } else if roll < 0.60 {
-                    (AlgSpec::Sssp, vec![rng.random_range(0..n)], true) // cold, coalescible
+                    (AlgSpec::Sssp, vec![rng.random_range(0..n)], true) // cold
                 } else if roll < 0.75 {
-                    (AlgSpec::Bfs, vec![rng.random_range(0..n)], false) // cold, solo
+                    (AlgSpec::Bfs, vec![rng.random_range(0..n)], false) // cold
                 } else if roll < 0.90 {
                     (AlgSpec::Cc, vec![], false) // global max-norm, warm
                 } else {
@@ -250,7 +249,6 @@ fn pinned_epoch_is_immune_to_later_updates() {
         &g,
         ServeConfig {
             warm: vec![WarmSpec::new(AlgSpec::Sssp, 0)],
-            admission_window: Duration::ZERO,
             ..ServeConfig::default()
         },
     )
@@ -309,7 +307,6 @@ fn follower_reads_are_pinned_and_staleness_bounded() {
             WarmSpec::new(AlgSpec::Sssp, 0),
             WarmSpec::new(AlgSpec::Cc, 0),
         ],
-        admission_window: Duration::ZERO,
         ..ServeConfig::default()
     };
     let primary = ServeCore::start(
@@ -422,7 +419,6 @@ fn readers_stay_consistent_while_the_mutator_panics_and_restarts() {
                 WarmSpec::new(AlgSpec::Sssp, 0),
                 WarmSpec::new(AlgSpec::Cc, 0),
             ],
-            admission_window: Duration::ZERO,
             faults: plan,
             ..ServeConfig::default()
         },

@@ -47,6 +47,6 @@ pub use pipeline::{Pipeline, PipelineResult, StageTimings};
 pub use runner::{total_memory_bytes, Mode, RunConfig};
 pub use strategy::{execute, AlgorithmRef, WarmStart};
 pub use streaming::{
-    split_batches, BatchResult, ResumableState, RunSummary, Savepoint, SplitBatchesError,
-    StreamingPipeline, StreamingPipelineBuilder, Track,
+    split_batches, BatchResult, ResumableState, RunSummary, SplitBatchesError, StreamingPipeline,
+    StreamingPipelineBuilder, Track, TrackState,
 };

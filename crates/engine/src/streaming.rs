@@ -241,46 +241,33 @@ impl StreamingPipelineBuilder {
         Ok(StreamingPipeline { shared, tracks })
     }
 
-    /// Reconstructs a one-track pipeline from a previously
-    /// [exported](StreamingPipeline::export_state) state instead of
-    /// bootstrapping — [`resume_tracks`](Self::resume_tracks) with one
-    /// state.
-    pub fn resume(self, state: ResumableState) -> Result<StreamingPipeline, EngineError> {
-        self.resume_tracks(vec![state])
-    }
-
-    /// Reconstructs a pipeline from one exported state per configured
-    /// track ([`StreamingPipeline::export_track`], in track order)
-    /// instead of bootstrapping: no reorder, no cold run — the graph,
-    /// maintained order, drift baselines and converged states are
-    /// adopted as-is and the incremental order maintainer is rebuilt
-    /// from the saved insertion-order keys
+    /// Reconstructs a pipeline from an
+    /// [exported](StreamingPipeline::export_state) image instead of
+    /// bootstrapping: no reorder, no cold run — the graph, maintained
+    /// order, drift baseline and every track's converged states and
+    /// counters are adopted as-is, and the incremental order maintainer
+    /// is rebuilt from the saved insertion-order keys
     /// ([`ResumableState::order_vals`]), restoring its exact decision
-    /// state.
+    /// state. The image carries one [`TrackState`] per configured track,
+    /// in track order.
     ///
     /// Given the same builder configuration (modes, algorithms, run
     /// configs, thresholds) as the exporting pipeline, the resumed
     /// pipeline is **bit-identical going forward**: applying the same
-    /// batch sequence to both produces coinciding graphs, orders and
-    /// states. This is the foundation of crash recovery — a checkpoint
-    /// is the exported states, and WAL replay is `apply_batch` on the
-    /// resumed pipeline. The graph passed to [`StreamingPipeline::over`]
-    /// is ignored; the states' graph is authoritative. Every state must
-    /// carry the same graph, order keys, baseline and pipeline counters (exports of one pipeline always do), one
-    /// state per track.
-    pub fn resume_tracks(
-        self,
-        states: Vec<ResumableState>,
-    ) -> Result<StreamingPipeline, EngineError> {
+    /// batch sequence to both produces coinciding graphs, orders, states
+    /// and track counters. This is the foundation of crash recovery — a
+    /// checkpoint is the exported image, and WAL replay is `apply_batch`
+    /// on the resumed pipeline. The graph passed to
+    /// [`StreamingPipeline::over`] is ignored; the image's graph is
+    /// authoritative. Each track's [`Track::last_run`] reads 0 rounds
+    /// with the saved `converged` flag.
+    pub fn resume(self, state: ResumableState) -> Result<StreamingPipeline, EngineError> {
         self.validate()?;
-        let StreamingPipelineBuilder { tracks, policy, .. } = self;
-        if let Some((name, message)) = resume_problem(&states, tracks.len()) {
+        if let Some((name, message)) = resume_problem(&state, self.tracks.len()) {
             return Err(EngineError::InvalidParameter { name, message });
         }
-        let mut split = states.into_iter().map(SharedImage::split);
-        let (shared, first) = split.next().expect("one state per track");
-        let shared = Shared::resume(policy, shared);
-        let images = std::iter::once(first).chain(split.map(|(_, image)| image));
+        let StreamingPipelineBuilder { tracks, policy, .. } = self;
+        let (shared, images) = Shared::resume(policy, state);
         let tracks = tracks
             .into_iter()
             .zip(images)
@@ -293,7 +280,7 @@ impl StreamingPipelineBuilder {
         Ok(StreamingPipeline { shared, tracks })
     }
 
-    /// The checks `build` and `resume_tracks` share: the drift
+    /// The checks `build` and `resume` share: the drift
     /// threshold's range and every track's algorithm family against its
     /// mode.
     fn validate(&self) -> Result<(), EngineError> {
@@ -309,85 +296,51 @@ impl StreamingPipelineBuilder {
     }
 }
 
-/// What is wrong with resuming `tracks` tracks from `states`, if
-/// anything: one state per track; the first state's order keys cover
-/// every vertex within their bounds and its baseline is a fraction; and
-/// every state carries a state per vertex and that same graph, order
-/// keys, baseline and counters.
-fn resume_problem(states: &[ResumableState], tracks: usize) -> Option<(&'static str, String)> {
-    if states.len() != tracks {
-        return Some((
+/// What is wrong with resuming `tracks` tracks from `state`, if
+/// anything: one track state per track, each a state per vertex; order
+/// keys for every vertex, within their bounds; and a baseline that is a
+/// fraction.
+fn resume_problem(state: &ResumableState, tracks: usize) -> Option<(&'static str, String)> {
+    let n = state.graph.num_vertices();
+    let short = state.tracks.iter().position(|t| t.states.len() != n);
+    if state.tracks.len() != tracks {
+        let message = format!("{} track states for {tracks} tracks", state.tracks.len());
+        Some(("states", message))
+    } else if let Some(i) = short {
+        let len = state.tracks[i].states.len();
+        Some((
             "states",
-            format!("{} states for {tracks} tracks", states.len()),
-        ));
-    }
-    let s = &states[0];
-    let n = s.graph.num_vertices();
-    if s.order_vals.len() != n {
-        let count = s.order_vals.len();
+            format!("track {i}: state length {len} != vertex count {n}"),
+        ))
+    } else if state.order_vals.len() != n {
+        let count = state.order_vals.len();
         Some((
             "order_vals",
             format!("order val count {count} != vertex count {n}"),
         ))
-    } else if s
-        .order_vals
-        .iter()
-        .any(|&v| !(s.order_min_val <= v && v <= s.order_max_val))
+    } else if (state.order_vals.iter())
+        .any(|&v| !(state.order_min_val <= v && v <= state.order_max_val))
     {
         let message = "order vals must be non-NaN and covered by the saved bounds";
         Some(("order_vals", message.to_string()))
-    } else if !(0.0..=1.0).contains(&s.baseline_fraction) {
-        let fraction = s.baseline_fraction;
+    } else if !(0.0..=1.0).contains(&state.baseline_fraction) {
+        let fraction = state.baseline_fraction;
         Some((
             "baseline_fraction",
             format!("must be a fraction in [0, 1], got {fraction}"),
         ))
     } else {
-        let keys = |t: &ResumableState| {
-            let bounds = [t.order_min_val, t.order_max_val];
-            bounds
-                .iter()
-                .chain(&t.order_vals)
-                .map(|x| x.to_bits())
-                .collect::<Vec<u64>>()
-        };
-        let scalars = |t: &ResumableState| {
-            [
-                t.baseline_fraction.to_bits(),
-                t.batches_applied as u64,
-                t.full_reorders as u64,
-            ]
-        };
-        states.iter().enumerate().find_map(|(i, t)| {
-            let differs = |what| Some((what, format!("track {i} disagrees with track 0")));
-            if t.states.len() != n {
-                let len = t.states.len();
-                Some((
-                    "states",
-                    format!("track {i}: state length {len} != vertex count {n}"),
-                ))
-            } else if i == 0 {
-                None
-            } else if t.graph != s.graph {
-                differs("graph")
-            } else if keys(t) != keys(s) {
-                differs("order_vals")
-            } else if scalars(t) != scalars(s) {
-                differs("baselines")
-            } else {
-                None
-            }
-        })
+        None
     }
 }
 
-/// A value-complete snapshot of one track of a [`StreamingPipeline`]
-/// together with the pipeline's algorithm-independent state — everything
-/// `apply_batch` reads for that track that is not builder
-/// configuration. Exported by [`StreamingPipeline::export_track`] and
-/// consumed by [`StreamingPipelineBuilder::resume_tracks`]; the serve
-/// crate's checkpoint format is a serialization of one per warm
-/// algorithm.
+/// A value-complete image of a [`StreamingPipeline`]: the graph and
+/// maintained order its tracks share, once, and each track's converged
+/// states and counters — everything `apply_batch` reads that is not
+/// builder configuration. Taken by [`StreamingPipeline::export_state`];
+/// [`StreamingPipelineBuilder::resume`] and [`StreamingPipeline::restore`]
+/// rebuild from it. The serve crate's checkpoint format is its
+/// serialization.
 #[derive(Debug, Clone)]
 pub struct ResumableState {
     /// The evolved graph.
@@ -406,14 +359,24 @@ pub struct ResumableState {
     /// The positive fraction drift is measured against: the bootstrap
     /// order's, or the kept order's at the last breach.
     pub baseline_fraction: f64,
-    /// The track's converged per-vertex states.
-    pub states: Vec<f64>,
-    /// The track's engine rounds across the bootstrap and every batch.
-    pub total_rounds: usize,
     /// Batches applied so far.
     pub batches_applied: usize,
     /// Full reorders adopted (bootstrap included).
     pub full_reorders: usize,
+    /// One per track, in the order the builder added them.
+    pub tracks: Vec<TrackState>,
+}
+
+/// One track's part of a [`ResumableState`].
+#[derive(Debug, Clone)]
+pub struct TrackState {
+    /// The track's converged per-vertex states, shared with the track
+    /// that exported them (it replaces rather than writes them).
+    pub states: Arc<Vec<f64>>,
+    /// The track's engine rounds across the bootstrap and every batch.
+    pub total_rounds: usize,
+    /// Batches that re-converged from `init` ([`Track::cold_batches`]).
+    pub cold_batches: usize,
     /// Whether the track's last run reached its fixpoint. A resumed
     /// track reports it as its [`Track::last_run`], so a round-capped
     /// run that stopped short stays unconverged: the next batch goes on
@@ -422,8 +385,8 @@ pub struct ResumableState {
 }
 
 /// What one engine run of one track did: the bootstrap, a batch's
-/// re-converge, or — after a resume — the adopted states (0 rounds,
-/// converged as the exporting track's last run was).
+/// re-converge, or — after a resume or a restore — the adopted states
+/// (0 rounds, converged as the exporting track's last run was).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunSummary {
     /// Rounds executed.
@@ -549,89 +512,6 @@ pub struct Track {
     cold_batches: usize,
 }
 
-/// Everything [`StreamingPipeline::restore`] needs to undo the batches
-/// applied since [`StreamingPipeline::savepoint`] — even one that
-/// stopped between two tracks. The graph and every track's states are
-/// `Arc`-shared with the pipeline, which replaces rather than writes
-/// them, so a savepoint costs one copy of the order's keys and nothing
-/// proportional to the tracks.
-pub struct Savepoint {
-    shared: SharedImage,
-    tracks: Vec<TrackImage>,
-}
-
-/// The algorithm-independent part as saved: what a resume or a restore
-/// rebuilds [`Shared`] from.
-struct SharedImage {
-    graph: CsrGraph,
-    order_vals: Vec<f64>,
-    order_min_val: f64,
-    order_max_val: f64,
-    baseline_fraction: f64,
-    counters: Counters,
-}
-
-impl SharedImage {
-    /// An exported track, split into the pipeline's part and its own.
-    fn split(s: ResumableState) -> (SharedImage, TrackImage) {
-        let shared = SharedImage {
-            graph: s.graph,
-            order_vals: s.order_vals,
-            order_min_val: s.order_min_val,
-            order_max_val: s.order_max_val,
-            baseline_fraction: s.baseline_fraction,
-            counters: Counters {
-                batches_applied: s.batches_applied,
-                full_reorders: s.full_reorders,
-            },
-        };
-        let track = TrackImage::resumed(s.states, s.total_rounds, s.converged);
-        (shared, track)
-    }
-
-    /// What [`SharedImage::split`] takes apart: `track`'s export.
-    fn join(self, track: &Track) -> ResumableState {
-        ResumableState {
-            graph: self.graph,
-            order_vals: self.order_vals,
-            order_min_val: self.order_min_val,
-            order_max_val: self.order_max_val,
-            baseline_fraction: self.baseline_fraction,
-            states: track.states.to_vec(),
-            total_rounds: track.total_rounds,
-            batches_applied: self.counters.batches_applied,
-            full_reorders: self.counters.full_reorders,
-            converged: track.last.converged,
-        }
-    }
-}
-
-/// A track's evolving state, minus what is derived from it.
-struct TrackImage {
-    states: Arc<Vec<f64>>,
-    digest: u64,
-    last: RunSummary,
-    total_rounds: usize,
-    cold_batches: usize,
-}
-
-impl TrackImage {
-    /// A resumed track: the adopted states, reached in no rounds, and
-    /// converged exactly when the exporting track's last run was.
-    fn resumed(states: Vec<f64>, total_rounds: usize, converged: bool) -> TrackImage {
-        TrackImage {
-            digest: state_digest(&states),
-            states: Arc::new(states),
-            last: RunSummary {
-                converged,
-                ..RunSummary::default()
-            },
-            total_rounds,
-            cold_batches: 0,
-        }
-    }
-}
-
 /// [`digest_term`] summed over `(vertex, state bits)`.
 fn state_digest(states: &[f64]) -> u64 {
     digest_of(states.iter().enumerate().map(|(v, s)| (v, s.to_bits())))
@@ -660,7 +540,8 @@ impl StreamingPipeline {
     /// are beyond the current count. An empty batch is a one-round
     /// confirmation that evaluates nothing. On an engine error the
     /// pipeline is left part-way through the batch:
-    /// [`restore`](Self::restore) a [`Savepoint`] taken before it.
+    /// [`restore`](Self::restore) an [`export_state`](Self::export_state)
+    /// taken before it.
     pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> Result<BatchResult, EngineError> {
         self.apply_batch_with(updates, |_| {})
     }
@@ -699,54 +580,57 @@ impl StreamingPipeline {
         })
     }
 
-    /// Snapshots what `apply_batch` evolves for track `i` into a
-    /// [`ResumableState`]; one per track is what
-    /// [`StreamingPipelineBuilder::resume_tracks`] reconstructs a
-    /// pipeline from that behaves bit-identically from this point on.
-    /// The graph payload is `Arc`-shared (cheap); order keys and states
-    /// are value copies.
-    ///
-    /// # Panics
-    /// Panics if there is no track `i`.
-    pub fn export_track(&self, i: usize) -> ResumableState {
-        self.shared.image().join(&self.tracks[i])
-    }
-
-    /// [`export_track`](Self::export_track) of the first track — a
-    /// one-track pipeline's whole state, what
-    /// [`StreamingPipelineBuilder::resume`] takes.
+    /// The pipeline's whole state as one [`ResumableState`]: what
+    /// [`StreamingPipelineBuilder::resume`] rebuilds a pipeline from that
+    /// behaves bit-identically from this point on, and what
+    /// [`restore`](Self::restore) rolls back to. Cheap enough to take
+    /// before every batch: the graph and every track's states are
+    /// `Arc`-shared with the pipeline, which replaces rather than writes
+    /// them, so it costs one copy of the order keys and nothing
+    /// proportional to the tracks.
     pub fn export_state(&self) -> ResumableState {
-        self.export_track(0)
-    }
-
-    /// The pre-batch image [`restore`](Self::restore) rolls back to;
-    /// see [`Savepoint`] for what it costs.
-    pub fn savepoint(&self) -> Savepoint {
-        Savepoint {
-            shared: self.shared.image(),
-            tracks: self.tracks.iter().map(Track::image).collect(),
+        let shared = &self.shared;
+        let (order_vals, order_min_val, order_max_val) = shared.inc.order_state();
+        ResumableState {
+            graph: shared.graph.snapshot(),
+            order_vals,
+            order_min_val,
+            order_max_val,
+            baseline_fraction: shared.baseline_fraction,
+            batches_applied: shared.counters.batches_applied,
+            full_reorders: shared.counters.full_reorders,
+            tracks: (self.tracks.iter())
+                .map(|t| TrackState {
+                    states: Arc::clone(&t.states),
+                    total_rounds: t.total_rounds,
+                    cold_batches: t.cold_batches,
+                    converged: t.last.converged,
+                })
+                .collect(),
         }
     }
 
-    /// Puts the pipeline back where it was when `save` was taken —
-    /// whatever happened since, a batch that panicked between two
-    /// tracks included. Going forward it behaves bit-identically to a
-    /// pipeline that never applied those batches: the order maintainer
-    /// is rebuilt from the saved keys and the dependence levels from the
-    /// saved states, exactly as [`StreamingPipelineBuilder::resume`]
-    /// does, at `O(|E|)` per track — a cost paid only on rollback.
+    /// Puts the pipeline back at `state`, an
+    /// [`export_state`](Self::export_state) taken earlier — whatever
+    /// happened since, a batch that panicked between two tracks
+    /// included. Going forward it behaves bit-identically to a pipeline
+    /// that never applied those batches: it rebuilds exactly as
+    /// [`StreamingPipelineBuilder::resume`] does, the order maintainer
+    /// from the saved keys and the dependence levels from the saved
+    /// states, at `O(|E|)` per track — a cost paid only on rollback. As
+    /// after a resume, each [`Track::last_run`] then reads 0 rounds with
+    /// the saved `converged` flag.
     ///
     /// # Panics
-    /// Panics if `save` was taken from a pipeline with a different
-    /// number of tracks.
-    pub fn restore(&mut self, save: Savepoint) {
-        assert_eq!(
-            save.tracks.len(),
-            self.tracks.len(),
-            "savepoint of another pipeline"
-        );
-        self.shared = Shared::resume(self.shared.policy, save.shared);
-        for (track, image) in self.tracks.iter_mut().zip(save.tracks) {
+    /// Panics if `state` fails the checks `resume` makes: an image of a
+    /// pipeline with another number of tracks, or a malformed one.
+    pub fn restore(&mut self, state: ResumableState) {
+        if let Some((name, message)) = resume_problem(&state, self.tracks.len()) {
+            panic!("cannot restore this image: {name}: {message}");
+        }
+        let (shared, images) = Shared::resume(self.shared.policy, state);
+        self.shared = shared;
+        for (track, image) in self.tracks.iter_mut().zip(images) {
             track.adopt(&self.shared.graph, image);
         }
     }
@@ -820,38 +704,29 @@ impl StreamingPipeline {
 }
 
 impl Shared {
-    /// The shared part of a resumed pipeline: the order maintainer
-    /// rebuilt from its saved keys, the rest adopted as saved.
-    fn resume(policy: OrderPolicy, image: SharedImage) -> Shared {
+    /// The shared part of a resumed pipeline — the order maintainer
+    /// rebuilt from its saved keys, the rest adopted as saved — and the
+    /// tracks' part, handed back for [`Track::adopt`].
+    fn resume(policy: OrderPolicy, state: ResumableState) -> (Shared, Vec<TrackState>) {
         let mut inc = IncrementalGoGraph::from_graph_with_saved_order(
-            &image.graph,
-            &image.order_vals,
-            image.order_min_val,
-            image.order_max_val,
+            &state.graph,
+            &state.order_vals,
+            state.order_min_val,
+            state.order_max_val,
         );
         let order = Arc::new(inc.commit_order());
-        Shared {
+        let shared = Shared {
             policy,
             inc,
-            graph: image.graph,
+            graph: state.graph,
             order,
-            baseline_fraction: image.baseline_fraction,
-            counters: image.counters,
-        }
-    }
-
-    /// What [`Shared::resume`] needs: the graph shared, the order's keys
-    /// copied.
-    fn image(&self) -> SharedImage {
-        let (order_vals, order_min_val, order_max_val) = self.inc.order_state();
-        SharedImage {
-            graph: self.graph.snapshot(),
-            order_vals,
-            order_min_val,
-            order_max_val,
-            baseline_fraction: self.baseline_fraction,
-            counters: self.counters,
-        }
+            baseline_fraction: state.baseline_fraction,
+            counters: Counters {
+                batches_applied: state.batches_applied,
+                full_reorders: state.full_reorders,
+            },
+        };
+        (shared, state.tracks)
     }
 
     /// Folds a (self-loop-free) batch into the order and the CSR and
@@ -940,8 +815,9 @@ impl Track {
         self.digest
     }
 
-    /// The most recent run (bootstrap, batch, or — after a resume — the
-    /// adopted states, with the exported `converged` flag).
+    /// The most recent run (bootstrap, batch, or — after a resume or a
+    /// restore — the adopted states: 0 rounds, the exported `converged`
+    /// flag).
     pub fn last_run(&self) -> RunSummary {
         self.last
     }
@@ -953,7 +829,8 @@ impl Track {
     }
 
     /// Batches that re-converged from `init` instead of from the
-    /// previous fixpoint, since the pipeline was built or resumed:
+    /// previous fixpoint, since the pipeline was built (a resume or a
+    /// restore carries the count on):
     /// deletion trimming gave up (see [`StreamingPipeline::apply_batch`])
     /// or the algorithm restarts on every batch
     /// ([`Track::warm_start_is_sound`] is false).
@@ -1155,23 +1032,17 @@ impl Track {
         self.states = Arc::new(new);
     }
 
-    /// What [`Track::adopt`] restores.
-    fn image(&self) -> TrackImage {
-        TrackImage {
-            states: Arc::clone(&self.states),
-            digest: self.digest,
-            last: self.last,
-            total_rounds: self.total_rounds,
-            cold_batches: self.cold_batches,
-        }
-    }
-
-    /// Takes over a saved or resumed image on `g`, rebuilding the
-    /// levels it does not carry.
-    fn adopt(&mut self, g: &CsrGraph, image: TrackImage) {
+    /// Takes over a resumed or restored image on `g`, rebuilding the
+    /// digest and the levels it does not carry. The adopted states were
+    /// reached in no rounds, converged exactly when the exporting
+    /// track's last run was.
+    fn adopt(&mut self, g: &CsrGraph, image: TrackState) {
+        self.digest = state_digest(&image.states);
         self.states = image.states;
-        self.digest = image.digest;
-        self.last = image.last;
+        self.last = RunSummary {
+            converged: image.converged,
+            ..RunSummary::default()
+        };
         self.total_rounds = image.total_rounds;
         self.cold_batches = image.cold_batches;
         self.levels = if self.warm_start_is_sound() {
@@ -1818,7 +1689,9 @@ mod tests {
     fn resume_is_bit_identical_going_forward() {
         let g = seed_graph();
         // A second, round-capped track: its runs stop short of the
-        // fixpoint, and a resume must not claim otherwise.
+        // fixpoint, and a resume must not claim otherwise. A third,
+        // PageRank, restarts cold on every batch, and a resume must carry
+        // that count on.
         let builder = || {
             StreamingPipeline::over(&g)
                 .algorithm(Sssp::new(0))
@@ -1826,6 +1699,8 @@ mod tests {
                 .track()
                 .algorithm(Sssp::new(7))
                 .max_rounds(1)
+                .track()
+                .algorithm(PageRank::default())
         };
         let mut original = builder().build().unwrap();
         let mut control = builder().build().unwrap();
@@ -1844,16 +1719,27 @@ mod tests {
             control.apply_batch(b).unwrap();
         }
         assert!(!original.tracks()[1].last_run().converged);
-        let exported = vec![original.export_track(0), original.export_track(1)];
+        let exported = original.export_state();
         assert_eq!(
-            exported.iter().map(|s| s.converged).collect::<Vec<_>>(),
-            [true, false]
+            exported
+                .tracks
+                .iter()
+                .map(|t| t.converged)
+                .collect::<Vec<_>>(),
+            [true, false, true]
         );
-        let mut resumed = builder().resume_tracks(exported).unwrap();
+        let mut resumed = builder().resume(exported).unwrap();
+        let counters = |p: &StreamingPipeline| {
+            (p.tracks().iter())
+                .map(|t| (t.total_rounds(), t.cold_batches()))
+                .collect::<Vec<_>>()
+        };
         assert_eq!(resumed.graph(), original.graph());
         assert_eq!(resumed.order(), original.order());
         assert_eq!(resumed.states(), original.states());
         assert_eq!(resumed.batches_applied(), 3);
+        assert_eq!(counters(&resumed), counters(&original));
+        assert_eq!(resumed.tracks()[2].cold_batches(), 3, "PageRank restarts");
         assert!(resumed.tracks()[0].last_run().converged);
         assert!(!resumed.tracks()[1].last_run().converged);
         // The tail must evolve identically on all three pipelines.
@@ -1868,8 +1754,28 @@ mod tests {
             assert_eq!(r.states(), o.states());
             assert_eq!(r.last_run().converged, o.last_run().converged);
         }
+        assert_eq!(counters(&resumed), counters(&original));
         assert_eq!(resumed.full_reorders(), original.full_reorders());
         assert_eq!(control.states(), original.states(), "control sanity");
+    }
+
+    #[test]
+    fn export_state_shares_the_graph_and_states() {
+        // The per-batch rollback image: one copy of the order keys,
+        // nothing else copied.
+        let g = seed_graph();
+        let sp = StreamingPipeline::over(&g)
+            .algorithm(Sssp::new(0))
+            .track()
+            .algorithm(ConnectedComponents)
+            .build()
+            .unwrap();
+        let image = sp.export_state();
+        assert!(image.graph.shares_storage_with(sp.graph()));
+        assert_eq!(image.tracks.len(), 2);
+        for (saved, track) in image.tracks.iter().zip(sp.tracks()) {
+            assert!(Arc::ptr_eq(&saved.states, track.states()));
+        }
     }
 
     /// The handed-off order and the `M(O)` counter against their
@@ -1966,7 +1872,7 @@ mod tests {
         assert!(matches!(err, EngineError::MissingAlgorithm { .. }));
 
         let mut short_states = good.clone();
-        short_states.states.pop();
+        Arc::make_mut(&mut short_states.tracks[0].states).pop();
         let err = StreamingPipeline::over(&g)
             .algorithm(Sssp::new(0))
             .resume(short_states)
@@ -2004,34 +1910,17 @@ mod tests {
             }
         ));
 
-        // Several tracks: one state each, all of one pipeline.
-        let two = |states: Vec<ResumableState>| {
-            StreamingPipeline::over(&g)
-                .algorithm(Sssp::new(0))
-                .track()
-                .algorithm(Bfs::new(0))
-                .resume_tracks(states)
-        };
+        // One track state per configured track.
+        let err = StreamingPipeline::over(&g)
+            .algorithm(Sssp::new(0))
+            .track()
+            .algorithm(Bfs::new(0))
+            .resume(good)
+            .unwrap_err();
         assert!(matches!(
-            two(vec![good.clone()]).unwrap_err(),
+            err,
             EngineError::InvalidParameter { name: "states", .. }
         ));
-        let mut other_keys = good.clone();
-        other_keys.order_vals.swap(0, 1);
-        assert!(matches!(
-            two(vec![good.clone(), other_keys]).unwrap_err(),
-            EngineError::InvalidParameter {
-                name: "order_vals",
-                ..
-            }
-        ));
-        let mut other_graph = good.clone();
-        other_graph.graph = other_graph.graph.apply_updates(&[EdgeUpdate::insert(9, 0)]);
-        assert!(matches!(
-            two(vec![good.clone(), other_graph]).unwrap_err(),
-            EngineError::InvalidParameter { name: "graph", .. }
-        ));
-        assert!(two(vec![good.clone(), good]).is_ok());
     }
 
     #[test]
@@ -2058,7 +1947,7 @@ mod tests {
             })
             .collect();
         for (i, b) in batches.iter().enumerate() {
-            let save = sp.savepoint();
+            let save = sp.export_state();
             // The batch reaches the shared graph and the first track,
             // then dies: the second track is still on the old graph.
             let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -2334,10 +2223,8 @@ mod tests {
                 let mut resumed = None;
                 for (i, ops) in batches.iter().enumerate() {
                     if i == batches.len() / 2 {
-                        let states = (0..subjects.len()).map(|t| multi.export_track(t)).collect();
-                        resumed = Some(
-                            Subject::tracks_over(&subjects, &g, mode).resume_tracks(states).unwrap(),
-                        );
+                        let state = multi.export_state();
+                        resumed = Some(Subject::tracks_over(&subjects, &g, mode).resume(state).unwrap());
                     }
                     let batch = resolve(multi.graph(), ops);
                     multi.apply_batch(&batch).unwrap();

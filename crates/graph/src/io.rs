@@ -132,7 +132,8 @@ pub fn to_binary(g: &CsrGraph) -> Bytes {
     buf.freeze()
 }
 
-/// Deserializes a graph from the binary format.
+/// Deserializes a graph from the binary format. The input must hold
+/// exactly one graph: bytes after the last declared edge are an error.
 pub fn from_binary(mut data: Bytes) -> io::Result<CsrGraph> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     if data.remaining() < 24 {
@@ -168,6 +169,9 @@ pub fn from_binary(mut data: Bytes) -> io::Result<CsrGraph> {
             return Err(bad("edge endpoint out of declared vertex range"));
         }
         b.add_edge(src, dst, w);
+    }
+    if data.has_remaining() {
+        return Err(bad("trailing bytes after edge section"));
     }
     Ok(b.build())
 }
@@ -595,6 +599,14 @@ mod tests {
         assert!(from_binary(Bytes::from(bad)).is_err());
         // truncated edges
         assert!(from_binary(bytes.slice(0..bytes.len() - 4)).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_trailing_bytes() {
+        let mut junk = to_binary(&sample()).to_vec();
+        junk.push(0);
+        let err = from_binary(Bytes::from(junk)).unwrap_err();
+        assert!(err.to_string().contains("trailing bytes"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Epoch checkpoints: the compaction half of crash recovery.
 //!
-//! A checkpoint is a serialized [`ResumableState`] per warm track of the
-//! mutator's pipeline (each carrying the same graph, order keys and
-//! baselines) plus the WAL sequence number and epoch it captures —
+//! A checkpoint is the mutator pipeline's [`ResumableState`] — the graph
+//! and order keys its tracks share, written once, then one section per
+//! warm track — plus the WAL sequence number and epoch it captures:
 //! everything needed to rebuild the mutator's exact decision state via
-//! [`StreamingPipelineBuilder::resume_tracks`](gograph_engine::StreamingPipelineBuilder::resume_tracks)
+//! [`StreamingPipelineBuilder::resume`](gograph_engine::StreamingPipelineBuilder::resume)
 //! and then replay only the WAL records with `seq >` the checkpoint's.
 //! Because the streaming pipeline is deterministic and the resumable
 //! state carries the insertion order's full float-key state, recovery
@@ -14,13 +14,14 @@
 //! round-trips are exact):
 //!
 //! ```text
-//! GGCKPT3\0 · payload · crc u32
+//! GGCKPT4\0 · payload · crc u32
 //! payload = seq u64 · epoch u64 · updates_applied u64 · mutator_rounds u64
-//!         · n_pipelines u32 · n × pipeline
-//! pipeline = alg u8 · source u32 · state
-//! state   = graph (len u64 · binary CSR) · order_vals (n u64 bits)
+//!         · graph (len u64 · binary CSR) · order_vals (n u64 · n × bits)
 //!         · min/max bits u64 · baseline_fraction bits u64
-//!         · states (n u64 bits) · 3 evolution counters u64 · converged u8
+//!         · batches_applied u64 · full_reorders u64
+//!         · n_tracks u32 · n × track
+//! track   = alg u8 · source u32 · states (n u64 · n × bits)
+//!         · total_rounds u64 · cold_batches u64 · converged u8
 //! ```
 //!
 //! The trailing CRC-32 covers the whole payload; a mismatch (torn
@@ -28,27 +29,29 @@
 //! (temp + fsync + rename) precisely so this never happens in normal
 //! crash windows. Version 2 added the `converged` byte; version 3
 //! dropped the partition arrays, the density baseline and two repair
-//! counters. A file of any other version is refused with
-//! [`UnsupportedVersion`], never guessed at.
+//! counters; version 4 writes the graph and the order once instead of
+//! once per track, and adds each track's `cold_batches`. A file of any
+//! other version is refused with [`UnsupportedVersion`], never guessed
+//! at.
 
 use crate::core::WarmSpec;
 use crate::spec::AlgSpec;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use gograph_engine::ResumableState;
+use gograph_engine::{ResumableState, TrackState};
 use gograph_graph::io::{crc32, from_binary, to_binary};
-use std::fs::File;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
-/// File magic: identifies a GoGraph checkpoint, version 3.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"GGCKPT3\0";
+/// File magic: identifies a GoGraph checkpoint, version 4.
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"GGCKPT4\0";
 
 /// A checkpoint written in a format version this build does not read,
 /// carried inside the [`io::Error`] that [`decode_checkpoint`] returns
 /// (reach it with `get_ref()` and `downcast_ref`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnsupportedVersion {
-    /// The version the file's magic names: 2 for `GGCKPT2`.
+    /// The version the file's magic names: 3 for `GGCKPT3`.
     pub found: u8,
 }
 
@@ -56,7 +59,7 @@ impl std::fmt::Display for UnsupportedVersion {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "checkpoint format version {} (GGCKPT{}) is not readable; this build reads GGCKPT3 only",
+            "checkpoint format version {} (GGCKPT{}) is not readable; this build reads GGCKPT4 only",
             self.found, self.found
         )
     }
@@ -64,7 +67,7 @@ impl std::fmt::Display for UnsupportedVersion {
 
 impl std::error::Error for UnsupportedVersion {}
 
-/// A recovery point: per-pipeline resumable state plus the WAL
+/// A recovery point: the pipeline's resumable state plus the WAL
 /// position it captures.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
@@ -77,16 +80,11 @@ pub struct Checkpoint {
     pub updates_applied: u64,
     /// `ServeStats::mutator_rounds` at the capture point.
     pub mutator_rounds: u64,
-    /// One entry per warm track, in `ServeConfig::warm` order.
-    pub pipelines: Vec<PipelineCheckpoint>,
-}
-
-/// One warm track's identity and exported state.
-#[derive(Debug, Clone)]
-pub struct PipelineCheckpoint {
-    /// Which warm pipeline this is.
-    pub warm: WarmSpec,
-    /// Its full resumable state.
+    /// The warm tracks, in `ServeConfig::warm` order: one per entry of
+    /// `state.tracks`.
+    pub warm: Vec<WarmSpec>,
+    /// The mutator pipeline's image: graph and order once, one
+    /// [`TrackState`] per warm track.
     pub state: ResumableState,
 }
 
@@ -122,70 +120,42 @@ fn get_len(buf: &mut Bytes, elem_bytes: usize) -> io::Result<usize> {
     Ok(n as usize)
 }
 
-fn put_state(buf: &mut BytesMut, s: &ResumableState) {
-    let graph = to_binary(&s.graph);
-    buf.put_u64_le(graph.len() as u64);
-    buf.put_slice(&graph);
-    put_f64s(buf, &s.order_vals);
-    buf.put_u64_le(s.order_min_val.to_bits());
-    buf.put_u64_le(s.order_max_val.to_bits());
-    buf.put_u64_le(s.baseline_fraction.to_bits());
-    put_f64s(buf, &s.states);
-    for c in [s.total_rounds, s.batches_applied, s.full_reorders] {
-        buf.put_u64_le(c as u64);
+/// Reads `N` little-endian `u64`s, or fails naming `what`.
+fn get_u64s<const N: usize>(buf: &mut Bytes, what: &str) -> io::Result<[u64; N]> {
+    if buf.remaining() < 8 * N {
+        return Err(corrupt(format!("truncated {what}")));
     }
-    buf.put_u8(u8::from(s.converged));
-}
-
-fn get_state(buf: &mut Bytes) -> io::Result<ResumableState> {
-    let graph_len = get_len(buf, 1)?;
-    let graph = from_binary(buf.split_to(graph_len))?;
-    let order_vals = get_f64s(buf)?;
-    if buf.remaining() < 24 {
-        return Err(corrupt("truncated order bounds and baseline"));
-    }
-    let order_min_val = f64::from_bits(buf.get_u64_le());
-    let order_max_val = f64::from_bits(buf.get_u64_le());
-    let baseline_fraction = f64::from_bits(buf.get_u64_le());
-    let states = get_f64s(buf)?;
-    if buf.remaining() < 3 * 8 + 1 {
-        return Err(corrupt("truncated evolution counters"));
-    }
-    let mut counters = [0u64; 3];
-    for c in counters.iter_mut() {
-        *c = buf.get_u64_le();
-    }
-    let converged = match buf.get_u8() {
-        0 => false,
-        1 => true,
-        flag => return Err(corrupt(format!("converged flag {flag} is neither 0 nor 1"))),
-    };
-    Ok(ResumableState {
-        graph,
-        order_vals,
-        order_min_val,
-        order_max_val,
-        baseline_fraction,
-        states,
-        total_rounds: counters[0] as usize,
-        batches_applied: counters[1] as usize,
-        full_reorders: counters[2] as usize,
-        converged,
-    })
+    Ok(std::array::from_fn(|_| buf.get_u64_le()))
 }
 
 /// Serializes a checkpoint (magic + payload + CRC trailer).
+///
+/// # Panics
+/// Panics if `ck.warm` and `ck.state.tracks` differ in length.
 pub fn encode_checkpoint(ck: &Checkpoint) -> Bytes {
+    let s = &ck.state;
+    assert_eq!(ck.warm.len(), s.tracks.len(), "one warm spec per track");
     let mut payload = BytesMut::with_capacity(1 << 16);
-    payload.put_u64_le(ck.seq);
-    payload.put_u64_le(ck.epoch);
-    payload.put_u64_le(ck.updates_applied);
-    payload.put_u64_le(ck.mutator_rounds);
-    payload.put_u32_le(ck.pipelines.len() as u32);
-    for p in &ck.pipelines {
-        payload.put_u8(p.warm.alg.code());
-        payload.put_u32_le(p.warm.source);
-        put_state(&mut payload, &p.state);
+    for x in [ck.seq, ck.epoch, ck.updates_applied, ck.mutator_rounds] {
+        payload.put_u64_le(x);
+    }
+    let graph = to_binary(&s.graph);
+    payload.put_u64_le(graph.len() as u64);
+    payload.put_slice(&graph);
+    put_f64s(&mut payload, &s.order_vals);
+    for x in [s.order_min_val, s.order_max_val, s.baseline_fraction] {
+        payload.put_u64_le(x.to_bits());
+    }
+    payload.put_u64_le(s.batches_applied as u64);
+    payload.put_u64_le(s.full_reorders as u64);
+    payload.put_u32_le(s.tracks.len() as u32);
+    for (warm, t) in ck.warm.iter().zip(&s.tracks) {
+        payload.put_u8(warm.alg.code());
+        payload.put_u32_le(warm.source);
+        put_f64s(&mut payload, &t.states);
+        payload.put_u64_le(t.total_rounds as u64);
+        payload.put_u64_le(t.cold_batches as u64);
+        payload.put_u8(u8::from(t.converged));
     }
     let crc = crc32(&payload);
     let mut out = BytesMut::with_capacity(8 + payload.len() + 4);
@@ -215,27 +185,40 @@ pub fn decode_checkpoint(data: Bytes) -> io::Result<Checkpoint> {
         return Err(corrupt("checkpoint CRC mismatch"));
     }
     let mut buf = payload;
-    if buf.remaining() < 4 * 8 + 4 {
-        return Err(corrupt("truncated checkpoint header"));
+    let [seq, epoch, updates_applied, mutator_rounds] = get_u64s(&mut buf, "checkpoint header")?;
+    let graph_len = get_len(&mut buf, 1)?;
+    let graph = from_binary(buf.split_to(graph_len))?;
+    let order_vals = get_f64s(&mut buf)?;
+    let [min, max, baseline, batches_applied, full_reorders] =
+        get_u64s(&mut buf, "order bounds, baseline and counters")?;
+    if buf.remaining() < 4 {
+        return Err(corrupt("truncated track count"));
     }
-    let seq = buf.get_u64_le();
-    let epoch = buf.get_u64_le();
-    let updates_applied = buf.get_u64_le();
-    let mutator_rounds = buf.get_u64_le();
     let n = buf.get_u32_le() as usize;
-    let mut pipelines = Vec::with_capacity(n.min(256));
+    let (mut warm, mut tracks) = (Vec::new(), Vec::new());
     for _ in 0..n {
         if buf.remaining() < 5 {
-            return Err(corrupt("truncated pipeline header"));
+            return Err(corrupt("truncated track header"));
         }
         let code = buf.get_u8();
         let alg = AlgSpec::from_code(code)
             .ok_or_else(|| corrupt(format!("unknown algorithm code {code}")))?;
-        let source = buf.get_u32_le();
-        let state = get_state(&mut buf)?;
-        pipelines.push(PipelineCheckpoint {
-            warm: WarmSpec::new(alg, source),
-            state,
+        warm.push(WarmSpec::new(alg, buf.get_u32_le()));
+        let states = get_f64s(&mut buf)?;
+        let [total_rounds, cold_batches] = get_u64s(&mut buf, "track counters")?;
+        if !buf.has_remaining() {
+            return Err(corrupt("truncated converged flag"));
+        }
+        let converged = match buf.get_u8() {
+            0 => false,
+            1 => true,
+            flag => return Err(corrupt(format!("converged flag {flag} is neither 0 nor 1"))),
+        };
+        tracks.push(TrackState {
+            states: Arc::new(states),
+            total_rounds: total_rounds as usize,
+            cold_batches: cold_batches as usize,
+            converged,
         });
     }
     if buf.has_remaining() {
@@ -246,7 +229,17 @@ pub fn decode_checkpoint(data: Bytes) -> io::Result<Checkpoint> {
         epoch,
         updates_applied,
         mutator_rounds,
-        pipelines,
+        warm,
+        state: ResumableState {
+            graph,
+            order_vals,
+            order_min_val: f64::from_bits(min),
+            order_max_val: f64::from_bits(max),
+            baseline_fraction: f64::from_bits(baseline),
+            batches_applied: batches_applied as usize,
+            full_reorders: full_reorders as usize,
+            tracks,
+        },
     })
 }
 
@@ -256,23 +249,7 @@ pub fn decode_checkpoint(data: Bytes) -> io::Result<Checkpoint> {
 /// written.
 pub fn write_checkpoint(path: &Path, ck: &Checkpoint) -> io::Result<u64> {
     let bytes = encode_checkpoint(ck);
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_default();
-    name.push(".tmp");
-    let tmp = path.with_file_name(name);
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
+    crate::write_atomic(path, &bytes)?;
     Ok(bytes.len() as u64)
 }
 
@@ -288,12 +265,13 @@ pub fn read_checkpoint(path: &Path) -> io::Result<Option<Checkpoint>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gograph_engine::{Sssp, StreamingPipeline};
+    use gograph_engine::{Bfs, PageRank, Sssp, StreamingPipeline};
+    use gograph_graph::generators::regular::chain;
     use gograph_graph::generators::{planted_partition, shuffle_labels, PlantedPartitionConfig};
-    use gograph_graph::EdgeUpdate;
+    use gograph_graph::{CsrGraph, EdgeUpdate};
 
-    fn pipeline_state() -> ResumableState {
-        let g = shuffle_labels(
+    fn graph() -> CsrGraph {
+        shuffle_labels(
             &planted_partition(PlantedPartitionConfig {
                 num_vertices: 60,
                 num_edges: 320,
@@ -303,8 +281,11 @@ mod tests {
                 seed: 41,
             }),
             3,
-        );
-        let mut sp = StreamingPipeline::over(&g)
+        )
+    }
+
+    fn pipeline_state() -> ResumableState {
+        let mut sp = StreamingPipeline::over(&graph())
             .algorithm(Sssp::new(0))
             .build()
             .unwrap();
@@ -313,77 +294,177 @@ mod tests {
         sp.export_state()
     }
 
+    fn checkpoint(seq: u64, warm: WarmSpec) -> Checkpoint {
+        Checkpoint {
+            seq,
+            epoch: 1,
+            updates_applied: 2,
+            mutator_rounds: 1,
+            warm: vec![warm],
+            state: pipeline_state(),
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn checkpoint_roundtrip_is_exact() {
-        let state = pipeline_state();
-        assert!(state.converged);
+        let mut state = pipeline_state();
+        assert!(state.tracks[0].converged);
         // A round-capped track's flag travels with it.
-        let capped = ResumableState {
+        let capped = TrackState {
             converged: false,
-            ..state.clone()
+            cold_batches: 2,
+            ..state.tracks[0].clone()
         };
+        state.tracks.push(capped);
         let ck = Checkpoint {
             seq: 17,
             epoch: 9,
             updates_applied: 120,
             mutator_rounds: 33,
-            pipelines: vec![
-                PipelineCheckpoint {
-                    warm: WarmSpec::new(AlgSpec::Sssp, 0),
-                    state: state.clone(),
-                },
-                PipelineCheckpoint {
-                    warm: WarmSpec::new(AlgSpec::Bfs, 0),
-                    state: capped,
-                },
+            warm: vec![
+                WarmSpec::new(AlgSpec::Sssp, 0),
+                WarmSpec::new(AlgSpec::Bfs, 0),
             ],
+            state: state.clone(),
         };
         let decoded = decode_checkpoint(encode_checkpoint(&ck)).unwrap();
         assert_eq!(decoded.seq, 17);
         assert_eq!(decoded.epoch, 9);
         assert_eq!(decoded.updates_applied, 120);
         assert_eq!(decoded.mutator_rounds, 33);
-        let d = &decoded.pipelines[0];
-        assert_eq!(d.warm, WarmSpec::new(AlgSpec::Sssp, 0));
-        assert_eq!(d.state.graph, state.graph);
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&d.state.order_vals), bits(&state.order_vals));
-        assert_eq!(
-            d.state.order_min_val.to_bits(),
-            state.order_min_val.to_bits()
-        );
-        assert_eq!(
-            d.state.order_max_val.to_bits(),
-            state.order_max_val.to_bits()
-        );
-        assert_eq!(
-            d.state.baseline_fraction.to_bits(),
-            state.baseline_fraction.to_bits()
-        );
-        assert_eq!(bits(&d.state.states), bits(&state.states));
-        assert_eq!(d.state.total_rounds, state.total_rounds);
-        assert_eq!(d.state.batches_applied, state.batches_applied);
-        let flags: Vec<bool> = decoded
-            .pipelines
-            .iter()
-            .map(|p| p.state.converged)
-            .collect();
+        assert_eq!(decoded.warm, ck.warm);
+        let d = &decoded.state;
+        assert_eq!(d.graph, state.graph);
+        assert_eq!(bits(&d.order_vals), bits(&state.order_vals));
+        let scalars = |s: &ResumableState| {
+            let bounds = [s.order_min_val, s.order_max_val, s.baseline_fraction];
+            (bits(&bounds), s.batches_applied, s.full_reorders)
+        };
+        assert_eq!(scalars(d), scalars(&state));
+        assert_eq!(d.tracks.len(), 2);
+        for (got, want) in d.tracks.iter().zip(&state.tracks) {
+            assert_eq!(bits(&got.states), bits(&want.states));
+            assert_eq!(got.total_rounds, want.total_rounds);
+            assert_eq!(got.cold_batches, want.cold_batches);
+        }
+        let flags: Vec<bool> = d.tracks.iter().map(|t| t.converged).collect();
         assert_eq!(flags, [true, false]);
     }
 
     #[test]
-    fn corruption_is_detected_at_every_flipped_byte_region() {
-        let ck = Checkpoint {
+    fn the_graph_and_order_are_written_once_however_many_tracks() {
+        let g = graph();
+        let sp = StreamingPipeline::over(&g)
+            .algorithm(Sssp::new(0))
+            .track()
+            .algorithm(Bfs::new(0))
+            .track()
+            .algorithm(PageRank::default())
+            .build()
+            .unwrap();
+        let three = Checkpoint {
             seq: 1,
             epoch: 1,
-            updates_applied: 2,
-            mutator_rounds: 1,
-            pipelines: vec![PipelineCheckpoint {
-                warm: WarmSpec::new(AlgSpec::Cc, 0),
-                state: pipeline_state(),
-            }],
+            updates_applied: 0,
+            mutator_rounds: 0,
+            warm: vec![
+                WarmSpec::new(AlgSpec::Sssp, 0),
+                WarmSpec::new(AlgSpec::Bfs, 0),
+                WarmSpec::new(AlgSpec::PageRank, 0),
+            ],
+            state: sp.export_state(),
         };
-        let good = encode_checkpoint(&ck);
+        let mut one = three.clone();
+        one.warm.truncate(1);
+        one.state.tracks.truncate(1);
+        // alg · source · states (length + one u64 per vertex)
+        // · total_rounds · cold_batches · converged
+        let track = 1 + 4 + 8 + 8 * g.num_vertices() + 8 + 8 + 1;
+        assert_eq!(
+            encode_checkpoint(&three).len(),
+            encode_checkpoint(&one).len() + 2 * track
+        );
+    }
+
+    /// Joins the golden hex strings below and parses them into bytes.
+    fn unhex(parts: &[&str]) -> Vec<u8> {
+        let hex = parts.concat();
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// A tiny `GGCKPT4` file, section by section: any change to the
+    /// layout has to re-pin it on purpose. The image is written by hand
+    /// (the states a CC and an SSSP track reach on `chain(4)`), so the
+    /// bytes pin the layout, not the engine.
+    #[test]
+    fn tiny_checkpoint_bytes_are_golden() {
+        let track = |states: [f64; 4], total_rounds, cold_batches| TrackState {
+            states: Arc::new(states.to_vec()),
+            total_rounds,
+            cold_batches,
+            converged: true,
+        };
+        let ck = Checkpoint {
+            seq: 7,
+            epoch: 6,
+            updates_applied: 40,
+            mutator_rounds: 9,
+            warm: vec![
+                WarmSpec::new(AlgSpec::Cc, 0),
+                WarmSpec::new(AlgSpec::Sssp, 0),
+            ],
+            state: ResumableState {
+                graph: chain(4),
+                order_vals: vec![0.0, 1.0, 2.0, 3.0],
+                order_min_val: 0.0,
+                order_max_val: 3.0,
+                baseline_fraction: 1.0,
+                batches_applied: 2,
+                full_reorders: 1,
+                tracks: vec![track([0.0; 4], 3, 0), track([0.0, 1.0, 2.0, 3.0], 5, 1)],
+            },
+        };
+        let golden = unhex(&[
+            // magic
+            "4747434b50543400",
+            // seq 7 · epoch 6 · updates_applied 40 · mutator_rounds 9
+            "0700000000000000060000000000000028000000000000000900000000000000",
+            // graph: length 72 · GOGRAPH1 · 4 vertices · 3 edges · 3 × (src dst weight)
+            "4800000000000000474f47524150483104000000000000000300000000000000",
+            "0000000001000000000000000000f03f0100000002000000000000000000f03f",
+            "0200000003000000000000000000f03f",
+            // order keys: 4 · 0.0 1.0 2.0 3.0
+            "04000000000000000000000000000000000000000000f03f0000000000000040",
+            "0000000000000840",
+            // min 0.0 · max 3.0 · baseline 1.0 · batches_applied 2 · full_reorders 1
+            "00000000000000000000000000000840000000000000f03f0200000000000000",
+            "0100000000000000",
+            // 2 tracks
+            "02000000",
+            // CC (code 2) · source 0 · 4 states 0.0 · 3 rounds · 0 cold · converged
+            "0200000000040000000000000000000000000000000000000000000000000000",
+            "000000000000000000000000000300000000000000000000000000000001",
+            // SSSP (code 0) · source 0 · 0.0 1.0 2.0 3.0 · 5 rounds · 1 cold · converged
+            "000000000004000000000000000000000000000000000000000000f03f000000",
+            "000000004000000000000008400500000000000000010000000000000001",
+            // CRC-32 of everything between the magic and here
+            "079fdac6",
+        ]);
+        assert_eq!(&encode_checkpoint(&ck)[..], &golden[..]);
+        let back = decode_checkpoint(Bytes::from(golden.clone())).unwrap();
+        assert_eq!(&encode_checkpoint(&back)[..], &golden[..]);
+    }
+
+    #[test]
+    fn corruption_is_detected_at_every_flipped_byte_region() {
+        let good = encode_checkpoint(&checkpoint(1, WarmSpec::new(AlgSpec::Cc, 0)));
         // Flip one byte in several regions: header, middle, trailer.
         for idx in [9, good.len() / 2, good.len() - 2] {
             let mut bad = good.to_vec();
@@ -406,30 +487,21 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("epoch.ckpt");
         assert!(read_checkpoint(&path).unwrap().is_none());
-        let ck = Checkpoint {
-            seq: 3,
-            epoch: 2,
-            updates_applied: 10,
-            mutator_rounds: 3,
-            pipelines: vec![PipelineCheckpoint {
-                warm: WarmSpec::new(AlgSpec::Sssp, 5),
-                state: pipeline_state(),
-            }],
-        };
+        let ck = checkpoint(3, WarmSpec::new(AlgSpec::Sssp, 5));
         write_checkpoint(&path, &ck).unwrap();
         let back = read_checkpoint(&path).unwrap().unwrap();
         assert_eq!(back.seq, 3);
-        assert_eq!(back.pipelines[0].warm.source, 5);
-        assert!(back.pipelines[0].state.converged);
+        assert_eq!(back.warm[0].source, 5);
+        assert!(back.state.tracks[0].converged);
         // Overwrite is atomic and replaces the old contents.
         let ck2 = Checkpoint { seq: 8, ..ck };
         write_checkpoint(&path, &ck2).unwrap();
         assert_eq!(read_checkpoint(&path).unwrap().unwrap().seq, 8);
-        // A version-1 file (no converged flags) and a version-2 one
-        // (partition arrays) are refused by version, not misread as a
-        // corrupt version-3 one.
+        // A version-1 file (no converged flags), a version-2 one
+        // (partition arrays) and a version-3 one (a graph per track) are
+        // refused by version, not misread as a corrupt version-4 one.
         let current = std::fs::read(&path).unwrap();
-        for found in [1u8, 2] {
+        for found in [1u8, 2, 3] {
             let mut old = current.clone();
             old[6] = b'0' + found;
             std::fs::write(&path, old).unwrap();

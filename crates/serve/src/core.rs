@@ -20,9 +20,10 @@
 //! # Mutator supervision
 //!
 //! A panicking or failing batch application no longer halts epoch
-//! publication: the mutator takes a
-//! [`Savepoint`](gograph_engine::Savepoint) of its pipeline before
-//! applying a batch, catches panics, and on any failure restores the
+//! publication: the mutator takes an
+//! [`export_state`](gograph_engine::StreamingPipeline::export_state) of
+//! its pipeline before applying a batch, catches panics, and on any
+//! failure [restores](gograph_engine::StreamingPipeline::restore) the
 //! shared graph and order and every warm track to the pre-batch state.
 //! The failed batch is skipped (deterministically — a recovery replaying
 //! the same batches under the same [`FaultPlan`] skips the same ones),
@@ -45,7 +46,7 @@
 //! max-lag escape hatch that evicts a dead follower to checkpoint
 //! re-sync instead of letting it pin the log forever.
 
-use crate::checkpoint::{read_checkpoint, write_checkpoint, Checkpoint, PipelineCheckpoint};
+use crate::checkpoint::{read_checkpoint, write_checkpoint, Checkpoint};
 use crate::epoch::{EpochCell, EpochState, WarmEntry};
 use crate::fault::{splitmix64, FaultPlan};
 use crate::spec::{AlgSpec, ModeSpec};
@@ -564,15 +565,16 @@ impl ServeCore {
                 d.dir.display()
             ))
         })?;
-        if ck.pipelines.is_empty() {
+        if ck.warm.is_empty() {
             return Err(ServeError::InvalidRequest(
-                "checkpoint carries no pipelines".to_string(),
+                "checkpoint carries no tracks".to_string(),
             ));
         }
 
         let stats = Arc::new(ServeStats::default());
         adopt_counters(&stats, &ck);
-        let (warm, mut pipeline) = resume_warm_pipeline(ck.pipelines)?;
+        let mut pipeline = resume_warm_pipeline(&ck.warm, ck.state)?;
+        let warm = ck.warm;
 
         // Only the longest intact WAL prefix is replayable; anything
         // past it is a torn (never acked) append and is discarded.
@@ -1145,14 +1147,15 @@ impl ServeCore {
                     .to_string(),
             ));
         }
-        if ck.pipelines.is_empty() {
+        if ck.warm.is_empty() {
             return Err(ServeError::InvalidRequest(
-                "checkpoint carries no pipelines".to_string(),
+                "checkpoint carries no tracks".to_string(),
             ));
         }
         let stats = Arc::new(ServeStats::default());
         adopt_counters(&stats, &ck);
-        let (warm, pipeline) = resume_warm_pipeline(ck.pipelines)?;
+        let pipeline = resume_warm_pipeline(&ck.warm, ck.state)?;
+        let warm = ck.warm;
         stats.batches_enqueued.store(ck.seq, Ordering::Relaxed);
         stats.repl_primary_seq.store(ck.seq, Ordering::Relaxed);
         let cell = Arc::new(EpochCell::with_published(
@@ -1216,9 +1219,9 @@ impl ServeCore {
     /// Blocks until the mutator has swapped the restored state in and
     /// published it.
     pub fn resync_from(&self, ck: Checkpoint) -> Result<(), ServeError> {
-        if ck.pipelines.is_empty() {
+        if ck.warm.is_empty() {
             return Err(ServeError::InvalidRequest(
-                "checkpoint carries no pipelines".to_string(),
+                "checkpoint carries no tracks".to_string(),
             ));
         }
         let seq = ck.seq;
@@ -1271,7 +1274,7 @@ fn apply_supervised(
     // batch ahead of others, and publishing (or building on) that torn
     // mix is exactly what the supervisor must prevent. `Arc`s and one
     // copy of the order keys, not a copy of every track.
-    let save = pipeline.savepoint();
+    let save = pipeline.export_state();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if faults.mutator_panic(seq) {
             panic!("injected fault: mutator panic before batch {seq}");
@@ -1328,16 +1331,6 @@ fn adopt_counters(stats: &ServeStats, ck: &Checkpoint) {
         .store(ck.mutator_rounds, Ordering::Relaxed);
 }
 
-/// One [`PipelineCheckpoint`] per warm track, all sharing the graph.
-fn export_tracks(warm: &[WarmSpec], pipeline: &StreamingPipeline) -> Vec<PipelineCheckpoint> {
-    (warm.iter().enumerate())
-        .map(|(i, spec)| PipelineCheckpoint {
-            warm: *spec,
-            state: pipeline.export_track(i),
-        })
-        .collect()
-}
-
 fn make_checkpoint(
     warm: &[WarmSpec],
     pipeline: &StreamingPipeline,
@@ -1350,7 +1343,8 @@ fn make_checkpoint(
         epoch,
         updates_applied: stats.updates_applied.load(Ordering::Relaxed),
         mutator_rounds: stats.mutator_rounds.load(Ordering::Relaxed),
-        pipelines: export_tracks(warm, pipeline),
+        warm: warm.to_vec(),
+        state: pipeline.export_state(),
     }
 }
 
@@ -1393,15 +1387,15 @@ fn checkpoint_step(
 /// silently diverge from the primary's — exactly the fault the probe
 /// comparison must catch.
 fn corrupt_pipeline_state(ctx: &mut MutatorCtx, seq: u64) {
-    let mut tracks = export_tracks(&ctx.warm, &ctx.pipeline);
-    let states = &mut tracks[0].state.states;
+    let mut state = ctx.pipeline.export_state();
+    let states = Arc::make_mut(&mut state.tracks[0].states);
     if states.is_empty() {
         return;
     }
     let idx = seq as usize % states.len();
     states[idx] = -4096.5;
-    match resume_warm_pipeline(tracks) {
-        Ok((_, fresh)) => {
+    match resume_warm_pipeline(&ctx.warm, state) {
+        Ok(fresh) => {
             ctx.pipeline = fresh;
             eprintln!("gograph-serve: injected state corruption after batch {seq}");
         }
@@ -1413,9 +1407,9 @@ fn corrupt_pipeline_state(ctx: &mut MutatorCtx, seq: u64) {
 /// (divergence repair). Publishes the restored epoch and resets the
 /// probe history — stale fingerprints of diverged state must not
 /// answer probes at watermarks the follower is about to replay again.
-fn resync_mutator(ctx: &mut MutatorCtx, mut ck: Checkpoint, cell: &EpochCell, stats: &ServeStats) {
-    match resume_warm_pipeline(std::mem::take(&mut ck.pipelines)) {
-        Ok((warm, pipeline)) => (ctx.warm, ctx.pipeline) = (warm, pipeline),
+fn resync_mutator(ctx: &mut MutatorCtx, ck: Checkpoint, cell: &EpochCell, stats: &ServeStats) {
+    match resume_warm_pipeline(&ck.warm, ck.state.clone()) {
+        Ok(pipeline) => (ctx.warm, ctx.pipeline) = (ck.warm.clone(), pipeline),
         Err(e) => {
             eprintln!("gograph-serve: re-sync resume failed: {e}; keeping current state");
             return;
@@ -1530,18 +1524,13 @@ fn warm_pipeline(graph: &CsrGraph, warm: &[WarmSpec]) -> StreamingPipelineBuilde
     b
 }
 
-/// Rebuilds the warm pipeline from a checkpoint's per-track states —
-/// recovery, follower bootstrap, re-sync and the corruption drill.
+/// Rebuilds the warm pipeline from a checkpoint's image — recovery,
+/// follower bootstrap, re-sync and the corruption drill.
 fn resume_warm_pipeline(
-    tracks: Vec<PipelineCheckpoint>,
-) -> Result<(Vec<WarmSpec>, StreamingPipeline), EngineError> {
-    let (warm, states): (Vec<WarmSpec>, Vec<ResumableState>) =
-        tracks.into_iter().map(|p| (p.warm, p.state)).unzip();
-    let graph = states
-        .first()
-        .map_or_else(|| CsrGraph::empty(0), |s| s.graph.snapshot());
-    let pipeline = warm_pipeline(&graph, &warm).resume_tracks(states)?;
-    Ok((warm, pipeline))
+    warm: &[WarmSpec],
+    state: ResumableState,
+) -> Result<StreamingPipeline, EngineError> {
+    warm_pipeline(&state.graph.snapshot(), warm).resume(state)
 }
 
 /// The epoch a pipeline's current state publishes: graph, order and

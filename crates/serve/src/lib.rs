@@ -50,9 +50,7 @@ pub use crate::core::{
     DurabilityConfig, ProbeReport, QueryOutcome, QueryRequest, Role, SegmentRecords, ServeConfig,
     ServeCore, ServeError, StatsSnapshot, WarmSpec,
 };
-pub use checkpoint::{
-    read_checkpoint, write_checkpoint, Checkpoint, PipelineCheckpoint, UnsupportedVersion,
-};
+pub use checkpoint::{read_checkpoint, write_checkpoint, Checkpoint, UnsupportedVersion};
 pub use client::{ClientError, RetryPolicy, ServeClient};
 pub use epoch::{EpochCell, EpochState, WarmEntry};
 pub use fault::FaultPlan;
@@ -68,6 +66,9 @@ pub use wal::{
 };
 pub use wire::{ErrorCode, ProbeVerdict, QueryReply, Reply, Request, WireError};
 
+use std::fs::File;
+use std::io::{self, Write};
+use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 
 /// Locks `m`, recovering the guard if a previous holder panicked.
@@ -78,6 +79,27 @@ use std::sync::{Mutex, MutexGuard};
 /// would only turn one thread's panic into a service-wide outage.
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Replaces the file at `path` with `bytes` so that a crash at any
+/// instant leaves either the old complete file or the new one: write a
+/// `.tmp` sibling, fsync it, rename it over `path`, fsync the directory.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_data()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    if let Some(parent) = path.parent() {
+        if let Ok(dir) = File::open(parent) {
+            let _ = dir.sync_all();
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -108,14 +108,7 @@ impl WalWriter {
     /// durable (per the policy) when this returns — callers ack only
     /// after that.
     pub fn append(&mut self, seq: u64, updates: &[EdgeUpdate]) -> io::Result<u64> {
-        let mut payload = BytesMut::with_capacity(16 + 17 * updates.len());
-        payload.put_u64_le(seq);
-        put_updates(&mut payload, updates);
-        let crc = crc32(&payload);
-        let mut record = BytesMut::with_capacity(8 + payload.len());
-        record.put_u32_le(payload.len() as u32);
-        record.put_u32_le(crc);
-        record.put_slice(&payload);
+        let record = encode_record(seq, updates);
         self.file.write_all(&record)?;
         self.len += record.len() as u64;
         self.since_sync += 1;
@@ -147,6 +140,19 @@ impl WalWriter {
         self.since_sync = 0;
         Ok(())
     }
+}
+
+/// Frames one record: `len · crc · payload`, the payload being `seq`
+/// and the batch in the wire codec.
+fn encode_record(seq: u64, updates: &[EdgeUpdate]) -> BytesMut {
+    let mut payload = BytesMut::with_capacity(16 + 17 * updates.len());
+    payload.put_u64_le(seq);
+    put_updates(&mut payload, updates);
+    let mut record = BytesMut::with_capacity(8 + payload.len());
+    record.put_u32_le(payload.len() as u32);
+    record.put_u32_le(crc32(&payload));
+    record.put_slice(&payload);
+    record
 }
 
 /// One replayable record.
@@ -277,28 +283,11 @@ pub fn compact_wal(path: &Path, keep_after_seq: u64) -> io::Result<usize> {
         .iter()
         .filter(|r| r.seq > keep_after_seq)
         .collect();
-    let tmp = path.with_extension("wal.tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(WAL_MAGIC)?;
-        for r in &keep {
-            let mut payload = BytesMut::with_capacity(16 + 17 * r.updates.len());
-            payload.put_u64_le(r.seq);
-            put_updates(&mut payload, &r.updates);
-            let mut record = BytesMut::with_capacity(8 + payload.len());
-            record.put_u32_le(payload.len() as u32);
-            record.put_u32_le(crc32(&payload));
-            record.put_slice(&payload);
-            f.write_all(&record)?;
-        }
-        f.sync_data()?;
+    let mut log = BytesMut::from(&WAL_MAGIC[..]);
+    for r in &keep {
+        log.put_slice(&encode_record(r.seq, &r.updates));
     }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
+    crate::write_atomic(path, &log)?;
     Ok(keep.len())
 }
 
@@ -498,5 +487,29 @@ mod tests {
         assert!(read_wal(&bad).is_err());
         assert!(WalWriter::open(&bad, SyncPolicy::Os).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One record, byte for byte: any change to the framing or to the
+    /// update codec has to re-pin it on purpose.
+    #[test]
+    fn record_bytes_are_golden() {
+        let updates = [EdgeUpdate::insert(1, 2), EdgeUpdate::remove(3, 4)];
+        let golden: [u8; 46] = [
+            0x26, 0x00, 0x00, 0x00, // payload length 38
+            0xd2, 0x0b, 0x82, 0xb1, // CRC-32 of the payload
+            0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // seq 7
+            0x02, 0x00, 0x00, 0x00, // 2 updates
+            0x00, // insert
+            0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, // 1 -> 2
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, // weight 1.0
+            0x01, // remove
+            0x03, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, // 3 -> 4
+        ];
+        assert_eq!(&encode_record(7, &updates)[..], &golden[..]);
+        let rec = WalRecord {
+            seq: 7,
+            updates: updates.to_vec(),
+        };
+        assert_eq!(parse_record(&golden), Some((rec, golden.len())));
     }
 }

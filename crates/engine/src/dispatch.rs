@@ -23,6 +23,7 @@
 use crate::algorithm::IterativeAlgorithm;
 use crate::algorithms::{Adsorption, Bfs, ConnectedComponents, Katz, PageRank, Php, Sssp, Sswp};
 use crate::delta::{DeltaAlgorithm, DeltaPageRank, DeltaSssp};
+use gograph_graph::csr::Rows;
 use gograph_graph::{CsrGraph, VertexId, Weight};
 
 /// A by-value copy of one of the eight built-in gather algorithms.
@@ -209,16 +210,16 @@ macro_rules! dispatch_delta {
 }
 pub(crate) use dispatch_delta;
 
-/// Prebuilt per-run gather inputs: the in-adjacency streams plus the
-/// graph's cached out-degree array — so the per-edge loop walks
-/// contiguous streams with one index instead of re-deriving per-vertex
-/// slices and offset pairs, and the PageRank-family `out_degree(u)`
+/// Prebuilt per-run gather inputs: the in-adjacency rows plus the
+/// graph's cached out-degree array — so the per-edge loop walks one
+/// row slice per vertex, and the PageRank-family `out_degree(u)`
 /// lookup is one load. Algorithms whose gather is weight-free
 /// ([`IterativeAlgorithm::uses_edge_weights`] `== false`) skip the
 /// weight stream entirely.
 ///
 /// The streams come in two variants matching the graph's storage
-/// backend: flat slices of the raw CSR arrays, or a decode-per-row view
+/// backend: the row blocks of the uncompressed CSR (one block lookup
+/// per vertex, then plain slices per edge), or a decode-per-row view
 /// of the compressed adjacency ([`gograph_graph::CompressedAdjacency`])
 /// whose varint blocks are decoded inline in the gather loop — no
 /// materialized adjacency, same fold order, bit-identical results.
@@ -231,11 +232,7 @@ pub struct GatherContext<'g> {
 
 /// The per-backend in-edge streams of a [`GatherContext`].
 enum GatherStreams<'g> {
-    Flat {
-        in_offsets: &'g [usize],
-        in_sources: &'g [VertexId],
-        in_weights: &'g [Weight],
-    },
+    Flat(Rows<'g>),
     Compressed {
         adj: &'g gograph_graph::CompressedAdjacency,
         /// `(offsets, weights)` parallel to the decoded rows; `None` for
@@ -252,33 +249,11 @@ impl<'g> GatherContext<'g> {
                 adj,
                 weights: g.compressed_in_weight_streams(),
             },
-            None => GatherStreams::Flat {
-                in_offsets: g.raw_in_offsets(),
-                in_sources: g.raw_in_sources(),
-                in_weights: g.raw_in_weights(),
-            },
+            None => GatherStreams::Flat(g.in_rows()),
         };
         GatherContext {
             streams,
             out_degrees: g.out_degrees(),
-        }
-    }
-
-    /// The in-edge index range of `v` into the flat streams.
-    ///
-    /// # Panics
-    /// Panics on compressed storage — rows there are byte blocks, not
-    /// index ranges; use [`GatherContext::gather_with`].
-    #[inline(always)]
-    pub fn in_range(&self, v: VertexId) -> (usize, usize) {
-        match &self.streams {
-            GatherStreams::Flat { in_offsets, .. } => {
-                let v = v as usize;
-                (in_offsets[v], in_offsets[v + 1])
-            }
-            GatherStreams::Compressed { .. } => {
-                panic!("in_range requires flat storage; compressed rows are byte blocks")
-            }
         }
     }
 
@@ -314,9 +289,21 @@ impl<'g> GatherContext<'g> {
         read: impl Fn(usize) -> f64,
     ) -> f64 {
         match &self.streams {
-            GatherStreams::Flat { in_offsets, .. } => {
-                let (s, e) = (in_offsets[v as usize], in_offsets[v as usize + 1]);
-                self.gather_range(alg, alg.gather_identity(), s, e, read)
+            GatherStreams::Flat(rows) => {
+                let mut acc = alg.gather_identity();
+                if alg.uses_edge_weights() {
+                    let (ids, weights) = rows.row(v);
+                    for (&u, &w) in ids.iter().zip(weights) {
+                        let u = u as usize;
+                        acc = alg.gather(acc, read(u), w, self.out_degrees[u] as usize);
+                    }
+                } else {
+                    for &u in rows.ids(v) {
+                        let u = u as usize;
+                        acc = alg.gather(acc, read(u), 1.0, self.out_degrees[u] as usize);
+                    }
+                }
+                acc
             }
             GatherStreams::Compressed { adj, weights } => {
                 let mut acc = alg.gather_identity();
@@ -352,49 +339,12 @@ impl<'g> GatherContext<'g> {
             }
         }
     }
-
-    /// Folds the in-edge stream slice `[s, e)` into `acc` — the
-    /// innermost per-edge loop of [`GatherContext::gather_with`] on flat
-    /// storage (compressed rows are byte blocks with no flat index
-    /// ranges).
-    #[inline(always)]
-    pub(crate) fn gather_range<A: IterativeAlgorithm + ?Sized>(
-        &self,
-        alg: &A,
-        mut acc: f64,
-        s: usize,
-        e: usize,
-        read: impl Fn(usize) -> f64,
-    ) -> f64 {
-        let (in_sources, in_weights) = match &self.streams {
-            GatherStreams::Flat {
-                in_sources,
-                in_weights,
-                ..
-            } => (*in_sources, *in_weights),
-            GatherStreams::Compressed { .. } => {
-                panic!("gather_range requires flat storage; compressed rows are byte blocks")
-            }
-        };
-        if alg.uses_edge_weights() {
-            for i in s..e {
-                let u = in_sources[i] as usize;
-                acc = alg.gather(acc, read(u), in_weights[i], self.out_degrees[u] as usize);
-            }
-        } else {
-            for &u in &in_sources[s..e] {
-                let u = u as usize;
-                acc = alg.gather(acc, read(u), 1.0, self.out_degrees[u] as usize);
-            }
-        }
-        acc
-    }
 }
 
 /// Prebuilt per-run scatter inputs — the push-direction counterpart of
 /// [`GatherContext`]: the out-adjacency streams plus the cached
 /// out-degree array, so a push round walks an active vertex's out-edges
-/// as one contiguous stream (flat slices, or rows decoded from the
+/// as one contiguous stream (a row slice, or a row decoded from the
 /// compressed out-adjacency inline). Construction is `O(1)` (borrows
 /// the graph's storage). Holds only shared borrows, so the
 /// block-parallel engine scatters through one context from many workers
@@ -407,11 +357,7 @@ pub struct ScatterContext<'g> {
 
 /// The per-backend out-edge streams of a [`ScatterContext`].
 enum ScatterStreams<'g> {
-    Flat {
-        out_offsets: &'g [usize],
-        out_targets: &'g [VertexId],
-        out_weights: &'g [Weight],
-    },
+    Flat(Rows<'g>),
     Compressed {
         adj: &'g gograph_graph::CompressedAdjacency,
         weights: Option<(&'g [usize], &'g [Weight])>,
@@ -435,11 +381,7 @@ impl<'g> ScatterContext<'g> {
                 adj,
                 weights: g.compressed_out_weight_streams(),
             },
-            None => ScatterStreams::Flat {
-                out_offsets: g.raw_out_offsets(),
-                out_targets: g.raw_out_targets(),
-                out_weights: g.raw_out_weights(),
-            },
+            None => ScatterStreams::Flat(g.out_rows()),
         };
         ScatterContext {
             streams,
@@ -472,20 +414,15 @@ impl<'g> ScatterContext<'g> {
         let du = self.out_degrees[ui] as usize;
         let identity = alg.gather_identity();
         match &self.streams {
-            ScatterStreams::Flat {
-                out_offsets,
-                out_targets,
-                out_weights,
-            } => {
-                let (s, e) = (out_offsets[ui], out_offsets[ui + 1]);
+            ScatterStreams::Flat(rows) => {
                 if alg.uses_edge_weights() {
-                    for i in s..e {
-                        let cand = alg.gather(identity, state_u, out_weights[i], du);
-                        visit(out_targets[i], cand);
+                    let (targets, weights) = rows.row(u);
+                    for (&v, &w) in targets.iter().zip(weights) {
+                        visit(v, alg.gather(identity, state_u, w, du));
                     }
                 } else {
                     let cand = alg.gather(identity, state_u, 1.0, du);
-                    for &v in &out_targets[s..e] {
+                    for &v in rows.ids(u) {
                         visit(v, cand);
                     }
                 }
@@ -557,9 +494,8 @@ mod tests {
             [(0u32, 3u32, 2.0f64), (1, 3, 4.0), (2, 3, 1.0), (0, 1, 1.0)],
         );
         let ctx = GatherContext::new(&g);
-        let (s, e) = ctx.in_range(3);
-        assert_eq!(&g.raw_in_sources()[s..e], &[0, 1, 2]);
-        assert_eq!(&g.raw_in_weights()[s..e], &[2.0, 4.0, 1.0]);
+        assert_eq!(g.in_neighbors(3), &[0, 1, 2]);
+        assert_eq!(g.in_weights(3), &[2.0, 4.0, 1.0]);
         assert_eq!(ctx.out_degrees(), g.out_degrees());
         let alg = Sssp::new(0);
         let states = vec![0.0, 1.0, 7.0, f64::INFINITY];
@@ -617,14 +553,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "flat storage")]
-    fn gather_range_panics_on_compressed() {
-        let g = CsrGraph::from_edges(3, [(0u32, 1u32), (1, 2)]).compress();
-        let ctx = GatherContext::new(&g);
-        let _ = ctx.in_range(1);
     }
 
     #[test]

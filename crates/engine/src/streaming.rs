@@ -1776,6 +1776,48 @@ mod tests {
         for (saved, track) in image.tracks.iter().zip(sp.tracks()) {
             assert!(Arc::ptr_eq(&saved.states, track.states()));
         }
+
+        // Across a batch the image goes on sharing every row block the
+        // batch did not touch: a 32-update batch on a graph of ~600
+        // blocks per direction leaves ≥ 90 % of the new graph's bytes
+        // in the blocks the pre-batch image already holds.
+        let g = planted_partition(PlantedPartitionConfig {
+            num_vertices: 40_000,
+            num_edges: 240_000,
+            communities: 400,
+            p_intra: 0.8,
+            gamma: 2.4,
+            seed: 5,
+        });
+        let mut sp = StreamingPipeline::over(&g)
+            .algorithm(ConnectedComponents)
+            .build()
+            .unwrap();
+        let image = sp.export_state();
+        let n = g.num_vertices() as u64;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            ((x >> 33) % n) as VertexId
+        };
+        let batch: Vec<EdgeUpdate> = (0..32)
+            .map(|k| {
+                let src = next();
+                match g.out_neighbors(src).first() {
+                    Some(&dst) if k % 4 == 0 => EdgeUpdate::remove(src, dst),
+                    _ => EdgeUpdate::insert_weighted(src, next(), 2.0),
+                }
+            })
+            .collect();
+        sp.apply_batch(&batch).unwrap();
+        let after = sp.graph();
+        assert_ne!(after, &image.graph);
+        let shared = after.shared_bytes_with(&image.graph);
+        assert!(
+            shared * 10 >= after.memory_bytes() * 9,
+            "shares {shared} of {} bytes",
+            after.memory_bytes()
+        );
     }
 
     /// The handed-off order and the `M(O)` counter against their

@@ -3,7 +3,8 @@
 //! The builder accepts edges in any order, grows the vertex count to cover
 //! every endpoint, deduplicates parallel edges (keeping the smallest
 //! weight, the convention that benefits shortest-path algorithms), and
-//! emits sorted CSR adjacency in one counting-sort pass per direction.
+//! emits sorted CSR row blocks of both directions in one counting pass
+//! and one fill pass.
 
 use crate::csr::CsrGraph;
 use crate::types::{Edge, VertexId, Weight};
@@ -101,61 +102,8 @@ impl GraphBuilder {
         });
         self.edges
             .dedup_by(|next, kept| next.src == kept.src && next.dst == kept.dst);
-        csr_from_sorted_edges(n, &self.edges)
+        CsrGraph::from_sorted_edges(n, self.edges.iter().copied())
     }
-}
-
-/// Assembles a [`CsrGraph`] from an edge list that is already sorted by
-/// `(src, dst)` and free of duplicate pairs, in two counting-sort
-/// passes. Shared by [`GraphBuilder::build`] and
-/// [`CsrGraph::induced_subgraph_with_threads`], whose filtered rows come
-/// out pre-sorted and so skip the `O(|E| log |E|)` sort above.
-pub(crate) fn csr_from_sorted_edges(n: usize, edges: &[Edge]) -> CsrGraph {
-    let m = edges.len();
-
-    // Out-CSR: edges are already in (src, dst) order.
-    let mut out_offsets = vec![0usize; n + 1];
-    for e in edges {
-        out_offsets[e.src as usize + 1] += 1;
-    }
-    for i in 0..n {
-        out_offsets[i + 1] += out_offsets[i];
-    }
-    let mut out_targets = Vec::with_capacity(m);
-    let mut out_weights = Vec::with_capacity(m);
-    for e in edges {
-        out_targets.push(e.dst);
-        out_weights.push(e.weight);
-    }
-
-    // In-CSR via counting sort on dst; within a bucket sources arrive
-    // in ascending order because the edge list is sorted by (src, dst).
-    let mut in_offsets = vec![0usize; n + 1];
-    for e in edges {
-        in_offsets[e.dst as usize + 1] += 1;
-    }
-    for i in 0..n {
-        in_offsets[i + 1] += in_offsets[i];
-    }
-    let mut cursor = in_offsets.clone();
-    let mut in_sources = vec![0 as VertexId; m];
-    let mut in_weights = vec![0.0 as Weight; m];
-    for e in edges {
-        let slot = cursor[e.dst as usize];
-        in_sources[slot] = e.src;
-        in_weights[slot] = e.weight;
-        cursor[e.dst as usize] += 1;
-    }
-
-    CsrGraph::from_parts(
-        n,
-        out_offsets,
-        out_targets,
-        out_weights,
-        in_offsets,
-        in_sources,
-        in_weights,
-    )
 }
 
 impl Extend<Edge> for GraphBuilder {

@@ -214,21 +214,19 @@ impl PartialEq for CompressedAdjacency {
 }
 
 impl CompressedAdjacency {
-    /// Compresses one direction of a flat CSR (`offsets`/`targets` as in
-    /// [`crate::CsrGraph`]'s raw arrays) into shards split at
-    /// `shard_starts` (ascending interior cut points; `0` and `n` are
-    /// implied and deduplicated).
+    /// Compresses one adjacency direction, given as `row(v)` = the
+    /// neighbor list of `v` for every `v < num_vertices`, into shards
+    /// split at `shard_starts` (ascending interior cut points; `0` and
+    /// `n` are implied and deduplicated).
     ///
     /// # Panics
     /// Panics if a neighbor list is not strictly ascending, an id is out
     /// of range, or one shard's encoding exceeds `u32::MAX` bytes.
-    pub fn from_csr(
+    pub fn from_rows<'a>(
         num_vertices: usize,
-        offsets: &[usize],
-        targets: &[VertexId],
+        row: impl Fn(usize) -> &'a [VertexId],
         shard_starts: &[VertexId],
     ) -> Self {
-        assert_eq!(offsets.len(), num_vertices + 1, "bad offsets length");
         let mut starts: Vec<VertexId> = Vec::with_capacity(shard_starts.len() + 2);
         starts.push(0);
         for &s in shard_starts {
@@ -242,7 +240,7 @@ impl CompressedAdjacency {
             starts.push(num_vertices as VertexId);
         }
 
-        let degrees: Vec<u32> = offsets.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+        let mut degrees: Vec<u32> = Vec::with_capacity(num_vertices);
         let mut shards = Vec::with_capacity(starts.len() - 1);
         for w in starts.windows(2) {
             let (lo, hi) = (w[0] as usize, w[1] as usize);
@@ -250,7 +248,8 @@ impl CompressedAdjacency {
             let mut bytes = Vec::new();
             shard_offsets.push(0u32);
             for v in lo..hi {
-                let row = &targets[offsets[v]..offsets[v + 1]];
+                let row = row(v);
+                degrees.push(u32::try_from(row.len()).expect("degree exceeds u32"));
                 debug_assert!(
                     row.windows(2).all(|p| p[0] < p[1]),
                     "neighbor list of {v} not strictly ascending"
@@ -270,7 +269,7 @@ impl CompressedAdjacency {
         }
         CompressedAdjacency {
             num_vertices,
-            num_targets: targets.len(),
+            num_targets: degrees.iter().map(|&d| d as usize).sum(),
             degrees: Arc::new(degrees),
             shard_starts: Arc::new(starts),
             shards: Arc::new(shards),
@@ -558,9 +557,9 @@ mod tests {
 
     fn sample_adjacency(shard_starts: &[VertexId]) -> CompressedAdjacency {
         // 6 vertices: 0->{1,2,3}, 1->{}, 2->{0,5}, 3->{3}, 4->{0,1,2,3,4,5}, 5->{4}
-        let offsets = vec![0usize, 3, 3, 5, 6, 12, 13];
-        let targets = vec![1u32, 2, 3, 0, 5, 3, 0, 1, 2, 3, 4, 5, 4];
-        CompressedAdjacency::from_csr(6, &offsets, &targets, shard_starts)
+        let offsets = [0usize, 3, 3, 5, 6, 12, 13];
+        let targets = [1u32, 2, 3, 0, 5, 3, 0, 1, 2, 3, 4, 5, 4];
+        CompressedAdjacency::from_rows(6, |v| &targets[offsets[v]..offsets[v + 1]], shard_starts)
     }
 
     #[test]

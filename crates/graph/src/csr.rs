@@ -9,9 +9,13 @@
 //!
 //! A graph lives in one of two storage backends behind `CsrStorage`:
 //!
-//! - **Uncompressed** — flat offset/target/weight arrays, the default and
-//!   the only backend the reordering pipeline and cache simulator accept
-//!   (they index raw arrays);
+//! - **Uncompressed** — each direction's rows cut into fixed-height
+//!   **row blocks** of [`BLOCK_ROWS`] rows, each block one `Arc` holding
+//!   block-local offsets, neighbor ids and weights. The default, and the
+//!   only backend the reordering pipeline accepts. A batch of updates
+//!   ([`CsrGraph::apply_updates`]) re-splices only the blocks it touches
+//!   and shares every other block with its input, so successive versions
+//!   of an evolving graph share every row a batch left alone;
 //! - **Compressed** — per-vertex delta-varint neighbor blocks
 //!   ([`crate::compressed`]) sharded by contiguous vertex ranges, at a
 //!   few bytes per edge after a locality-improving reorder. Produced by
@@ -19,12 +23,13 @@
 //!   iterative algorithms run without ever materializing the flat
 //!   adjacency.
 //!
-//! Slice-returning accessors ([`CsrGraph::out_neighbors`], the `raw_*`
-//! family) require uncompressed storage and panic otherwise; streaming
-//! accessors ([`CsrGraph::in_edges`], [`CsrGraph::out_edges`],
-//! [`CsrGraph::for_each_out_neighbor`], …) work on both backends.
+//! Slice-returning accessors ([`CsrGraph::out_neighbors`],
+//! [`CsrGraph::in_rows`], …) require uncompressed storage and panic
+//! otherwise; streaming accessors ([`CsrGraph::in_edges`],
+//! [`CsrGraph::out_edges`], [`CsrGraph::for_each_out_neighbor`], …) work
+//! on both backends.
 
-use crate::builder::{csr_from_sorted_edges, GraphBuilder};
+use crate::builder::GraphBuilder;
 use crate::compressed::CompressedAdjacency;
 use crate::permutation::Permutation;
 use crate::types::{Direction, Edge, EdgeUpdate, VertexId, Weight};
@@ -38,6 +43,28 @@ const DEFAULT_SHARD_VERTICES: usize = 1 << 16;
 /// Upper bound on auto-picked shard count.
 const MAX_DEFAULT_SHARDS: usize = 64;
 
+/// `log2` of [`BLOCK_ROWS`].
+const BLOCK_SHIFT: u32 = 6;
+
+/// Rows per row block: row `v` of each direction lives in block
+/// `v >> BLOCK_SHIFT`, and only the last block may hold fewer.
+///
+/// The height trades the two costs a block adds. A batch re-splices
+/// every block it touches whole and copies one `Arc` per block of the
+/// table, so a smaller block makes a patch copy fewer rows; a larger one
+/// makes the table shorter. A kernel pays one block lookup per vertex,
+/// never per edge, so the sweep rate hardly moves with the height.
+/// Measured at 32 / 64 / 128 rows on a 131 072-vertex, 725 k-edge
+/// planted-partition graph (the benchmark's `batch_flat` shape; medians
+/// of three runs on a shared 2-core machine): a 32-update
+/// `apply_updates` took 0.27 / 0.20 / 0.25 ms, and a full in-row sweep
+/// ran at 209 / 238 / 200 Medges/s. Both costs are flat across the
+/// range — the patch is dominated by the out-degree copy, and the
+/// differences are within run-to-run noise — so the height is the
+/// middle one: half the table of 32, and half the rows copied per
+/// touched block of 128.
+pub const BLOCK_ROWS: usize = 1 << BLOCK_SHIFT;
+
 /// A directed, weighted graph in CSR form with both adjacency directions.
 ///
 /// Construct via [`GraphBuilder`], [`CsrGraph::from_edges`], or a generator
@@ -45,10 +72,18 @@ const MAX_DEFAULT_SHARDS: usize = 64;
 ///
 /// A `CsrGraph` is immutable once built (every "mutation" —
 /// [`CsrGraph::apply_updates`], [`CsrGraph::relabeled`] — produces a new
-/// graph), so the payload arrays live behind [`Arc`]s and **`clone` is
-/// O(1)**: it shares storage instead of deep-copying. That is what makes
-/// publishing an epoch snapshot of an evolving graph cheap — see
-/// [`CsrGraph::snapshot`].
+/// graph), so **`clone` is O(1)**: it shares storage instead of
+/// deep-copying. On uncompressed storage a graph is one table of row
+/// blocks per direction plus the out-degree array, each block behind
+/// its own [`Arc`]. [`CsrGraph::apply_updates`] builds new blocks only
+/// where the batch lands and shares every other block with its input:
+/// that is what makes publishing an epoch snapshot of an evolving graph
+/// cheap, and what lets many pinned versions cost one graph plus the
+/// blocks their batches rewrote — see [`CsrGraph::snapshot`] and
+/// [`CsrGraph::shared_bytes_with`].
+///
+/// The block cut depends only on the vertex count, so equal graphs have
+/// equal layouts and `==` compares content however either was built.
 ///
 /// ```
 /// use gograph_graph::CsrGraph;
@@ -65,8 +100,8 @@ pub struct CsrGraph {
     num_vertices: usize,
     /// Cached per-vertex out-degrees. Engines read `out_degree(u)` once
     /// per *edge* (PageRank-family normalization), so serving it from one
-    /// contiguous array instead of two offset lookups matters in the
-    /// gather inner loop. Present for both backends (compressed rows are
+    /// contiguous array instead of a block lookup matters in the gather
+    /// inner loop. Present for both backends (compressed rows are
     /// degree-delimited, so this array is load-bearing there too).
     out_degrees: Arc<Vec<u32>>,
     storage: CsrStorage,
@@ -75,32 +110,310 @@ pub struct CsrGraph {
 /// The two storage backends of a [`CsrGraph`].
 #[derive(Debug, Clone, PartialEq)]
 enum CsrStorage {
-    Uncompressed(FlatCsr),
+    Uncompressed(BlockCsr),
     Compressed(CompressedCsr),
 }
 
-/// Flat CSR arrays (the uncompressed backend).
+/// One direction's rows, block by block.
+type BlockTable = Arc<Vec<Arc<RowBlock>>>;
+
+/// The row-block tables of both directions (the uncompressed backend).
 #[derive(Debug, Clone, PartialEq)]
-struct FlatCsr {
-    out_offsets: Arc<Vec<usize>>,
-    out_targets: Arc<Vec<VertexId>>,
-    out_weights: Arc<Vec<Weight>>,
-    in_offsets: Arc<Vec<usize>>,
-    in_sources: Arc<Vec<VertexId>>,
-    in_weights: Arc<Vec<Weight>>,
+struct BlockCsr {
+    num_edges: usize,
+    out: BlockTable,
+    inc: BlockTable,
 }
 
-impl FlatCsr {
-    #[inline]
-    fn out_range(&self, v: VertexId) -> (usize, usize) {
-        let v = v as usize;
-        (self.out_offsets[v], self.out_offsets[v + 1])
+/// Up to [`BLOCK_ROWS`] consecutive rows of one direction: row `r` of
+/// the block is `ids[offsets[r]..offsets[r + 1]]`, sorted ascending,
+/// with `weights` parallel to `ids`. The offsets live inline, in the
+/// block's own allocation, and entries past `rows` repeat the end: a
+/// row lookup is one load from the block, with no bounds check.
+#[derive(Debug, PartialEq)]
+struct RowBlock {
+    rows: usize,
+    offsets: [u32; BLOCK_ROWS + 1],
+    ids: Vec<VertexId>,
+    weights: Vec<Weight>,
+}
+
+impl RowBlock {
+    /// A block of `offsets.len() - 1` rows.
+    fn new(offsets: &[u32], ids: Vec<VertexId>, weights: Vec<Weight>) -> RowBlock {
+        let rows = offsets.len() - 1;
+        let mut inline = [offsets[rows]; BLOCK_ROWS + 1];
+        inline[..=rows].copy_from_slice(offsets);
+        RowBlock {
+            rows,
+            offsets: inline,
+            ids,
+            weights,
+        }
     }
 
+    /// The offsets of the block's rows (`rows + 1` entries).
+    fn row_offsets(&self) -> &[u32] {
+        &self.offsets[..=self.rows]
+    }
+
+    /// Bytes of the ids and offsets.
+    fn structure_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.offsets) + self.ids.capacity() * std::mem::size_of::<u32>()
+    }
+
+    fn weight_bytes(&self) -> usize {
+        self.weights.capacity() * std::mem::size_of::<Weight>()
+    }
+}
+
+/// Heap bytes of a block table: its pointers plus every block.
+fn table_bytes(table: &BlockTable) -> usize {
+    table.capacity() * std::mem::size_of::<Arc<RowBlock>>()
+        + table
+            .iter()
+            .map(|b| b.structure_bytes() + b.weight_bytes())
+            .sum::<usize>()
+}
+
+/// Heap bytes of `a` that are the very allocations of `b`: the whole
+/// table when it is the same one, else every block both hold at the
+/// same index.
+fn shared_table_bytes(a: &BlockTable, b: &BlockTable) -> usize {
+    if Arc::ptr_eq(a, b) {
+        return table_bytes(a);
+    }
+    a.iter()
+        .zip(b.iter())
+        .filter(|(x, y)| Arc::ptr_eq(x, y))
+        .map(|(x, _)| x.structure_bytes() + x.weight_bytes())
+        .sum()
+}
+
+/// One direction's row blocks filled edge by edge from known row
+/// degrees: every block is allocated at its exact size up front.
+struct BlockFill {
+    blocks: Vec<RowBlock>,
+    /// Next free block-local slot of each row.
+    cursor: Vec<u32>,
+}
+
+impl BlockFill {
+    fn new(degrees: &[u32]) -> BlockFill {
+        let mut cursor = Vec::with_capacity(degrees.len());
+        let mut blocks = degrees
+            .chunks(BLOCK_ROWS)
+            .map(|degrees| {
+                let mut offsets = Vec::with_capacity(degrees.len() + 1);
+                let mut end = 0u32;
+                offsets.push(end);
+                for &d in degrees {
+                    cursor.push(end);
+                    end = end.checked_add(d).expect("row block exceeds u32 offsets");
+                    offsets.push(end);
+                }
+                RowBlock::new(&offsets, Vec::new(), Vec::new())
+            })
+            .collect::<Vec<RowBlock>>();
+        // Every block's ids first, then every block's weights: allocated
+        // in this order, the ids of consecutive blocks lie next to each
+        // other as a flat array's would, and a sweep over the rows
+        // streams through them (weights in between would triple the
+        // span it walks).
+        for b in &mut blocks {
+            b.ids = vec![0; b.offsets[BLOCK_ROWS] as usize];
+        }
+        for b in &mut blocks {
+            b.weights = vec![0.0; b.ids.len()];
+        }
+        BlockFill { blocks, cursor }
+    }
+
+    /// Appends `(id, weight)` to `row`; rows must receive their
+    /// neighbors in ascending order.
     #[inline]
-    fn in_range(&self, v: VertexId) -> (usize, usize) {
+    fn push(&mut self, row: VertexId, id: VertexId, weight: Weight) {
+        let row = row as usize;
+        let slot = self.cursor[row] as usize;
+        self.cursor[row] += 1;
+        let block = &mut self.blocks[row >> BLOCK_SHIFT];
+        block.ids[slot] = id;
+        block.weights[slot] = weight;
+    }
+
+    fn finish(self) -> BlockTable {
+        Arc::new(self.blocks.into_iter().map(Arc::new).collect())
+    }
+}
+
+/// Prefix-sum of a degree array back into CSR offsets.
+fn offsets_from_degrees(degrees: &[u32]) -> Vec<usize> {
+    let mut offsets = Vec::with_capacity(degrees.len() + 1);
+    let mut acc = 0usize;
+    offsets.push(0);
+    for &d in degrees {
+        acc += d as usize;
+        offsets.push(acc);
+    }
+    offsets
+}
+
+/// One direction's weights concatenated row by row — the flat weight
+/// stream a compressed graph keeps beside each direction.
+fn concat_weights(table: &BlockTable) -> Vec<Weight> {
+    table
+        .iter()
+        .flat_map(|b| b.weights.iter().copied())
+        .collect()
+}
+
+/// The block table of one adjacency direction with `overrides` spliced
+/// in, grown to `num_rows` rows. `overrides` holds `(row, neighbor,
+/// state)` sorted by `(row, neighbor)` with each pair at most once and
+/// every row below `num_rows`; `Some(w)` sets the pair's weight, `None`
+/// drops the pair. A block no override lands in and whose row count
+/// stays the same is shared with `blocks`; every other block is
+/// re-spliced by [`splice_rows`].
+fn splice_blocks(
+    num_rows: usize,
+    blocks: &[Arc<RowBlock>],
+    overrides: &[(VertexId, VertexId, Option<Weight>)],
+) -> BlockTable {
+    let mut i = 0;
+    let table = (0..num_rows.div_ceil(BLOCK_ROWS))
+        .map(|b| {
+            let base = b << BLOCK_SHIFT;
+            let rows = BLOCK_ROWS.min(num_rows - base);
+            let start = i;
+            while i < overrides.len() && (overrides[i].0 as usize) < base + rows {
+                i += 1;
+            }
+            match blocks.get(b) {
+                Some(old) if start == i && old.rows == rows => Arc::clone(old),
+                old => {
+                    let (offsets, ids, weights) = match old {
+                        Some(o) => (o.row_offsets(), &o.ids[..], &o.weights[..]),
+                        None => (&[0u32][..], &[][..], &[][..]),
+                    };
+                    Arc::new(splice_rows(
+                        rows,
+                        base,
+                        offsets,
+                        ids,
+                        weights,
+                        &overrides[start..i],
+                    ))
+                }
+            }
+        })
+        .collect();
+    Arc::new(table)
+}
+
+/// One row block with `overrides` spliced in, grown to `num_rows`
+/// rows. Rows are block-local: override row `r` is block row
+/// `r - base`. Spans of rows between overridden rows are copied whole;
+/// an overridden row is merged neighbor by neighbor.
+fn splice_rows(
+    num_rows: usize,
+    base: usize,
+    offsets: &[u32],
+    ids: &[VertexId],
+    weights: &[Weight],
+    overrides: &[(VertexId, VertexId, Option<Weight>)],
+) -> RowBlock {
+    let old_rows = offsets.len() - 1;
+    let mut new_offsets: Vec<u32> = Vec::with_capacity(num_rows + 1);
+    let mut new_ids = Vec::with_capacity(ids.len() + overrides.len());
+    let mut new_weights = Vec::with_capacity(ids.len() + overrides.len());
+    let mut i = 0;
+    loop {
+        // Rows up to the next overridden one (or the end) are unchanged;
+        // those past the old row count are empty.
+        let row = overrides.get(i).map_or(num_rows, |o| o.0 as usize - base);
+        let from = new_offsets.len();
+        let old_upto = row.min(old_rows);
+        if from < old_upto {
+            let (s, e) = (offsets[from] as usize, offsets[old_upto] as usize);
+            let shifted = new_ids.len() as u32;
+            new_offsets.extend(
+                offsets[from..old_upto]
+                    .iter()
+                    .map(|&o| shifted + (o - s as u32)),
+            );
+            new_ids.extend_from_slice(&ids[s..e]);
+            new_weights.extend_from_slice(&weights[s..e]);
+        }
+        new_offsets.resize(row, new_ids.len() as u32);
+        if i == overrides.len() {
+            break;
+        }
+        new_offsets.push(new_ids.len() as u32);
+        let (mut k, e) = if row < old_rows {
+            (offsets[row] as usize, offsets[row + 1] as usize)
+        } else {
+            (0, 0)
+        };
+        while i < overrides.len() && overrides[i].0 as usize - base == row {
+            let (_, neighbor, state) = overrides[i];
+            let upto = k + ids[k..e].partition_point(|&x| x < neighbor);
+            new_ids.extend_from_slice(&ids[k..upto]);
+            new_weights.extend_from_slice(&weights[k..upto]);
+            k = upto;
+            if k < e && ids[k] == neighbor {
+                k += 1;
+            }
+            if let Some(w) = state {
+                new_ids.push(neighbor);
+                new_weights.push(w);
+            }
+            i += 1;
+        }
+        new_ids.extend_from_slice(&ids[k..e]);
+        new_weights.extend_from_slice(&weights[k..e]);
+    }
+    let end = u32::try_from(new_ids.len()).expect("row block exceeds u32 offsets");
+    new_offsets.push(end);
+    RowBlock::new(&new_offsets, new_ids, new_weights)
+}
+
+/// A borrowed view of one adjacency direction of an uncompressed
+/// [`CsrGraph`], row by row — what the engines' gather and scatter
+/// kernels walk ([`CsrGraph::in_rows`], [`CsrGraph::out_rows`]). A row
+/// never spans two blocks, so reading one costs a single block lookup
+/// and then plain slices.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'g> {
+    blocks: &'g [Arc<RowBlock>],
+}
+
+impl<'g> Rows<'g> {
+    /// The block holding `v` and `v`'s span in it.
+    #[inline(always)]
+    fn span(self, v: VertexId) -> (&'g RowBlock, usize, usize) {
         let v = v as usize;
-        (self.in_offsets[v], self.in_offsets[v + 1])
+        let block = &*self.blocks[v >> BLOCK_SHIFT];
+        let r = v & (BLOCK_ROWS - 1);
+        debug_assert!(r < block.rows, "vertex {v} out of range");
+        (
+            block,
+            block.offsets[r] as usize,
+            block.offsets[r + 1] as usize,
+        )
+    }
+
+    /// The neighbor ids of `v`, sorted ascending.
+    #[inline(always)]
+    pub fn ids(self, v: VertexId) -> &'g [VertexId] {
+        let (block, s, e) = self.span(v);
+        &block.ids[s..e]
+    }
+
+    /// The neighbor ids of `v` and the weights parallel to them.
+    #[inline(always)]
+    pub fn row(self, v: VertexId) -> (&'g [VertexId], &'g [Weight]) {
+        let (block, s, e) = self.span(v);
+        (&block.ids[s..e], &block.weights[s..e])
     }
 }
 
@@ -127,88 +440,8 @@ struct WeightStreams {
     in_weights: Arc<Vec<Weight>>,
 }
 
-/// Per-vertex range widths of a CSR offset array.
-fn degrees_from_offsets(offsets: &[usize]) -> Vec<u32> {
-    offsets.windows(2).map(|w| (w[1] - w[0]) as u32).collect()
-}
-
-/// Prefix-sum of a degree array back into CSR offsets.
-fn offsets_from_degrees(degrees: &[u32]) -> Vec<usize> {
-    let mut offsets = Vec::with_capacity(degrees.len() + 1);
-    let mut acc = 0usize;
-    offsets.push(0);
-    for &d in degrees {
-        acc += d as usize;
-        offsets.push(acc);
-    }
-    offsets
-}
-
-/// One adjacency direction with `overrides` spliced in, grown to
-/// `num_rows` rows. `overrides` holds `(row, neighbor, state)` sorted by
-/// `(row, neighbor)` with each pair at most once and every row below
-/// `num_rows`; `Some(w)` sets the pair's weight, `None` drops the pair.
-/// Spans of rows between overridden rows are copied whole; an
-/// overridden row is merged neighbor by neighbor.
-fn splice_rows(
-    num_rows: usize,
-    offsets: &[usize],
-    ids: &[VertexId],
-    weights: &[Weight],
-    overrides: &[(VertexId, VertexId, Option<Weight>)],
-) -> (Vec<usize>, Vec<VertexId>, Vec<Weight>) {
-    let old_rows = offsets.len() - 1;
-    let mut new_offsets = Vec::with_capacity(num_rows + 1);
-    let mut new_ids = Vec::with_capacity(ids.len() + overrides.len());
-    let mut new_weights = Vec::with_capacity(ids.len() + overrides.len());
-    let mut i = 0;
-    loop {
-        // Rows up to the next overridden one (or the end) are unchanged;
-        // those past the old row count are empty.
-        let row = overrides.get(i).map_or(num_rows, |o| o.0 as usize);
-        let from = new_offsets.len();
-        let old_upto = row.min(old_rows);
-        if from < old_upto {
-            let (s, e) = (offsets[from], offsets[old_upto]);
-            let shifted = new_ids.len();
-            new_offsets.extend(offsets[from..old_upto].iter().map(|&o| shifted + (o - s)));
-            new_ids.extend_from_slice(&ids[s..e]);
-            new_weights.extend_from_slice(&weights[s..e]);
-        }
-        new_offsets.resize(row, new_ids.len());
-        if i == overrides.len() {
-            break;
-        }
-        new_offsets.push(new_ids.len());
-        let (mut k, e) = if row < old_rows {
-            (offsets[row], offsets[row + 1])
-        } else {
-            (0, 0)
-        };
-        while i < overrides.len() && overrides[i].0 as usize == row {
-            let (_, neighbor, state) = overrides[i];
-            let upto = k + ids[k..e].partition_point(|&x| x < neighbor);
-            new_ids.extend_from_slice(&ids[k..upto]);
-            new_weights.extend_from_slice(&weights[k..upto]);
-            k = upto;
-            if k < e && ids[k] == neighbor {
-                k += 1;
-            }
-            if let Some(w) = state {
-                new_ids.push(neighbor);
-                new_weights.push(w);
-            }
-            i += 1;
-        }
-        new_ids.extend_from_slice(&ids[k..e]);
-        new_weights.extend_from_slice(&weights[k..e]);
-    }
-    new_offsets.push(new_ids.len());
-    (new_offsets, new_ids, new_weights)
-}
-
 /// `(neighbor, weight)` stream over either backend: borrowed zip of the
-/// flat slices, or a decoded row buffer for compressed storage.
+/// row slices, or a decoded row buffer for compressed storage.
 enum EdgePairs<'g> {
     Flat(
         std::iter::Zip<
@@ -238,6 +471,12 @@ impl Iterator for EdgePairs<'_> {
     }
 }
 
+impl<'g> EdgePairs<'g> {
+    fn of_row((ids, weights): (&'g [VertexId], &'g [Weight])) -> Self {
+        EdgePairs::Flat(ids.iter().copied().zip(weights.iter().copied()))
+    }
+}
+
 /// Decodes one compressed row into `(neighbor, weight)` pairs.
 fn decoded_pairs(
     adj: &CompressedAdjacency,
@@ -255,40 +494,51 @@ fn decoded_pairs(
 }
 
 impl CsrGraph {
-    /// Builds a graph from raw CSR arrays. Used by [`GraphBuilder`];
-    /// callers should prefer the builder.
-    ///
-    /// # Panics
-    /// Panics if the arrays are inconsistent (offset lengths, edge counts).
-    pub(crate) fn from_parts(
-        num_vertices: usize,
-        out_offsets: Vec<usize>,
-        out_targets: Vec<VertexId>,
-        out_weights: Vec<Weight>,
-        in_offsets: Vec<usize>,
-        in_sources: Vec<VertexId>,
-        in_weights: Vec<Weight>,
-    ) -> Self {
-        assert_eq!(out_offsets.len(), num_vertices + 1, "bad out_offsets");
-        assert_eq!(in_offsets.len(), num_vertices + 1, "bad in_offsets");
-        assert_eq!(out_targets.len(), *out_offsets.last().unwrap());
-        assert_eq!(in_sources.len(), *in_offsets.last().unwrap());
-        assert_eq!(out_targets.len(), in_sources.len(), "edge count mismatch");
-        assert_eq!(out_weights.len(), out_targets.len());
-        assert_eq!(in_weights.len(), in_sources.len());
-        let out_degrees = degrees_from_offsets(&out_offsets);
+    /// Assembles an uncompressed graph from its two block tables.
+    fn from_blocks(
+        num_edges: usize,
+        out: BlockTable,
+        inc: BlockTable,
+        out_degrees: Arc<Vec<u32>>,
+    ) -> CsrGraph {
         CsrGraph {
-            num_vertices,
-            out_degrees: Arc::new(out_degrees),
-            storage: CsrStorage::Uncompressed(FlatCsr {
-                out_offsets: Arc::new(out_offsets),
-                out_targets: Arc::new(out_targets),
-                out_weights: Arc::new(out_weights),
-                in_offsets: Arc::new(in_offsets),
-                in_sources: Arc::new(in_sources),
-                in_weights: Arc::new(in_weights),
+            num_vertices: out_degrees.len(),
+            out_degrees,
+            storage: CsrStorage::Uncompressed(BlockCsr {
+                num_edges,
+                out,
+                inc,
             }),
         }
+    }
+
+    /// Builds a graph with `n` vertices from edges that come sorted by
+    /// `(src, dst)` with no pair twice, writing both directions' row
+    /// blocks at their exact sizes: one counting pass, one fill pass.
+    /// Shared by [`GraphBuilder::build`],
+    /// [`CsrGraph::induced_subgraph_with_threads`] and the RMAT
+    /// generator, whose edges come out pre-sorted.
+    pub(crate) fn from_sorted_edges<I>(n: usize, edges: I) -> CsrGraph
+    where
+        I: Iterator<Item = Edge> + Clone,
+    {
+        let mut out_degrees = vec![0u32; n];
+        let mut in_degrees = vec![0u32; n];
+        let mut m = 0usize;
+        for e in edges.clone() {
+            out_degrees[e.src as usize] += 1;
+            in_degrees[e.dst as usize] += 1;
+            m += 1;
+        }
+        // Within a row the neighbors arrive ascending in both
+        // directions, because the edges are sorted by `(src, dst)`.
+        let mut out = BlockFill::new(&out_degrees);
+        let mut inc = BlockFill::new(&in_degrees);
+        for e in edges {
+            out.push(e.src, e.dst, e.weight);
+            inc.push(e.dst, e.src, e.weight);
+        }
+        CsrGraph::from_blocks(m, out.finish(), inc.finish(), Arc::new(out_degrees))
     }
 
     /// Reassembles a compressed graph from deserialized adjacencies (the
@@ -349,24 +599,13 @@ impl CsrGraph {
 
     /// An empty graph with `num_vertices` vertices and no edges.
     pub fn empty(num_vertices: usize) -> Self {
-        CsrGraph {
-            num_vertices,
-            out_degrees: Arc::new(vec![0; num_vertices]),
-            storage: CsrStorage::Uncompressed(FlatCsr {
-                out_offsets: Arc::new(vec![0; num_vertices + 1]),
-                out_targets: Arc::new(Vec::new()),
-                out_weights: Arc::new(Vec::new()),
-                in_offsets: Arc::new(vec![0; num_vertices + 1]),
-                in_sources: Arc::new(Vec::new()),
-                in_weights: Arc::new(Vec::new()),
-            }),
-        }
+        CsrGraph::from_sorted_edges(num_vertices, std::iter::empty::<Edge>())
     }
 
-    /// The flat arrays, or a panic on compressed storage — the shared
+    /// The block tables, or a panic on compressed storage — the shared
     /// guard behind every slice-returning accessor.
     #[inline]
-    fn flat(&self) -> &FlatCsr {
+    fn blocks(&self) -> &BlockCsr {
         match &self.storage {
             CsrStorage::Uncompressed(f) => f,
             CsrStorage::Compressed(_) => panic!(
@@ -379,23 +618,26 @@ impl CsrGraph {
     /// entry point. Since `CsrGraph` is immutable, this is exactly
     /// `clone()`; the named method exists to make call sites that *rely*
     /// on sharing (instead of merely tolerating a copy) self-documenting.
+    /// A snapshot taken before [`CsrGraph::apply_updates`] goes on
+    /// sharing every row block the batch did not touch with the graph
+    /// the batch produced.
     #[inline]
     pub fn snapshot(&self) -> CsrGraph {
         self.clone()
     }
 
-    /// True when `self` and `other` share the same backing arrays (i.e.
-    /// one is a [`CsrGraph::snapshot`]/`clone` of the other and neither
-    /// has been rebuilt since). Graphs on different backends never share.
+    /// True when `self` and `other` share every block of storage: on
+    /// uncompressed storage, both directions hold the very same row
+    /// blocks at every index (one is a [`CsrGraph::snapshot`] of the
+    /// other, or an update batch that touched no block lies between
+    /// them). Graphs on different backends never share.
     pub fn shares_storage_with(&self, other: &CsrGraph) -> bool {
         match (&self.storage, &other.storage) {
             (CsrStorage::Uncompressed(a), CsrStorage::Uncompressed(b)) => {
-                Arc::ptr_eq(&a.out_offsets, &b.out_offsets)
-                    && Arc::ptr_eq(&a.out_targets, &b.out_targets)
-                    && Arc::ptr_eq(&a.out_weights, &b.out_weights)
-                    && Arc::ptr_eq(&a.in_offsets, &b.in_offsets)
-                    && Arc::ptr_eq(&a.in_sources, &b.in_sources)
-                    && Arc::ptr_eq(&a.in_weights, &b.in_weights)
+                let same = |x: &BlockTable, y: &BlockTable| {
+                    x.len() == y.len() && x.iter().zip(y.iter()).all(|(p, q)| Arc::ptr_eq(p, q))
+                };
+                same(&a.out, &b.out) && same(&a.inc, &b.inc)
             }
             (CsrStorage::Compressed(a), CsrStorage::Compressed(b)) => {
                 a.out.shares_storage_with(&b.out)
@@ -410,6 +652,40 @@ impl CsrGraph {
         }
     }
 
+    /// Heap bytes of `self`'s storage that are the very allocations of
+    /// `other`'s — the part of [`CsrGraph::memory_bytes`] that holding
+    /// both costs only once. `g.shared_bytes_with(&g) ==
+    /// g.memory_bytes()`; on uncompressed storage a block counts when
+    /// both graphs hold it at the same index of the same direction.
+    /// Graphs on different backends share nothing.
+    pub fn shared_bytes_with(&self, other: &CsrGraph) -> usize {
+        match (&self.storage, &other.storage) {
+            (CsrStorage::Uncompressed(a), CsrStorage::Uncompressed(b)) => {
+                let degrees = if Arc::ptr_eq(&self.out_degrees, &other.out_degrees) {
+                    self.out_degrees.capacity() * std::mem::size_of::<u32>()
+                } else {
+                    0
+                };
+                degrees + shared_table_bytes(&a.out, &b.out) + shared_table_bytes(&a.inc, &b.inc)
+            }
+            (CsrStorage::Compressed(a), CsrStorage::Compressed(b)) => {
+                let adjacency = |x: &CompressedAdjacency, y: &CompressedAdjacency| {
+                    if x.shares_storage_with(y) {
+                        x.memory_bytes()
+                    } else {
+                        0
+                    }
+                };
+                let weights = match (&a.weights, &b.weights) {
+                    (Some(x), Some(y)) if Arc::ptr_eq(x, y) => self.weight_bytes(),
+                    _ => 0,
+                };
+                adjacency(&a.out, &b.out) + adjacency(&a.inc, &b.inc) + weights
+            }
+            _ => 0,
+        }
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -420,7 +696,7 @@ impl CsrGraph {
     #[inline]
     pub fn num_edges(&self) -> usize {
         match &self.storage {
-            CsrStorage::Uncompressed(f) => f.out_targets.len(),
+            CsrStorage::Uncompressed(f) => f.num_edges,
             CsrStorage::Compressed(c) => c.out.num_targets(),
         }
     }
@@ -431,6 +707,30 @@ impl CsrGraph {
         0..self.num_vertices as VertexId
     }
 
+    /// The out-rows, block by block — the engines' push (scatter)
+    /// kernels read these. Flat storage only.
+    ///
+    /// # Panics
+    /// Panics on compressed storage.
+    #[inline]
+    pub fn out_rows(&self) -> Rows<'_> {
+        Rows {
+            blocks: &self.blocks().out,
+        }
+    }
+
+    /// The in-rows, block by block — the engines' gather kernels read
+    /// these. Flat storage only.
+    ///
+    /// # Panics
+    /// Panics on compressed storage.
+    #[inline]
+    pub fn in_rows(&self) -> Rows<'_> {
+        Rows {
+            blocks: &self.blocks().inc,
+        }
+    }
+
     /// Out-neighbors of `v`, sorted ascending.
     ///
     /// # Panics
@@ -439,34 +739,26 @@ impl CsrGraph {
     /// [`CsrGraph::out_edges`] there.
     #[inline]
     pub fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
-        let f = self.flat();
-        let (s, e) = f.out_range(v);
-        &f.out_targets[s..e]
+        self.out_rows().ids(v)
     }
 
     /// Weights parallel to [`CsrGraph::out_neighbors`]. Flat storage only.
     #[inline]
     pub fn out_weights(&self, v: VertexId) -> &[Weight] {
-        let f = self.flat();
-        let (s, e) = f.out_range(v);
-        &f.out_weights[s..e]
+        self.out_rows().row(v).1
     }
 
     /// In-neighbors of `v` (sources of edges into `v`), sorted ascending.
     /// Flat storage only (see [`CsrGraph::out_neighbors`]).
     #[inline]
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
-        let f = self.flat();
-        let (s, e) = f.in_range(v);
-        &f.in_sources[s..e]
+        self.in_rows().ids(v)
     }
 
     /// Weights parallel to [`CsrGraph::in_neighbors`]. Flat storage only.
     #[inline]
     pub fn in_weights(&self, v: VertexId) -> &[Weight] {
-        let f = self.flat();
-        let (s, e) = f.in_range(v);
-        &f.in_weights[s..e]
+        self.in_rows().row(v).1
     }
 
     /// Neighbors of `v` in the given direction. Flat storage only.
@@ -484,9 +776,8 @@ impl CsrGraph {
     #[inline]
     pub fn for_each_out_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, mut f: F) {
         match &self.storage {
-            CsrStorage::Uncompressed(fl) => {
-                let (s, e) = fl.out_range(v);
-                for &w in &fl.out_targets[s..e] {
+            CsrStorage::Uncompressed(_) => {
+                for &w in self.out_neighbors(v) {
                     f(w);
                 }
             }
@@ -499,9 +790,8 @@ impl CsrGraph {
     #[inline]
     pub fn for_each_in_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, mut f: F) {
         match &self.storage {
-            CsrStorage::Uncompressed(fl) => {
-                let (s, e) = fl.in_range(v);
-                for &w in &fl.in_sources[s..e] {
+            CsrStorage::Uncompressed(_) => {
+                for &w in self.in_neighbors(v) {
                     f(w);
                 }
             }
@@ -510,7 +800,7 @@ impl CsrGraph {
     }
 
     /// Out-degree of `v` (served from the cached degree array: one load
-    /// instead of two offset lookups).
+    /// instead of a row lookup).
     #[inline]
     pub fn out_degree(&self, v: VertexId) -> usize {
         self.out_degrees[v as usize] as usize
@@ -531,15 +821,7 @@ impl CsrGraph {
     #[inline]
     pub fn in_edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
         match &self.storage {
-            CsrStorage::Uncompressed(f) => {
-                let (s, e) = f.in_range(v);
-                EdgePairs::Flat(
-                    f.in_sources[s..e]
-                        .iter()
-                        .copied()
-                        .zip(f.in_weights[s..e].iter().copied()),
-                )
-            }
+            CsrStorage::Uncompressed(_) => EdgePairs::of_row(self.in_rows().row(v)),
             CsrStorage::Compressed(c) => EdgePairs::Decoded(
                 decoded_pairs(&c.inc, self.compressed_in_weight_streams(), v).into_iter(),
             ),
@@ -552,15 +834,7 @@ impl CsrGraph {
     #[inline]
     pub fn out_edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
         match &self.storage {
-            CsrStorage::Uncompressed(f) => {
-                let (s, e) = f.out_range(v);
-                EdgePairs::Flat(
-                    f.out_targets[s..e]
-                        .iter()
-                        .copied()
-                        .zip(f.out_weights[s..e].iter().copied()),
-                )
-            }
+            CsrStorage::Uncompressed(_) => EdgePairs::of_row(self.out_rows().row(v)),
             CsrStorage::Compressed(c) => EdgePairs::Decoded(
                 decoded_pairs(&c.out, self.compressed_out_weight_streams(), v).into_iter(),
             ),
@@ -571,10 +845,7 @@ impl CsrGraph {
     #[inline]
     pub fn in_degree(&self, v: VertexId) -> usize {
         match &self.storage {
-            CsrStorage::Uncompressed(f) => {
-                let (s, e) = f.in_range(v);
-                e - s
-            }
+            CsrStorage::Uncompressed(_) => self.in_neighbors(v).len(),
             CsrStorage::Compressed(c) => c.inc.degree(v),
         }
     }
@@ -587,25 +858,15 @@ impl CsrGraph {
 
     /// True if the directed edge `(u, v)` exists.
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        match &self.storage {
-            CsrStorage::Uncompressed(_) => self.out_neighbors(u).binary_search(&v).is_ok(),
-            CsrStorage::Compressed(c) => {
-                let mut found = false;
-                c.out.for_each(u, |w| found |= w == v);
-                found
-            }
-        }
+        self.edge_weight(u, v).is_some()
     }
 
     /// Weight of edge `(u, v)` if present.
     pub fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
         match &self.storage {
-            CsrStorage::Uncompressed(f) => {
-                let (s, _) = f.out_range(u);
-                self.out_neighbors(u)
-                    .binary_search(&v)
-                    .ok()
-                    .map(|i| f.out_weights[s + i])
+            CsrStorage::Uncompressed(_) => {
+                let (ids, weights) = self.out_rows().row(u);
+                ids.binary_search(&v).ok().map(|i| weights[i])
             }
             CsrStorage::Compressed(c) => {
                 let mut hit: Option<usize> = None;
@@ -640,23 +901,24 @@ impl CsrGraph {
         }
     }
 
-    /// The transposed graph (every edge reversed). The adjacency arrays
-    /// are shared with `self` (swapped roles), not copied; only the
+    /// The transposed graph (every edge reversed). The adjacency storage
+    /// is shared with `self` (swapped roles), not copied; only the
     /// degree cache is swapped/recomputed. Works on both backends.
     pub fn reversed(&self) -> CsrGraph {
         match &self.storage {
-            CsrStorage::Uncompressed(f) => CsrGraph {
-                num_vertices: self.num_vertices,
-                out_degrees: Arc::new(degrees_from_offsets(&f.in_offsets)),
-                storage: CsrStorage::Uncompressed(FlatCsr {
-                    out_offsets: Arc::clone(&f.in_offsets),
-                    out_targets: Arc::clone(&f.in_sources),
-                    out_weights: Arc::clone(&f.in_weights),
-                    in_offsets: Arc::clone(&f.out_offsets),
-                    in_sources: Arc::clone(&f.out_targets),
-                    in_weights: Arc::clone(&f.out_weights),
-                }),
-            },
+            CsrStorage::Uncompressed(f) => {
+                let out_degrees = f
+                    .inc
+                    .iter()
+                    .flat_map(|b| b.row_offsets().windows(2).map(|w| w[1] - w[0]))
+                    .collect();
+                CsrGraph::from_blocks(
+                    f.num_edges,
+                    Arc::clone(&f.inc),
+                    Arc::clone(&f.out),
+                    Arc::new(out_degrees),
+                )
+            }
             CsrStorage::Compressed(c) => CsrGraph {
                 num_vertices: self.num_vertices,
                 out_degrees: c.inc.degrees_arc(),
@@ -714,17 +976,21 @@ impl CsrGraph {
     /// grow the graph.
     ///
     /// The batch is folded into per-pair overrides (`O(|U| log |U|)`)
-    /// and spliced into each adjacency direction: rows no override
-    /// touches are copied in whole spans with their offsets shifted, and
-    /// only the touched rows are merged — one copy of the arrays, with
-    /// no edge list, sort or per-edge pass.
+    /// and spliced into each adjacency direction block by block: only
+    /// the row blocks an override lands in (and the last block, when the
+    /// graph grows) are rebuilt, merging the touched rows; every other
+    /// block is the input's own `Arc`, shared. Beyond those blocks a
+    /// batch copies the two block tables and the out-degree array, so
+    /// it costs `O(|V| / BLOCK_ROWS + touched blocks)`, not
+    /// `O(|V| + |E|)`, and the input and the result share every
+    /// untouched row.
     ///
     /// The result is always on the uncompressed backend (a compressed
     /// input is decompressed first).
     pub fn apply_updates(&self, updates: &[EdgeUpdate]) -> CsrGraph {
         use std::collections::HashMap;
         let base = self.decompress();
-        let f = base.flat();
+        let f = base.blocks();
         let n_old = self.num_vertices;
         // Fold the batch into the final state of each touched pair:
         // `Some(w)` = present with weight `w`, `None` = absent.
@@ -768,29 +1034,19 @@ impl CsrGraph {
             .collect();
         by_dst.sort_unstable_by_key(|&(dst, src, _)| (dst, src));
 
-        let (out_offsets, out_targets, out_weights) = splice_rows(
-            num_vertices,
-            &f.out_offsets,
-            &f.out_targets,
-            &f.out_weights,
-            &by_src,
-        );
-        let (in_offsets, in_sources, in_weights) = splice_rows(
-            num_vertices,
-            &f.in_offsets,
-            &f.in_sources,
-            &f.in_weights,
-            &by_dst,
-        );
-        CsrGraph::from_parts(
-            num_vertices,
-            out_offsets,
-            out_targets,
-            out_weights,
-            in_offsets,
-            in_sources,
-            in_weights,
-        )
+        let out = splice_blocks(num_vertices, &f.out, &by_src);
+        let inc = splice_blocks(num_vertices, &f.inc, &by_dst);
+        let mut out_degrees = Vec::with_capacity(num_vertices);
+        out_degrees.extend_from_slice(&base.out_degrees);
+        out_degrees.resize(num_vertices, 0);
+        let mut num_edges = f.num_edges;
+        let rows = Rows { blocks: &out };
+        for &(src, _, _) in &by_src {
+            let d = rows.ids(src).len() as u32;
+            let old = std::mem::replace(&mut out_degrees[src as usize], d);
+            num_edges = num_edges - old as usize + d as usize;
+        }
+        CsrGraph::from_blocks(num_edges, out, inc, Arc::new(out_degrees))
     }
 
     /// Extracts the subgraph induced by `vertices`.
@@ -816,7 +1072,7 @@ impl CsrGraph {
         vertices: &[VertexId],
         threads: usize,
     ) -> (CsrGraph, Vec<VertexId>) {
-        let f = self.flat();
+        let rows = self.out_rows();
         let mut global_to_local = vec![VertexId::MAX; self.num_vertices];
         for (i, &v) in vertices.iter().enumerate() {
             debug_assert!(
@@ -825,42 +1081,31 @@ impl CsrGraph {
             );
             global_to_local[v as usize] = i as VertexId;
         }
+        let map = &global_to_local;
+        // Each kept edge of `v`'s row, relabeled.
+        let kept = move |v: VertexId| {
+            let (ids, weights) = rows.row(v);
+            let lv = map[v as usize];
+            ids.iter().zip(weights).filter_map(move |(&w, &weight)| {
+                let lw = map[w as usize];
+                (lw != VertexId::MAX).then_some(Edge {
+                    src: lv,
+                    dst: lw,
+                    weight,
+                })
+            })
+        };
         let ascending = vertices.windows(2).all(|w| w[0] < w[1]);
         if !ascending {
             let mut b = GraphBuilder::with_capacity(vertices.len(), 0);
             for &v in vertices {
-                let lv = global_to_local[v as usize];
-                let (s, e) = f.out_range(v);
-                for i in s..e {
-                    let w = f.out_targets[i];
-                    let lw = global_to_local[w as usize];
-                    if lw != VertexId::MAX {
-                        b.add_edge(lv, lw, f.out_weights[i]);
-                    }
-                }
+                b.extend(kept(v));
             }
             return (b.build(), vertices.to_vec());
         }
 
-        let map = &global_to_local;
-        let filter_rows = |chunk: &[VertexId]| -> Vec<Edge> {
-            let mut edges = Vec::new();
-            for &v in chunk {
-                let lv = map[v as usize];
-                let (s, e) = f.out_range(v);
-                for i in s..e {
-                    let lw = map[f.out_targets[i] as usize];
-                    if lw != VertexId::MAX {
-                        edges.push(Edge {
-                            src: lv,
-                            dst: lw,
-                            weight: f.out_weights[i],
-                        });
-                    }
-                }
-            }
-            edges
-        };
+        let filter_rows =
+            |chunk: &[VertexId]| -> Vec<Edge> { chunk.iter().flat_map(|&v| kept(v)).collect() };
         let edges: Vec<Edge> = if threads > 1 && vertices.len() > 1 {
             use rayon::prelude::*;
             let chunks: Vec<&[VertexId]> = vertices
@@ -876,7 +1121,7 @@ impl CsrGraph {
             filter_rows(vertices)
         };
         (
-            csr_from_sorted_edges(vertices.len(), &edges),
+            CsrGraph::from_sorted_edges(vertices.len(), edges.iter().copied()),
             vertices.to_vec(),
         )
     }
@@ -931,32 +1176,22 @@ impl CsrGraph {
         if self.is_compressed() {
             return self.decompress().compress_with_shards(shard_starts);
         }
-        let f = self.flat();
-        let out = CompressedAdjacency::from_csr(
-            self.num_vertices,
-            &f.out_offsets,
-            &f.out_targets,
-            shard_starts,
-        );
-        let inc = CompressedAdjacency::from_csr(
-            self.num_vertices,
-            &f.in_offsets,
-            &f.in_sources,
-            shard_starts,
-        );
-        let unit = f.out_weights.iter().all(|&w| w == 1.0);
-        let weights = if unit {
-            None
-        } else {
-            Some(Arc::new(WeightStreams {
-                out_offsets: Arc::clone(&f.out_offsets),
-                out_weights: Arc::clone(&f.out_weights),
-                in_offsets: Arc::clone(&f.in_offsets),
-                in_weights: Arc::clone(&f.in_weights),
-            }))
-        };
+        let f = self.blocks();
+        let unit = f.out.iter().all(|b| b.weights.iter().all(|&w| w == 1.0));
+        let n = self.num_vertices;
+        let (out_rows, in_rows) = (self.out_rows(), self.in_rows());
+        let out = CompressedAdjacency::from_rows(n, |v| out_rows.ids(v as VertexId), shard_starts);
+        let inc = CompressedAdjacency::from_rows(n, |v| in_rows.ids(v as VertexId), shard_starts);
+        let weights = (!unit).then(|| {
+            Arc::new(WeightStreams {
+                out_offsets: Arc::new(offsets_from_degrees(out.degrees())),
+                out_weights: Arc::new(concat_weights(&f.out)),
+                in_offsets: Arc::new(offsets_from_degrees(inc.degrees())),
+                in_weights: Arc::new(concat_weights(&f.inc)),
+            })
+        });
         CsrGraph {
-            num_vertices: self.num_vertices,
+            num_vertices: n,
             out_degrees: out.degrees_arc(),
             storage: CsrStorage::Compressed(CompressedCsr {
                 out: Arc::new(out),
@@ -966,33 +1201,30 @@ impl CsrGraph {
         }
     }
 
-    /// Decodes a compressed graph back to flat arrays (identity clone on
+    /// Decodes a compressed graph back to row blocks (identity clone on
     /// flat storage). `decompress(compress(g)) == g`.
     pub fn decompress(&self) -> CsrGraph {
         let c = match &self.storage {
             CsrStorage::Uncompressed(_) => return self.clone(),
             CsrStorage::Compressed(c) => c,
         };
-        let m = c.out.num_targets();
-        let decode_ids = |adj: &CompressedAdjacency| -> Vec<VertexId> {
-            let mut ids = Vec::with_capacity(m);
+        let direction = |adj: &CompressedAdjacency, weights: Option<&[Weight]>| {
+            let mut fill = BlockFill::new(adj.degrees());
+            let mut i = 0;
             for v in 0..self.num_vertices as VertexId {
-                adj.for_each(v, |w| ids.push(w));
+                adj.for_each(v, |w| {
+                    fill.push(v, w, weights.map_or(1.0, |ws| ws[i]));
+                    i += 1;
+                });
             }
-            ids
+            fill.finish()
         };
-        let (out_weights, in_weights) = match &c.weights {
-            Some(w) => (w.out_weights.to_vec(), w.in_weights.to_vec()),
-            None => (vec![1.0; m], vec![1.0; m]),
-        };
-        CsrGraph::from_parts(
-            self.num_vertices,
-            offsets_from_degrees(c.out.degrees()),
-            decode_ids(&c.out),
-            out_weights,
-            offsets_from_degrees(c.inc.degrees()),
-            decode_ids(&c.inc),
-            in_weights,
+        let weights = c.weights.as_deref();
+        CsrGraph::from_blocks(
+            c.out.num_targets(),
+            direction(&c.out, weights.map(|w| &w.out_weights[..])),
+            direction(&c.inc, weights.map(|w| &w.in_weights[..])),
+            Arc::clone(&self.out_degrees),
         )
     }
 
@@ -1047,16 +1279,18 @@ impl CsrGraph {
     // ---- footprint accounting -----------------------------------------
 
     /// Heap bytes of the adjacency *structure* (neighbor ids, offsets,
-    /// degree caches — everything except edge-weight payloads). This is
-    /// the quantity compression shrinks, and the numerator of
-    /// bytes-per-edge reporting.
+    /// block tables, degree caches — everything except edge-weight
+    /// payloads). This is the quantity compression shrinks, and the
+    /// numerator of bytes-per-edge reporting.
     pub fn adjacency_bytes(&self) -> usize {
         match &self.storage {
             CsrStorage::Uncompressed(f) => {
-                f.out_offsets.capacity() * std::mem::size_of::<usize>()
-                    + f.in_offsets.capacity() * std::mem::size_of::<usize>()
-                    + f.out_targets.capacity() * std::mem::size_of::<VertexId>()
-                    + f.in_sources.capacity() * std::mem::size_of::<VertexId>()
+                let table = |t: &BlockTable| {
+                    t.capacity() * std::mem::size_of::<Arc<RowBlock>>()
+                        + t.iter().map(|b| b.structure_bytes()).sum::<usize>()
+                };
+                table(&f.out)
+                    + table(&f.inc)
                     + self.out_degrees.capacity() * std::mem::size_of::<u32>()
             }
             CsrStorage::Compressed(c) => c.out.memory_bytes() + c.inc.memory_bytes(),
@@ -1067,9 +1301,12 @@ impl CsrGraph {
     /// compressed graph, which stores no weight streams).
     pub fn weight_bytes(&self) -> usize {
         match &self.storage {
-            CsrStorage::Uncompressed(f) => {
-                (f.out_weights.capacity() + f.in_weights.capacity()) * std::mem::size_of::<Weight>()
-            }
+            CsrStorage::Uncompressed(f) => f
+                .out
+                .iter()
+                .chain(f.inc.iter())
+                .map(|b| b.weight_bytes())
+                .sum(),
             CsrStorage::Compressed(c) => match &c.weights {
                 Some(w) => {
                     (w.out_weights.capacity() + w.in_weights.capacity())
@@ -1083,55 +1320,11 @@ impl CsrGraph {
     }
 
     /// Total heap bytes used by the graph's storage (for Fig. 11
-    /// accounting): adjacency structure plus weight payloads.
+    /// accounting): adjacency structure plus weight payloads. Storage
+    /// shared with another graph counts in full in each; see
+    /// [`CsrGraph::shared_bytes_with`].
     pub fn memory_bytes(&self) -> usize {
         self.adjacency_bytes() + self.weight_bytes()
-    }
-
-    // ---- raw flat-array accessors (uncompressed backend only) ---------
-
-    /// Raw out-offset array (length `n + 1`); used by the cache simulator
-    /// to model CSR index accesses. Flat storage only.
-    #[inline]
-    pub fn raw_out_offsets(&self) -> &[usize] {
-        &self.flat().out_offsets
-    }
-
-    /// Raw in-offset array (length `n + 1`). Flat storage only.
-    #[inline]
-    pub fn raw_in_offsets(&self) -> &[usize] {
-        &self.flat().in_offsets
-    }
-
-    /// Raw flattened in-source array (all vertices' in-neighbors
-    /// concatenated, indexed by [`CsrGraph::raw_in_offsets`]); the
-    /// engines' gather kernels stream this directly. Flat storage only.
-    #[inline]
-    pub fn raw_in_sources(&self) -> &[VertexId] {
-        &self.flat().in_sources
-    }
-
-    /// Raw flattened in-weight array, parallel to
-    /// [`CsrGraph::raw_in_sources`]. Flat storage only.
-    #[inline]
-    pub fn raw_in_weights(&self) -> &[Weight] {
-        &self.flat().in_weights
-    }
-
-    /// Raw flattened out-target array (all vertices' out-neighbors
-    /// concatenated, indexed by [`CsrGraph::raw_out_offsets`]); the
-    /// engines' push (scatter) kernels stream this directly. Flat
-    /// storage only.
-    #[inline]
-    pub fn raw_out_targets(&self) -> &[VertexId] {
-        &self.flat().out_targets
-    }
-
-    /// Raw flattened out-weight array, parallel to
-    /// [`CsrGraph::raw_out_targets`]. Flat storage only.
-    #[inline]
-    pub fn raw_out_weights(&self) -> &[Weight] {
-        &self.flat().out_weights
     }
 }
 
@@ -1279,13 +1472,21 @@ mod tests {
             g.shares_storage_with(&snap.clone()),
             "clone of clone shares"
         );
-        // The shared arrays really are the same allocations.
-        assert!(std::ptr::eq(g.raw_out_targets(), snap.raw_out_targets()));
-        assert!(std::ptr::eq(g.raw_in_sources(), snap.raw_in_sources()));
-        // A rebuilt graph (even an identical one) does not alias.
-        let rebuilt = g.apply_updates(&[]);
+        // The shared rows really are the same allocations.
+        for v in g.vertices() {
+            assert!(std::ptr::eq(g.out_neighbors(v), snap.out_neighbors(v)));
+            assert!(std::ptr::eq(g.in_neighbors(v), snap.in_neighbors(v)));
+        }
+        assert_eq!(snap.shared_bytes_with(&g), g.memory_bytes());
+        // A batch that touches no row shares every block; a from-scratch
+        // build of the same graph (equal content) shares none.
+        let untouched = g.apply_updates(&[]);
+        assert_eq!(untouched, g);
+        assert!(untouched.shares_storage_with(&g));
+        let rebuilt = diamond();
         assert_eq!(rebuilt, g);
         assert!(!rebuilt.shares_storage_with(&g));
+        assert_eq!(rebuilt.shared_bytes_with(&g), 0);
         // Updates on a snapshot never disturb the original.
         let patched = snap.apply_updates(&[EdgeUpdate::remove(0, 1)]);
         assert!(g.has_edge(0, 1));
@@ -1297,8 +1498,131 @@ mod tests {
     fn reversed_shares_adjacency_storage() {
         let g = diamond();
         let r = g.reversed();
-        assert!(std::ptr::eq(g.raw_in_sources(), r.raw_out_targets()));
-        assert!(std::ptr::eq(g.raw_out_targets(), r.raw_in_sources()));
+        for v in g.vertices() {
+            assert!(std::ptr::eq(g.in_neighbors(v), r.out_neighbors(v)));
+            assert!(std::ptr::eq(g.out_neighbors(v), r.in_neighbors(v)));
+        }
+    }
+
+    /// A weighted graph of `n` vertices spanning several row blocks: a
+    /// ring plus a chord from every vertex.
+    fn multi_block(n: u32) -> CsrGraph {
+        CsrGraph::from_edges(
+            n as usize,
+            (0..n).flat_map(|v| {
+                [
+                    (v, (v + 1) % n, 1.0 + f64::from(v % 7)),
+                    (v, (v * 13 + 5) % n, 2.0),
+                ]
+            }),
+        )
+    }
+
+    /// Indices of the blocks of each direction `a` holds as the very
+    /// allocation `b` holds at that index.
+    fn unshared_blocks(a: &CsrGraph, b: &CsrGraph) -> (Vec<usize>, Vec<usize>) {
+        let (fa, fb) = (a.blocks(), b.blocks());
+        let unshared = |x: &BlockTable, y: &BlockTable| {
+            (0..x.len())
+                .filter(|&i| y.get(i).is_none_or(|q| !Arc::ptr_eq(&x[i], q)))
+                .collect()
+        };
+        (unshared(&fa.out, &fb.out), unshared(&fa.inc, &fb.inc))
+    }
+
+    #[test]
+    fn one_edge_batch_rebuilds_only_the_blocks_it_lands_in() {
+        let n = 5 * BLOCK_ROWS as u32 + 9;
+        let g = multi_block(n);
+        let (src, dst) = (BLOCK_ROWS as u32 + 3, 4 * BLOCK_ROWS as u32 + 1);
+        for batch in [
+            vec![EdgeUpdate::insert_weighted(src, dst, 0.5)],
+            vec![EdgeUpdate::remove(src, src + 1)],
+        ] {
+            let dst = batch[0].dst();
+            let patched = g.apply_updates(&batch);
+            let block = |v: u32| v as usize / BLOCK_ROWS;
+            assert_eq!(
+                unshared_blocks(&patched, &g),
+                (vec![block(src)], vec![block(dst)]),
+                "{batch:?}"
+            );
+            assert!(!patched.shares_storage_with(&g));
+            let expected = patched.memory_bytes()
+                - patched.blocks().out[block(src)].structure_bytes()
+                - patched.blocks().out[block(src)].weight_bytes()
+                - patched.blocks().inc[block(dst)].structure_bytes()
+                - patched.blocks().inc[block(dst)].weight_bytes()
+                - (patched.blocks().out.capacity() + patched.blocks().inc.capacity())
+                    * std::mem::size_of::<Arc<RowBlock>>()
+                - patched.out_degrees.capacity() * std::mem::size_of::<u32>();
+            assert_eq!(patched.shared_bytes_with(&g), expected);
+        }
+        // Growing by one vertex rebuilds the last block of each table
+        // (it gains a row) and nothing else.
+        let grown = g.apply_updates(&[EdgeUpdate::insert(0, n)]);
+        let last = (n as usize) / BLOCK_ROWS;
+        assert_eq!(unshared_blocks(&grown, &g), (vec![0, last], vec![last]));
+    }
+
+    #[test]
+    fn pinned_versions_cost_one_graph_plus_the_blocks_their_batches_touched() {
+        // Sixteen successive versions kept alive at once, as pinned
+        // epochs are: the distinct block allocations across all of them
+        // hold at most one graph's bytes plus the blocks the 16 batches
+        // rebuilt.
+        let n = 40 * BLOCK_ROWS as u32;
+        let mut versions = vec![multi_block(n)];
+        let mut touched_bytes = 0usize;
+        for i in 0..16u32 {
+            let prev = versions.last().unwrap();
+            let batch: Vec<EdgeUpdate> = (0..4)
+                .map(|k| {
+                    let src = (i * 97 + k * 31) % n;
+                    if k == 3 {
+                        EdgeUpdate::remove(src, (src + 1) % n)
+                    } else {
+                        EdgeUpdate::insert_weighted(src, (src * 7 + i) % n, 3.0)
+                    }
+                })
+                .collect();
+            let next = prev.apply_updates(&batch);
+            let (out, inc) = unshared_blocks(&next, prev);
+            assert!(out.len() <= 4 && inc.len() <= 4, "{out:?} {inc:?}");
+            let f = next.blocks();
+            touched_bytes += out
+                .iter()
+                .map(|&b| &f.out[b])
+                .chain(inc.iter().map(|&b| &f.inc[b]))
+                .map(|b| b.structure_bytes() + b.weight_bytes())
+                .sum::<usize>();
+            versions.push(next);
+        }
+        let mut seen = std::collections::HashSet::new();
+        let mut distinct = 0usize;
+        for v in &versions {
+            let f = v.blocks();
+            for b in f.out.iter().chain(f.inc.iter()) {
+                if seen.insert(Arc::as_ptr(b)) {
+                    distinct += b.structure_bytes() + b.weight_bytes();
+                }
+            }
+        }
+        let first = versions[0].blocks();
+        let one_graph: usize = first
+            .out
+            .iter()
+            .chain(first.inc.iter())
+            .map(|b| b.structure_bytes() + b.weight_bytes())
+            .sum();
+        assert!(
+            distinct <= one_graph + touched_bytes,
+            "{distinct} > {one_graph} + {touched_bytes}"
+        );
+        // Every version still reads as a from-scratch build of its edges.
+        for v in &versions {
+            assert_eq!(*v, CsrGraph::from_edges(v.num_vertices(), v.edges()));
+        }
     }
 
     #[test]
@@ -1585,8 +1909,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "flat")]
-    fn raw_accessors_panic_on_compressed() {
+    fn row_accessors_panic_on_compressed() {
         let c = diamond().compress();
-        let _ = c.raw_in_offsets();
+        let _ = c.in_rows();
     }
 }

@@ -6,7 +6,7 @@
 //! `(a, b, c, d)`, concentrating edges around hub rows/columns.
 
 use crate::csr::CsrGraph;
-use crate::types::VertexId;
+use crate::types::{Edge, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -78,11 +78,11 @@ fn validated_d(cfg: &RmatConfig) -> f64 {
 ///    (the RNG is re-seeded, so the stream itself is never stored).
 /// 2. **Pass 2** replays the identical stream, scattering each target
 ///    directly into its row slot of the out-CSR target array.
-/// 3. Rows are sorted and deduplicated in place (compacting), and the
-///    in-CSR follows by counting sort.
+/// 3. Rows are sorted and deduplicated in place (compacting), and both
+///    directions' row blocks are written from the sorted rows.
 ///
 /// Peak transient memory beyond the finished CSR: `4m` bytes of
-/// pre-dedup targets plus two `n`-entry cursor arrays.
+/// pre-dedup targets plus a few `n`-entry degree and cursor arrays.
 pub fn rmat_streaming(cfg: RmatConfig) -> CsrGraph {
     let d = validated_d(&cfg);
     let n = 1usize << cfg.scale;
@@ -130,37 +130,14 @@ pub fn rmat_streaming(cfg: RmatConfig) -> CsrGraph {
         compact_offsets[v + 1] = write;
     }
     out_targets.truncate(write);
-    out_targets.shrink_to_fit();
-    let m = write;
 
-    // In-CSR by counting sort on target; sources within a bucket arrive
-    // ascending because rows are visited in ascending source order.
-    let mut in_offsets = vec![0usize; n + 1];
-    for &t in &out_targets {
-        in_offsets[t as usize + 1] += 1;
-    }
-    for i in 0..n {
-        in_offsets[i + 1] += in_offsets[i];
-    }
-    let mut in_cursor: Vec<usize> = in_offsets[..n].to_vec();
-    let mut in_sources = vec![0 as VertexId; m];
-    for v in 0..n {
-        for &target in &out_targets[compact_offsets[v]..compact_offsets[v + 1]] {
-            let t = target as usize;
-            in_sources[in_cursor[t]] = v as VertexId;
-            in_cursor[t] += 1;
-        }
-    }
-
-    CsrGraph::from_parts(
-        n,
-        compact_offsets,
-        out_targets,
-        vec![1.0; m],
-        in_offsets,
-        in_sources,
-        vec![1.0; m],
-    )
+    // Both directions' row blocks from the sorted, deduplicated rows.
+    let edges = (0..n).flat_map(|v| {
+        out_targets[compact_offsets[v]..compact_offsets[v + 1]]
+            .iter()
+            .map(move |&t| Edge::new(v as VertexId, t, 1.0))
+    });
+    CsrGraph::from_sorted_edges(n, edges)
 }
 
 fn sample_edge(rng: &mut StdRng, cfg: RmatConfig, d: f64) -> (VertexId, VertexId) {

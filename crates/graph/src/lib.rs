@@ -6,6 +6,8 @@
 //!
 //! Provides:
 //! - [`csr::CsrGraph`] — CSR storage with both out- and in-adjacency,
+//!   cut into `Arc`'d row blocks that an update batch copies only where
+//!   it lands,
 //! - [`compressed::CompressedAdjacency`] — delta-varint sharded neighbor
 //!   blocks behind [`csr::CsrGraph::compress`],
 //! - [`builder::GraphBuilder`] — edge-stream construction with dedup,

@@ -1,5 +1,6 @@
 //! Property tests of the graph substrate's structural invariants.
 
+use gograph_graph::csr::BLOCK_ROWS;
 use gograph_graph::generators::regular::chain;
 use gograph_graph::{CsrGraph, EdgeUpdate, GraphBuilder, Permutation};
 use proptest::prelude::*;
@@ -22,25 +23,34 @@ fn build(n: usize, edges: &[(u32, u32, f64)]) -> CsrGraph {
 }
 
 /// Raw material for one `apply_updates` case: a vertex count (0 = the
-/// empty graph), seed edges and update ops as unreduced endpoint draws —
-/// [`splice_case`] folds them into range — and three shape switches.
+/// empty graph) spanning up to three row blocks and a partial fourth,
+/// seed edges and update ops as unreduced endpoint draws —
+/// [`splice_case`] folds them into range — [`Shape`] switches, and the
+/// split point of a two-batch replay.
 type RawSpliceCase = (
     usize,
     Vec<(u32, u32, f64)>,
     Vec<(u32, u32, u32, f64)>,
-    bool,
-    bool,
+    Shape,
     usize,
 );
 
+/// `(sweep, compressed, grow, empty_rows, ends)`; see [`splice_case`].
+type Shape = (bool, bool, bool, bool, bool);
+
 fn arb_splice_case() -> impl Strategy<Value = RawSpliceCase> {
     (
-        0usize..24,
-        proptest::collection::vec((any::<u32>(), any::<u32>(), 0.5f64..9.5), 0..72),
+        0usize..3 * BLOCK_ROWS + 24,
+        proptest::collection::vec((any::<u32>(), any::<u32>(), 0.5f64..9.5), 0..200),
         proptest::collection::vec((0u32..3, any::<u32>(), any::<u32>(), 0.5f64..9.5), 0..60),
-        any::<bool>(),
-        any::<bool>(),
-        0usize..60,
+        (
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+        ),
+        0usize..80,
     )
 }
 
@@ -49,19 +59,28 @@ fn arb_splice_case() -> impl Strategy<Value = RawSpliceCase> {
 /// vertex set past several empty rows and removes name absent rows. The
 /// few ids and many ops make duplicate pairs, remove-then-insert and
 /// insert-then-remove of one pair, and removes of absent edges routine.
-/// `sweep` prepends one op per existing row, so every row is merged.
+/// The shape switches add, in front of those ops:
+/// - `sweep`: one op per existing row, so every row is merged;
+/// - `grow`: an insert to `n + 2·BLOCK_ROWS + 1`, so the graph gains at
+///   least two blocks, and op endpoints spread over the new rows too;
+/// - `empty_rows`: removes of every out-edge of the row with the most
+///   and every in-edge of the row with the most, leaving both empty;
+/// - `ends`: inserts and removes in row 0 and in the last row.
 fn splice_case(
     n: usize,
     edges: &[(u32, u32, f64)],
     ops: &[(u32, u32, u32, f64)],
-    sweep: bool,
+    (sweep, grow, empty_rows, ends): (bool, bool, bool, bool),
 ) -> (CsrGraph, Vec<EdgeUpdate>) {
     let seed: Vec<(u32, u32, f64)> = edges
         .iter()
         .filter(|_| n > 0)
         .map(|&(u, v, w)| (u % n as u32, v % n as u32, w))
         .collect();
-    let span = n as u32 + 6;
+    let g = build(n, &seed);
+    let last = n as u32 - u32::from(n > 0);
+    let grown = n as u32 + 2 * BLOCK_ROWS as u32 + 1;
+    let span = if grow { grown + 6 } else { n as u32 + 6 };
     let mut updates = Vec::new();
     if sweep {
         for v in 0..n as u32 {
@@ -72,6 +91,34 @@ fn splice_case(
             });
         }
     }
+    if grow {
+        updates.push(EdgeUpdate::insert_weighted(n as u32 / 2, grown, 1.5));
+    }
+    if empty_rows && n > 0 {
+        let busiest_out = g.vertices().max_by_key(|&v| g.out_degree(v)).unwrap();
+        let busiest_in = g.vertices().max_by_key(|&v| g.in_degree(v)).unwrap();
+        updates.extend(
+            g.out_neighbors(busiest_out)
+                .iter()
+                .map(|&w| EdgeUpdate::remove(busiest_out, w)),
+        );
+        updates.extend(
+            g.in_neighbors(busiest_in)
+                .iter()
+                .map(|&u| EdgeUpdate::remove(u, busiest_in)),
+        );
+    }
+    if ends && n > 0 {
+        updates.push(EdgeUpdate::insert_weighted(0, last, 4.5));
+        updates.push(EdgeUpdate::insert_weighted(last, 0, 0.75));
+        updates.push(EdgeUpdate::insert_weighted(last, last, 2.0));
+        if let Some(&w) = g.out_neighbors(last).first() {
+            updates.push(EdgeUpdate::remove(last, w));
+        }
+        if let Some(&u) = g.in_neighbors(0).last() {
+            updates.push(EdgeUpdate::remove(u, 0));
+        }
+    }
     for &(kind, a, b, w) in ops {
         updates.push(if kind == 2 {
             EdgeUpdate::remove(a % span, b % span)
@@ -79,7 +126,7 @@ fn splice_case(
             EdgeUpdate::insert_weighted(a % span, b % span, w)
         });
     }
-    (build(n, &seed), updates)
+    (g, updates)
 }
 
 /// A from-scratch [`GraphBuilder`] build of what survives replaying
@@ -109,15 +156,34 @@ fn rebuilt(g: &CsrGraph, updates: &[EdgeUpdate]) -> CsrGraph {
     b.build()
 }
 
-fn assert_same_arrays(spliced: &CsrGraph, expected: &CsrGraph) {
+/// Row by row in both directions, the degree cache, and `==` (which
+/// also compares the block layout).
+fn assert_same_rows(spliced: &CsrGraph, expected: &CsrGraph) {
     assert!(!spliced.is_compressed());
     assert_eq!(spliced.num_vertices(), expected.num_vertices());
-    assert_eq!(spliced.raw_out_offsets(), expected.raw_out_offsets());
-    assert_eq!(spliced.raw_out_targets(), expected.raw_out_targets());
-    assert_eq!(spliced.raw_out_weights(), expected.raw_out_weights());
-    assert_eq!(spliced.raw_in_offsets(), expected.raw_in_offsets());
-    assert_eq!(spliced.raw_in_sources(), expected.raw_in_sources());
-    assert_eq!(spliced.raw_in_weights(), expected.raw_in_weights());
+    assert_eq!(spliced.num_edges(), expected.num_edges());
+    for v in expected.vertices() {
+        assert_eq!(
+            spliced.out_neighbors(v),
+            expected.out_neighbors(v),
+            "out row {v}"
+        );
+        assert_eq!(
+            spliced.out_weights(v),
+            expected.out_weights(v),
+            "out weights {v}"
+        );
+        assert_eq!(
+            spliced.in_neighbors(v),
+            expected.in_neighbors(v),
+            "in row {v}"
+        );
+        assert_eq!(
+            spliced.in_weights(v),
+            expected.in_weights(v),
+            "in weights {v}"
+        );
+    }
     assert_eq!(spliced.out_degrees(), expected.out_degrees());
     assert_eq!(spliced, expected);
 }
@@ -213,15 +279,18 @@ proptest! {
 
     #[test]
     fn apply_updates_splice_equals_rebuild(
-        (n, edges, ops, sweep, compressed, cut) in arb_splice_case()
+        (n, edges, ops, (sweep, compressed, grow, empty_rows, ends), cut) in arb_splice_case()
     ) {
-        let (flat, updates) = splice_case(n, &edges, &ops, sweep);
+        let (flat, updates) = splice_case(n, &edges, &ops, (sweep, grow, empty_rows, ends));
         let g = if compressed { flat.compress() } else { flat.clone() };
         let expected = rebuilt(&flat, &updates);
-        assert_same_arrays(&g.apply_updates(&updates), &expected);
+        assert_same_rows(&g.apply_updates(&updates), &expected);
+        if grow {
+            assert!(expected.num_vertices().div_ceil(BLOCK_ROWS) >= n.div_ceil(BLOCK_ROWS) + 2);
+        }
         // Two chained batches land on the same graph as the one batch.
         let (first, second) = updates.split_at(cut.min(updates.len()));
-        assert_same_arrays(&g.apply_updates(first).apply_updates(second), &expected);
+        assert_same_rows(&g.apply_updates(first).apply_updates(second), &expected);
         // The input is never disturbed.
         prop_assert_eq!(g.decompress(), flat);
     }

@@ -454,6 +454,54 @@ struct UpdateLane {
     tx: Sender<MutatorMsg>,
     next_seq: u64,
     wal: Option<WalWriter>,
+    /// Vertex count once every batch sent so far is applied: the
+    /// graph's at launch, grown by each accepted or replicated batch's
+    /// inserts, and the checkpoint's on re-sync. The bound
+    /// [`check_batch`] holds new batches to.
+    vertices: usize,
+}
+
+/// Refuses a batch the graph must not see: an endpoint at or past
+/// `vertices + 2·len` (a batch of `len` inserts can add at most `2·len`
+/// vertices, so a farther id would only grow the graph by empty rows —
+/// up to 2³² of them), or an insert weight that is not finite or is
+/// negative (every traffic source and generator draws weights in
+/// `[1, 10)`). Runs before the WAL append, so a refused batch is never
+/// logged and never replayed.
+fn check_batch(updates: &[EdgeUpdate], vertices: usize) -> Result<(), ServeError> {
+    let limit = vertices.saturating_add(2 * updates.len());
+    for up in updates {
+        if let Some(v) = [up.src(), up.dst()]
+            .into_iter()
+            .find(|&v| v as usize >= limit)
+        {
+            return Err(ServeError::InvalidRequest(format!(
+                "update endpoint {v} out of range: the graph has {vertices} vertices and a \
+                 batch of {} updates may add at most {}",
+                updates.len(),
+                2 * updates.len()
+            )));
+        }
+        if let EdgeUpdate::Insert { weight, .. } = *up {
+            if !weight.is_finite() || weight < 0.0 {
+                return Err(ServeError::InvalidRequest(format!(
+                    "update weight {weight} is not a finite non-negative number"
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The vertex count after `updates`: inserts grow it, removes never do.
+fn grown_vertices(vertices: usize, updates: &[EdgeUpdate]) -> usize {
+    updates
+        .iter()
+        .filter_map(|up| match *up {
+            EdgeUpdate::Insert { src, dst, .. } => Some(src.max(dst) as usize + 1),
+            EdgeUpdate::Remove { .. } => None,
+        })
+        .fold(vertices, usize::max)
 }
 
 /// Everything the mutator thread owns.
@@ -663,6 +711,7 @@ impl ServeCore {
         // watermark has an answer before any batch settles.
         repl.record_probe(last_seq, epoch, fingerprints(&pipeline));
         stats.repl_last_seq.store(last_seq, Ordering::Release);
+        let vertices = pipeline.graph().num_vertices();
         let ctx = MutatorCtx {
             pipeline,
             warm,
@@ -691,6 +740,7 @@ impl ServeCore {
                 tx,
                 next_seq: last_seq,
                 wal,
+                vertices,
             })),
             mutator: Mutex::new(Some(handle)),
             compact_after,
@@ -858,6 +908,10 @@ impl ServeCore {
     /// batch is appended (and synced, per policy) to the WAL before
     /// this returns — an acked batch survives a crash. Returns the
     /// number of updates accepted.
+    ///
+    /// A batch naming a vertex at or past `vertices + 2·len`, or
+    /// inserting a non-finite or negative weight, is refused with
+    /// [`ServeError::InvalidRequest`] before it reaches the WAL.
     pub fn enqueue_updates(&self, updates: Vec<EdgeUpdate>) -> Result<usize, ServeError> {
         if self.role() != Role::Primary {
             return Err(ServeError::NotPrimary);
@@ -868,6 +922,7 @@ impl ServeCore {
         let n = updates.len();
         let mut guard = crate::lock_unpoisoned(&self.update_lane);
         let lane = guard.as_mut().ok_or(ServeError::Closed)?;
+        check_batch(&updates, lane.vertices)?;
         let seq = lane.next_seq + 1;
         if let Some(d) = &self.durability {
             // A compaction watermark set by the mutator (post-
@@ -900,10 +955,12 @@ impl ServeCore {
                 self.stats.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
             }
         }
+        let vertices = grown_vertices(lane.vertices, &updates);
         lane.tx
             .send(MutatorMsg::Batch { seq, updates })
             .map_err(|_| ServeError::Closed)?;
         lane.next_seq = seq;
+        lane.vertices = vertices;
         self.stats.batches_enqueued.fetch_add(1, Ordering::Relaxed);
         Ok(n)
     }
@@ -1194,10 +1251,12 @@ impl ServeCore {
                 lane.next_seq
             )));
         }
+        let vertices = grown_vertices(lane.vertices, &updates);
         lane.tx
             .send(MutatorMsg::Batch { seq, updates })
             .map_err(|_| ServeError::Closed)?;
         lane.next_seq = seq;
+        lane.vertices = vertices;
         // On a follower "enqueued" is the last primary seq received —
         // the counter identity enqueued == last assigned seq holds on
         // both roles.
@@ -1225,10 +1284,12 @@ impl ServeCore {
             ));
         }
         let seq = ck.seq;
+        let vertices = ck.state.graph.num_vertices();
         let gen = self.repl.resync_done.load(Ordering::Acquire);
         {
             let mut guard = crate::lock_unpoisoned(&self.update_lane);
             let lane = guard.as_mut().ok_or(ServeError::Closed)?;
+            lane.vertices = vertices;
             lane.tx
                 .send(MutatorMsg::Resync(Box::new(ck)))
                 .map_err(|_| ServeError::Closed)?;
@@ -1909,6 +1970,55 @@ mod tests {
                 max_epoch_lag: None,
             })
             .is_ok());
+    }
+
+    #[test]
+    fn out_of_range_ids_and_bad_weights_are_refused_before_the_wal() {
+        let dir = tmp_dir("bad-batches");
+        let config = ServeConfig {
+            warm: vec![WarmSpec::new(AlgSpec::Sssp, 0)],
+            durability: Some(DurabilityConfig::new(&dir)),
+            ..ServeConfig::default()
+        };
+        let core = ServeCore::start(&test_graph(), config.clone()).unwrap();
+        let n = test_graph().num_vertices() as u32;
+        let wal_len = || std::fs::metadata(dir.join("updates.wal")).unwrap().len();
+        core.enqueue_updates(batches(1).remove(0)).unwrap();
+        let before = (wal_len(), core.stats_snapshot().wal_appends);
+        for bad in [
+            vec![EdgeUpdate::insert(0, n + 10_000)],
+            vec![EdgeUpdate::insert(1, 2), EdgeUpdate::remove(n + 10_000, 3)],
+            vec![EdgeUpdate::insert_weighted(0, 1, f64::NAN)],
+            vec![EdgeUpdate::insert_weighted(0, 1, f64::INFINITY)],
+            vec![EdgeUpdate::insert_weighted(0, 1, -1.0)],
+        ] {
+            let err = core.enqueue_updates(bad.clone());
+            assert!(
+                matches!(err, Err(ServeError::InvalidRequest(_))),
+                "{bad:?}: {err:?}"
+            );
+            assert_eq!(
+                (wal_len(), core.stats_snapshot().wal_appends),
+                before,
+                "{bad:?}"
+            );
+        }
+        // A batch of `len` updates may name ids up to `vertices + 2·len - 1`,
+        // and the accepted growth moves the bound for the next batch.
+        core.enqueue_updates(vec![EdgeUpdate::insert(n, n + 1)])
+            .unwrap();
+        core.enqueue_updates(vec![EdgeUpdate::insert(n + 2, n + 3)])
+            .unwrap();
+        core.quiesce();
+        assert_eq!(core.pin_epoch().graph.num_vertices(), n as usize + 4);
+        assert_eq!(core.stats_snapshot().mutator_errors, 0);
+        core.shutdown();
+        drop(core);
+        // Nothing refused was logged, so recovery replays cleanly.
+        let recovered = ServeCore::recover(config).unwrap();
+        assert_eq!(recovered.pin_epoch().graph.num_vertices(), n as usize + 4);
+        recovered.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

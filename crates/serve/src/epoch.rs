@@ -8,8 +8,11 @@
 //! Retirement is the `Arc` refcount: when the last pinned reader drops
 //! its handle, the old epoch's storage goes with it — and because
 //! `CsrGraph`/`Permutation` payloads are themselves `Arc`-shared (see
-//! `CsrGraph::snapshot`), consecutive epochs share every array the
-//! update batch didn't rebuild.
+//! `CsrGraph::snapshot`), consecutive epochs share every row block of
+//! the graph the update batch didn't touch: a batch rebuilds only the
+//! blocks it lands in (`CsrGraph::apply_updates`), so K pinned epochs
+//! hold one graph plus K batches' worth of blocks and out-degree
+//! arrays.
 
 use crate::spec::AlgSpec;
 use gograph_graph::{CsrGraph, Permutation, VertexId};
@@ -41,8 +44,10 @@ pub struct WarmEntry {
 pub struct EpochState {
     /// Monotone epoch number (0 = the bootstrap epoch).
     pub epoch: u64,
-    /// The reordered CSR at this epoch (`Arc`-backed storage — cloning
-    /// out of the mutator's pipeline was O(1)).
+    /// The graph at this epoch, in original vertex ids — it is not
+    /// relabelled; the processing order is [`EpochState::order`]. Its
+    /// row blocks are `Arc`-shared with the mutator's pipeline and with
+    /// the neighbouring epochs (cloning it out was O(1)).
     pub graph: CsrGraph,
     /// The maintained GoGraph processing order for this graph.
     pub order: Arc<Permutation>,

@@ -45,6 +45,8 @@ pub enum EngineError {
         /// Rounds executed before giving up.
         rounds: usize,
     },
+    /// An update batch [`gograph_graph::check_batch`] refuses, and why.
+    InvalidBatch(String),
 }
 
 impl fmt::Display for EngineError {
@@ -71,6 +73,7 @@ impl fmt::Display for EngineError {
             EngineError::DidNotConverge { rounds } => {
                 write!(f, "did not converge within {rounds} rounds")
             }
+            EngineError::InvalidBatch(why) => write!(f, "invalid update batch: {why}"),
         }
     }
 }

@@ -73,7 +73,7 @@ use crate::runner::{Mode, RunConfig};
 use crate::strategy::{check_family, execute, AlgorithmRef, WarmStart};
 use crate::support::Support;
 use gograph_core::{digest_of, digest_term, GoGraph, IncrementalGoGraph};
-use gograph_graph::{CsrGraph, EdgeUpdate, Frontier, Permutation, VertexId};
+use gograph_graph::{check_batch, CsrGraph, EdgeUpdate, Frontier, Permutation, VertexId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -537,9 +537,11 @@ impl StreamingPipeline {
     /// Self-loop updates are skipped (they are neither positive nor
     /// negative under any order, matching [`IncrementalGoGraph`]); a
     /// batch may grow the vertex set by inserting edges whose endpoints
-    /// are beyond the current count. An empty batch is a one-round
-    /// confirmation that evaluates nothing. On an engine error the
-    /// pipeline is left part-way through the batch:
+    /// are beyond the current count, up to the bound [`check_batch`]
+    /// holds it to. A batch outside that bound is refused with
+    /// [`EngineError::InvalidBatch`] before anything changes. An empty
+    /// batch is a one-round confirmation that evaluates nothing. On any
+    /// other engine error the pipeline is left part-way through the batch:
     /// [`restore`](Self::restore) an [`export_state`](Self::export_state)
     /// taken before it.
     pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> Result<BatchResult, EngineError> {
@@ -555,6 +557,8 @@ impl StreamingPipeline {
         updates: &[EdgeUpdate],
         mut before_track: impl FnMut(usize),
     ) -> Result<BatchResult, EngineError> {
+        check_batch(updates, self.shared.graph.num_vertices())
+            .map_err(EngineError::InvalidBatch)?;
         let t = Instant::now();
         let updates: Vec<EdgeUpdate> = updates
             .iter()
@@ -2030,6 +2034,34 @@ mod tests {
         assert_eq!(sp.graph().num_vertices(), 6);
         assert_eq!(sp.states(), &before[..]);
         assert_eq!(sp.tracks()[0].cold_batches(), 0);
+    }
+
+    #[test]
+    fn batches_outside_the_bound_are_refused_before_anything_changes() {
+        let mut sp = StreamingPipeline::over(&chain(6))
+            .algorithm(Sssp::new(0))
+            .build()
+            .unwrap();
+        let before = sp.export_state();
+        for bad in [
+            vec![EdgeUpdate::insert(0, 6 + 10_000)],
+            vec![EdgeUpdate::remove(1, 2), EdgeUpdate::insert(6 + 4, 3)],
+            vec![EdgeUpdate::insert_weighted(0, 1, f64::NAN)],
+            vec![EdgeUpdate::insert_weighted(0, 1, -1.0)],
+        ] {
+            let err = sp.apply_batch(&bad).unwrap_err();
+            assert!(
+                matches!(err, EngineError::InvalidBatch(_)),
+                "{bad:?}: {err}"
+            );
+        }
+        let after = sp.export_state();
+        assert_eq!(after.graph, before.graph);
+        assert_eq!(after.tracks[0].states, before.tracks[0].states);
+        assert_eq!(after.batches_applied, before.batches_applied);
+        // A batch of `len` updates may name ids up to `vertices + 2·len - 1`.
+        sp.apply_batch(&[EdgeUpdate::insert(5, 7)]).unwrap();
+        assert_eq!(sp.graph().num_vertices(), 8);
     }
 
     #[test]

@@ -3,13 +3,10 @@
 //! compact little-endian binary format for the benchmark dataset cache.
 
 use crate::builder::GraphBuilder;
+use crate::codec::{le_f64, le_u32, DecodeError, Reader, Writer};
 use crate::compressed::{AdjacencyShard, CompressedAdjacency};
 use crate::csr::CsrGraph;
 use crate::types::VertexId;
-use bytes::{Buf, BufMut, BytesMut};
-// Re-exported so callers of the `*_to_binary`/`*_from_binary` pairs can
-// name the buffer type without a direct `bytes` dependency.
-pub use bytes::Bytes;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -119,59 +116,41 @@ pub fn write_edge_list_file<P: AsRef<Path>>(g: &CsrGraph, path: P) -> io::Result
 }
 
 /// Serializes the graph into the compact binary format.
-pub fn to_binary(g: &CsrGraph) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + g.num_edges() * 16);
-    buf.put_slice(MAGIC);
-    buf.put_u64_le(g.num_vertices() as u64);
-    buf.put_u64_le(g.num_edges() as u64);
+pub fn to_binary(g: &CsrGraph) -> Vec<u8> {
+    let mut w = Writer::with_capacity(24 + g.num_edges() * 16);
+    w.bytes(MAGIC);
+    w.u64(g.num_vertices() as u64);
+    w.u64(g.num_edges() as u64);
     for e in g.edges() {
-        buf.put_u32_le(e.src);
-        buf.put_u32_le(e.dst);
-        buf.put_f64_le(e.weight);
+        w.u32(e.src);
+        w.u32(e.dst);
+        w.f64(e.weight);
     }
-    buf.freeze()
+    w.into_vec()
 }
 
 /// Deserializes a graph from the binary format. The input must hold
 /// exactly one graph: bytes after the last declared edge are an error.
-pub fn from_binary(mut data: Bytes) -> io::Result<CsrGraph> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if data.remaining() < 24 {
-        return Err(bad("truncated header"));
-    }
-    let mut magic = [0u8; 8];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(bad("bad magic"));
-    }
-    let n = data.get_u64_le();
-    let m = data.get_u64_le();
-    // Validate the header before trusting it: out-of-id-space vertex
-    // counts and payload-exceeding (or size-overflowing) edge counts
-    // come back as errors instead of panics or aborts.
+pub fn from_binary(data: &[u8]) -> io::Result<CsrGraph> {
+    let mut r = Reader::new("GOGRAPH1 graph", data);
+    r.magic(MAGIC)?;
+    let n = r.u64("vertex count")?;
     if n > MAX_VERTICES {
-        return Err(bad("vertex count exceeds the u32 id space"));
+        return Err(r.invalid("vertex count", "exceeds the u32 id space").into());
     }
-    let edge_bytes = m
-        .checked_mul(16)
-        .ok_or_else(|| bad("edge count overflows the payload size"))?;
-    if (data.remaining() as u64) < edge_bytes {
-        return Err(bad("truncated edge section"));
-    }
-    let (n, m) = (n as usize, m as usize);
-    let mut b = GraphBuilder::with_capacity(n, m);
-    b.reserve_vertices(n);
-    for _ in 0..m {
-        let src = data.get_u32_le();
-        let dst = data.get_u32_le();
-        let w = data.get_f64_le();
-        if src as usize >= n || dst as usize >= n {
-            return Err(bad("edge endpoint out of declared vertex range"));
+    let m = r.u64("edge count")? as usize;
+    let edges = r.elements(m, 16, "edges")?;
+    r.finish()?;
+    let mut b = GraphBuilder::with_capacity(n as usize, m);
+    b.reserve_vertices(n as usize);
+    for (i, e) in edges.chunks_exact(16).enumerate() {
+        let (src, dst) = (le_u32(e), le_u32(&e[4..]));
+        if u64::from(src.max(dst)) >= n {
+            return Err(r
+                .invalid("edges", format!("edge {i} leaves the vertex range"))
+                .into());
         }
-        b.add_edge(src, dst, w);
-    }
-    if data.has_remaining() {
-        return Err(bad("trailing bytes after edge section"));
+        b.add_edge(src, dst, le_f64(&e[8..]));
     }
     Ok(b.build())
 }
@@ -183,7 +162,7 @@ pub fn write_binary_file<P: AsRef<Path>>(g: &CsrGraph, path: P) -> io::Result<()
 
 /// Reads the binary format from disk.
 pub fn read_binary_file<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
-    from_binary(Bytes::from(std::fs::read(path)?))
+    from_binary(&std::fs::read(path)?)
 }
 
 /// Magic prefix of the compressed-graph binary format (version baked
@@ -214,7 +193,7 @@ const FLAG_WEIGHTED: u8 = 1;
 ///
 /// Each shard section is independently framed and CRC-32'd, so shards
 /// can be streamed/placed independently and corruption is localized.
-pub fn compressed_to_binary(g: &CsrGraph) -> Bytes {
+pub fn compressed_to_binary(g: &CsrGraph) -> Vec<u8> {
     let compressed;
     let g = if g.is_compressed() {
         g
@@ -230,136 +209,96 @@ pub fn compressed_to_binary(g: &CsrGraph) -> Bytes {
         .expect("compressed storage present");
     let weighted = g.compressed_out_weight_streams().is_some();
 
-    let mut buf = BytesMut::with_capacity(
+    let mut w = Writer::with_capacity(
         64 + 8 * g.num_vertices() + out.payload_bytes() + inc.payload_bytes(),
     );
-    buf.put_slice(COMPRESSED_MAGIC);
-    buf.put_u32_le(COMPRESSED_VERSION);
-    buf.put_u8(if weighted { FLAG_WEIGHTED } else { 0 });
-    buf.put_u64_le(g.num_vertices() as u64);
-    buf.put_u64_le(g.num_edges() as u64);
-    buf.put_u64_le(out.num_shards() as u64);
-    for &s in out.shard_starts() {
-        buf.put_u32_le(s);
-    }
-    for &d in out.degrees() {
-        buf.put_u32_le(d);
-    }
-    for &d in inc.degrees() {
-        buf.put_u32_le(d);
-    }
+    w.bytes(COMPRESSED_MAGIC);
+    w.u32(COMPRESSED_VERSION);
+    w.u8(if weighted { FLAG_WEIGHTED } else { 0 });
+    w.u64(g.num_vertices() as u64);
+    w.u64(g.num_edges() as u64);
+    w.u64(out.num_shards() as u64);
+    w.u32s(out.shard_starts());
+    w.u32s(out.degrees());
+    w.u32s(inc.degrees());
     for adj in [out, inc] {
         for shard in adj.shards() {
-            let section_start = buf.len();
-            for &o in shard.offsets() {
-                buf.put_u32_le(o);
-            }
-            buf.put_u64_le(shard.byte_len() as u64);
-            buf.put_slice(shard.bytes());
-            let crc = crc32(&buf[section_start..]);
-            buf.put_u32_le(crc);
+            let section_start = w.len();
+            w.u32s(shard.offsets());
+            w.u64(shard.byte_len() as u64);
+            w.bytes(shard.bytes());
+            let crc = crc32(&w[section_start..]);
+            w.u32(crc);
         }
     }
     if weighted {
         let (_, ow) = g.compressed_out_weight_streams().expect("weighted");
         let (_, iw) = g.compressed_in_weight_streams().expect("weighted");
-        for &w in ow {
-            buf.put_f64_le(w);
-        }
-        for &w in iw {
-            buf.put_f64_le(w);
-        }
+        w.f64s(ow);
+        w.f64s(iw);
     }
-    buf.freeze()
+    w.into_vec()
 }
 
 /// Deserializes a graph written by [`compressed_to_binary`], onto the
 /// compressed backend.
 ///
 /// Every row of both adjacency directions is fully decode-checked
-/// (strictly ascending, in range, exact degree and byte consumption)
-/// and every shard section's CRC verified, so corrupt or truncated
-/// input surfaces as `Err` — never a panic or a silently wrong graph.
-pub fn compressed_from_binary(mut data: Bytes) -> io::Result<CsrGraph> {
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    if data.remaining() < 8 + 4 + 1 + 24 {
-        return Err(bad("truncated compressed-graph header".into()));
-    }
-    let mut magic = [0u8; 8];
-    data.copy_to_slice(&mut magic);
-    if &magic != COMPRESSED_MAGIC {
-        return Err(bad("bad compressed-graph magic".into()));
-    }
-    let version = data.get_u32_le();
+/// (strictly ascending, in range, exact degree and byte consumption),
+/// every shard section's CRC verified and bytes after the last section
+/// refused, so corrupt or truncated input surfaces as `Err` — never a
+/// panic or a silently wrong graph.
+pub fn compressed_from_binary(data: &[u8]) -> io::Result<CsrGraph> {
+    let mut r = Reader::new("GOGRPHC1 compressed graph", data);
+    r.magic(COMPRESSED_MAGIC)?;
+    let version = r.u32("version")?;
     if version != COMPRESSED_VERSION {
-        return Err(bad(format!(
-            "unsupported compressed-graph version {version}"
-        )));
+        return Err(r
+            .invalid("version", format!("unsupported version {version}"))
+            .into());
     }
-    let flags = data.get_u8();
-    if flags & !FLAG_WEIGHTED != 0 {
-        return Err(bad(format!("unknown compressed-graph flags {flags:#x}")));
-    }
-    let n = data.get_u64_le();
-    let m = data.get_u64_le();
-    let k = data.get_u64_le();
+    let flags = r.u8_as("flags", |f| (f & !FLAG_WEIGHTED == 0).then_some(f))?;
+    let n = r.u64("vertex count")?;
     if n > MAX_VERTICES {
-        return Err(bad("vertex count exceeds the u32 id space".into()));
+        return Err(r.invalid("vertex count", "exceeds the u32 id space").into());
     }
+    let m = r.u64("edge count")? as usize;
+    let k = r.u64("shard count")?;
     if k > n.max(1) {
-        return Err(bad("more shards than vertices".into()));
+        return Err(r.invalid("shard count", "more shards than vertices").into());
     }
-    // Fixed-size tables: (k+1) starts + 2n degrees, 4 bytes each.
-    let table_bytes = (k + 1 + 2 * n)
-        .checked_mul(4)
-        .ok_or_else(|| bad("header counts overflow".into()))?;
-    if (data.remaining() as u64) < table_bytes {
-        return Err(bad("truncated shard/degree tables".into()));
-    }
-    let (n, m, k) = (n as usize, m as usize, k as usize);
-    let shard_starts: Vec<VertexId> = (0..=k).map(|_| data.get_u32_le()).collect();
-    let out_degrees: Vec<u32> = (0..n).map(|_| data.get_u32_le()).collect();
-    let in_degrees: Vec<u32> = (0..n).map(|_| data.get_u32_le()).collect();
+    let (n, k) = (n as usize, k as usize);
+    let shard_starts: Vec<VertexId> = r.u32s(k + 1, "shard starts")?;
     if shard_starts.first() != Some(&0)
         || shard_starts.last().map(|&s| s as usize) != Some(n)
         || shard_starts.windows(2).any(|w| w[0] >= w[1]) && k > 0
     {
-        return Err(bad("malformed shard boundaries".into()));
+        return Err(r
+            .invalid("shard starts", "malformed shard boundaries")
+            .into());
     }
+    let degrees_at = r.offset();
+    let out_degrees = r.u32s(n, "out-degrees")?;
+    let in_degrees = r.u32s(n, "in-degrees")?;
 
-    let mut read_shards = |direction: &str| -> io::Result<Vec<AdjacencyShard>> {
+    let mut read_shards = |direction: &str| -> Result<Vec<AdjacencyShard>, DecodeError> {
         let mut shards = Vec::with_capacity(k);
         for (si, w) in shard_starts.windows(2).enumerate() {
-            let shard_len = (w[1] - w[0]) as usize;
-            let offsets_bytes = ((shard_len + 1) * 4 + 8) as u64;
-            if (data.remaining() as u64) < offsets_bytes {
-                return Err(bad(format!("truncated {direction} shard {si} offsets")));
+            // The CRC covers the section as written: offsets, length, bytes.
+            let section_start = r.offset();
+            let offsets = r.u32s((w[1] - w[0]) as usize + 1, "shard offsets")?;
+            let byte_len = r.u64("shard byte length")?;
+            let bytes = r.slice(byte_len as usize, "shard bytes")?.to_vec();
+            let section = &data[section_start..r.offset()];
+            let stored_crc = r.u32("shard crc")?;
+            let bad =
+                |why: String| r.error_at(section_start, "shard", format!("{direction} {why}"));
+            if crc32(section) != stored_crc {
+                return Err(bad(format!("shard {si} CRC mismatch")));
             }
-            // CRC is over the section as written: offsets, length, bytes.
-            let mut crc_acc = BytesMut::with_capacity(offsets_bytes as usize);
-            let offsets: Vec<u32> = (0..=shard_len)
-                .map(|_| {
-                    let o = data.get_u32_le();
-                    crc_acc.put_u32_le(o);
-                    o
-                })
-                .collect();
-            let byte_len = data.get_u64_le();
-            crc_acc.put_u64_le(byte_len);
-            if (data.remaining() as u64) < byte_len.saturating_add(4) {
-                return Err(bad(format!("truncated {direction} shard {si} payload")));
-            }
-            let mut bytes = vec![0u8; byte_len as usize];
-            data.copy_to_slice(&mut bytes);
-            let stored_crc = data.get_u32_le();
-            crc_acc.put_slice(&bytes);
-            if crc32(&crc_acc) != stored_crc {
-                return Err(bad(format!("{direction} shard {si} CRC mismatch")));
-            }
-            shards.push(
-                AdjacencyShard::from_parts(offsets, bytes)
-                    .map_err(|why| bad(format!("{direction} shard {si} malformed: {why}")))?,
-            );
+            let shard = AdjacencyShard::from_parts(offsets, bytes)
+                .map_err(|why| bad(format!("shard {si} malformed: {why}")))?;
+            shards.push(shard);
         }
         Ok(shards)
     };
@@ -367,31 +306,27 @@ pub fn compressed_from_binary(mut data: Bytes) -> io::Result<CsrGraph> {
     let in_shards = read_shards("in")?;
 
     let build = |degrees: Vec<u32>, shards: Vec<AdjacencyShard>, direction: &str| {
-        let adj = CompressedAdjacency::from_raw_parts(n, m, degrees, shard_starts.clone(), shards)
-            .map_err(|why| bad(format!("{direction} adjacency malformed: {why}")))?;
-        adj.validate()
-            .map_err(|why| bad(format!("{direction} adjacency corrupt: {why}")))?;
-        Ok::<_, io::Error>(adj)
+        CompressedAdjacency::from_raw_parts(n, m, degrees, shard_starts.clone(), shards)
+            .and_then(|adj| adj.validate().map(|()| adj))
+            .map_err(|why| {
+                let why = format!("{direction} adjacency: {why}");
+                r.error_at(degrees_at, "degrees", why)
+            })
     };
     let out_adj = build(out_degrees, out_shards, "out")?;
     let in_adj = build(in_degrees, in_shards, "in")?;
 
     let weights = if flags & FLAG_WEIGHTED != 0 {
-        let weight_bytes = (m as u64)
-            .checked_mul(16)
-            .ok_or_else(|| bad("weight section size overflows".into()))?;
-        if (data.remaining() as u64) < weight_bytes {
-            return Err(bad("truncated weight streams".into()));
-        }
-        let ow: Vec<f64> = (0..m).map(|_| data.get_f64_le()).collect();
-        let iw: Vec<f64> = (0..m).map(|_| data.get_f64_le()).collect();
-        Some((ow, iw))
+        Some((r.f64s(m, "out-weights")?, r.f64s(m, "in-weights")?))
     } else {
         None
     };
+    r.finish()?;
 
-    CsrGraph::from_compressed_adjacency(out_adj, in_adj, weights)
-        .map_err(|why| bad(format!("inconsistent compressed graph: {why}")))
+    CsrGraph::from_compressed_adjacency(out_adj, in_adj, weights).map_err(|why| {
+        r.error_at(degrees_at, "degrees", format!("inconsistent: {why}"))
+            .into()
+    })
 }
 
 /// Writes the compressed binary format to disk (compressing a flat
@@ -403,7 +338,7 @@ pub fn write_compressed_file<P: AsRef<Path>>(g: &CsrGraph, path: P) -> io::Resul
 /// Reads a compressed binary graph from disk onto the compressed
 /// backend.
 pub fn read_compressed_file<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
-    compressed_from_binary(Bytes::from(std::fs::read(path)?))
+    compressed_from_binary(&std::fs::read(path)?)
 }
 
 /// Magic prefix of the binary permutation format.
@@ -445,45 +380,29 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// length, then the order array as little-endian u32s. The companion of
 /// [`to_binary`] for durability snapshots that must round-trip a
 /// maintained processing order exactly.
-pub fn permutation_to_binary(p: &crate::permutation::Permutation) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + p.len() * 4);
-    buf.put_slice(PERM_MAGIC);
-    buf.put_u64_le(p.len() as u64);
-    for &v in p.order() {
-        buf.put_u32_le(v);
-    }
-    buf.freeze()
+pub fn permutation_to_binary(p: &crate::permutation::Permutation) -> Vec<u8> {
+    let mut w = Writer::with_capacity(16 + p.len() * 4);
+    w.bytes(PERM_MAGIC);
+    w.u64(p.len() as u64);
+    w.u32s(p.order());
+    w.into_vec()
 }
 
 /// Deserializes a permutation written by [`permutation_to_binary`],
 /// validating the header against the payload and the content as a
-/// bijection.
-pub fn permutation_from_binary(mut data: Bytes) -> io::Result<crate::permutation::Permutation> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if data.remaining() < 16 {
-        return Err(bad("truncated permutation header"));
-    }
-    let mut magic = [0u8; 8];
-    data.copy_to_slice(&mut magic);
-    if &magic != PERM_MAGIC {
-        return Err(bad("bad permutation magic"));
-    }
-    let n = data.get_u64_le();
+/// bijection. Bytes after the order are an error.
+pub fn permutation_from_binary(data: &[u8]) -> io::Result<crate::permutation::Permutation> {
+    let mut r = Reader::new("GGPERM1 permutation", data);
+    r.magic(PERM_MAGIC)?;
+    let n = r.u64("length")?;
     if n > MAX_VERTICES {
-        return Err(bad("permutation length exceeds the u32 id space"));
+        return Err(r.invalid("length", "exceeds the u32 id space").into());
     }
-    let payload = n
-        .checked_mul(4)
-        .ok_or_else(|| bad("permutation length overflows the payload size"))?;
-    if (data.remaining() as u64) < payload {
-        return Err(bad("truncated permutation body"));
-    }
-    let order: Vec<VertexId> = (0..n).map(|_| data.get_u32_le()).collect();
+    let order = r.u32s(n as usize, "order")?;
+    r.finish()?;
     crate::permutation::Permutation::try_from_order(order).map_err(|why| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("not a permutation: {why}"),
-        )
+        r.invalid("order", format!("not a permutation: {why}"))
+            .into()
     })
 }
 
@@ -585,7 +504,7 @@ mod tests {
     fn binary_roundtrip() {
         let g = sample();
         let bytes = to_binary(&g);
-        let g2 = from_binary(bytes).unwrap();
+        let g2 = from_binary(&bytes).unwrap();
         assert_eq!(g, g2);
     }
 
@@ -593,19 +512,19 @@ mod tests {
     fn binary_rejects_corruption() {
         let g = sample();
         let bytes = to_binary(&g);
-        assert!(from_binary(bytes.slice(0..10)).is_err());
+        assert!(from_binary(&bytes[..10]).is_err());
         let mut bad = bytes.to_vec();
         bad[0] = b'X';
-        assert!(from_binary(Bytes::from(bad)).is_err());
+        assert!(from_binary(&bad).is_err());
         // truncated edges
-        assert!(from_binary(bytes.slice(0..bytes.len() - 4)).is_err());
+        assert!(from_binary(&bytes[..bytes.len() - 4]).is_err());
     }
 
     #[test]
     fn binary_rejects_trailing_bytes() {
         let mut junk = to_binary(&sample()).to_vec();
         junk.push(0);
-        let err = from_binary(Bytes::from(junk)).unwrap_err();
+        let err = from_binary(&junk).unwrap_err();
         assert!(err.to_string().contains("trailing bytes"), "{err}");
     }
 
@@ -655,10 +574,10 @@ mod tests {
     fn binary_permutation_roundtrip() {
         let p = crate::permutation::Permutation::from_order(vec![2, 0, 3, 1]);
         let bytes = permutation_to_binary(&p);
-        assert_eq!(permutation_from_binary(bytes.clone()).unwrap(), p);
+        assert_eq!(permutation_from_binary(&bytes).unwrap(), p);
         let empty = crate::permutation::Permutation::identity(0);
         assert_eq!(
-            permutation_from_binary(permutation_to_binary(&empty)).unwrap(),
+            permutation_from_binary(&permutation_to_binary(&empty)).unwrap(),
             empty
         );
     }
@@ -668,15 +587,15 @@ mod tests {
         let p = crate::permutation::Permutation::from_order(vec![1, 0, 2]);
         let bytes = permutation_to_binary(&p);
         // Truncated header, truncated body, bad magic, broken bijection.
-        assert!(permutation_from_binary(bytes.slice(0..8)).is_err());
-        assert!(permutation_from_binary(bytes.slice(0..bytes.len() - 2)).is_err());
+        assert!(permutation_from_binary(&bytes[..8]).is_err());
+        assert!(permutation_from_binary(&bytes[..bytes.len() - 2]).is_err());
         let mut bad = bytes.to_vec();
         bad[0] = b'X';
-        assert!(permutation_from_binary(Bytes::from(bad)).is_err());
+        assert!(permutation_from_binary(&bad).is_err());
         let mut dup = bytes.to_vec();
         let body = dup.len() - 4;
         dup[body..].copy_from_slice(&1u32.to_le_bytes());
-        assert!(permutation_from_binary(Bytes::from(dup)).is_err());
+        assert!(permutation_from_binary(&dup).is_err());
     }
 
     #[test]
@@ -685,7 +604,7 @@ mod tests {
         b.reserve_vertices(10);
         b.add_edge(0, 1, 1.0);
         let g = b.build();
-        let g2 = from_binary(to_binary(&g)).unwrap();
+        let g2 = from_binary(&to_binary(&g)).unwrap();
         assert_eq!(g2.num_vertices(), 10);
     }
 
@@ -724,7 +643,7 @@ mod tests {
         let g = sample_weighted_graph();
         for cuts in [vec![], vec![4], vec![2, 4, 6]] {
             let c = g.compress_with_shards(&cuts);
-            let back = compressed_from_binary(compressed_to_binary(&c)).unwrap();
+            let back = compressed_from_binary(&compressed_to_binary(&c)).unwrap();
             assert!(back.is_compressed());
             assert_eq!(back.num_shards(), c.num_shards());
             assert_same_graph(&g, &back);
@@ -754,7 +673,7 @@ mod tests {
         let c = g.compress();
         assert!(c.compressed_out_weight_streams().is_none());
         let bytes = compressed_to_binary(&c);
-        let back = compressed_from_binary(bytes).unwrap();
+        let back = compressed_from_binary(&bytes).unwrap();
         // The unit-weight optimization survives the roundtrip: no
         // weight payload written, none materialized on load.
         assert!(back.compressed_out_weight_streams().is_none());
@@ -764,7 +683,7 @@ mod tests {
     #[test]
     fn compressed_binary_compresses_flat_input() {
         let g = sample_weighted_graph();
-        let back = compressed_from_binary(compressed_to_binary(&g)).unwrap();
+        let back = compressed_from_binary(&compressed_to_binary(&g)).unwrap();
         assert!(back.is_compressed());
         assert_same_graph(&g, &back);
     }
@@ -772,7 +691,7 @@ mod tests {
     #[test]
     fn compressed_binary_roundtrips_empty_graph() {
         let g = CsrGraph::from_edges(0, std::iter::empty::<(u32, u32, f64)>());
-        let back = compressed_from_binary(compressed_to_binary(&g.compress())).unwrap();
+        let back = compressed_from_binary(&compressed_to_binary(&g.compress())).unwrap();
         assert_eq!(back.num_vertices(), 0);
         assert_eq!(back.num_edges(), 0);
     }
@@ -785,23 +704,23 @@ mod tests {
         // Bad magic.
         let mut bad = bytes.to_vec();
         bad[0] = b'X';
-        assert!(compressed_from_binary(Bytes::from(bad)).is_err());
+        assert!(compressed_from_binary(&bad).is_err());
 
         // Unsupported version.
         let mut bad = bytes.to_vec();
         bad[8] = 9;
-        assert!(compressed_from_binary(Bytes::from(bad)).is_err());
+        assert!(compressed_from_binary(&bad).is_err());
 
         // Unknown flag bits.
         let mut bad = bytes.to_vec();
         bad[12] |= 0x80;
-        assert!(compressed_from_binary(Bytes::from(bad)).is_err());
+        assert!(compressed_from_binary(&bad).is_err());
 
         // Truncation at every prefix length must be an error, never a
         // panic or a silently short graph.
         for len in 0..bytes.len() {
             assert!(
-                compressed_from_binary(bytes.slice(0..len)).is_err(),
+                compressed_from_binary(&bytes[..len]).is_err(),
                 "truncation at {len} accepted"
             );
         }
@@ -822,7 +741,7 @@ mod tests {
             let mut bad = ubytes.to_vec();
             bad[i] ^= 0xFF;
             assert!(
-                compressed_from_binary(Bytes::from(bad)).is_err(),
+                compressed_from_binary(&bad).is_err(),
                 "byte flip at {i} accepted"
             );
         }
@@ -837,11 +756,11 @@ mod tests {
         let deg0 = 8 + 4 + 1 + 24 + starts * 4;
         let mut bad = bytes.clone();
         bad[deg0..deg0 + 4].copy_from_slice(&100u32.to_le_bytes());
-        assert!(compressed_from_binary(Bytes::from(bad)).is_err());
+        assert!(compressed_from_binary(&bad).is_err());
         // Degree sum mismatch vs m is also caught.
         let mut bad = bytes;
         bad[deg0..deg0 + 4].copy_from_slice(&2u32.to_le_bytes());
-        assert!(compressed_from_binary(Bytes::from(bad)).is_err());
+        assert!(compressed_from_binary(&bad).is_err());
     }
 
     #[test]

@@ -16,12 +16,15 @@
 //! - [`generators`] — deterministic synthetic graphs (BA, RMAT, ER,
 //!   planted-partition, regular families),
 //! - [`io`] — edge-list text and compact binary serialization,
+//! - [`codec`] — the bounds-checked reader and writer every binary format
+//!   of the workspace decodes and encodes through,
 //! - [`traversal`] — BFS/DFS/topological-sort/components,
 //! - [`stats`] — degree statistics and hub thresholds.
 
 #![warn(missing_docs)]
 
 pub mod builder;
+pub mod codec;
 pub mod compressed;
 pub mod csr;
 pub mod frontier;
@@ -38,7 +41,7 @@ pub use compressed::CompressedAdjacency;
 pub use csr::CsrGraph;
 pub use frontier::Frontier;
 pub use permutation::Permutation;
-pub use types::{Direction, Edge, EdgeId, EdgeUpdate, VertexId, Weight};
+pub use types::{check_batch, Direction, Edge, EdgeId, EdgeUpdate, VertexId, Weight};
 
 // Compile-time thread-safety audit: epoch-snapshot serving hands these
 // types (or borrowed views of them) to reader threads, so losing `Send

@@ -148,6 +148,39 @@ impl EdgeUpdate {
     }
 }
 
+/// Refuses a batch a graph of `vertices` vertices must not be given: an
+/// insert naming a vertex at or past `vertices + 2·len` (a batch of `len`
+/// inserts can add at most `2·len` vertices, so a farther id would only
+/// grow the graph by empty rows — up to 2³² of them), or inserting a
+/// weight that is not finite or is negative (every traffic source and
+/// generator draws weights in `[1, 10)`). A remove is never refused: one
+/// naming a vertex the graph lacks is a no-op. The streaming pipeline
+/// checks every batch here before it changes anything, and the service
+/// before it logs one. The error says why.
+pub fn check_batch(updates: &[EdgeUpdate], vertices: usize) -> Result<(), String> {
+    let limit = vertices.saturating_add(2 * updates.len());
+    for up in updates {
+        let EdgeUpdate::Insert { src, dst, weight } = *up else {
+            continue;
+        };
+        if src.max(dst) as usize >= limit {
+            return Err(format!(
+                "insert endpoint {} out of range: the graph has {vertices} vertices and a \
+                 batch of {} updates may add at most {}",
+                src.max(dst),
+                updates.len(),
+                2 * updates.len()
+            ));
+        }
+        if !weight.is_finite() || weight < 0.0 {
+            return Err(format!(
+                "update weight {weight} is not a finite non-negative number"
+            ));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

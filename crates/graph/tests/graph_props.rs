@@ -299,7 +299,7 @@ proptest! {
     fn binary_io_total((n, edges) in arb_edges()) {
         let g = build(n, &edges);
         let bytes = gograph_graph::io::to_binary(&g);
-        prop_assert_eq!(gograph_graph::io::from_binary(bytes).unwrap(), g);
+        prop_assert_eq!(gograph_graph::io::from_binary(&bytes).unwrap(), g);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! as an `io::Result::Err`, never a panic or an allocation abort.
 
 use gograph_graph::io::{
-    from_binary, read_edge_list, read_permutation, to_binary, write_edge_list, write_permutation,
+    compressed_from_binary, compressed_to_binary, from_binary, permutation_from_binary,
+    permutation_to_binary, read_edge_list, read_permutation, to_binary, write_edge_list,
+    write_permutation,
 };
 use gograph_graph::{CsrGraph, GraphBuilder, Permutation};
 use proptest::prelude::*;
@@ -47,7 +49,7 @@ proptest! {
 
     #[test]
     fn binary_roundtrips_any_graph(g in arb_graph()) {
-        prop_assert_eq!(from_binary(to_binary(&g)).unwrap(), g);
+        prop_assert_eq!(from_binary(&to_binary(&g)).unwrap(), g);
     }
 
     #[test]
@@ -57,7 +59,7 @@ proptest! {
         let bytes = to_binary(&g);
         for len in 0..bytes.len() {
             prop_assert!(
-                from_binary(bytes.slice(0..len)).is_err(),
+                from_binary(&bytes[..len]).is_err(),
                 "prefix of {len} bytes parsed successfully"
             );
         }
@@ -79,13 +81,13 @@ fn corrupt_binary_headers_are_errors_not_panics() {
     // Bad magic.
     let mut bad = good.clone();
     bad[0] ^= 0xff;
-    assert!(from_binary(bad.into()).is_err());
+    assert!(from_binary(&bad).is_err());
 
     // Vertex count beyond the u32 id space: must error before any
     // offset-array allocation is attempted.
     let mut bad = good.clone();
     bad[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert!(from_binary(bad.into()).is_err());
+    assert!(from_binary(&bad).is_err());
 
     // Edge count whose byte size overflows u64 (a debug-mode multiply
     // panic before the fix) and one that merely exceeds the payload.
@@ -93,7 +95,7 @@ fn corrupt_binary_headers_are_errors_not_panics() {
         let mut bad = good.clone();
         bad[16..24].copy_from_slice(&claimed.to_le_bytes());
         assert!(
-            from_binary(bad.clone().into()).is_err(),
+            from_binary(&bad).is_err(),
             "claimed edge count {claimed} must be rejected"
         );
     }
@@ -106,7 +108,26 @@ fn binary_edge_endpoints_outside_declared_range_are_errors() {
     // First edge record starts at byte 24; corrupt its src to a huge id
     // that would otherwise balloon the vertex count during rebuild.
     bad[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(from_binary(bad.into()).is_err());
+    assert!(from_binary(&bad).is_err());
+}
+
+/// Every binary format holds exactly one value: bytes after its last
+/// section are refused, as the flat format always did.
+#[test]
+fn compressed_and_permutation_binaries_refuse_trailing_bytes() {
+    let g = CsrGraph::from_edges(4, [(0u32, 1u32, 2.5), (1, 2, 1.0), (3, 0, 0.5)]);
+    let mut compressed = compressed_to_binary(&g);
+    assert!(compressed_from_binary(&compressed).is_ok());
+    compressed.extend_from_slice(&[0, 0, 0]);
+    let err = compressed_from_binary(&compressed).unwrap_err();
+    assert!(err.to_string().contains("3 trailing bytes"), "{err}");
+
+    let p = Permutation::from_order(vec![2, 0, 3, 1]);
+    let mut perm = permutation_to_binary(&p);
+    assert_eq!(permutation_from_binary(&perm).unwrap(), p);
+    perm.extend_from_slice(&[0; 5]);
+    let err = permutation_from_binary(&perm).unwrap_err();
+    assert!(err.to_string().contains("5 trailing bytes"), "{err}");
 }
 
 #[test]

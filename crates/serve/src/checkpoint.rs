@@ -36,8 +36,8 @@
 
 use crate::core::WarmSpec;
 use crate::spec::AlgSpec;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gograph_engine::{ResumableState, TrackState};
+use gograph_graph::codec::{Reader, Writer};
 use gograph_graph::io::{crc32, from_binary, to_binary};
 use std::io;
 use std::path::Path;
@@ -88,87 +88,48 @@ pub struct Checkpoint {
     pub state: ResumableState,
 }
 
-fn put_f64s(buf: &mut BytesMut, xs: &[f64]) {
-    buf.put_u64_le(xs.len() as u64);
-    for &x in xs {
-        buf.put_u64_le(x.to_bits());
-    }
-}
-
-fn get_f64s(buf: &mut Bytes) -> io::Result<Vec<f64>> {
-    let n = get_len(buf, 8)?;
-    Ok((0..n).map(|_| f64::from_bits(buf.get_u64_le())).collect())
-}
-
-fn corrupt(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Reads a u64 length prefix and bounds-checks `n * elem_bytes`
-/// against the remaining payload before any allocation.
-fn get_len(buf: &mut Bytes, elem_bytes: usize) -> io::Result<usize> {
-    if buf.remaining() < 8 {
-        return Err(corrupt("truncated length prefix"));
-    }
-    let n = buf.get_u64_le();
-    let need = (n as usize)
-        .checked_mul(elem_bytes)
-        .ok_or_else(|| corrupt("length overflow"))?;
-    if buf.remaining() < need {
-        return Err(corrupt("length prefix exceeds payload"));
-    }
-    Ok(n as usize)
-}
-
-/// Reads `N` little-endian `u64`s, or fails naming `what`.
-fn get_u64s<const N: usize>(buf: &mut Bytes, what: &str) -> io::Result<[u64; N]> {
-    if buf.remaining() < 8 * N {
-        return Err(corrupt(format!("truncated {what}")));
-    }
-    Ok(std::array::from_fn(|_| buf.get_u64_le()))
-}
+const FORMAT: &str = "GGCKPT4 checkpoint";
 
 /// Serializes a checkpoint (magic + payload + CRC trailer).
 ///
 /// # Panics
 /// Panics if `ck.warm` and `ck.state.tracks` differ in length.
-pub fn encode_checkpoint(ck: &Checkpoint) -> Bytes {
+pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
     let s = &ck.state;
     assert_eq!(ck.warm.len(), s.tracks.len(), "one warm spec per track");
-    let mut payload = BytesMut::with_capacity(1 << 16);
-    for x in [ck.seq, ck.epoch, ck.updates_applied, ck.mutator_rounds] {
-        payload.put_u64_le(x);
-    }
     let graph = to_binary(&s.graph);
-    payload.put_u64_le(graph.len() as u64);
-    payload.put_slice(&graph);
-    put_f64s(&mut payload, &s.order_vals);
-    for x in [s.order_min_val, s.order_max_val, s.baseline_fraction] {
-        payload.put_u64_le(x.to_bits());
-    }
-    payload.put_u64_le(s.batches_applied as u64);
-    payload.put_u64_le(s.full_reorders as u64);
-    payload.put_u32_le(s.tracks.len() as u32);
+    let keys = s.order_vals.len() * (1 + s.tracks.len());
+    let mut w = Writer::with_capacity(128 + graph.len() + 8 * keys + 32 * s.tracks.len());
+    w.bytes(CHECKPOINT_MAGIC);
+    w.u64s(&[ck.seq, ck.epoch, ck.updates_applied, ck.mutator_rounds]);
+    w.u64(graph.len() as u64);
+    w.bytes(&graph);
+    w.u64(s.order_vals.len() as u64);
+    w.f64s(&s.order_vals);
+    w.f64s(&[s.order_min_val, s.order_max_val, s.baseline_fraction]);
+    w.u64(s.batches_applied as u64);
+    w.u64(s.full_reorders as u64);
+    w.u32(s.tracks.len() as u32);
     for (warm, t) in ck.warm.iter().zip(&s.tracks) {
-        payload.put_u8(warm.alg.code());
-        payload.put_u32_le(warm.source);
-        put_f64s(&mut payload, &t.states);
-        payload.put_u64_le(t.total_rounds as u64);
-        payload.put_u64_le(t.cold_batches as u64);
-        payload.put_u8(u8::from(t.converged));
+        w.u8(warm.alg.code());
+        w.u32(warm.source);
+        w.u64(t.states.len() as u64);
+        w.f64s(&t.states);
+        w.u64(t.total_rounds as u64);
+        w.u64(t.cold_batches as u64);
+        w.u8(u8::from(t.converged));
     }
-    let crc = crc32(&payload);
-    let mut out = BytesMut::with_capacity(8 + payload.len() + 4);
-    out.put_slice(CHECKPOINT_MAGIC);
-    out.put_slice(&payload);
-    out.put_u32_le(crc);
-    out.freeze()
+    let crc = crc32(&w[CHECKPOINT_MAGIC.len()..]);
+    w.u32(crc);
+    w.into_vec()
 }
 
 /// Deserializes and CRC-verifies a checkpoint. A checkpoint of another
-/// format version is an [`UnsupportedVersion`] error.
-pub fn decode_checkpoint(data: Bytes) -> io::Result<Checkpoint> {
-    if let [b'G', b'G', b'C', b'K', b'P', b'T', digit @ b'0'..=b'9', 0, ..] = data[..] {
+/// format version is an [`UnsupportedVersion`] error; any other defect
+/// is an `InvalidData` error naming the field and its byte offset.
+pub fn decode_checkpoint(data: impl AsRef<[u8]>) -> io::Result<Checkpoint> {
+    let data = data.as_ref();
+    if let [b'G', b'G', b'C', b'K', b'P', b'T', digit @ b'0'..=b'9', 0, ..] = *data {
         if digit != CHECKPOINT_MAGIC[6] {
             let found = UnsupportedVersion {
                 found: digit - b'0',
@@ -176,54 +137,41 @@ pub fn decode_checkpoint(data: Bytes) -> io::Result<Checkpoint> {
             return Err(io::Error::new(io::ErrorKind::InvalidData, found));
         }
     }
-    if data.len() < 8 + 4 || &data[..8] != CHECKPOINT_MAGIC {
-        return Err(corrupt("not a GoGraph checkpoint (bad magic)"));
+    // No field is trusted before the CRC over all of them checks out.
+    let mut r = Reader::new(FORMAT, data);
+    r.magic(CHECKPOINT_MAGIC)?;
+    let payload = r.slice(r.remaining().saturating_sub(4), "payload")?;
+    if crc32(payload) != r.u32("crc")? {
+        return Err(r.invalid("crc", "checksum mismatch").into());
     }
-    let payload = data.slice(8..data.len() - 4);
-    let stored_crc = u32::from_le_bytes(data[data.len() - 4..].try_into().unwrap());
-    if crc32(&payload) != stored_crc {
-        return Err(corrupt("checkpoint CRC mismatch"));
-    }
-    let mut buf = payload;
-    let [seq, epoch, updates_applied, mutator_rounds] = get_u64s(&mut buf, "checkpoint header")?;
-    let graph_len = get_len(&mut buf, 1)?;
-    let graph = from_binary(buf.split_to(graph_len))?;
-    let order_vals = get_f64s(&mut buf)?;
-    let [min, max, baseline, batches_applied, full_reorders] =
-        get_u64s(&mut buf, "order bounds, baseline and counters")?;
-    if buf.remaining() < 4 {
-        return Err(corrupt("truncated track count"));
-    }
-    let n = buf.get_u32_le() as usize;
+    let mut r = Reader::new(FORMAT, &data[..data.len() - 4]);
+    r.magic(CHECKPOINT_MAGIC)?;
+    let seq = r.u64("seq")?;
+    let epoch = r.u64("epoch")?;
+    let updates_applied = r.u64("updates_applied")?;
+    let mutator_rounds = r.u64("mutator_rounds")?;
+    let n = r.u64("graph length")? as usize;
+    let graph = from_binary(r.slice(n, "graph")?)?;
+    let n = r.u64("order key count")? as usize;
+    let order_vals = r.f64s(n, "order keys")?;
+    let order_min_val = r.f64("order min")?;
+    let order_max_val = r.f64("order max")?;
+    let baseline_fraction = r.f64("baseline fraction")?;
+    let batches_applied = r.u64("batches_applied")? as usize;
+    let full_reorders = r.u64("full_reorders")? as usize;
     let (mut warm, mut tracks) = (Vec::new(), Vec::new());
-    for _ in 0..n {
-        if buf.remaining() < 5 {
-            return Err(corrupt("truncated track header"));
-        }
-        let code = buf.get_u8();
-        let alg = AlgSpec::from_code(code)
-            .ok_or_else(|| corrupt(format!("unknown algorithm code {code}")))?;
-        warm.push(WarmSpec::new(alg, buf.get_u32_le()));
-        let states = get_f64s(&mut buf)?;
-        let [total_rounds, cold_batches] = get_u64s(&mut buf, "track counters")?;
-        if !buf.has_remaining() {
-            return Err(corrupt("truncated converged flag"));
-        }
-        let converged = match buf.get_u8() {
-            0 => false,
-            1 => true,
-            flag => return Err(corrupt(format!("converged flag {flag} is neither 0 nor 1"))),
-        };
+    for _ in 0..r.u32("track count")? {
+        let alg = r.u8_as("track algorithm", AlgSpec::from_code)?;
+        warm.push(WarmSpec::new(alg, r.u32("track source")?));
+        let n = r.u64("state count")? as usize;
         tracks.push(TrackState {
-            states: Arc::new(states),
-            total_rounds: total_rounds as usize,
-            cold_batches: cold_batches as usize,
-            converged,
+            states: Arc::new(r.f64s(n, "states")?),
+            total_rounds: r.u64("total_rounds")? as usize,
+            cold_batches: r.u64("cold_batches")? as usize,
+            converged: r.u8_as("converged", |b| (b <= 1).then_some(b == 1))?,
         });
     }
-    if buf.has_remaining() {
-        return Err(corrupt("trailing bytes after checkpoint"));
-    }
+    r.finish()?;
     Ok(Checkpoint {
         seq,
         epoch,
@@ -233,11 +181,11 @@ pub fn decode_checkpoint(data: Bytes) -> io::Result<Checkpoint> {
         state: ResumableState {
             graph,
             order_vals,
-            order_min_val: f64::from_bits(min),
-            order_max_val: f64::from_bits(max),
-            baseline_fraction: f64::from_bits(baseline),
-            batches_applied: batches_applied as usize,
-            full_reorders: full_reorders as usize,
+            order_min_val,
+            order_max_val,
+            baseline_fraction,
+            batches_applied,
+            full_reorders,
             tracks,
         },
     })
@@ -256,7 +204,7 @@ pub fn write_checkpoint(path: &Path, ck: &Checkpoint) -> io::Result<u64> {
 /// Reads the checkpoint at `path`; `Ok(None)` when none exists yet.
 pub fn read_checkpoint(path: &Path) -> io::Result<Option<Checkpoint>> {
     match std::fs::read(path) {
-        Ok(raw) => decode_checkpoint(Bytes::from(raw)).map(Some),
+        Ok(raw) => decode_checkpoint(raw).map(Some),
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(e),
     }
@@ -265,6 +213,7 @@ pub fn read_checkpoint(path: &Path) -> io::Result<Option<Checkpoint>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use gograph_engine::{Bfs, PageRank, Sssp, StreamingPipeline};
     use gograph_graph::generators::regular::chain;
     use gograph_graph::generators::{planted_partition, shuffle_labels, PlantedPartitionConfig};
@@ -470,13 +419,13 @@ mod tests {
             let mut bad = good.to_vec();
             bad[idx] ^= 0x5A;
             assert!(
-                decode_checkpoint(Bytes::from(bad)).is_err(),
+                decode_checkpoint(bad).is_err(),
                 "flip at {idx} must be caught"
             );
         }
         // Truncations are caught too.
         for cut in [7, 12, good.len() - 5] {
-            assert!(decode_checkpoint(good.slice(..cut)).is_err());
+            assert!(decode_checkpoint(&good[..cut]).is_err());
         }
     }
 

@@ -58,7 +58,7 @@ use gograph_engine::{
     Bfs, ConnectedComponents, EngineError, PageRank, Pipeline, ResumableState, Sssp, Sswp,
     StreamingPipeline, StreamingPipelineBuilder, WarmStart,
 };
-use gograph_graph::{CsrGraph, EdgeUpdate, VertexId};
+use gograph_graph::{check_batch, CsrGraph, EdgeUpdate, VertexId};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -457,40 +457,9 @@ struct UpdateLane {
     /// Vertex count once every batch sent so far is applied: the
     /// graph's at launch, grown by each accepted or replicated batch's
     /// inserts, and the checkpoint's on re-sync. The bound
-    /// [`check_batch`] holds new batches to.
+    /// [`check_batch`] holds new batches to; a batch outside it grows
+    /// nothing.
     vertices: usize,
-}
-
-/// Refuses a batch the graph must not see: an endpoint at or past
-/// `vertices + 2·len` (a batch of `len` inserts can add at most `2·len`
-/// vertices, so a farther id would only grow the graph by empty rows —
-/// up to 2³² of them), or an insert weight that is not finite or is
-/// negative (every traffic source and generator draws weights in
-/// `[1, 10)`). Runs before the WAL append, so a refused batch is never
-/// logged and never replayed.
-fn check_batch(updates: &[EdgeUpdate], vertices: usize) -> Result<(), ServeError> {
-    let limit = vertices.saturating_add(2 * updates.len());
-    for up in updates {
-        if let Some(v) = [up.src(), up.dst()]
-            .into_iter()
-            .find(|&v| v as usize >= limit)
-        {
-            return Err(ServeError::InvalidRequest(format!(
-                "update endpoint {v} out of range: the graph has {vertices} vertices and a \
-                 batch of {} updates may add at most {}",
-                updates.len(),
-                2 * updates.len()
-            )));
-        }
-        if let EdgeUpdate::Insert { weight, .. } = *up {
-            if !weight.is_finite() || weight < 0.0 {
-                return Err(ServeError::InvalidRequest(format!(
-                    "update weight {weight} is not a finite non-negative number"
-                )));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// The vertex count after `updates`: inserts grow it, removes never do.
@@ -909,9 +878,10 @@ impl ServeCore {
     /// this returns — an acked batch survives a crash. Returns the
     /// number of updates accepted.
     ///
-    /// A batch naming a vertex at or past `vertices + 2·len`, or
-    /// inserting a non-finite or negative weight, is refused with
-    /// [`ServeError::InvalidRequest`] before it reaches the WAL.
+    /// A batch [`check_batch`] refuses (an insert endpoint at or past
+    /// `vertices + 2·len`, or a non-finite or negative insert weight), or
+    /// one removing an edge at a vertex past the same bound, is refused
+    /// with [`ServeError::InvalidRequest`] before it reaches the WAL.
     pub fn enqueue_updates(&self, updates: Vec<EdgeUpdate>) -> Result<usize, ServeError> {
         if self.role() != Role::Primary {
             return Err(ServeError::NotPrimary);
@@ -922,7 +892,19 @@ impl ServeCore {
         let n = updates.len();
         let mut guard = crate::lock_unpoisoned(&self.update_lane);
         let lane = guard.as_mut().ok_or(ServeError::Closed)?;
-        check_batch(&updates, lane.vertices)?;
+        // Before the WAL append: a refused batch is never logged, so
+        // never replayed. A remove past the same bound is a no-op to the
+        // graph but a client's mistake, so it is refused here too.
+        check_batch(&updates, lane.vertices).map_err(ServeError::InvalidRequest)?;
+        let limit = lane.vertices + 2 * n;
+        if let Some(v) = (updates.iter())
+            .map(|up| up.src().max(up.dst()))
+            .find(|&v| v as usize >= limit)
+        {
+            return Err(ServeError::InvalidRequest(format!(
+                "remove endpoint {v} out of range: no batch so far can have added it"
+            )));
+        }
         let seq = lane.next_seq + 1;
         if let Some(d) = &self.durability {
             // A compaction watermark set by the mutator (post-
@@ -1251,7 +1233,12 @@ impl ServeCore {
                 lane.next_seq
             )));
         }
-        let vertices = grown_vertices(lane.vertices, &updates);
+        // A batch outside the bound still goes to the mutator, which
+        // skips it where a primary replaying the same record would.
+        let vertices = match check_batch(&updates, lane.vertices) {
+            Ok(()) => grown_vertices(lane.vertices, &updates),
+            Err(_) => lane.vertices,
+        };
         lane.tx
             .send(MutatorMsg::Batch { seq, updates })
             .map_err(|_| ServeError::Closed)?;
@@ -2018,6 +2005,54 @@ mod tests {
         let recovered = ServeCore::recover(config).unwrap();
         assert_eq!(recovered.pin_epoch().graph.num_vertices(), n as usize + 4);
         recovered.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A replicated batch outside the bound is skipped by the follower's
+    /// mutator, as a primary replaying the same record would skip it, and
+    /// grows nothing: once promoted, the follower holds new batches to
+    /// the graph it really has.
+    #[test]
+    fn a_follower_skips_a_batch_outside_the_bound_and_grows_nothing() {
+        let dir = tmp_dir("follower-bound");
+        let warm = vec![WarmSpec::new(AlgSpec::Sssp, 0)];
+        let primary = ServeCore::start(
+            &test_graph(),
+            ServeConfig {
+                warm: warm.clone(),
+                durability: Some(DurabilityConfig::new(&dir)),
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let ck = primary.fetch_checkpoint().unwrap();
+        primary.shutdown();
+        let seq = ck.seq;
+        let follower = ServeCore::follow_from_checkpoint(
+            ck,
+            ServeConfig {
+                warm,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let n = test_graph().num_vertices() as u32;
+        let before = follower.pin_epoch().graph.clone();
+        follower
+            .replicate_batch(seq + 1, vec![EdgeUpdate::insert(0, n + 10_000)])
+            .unwrap();
+        follower.quiesce();
+        assert_eq!(follower.stats_snapshot().mutator_errors, 1);
+        assert_eq!(follower.pin_epoch().graph, before);
+        follower.promote();
+        let err = follower.enqueue_updates(vec![EdgeUpdate::insert(0, n + 2)]);
+        assert!(matches!(err, Err(ServeError::InvalidRequest(_))), "{err:?}");
+        follower
+            .enqueue_updates(vec![EdgeUpdate::insert(0, n + 1)])
+            .unwrap();
+        follower.quiesce();
+        assert_eq!(follower.pin_epoch().graph.num_vertices(), n as usize + 2);
+        follower.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

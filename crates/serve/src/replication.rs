@@ -34,7 +34,6 @@ use crate::checkpoint::decode_checkpoint;
 use crate::client::{ClientError, RetryPolicy, ServeClient};
 use crate::core::{Role, ServeConfig, ServeCore};
 use crate::wire::ErrorCode;
-use bytes::Bytes;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -245,7 +244,7 @@ impl ReplicaPuller {
     /// core (and our watermark) to it.
     fn resync(&mut self) -> Result<(), ClientError> {
         let bytes = self.client.fetch_checkpoint()?;
-        let ck = decode_checkpoint(Bytes::from(bytes))
+        let ck = decode_checkpoint(bytes)
             .map_err(|e| ClientError::Protocol(format!("bad checkpoint from primary: {e}")))?;
         let seq = ck.seq;
         self.core
@@ -270,7 +269,7 @@ pub fn bootstrap_follower(
 ) -> Result<(Arc<ServeCore>, ReplicaPuller), ClientError> {
     let mut client = ServeClient::connect_with_retry(peer, RetryPolicy::default())?;
     let bytes = client.fetch_checkpoint()?;
-    let ck = decode_checkpoint(Bytes::from(bytes))
+    let ck = decode_checkpoint(bytes)
         .map_err(|e| ClientError::Protocol(format!("bad checkpoint from primary: {e}")))?;
     let seq = ck.seq;
     let core = ServeCore::follow_from_checkpoint(ck, config)

@@ -363,7 +363,7 @@ fn respond(core: &Arc<ServeCore>, request: Request) -> Reply {
             }
         }
         Request::FetchCheckpoint => match core.fetch_checkpoint() {
-            Ok(ck) => Reply::Checkpoint(encode_checkpoint(&ck).to_vec()),
+            Ok(ck) => Reply::Checkpoint(encode_checkpoint(&ck)),
             Err(e) => error_reply(e),
         },
         Request::Promote => {

@@ -24,7 +24,7 @@
 //! (write-temp + rename) once a checkpoint lands.
 
 use crate::wire::{get_updates, put_updates};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use gograph_graph::codec::{Reader, Writer};
 use gograph_graph::io::crc32;
 use gograph_graph::EdgeUpdate;
 use std::fs::{File, OpenOptions};
@@ -33,6 +33,8 @@ use std::path::{Path, PathBuf};
 
 /// File magic: identifies a GoGraph WAL, version 1.
 pub const WAL_MAGIC: &[u8; 8] = b"GGWAL1\0\0";
+
+const FORMAT: &str = "GGWAL1 write-ahead log";
 
 /// Records larger than this are treated as corruption — mirrors the
 /// wire protocol's frame cap so a torn length field cannot drive a
@@ -144,15 +146,15 @@ impl WalWriter {
 
 /// Frames one record: `len · crc · payload`, the payload being `seq`
 /// and the batch in the wire codec.
-fn encode_record(seq: u64, updates: &[EdgeUpdate]) -> BytesMut {
-    let mut payload = BytesMut::with_capacity(16 + 17 * updates.len());
-    payload.put_u64_le(seq);
+fn encode_record(seq: u64, updates: &[EdgeUpdate]) -> Vec<u8> {
+    let mut payload = Writer::with_capacity(16 + 17 * updates.len());
+    payload.u64(seq);
     put_updates(&mut payload, updates);
-    let mut record = BytesMut::with_capacity(8 + payload.len());
-    record.put_u32_le(payload.len() as u32);
-    record.put_u32_le(crc32(&payload));
-    record.put_slice(&payload);
-    record
+    let mut record = Writer::with_capacity(8 + payload.len());
+    record.u32(payload.len() as u32);
+    record.u32(crc32(&payload));
+    record.bytes(&payload);
+    record.into_vec()
 }
 
 /// One replayable record.
@@ -201,12 +203,7 @@ pub fn read_wal(path: &Path) -> io::Result<WalContents> {
         }
         Err(e) => return Err(e),
     };
-    if raw.len() < WAL_MAGIC.len() || &raw[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a GoGraph WAL (bad magic)",
-        ));
-    }
+    Reader::new(FORMAT, &raw).magic(WAL_MAGIC)?;
     let mut records = Vec::new();
     let mut pos = WAL_MAGIC.len();
     loop {
@@ -233,28 +230,21 @@ pub fn read_wal(path: &Path) -> io::Result<WalContents> {
 /// Parses one record off the front of `bytes`; `None` on any framing,
 /// CRC or payload defect (all equivalent to a torn tail).
 fn parse_record(bytes: &[u8]) -> Option<(WalRecord, usize)> {
-    if bytes.len() < 8 {
+    let mut r = Reader::new(FORMAT, bytes);
+    let len = r.u32("record length").ok()?;
+    let crc = r.u32("record crc").ok()?;
+    if len > MAX_RECORD_BYTES {
         return None;
     }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    let crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if len > MAX_RECORD_BYTES || (len as usize) > bytes.len() - 8 {
-        return None;
-    }
-    let payload = &bytes[8..8 + len as usize];
+    let payload = r.slice(len as usize, "record payload").ok()?;
     if crc32(payload) != crc {
         return None;
     }
-    let mut buf = Bytes::copy_from_slice(payload);
-    if buf.remaining() < 8 {
-        return None;
-    }
-    let seq = buf.get_u64_le();
-    let updates = get_updates(&mut buf).ok()?;
-    if buf.has_remaining() {
-        return None;
-    }
-    Some((WalRecord { seq, updates }, 8 + len as usize))
+    let mut p = Reader::new(FORMAT, payload);
+    let seq = p.u64("record seq").ok()?;
+    let updates = get_updates(&mut p).ok()?;
+    p.finish().ok()?;
+    Some((WalRecord { seq, updates }, r.offset()))
 }
 
 /// Discards a torn tail by truncating the log to its longest valid
@@ -283,9 +273,9 @@ pub fn compact_wal(path: &Path, keep_after_seq: u64) -> io::Result<usize> {
         .iter()
         .filter(|r| r.seq > keep_after_seq)
         .collect();
-    let mut log = BytesMut::from(&WAL_MAGIC[..]);
+    let mut log = WAL_MAGIC.to_vec();
     for r in &keep {
-        log.put_slice(&encode_record(r.seq, &r.updates));
+        log.extend_from_slice(&encode_record(r.seq, &r.updates));
     }
     crate::write_atomic(path, &log)?;
     Ok(keep.len())

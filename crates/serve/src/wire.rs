@@ -2,8 +2,10 @@
 //!
 //! Every frame is `u32-LE body length` followed by the body; the body's
 //! first byte is the message type. All integers are little-endian,
-//! encoded with the workspace's `bytes` buffers. The protocol is
-//! strictly request/response: one reply per request, in order.
+//! written by the workspace's one [`Writer`] and read back by its one
+//! bounds-checked [`Reader`], which names the field and byte offset of
+//! any malformed frame. The protocol is strictly request/response: one
+//! reply per request, in order.
 //!
 //! Client → server:
 //!
@@ -25,7 +27,7 @@
 //! |------|--------------|---------|
 //! | 1    | QueryReply   | epoch u64 · alg u8 · flags u8 (bit0 warm, bit1 converged) · admitted u32 · rounds u64 · push_rounds u64 · state_bytes u64 · runtime_micros u64 · n_eff u32 · eff_sources u32× · n_values u32 · (vertex u32 · value f64)× |
 //! | 2    | UpdateAck    | accepted u32 · epochs_published u64 |
-//! | 3    | StatsReply   | the 33 [`StatsSnapshot`] fields as u64, in declaration order |
+//! | 3    | StatsReply   | the [`StatsSnapshot::FIELDS`] fields as u64, in declaration order |
 //! | 4    | WalSegment   | primary_seq u64 · flags u8 (bit0 = resync: the tail is gone, re-bootstrap from checkpoint) · n u32 · n × (seq u64 · update batch) |
 //! | 5    | ProbeReply   | seq u64 · epoch u64 · verdict u8 ([`ProbeVerdict`]) · n u32 · fingerprints u64× |
 //! | 6    | CheckpointReply | n u32 · n bytes (an encoded checkpoint, opaque at the wire layer) |
@@ -37,7 +39,8 @@
 
 use crate::core::StatsSnapshot;
 use crate::spec::{AlgSpec, ModeSpec};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use gograph_graph::codec::{le_f64, le_u32, DecodeError, Reader, Writer};
 use gograph_graph::{EdgeUpdate, VertexId};
 use std::io::{Read, Write};
 
@@ -57,8 +60,10 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn err<T>(msg: impl Into<String>) -> Result<T, WireError> {
-    Err(WireError(msg.into()))
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> WireError {
+        WireError(e.to_string())
+    }
 }
 
 /// Machine-readable classification of a [`Reply::Error`], so clients
@@ -297,106 +302,55 @@ const REP_PROBE: u8 = 5;
 const REP_CHECKPOINT: u8 = 6;
 const REP_ERROR: u8 = 0xFF;
 
-fn put_vertices(buf: &mut BytesMut, vs: &[VertexId]) {
-    buf.put_u32_le(vs.len() as u32);
-    for &v in vs {
-        buf.put_u32_le(v);
-    }
-}
-
-fn get_vertices(buf: &mut Bytes) -> Result<Vec<VertexId>, WireError> {
-    if buf.remaining() < 4 {
-        return err("truncated vertex list");
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n * 4 {
-        return err("vertex list length exceeds frame");
-    }
-    Ok((0..n).map(|_| buf.get_u32_le()).collect())
-}
-
 /// Encodes an update batch: `n u32 · n × (kind u8 · src u32 · dst u32 ·
 /// weight f64 if insert)`. Shared by the wire protocol and the
 /// write-ahead log so a WAL record replays through the same codec a
 /// client frame decodes through.
-pub(crate) fn put_updates(buf: &mut BytesMut, updates: &[EdgeUpdate]) {
-    buf.put_u32_le(updates.len() as u32);
+pub(crate) fn put_updates(w: &mut Writer, updates: &[EdgeUpdate]) {
+    w.u32(updates.len() as u32);
     for u in updates {
         match *u {
             EdgeUpdate::Insert { src, dst, weight } => {
-                buf.put_slice(&[0]);
-                buf.put_u32_le(src);
-                buf.put_u32_le(dst);
-                buf.put_f64_le(weight);
+                w.u8(0);
+                w.u32(src);
+                w.u32(dst);
+                w.f64(weight);
             }
             EdgeUpdate::Remove { src, dst } => {
-                buf.put_slice(&[1]);
-                buf.put_u32_le(src);
-                buf.put_u32_le(dst);
+                w.u8(1);
+                w.u32(src);
+                w.u32(dst);
             }
         }
     }
 }
 
 /// Decodes an update batch (see [`put_updates`]). Allocation is bounded
-/// by the actual bytes present, not the declared count.
-pub(crate) fn get_updates(buf: &mut Bytes) -> Result<Vec<EdgeUpdate>, WireError> {
-    if buf.remaining() < 4 {
-        return err("truncated update batch");
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut updates = Vec::with_capacity(n.min(4096));
+/// by the bytes present, not the declared count: an update takes at
+/// least 9 of them.
+pub(crate) fn get_updates(r: &mut Reader) -> Result<Vec<EdgeUpdate>, DecodeError> {
+    let n = r.u32("update count")? as usize;
+    let mut updates = Vec::with_capacity(n.min(r.remaining() / 9));
     for _ in 0..n {
-        if buf.remaining() < 9 {
-            return err("truncated update entry");
-        }
-        let mut kind = [0u8; 1];
-        buf.copy_to_slice(&mut kind);
-        let src = buf.get_u32_le();
-        let dst = buf.get_u32_le();
-        match kind[0] {
-            0 => {
-                if buf.remaining() < 8 {
-                    return err("truncated insert weight");
-                }
-                updates.push(EdgeUpdate::insert_weighted(src, dst, buf.get_f64_le()));
-            }
-            1 => updates.push(EdgeUpdate::remove(src, dst)),
-            k => return err(format!("unknown update kind {k}")),
-        }
+        let insert = r.u8_as("update kind", |k| (k <= 1).then_some(k == 0))?;
+        let (src, dst) = (r.u32("update src")?, r.u32("update dst")?);
+        updates.push(if insert {
+            EdgeUpdate::insert_weighted(src, dst, r.f64("insert weight")?)
+        } else {
+            EdgeUpdate::remove(src, dst)
+        });
     }
     Ok(updates)
 }
 
-fn put_fingerprints(buf: &mut BytesMut, fps: &[u64]) {
-    buf.put_u32_le(fps.len() as u32);
-    for &fp in fps {
-        buf.put_u64_le(fp);
-    }
-}
-
-fn get_fingerprints(buf: &mut Bytes) -> Result<Vec<u64>, WireError> {
-    if buf.remaining() < 4 {
-        return err("truncated fingerprint list");
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n * 8 {
-        return err("fingerprint list length exceeds frame");
-    }
-    Ok((0..n).map(|_| buf.get_u64_le()).collect())
-}
-
-fn expect_consumed<T>(value: T, buf: &Bytes) -> Result<T, WireError> {
-    if buf.has_remaining() {
-        err(format!("{} trailing bytes after message", buf.remaining()))
-    } else {
-        Ok(value)
-    }
+/// Accepts a flag byte with no bits outside `known`.
+fn flags(known: u8) -> impl FnOnce(u8) -> Option<u8> {
+    move |f| (f & !known == 0).then_some(f)
 }
 
 /// Encodes a request body (without the length prefix).
 pub fn encode_request(req: &Request) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
+    let mut w = Writer::with_capacity(64);
     match req {
         Request::Query {
             alg,
@@ -407,206 +361,162 @@ pub fn encode_request(req: &Request) -> Bytes {
             targets,
         } => {
             let flags = u8::from(*combine) | (u8::from(max_epoch_lag.is_some()) << 1);
-            buf.put_slice(&[REQ_QUERY, alg.code(), mode.code(), flags]);
+            w.bytes(&[REQ_QUERY, alg.code(), mode.code(), flags]);
             if let Some(lag) = max_epoch_lag {
-                buf.put_u64_le(*lag);
+                w.u64(*lag);
             }
-            put_vertices(&mut buf, sources);
-            put_vertices(&mut buf, targets);
+            for vs in [sources, targets] {
+                w.u32(vs.len() as u32);
+                w.u32s(vs);
+            }
         }
         Request::Updates(updates) => {
-            buf.put_slice(&[REQ_UPDATES]);
-            put_updates(&mut buf, updates);
+            w.u8(REQ_UPDATES);
+            put_updates(&mut w, updates);
         }
-        Request::Stats => buf.put_slice(&[REQ_STATS]),
-        Request::Shutdown => buf.put_slice(&[REQ_SHUTDOWN]),
+        Request::Stats => w.u8(REQ_STATS),
+        Request::Shutdown => w.u8(REQ_SHUTDOWN),
         Request::Subscribe {
             follower,
             after_seq,
             max_records,
         } => {
-            buf.put_slice(&[REQ_SUBSCRIBE]);
-            buf.put_u64_le(*follower);
-            buf.put_u64_le(*after_seq);
-            buf.put_u32_le(*max_records);
+            w.u8(REQ_SUBSCRIBE);
+            w.u64(*follower);
+            w.u64(*after_seq);
+            w.u32(*max_records);
         }
         Request::ReplicaAck {
             follower,
             seq,
             fingerprints,
         } => {
-            buf.put_slice(&[REQ_REPLICA_ACK]);
-            buf.put_u64_le(*follower);
-            buf.put_u64_le(*seq);
-            put_fingerprints(&mut buf, fingerprints);
+            w.u8(REQ_REPLICA_ACK);
+            w.u64(*follower);
+            w.u64(*seq);
+            w.u32(fingerprints.len() as u32);
+            w.u64s(fingerprints);
         }
         Request::Probe { at_seq } => {
-            buf.put_slice(&[REQ_PROBE, u8::from(at_seq.is_some())]);
+            w.bytes(&[REQ_PROBE, u8::from(at_seq.is_some())]);
             if let Some(seq) = at_seq {
-                buf.put_u64_le(*seq);
+                w.u64(*seq);
             }
         }
-        Request::FetchCheckpoint => buf.put_slice(&[REQ_FETCH_CHECKPOINT]),
-        Request::Promote => buf.put_slice(&[REQ_PROMOTE]),
+        Request::FetchCheckpoint => w.u8(REQ_FETCH_CHECKPOINT),
+        Request::Promote => w.u8(REQ_PROMOTE),
     }
-    buf.freeze()
+    Bytes::from(w.into_vec())
 }
 
 /// Decodes a request body.
-pub fn decode_request(mut buf: Bytes) -> Result<Request, WireError> {
-    if buf.remaining() < 1 {
-        return err("empty request frame");
-    }
-    let mut tag = [0u8; 1];
-    buf.copy_to_slice(&mut tag);
-    match tag[0] {
+pub fn decode_request(buf: Bytes) -> Result<Request, WireError> {
+    let mut r = Reader::new("wire request", &buf);
+    let req = match r.u8("message type")? {
         REQ_QUERY => {
-            if buf.remaining() < 3 {
-                return err("truncated query header");
-            }
-            let mut hdr = [0u8; 3];
-            buf.copy_to_slice(&mut hdr);
-            let alg = AlgSpec::from_code(hdr[0])
-                .ok_or_else(|| WireError(format!("unknown algorithm code {}", hdr[0])))?;
-            let mode = ModeSpec::from_code(hdr[1])
-                .ok_or_else(|| WireError(format!("unknown mode code {}", hdr[1])))?;
-            if hdr[2] & !0b11 != 0 {
-                return err(format!("unknown query flags {:#04x}", hdr[2]));
-            }
-            let combine = hdr[2] & 1 != 0;
-            let max_epoch_lag = if hdr[2] & 2 != 0 {
-                if buf.remaining() < 8 {
-                    return err("truncated max_epoch_lag");
-                }
-                Some(buf.get_u64_le())
-            } else {
-                None
+            let alg = r.u8_as("algorithm", AlgSpec::from_code)?;
+            let mode = r.u8_as("mode", ModeSpec::from_code)?;
+            let flags = r.u8_as("query flags", flags(0b11))?;
+            let max_epoch_lag = match flags & 2 {
+                0 => None,
+                _ => Some(r.u64("max_epoch_lag")?),
             };
-            if buf.remaining() < 4 {
-                return err("truncated source list");
+            let n = r.u32("source count")? as usize;
+            let sources = r.u32s(n, "sources")?;
+            let n = r.u32("target count")? as usize;
+            let targets = r.u32s(n, "targets")?;
+            Request::Query {
+                alg,
+                mode,
+                combine: flags & 1 != 0,
+                max_epoch_lag,
+                sources,
+                targets,
             }
-            let sources = get_vertices(&mut buf)?;
-            if buf.remaining() < 4 {
-                return err("truncated target list");
-            }
-            let targets = get_vertices(&mut buf)?;
-            expect_consumed(
-                Request::Query {
-                    alg,
-                    mode,
-                    combine,
-                    max_epoch_lag,
-                    sources,
-                    targets,
-                },
-                &buf,
-            )
         }
-        REQ_UPDATES => {
-            let updates = get_updates(&mut buf)?;
-            expect_consumed(Request::Updates(updates), &buf)
-        }
-        REQ_STATS => expect_consumed(Request::Stats, &buf),
-        REQ_SHUTDOWN => expect_consumed(Request::Shutdown, &buf),
-        REQ_SUBSCRIBE => {
-            if buf.remaining() < 20 {
-                return err("truncated subscribe");
-            }
-            let req = Request::Subscribe {
-                follower: buf.get_u64_le(),
-                after_seq: buf.get_u64_le(),
-                max_records: buf.get_u32_le(),
-            };
-            expect_consumed(req, &buf)
-        }
+        REQ_UPDATES => Request::Updates(get_updates(&mut r)?),
+        REQ_STATS => Request::Stats,
+        REQ_SHUTDOWN => Request::Shutdown,
+        REQ_SUBSCRIBE => Request::Subscribe {
+            follower: r.u64("follower")?,
+            after_seq: r.u64("after_seq")?,
+            max_records: r.u32("max_records")?,
+        },
         REQ_REPLICA_ACK => {
-            if buf.remaining() < 16 {
-                return err("truncated replica ack");
+            let follower = r.u64("follower")?;
+            let seq = r.u64("seq")?;
+            let n = r.u32("fingerprint count")? as usize;
+            let fingerprints = r.u64s(n, "fingerprints")?;
+            Request::ReplicaAck {
+                follower,
+                seq,
+                fingerprints,
             }
-            let follower = buf.get_u64_le();
-            let seq = buf.get_u64_le();
-            let fingerprints = get_fingerprints(&mut buf)?;
-            expect_consumed(
-                Request::ReplicaAck {
-                    follower,
-                    seq,
-                    fingerprints,
-                },
-                &buf,
-            )
         }
         REQ_PROBE => {
-            if buf.remaining() < 1 {
-                return err("truncated probe");
-            }
-            let mut flags = [0u8; 1];
-            buf.copy_to_slice(&mut flags);
-            if flags[0] & !0b1 != 0 {
-                return err(format!("unknown probe flags {:#04x}", flags[0]));
-            }
-            let at_seq = if flags[0] & 1 != 0 {
-                if buf.remaining() < 8 {
-                    return err("truncated probe at_seq");
-                }
-                Some(buf.get_u64_le())
-            } else {
-                None
+            let at_seq = match r.u8_as("probe flags", flags(0b1))? {
+                0 => None,
+                _ => Some(r.u64("at_seq")?),
             };
-            expect_consumed(Request::Probe { at_seq }, &buf)
+            Request::Probe { at_seq }
         }
-        REQ_FETCH_CHECKPOINT => expect_consumed(Request::FetchCheckpoint, &buf),
-        REQ_PROMOTE => expect_consumed(Request::Promote, &buf),
-        t => err(format!("unknown request type {t}")),
-    }
+        REQ_FETCH_CHECKPOINT => Request::FetchCheckpoint,
+        REQ_PROMOTE => Request::Promote,
+        t => {
+            return Err(r
+                .invalid("message type", format!("unknown request type {t}"))
+                .into())
+        }
+    };
+    r.finish()?;
+    Ok(req)
 }
 
 /// Encodes a reply body (without the length prefix).
 pub fn encode_reply(reply: &Reply) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
+    let mut w = Writer::with_capacity(64);
     match reply {
         Reply::Query(q) => {
-            buf.put_slice(&[REP_QUERY]);
-            buf.put_u64_le(q.epoch);
+            w.u8(REP_QUERY);
+            w.u64(q.epoch);
             let flags = u8::from(q.warm) | (u8::from(q.converged) << 1);
-            buf.put_slice(&[q.alg.code(), flags]);
-            buf.put_u32_le(q.admitted);
-            buf.put_u64_le(q.rounds);
-            buf.put_u64_le(q.push_rounds);
-            buf.put_u64_le(q.state_bytes);
-            buf.put_u64_le(q.runtime_micros);
-            put_vertices(&mut buf, &q.effective_sources);
-            buf.put_u32_le(q.values.len() as u32);
+            w.bytes(&[q.alg.code(), flags]);
+            w.u32(q.admitted);
+            for x in [q.rounds, q.push_rounds, q.state_bytes, q.runtime_micros] {
+                w.u64(x);
+            }
+            w.u32(q.effective_sources.len() as u32);
+            w.u32s(&q.effective_sources);
+            w.u32(q.values.len() as u32);
             for &(v, x) in &q.values {
-                buf.put_u32_le(v);
-                buf.put_f64_le(x);
+                w.u32(v);
+                w.f64(x);
             }
         }
         Reply::UpdateAck {
             accepted,
             epochs_published,
         } => {
-            buf.put_slice(&[REP_UPDATE_ACK]);
-            buf.put_u32_le(*accepted);
-            buf.put_u64_le(*epochs_published);
+            w.u8(REP_UPDATE_ACK);
+            w.u32(*accepted);
+            w.u64(*epochs_published);
         }
         Reply::Stats(s) => {
-            buf.put_slice(&[REP_STATS]);
-            for v in s.to_array() {
-                buf.put_u64_le(v);
-            }
+            w.u8(REP_STATS);
+            w.u64s(&s.to_array());
         }
         Reply::WalSegment {
             primary_seq,
             resync,
             records,
         } => {
-            buf.put_slice(&[REP_WAL_SEGMENT]);
-            buf.put_u64_le(*primary_seq);
-            buf.put_slice(&[u8::from(*resync)]);
-            buf.put_u32_le(records.len() as u32);
+            w.u8(REP_WAL_SEGMENT);
+            w.u64(*primary_seq);
+            w.u8(u8::from(*resync));
+            w.u32(records.len() as u32);
             for (seq, updates) in records {
-                buf.put_u64_le(*seq);
-                put_updates(&mut buf, updates);
+                w.u64(*seq);
+                put_updates(&mut w, updates);
             }
         }
         Reply::Probe {
@@ -615,182 +525,117 @@ pub fn encode_reply(reply: &Reply) -> Bytes {
             verdict,
             fingerprints,
         } => {
-            buf.put_slice(&[REP_PROBE]);
-            buf.put_u64_le(*seq);
-            buf.put_u64_le(*epoch);
-            buf.put_slice(&[*verdict as u8]);
-            put_fingerprints(&mut buf, fingerprints);
+            w.u8(REP_PROBE);
+            w.u64(*seq);
+            w.u64(*epoch);
+            w.u8(*verdict as u8);
+            w.u32(fingerprints.len() as u32);
+            w.u64s(fingerprints);
         }
         Reply::Checkpoint(bytes) => {
-            buf.put_slice(&[REP_CHECKPOINT]);
-            buf.put_u32_le(bytes.len() as u32);
-            buf.put_slice(bytes);
+            w.u8(REP_CHECKPOINT);
+            w.u32(bytes.len() as u32);
+            w.bytes(bytes);
         }
         Reply::Error { code, message } => {
-            buf.put_slice(&[REP_ERROR, *code as u8]);
-            buf.put_u32_le(message.len() as u32);
-            buf.put_slice(message.as_bytes());
+            w.bytes(&[REP_ERROR, *code as u8]);
+            w.u32(message.len() as u32);
+            w.bytes(message.as_bytes());
         }
     }
-    buf.freeze()
+    Bytes::from(w.into_vec())
 }
 
 /// Decodes a reply body.
-pub fn decode_reply(mut buf: Bytes) -> Result<Reply, WireError> {
-    if buf.remaining() < 1 {
-        return err("empty reply frame");
-    }
-    let mut tag = [0u8; 1];
-    buf.copy_to_slice(&mut tag);
-    match tag[0] {
+pub fn decode_reply(buf: Bytes) -> Result<Reply, WireError> {
+    let mut r = Reader::new("wire reply", &buf);
+    let reply = match r.u8("message type")? {
         REP_QUERY => {
-            if buf.remaining() < 8 + 2 + 4 + 4 * 8 {
-                return err("truncated query reply");
-            }
-            let epoch = buf.get_u64_le();
-            let mut hdr = [0u8; 2];
-            buf.copy_to_slice(&mut hdr);
-            let alg = AlgSpec::from_code(hdr[0])
-                .ok_or_else(|| WireError(format!("unknown algorithm code {}", hdr[0])))?;
-            let warm = hdr[1] & 1 != 0;
-            let converged = hdr[1] & 2 != 0;
-            let admitted = buf.get_u32_le();
-            let rounds = buf.get_u64_le();
-            let push_rounds = buf.get_u64_le();
-            let state_bytes = buf.get_u64_le();
-            let runtime_micros = buf.get_u64_le();
-            let effective_sources = get_vertices(&mut buf)?;
-            if buf.remaining() < 4 {
-                return err("truncated value list");
-            }
-            let n = buf.get_u32_le() as usize;
-            if buf.remaining() < n * 12 {
-                return err("value list length exceeds frame");
-            }
-            let values = (0..n)
-                .map(|_| (buf.get_u32_le(), buf.get_f64_le()))
-                .collect();
-            expect_consumed(
-                Reply::Query(QueryReply {
-                    epoch,
-                    alg,
-                    warm,
-                    converged,
-                    admitted,
-                    rounds,
-                    push_rounds,
-                    state_bytes,
-                    runtime_micros,
-                    effective_sources,
-                    values,
-                }),
-                &buf,
-            )
+            let epoch = r.u64("epoch")?;
+            let alg = r.u8_as("algorithm", AlgSpec::from_code)?;
+            let flags = r.u8_as("query reply flags", flags(0b11))?;
+            let admitted = r.u32("admitted")?;
+            let rounds = r.u64("rounds")?;
+            let push_rounds = r.u64("push_rounds")?;
+            let state_bytes = r.u64("state_bytes")?;
+            let runtime_micros = r.u64("runtime_micros")?;
+            let n = r.u32("source count")? as usize;
+            let effective_sources = r.u32s(n, "effective sources")?;
+            let n = r.u32("value count")? as usize;
+            let values = r.elements(n, 12, "values")?;
+            Reply::Query(QueryReply {
+                epoch,
+                alg,
+                warm: flags & 1 != 0,
+                converged: flags & 2 != 0,
+                admitted,
+                rounds,
+                push_rounds,
+                state_bytes,
+                runtime_micros,
+                effective_sources,
+                values: (values.chunks_exact(12))
+                    .map(|v| (le_u32(v), le_f64(&v[4..])))
+                    .collect(),
+            })
         }
-        REP_UPDATE_ACK => {
-            if buf.remaining() < 12 {
-                return err("truncated update ack");
-            }
-            let reply = Reply::UpdateAck {
-                accepted: buf.get_u32_le(),
-                epochs_published: buf.get_u64_le(),
-            };
-            expect_consumed(reply, &buf)
-        }
+        REP_UPDATE_ACK => Reply::UpdateAck {
+            accepted: r.u32("accepted")?,
+            epochs_published: r.u64("epochs_published")?,
+        },
         REP_STATS => {
-            if buf.remaining() < StatsSnapshot::FIELDS * 8 {
-                return err("truncated stats reply");
-            }
-            let fields = std::array::from_fn(|_| buf.get_u64_le());
-            expect_consumed(Reply::Stats(StatsSnapshot::from_array(fields)), &buf)
+            let fields = r.u64s(StatsSnapshot::FIELDS, "stats fields")?;
+            Reply::Stats(StatsSnapshot::from_array(
+                fields.try_into().expect("FIELDS values"),
+            ))
         }
         REP_WAL_SEGMENT => {
-            if buf.remaining() < 13 {
-                return err("truncated wal segment");
-            }
-            let primary_seq = buf.get_u64_le();
-            let mut flags = [0u8; 1];
-            buf.copy_to_slice(&mut flags);
-            if flags[0] & !0b1 != 0 {
-                return err(format!("unknown wal segment flags {:#04x}", flags[0]));
-            }
-            let resync = flags[0] & 1 != 0;
-            if buf.remaining() < 4 {
-                return err("truncated wal segment record count");
-            }
-            let n = buf.get_u32_le() as usize;
-            let mut records = Vec::with_capacity(n.min(4096));
+            let primary_seq = r.u64("primary_seq")?;
+            let resync = r.u8_as("wal segment flags", flags(0b1))? != 0;
+            let n = r.u32("record count")? as usize;
+            // A record takes at least 12 bytes: seq and update count.
+            let mut records = Vec::with_capacity(n.min(r.remaining() / 12));
             for _ in 0..n {
-                if buf.remaining() < 8 {
-                    return err("truncated wal segment record seq");
-                }
-                let seq = buf.get_u64_le();
-                let updates = get_updates(&mut buf)?;
-                records.push((seq, updates));
+                records.push((r.u64("record seq")?, get_updates(&mut r)?));
             }
-            expect_consumed(
-                Reply::WalSegment {
-                    primary_seq,
-                    resync,
-                    records,
-                },
-                &buf,
-            )
+            Reply::WalSegment {
+                primary_seq,
+                resync,
+                records,
+            }
         }
         REP_PROBE => {
-            if buf.remaining() < 17 {
-                return err("truncated probe reply");
+            let seq = r.u64("seq")?;
+            let epoch = r.u64("epoch")?;
+            let verdict = r.u8_as("probe verdict", ProbeVerdict::from_code)?;
+            let n = r.u32("fingerprint count")? as usize;
+            let fingerprints = r.u64s(n, "fingerprints")?;
+            Reply::Probe {
+                seq,
+                epoch,
+                verdict,
+                fingerprints,
             }
-            let seq = buf.get_u64_le();
-            let epoch = buf.get_u64_le();
-            let mut code = [0u8; 1];
-            buf.copy_to_slice(&mut code);
-            let verdict = ProbeVerdict::from_code(code[0])
-                .ok_or_else(|| WireError(format!("unknown probe verdict {}", code[0])))?;
-            let fingerprints = get_fingerprints(&mut buf)?;
-            expect_consumed(
-                Reply::Probe {
-                    seq,
-                    epoch,
-                    verdict,
-                    fingerprints,
-                },
-                &buf,
-            )
         }
         REP_CHECKPOINT => {
-            if buf.remaining() < 4 {
-                return err("truncated checkpoint reply");
-            }
-            let n = buf.get_u32_le() as usize;
-            if buf.remaining() < n {
-                return err("checkpoint length exceeds frame");
-            }
-            let mut bytes = vec![0u8; n];
-            buf.copy_to_slice(&mut bytes);
-            expect_consumed(Reply::Checkpoint(bytes), &buf)
+            let n = r.u32("checkpoint length")? as usize;
+            Reply::Checkpoint(r.slice(n, "checkpoint")?.to_vec())
         }
         REP_ERROR => {
-            if buf.remaining() < 5 {
-                return err("truncated error reply");
-            }
-            let mut code_byte = [0u8; 1];
-            buf.copy_to_slice(&mut code_byte);
-            let code = ErrorCode::from_code(code_byte[0])
-                .ok_or_else(|| WireError(format!("unknown error code {}", code_byte[0])))?;
-            let n = buf.get_u32_le() as usize;
-            if buf.remaining() < n {
-                return err("error message length exceeds frame");
-            }
-            let mut raw = vec![0u8; n];
-            buf.copy_to_slice(&mut raw);
-            match String::from_utf8(raw) {
-                Ok(message) => expect_consumed(Reply::Error { code, message }, &buf),
-                Err(_) => err("error message is not utf-8"),
-            }
+            let code = r.u8_as("error code", ErrorCode::from_code)?;
+            let n = r.u32("message length")? as usize;
+            let message = String::from_utf8(r.slice(n, "message")?.to_vec())
+                .map_err(|_| r.invalid("message", "not utf-8"))?;
+            Reply::Error { code, message }
         }
-        t => err(format!("unknown reply type {t}")),
-    }
+        t => {
+            return Err(r
+                .invalid("message type", format!("unknown reply type {t}"))
+                .into())
+        }
+    };
+    r.finish()?;
+    Ok(reply)
 }
 
 /// Writes one frame: length prefix + body.
@@ -987,43 +832,43 @@ mod tests {
         assert!(decode_request(Bytes::from(vec![])).is_err());
         assert!(decode_request(Bytes::from(vec![99])).is_err());
         // Query with an absurd source count but no payload.
-        let mut b = BytesMut::with_capacity(16);
-        b.put_slice(&[1, 0, 0, 0]);
-        b.put_u32_le(u32::MAX);
-        assert!(decode_request(b.freeze()).is_err());
+        let mut b = Writer::with_capacity(16);
+        b.bytes(&[1, 0, 0, 0]);
+        b.u32(u32::MAX);
+        assert!(decode_request(Bytes::from(b.into_vec())).is_err());
         assert!(decode_reply(Bytes::from(vec![0x42])).is_err());
         // Unknown query flag bits and unknown error codes are refused.
-        let mut b = BytesMut::new();
-        b.put_slice(&[1, 0, 0, 0b100]);
-        b.put_u32_le(0);
-        b.put_u32_le(0);
-        assert!(decode_request(b.freeze()).is_err());
-        let mut b = BytesMut::new();
-        b.put_slice(&[0xFF, 9]);
-        b.put_u32_le(0);
-        assert!(decode_reply(b.freeze()).is_err());
+        let mut b = Writer::default();
+        b.bytes(&[1, 0, 0, 0b100]);
+        b.u32(0);
+        b.u32(0);
+        assert!(decode_request(Bytes::from(b.into_vec())).is_err());
+        let mut b = Writer::default();
+        b.bytes(&[0xFF, 9]);
+        b.u32(0);
+        assert!(decode_reply(Bytes::from(b.into_vec())).is_err());
         // Unknown probe flags / wal-segment flags / probe verdicts.
         assert!(decode_request(Bytes::from(vec![7, 0b10])).is_err());
-        let mut b = BytesMut::new();
-        b.put_slice(&[4]);
-        b.put_u64_le(1);
-        b.put_slice(&[0b10]);
-        b.put_u32_le(0);
-        assert!(decode_reply(b.freeze()).is_err());
-        let mut b = BytesMut::new();
-        b.put_slice(&[5]);
-        b.put_u64_le(1);
-        b.put_u64_le(1);
-        b.put_slice(&[3]);
-        b.put_u32_le(0);
-        assert!(decode_reply(b.freeze()).is_err());
+        let mut b = Writer::default();
+        b.bytes(&[4]);
+        b.u64(1);
+        b.bytes(&[0b10]);
+        b.u32(0);
+        assert!(decode_reply(Bytes::from(b.into_vec())).is_err());
+        let mut b = Writer::default();
+        b.bytes(&[5]);
+        b.u64(1);
+        b.u64(1);
+        b.bytes(&[3]);
+        b.u32(0);
+        assert!(decode_reply(Bytes::from(b.into_vec())).is_err());
         // Absurd declared counts with no payload must not over-allocate.
-        let mut b = BytesMut::new();
-        b.put_slice(&[6]);
-        b.put_u64_le(0);
-        b.put_u64_le(0);
-        b.put_u32_le(u32::MAX);
-        assert!(decode_request(b.freeze()).is_err());
+        let mut b = Writer::default();
+        b.bytes(&[6]);
+        b.u64(0);
+        b.u64(0);
+        b.u32(u32::MAX);
+        assert!(decode_request(Bytes::from(b.into_vec())).is_err());
     }
 
     #[test]
@@ -1032,19 +877,17 @@ mod tests {
             Request::Stats,
             Request::Updates(vec![EdgeUpdate::insert(0, 1)]),
         ] {
-            let mut body = BytesMut::from(encode_request(&req).as_ref());
-            body.put_u8(0);
-            assert!(decode_request(body.freeze()).is_err());
+            let mut body = encode_request(&req).to_vec();
+            body.push(0);
+            assert!(decode_request(body.into()).is_err());
         }
-        let mut body = BytesMut::from(
-            encode_reply(&Reply::UpdateAck {
-                accepted: 1,
-                epochs_published: 2,
-            })
-            .as_ref(),
-        );
-        body.put_u8(0);
-        assert!(decode_reply(body.freeze()).is_err());
+        let mut body = encode_reply(&Reply::UpdateAck {
+            accepted: 1,
+            epochs_published: 2,
+        })
+        .to_vec();
+        body.push(0);
+        assert!(decode_reply(body.into()).is_err());
     }
 
     #[test]

@@ -221,11 +221,11 @@ proptest! {
             .compress_with_shards(&[20, 40]);
         let bytes = compressed_to_binary(&g);
         let cut = cut_at.min(bytes.len().saturating_sub(1));
-        prop_assert!(compressed_from_binary(bytes.slice(0..cut)).is_err());
+        prop_assert!(compressed_from_binary(&bytes[..cut]).is_err());
         let mut bad = bytes.to_vec();
         let i = flip % bad.len();
         bad[i] ^= 0x55;
-        match compressed_from_binary(gograph::graph::io::Bytes::from(bad)) {
+        match compressed_from_binary(&bad) {
             Err(_) => {}
             Ok(loaded) => {
                 // A flip may hit an unprotected weight byte; the graph

@@ -231,6 +231,6 @@ fn pipeline_stage_timings_cover_the_run() {
 fn binary_io_roundtrip_of_dataset() {
     let g = community_graph(30);
     let bytes = gograph::graph::io::to_binary(&g);
-    let g2 = gograph::graph::io::from_binary(bytes).unwrap();
+    let g2 = gograph::graph::io::from_binary(&bytes).unwrap();
     assert_eq!(g, g2);
 }

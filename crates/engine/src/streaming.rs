@@ -73,7 +73,9 @@ use crate::runner::{Mode, RunConfig};
 use crate::strategy::{check_family, execute, AlgorithmRef, WarmStart};
 use crate::support::Support;
 use gograph_core::{digest_of, digest_term, GoGraph, IncrementalGoGraph};
-use gograph_graph::{check_batch, CsrGraph, EdgeUpdate, Frontier, Permutation, VertexId};
+use gograph_graph::{
+    check_batch, grown_vertices, CsrGraph, EdgeUpdate, Frontier, Permutation, VertexId,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -557,8 +559,9 @@ impl StreamingPipeline {
         updates: &[EdgeUpdate],
         mut before_track: impl FnMut(usize),
     ) -> Result<BatchResult, EngineError> {
-        check_batch(updates, self.shared.graph.num_vertices())
-            .map_err(EngineError::InvalidBatch)?;
+        let vertices = self.shared.graph.num_vertices();
+        check_batch(updates, vertices).map_err(EngineError::InvalidBatch)?;
+        let grown = grown_vertices(vertices, updates);
         let t = Instant::now();
         let updates: Vec<EdgeUpdate> = updates
             .iter()
@@ -566,6 +569,9 @@ impl StreamingPipeline {
             .filter(|u| u.src() != u.dst())
             .collect();
         let lost_support = self.shared.maintain(&updates);
+        // The count a service admitting batches ahead of this one holds
+        // the next batch to.
+        debug_assert_eq!(self.shared.graph.num_vertices(), grown);
         let reorder = t.elapsed();
 
         let t = Instant::now();

@@ -207,6 +207,19 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    /// The input's last four bytes as a `u32`: a checksum trailing what
+    /// it covers. The reader then ends where they start, so the fields
+    /// before it decode (and [`finish`](Self::finish)) as if it were not
+    /// there.
+    pub fn trailing_u32(&mut self, field: &'static str) -> Result<u32, DecodeError> {
+        if self.remaining() < 4 {
+            return Err(self.truncated(4, field));
+        }
+        let (body, tail) = self.data.split_at(self.data.len() - 4);
+        self.data = body;
+        Ok(le_u32(tail))
+    }
+
     /// Succeeds only at the end of the input: a format holds exactly one
     /// message, so bytes after it are an error.
     #[inline]

@@ -41,7 +41,9 @@ pub use compressed::CompressedAdjacency;
 pub use csr::CsrGraph;
 pub use frontier::Frontier;
 pub use permutation::Permutation;
-pub use types::{check_batch, Direction, Edge, EdgeId, EdgeUpdate, VertexId, Weight};
+pub use types::{
+    check_batch, grown_vertices, Direction, Edge, EdgeId, EdgeUpdate, VertexId, Weight,
+};
 
 // Compile-time thread-safety audit: epoch-snapshot serving hands these
 // types (or borrowed views of them) to reader threads, so losing `Send

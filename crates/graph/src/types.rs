@@ -181,6 +181,22 @@ pub fn check_batch(updates: &[EdgeUpdate], vertices: usize) -> Result<(), String
     Ok(())
 }
 
+/// The vertex count a graph of `vertices` vertices has once the streaming
+/// pipeline applies `updates`: an insert grows it to cover both endpoints,
+/// a remove never grows it, and a self-loop is skipped (the pipeline drops
+/// self-loops before it changes anything). Whoever admits batches ahead of
+/// the pipeline counts with this, so it holds the next batch to the bound
+/// [`check_batch`] sets from the same count the pipeline will have.
+pub fn grown_vertices(vertices: usize, updates: &[EdgeUpdate]) -> usize {
+    updates
+        .iter()
+        .filter_map(|up| match *up {
+            EdgeUpdate::Insert { src, dst, .. } if src != dst => Some(src.max(dst) as usize + 1),
+            _ => None,
+        })
+        .fold(vertices, usize::max)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -137,15 +137,14 @@ pub fn decode_checkpoint(data: impl AsRef<[u8]>) -> io::Result<Checkpoint> {
             return Err(io::Error::new(io::ErrorKind::InvalidData, found));
         }
     }
-    // No field is trusted before the CRC over all of them checks out.
     let mut r = Reader::new(FORMAT, data);
     r.magic(CHECKPOINT_MAGIC)?;
-    let payload = r.slice(r.remaining().saturating_sub(4), "payload")?;
-    if crc32(payload) != r.u32("crc")? {
-        return Err(r.invalid("crc", "checksum mismatch").into());
+    // No field is trusted before the CRC over all of them checks out.
+    let crc = r.trailing_u32("crc")?;
+    let end = data.len() - 4;
+    if crc32(&data[CHECKPOINT_MAGIC.len()..end]) != crc {
+        return Err(r.error_at(end, "crc", "checksum mismatch").into());
     }
-    let mut r = Reader::new(FORMAT, &data[..data.len() - 4]);
-    r.magic(CHECKPOINT_MAGIC)?;
     let seq = r.u64("seq")?;
     let epoch = r.u64("epoch")?;
     let updates_applied = r.u64("updates_applied")?;

@@ -58,7 +58,7 @@ use gograph_engine::{
     Bfs, ConnectedComponents, EngineError, PageRank, Pipeline, ResumableState, Sssp, Sswp,
     StreamingPipeline, StreamingPipelineBuilder, WarmStart,
 };
-use gograph_graph::{check_batch, CsrGraph, EdgeUpdate, VertexId};
+use gograph_graph::{check_batch, grown_vertices, CsrGraph, EdgeUpdate, VertexId};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -455,22 +455,12 @@ struct UpdateLane {
     next_seq: u64,
     wal: Option<WalWriter>,
     /// Vertex count once every batch sent so far is applied: the
-    /// graph's at launch, grown by each accepted or replicated batch's
-    /// inserts, and the checkpoint's on re-sync. The bound
-    /// [`check_batch`] holds new batches to; a batch outside it grows
-    /// nothing.
+    /// graph's at launch, grown by each accepted or replicated batch as
+    /// [`grown_vertices`] counts it, the checkpoint's on re-sync, and
+    /// the published graph's whenever the mutator has settled every
+    /// batch sent. The bound [`check_batch`] holds new batches to; a
+    /// batch outside it grows nothing.
     vertices: usize,
-}
-
-/// The vertex count after `updates`: inserts grow it, removes never do.
-fn grown_vertices(vertices: usize, updates: &[EdgeUpdate]) -> usize {
-    updates
-        .iter()
-        .filter_map(|up| match *up {
-            EdgeUpdate::Insert { src, dst, .. } => Some(src.max(dst) as usize + 1),
-            EdgeUpdate::Remove { .. } => None,
-        })
-        .fold(vertices, usize::max)
 }
 
 /// Everything the mutator thread owns.
@@ -892,6 +882,13 @@ impl ServeCore {
         let n = updates.len();
         let mut guard = crate::lock_unpoisoned(&self.update_lane);
         let lane = guard.as_mut().ok_or(ServeError::Closed)?;
+        // A batch the mutator skipped grew the lane's count but not the
+        // graph. Once every batch sent is settled the published graph is
+        // the count, so a later batch is never admitted against growth
+        // the pipeline does not have.
+        if self.settled_seq() == lane.next_seq {
+            lane.vertices = self.epoch.pin().graph.num_vertices();
+        }
         // Before the WAL append: a refused batch is never logged, so
         // never replayed. A remove past the same bound is a no-op to the
         // graph but a client's mistake, so it is refused here too.
@@ -2054,6 +2051,60 @@ mod tests {
         assert_eq!(follower.pin_epoch().graph.num_vertices(), n as usize + 2);
         follower.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The lane counts a batch's growth as the pipeline will, so a batch
+    /// it admits is never one the pipeline then refuses: an acked batch
+    /// is applied, never skipped for a bound the lane got wrong.
+    #[test]
+    fn a_self_loop_past_the_graph_grows_nothing() {
+        // Stall the mutator so the second batch is admitted while the
+        // first is still in flight, against the lane's count alone.
+        let core = core_with(ServeConfig {
+            warm: vec![WarmSpec::new(AlgSpec::Sssp, 0)],
+            faults: FaultPlan::seeded(5).with_mutator_stalls(1.0, Duration::from_millis(200)),
+            ..ServeConfig::default()
+        });
+        let n = test_graph().num_vertices() as u32;
+        core.enqueue_updates(vec![EdgeUpdate::insert(n + 1, n + 1)])
+            .unwrap();
+        let err = core.enqueue_updates(vec![EdgeUpdate::insert(0, n + 3)]);
+        assert!(matches!(err, Err(ServeError::InvalidRequest(_))), "{err:?}");
+        core.quiesce();
+        let s = core.stats_snapshot();
+        assert_eq!((s.batches_applied, s.mutator_errors), (1, 0));
+        assert_eq!(core.pin_epoch().graph.num_vertices(), n as usize);
+        core.shutdown();
+    }
+
+    /// A batch the mutator skips grew the lane's count when it was sent;
+    /// once it is settled, the next batch is held to the graph the
+    /// pipeline really has.
+    #[test]
+    fn a_skipped_batch_does_not_widen_the_bound() {
+        let faults = (0..)
+            .map(|seed| FaultPlan::seeded(seed).with_mutator_panics(0.5))
+            .find(|f| f.mutator_panic(1) && !f.mutator_panic(2))
+            .unwrap();
+        let core = core_with(ServeConfig {
+            warm: vec![WarmSpec::new(AlgSpec::Sssp, 0)],
+            faults,
+            ..ServeConfig::default()
+        });
+        let n = test_graph().num_vertices() as u32;
+        core.enqueue_updates(vec![EdgeUpdate::insert(0, n + 1)])
+            .unwrap();
+        core.quiesce();
+        assert_eq!(core.stats_snapshot().mutator_errors, 1);
+        let err = core.enqueue_updates(vec![EdgeUpdate::insert(0, n + 3)]);
+        assert!(matches!(err, Err(ServeError::InvalidRequest(_))), "{err:?}");
+        core.enqueue_updates(vec![EdgeUpdate::insert(0, n + 1)])
+            .unwrap();
+        core.quiesce();
+        let s = core.stats_snapshot();
+        assert_eq!((s.batches_applied, s.mutator_errors), (1, 1));
+        assert_eq!(core.pin_epoch().graph.num_vertices(), n as usize + 2);
+        core.shutdown();
     }
 
     #[test]

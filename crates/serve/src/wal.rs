@@ -87,12 +87,7 @@ impl WalWriter {
             let mut magic = [0u8; 8];
             file.seek(SeekFrom::Start(0))?;
             file.read_exact(&mut magic)?;
-            if &magic != WAL_MAGIC {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "not a GoGraph WAL (bad magic)",
-                ));
-            }
+            Reader::new(FORMAT, &magic).magic(WAL_MAGIC)?;
             file.seek(SeekFrom::End(0))?;
         }
         let len = file.stream_position()?;

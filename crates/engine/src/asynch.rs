@@ -261,6 +261,14 @@ fn schedule_rounds<A: IterativeAlgorithm + ?Sized, const JACOBI: bool>(
     let mut prev = if JACOBI { states.clone() } else { Vec::new() };
     let mut evaluations = 0usize;
 
+    // Once per run, not per dense round: the check scans the whole order
+    // exactly when it is the identity.
+    let dense_round = if order.is_identity() {
+        dense_round::<true, JACOBI, A>
+    } else {
+        dense_round::<false, JACOBI, A>
+    };
+
     let mut rounds = 0usize;
     let mut converged = false;
     let mut push_rounds = 0usize;
@@ -365,12 +373,7 @@ fn schedule_rounds<A: IterativeAlgorithm + ?Sized, const JACOBI: bool>(
             out_count = out_set.len();
             work = Work::Changed;
         } else if dense {
-            let round = if order.is_identity() {
-                dense_round::<true, JACOBI, A>
-            } else {
-                dense_round::<false, JACOBI, A>
-            };
-            out_count = round(
+            out_count = dense_round(
                 g,
                 &ctx,
                 alg,

@@ -498,9 +498,10 @@ struct Counters {
 /// order: its mode, states, dependence levels and run counters.
 pub struct Track {
     spec: TrackSpec,
-    /// Replaced by each run's result, never written in place (a batch
-    /// that grows the vertex set extends a private copy), so a
-    /// published `Arc` stays the states it was published with.
+    /// Replaced by each run's result that moved a state, never written
+    /// in place (a batch that grows the vertex set extends a private
+    /// copy), so a published `Arc` stays the states it was published
+    /// with, and epochs a batch left the states of share one.
     states: Arc<Vec<f64>>,
     /// [`digest_term`] summed over `(vertex, state bits)`.
     digest: u64,
@@ -1031,6 +1032,11 @@ impl Track {
                     support.build_levels(&new),
                     "repaired levels must equal a from-scratch build"
                 );
+                if changed.is_empty() {
+                    // The same bits: keep the allocation every epoch
+                    // published since shares.
+                    return;
+                }
             }
             None => {
                 self.digest = state_digest(&new);

@@ -516,8 +516,8 @@ impl CsrGraph {
     /// `(src, dst)` with no pair twice, writing both directions' row
     /// blocks at their exact sizes: one counting pass, one fill pass.
     /// Shared by [`GraphBuilder::build`],
-    /// [`CsrGraph::induced_subgraph_with_threads`] and the RMAT
-    /// generator, whose edges come out pre-sorted.
+    /// [`CsrGraph::induced_subgraph_with_threads`], the binary decoder
+    /// and the RMAT generator, whose edges come out pre-sorted.
     pub(crate) fn from_sorted_edges<I>(n: usize, edges: I) -> CsrGraph
     where
         I: Iterator<Item = Edge> + Clone,
@@ -944,9 +944,13 @@ impl CsrGraph {
     /// call, vertex `perm.new_id(v)` has exactly the (relabeled) neighbors
     /// the old `v` had, so the result is isomorphic to `self`.
     ///
-    /// The result is always on the uncompressed backend (relabeling goes
-    /// through the builder); re-[`CsrGraph::compress`] afterwards if
-    /// needed.
+    /// Row by row: new row `i` is the old row of `perm.vertex_at(i)`,
+    /// its neighbors mapped through `perm` and sorted, written straight
+    /// into row blocks sized from the old degrees. The rows come out in
+    /// `(src, dst)` order with no pair twice (`perm` is a bijection), so
+    /// neither a sort of all `|E|` edges nor an edge list is needed. The
+    /// result is always on the uncompressed backend;
+    /// re-[`CsrGraph::compress`] afterwards if needed.
     ///
     /// # Panics
     /// Panics if `perm.len() != self.num_vertices()`.
@@ -956,11 +960,30 @@ impl CsrGraph {
             self.num_vertices,
             "permutation length must match vertex count"
         );
-        let mut b = GraphBuilder::with_capacity(self.num_vertices, self.num_edges());
-        for e in self.edges() {
-            b.add_edge(perm.new_id(e.src), perm.new_id(e.dst), e.weight);
+        let degrees = |degree: fn(&CsrGraph, VertexId) -> usize| -> Vec<u32> {
+            (perm.order().iter())
+                .map(|&old| degree(self, old) as u32)
+                .collect()
+        };
+        let out_degrees = degrees(CsrGraph::out_degree);
+        let mut out = BlockFill::new(&out_degrees);
+        let mut inc = BlockFill::new(&degrees(CsrGraph::in_degree));
+        let mut row: Vec<(VertexId, Weight)> = Vec::new();
+        for (src, &old) in (0..).zip(perm.order()) {
+            row.clear();
+            row.extend(self.out_edges(old).map(|(dst, w)| (perm.new_id(dst), w)));
+            row.sort_unstable_by_key(|&(dst, _)| dst);
+            for &(dst, weight) in &row {
+                out.push(src, dst, weight);
+                inc.push(dst, src, weight);
+            }
         }
-        b.build()
+        CsrGraph::from_blocks(
+            self.num_edges(),
+            out.finish(),
+            inc.finish(),
+            Arc::new(out_degrees),
+        )
     }
 
     /// Applies a batch of [`EdgeUpdate`]s, producing the updated graph.

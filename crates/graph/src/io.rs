@@ -6,7 +6,7 @@ use crate::builder::GraphBuilder;
 use crate::codec::{le_f64, le_u32, DecodeError, Reader, Writer};
 use crate::compressed::{AdjacencyShard, CompressedAdjacency};
 use crate::csr::CsrGraph;
-use crate::types::VertexId;
+use crate::types::{Edge, VertexId};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -130,7 +130,10 @@ pub fn to_binary(g: &CsrGraph) -> Vec<u8> {
 }
 
 /// Deserializes a graph from the binary format. The input must hold
-/// exactly one graph: bytes after the last declared edge are an error.
+/// exactly one graph, written the way [`to_binary`] writes it: edge
+/// records strictly ascending in `(src, dst)` — so no pair twice — and
+/// nothing after the last one. Any other input is an error naming the
+/// offending record, so one graph has exactly one encoding.
 pub fn from_binary(data: &[u8]) -> io::Result<CsrGraph> {
     let mut r = Reader::new("GOGRAPH1 graph", data);
     r.magic(MAGIC)?;
@@ -139,20 +142,30 @@ pub fn from_binary(data: &[u8]) -> io::Result<CsrGraph> {
         return Err(r.invalid("vertex count", "exceeds the u32 id space").into());
     }
     let m = r.u64("edge count")? as usize;
+    let start = r.offset();
     let edges = r.elements(m, 16, "edges")?;
     r.finish()?;
-    let mut b = GraphBuilder::with_capacity(n as usize, m);
-    b.reserve_vertices(n as usize);
-    for (i, e) in edges.chunks_exact(16).enumerate() {
-        let (src, dst) = (le_u32(e), le_u32(&e[4..]));
-        if u64::from(src.max(dst)) >= n {
-            return Err(r
-                .invalid("edges", format!("edge {i} leaves the vertex range"))
-                .into());
-        }
-        b.add_edge(src, dst, le_f64(&e[8..]));
+    let records = edges.chunks_exact(16).map(|e| Edge {
+        src: le_u32(e),
+        dst: le_u32(&e[4..]),
+        weight: le_f64(&e[8..]),
+    });
+    let mut last = None;
+    for (i, e) in records.clone().enumerate() {
+        let problem = if u64::from(e.src.max(e.dst)) >= n {
+            format!("edge {i} leaves the vertex range")
+        } else if last >= Some((e.src, e.dst)) {
+            format!(
+                "edge {i} does not follow edge {} in (src, dst) order",
+                i - 1
+            )
+        } else {
+            last = Some((e.src, e.dst));
+            continue;
+        };
+        return Err(r.error_at(start + 16 * i, "edges", problem).into());
     }
-    Ok(b.build())
+    Ok(CsrGraph::from_sorted_edges(n as usize, records))
 }
 
 /// Writes the binary format to disk.

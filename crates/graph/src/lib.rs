@@ -42,7 +42,8 @@ pub use csr::CsrGraph;
 pub use frontier::Frontier;
 pub use permutation::Permutation;
 pub use types::{
-    check_batch, grown_vertices, Direction, Edge, EdgeId, EdgeUpdate, VertexId, Weight,
+    check_batch, check_client_batch, grown_vertices, Direction, Edge, EdgeId, EdgeUpdate, VertexId,
+    Weight,
 };
 
 // Compile-time thread-safety audit: epoch-snapshot serving hands these

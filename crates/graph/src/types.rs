@@ -155,27 +155,46 @@ impl EdgeUpdate {
 /// weight that is not finite or is negative (every traffic source and
 /// generator draws weights in `[1, 10)`). A remove is never refused: one
 /// naming a vertex the graph lacks is a no-op. The streaming pipeline
-/// checks every batch here before it changes anything, and the service
-/// before it logs one. The error says why.
+/// checks every batch here before it changes anything. The error says
+/// why.
 pub fn check_batch(updates: &[EdgeUpdate], vertices: usize) -> Result<(), String> {
+    check_updates(updates, vertices, false)
+}
+
+/// [`check_batch`], also refusing a remove that names a vertex at or past
+/// the same bound: no batch so far can have added it, so it is a no-op
+/// to the graph but a client's mistake. A service admitting client
+/// batches checks them here, in one pass, before it logs one.
+pub fn check_client_batch(updates: &[EdgeUpdate], vertices: usize) -> Result<(), String> {
+    check_updates(updates, vertices, true)
+}
+
+fn check_updates(updates: &[EdgeUpdate], vertices: usize, removes: bool) -> Result<(), String> {
     let limit = vertices.saturating_add(2 * updates.len());
     for up in updates {
-        let EdgeUpdate::Insert { src, dst, weight } = *up else {
-            continue;
-        };
-        if src.max(dst) as usize >= limit {
-            return Err(format!(
-                "insert endpoint {} out of range: the graph has {vertices} vertices and a \
-                 batch of {} updates may add at most {}",
-                src.max(dst),
-                updates.len(),
-                2 * updates.len()
-            ));
-        }
-        if !weight.is_finite() || weight < 0.0 {
-            return Err(format!(
-                "update weight {weight} is not a finite non-negative number"
-            ));
+        let v = up.src().max(up.dst());
+        match *up {
+            EdgeUpdate::Insert { weight, .. } => {
+                if v as usize >= limit {
+                    return Err(format!(
+                        "insert endpoint {v} out of range: the graph has {vertices} vertices \
+                         and a batch of {} updates may add at most {}",
+                        updates.len(),
+                        2 * updates.len()
+                    ));
+                }
+                if !weight.is_finite() || weight < 0.0 {
+                    return Err(format!(
+                        "update weight {weight} is not a finite non-negative number"
+                    ));
+                }
+            }
+            EdgeUpdate::Remove { .. } if removes && v as usize >= limit => {
+                return Err(format!(
+                    "remove endpoint {v} out of range: no batch so far can have added it"
+                ));
+            }
+            EdgeUpdate::Remove { .. } => {}
         }
     }
     Ok(())

@@ -257,6 +257,39 @@ proptest! {
         }
     }
 
+    /// Row-wise relabelling equals relabelling through the builder — a
+    /// global sort and merge of every edge — on weighted graphs over
+    /// several row blocks whose last quarter of vertices is isolated,
+    /// under a random, the identity and the reversed permutation, from
+    /// either backend.
+    #[test]
+    fn relabeled_equals_the_builder_path(
+        (n, edges) in (1usize..3 * BLOCK_ROWS).prop_flat_map(|n| {
+            let span = (n as u32 * 3 / 4).max(1);
+            (Just(n), proptest::collection::vec((0..span, 0..span, 0.5f64..9.5), 0..n * 3))
+        }),
+        seed in any::<u64>(),
+    ) {
+        use rand::{Rng, SeedableRng};
+        let g = build(n, &edges);
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for i in (1..n).rev() {
+            order.swap(i, rng.random_range(0..=i));
+        }
+        let random = Permutation::from_order(order);
+        for perm in [random, Permutation::identity(n), Permutation::identity(n).reversed()] {
+            let mut b = GraphBuilder::with_capacity(n, g.num_edges());
+            b.reserve_vertices(n);
+            for e in g.edges() {
+                b.add_edge(perm.new_id(e.src), perm.new_id(e.dst), e.weight);
+            }
+            let expected = b.build();
+            prop_assert_eq!(&g.relabeled(&perm), &expected);
+            prop_assert_eq!(&g.compress().relabeled(&perm), &expected);
+        }
+    }
+
     #[test]
     fn relabel_composes((n, edges) in arb_edges(), s1 in 0u64..100, s2 in 0u64..100) {
         use rand::{Rng, SeedableRng};

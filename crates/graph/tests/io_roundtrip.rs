@@ -111,6 +111,30 @@ fn binary_edge_endpoints_outside_declared_range_are_errors() {
     assert!(from_binary(&bad).is_err());
 }
 
+/// The flat format has one encoding per graph: edge records strictly
+/// ascending in `(src, dst)`. A record out of that order, or one naming
+/// the pair before it again, is refused with the record's index and
+/// offset, where a builder would sort or merge it into some graph.
+#[test]
+fn binary_edge_records_out_of_order_or_repeated_are_errors() {
+    let g = CsrGraph::from_edges(4, [(0u32, 1u32, 2.5), (1, 2, 1.0), (3, 0, 0.5)]);
+    let good = to_binary(&g);
+    let record = |i: usize| 24 + 16 * i..24 + 16 * (i + 1);
+
+    let mut swapped = good.clone();
+    swapped[record(1)].copy_from_slice(&good[record(2)]);
+    swapped[record(2)].copy_from_slice(&good[record(1)]);
+    let err = from_binary(&swapped).unwrap_err().to_string();
+    assert!(err.contains("edges at byte 56"), "{err}");
+    assert!(err.contains("edge 2 does not follow edge 1"), "{err}");
+
+    let mut repeated = good.clone();
+    repeated[record(1)].copy_from_slice(&good[record(0)]);
+    let err = from_binary(&repeated).unwrap_err().to_string();
+    assert!(err.contains("edges at byte 40"), "{err}");
+    assert!(err.contains("edge 1 does not follow edge 0"), "{err}");
+}
+
 /// Every binary format holds exactly one value: bytes after its last
 /// section are refused, as the flat format always did.
 #[test]

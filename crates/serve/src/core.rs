@@ -51,6 +51,7 @@ use crate::epoch::{EpochCell, EpochState, WarmEntry};
 use crate::fault::{splitmix64, FaultPlan};
 use crate::spec::{AlgSpec, ModeSpec};
 pub use crate::stats::{ServeStats, StatsSnapshot};
+use crate::view::ProcessingView;
 use crate::wal::{
     compact_wal, read_wal, read_wal_segment, truncate_wal, SyncPolicy, TailStatus, WalWriter,
 };
@@ -58,10 +59,12 @@ use gograph_engine::{
     Bfs, ConnectedComponents, EngineError, PageRank, Pipeline, ResumableState, Sssp, Sswp,
     StreamingPipeline, StreamingPipelineBuilder, WarmStart,
 };
-use gograph_graph::{check_batch, grown_vertices, CsrGraph, EdgeUpdate, VertexId};
+use gograph_graph::{
+    check_batch, check_client_batch, grown_vertices, CsrGraph, EdgeUpdate, VertexId,
+};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -440,9 +443,13 @@ fn fingerprints(sp: &StreamingPipeline) -> Vec<u64> {
         .collect()
 }
 
+/// What the mutator thread is sent. `BuildView` asks it to build the
+/// [`ProcessingView`] and keep it from then on: the first source-rooted
+/// query that finds none sends it, once.
 enum MutatorMsg {
     Batch { seq: u64, updates: Vec<EdgeUpdate> },
     Resync(Box<Checkpoint>),
+    BuildView,
     Stop,
 }
 
@@ -467,6 +474,12 @@ struct UpdateLane {
 struct MutatorCtx {
     /// One track per entry of `warm`, in order.
     pipeline: StreamingPipeline,
+    /// The view of the pipeline's graph, published with each epoch from
+    /// the first [`MutatorMsg::BuildView`] on.
+    view: Option<Arc<ProcessingView>>,
+    /// The pipeline's [`full_reorders`](StreamingPipeline::full_reorders)
+    /// when `view` was last built: a rise means its labels are stale.
+    view_reorders: usize,
     warm: Vec<WarmSpec>,
     faults: FaultPlan,
     durability: Option<DurabilityConfig>,
@@ -475,6 +488,33 @@ struct MutatorCtx {
     max_follower_lag: u64,
     epoch: u64,
     last_seq: u64,
+}
+
+impl MutatorCtx {
+    /// Builds the view from the pipeline's whole graph, with its current
+    /// order as the labels.
+    fn build_view(&mut self) -> Arc<ProcessingView> {
+        let sp = &self.pipeline;
+        let view = Arc::new(ProcessingView::build(sp.graph(), sp.shared_order()));
+        self.view_reorders = sp.full_reorders();
+        self.view = Some(Arc::clone(&view));
+        view
+    }
+
+    /// Moves the view, if one is kept, past `updates`, the batch the
+    /// pipeline just applied: derived from the last view, or rebuilt
+    /// when the batch adopted a full reorder, whose order the old labels
+    /// no longer follow.
+    fn advance_view(&mut self, updates: &[EdgeUpdate]) {
+        let Some(view) = &self.view else {
+            return;
+        };
+        if self.pipeline.full_reorders() > self.view_reorders {
+            self.build_view();
+        } else {
+            self.view = Some(Arc::new(view.next(self.pipeline.order(), updates)));
+        }
+    }
 }
 
 /// The service core. `Arc<ServeCore>` is shared by every connection
@@ -489,6 +529,8 @@ pub struct ServeCore {
     faults: FaultPlan,
     repl: Arc<ReplicationState>,
     max_follower_lag: u64,
+    /// Set once a query has sent [`MutatorMsg::BuildView`].
+    view_asked: AtomicBool,
 }
 
 impl ServeCore {
@@ -540,9 +582,7 @@ impl ServeCore {
             wal = Some(WalWriter::open(&d.wal_path(), d.sync)?);
         }
 
-        let bootstrap = epoch_from_pipeline(0, &warm_specs, &pipeline);
         Self::launch(
-            Arc::new(EpochCell::new(bootstrap)),
             warm_specs,
             pipeline,
             stats,
@@ -616,13 +656,8 @@ impl ServeCore {
         stats.batches_enqueued.store(last_seq, Ordering::Relaxed);
         stats.wal_replayed.store(replayed, Ordering::Relaxed);
 
-        let cell = Arc::new(EpochCell::with_published(
-            epoch_from_pipeline(epoch, &warm, &pipeline),
-            epoch,
-        ));
         let wal = Some(WalWriter::open(&wal_path, d.sync)?);
         Self::launch(
-            cell,
             warm,
             pipeline,
             stats,
@@ -652,9 +687,11 @@ impl ServeCore {
         }
     }
 
+    /// Publishes `pipeline`'s state as epoch `epoch` (with `epoch`
+    /// epochs counted as published: one per applied batch) and starts the
+    /// mutator thread over it.
     #[allow(clippy::too_many_arguments)]
     fn launch(
-        cell: Arc<EpochCell>,
         warm: Vec<WarmSpec>,
         pipeline: StreamingPipeline,
         stats: Arc<ServeStats>,
@@ -671,7 +708,13 @@ impl ServeCore {
         repl.record_probe(last_seq, epoch, fingerprints(&pipeline));
         stats.repl_last_seq.store(last_seq, Ordering::Release);
         let vertices = pipeline.graph().num_vertices();
+        let cell = Arc::new(EpochCell::new(
+            epoch_from_pipeline(epoch, &warm, &pipeline),
+            epoch,
+        ));
         let ctx = MutatorCtx {
+            view: None,
+            view_reorders: 0,
             pipeline,
             warm,
             faults: config.faults.clone(),
@@ -707,6 +750,7 @@ impl ServeCore {
             faults: config.faults,
             repl,
             max_follower_lag: config.max_follower_lag,
+            view_asked: AtomicBool::new(false),
         }))
     }
 
@@ -797,14 +841,19 @@ impl ServeCore {
         Ok(outcome)
     }
 
-    /// One execution against a freshly pinned epoch.
+    /// One execution against a freshly pinned epoch. A source-rooted
+    /// algorithm runs on the epoch's [`ProcessingView`] — sources and
+    /// warm states translated in, final states back — which gives the
+    /// states and rounds of a run on the epoch graph in the epoch order
+    /// (see [`crate::view`]); any other runs on the epoch graph itself,
+    /// as a source-rooted one does until the mutator keeps a view.
     fn run(
         &self,
         alg: AlgSpec,
         mode: ModeSpec,
         sources: Vec<VertexId>,
     ) -> Result<QueryOutcome, ServeError> {
-        let epoch = self.epoch.pin();
+        let (epoch, view) = self.epoch.pin_with_view();
         let n = epoch.graph.num_vertices();
         if let Some(&bad) = sources.iter().find(|&&s| (s as usize) >= n) {
             return Err(ServeError::InvalidRequest(format!(
@@ -820,18 +869,34 @@ impl ServeCore {
             None
         };
 
-        let algorithm = alg.instantiate(&sources);
-        let mut builder = Pipeline::on(&epoch.graph)
-            .order_ref(&epoch.order)
+        let view = view.as_deref().filter(|_| alg.needs_sources());
+        if alg.needs_sources() && view.is_none() {
+            self.ask_for_view();
+        }
+        let (graph, order, algorithm) = match view {
+            Some(v) => {
+                let in_view: Vec<VertexId> = sources.iter().map(|&s| v.to_view(s)).collect();
+                (&v.graph, &v.order, alg.instantiate(&in_view))
+            }
+            None => (&epoch.graph, &epoch.order, alg.instantiate(&sources)),
+        };
+        let mut builder = Pipeline::on(graph)
+            .order_ref(order)
             .mode(mode.mode())
             .algorithm_ref(algorithm.as_ref());
         let warm = warm_entry.is_some();
         if let Some(entry) = warm_entry {
-            builder = builder.warm_start(WarmStart::from_states((*entry.states).clone()));
+            let states = match view {
+                Some(v) => v.states_in(&entry.states),
+                None => (*entry.states).clone(),
+            };
+            builder = builder.warm_start(WarmStart::from_states(states));
         }
-        let result = builder.execute()?;
+        let mut stats = builder.execute()?.stats;
+        if let Some(v) = view {
+            stats.final_states = v.states_out(&stats.final_states);
+        }
 
-        let stats = result.stats;
         if warm {
             self.stats.warm_hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -863,15 +928,26 @@ impl ServeCore {
         })
     }
 
+    /// Asks the mutator, once, to build the view source-rooted queries
+    /// run on and keep it from then on: a service no such query reaches
+    /// never holds the second graph.
+    fn ask_for_view(&self) {
+        if !self.view_asked.swap(true, Ordering::Relaxed) {
+            if let Some(lane) = crate::lock_unpoisoned(&self.update_lane).as_ref() {
+                let _ = lane.tx.send(MutatorMsg::BuildView);
+            }
+        }
+    }
+
     /// Queues an update batch for the mutator. With durability, the
     /// batch is appended (and synced, per policy) to the WAL before
     /// this returns — an acked batch survives a crash. Returns the
     /// number of updates accepted.
     ///
-    /// A batch [`check_batch`] refuses (an insert endpoint at or past
-    /// `vertices + 2·len`, or a non-finite or negative insert weight), or
-    /// one removing an edge at a vertex past the same bound, is refused
-    /// with [`ServeError::InvalidRequest`] before it reaches the WAL.
+    /// A batch [`check_client_batch`] refuses (an endpoint at or past
+    /// `vertices + 2·len`, or a non-finite or negative insert weight) is
+    /// refused with [`ServeError::InvalidRequest`] before it reaches the
+    /// WAL.
     pub fn enqueue_updates(&self, updates: Vec<EdgeUpdate>) -> Result<usize, ServeError> {
         if self.role() != Role::Primary {
             return Err(ServeError::NotPrimary);
@@ -890,18 +966,8 @@ impl ServeCore {
             lane.vertices = self.epoch.pin().graph.num_vertices();
         }
         // Before the WAL append: a refused batch is never logged, so
-        // never replayed. A remove past the same bound is a no-op to the
-        // graph but a client's mistake, so it is refused here too.
-        check_batch(&updates, lane.vertices).map_err(ServeError::InvalidRequest)?;
-        let limit = lane.vertices + 2 * n;
-        if let Some(v) = (updates.iter())
-            .map(|up| up.src().max(up.dst()))
-            .find(|&v| v as usize >= limit)
-        {
-            return Err(ServeError::InvalidRequest(format!(
-                "remove endpoint {v} out of range: no batch so far can have added it"
-            )));
-        }
+        // never replayed.
+        check_client_batch(&updates, lane.vertices).map_err(ServeError::InvalidRequest)?;
         let seq = lane.next_seq + 1;
         if let Some(d) = &self.durability {
             // A compaction watermark set by the mutator (post-
@@ -1194,12 +1260,7 @@ impl ServeCore {
         let warm = ck.warm;
         stats.batches_enqueued.store(ck.seq, Ordering::Relaxed);
         stats.repl_primary_seq.store(ck.seq, Ordering::Relaxed);
-        let cell = Arc::new(EpochCell::with_published(
-            epoch_from_pipeline(ck.epoch, &warm, &pipeline),
-            ck.epoch,
-        ));
         Self::launch(
-            cell,
             warm,
             pipeline,
             stats,
@@ -1462,9 +1523,15 @@ fn resync_mutator(ctx: &mut MutatorCtx, ck: Checkpoint, cell: &EpochCell, stats:
     }
     ctx.epoch = ck.epoch;
     ctx.last_seq = ck.seq;
+    if ctx.view.is_some() {
+        ctx.build_view();
+    }
     adopt_counters(stats, &ck);
     stats.degraded.store(0, Ordering::Relaxed);
-    cell.publish(epoch_from_pipeline(ctx.epoch, &ctx.warm, &ctx.pipeline));
+    cell.publish(
+        epoch_from_pipeline(ctx.epoch, &ctx.warm, &ctx.pipeline),
+        ctx.view.clone(),
+    );
     crate::lock_unpoisoned(&ctx.repl.probes).clear();
     ctx.repl
         .record_probe(ck.seq, ck.epoch, fingerprints(&ctx.pipeline));
@@ -1488,7 +1555,11 @@ fn mutator_loop(
                     if ctx.faults.corrupt_state(seq) {
                         corrupt_pipeline_state(&mut ctx, seq);
                     }
-                    cell.publish(epoch_from_pipeline(ctx.epoch, &ctx.warm, &ctx.pipeline));
+                    ctx.advance_view(&updates);
+                    cell.publish(
+                        epoch_from_pipeline(ctx.epoch, &ctx.warm, &ctx.pipeline),
+                        ctx.view.clone(),
+                    );
                     count_applied(stats, updates.len(), rounds);
                     let every = ctx
                         .durability
@@ -1507,6 +1578,11 @@ fn mutator_loop(
                 ctx.repl
                     .record_probe(seq, ctx.epoch, fingerprints(&ctx.pipeline));
                 stats.repl_last_seq.store(seq, Ordering::Release);
+            }
+            Ok(MutatorMsg::BuildView) => {
+                if ctx.view.is_none() {
+                    cell.attach_view(ctx.build_view());
+                }
             }
             Ok(MutatorMsg::Resync(ck)) => {
                 resync_mutator(&mut ctx, *ck, cell, stats);
@@ -1603,7 +1679,8 @@ fn epoch_from_pipeline(epoch: u64, warm: &[WarmSpec], sp: &StreamingPipeline) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gograph_engine::IterativeAlgorithm;
+    use crate::view::assert_view_of;
+    use gograph_engine::{IterativeAlgorithm, RunStats};
     use gograph_graph::generators::{planted_partition, PlantedPartitionConfig};
     use std::path::Path;
 
@@ -1696,13 +1773,9 @@ mod tests {
         assert_eq!(&*warm.states, &*entry.states);
     }
 
-    /// A fresh cold run of `alg` from `sources` on `ep`, outside the core.
-    fn cold_states(
-        ep: &EpochState,
-        alg: AlgSpec,
-        mode: ModeSpec,
-        sources: &[VertexId],
-    ) -> Vec<f64> {
+    /// A fresh cold run of `alg` from `sources` on `ep`'s graph in its
+    /// order, outside the core.
+    fn cold_run(ep: &EpochState, alg: AlgSpec, mode: ModeSpec, sources: &[VertexId]) -> RunStats {
         Pipeline::on(&ep.graph)
             .order_ref(&ep.order)
             .mode(mode.mode())
@@ -1710,7 +1783,15 @@ mod tests {
             .execute()
             .unwrap()
             .stats
-            .final_states
+    }
+
+    fn cold_states(
+        ep: &EpochState,
+        alg: AlgSpec,
+        mode: ModeSpec,
+        sources: &[VertexId],
+    ) -> Vec<f64> {
+        cold_run(ep, alg, mode, sources).final_states
     }
 
     fn bits(xs: &[f64]) -> Vec<u64> {
@@ -1876,7 +1957,10 @@ mod tests {
         });
         // Publish an epoch whose SSSP entry is what a round-capped run
         // leaves behind: states short of the fixpoint, flagged as such.
-        let mut ep = (*core.pin_epoch()).clone();
+        // The query warm-starts on the view, from the entry's states in
+        // view ids.
+        let (ep, view) = viewed(&core);
+        let mut ep = (*ep).clone();
         let fixpoint = Arc::clone(&ep.warm[0].states);
         let sssp = Sssp::new(0);
         let unfinished: Vec<f64> = (0..ep.graph.num_vertices() as VertexId)
@@ -1889,7 +1973,7 @@ mod tests {
             converged: false,
             ..ep.warm[0].clone()
         };
-        core.epoch.publish(ep);
+        core.epoch.publish(ep, Some(view));
 
         let out = core.execute_query(query(AlgSpec::Sssp, vec![0])).unwrap();
         assert!(out.warm, "it still warm-starts from the entry");
@@ -2324,5 +2408,327 @@ mod tests {
         assert_eq!(core.pin_epoch().epoch, 1);
         core.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The current epoch and its view, once `core`'s mutator keeps one:
+    /// asks for it, as a source-rooted query that finds none does.
+    fn viewed(core: &ServeCore) -> (Arc<EpochState>, Arc<ProcessingView>) {
+        core.ask_for_view();
+        for _ in 0..10_000 {
+            if let (ep, Some(view)) = core.epoch.pin_with_view() {
+                return (ep, view);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("the mutator built no view");
+    }
+
+    /// A checkpoint of `sp` after `seq` batches, `epoch` of them applied.
+    fn checkpoint_of(
+        warm: &[WarmSpec],
+        sp: &StreamingPipeline,
+        seq: u64,
+        epoch: u64,
+    ) -> Checkpoint {
+        make_checkpoint(warm, sp, seq, epoch, &ServeStats::default())
+    }
+
+    /// Inserts, removes of present and absent edges, a self-loop, growth
+    /// past the graph, a batch rolled back by a mid-batch panic, a
+    /// re-sync, and a drift breach that adopts a full reorder: after each
+    /// step, the published view is the view of the published epoch, and
+    /// it is rebuilt exactly where the labels went stale.
+    #[test]
+    fn the_published_view_follows_every_batch_rollback_and_reorder() {
+        let warm = vec![
+            WarmSpec::new(AlgSpec::Sssp, 0),
+            WarmSpec::new(AlgSpec::Cc, 0),
+        ];
+        let faults = (0..)
+            .map(|seed| FaultPlan::seeded(seed).with_mid_batch_panics(0.3))
+            .find(|f| {
+                (1..=5)
+                    .map(|s| f.mutator_panic_mid(s))
+                    .eq([false, false, true, false, false])
+            })
+            .unwrap();
+        let g = test_graph();
+        let n = g.num_vertices() as VertexId;
+        let mut replica = warm_pipeline(&g, &warm).build().unwrap();
+        let follower = ServeCore::follow_from_checkpoint(
+            checkpoint_of(&warm, &replica, 0, 0),
+            ServeConfig {
+                warm: warm.clone(),
+                faults,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let view_of = || {
+            let (ep, view) = viewed(&follower);
+            assert_view_of(&view, &ep.graph, &ep.order);
+            view
+        };
+        let boot = view_of();
+        let present = g
+            .edges()
+            .step_by(40)
+            .map(|e| EdgeUpdate::remove(e.src, e.dst));
+        let stream: Vec<Vec<EdgeUpdate>> = vec![
+            present
+                .chain([
+                    EdgeUpdate::insert(1, 2),
+                    EdgeUpdate::insert(3, 3),
+                    EdgeUpdate::remove(4, 70),
+                    EdgeUpdate::insert_weighted(5, 6, 0.5),
+                ])
+                .collect(),
+            vec![
+                EdgeUpdate::insert(0, n),
+                EdgeUpdate::insert(n + 2, 7),
+                EdgeUpdate::insert(n + 3, n + 3),
+            ],
+            vec![EdgeUpdate::insert(n + 1, 9), EdgeUpdate::remove(0, n)],
+            vec![EdgeUpdate::insert(10, 11), EdgeUpdate::remove(1, 2)],
+            vec![EdgeUpdate::insert(n + 4, 0), EdgeUpdate::insert(2, 1)],
+        ];
+        let replicate = |seq: u64| {
+            follower
+                .replicate_batch(seq, stream[seq as usize - 1].clone())
+                .unwrap();
+            follower.quiesce();
+            view_of()
+        };
+        for seq in 1..=3 {
+            let view = replicate(seq);
+            assert!(Arc::ptr_eq(&view.labels, &boot.labels), "labels kept");
+        }
+        assert_eq!(follower.stats_snapshot().mutator_errors, 1, "batch 3");
+
+        // Re-sync onto the same state with its order reversed: the view
+        // is rebuilt on that order, and the next batch breaches the
+        // drift threshold and adopts a full reorder.
+        replica.apply_batch(&stream[0]).unwrap();
+        replica.apply_batch(&stream[1]).unwrap();
+        let mut ck = checkpoint_of(&warm, &replica, 3, 2);
+        let keys = &mut ck.state;
+        keys.order_vals.iter_mut().for_each(|v| *v = -*v);
+        (keys.order_min_val, keys.order_max_val) = (-keys.order_max_val, -keys.order_min_val);
+        let mut replica = warm_pipeline(&g, &warm).resume(ck.state.clone()).unwrap();
+        follower.resync_from(ck).unwrap();
+        let resynced = view_of();
+        assert_eq!(
+            *resynced.labels,
+            *replica.order(),
+            "rebuilt on the re-synced order"
+        );
+
+        let fulls = replica.full_reorders();
+        replica.apply_batch(&stream[3]).unwrap();
+        assert!(
+            replica.full_reorders() > fulls,
+            "the breach adopts a reorder"
+        );
+        let reordered = replicate(4);
+        assert!(!Arc::ptr_eq(&reordered.labels, &resynced.labels));
+        assert_eq!(
+            *reordered.labels,
+            *replica.order(),
+            "rebuilt on the adopted order"
+        );
+
+        replica.apply_batch(&stream[4]).unwrap();
+        let last = replicate(5);
+        assert!(Arc::ptr_eq(&last.labels, &reordered.labels));
+        assert!(!last.order.is_identity(), "the last batch moved the order");
+        assert_eq!(follower.pin_epoch().graph, *replica.graph());
+        follower.shutdown();
+    }
+
+    /// A view is a second graph: a core builds one only once a
+    /// source-rooted query finds none, and answers that query from the
+    /// epoch graph meanwhile.
+    #[test]
+    fn a_view_is_built_only_when_a_source_rooted_query_asks() {
+        let core = core();
+        for batch in batches(2) {
+            core.enqueue_updates(batch).unwrap();
+        }
+        core.quiesce();
+        for (alg, sources) in [
+            (AlgSpec::Sssp, vec![0]),
+            (AlgSpec::Cc, vec![]),
+            (AlgSpec::PageRank, vec![]),
+        ] {
+            core.execute_query(query(alg, sources)).unwrap();
+        }
+        assert!(!core.view_asked.load(Ordering::Relaxed));
+        assert!(
+            core.epoch.pin_with_view().1.is_none(),
+            "hot and global queries"
+        );
+
+        let ep = core.pin_epoch();
+        let first = core.execute_query(query(AlgSpec::Bfs, vec![3])).unwrap();
+        assert!(core.view_asked.load(Ordering::Relaxed));
+        assert_eq!(
+            bits(&first.states),
+            bits(&cold_states(&ep, AlgSpec::Bfs, ModeSpec::Async, &[3]))
+        );
+        let (now, view) = viewed(&core);
+        assert_eq!(now.epoch, ep.epoch);
+        assert_view_of(&view, &now.graph, &now.order);
+        core.shutdown();
+    }
+
+    /// A source-rooted query runs on the view and still computes, bit for
+    /// bit and round for round, what a run on the epoch graph in the
+    /// epoch order computes. Racing `Parallel` blocks repeat their
+    /// states but not their round counts, so rounds are compared under
+    /// the sequential modes only.
+    #[test]
+    fn source_rooted_queries_on_the_view_match_the_epoch_graph() {
+        let core = core_with(ServeConfig {
+            warm: vec![WarmSpec::new(AlgSpec::Cc, 0)],
+            ..ServeConfig::default()
+        });
+        // Kept from boot on, the view is patched by every batch after.
+        viewed(&core);
+        for batch in batches(4) {
+            core.enqueue_updates(batch).unwrap();
+        }
+        core.enqueue_updates(vec![EdgeUpdate::insert(80, 3)])
+            .unwrap();
+        core.quiesce();
+        let (ep, view) = viewed(&core);
+        assert!(!view.order.is_identity() && !view.labels.is_identity());
+        for mode in [
+            ModeSpec::Async,
+            ModeSpec::Sync,
+            ModeSpec::Worklist,
+            ModeSpec::Parallel(2),
+        ] {
+            for (alg, sources) in [
+                (AlgSpec::Sssp, vec![3]),
+                (AlgSpec::Bfs, vec![3]),
+                (AlgSpec::Sswp, vec![3]),
+                (AlgSpec::Sssp, vec![3, 80]),
+            ] {
+                let label = format!("{alg:?} from {sources:?} under {mode:?}");
+                let out = core
+                    .execute_query(QueryRequest {
+                        mode,
+                        ..query(alg, sources.clone())
+                    })
+                    .unwrap();
+                assert_eq!(out.epoch.epoch, ep.epoch);
+                let expect = cold_run(&ep, alg, mode, &sources);
+                assert_eq!(bits(&out.states), bits(&expect.final_states), "{label}");
+                assert_eq!(out.converged, expect.converged, "{label}");
+                if !matches!(mode, ModeSpec::Parallel(_)) {
+                    assert_eq!(
+                        (out.rounds, out.push_rounds),
+                        (expect.rounds, expect.push_rounds),
+                        "{label}"
+                    );
+                }
+            }
+        }
+        core.shutdown();
+    }
+
+    /// Connected components label each component by its smallest vertex
+    /// id, so a cold CC query runs on the epoch graph: on the view it
+    /// would label them by view ids.
+    #[test]
+    fn a_cold_cc_query_labels_components_by_original_ids() {
+        let core = core_with(ServeConfig {
+            warm: vec![WarmSpec::new(AlgSpec::Sssp, 0)],
+            ..ServeConfig::default()
+        });
+        let (ep, view) = viewed(&core);
+        let out = core.execute_query(query(AlgSpec::Cc, vec![])).unwrap();
+        assert!(!out.warm && out.rounds >= 1);
+        let expect = cold_states(&ep, AlgSpec::Cc, ModeSpec::Async, &[]);
+        assert_eq!(bits(&out.states), bits(&expect));
+        let on_view = Pipeline::on(&view.graph)
+            .order_ref(&view.order)
+            .algorithm_ref(AlgSpec::Cc.instantiate(&[]).as_ref())
+            .execute()
+            .unwrap()
+            .stats
+            .final_states;
+        assert_ne!(
+            bits(&view.states_out(&on_view)),
+            bits(&expect),
+            "the view's run labels components differently"
+        );
+        core.shutdown();
+    }
+
+    /// A recovered core and a follower build their views on the order
+    /// they start from, not the primary's boot order; their replies are
+    /// the primary's, bit for bit.
+    #[test]
+    fn recovered_and_follower_views_answer_as_the_primary() {
+        let dir = tmp_dir("view-replicas");
+        let crash_copy = tmp_dir("view-replicas-copy");
+        let warm = vec![WarmSpec::new(AlgSpec::Sssp, 0)];
+        let config = |d: &Path| ServeConfig {
+            warm: warm.clone(),
+            durability: Some(DurabilityConfig {
+                checkpoint_every_batches: 3,
+                ..DurabilityConfig::new(d)
+            }),
+            ..ServeConfig::default()
+        };
+        let primary = ServeCore::start(&test_graph(), config(&dir)).unwrap();
+        let (_, labels) = viewed(&primary);
+        let stream = batches(7);
+        for batch in &stream {
+            primary.enqueue_updates(batch.clone()).unwrap();
+        }
+        primary.quiesce();
+        for f in ["updates.wal", "epoch.ckpt"] {
+            std::fs::copy(dir.join(f), crash_copy.join(f)).unwrap();
+        }
+        let recovered = ServeCore::recover(config(&crash_copy)).unwrap();
+        let ck = primary.fetch_checkpoint().unwrap();
+        let from = ck.seq;
+        let follower = ServeCore::follow_from_checkpoint(
+            ck,
+            ServeConfig {
+                warm: warm.clone(),
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        for (seq, batch) in (1..).zip(&stream).skip(from as usize) {
+            follower.replicate_batch(seq, batch.clone()).unwrap();
+        }
+        follower.quiesce();
+
+        for replica in [&recovered, &follower] {
+            let (ep, view) = viewed(replica);
+            assert_eq!(ep.epoch, 7);
+            assert_ne!(view.labels, labels.labels, "labels of its own");
+            assert!(Arc::ptr_eq(&viewed(&primary).1.labels, &labels.labels));
+            for (alg, sources) in [
+                (AlgSpec::Sssp, vec![7]),
+                (AlgSpec::Bfs, vec![7]),
+                (AlgSpec::Sswp, vec![7]),
+                (AlgSpec::Sssp, vec![7, 40]),
+            ] {
+                let a = primary.execute_query(query(alg, sources.clone())).unwrap();
+                let b = replica.execute_query(query(alg, sources.clone())).unwrap();
+                assert_eq!(bits(&a.states), bits(&b.states), "{alg:?} {sources:?}");
+                assert_eq!((a.rounds, a.push_rounds), (b.rounds, b.push_rounds));
+            }
+        }
+        for core in [primary, recovered, follower] {
+            core.shutdown();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&crash_copy);
     }
 }

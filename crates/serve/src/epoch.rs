@@ -13,8 +13,18 @@
 //! blocks it lands in (`CsrGraph::apply_updates`), so K pinned epochs
 //! hold one graph plus K batches' worth of blocks and out-degree
 //! arrays.
+//!
+//! Once a source-rooted query has asked for one, the cell also holds
+//! each epoch's [`ProcessingView`] — the graph relabelled into
+//! processing order, which those queries run on — beside the epoch,
+//! under the same lock, rather than as a field of [`EpochState`]. A
+//! reply pins its epoch for as long as its holder keeps it (a client
+//! verifying replies may keep dozens), and an `EpochState` that carried
+//! the view would make each of those pins hold a second graph's blocks.
+//! A query pins the view only while its kernel runs.
 
 use crate::spec::AlgSpec;
+use crate::view::ProcessingView;
 use gograph_graph::{CsrGraph, Permutation, VertexId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -44,10 +54,12 @@ pub struct WarmEntry {
 pub struct EpochState {
     /// Monotone epoch number (0 = the bootstrap epoch).
     pub epoch: u64,
-    /// The graph at this epoch, in original vertex ids — it is not
-    /// relabelled; the processing order is [`EpochState::order`]. Its
-    /// row blocks are `Arc`-shared with the mutator's pipeline and with
-    /// the neighbouring epochs (cloning it out was O(1)).
+    /// The graph at this epoch, in original vertex ids; the processing
+    /// order is [`EpochState::order`]. The same graph relabelled into
+    /// processing order is the epoch's [`ProcessingView`], which the
+    /// [`EpochCell`] holds beside the epoch, not in it. Its row blocks
+    /// are `Arc`-shared with the mutator's pipeline and with the
+    /// neighbouring epochs (cloning it out was O(1)).
     pub graph: CsrGraph,
     /// The maintained GoGraph processing order for this graph.
     pub order: Arc<Permutation>,
@@ -65,34 +77,30 @@ impl EpochState {
     }
 }
 
-/// The swap cell readers pin epochs from.
+/// The swap cell readers pin epochs from, each with its
+/// [`ProcessingView`] once one is kept.
 ///
-/// A plain `Mutex<Arc<_>>` rather than a lock-free pointer: the
-/// critical section is a single refcount bump, so the lock is held for
-/// nanoseconds and never across a query. (An `AtomicPtr` RCU would need
-/// a deferred-reclamation scheme the `Arc` already provides.)
+/// A plain `Mutex` rather than a lock-free pointer: the critical section
+/// is two refcount bumps, so the lock is held for nanoseconds and never
+/// across a query. (An `AtomicPtr` RCU would need a
+/// deferred-reclamation scheme the `Arc` already provides.)
 #[derive(Debug)]
 pub struct EpochCell {
-    current: Mutex<Arc<EpochState>>,
+    current: Mutex<Pinned>,
     published: AtomicU64,
 }
 
-impl EpochCell {
-    /// Starts the cell at `initial` (the bootstrap epoch; it does not
-    /// count as a *published* epoch).
-    pub fn new(initial: EpochState) -> EpochCell {
-        EpochCell {
-            current: Mutex::new(Arc::new(initial)),
-            published: AtomicU64::new(0),
-        }
-    }
+/// An epoch and its view, if one is kept.
+type Pinned = (Arc<EpochState>, Option<Arc<ProcessingView>>);
 
-    /// Starts the cell at a *recovered* epoch: `published` is restored
-    /// to `published_so_far` so the counter continues where the crashed
-    /// process left off instead of restarting at zero.
-    pub fn with_published(initial: EpochState, published_so_far: u64) -> EpochCell {
+impl EpochCell {
+    /// Starts the cell at `initial`, with no view and `published_so_far`
+    /// epochs counted as published: 0 at a bootstrap epoch, the
+    /// recovered epoch's number when a crashed process or a checkpoint
+    /// is resumed, so the counter continues where it left off.
+    pub fn new(initial: EpochState, published_so_far: u64) -> EpochCell {
         EpochCell {
-            current: Mutex::new(Arc::new(initial)),
+            current: Mutex::new((Arc::new(initial), None)),
             published: AtomicU64::new(published_so_far),
         }
     }
@@ -101,16 +109,29 @@ impl EpochCell {
     /// that snapshot alive until dropped, regardless of how many epochs
     /// are published meanwhile.
     pub fn pin(&self) -> Arc<EpochState> {
-        Arc::clone(&crate::lock_unpoisoned(&self.current))
+        Arc::clone(&crate::lock_unpoisoned(&self.current).0)
     }
 
-    /// Publishes `next` as the current epoch and returns its epoch
-    /// number. The displaced epoch retires when its last reader unpins.
-    pub fn publish(&self, next: EpochState) -> u64 {
+    /// Pins the current epoch and its view, taken together.
+    pub fn pin_with_view(&self) -> Pinned {
+        crate::lock_unpoisoned(&self.current).clone()
+    }
+
+    /// Publishes `next` and its `view` as the current epoch and returns
+    /// its epoch number. The displaced epoch retires when its last
+    /// reader unpins.
+    pub fn publish(&self, next: EpochState, view: Option<Arc<ProcessingView>>) -> u64 {
         let epoch = next.epoch;
-        *crate::lock_unpoisoned(&self.current) = Arc::new(next);
+        *crate::lock_unpoisoned(&self.current) = (Arc::new(next), view);
         self.published.fetch_add(1, Ordering::Relaxed);
         epoch
+    }
+
+    /// Sets the current epoch's view; publishes no epoch. Only the
+    /// publisher may call it, with the view of the epoch it published
+    /// last.
+    pub fn attach_view(&self, view: Arc<ProcessingView>) {
+        crate::lock_unpoisoned(&self.current).1 = Some(view);
     }
 
     /// Epochs published since the bootstrap epoch.
@@ -136,13 +157,13 @@ mod tests {
     #[test]
     fn pinned_epoch_survives_publication() {
         let g = chain(6);
-        let cell = EpochCell::new(epoch(0, &g));
+        let cell = EpochCell::new(epoch(0, &g), 0);
         let pinned = cell.pin();
         assert_eq!(pinned.epoch, 0);
         assert_eq!(cell.epochs_published(), 0);
 
         let g2 = chain(8);
-        cell.publish(epoch(1, &g2));
+        cell.publish(epoch(1, &g2), None);
         assert_eq!(cell.epochs_published(), 1);
         // The old pin still sees the old snapshot...
         assert_eq!(pinned.epoch, 0);
@@ -155,9 +176,9 @@ mod tests {
     #[test]
     fn retirement_is_the_refcount() {
         let g = chain(4);
-        let cell = EpochCell::new(epoch(0, &g));
+        let cell = EpochCell::new(epoch(0, &g), 0);
         let pinned = cell.pin();
-        cell.publish(epoch(1, &g));
+        cell.publish(epoch(1, &g), None);
         // The only remaining owners of epoch 0 are `pinned` itself.
         assert_eq!(Arc::strong_count(&pinned), 1);
         let again = Arc::clone(&pinned);

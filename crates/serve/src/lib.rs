@@ -5,9 +5,12 @@
 //! motivation:
 //!
 //! - **[`epoch`]** — RCU-style snapshots: readers pin an immutable
-//!   [`EpochState`] (reordered CSR, processing order, converged warm
+//!   [`EpochState`] (the CSR, its processing order, converged warm
 //!   states) and never see a mutation; the mutator publishes the next
 //!   epoch with a swap and old epochs retire with their last reader.
+//! - **[`view`]** — [`ProcessingView`], the epoch graph relabelled into
+//!   processing order, published beside each epoch; source-rooted
+//!   queries run on it.
 //! - **[`core`]** — [`ServeCore`], the transport-agnostic service:
 //!   epoch-pinned query execution, each query alone on its own
 //!   sources, and a single mutator thread draining update batches
@@ -43,6 +46,7 @@ pub mod replication;
 pub mod server;
 pub mod spec;
 pub mod stats;
+pub mod view;
 pub mod wal;
 pub mod wire;
 
@@ -60,6 +64,7 @@ pub use replication::{
 };
 pub use server::{serve, serve_with, ServerConfig, ServerHandle};
 pub use spec::{AlgSpec, ModeSpec, MultiSource, RoleSpec};
+pub use view::ProcessingView;
 pub use wal::{
     compact_wal, read_wal, read_wal_segment, truncate_wal, SyncPolicy, TailStatus, WalContents,
     WalRecord, WalWriter,

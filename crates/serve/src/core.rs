@@ -502,18 +502,17 @@ impl MutatorCtx {
     }
 
     /// Moves the view, if one is kept, past `updates`, the batch the
-    /// pipeline just applied: derived from the last view, or rebuilt
-    /// when the batch adopted a full reorder, whose order the old labels
-    /// no longer follow.
-    fn advance_view(&mut self, updates: &[EdgeUpdate]) {
-        let Some(view) = &self.view else {
-            return;
-        };
+    /// pipeline just applied, and returns it: derived from the last
+    /// view, or rebuilt when the batch adopted a full reorder, whose
+    /// order the old labels no longer follow.
+    fn advance_view(&mut self, updates: &[EdgeUpdate]) -> Option<Arc<ProcessingView>> {
+        let view = self.view.as_ref()?;
         if self.pipeline.full_reorders() > self.view_reorders {
-            self.build_view();
-        } else {
-            self.view = Some(Arc::new(view.next(self.pipeline.order(), updates)));
+            return Some(self.build_view());
         }
+        let next = Arc::new(view.next(self.pipeline.order(), updates));
+        self.view = Some(Arc::clone(&next));
+        Some(next)
     }
 }
 
@@ -875,7 +874,7 @@ impl ServeCore {
         }
         let (graph, order, algorithm) = match view {
             Some(v) => {
-                let in_view: Vec<VertexId> = sources.iter().map(|&s| v.to_view(s)).collect();
+                let in_view: Vec<VertexId> = sources.iter().map(|&s| v.view_id(s)).collect();
                 (&v.graph, &v.order, alg.instantiate(&in_view))
             }
             None => (&epoch.graph, &epoch.order, alg.instantiate(&sources)),
@@ -932,6 +931,8 @@ impl ServeCore {
     /// run on and keep it from then on: a service no such query reaches
     /// never holds the second graph.
     fn ask_for_view(&self) {
+        // Relaxed: the flag publishes no data, it only keeps the send to
+        // one.
         if !self.view_asked.swap(true, Ordering::Relaxed) {
             if let Some(lane) = crate::lock_unpoisoned(&self.update_lane).as_ref() {
                 let _ = lane.tx.send(MutatorMsg::BuildView);
@@ -1555,12 +1556,18 @@ fn mutator_loop(
                     if ctx.faults.corrupt_state(seq) {
                         corrupt_pipeline_state(&mut ctx, seq);
                     }
-                    ctx.advance_view(&updates);
+                    // The epoch goes out first and its view follows, so a
+                    // batch becomes visible without waiting on the view; a
+                    // source-rooted query in between runs on the epoch
+                    // graph.
                     cell.publish(
                         epoch_from_pipeline(ctx.epoch, &ctx.warm, &ctx.pipeline),
-                        ctx.view.clone(),
+                        None,
                     );
                     count_applied(stats, updates.len(), rounds);
+                    if let Some(view) = ctx.advance_view(&updates) {
+                        cell.attach_view(view);
+                    }
                     let every = ctx
                         .durability
                         .as_ref()

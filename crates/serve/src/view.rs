@@ -16,11 +16,13 @@
 //! It rebuilds the view from the whole graph on a re-sync and whenever
 //! its pipeline adopts a full reorder. After every other applied batch
 //! it derives the next view from the last one
-//! ([`ProcessingView::next`]): the batch, in view ids, patches only the
+//! (`ProcessingView::next`): the batch, in view ids, patches only the
 //! row blocks it lands in, and the current order is composed into view
 //! ids. Consecutive views share every block a batch left alone, as
 //! consecutive epochs do. A batch the mutator rolls back leaves the view
-//! as it was.
+//! as it was. The mutator publishes each epoch before deriving its view,
+//! so no batch waits on a view to become visible; a source-rooted query
+//! that pins the epoch in between runs on the epoch graph.
 //!
 //! Only source-rooted queries run on the view: SSSP, BFS, SSWP and
 //! their multi-source unions ([`AlgSpec::needs_sources`]). Their initial
@@ -38,25 +40,27 @@ use gograph_graph::{CsrGraph, EdgeUpdate, Permutation, VertexId};
 use std::sync::Arc;
 
 /// An epoch graph relabelled into a frozen processing order, with the
-/// epoch's current order in the same ids.
+/// epoch's current order in the same ids. Only the mutator builds and
+/// derives one, so its graph is always the view of the epoch it is
+/// published with.
 #[derive(Debug, Clone)]
 pub struct ProcessingView {
     /// The processing order frozen at the last build: vertex `v` is view
     /// vertex `labels.new_id(v)`. A vertex at or past `labels.len()`,
     /// added by a later batch, keeps its own id.
-    pub labels: Arc<Permutation>,
+    pub(crate) labels: Arc<Permutation>,
     /// The epoch graph in view ids: `graph.relabeled(labels)`, with the
     /// labels extended by the identity over vertices added since.
-    pub graph: CsrGraph,
+    pub(crate) graph: CsrGraph,
     /// The epoch's processing order in view ids: position `p` holds the
     /// view id of the epoch order's vertex at `p`. The identity right
     /// after a build.
-    pub order: Arc<Permutation>,
+    pub(crate) order: Arc<Permutation>,
 }
 
 impl ProcessingView {
     /// The view of `graph` with `order` as its labels.
-    pub fn build(graph: &CsrGraph, order: &Arc<Permutation>) -> ProcessingView {
+    pub(crate) fn build(graph: &CsrGraph, order: &Arc<Permutation>) -> ProcessingView {
         ProcessingView {
             graph: graph.relabeled(order),
             order: Arc::new(Permutation::identity(order.len())),
@@ -69,19 +73,19 @@ impl ProcessingView {
     /// skipped as the streaming pipeline skips them, are patched into
     /// the view's graph in view ids, and `order` is composed into view
     /// ids. The labels stay. `O(touched blocks + |V|)`.
-    pub fn next(&self, order: &Permutation, batch: &[EdgeUpdate]) -> ProcessingView {
+    pub(crate) fn next(&self, order: &Permutation, batch: &[EdgeUpdate]) -> ProcessingView {
         let updates: Vec<EdgeUpdate> = batch
             .iter()
             .filter(|u| u.src() != u.dst())
             .map(|u| match *u {
                 EdgeUpdate::Insert { src, dst, weight } => EdgeUpdate::Insert {
-                    src: self.to_view(src),
-                    dst: self.to_view(dst),
+                    src: self.view_id(src),
+                    dst: self.view_id(dst),
                     weight,
                 },
                 EdgeUpdate::Remove { src, dst } => EdgeUpdate::Remove {
-                    src: self.to_view(src),
-                    dst: self.to_view(dst),
+                    src: self.view_id(src),
+                    dst: self.view_id(dst),
                 },
             })
             .collect();
@@ -94,14 +98,14 @@ impl ProcessingView {
             labels: Arc::clone(&self.labels),
             graph,
             order: Arc::new(Permutation::from_order(
-                order.order().iter().map(|&v| self.to_view(v)).collect(),
+                order.order().iter().map(|&v| self.view_id(v)).collect(),
             )),
         }
     }
 
     /// The view id of original vertex `v`.
     #[inline]
-    pub fn to_view(&self, v: VertexId) -> VertexId {
+    pub(crate) fn view_id(&self, v: VertexId) -> VertexId {
         if (v as usize) < self.labels.len() {
             self.labels.new_id(v)
         } else {
@@ -111,7 +115,7 @@ impl ProcessingView {
 
     /// The original id of view vertex `v`.
     #[inline]
-    pub fn from_view(&self, v: VertexId) -> VertexId {
+    pub(crate) fn original_id(&self, v: VertexId) -> VertexId {
         if (v as usize) < self.labels.len() {
             self.labels.vertex_at(v as usize)
         } else {
@@ -120,16 +124,16 @@ impl ProcessingView {
     }
 
     /// Per-vertex states indexed by original id, re-indexed by view id.
-    pub fn states_in(&self, states: &[f64]) -> Vec<f64> {
+    pub(crate) fn states_in(&self, states: &[f64]) -> Vec<f64> {
         (0..states.len() as VertexId)
-            .map(|v| states[self.from_view(v) as usize])
+            .map(|v| states[self.original_id(v) as usize])
             .collect()
     }
 
     /// Per-vertex states indexed by view id, re-indexed by original id.
-    pub fn states_out(&self, states: &[f64]) -> Vec<f64> {
+    pub(crate) fn states_out(&self, states: &[f64]) -> Vec<f64> {
         (0..states.len() as VertexId)
-            .map(|v| states[self.to_view(v) as usize])
+            .map(|v| states[self.view_id(v) as usize])
             .collect()
     }
 }
@@ -140,10 +144,10 @@ impl ProcessingView {
 #[cfg(test)]
 pub(crate) fn assert_view_of(view: &ProcessingView, graph: &CsrGraph, order: &Permutation) {
     let n = graph.num_vertices() as VertexId;
-    let labels = Permutation::from_order((0..n).map(|v| view.from_view(v)).collect());
+    let labels = Permutation::from_order((0..n).map(|v| view.original_id(v)).collect());
     assert_eq!(view.graph, graph.relabeled(&labels), "graph");
     let back: Vec<VertexId> = (view.order.order().iter())
-        .map(|&v| view.from_view(v))
+        .map(|&v| view.original_id(v))
         .collect();
     assert_eq!(back, order.order(), "order");
 }
@@ -160,9 +164,9 @@ mod tests {
         let view = ProcessingView::build(&g, &order);
         assert!(view.order.is_identity());
         assert_view_of(&view, &g, &order);
-        assert_eq!(view.to_view(5), 0);
-        assert_eq!(view.from_view(0), 5);
-        assert_eq!(view.to_view(9), 9, "ids past the labels keep their own");
+        assert_eq!(view.view_id(5), 0);
+        assert_eq!(view.original_id(0), 5);
+        assert_eq!(view.view_id(9), 9, "ids past the labels keep their own");
 
         let batch = [
             EdgeUpdate::insert(0, 7),

@@ -117,7 +117,20 @@ pub fn write_edge_list_file<P: AsRef<Path>>(g: &CsrGraph, path: P) -> io::Result
 
 /// Serializes the graph into the compact binary format.
 pub fn to_binary(g: &CsrGraph) -> Vec<u8> {
-    let mut w = Writer::with_capacity(24 + g.num_edges() * 16);
+    let mut w = Writer::with_capacity(binary_len(g));
+    write_binary(&mut w, g);
+    w.into_vec()
+}
+
+/// Bytes of `g` in the binary format.
+pub fn binary_len(g: &CsrGraph) -> usize {
+    24 + g.num_edges() * 16
+}
+
+/// Appends `g` in the binary format to `w`: the bytes [`to_binary`]
+/// returns, for a caller that embeds them in a larger buffer without a
+/// copy of its own.
+pub fn write_binary(w: &mut Writer, g: &CsrGraph) {
     w.bytes(MAGIC);
     w.u64(g.num_vertices() as u64);
     w.u64(g.num_edges() as u64);
@@ -126,7 +139,6 @@ pub fn to_binary(g: &CsrGraph) -> Vec<u8> {
         w.u32(e.dst);
         w.f64(e.weight);
     }
-    w.into_vec()
 }
 
 /// Deserializes a graph from the binary format. The input must hold

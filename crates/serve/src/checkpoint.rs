@@ -38,7 +38,7 @@ use crate::core::WarmSpec;
 use crate::spec::AlgSpec;
 use gograph_engine::{ResumableState, TrackState};
 use gograph_graph::codec::{Reader, Writer};
-use gograph_graph::io::{crc32, from_binary, to_binary};
+use gograph_graph::io::{binary_len, crc32, from_binary, write_binary};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -97,13 +97,13 @@ const FORMAT: &str = "GGCKPT4 checkpoint";
 pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
     let s = &ck.state;
     assert_eq!(ck.warm.len(), s.tracks.len(), "one warm spec per track");
-    let graph = to_binary(&s.graph);
+    let graph = binary_len(&s.graph);
     let keys = s.order_vals.len() * (1 + s.tracks.len());
-    let mut w = Writer::with_capacity(128 + graph.len() + 8 * keys + 32 * s.tracks.len());
+    let mut w = Writer::with_capacity(128 + graph + 8 * keys + 32 * s.tracks.len());
     w.bytes(CHECKPOINT_MAGIC);
     w.u64s(&[ck.seq, ck.epoch, ck.updates_applied, ck.mutator_rounds]);
-    w.u64(graph.len() as u64);
-    w.bytes(&graph);
+    w.u64(graph as u64);
+    write_binary(&mut w, &s.graph);
     w.u64(s.order_vals.len() as u64);
     w.f64s(&s.order_vals);
     w.f64s(&[s.order_min_val, s.order_max_val, s.baseline_fraction]);

@@ -1566,7 +1566,7 @@ fn mutator_loop(
                     );
                     count_applied(stats, updates.len(), rounds);
                     if let Some(view) = ctx.advance_view(&updates) {
-                        cell.attach_view(view);
+                        cell.set_view(Some(view));
                     }
                     let every = ctx
                         .durability
@@ -1588,7 +1588,7 @@ fn mutator_loop(
             }
             Ok(MutatorMsg::BuildView) => {
                 if ctx.view.is_none() {
-                    cell.attach_view(ctx.build_view());
+                    cell.set_view(Some(ctx.build_view()));
                 }
             }
             Ok(MutatorMsg::Resync(ck)) => {
@@ -1598,6 +1598,11 @@ fn mutator_loop(
             Ok(MutatorMsg::Stop) | Err(_) => break,
         }
     }
+    // No batch moves the view any more, so it goes before the final
+    // checkpoint is encoded: a stopped core holds one graph, and its
+    // queries run on the epoch graph.
+    ctx.view = None;
+    cell.set_view(None);
     // Clean shutdown: capture everything in a final checkpoint and
     // compact the WAL directly — the update lane is already closed, so
     // no append can race the rename. The watermark is still clamped to

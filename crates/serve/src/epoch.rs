@@ -127,11 +127,11 @@ impl EpochCell {
         epoch
     }
 
-    /// Sets the current epoch's view; publishes no epoch. Only the
-    /// publisher may call it, with the view of the epoch it published
-    /// last.
-    pub fn attach_view(&self, view: Arc<ProcessingView>) {
-        crate::lock_unpoisoned(&self.current).1 = Some(view);
+    /// Sets (or clears) the current epoch's view; publishes no epoch.
+    /// Only the publisher may call it, with the view of the epoch it
+    /// published last.
+    pub fn set_view(&self, view: Option<Arc<ProcessingView>>) {
+        crate::lock_unpoisoned(&self.current).1 = view;
     }
 
     /// Epochs published since the bootstrap epoch.

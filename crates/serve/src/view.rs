@@ -43,7 +43,7 @@ use std::sync::Arc;
 /// epoch's current order in the same ids. Only the mutator builds and
 /// derives one, so its graph is always the view of the epoch it is
 /// published with.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ProcessingView {
     /// The processing order frozen at the last build: vertex `v` is view
     /// vertex `labels.new_id(v)`. A vertex at or past `labels.len()`,

@@ -22,7 +22,8 @@
 //! consecutive epochs do. A batch the mutator rolls back leaves the view
 //! as it was. The mutator publishes each epoch before deriving its view,
 //! so no batch waits on a view to become visible; a source-rooted query
-//! that pins the epoch in between runs on the epoch graph.
+//! that pins the epoch in between runs on the epoch graph. A stopping
+//! mutator drops the view before it encodes its final checkpoint.
 //!
 //! Only source-rooted queries run on the view: SSSP, BFS, SSWP and
 //! their multi-source unions ([`AlgSpec::needs_sources`]). Their initial

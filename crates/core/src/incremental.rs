@@ -12,8 +12,9 @@
 
 use crate::gograph::GoGraph;
 use crate::insertion::{InsertionOrder, NeighborLink};
-use gograph_graph::{CsrGraph, EdgeUpdate, GraphBuilder, Permutation, VertexId};
+use gograph_graph::{CsrGraph, EdgeUpdate, GraphBuilder, OrderPatch, Permutation, VertexId};
 use gograph_reorder::Reorderer;
+use std::sync::Arc;
 
 /// Streaming order maintainer.
 ///
@@ -38,6 +39,9 @@ pub struct IncrementalGoGraph {
     /// `M(O)`: ingested edges whose source precedes their target, kept
     /// current by every method that adds, drops or re-signs an edge.
     positive: usize,
+    /// The order as of the last [`IncrementalGoGraph::commit_order`]
+    /// (empty before the first): what the next one patches.
+    committed: Arc<Permutation>,
 }
 
 impl IncrementalGoGraph {
@@ -74,6 +78,7 @@ impl IncrementalGoGraph {
             order,
             num_edges: g.num_edges(),
             positive: 0,
+            committed: Arc::new(Permutation::identity(0)),
         };
         inc.positive = inc.count_positive();
         inc
@@ -295,21 +300,40 @@ impl IncrementalGoGraph {
         links
     }
 
-    /// The maintained processing order.
+    /// The maintained processing order: the committed one with the
+    /// vertices repositioned since moved
+    /// ([`InsertionOrder::moves_since`]). `O(d log |V|)` key comparisons
+    /// for `d` moved vertices, plus a copy of the order.
     pub fn current_order(&self) -> Permutation {
-        Self::permutation_of(&self.order.patched_items())
+        self.committed
+            .patched(&self.order.moves_since(&self.committed))
     }
 
-    /// [`IncrementalGoGraph::current_order`], remembered: the next call
-    /// of either re-sorts only the vertices repositioned since, so a
+    /// Makes [`IncrementalGoGraph::current_order`] the committed order
+    /// and returns the moves from the one committed before, so a
     /// streaming caller that hands the order on after every batch pays
-    /// `O(|V| + d log d)` for `d` moved vertices instead of a sort of all.
-    pub fn commit_order(&mut self) -> Permutation {
-        Self::permutation_of(self.order.commit_items())
+    /// `O(d log |V|)` key comparisons for `d` moved vertices, plus copies
+    /// of the order, instead of a sort of all. The first commit is that
+    /// sort, from nothing, and returns `None`. Nothing moved keeps the
+    /// committed `Arc`.
+    pub fn commit_order(&mut self) -> Option<OrderPatch> {
+        let first = self.committed.is_empty();
+        let moves = self.order.commit(&self.committed);
+        if !moves.is_empty() {
+            self.committed = Arc::new(self.committed.patched(&moves));
+        }
+        debug_assert_eq!(
+            *self.committed,
+            Permutation::from_float_keys(self.order.vals()),
+            "the committed order must be the keys' sort"
+        );
+        (!first).then_some(moves)
     }
 
-    fn permutation_of(items: &[usize]) -> Permutation {
-        Permutation::from_order(items.iter().map(|&i| i as VertexId).collect())
+    /// The order as of the last [`IncrementalGoGraph::commit_order`],
+    /// shared: the maintainer replaces it, never writes it in place.
+    pub fn committed_order(&self) -> &Arc<Permutation> {
+        &self.committed
     }
 
     /// Materializes the ingested edges as a [`CsrGraph`] (for metric

@@ -15,6 +15,8 @@
 //! (`+w` for an in-neighbor passed, `−w` for an out-neighbor passed) and
 //! keeping the best position seen.
 
+use gograph_graph::{OrderPatch, Permutation, VertexId};
+
 /// A placed-or-pending item's neighbor, as seen by [`InsertionOrder::insert`]:
 /// `in_weight` is the total weight of edges *from* the neighbor *to* the
 /// candidate; `out_weight` is the total weight of edges from the candidate
@@ -96,11 +98,10 @@ pub struct InsertionOrder {
     /// current by `finish` and `remove`.
     digest: u64,
     /// Ids whose key was set or cleared since the last
-    /// [`InsertionOrder::commit_items`], each once (`is_rekeyed` is the
-    /// set view), and the sorted items as of that call.
+    /// [`InsertionOrder::commit`], each once (`is_rekeyed` is the set
+    /// view).
     rekeyed: Vec<usize>,
     is_rekeyed: Vec<bool>,
-    committed: Vec<usize>,
 }
 
 impl InsertionOrder {
@@ -116,7 +117,6 @@ impl InsertionOrder {
             digest: 0,
             rekeyed: Vec::new(),
             is_rekeyed: vec![false; n],
-            committed: Vec::new(),
         }
     }
 
@@ -335,6 +335,8 @@ impl InsertionOrder {
 
     /// The order's sort key: `val` ascending, ties by id.
     fn key_cmp(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        #[cfg(test)]
+        KEY_CMPS.with(|c| c.set(c.get() + 1));
         self.vals[a]
             .partial_cmp(&self.vals[b])
             .unwrap()
@@ -348,42 +350,71 @@ impl InsertionOrder {
         }
     }
 
-    /// [`InsertionOrder::sorted_items`] without the full sort: the list
-    /// kept by the last [`InsertionOrder::commit_items`] (empty if there
-    /// was none) minus the ids re-keyed since — the rest kept their keys,
-    /// so their relative order — with those ids sorted and merged back
-    /// in. `O(n + d log d)` for `d` re-keyed ids; with every id re-keyed
-    /// it is the full sort.
-    pub fn patched_items(&self) -> Vec<usize> {
-        let mut moved: Vec<usize> = self
-            .rekeyed
-            .iter()
-            .copied()
-            .filter(|&id| self.inserted[id])
+    /// The moves that take `committed`, the order the last
+    /// [`InsertionOrder::commit`] returned (empty before the first), to
+    /// the items sorted now: every id re-keyed since leaves its old
+    /// position and goes in where its key ranks among the ids that kept
+    /// theirs, so the kept ids stay in their committed order.
+    ///
+    /// Each re-keyed id finds its rank by a binary search over the kept
+    /// ids' keys, in place in `committed` (the positions the re-keyed
+    /// ids leave are skipped by counting, not by comparing), so `d`
+    /// re-keyed ids cost `d·⌈log₂ |V|⌉` key comparisons, plus a few more
+    /// where two land in the same gap. With nothing committed every id
+    /// is re-keyed and lands in the one gap there is, and this is a full
+    /// sort. [`Permutation::patched`] applies the moves.
+    ///
+    /// # Panics
+    /// Panics if an item is not inserted: a [`Permutation`] holds them
+    /// all.
+    pub fn moves_since(&self, committed: &Permutation) -> OrderPatch {
+        assert_eq!(self.count, self.vals.len(), "every item must be placed");
+        let from_len = committed.len();
+        let mut removed: Vec<VertexId> = (self.rekeyed.iter())
+            .filter(|&&id| id < from_len)
+            .map(|&id| committed.position(id as VertexId))
             .collect();
-        moved.sort_by(|&a, &b| self.key_cmp(a, b));
-        let mut moved = moved.into_iter().peekable();
-        let mut items = Vec::with_capacity(self.count);
-        for &kept in self.committed.iter().filter(|&&id| !self.is_rekeyed[id]) {
-            while let Some(id) = moved.next_if(|&id| self.key_cmp(id, kept).is_lt()) {
-                items.push(id);
-            }
-            items.push(kept);
-        }
-        items.extend(moved);
-        debug_assert_eq!(items, self.sorted_items());
-        items
+        removed.sort_unstable();
+        // The kept id of kept rank `j` sits at `j` plus the removed
+        // positions with at most `j` kept ids ahead of them.
+        let kept_ahead: Vec<usize> = (removed.iter().enumerate())
+            .map(|(i, &r)| r as usize - i)
+            .collect();
+        let at = |j: usize| j + kept_ahead.partition_point(|&k| k <= j);
+        let kept = from_len - removed.len();
+        let mut moved: Vec<(VertexId, VertexId)> = (self.rekeyed.iter())
+            .map(|&id| {
+                // The first kept rank whose id sorts after `id`.
+                let (mut lo, mut hi) = (0, kept);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    let kept_id = committed.vertex_at(at(mid)) as usize;
+                    if self.key_cmp(kept_id, id).is_lt() {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                (lo as VertexId, id as VertexId)
+            })
+            .collect();
+        moved
+            .sort_by(|a, b| (a.0.cmp(&b.0)).then_with(|| self.key_cmp(a.1 as usize, b.1 as usize)));
+        let inserted = (moved.into_iter())
+            .map(|(j, id)| (at(j as usize) as VertexId, id))
+            .collect();
+        OrderPatch::new(from_len, removed, inserted)
     }
 
-    /// [`InsertionOrder::patched_items`], kept as the list the next call
-    /// patches: a caller that reads the order after every few changes
-    /// pays for those changes, not for a sort of everything.
-    pub fn commit_items(&mut self) -> &[usize] {
-        self.committed = self.patched_items();
+    /// [`InsertionOrder::moves_since`], after which the re-keyed ids
+    /// count as committed: the caller applies the moves to `committed`
+    /// and hands the result to the next call.
+    pub fn commit(&mut self, committed: &Permutation) -> OrderPatch {
+        let moves = self.moves_since(committed);
         for id in self.rekeyed.drain(..) {
             self.is_rekeyed[id] = false;
         }
-        &self.committed
+        moves
     }
 
     /// Multiset digest of the inserted `(id, val bits)` pairs (see
@@ -412,6 +443,13 @@ impl InsertionOrder {
     pub fn max_val(&self) -> f64 {
         self.max_val
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`InsertionOrder::key_cmp`] calls on this thread, for the tests
+    /// that bound a commit's comparisons.
+    static KEY_CMPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Brute-force reference: the best positive-edge weight achievable by
@@ -655,5 +693,78 @@ mod tests {
         );
         assert_eq!(r.total_link_weight, 1.0);
         assert_eq!(r.positive_gain, 1.0);
+    }
+
+    /// Commits `o` on top of `committed`, checking the result against a
+    /// full sort of the keys.
+    fn commit_checked(o: &mut InsertionOrder, committed: &Permutation) -> Permutation {
+        let next = committed.patched(&o.commit(committed));
+        assert_eq!(next, Permutation::from_float_keys(o.vals()));
+        next
+    }
+
+    #[test]
+    fn a_commit_moves_only_the_rekeyed_items() {
+        let mut o = InsertionOrder::new(6);
+        for id in 0..6 {
+            o.seed(id, id as f64);
+        }
+        let all = commit_checked(&mut o, &Permutation::identity(0));
+        assert!(all.is_identity());
+        assert!(o.commit(&all).is_empty(), "nothing re-keyed since");
+
+        // To the head, to the tail, and onto a kept key (ties by id).
+        for (id, val) in [(3, -1.0), (0, 9.0), (5, 2.0), (1, 2.0)] {
+            o.remove(id);
+            o.seed(id, val);
+        }
+        o.grow_one();
+        let moves = o.moves_since(&all);
+        assert_eq!((moves.from_len(), moves.moved()), (6, 5));
+        let next = commit_checked(&mut o, &all);
+        assert_eq!(next.order(), &[3, 1, 2, 5, 4, 0, 6]);
+    }
+
+    #[test]
+    fn a_commit_compares_keys_per_move_not_per_item() {
+        let n = 100_000;
+        let mut o = InsertionOrder::new(n);
+        for id in 0..n {
+            o.seed(id, id as f64);
+        }
+        let mut committed = commit_checked(&mut o, &Permutation::identity(0));
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let d = 64;
+        for round in 0..3 {
+            for k in 0..d {
+                let id = next() as usize % n;
+                if !o.is_rekeyed[id] {
+                    o.remove(id);
+                    let val = match k {
+                        0 => o.min_val() - 1.0,
+                        1 => o.max_val() + 1.0,
+                        _ => (next() % (2 * n as u64)) as f64 / 2.0 + 0.25,
+                    };
+                    o.seed(id, val);
+                }
+            }
+            let rekeyed = o.rekeyed.len() as u64;
+            let before = KEY_CMPS.with(|c| c.get());
+            let moves = o.commit(&committed);
+            let cmps = KEY_CMPS.with(|c| c.get()) - before;
+            let bound = rekeyed * (u64::from(n.next_power_of_two().ilog2()) + 2);
+            assert!(
+                cmps <= bound,
+                "round {round}: {cmps} key comparisons for {rekeyed} moves"
+            );
+            committed = committed.patched(&moves);
+            assert_eq!(committed, Permutation::from_float_keys(o.vals()));
+        }
     }
 }

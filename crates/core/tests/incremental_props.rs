@@ -2,10 +2,14 @@
 //! interleavings of edge insertions and deletions: after any script of
 //! updates, the maintained order must still be a valid permutation and
 //! the maintainer's materialized graph must equal a from-scratch
-//! [`GraphBuilder`] build of the surviving edge set.
+//! [`GraphBuilder`] build of the surviving edge set. A commit moves only
+//! the re-keyed items of the order before it, so every commit is also
+//! checked against a full sort of the keys.
 
+use gograph_core::insertion::{InsertionOrder, NeighborLink};
 use gograph_core::{metric, IncrementalGoGraph};
-use gograph_graph::{EdgeUpdate, GraphBuilder, Permutation};
+use gograph_graph::generators::{planted_partition, shuffle_labels, PlantedPartitionConfig};
+use gograph_graph::{EdgeUpdate, GraphBuilder, Permutation, VertexId};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -67,6 +71,14 @@ fn step(inc: &mut IncrementalGoGraph, (kind, a, b): (u32, u32, u32)) {
     }
 }
 
+/// Commits `o` on top of `committed` and checks the result against a
+/// full sort of the keys.
+fn committed_after(o: &mut InsertionOrder, committed: &Permutation) -> Permutation {
+    let next = committed.patched(&o.commit(committed));
+    assert_eq!(next, Permutation::from_float_keys(o.vals()));
+    next
+}
+
 /// The maintained order and `M(O)/|E|` against their from-scratch
 /// definitions: a full sort of the `val` keys (ties by id), and a sweep
 /// over every edge comparing its endpoints' keys.
@@ -86,8 +98,99 @@ fn assert_matches_oracles(inc: &IncrementalGoGraph) {
     assert_eq!(inc.positive_fraction().to_bits(), expected.to_bits());
 }
 
+/// One step over a bare [`InsertionOrder`] of hundreds of items — see
+/// [`move_step`].
+fn arb_moves() -> impl Strategy<Value = (usize, Vec<(u32, u32, u32)>)> {
+    (200usize..600).prop_flat_map(|n| {
+        proptest::collection::vec((0u32..8, any::<u32>(), any::<u32>()), 1..160)
+            .prop_map(move |steps| (n, steps))
+    })
+}
+
+/// Re-keys item `a` (never `keep`): kind 0 between item `b` and the far
+/// end of the gap being squeezed, 1 and 2 into that gap after `keep` (repeated, they exhaust its
+/// floats, and `unique_between` falls back to a key in use), 3 to the
+/// head, 4 to the tail, 5 onto another item's key, 6 grows the order by
+/// one, 7 commits. `keep` and `last` are the gap being squeezed.
+fn move_step(o: &mut InsertionOrder, keep: usize, last: &mut usize, (kind, a, b): (u32, u32, u32)) {
+    let n = o.vals().len();
+    let x = a as usize % n;
+    let y = b as usize % n;
+    if x == keep || (kind != 1 && kind != 2 && x == *last) {
+        return;
+    }
+    match kind {
+        0 if x != y => {
+            let (lo, hi) = if o.val(y) < o.val(*last) {
+                (y, *last)
+            } else {
+                (*last, y)
+            };
+            o.remove(x);
+            o.insert(
+                x,
+                &[
+                    NeighborLink::new(lo, 1.0, 0.0),
+                    NeighborLink::new(hi, 0.0, 1.0),
+                ],
+            );
+        }
+        1 | 2 if x != *last => {
+            o.remove(x);
+            o.insert(
+                x,
+                &[
+                    NeighborLink::new(keep, 1.0, 0.0),
+                    NeighborLink::new(*last, 0.0, 1.0),
+                ],
+            );
+            *last = x;
+        }
+        3 => {
+            o.remove(x);
+            o.insert(x, &[NeighborLink::new(y, 0.0, 1.0)]);
+        }
+        4 => {
+            o.remove(x);
+            o.insert(x, &[NeighborLink::new(y, 1.0, 0.0)]);
+        }
+        5 if x != y => {
+            let val = o.val(y);
+            o.remove(x);
+            o.seed(x, val);
+        }
+        6 => o.grow_one(),
+        _ => {}
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn every_commit_by_moves_is_the_full_sort(
+        (n, steps) in arb_moves(),
+        commit_every in 1usize..12
+    ) {
+        let mut o = InsertionOrder::new(n);
+        let mut g = 0x9e37_79b9_7f4a_7c15u64;
+        for id in 0..n {
+            g = g.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            o.seed(id, (g >> 40) as f64);
+        }
+        let mut committed = committed_after(&mut o, &Permutation::identity(0));
+        let keep = committed.vertex_at(n / 2) as usize;
+        let mut last = committed.vertex_at(n / 2 + 1) as usize;
+        for (i, &s) in steps.iter().enumerate() {
+            move_step(&mut o, keep, &mut last, s);
+            if s.0 == 7 || i % commit_every == 0 {
+                committed = committed_after(&mut o, &committed);
+            } else {
+                let moved = committed.patched(&o.moves_since(&committed));
+                prop_assert_eq!(moved, Permutation::from_float_keys(o.vals()));
+            }
+        }
+    }
 
     #[test]
     fn any_interleaving_keeps_order_valid_and_graph_in_sync(
@@ -196,4 +299,108 @@ proptest! {
             prop_assert_eq!(resumed.positive_fraction(), inc.positive_fraction());
         }
     }
+}
+
+/// Squeezing one gap until its floats run out makes `unique_between`
+/// hand out a key already in use: the tie is broken by id, and a commit
+/// that moves the tied items agrees with the full sort.
+#[test]
+fn an_exhausted_gap_ties_keys_and_commits_break_them_by_id() {
+    let n = 300;
+    let mut o = InsertionOrder::new(n);
+    for id in 0..n {
+        o.seed(id, id as f64);
+    }
+    let mut committed = committed_after(&mut o, &Permutation::identity(0));
+    let (keep, mut last) = (10, 11);
+    for (k, x) in (100..200).enumerate() {
+        move_step(&mut o, keep, &mut last, (1, x, 0));
+        if k % 7 == 0 {
+            committed = committed_after(&mut o, &committed);
+        }
+    }
+    committed = committed_after(&mut o, &committed);
+    let mut vals: Vec<u64> = o.vals().iter().map(|v| v.to_bits()).collect();
+    vals.sort_unstable();
+    vals.dedup();
+    assert!(vals.len() < n, "the squeezed gap must run out of floats");
+    // Moving a tied item and back lands it where the id tie-break says.
+    for id in [last, keep, 150] {
+        let val = o.val(id);
+        o.remove(id);
+        o.seed(id, val);
+        committed = committed_after(&mut o, &committed);
+    }
+    assert_eq!(committed.len(), n);
+}
+
+/// At scale: a 20 000-vertex planted graph through 2 000 batches of 32
+/// updates (inserts that grow the graph, removes of live edges), the
+/// order committed after every batch as a streaming pipeline commits it,
+/// and checked against the full sort every 100 batches. Run with
+/// `cargo test -p gograph-core --release -- --ignored`.
+#[test]
+#[ignore = "at-scale differential; run in release"]
+fn commits_at_scale_match_the_full_sort() {
+    let n = 20_000;
+    let g = shuffle_labels(
+        &planted_partition(PlantedPartitionConfig {
+            num_vertices: n,
+            num_edges: n * 5,
+            communities: n / 100,
+            p_intra: 0.8,
+            gamma: 2.4,
+            seed: 42,
+        }),
+        7,
+    );
+    let mut inc = IncrementalGoGraph::from_graph(&g);
+    inc.commit_order();
+    let mut live: Vec<(VertexId, VertexId)> = g.edges().map(|e| (e.src, e.dst)).collect();
+    let mut state = 1u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    for batch in 1..=2_000 {
+        let vertices = inc.num_vertices() as u64;
+        let updates: Vec<EdgeUpdate> = (0..32)
+            .map(|i| {
+                let r = next();
+                if r % 100 < 15 && !live.is_empty() {
+                    let (src, dst) = live.swap_remove(next() as usize % live.len());
+                    EdgeUpdate::remove(src, dst)
+                } else {
+                    // The first insert of a batch adds a vertex.
+                    let src = if i == 0 {
+                        vertices
+                    } else {
+                        (r >> 8) % vertices
+                    };
+                    let dst = next() % vertices;
+                    live.push((src as VertexId, dst as VertexId));
+                    EdgeUpdate::insert(src as VertexId, dst as VertexId)
+                }
+            })
+            .collect();
+        inc.apply_updates(&updates);
+        let moves = inc.commit_order().unwrap();
+        assert!(
+            moves.moved() <= 2 * 32 + 1,
+            "batch {batch}: {} moves",
+            moves.moved()
+        );
+        if batch % 100 == 0 {
+            let (vals, _, _) = inc.order_state();
+            assert_eq!(
+                **inc.committed_order(),
+                Permutation::from_float_keys(&vals),
+                "batch {batch}"
+            );
+        }
+    }
+    assert!(inc.num_vertices() > n + 1_500, "the stream grew the graph");
 }

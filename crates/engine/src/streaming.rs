@@ -74,7 +74,7 @@ use crate::strategy::{check_family, execute, AlgorithmRef, WarmStart};
 use crate::support::Support;
 use gograph_core::{digest_of, digest_term, GoGraph, IncrementalGoGraph};
 use gograph_graph::{
-    check_batch, grown_vertices, CsrGraph, EdgeUpdate, Frontier, Permutation, VertexId,
+    check_batch, grown_vertices, CsrGraph, EdgeUpdate, Frontier, OrderPatch, Permutation, VertexId,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -217,7 +217,7 @@ impl StreamingPipelineBuilder {
             .parallelism(policy.reorder_threads)
             .run(&graph);
         let mut inc = IncrementalGoGraph::from_graph_with_order(&graph, &order);
-        let order = Arc::new(inc.commit_order());
+        inc.commit_order();
         let shared = Shared {
             policy,
             baseline_fraction: inc.positive_fraction(),
@@ -227,7 +227,7 @@ impl StreamingPipelineBuilder {
             },
             inc,
             graph,
-            order,
+            moves: None,
         };
 
         // Bootstrap execution: a cold run per track to its fixpoint.
@@ -480,9 +480,9 @@ struct Shared {
     policy: OrderPolicy,
     inc: IncrementalGoGraph,
     graph: CsrGraph,
-    /// The order handed to every engine run and to epoch publishers;
-    /// replaced, never written in place, so a published copy stays put.
-    order: Arc<Permutation>,
+    /// The moves the last batch made to the order (see
+    /// [`StreamingPipeline::order_moves`]).
+    moves: Option<OrderPatch>,
     /// The positive fraction drift is measured against.
     baseline_fraction: f64,
     counters: Counters,
@@ -653,14 +653,23 @@ impl StreamingPipeline {
 
     /// The maintained processing order.
     pub fn order(&self) -> &Permutation {
-        &self.shared.order
+        self.shared.order()
     }
 
     /// The maintained processing order as the pipeline holds it: an
     /// epoch publisher keeps this `Arc` instead of copying the order
     /// (the next batch that moves a vertex replaces the pipeline's).
     pub fn shared_order(&self) -> &Arc<Permutation> {
-        &self.shared.order
+        self.shared.order()
+    }
+
+    /// The moves the last applied batch made to the order: the patch
+    /// ([`Permutation::patched`]) that takes the order before it to
+    /// [`order`](Self::order), empty when the batch moved nothing. `None`
+    /// after a build, resume, restore or adopted full reorder, whose
+    /// order is a sort of every key.
+    pub fn order_moves(&self) -> Option<&OrderPatch> {
+        self.shared.moves.as_ref()
     }
 
     /// Multiset digest of the maintained order's keys
@@ -715,6 +724,13 @@ impl StreamingPipeline {
 }
 
 impl Shared {
+    /// The order handed to every engine run and to epoch publishers: the
+    /// maintainer's committed order, replaced, never written in place,
+    /// so a published copy stays put.
+    fn order(&self) -> &Arc<Permutation> {
+        self.inc.committed_order()
+    }
+
     /// The shared part of a resumed pipeline — the order maintainer
     /// rebuilt from its saved keys, the rest adopted as saved — and the
     /// tracks' part, handed back for [`Track::adopt`].
@@ -725,12 +741,12 @@ impl Shared {
             state.order_min_val,
             state.order_max_val,
         );
-        let order = Arc::new(inc.commit_order());
+        inc.commit_order();
         let shared = Shared {
             policy,
             inc,
             graph: state.graph,
-            order,
+            moves: None,
             baseline_fraction: state.baseline_fraction,
             counters: Counters {
                 batches_applied: state.batches_applied,
@@ -749,6 +765,7 @@ impl Shared {
     /// are all skipped.
     fn maintain(&mut self, updates: &[EdgeUpdate]) -> Vec<VertexId> {
         if updates.is_empty() {
+            self.moves = Some(OrderPatch::none(self.order().len()));
             return Vec::new();
         }
         self.inc.apply_updates(updates);
@@ -770,7 +787,7 @@ impl Shared {
         if self.baseline_fraction - self.inc.positive_fraction() > self.policy.drift_threshold {
             self.repair_order();
         }
-        self.order = Arc::new(self.inc.commit_order());
+        self.moves = self.inc.commit_order();
         lost_support
     }
 
@@ -898,7 +915,7 @@ impl Track {
             &shared.graph,
             self.algorithm(),
             self.spec.mode,
-            &shared.order,
+            shared.order(),
             &self.spec.cfg,
             start,
         )

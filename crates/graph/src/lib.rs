@@ -40,7 +40,7 @@ pub use builder::GraphBuilder;
 pub use compressed::CompressedAdjacency;
 pub use csr::CsrGraph;
 pub use frontier::Frontier;
-pub use permutation::Permutation;
+pub use permutation::{OrderPatch, Permutation};
 pub use types::{
     check_batch, check_client_batch, grown_vertices, Direction, Edge, EdgeId, EdgeUpdate, VertexId,
     Weight,

@@ -101,6 +101,68 @@ impl Permutation {
         Permutation::from_order(order)
     }
 
+    /// This processing order with `patch` applied: the vertices at its
+    /// removed positions taken out, its inserted vertices put in, and
+    /// everything else kept in order. The kept runs between two of the
+    /// patch's positions are copied whole, and positions are rewritten
+    /// only over the ranks that shifted: from the first position the
+    /// patch touches to its last one, or to the end when the length
+    /// changes. `O(|V|)` copying plus `O(d)` for `d` moves, with no key
+    /// comparison and no check of the result outside debug builds.
+    ///
+    /// # Panics
+    /// Panics if `patch` was not made for an order of this length.
+    pub fn patched(&self, patch: &OrderPatch) -> Permutation {
+        assert_eq!(
+            patch.from_len,
+            self.len(),
+            "a patch applies to the order it was made from"
+        );
+        if patch.is_empty() {
+            return self.clone();
+        }
+        let n = self.len() - patch.removed.len() + patch.inserted.len();
+        let mut order = Vec::with_capacity(n);
+        let mut removed = patch.removed.iter().map(|&r| r as usize).peekable();
+        let mut from = 0;
+        // Copies the old positions `from..to` but the removed ones.
+        let mut copy_to = |order: &mut Vec<VertexId>, from: &mut usize, to: usize| {
+            while let Some(r) = removed.next_if(|&r| r < to) {
+                order.extend_from_slice(&self.order[*from..r]);
+                *from = r + 1;
+            }
+            order.extend_from_slice(&self.order[*from..to]);
+            *from = to;
+        };
+        for &(at, v) in &patch.inserted {
+            copy_to(&mut order, &mut from, at as usize);
+            order.push(v);
+        }
+        copy_to(&mut order, &mut from, self.len());
+
+        // Ranks before the first touched position and, at equal length,
+        // after the last one are where they were.
+        let first = patch.removed.first().map(|&r| r as usize);
+        let last = patch.removed.last().map(|&r| r as usize + 1);
+        let ats = patch.inserted.iter().map(|&(at, _)| at as usize);
+        let lo = first.into_iter().chain(ats.clone()).min().unwrap_or(0);
+        let hi = if n == self.len() {
+            last.into_iter().chain(ats.max()).max().unwrap_or(0)
+        } else {
+            n
+        };
+        // Exactly `n` long: an epoch that pins the order keeps no slack.
+        let mut position = Vec::with_capacity(n);
+        position.extend_from_slice(&self.position);
+        position.resize(n, VertexId::MAX);
+        for (rank, &v) in (lo..).zip(&order[lo..hi]) {
+            position[v as usize] = rank as VertexId;
+        }
+        let patched = Permutation { order, position };
+        debug_assert_eq!(patched.validate(), Ok(()));
+        patched
+    }
+
     /// Length `n` of the permutation.
     #[inline]
     pub fn len(&self) -> usize {
@@ -196,6 +258,84 @@ impl Permutation {
     }
 }
 
+/// The moves that take one processing order to the next, by position
+/// in the first ([`Permutation::patched`] applies them): vertices taken
+/// out of their old positions, and vertices put in before old positions.
+/// A vertex that moves is both removed and inserted; a new one is only
+/// inserted. Positions are stored as [`VertexId`]s, as
+/// [`Permutation::position`] returns them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OrderPatch {
+    from_len: usize,
+    removed: Vec<VertexId>,
+    inserted: Vec<(VertexId, VertexId)>,
+}
+
+impl OrderPatch {
+    /// The patch of an order of `from_len` vertices that takes out the
+    /// vertices at the `removed` positions and puts each `(at, v)` of
+    /// `inserted` in before old position `at` (`from_len` for the end),
+    /// in the listed order where several share an `at`.
+    ///
+    /// # Panics
+    /// Panics unless `removed` is strictly ascending and `inserted`'s
+    /// positions ascend, all within `from_len`.
+    pub fn new(
+        from_len: usize,
+        removed: Vec<VertexId>,
+        inserted: Vec<(VertexId, VertexId)>,
+    ) -> Self {
+        assert!(
+            removed.windows(2).all(|w| w[0] < w[1])
+                && removed.last().is_none_or(|&r| (r as usize) < from_len),
+            "removed positions must ascend within the order"
+        );
+        assert!(
+            inserted.windows(2).all(|w| w[0].0 <= w[1].0)
+                && inserted
+                    .last()
+                    .is_none_or(|&(at, _)| at as usize <= from_len),
+            "insert positions must ascend within the order"
+        );
+        OrderPatch {
+            from_len,
+            removed,
+            inserted,
+        }
+    }
+
+    /// The patch that changes nothing in an order of `len` vertices.
+    pub fn none(len: usize) -> Self {
+        OrderPatch::new(len, Vec::new(), Vec::new())
+    }
+
+    /// Length of the order the patch applies to.
+    pub fn from_len(&self) -> usize {
+        self.from_len
+    }
+
+    /// True when the patch moves and adds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.removed.is_empty() && self.inserted.is_empty()
+    }
+
+    /// Vertices the patch puts in, moved or new.
+    pub fn moved(&self) -> usize {
+        self.inserted.len()
+    }
+
+    /// The same patch with every inserted vertex renamed by `id`: the
+    /// patch of an order that holds `id(v)` wherever this one's holds
+    /// `v`.
+    pub fn relabeled(&self, id: impl Fn(VertexId) -> VertexId) -> OrderPatch {
+        OrderPatch {
+            from_len: self.from_len,
+            removed: self.removed.clone(),
+            inserted: self.inserted.iter().map(|&(at, v)| (at, id(v))).collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,5 +405,32 @@ mod tests {
         for v in 0..3u32 {
             assert_eq!(c.position(v), q.position(p.position(v)));
         }
+    }
+
+    #[test]
+    fn a_patch_moves_grows_and_keeps_the_rest() {
+        let p = Permutation::from_order(vec![4, 0, 3, 1, 2]);
+        // Take 0 and 1 out; put 1 first, 0 before 2 and a new 5 last.
+        let patch = OrderPatch::new(5, vec![1, 3], vec![(0, 1), (4, 0), (5, 5)]);
+        let q = p.patched(&patch);
+        assert_eq!(q.order(), &[1, 4, 3, 0, 2, 5]);
+        q.validate().unwrap();
+        assert_eq!(p.patched(&OrderPatch::none(5)), p);
+
+        // Same length: only the shifted span is rewritten, and a renamed
+        // patch applies to the renamed order.
+        let swap = OrderPatch::new(5, vec![1], vec![(4, 0)]);
+        assert_eq!(p.patched(&swap).order(), &[4, 3, 1, 0, 2]);
+        let rename = |v: VertexId| 4 - v;
+        let renamed = Permutation::from_order(p.order().iter().map(|&v| rename(v)).collect());
+        let moved = renamed.patched(&swap.relabeled(rename));
+        assert_eq!(moved.order(), &[0, 1, 3, 4, 2]);
+        moved.validate().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "made from")]
+    fn a_patch_for_another_length_is_refused() {
+        Permutation::identity(3).patched(&OrderPatch::none(4));
     }
 }

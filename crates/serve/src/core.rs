@@ -477,9 +477,6 @@ struct MutatorCtx {
     /// The view of the pipeline's graph, published with each epoch from
     /// the first [`MutatorMsg::BuildView`] on.
     view: Option<Arc<ProcessingView>>,
-    /// The pipeline's [`full_reorders`](StreamingPipeline::full_reorders)
-    /// when `view` was last built: a rise means its labels are stale.
-    view_reorders: usize,
     warm: Vec<WarmSpec>,
     faults: FaultPlan,
     durability: Option<DurabilityConfig>,
@@ -496,23 +493,36 @@ impl MutatorCtx {
     fn build_view(&mut self) -> Arc<ProcessingView> {
         let sp = &self.pipeline;
         let view = Arc::new(ProcessingView::build(sp.graph(), sp.shared_order()));
-        self.view_reorders = sp.full_reorders();
         self.view = Some(Arc::clone(&view));
         view
     }
 
     /// Moves the view, if one is kept, past `updates`, the batch the
-    /// pipeline just applied, and returns it: derived from the last
-    /// view, or rebuilt when the batch adopted a full reorder, whose
-    /// order the old labels no longer follow.
+    /// pipeline just applied, and returns it: derived from the last view
+    /// by the batch's order moves, or rebuilt when the order was sorted
+    /// afresh instead (an adopted full reorder, or the corruption drill's
+    /// resumed pipeline), whose old labels it no longer follows.
     fn advance_view(&mut self, updates: &[EdgeUpdate]) -> Option<Arc<ProcessingView>> {
         let view = self.view.as_ref()?;
-        if self.pipeline.full_reorders() > self.view_reorders {
-            return Some(self.build_view());
+        if self.faults.view_panic(self.last_seq) {
+            panic!(
+                "injected fault: view upkeep panic after batch {}",
+                self.last_seq
+            );
         }
-        let next = Arc::new(view.next(self.pipeline.order(), updates));
+        let Some(moves) = self.pipeline.order_moves() else {
+            return Some(self.build_view());
+        };
+        let next = Arc::new(view.next(moves, updates));
         self.view = Some(Arc::clone(&next));
         Some(next)
+    }
+
+    /// Stops keeping the view and unpublishes it: source-rooted queries
+    /// run on the epoch graph from then on.
+    fn drop_view(&mut self, cell: &EpochCell) {
+        self.view = None;
+        cell.set_view(None);
     }
 }
 
@@ -713,7 +723,6 @@ impl ServeCore {
         ));
         let ctx = MutatorCtx {
             view: None,
-            view_reorders: 0,
             pipeline,
             warm,
             faults: config.faults.clone(),
@@ -959,6 +968,10 @@ impl ServeCore {
         let n = updates.len();
         let mut guard = crate::lock_unpoisoned(&self.update_lane);
         let lane = guard.as_mut().ok_or(ServeError::Closed)?;
+        // Nothing would apply the batch: refuse it before the WAL logs it.
+        if self.mutator_ended() {
+            return Err(ServeError::Closed);
+        }
         // A batch the mutator skipped grew the lane's count but not the
         // graph. Once every batch sent is settled the published graph is
         // the count, so a later batch is never admitted against growth
@@ -1041,13 +1054,34 @@ impl ServeCore {
 
     /// Blocks until the mutator has settled every batch enqueued before
     /// this call — applied or skipped, epoch published, probe recorded
-    /// (used by tests and the CI smoke to make "≥ 1 epoch published"
-    /// deterministic, and by the replica puller before it reads its
-    /// fingerprints).
-    pub fn quiesce(&self) {
+    /// (used by the replica puller before it reads its fingerprints).
+    /// Fails with [`ServeError::Closed`] instead of waiting forever once
+    /// the mutator thread has ended with batches unsettled: no batch
+    /// queued behind it will ever be applied.
+    pub fn settle(&self) -> Result<(), ServeError> {
         while self.settled_seq() < self.stats.batches_enqueued.load(Ordering::Relaxed) {
+            if self.mutator_ended() {
+                return Err(ServeError::Closed);
+            }
             std::thread::sleep(Duration::from_millis(1));
         }
+        Ok(())
+    }
+
+    /// [`settle`](Self::settle) for callers that learn of an ended
+    /// mutator from their next call instead (tests and the CI smoke, to
+    /// make "≥ 1 epoch published" deterministic): it returns either way.
+    pub fn quiesce(&self) {
+        let _ = self.settle();
+    }
+
+    /// True once the mutator thread is gone: joined by
+    /// [`shutdown`](Self::shutdown), or ended by a panic its supervisor
+    /// did not catch.
+    fn mutator_ended(&self) -> bool {
+        crate::lock_unpoisoned(&self.mutator)
+            .as_ref()
+            .is_none_or(JoinHandle::is_finished)
     }
 
     /// The last sequence number the mutator finished with, probe
@@ -1344,6 +1378,9 @@ impl ServeCore {
         }
         self.stats.repl_resyncs.fetch_add(1, Ordering::Relaxed);
         while self.repl.resync_done.load(Ordering::Acquire) <= gen {
+            if self.mutator_ended() {
+                return Err(ServeError::Closed);
+            }
             std::thread::sleep(Duration::from_millis(1));
         }
         Ok(())
@@ -1405,6 +1442,22 @@ fn apply_supervised(
             stats.mutator_errors.fetch_add(1, Ordering::Relaxed);
             stats.mutator_restarts.fetch_add(1, Ordering::Relaxed);
             stats.degraded.store(1, Ordering::Relaxed);
+            None
+        }
+    }
+}
+
+/// Runs `step`, part of the mutator's upkeep around batch `seq` that is
+/// not the batch itself, under a supervisor: a panic in it is reported,
+/// counted as a restart, and answered with `None`, and the mutator goes
+/// on to the next batch instead of ending — which would leave every
+/// later batch logged but never applied.
+fn upkeep<R>(stats: &ServeStats, what: &str, seq: u64, step: impl FnOnce() -> R) -> Option<R> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)) {
+        Ok(r) => Some(r),
+        Err(_) => {
+            eprintln!("gograph-serve: {what} panicked at batch {seq}; skipped");
+            stats.mutator_restarts.fetch_add(1, Ordering::Relaxed);
             None
         }
     }
@@ -1554,7 +1607,9 @@ fn mutator_loop(
                 {
                     ctx.epoch += 1;
                     if ctx.faults.corrupt_state(seq) {
-                        corrupt_pipeline_state(&mut ctx, seq);
+                        upkeep(stats, "corruption drill", seq, || {
+                            corrupt_pipeline_state(&mut ctx, seq)
+                        });
                     }
                     // The epoch goes out first and its view follows, so a
                     // batch becomes visible without waiting on the view; a
@@ -1565,15 +1620,20 @@ fn mutator_loop(
                         None,
                     );
                     count_applied(stats, updates.len(), rounds);
-                    if let Some(view) = ctx.advance_view(&updates) {
-                        cell.set_view(Some(view));
+                    let view = upkeep(stats, "view upkeep", seq, || ctx.advance_view(&updates));
+                    match view {
+                        Some(Some(view)) => cell.set_view(Some(view)),
+                        Some(None) => {}
+                        None => ctx.drop_view(cell),
                     }
                     let every = ctx
                         .durability
                         .as_ref()
                         .map_or(0, |d| d.checkpoint_every_batches);
                     if every > 0 && seq % every == 0 {
-                        checkpoint_step(&ctx, seq, stats, true);
+                        upkeep(stats, "checkpoint", seq, || {
+                            checkpoint_step(&ctx, seq, stats, true)
+                        });
                     }
                 }
                 // Fingerprint every settled batch, applied or skipped:
@@ -1582,13 +1642,19 @@ fn mutator_loop(
                 if let Some(d) = ctx.faults.probe_delay(seq) {
                     std::thread::sleep(d);
                 }
-                ctx.repl
-                    .record_probe(seq, ctx.epoch, fingerprints(&ctx.pipeline));
+                if let Some(prints) =
+                    upkeep(stats, "fingerprint", seq, || fingerprints(&ctx.pipeline))
+                {
+                    ctx.repl.record_probe(seq, ctx.epoch, prints);
+                }
                 stats.repl_last_seq.store(seq, Ordering::Release);
             }
             Ok(MutatorMsg::BuildView) => {
                 if ctx.view.is_none() {
-                    cell.set_view(Some(ctx.build_view()));
+                    let seq = ctx.last_seq;
+                    if let Some(view) = upkeep(stats, "view build", seq, || ctx.build_view()) {
+                        cell.set_view(Some(view));
+                    }
                 }
             }
             Ok(MutatorMsg::Resync(ck)) => {
@@ -1601,8 +1667,7 @@ fn mutator_loop(
     // No batch moves the view any more, so it goes before the final
     // checkpoint is encoded: a stopped core holds one graph, and its
     // queries run on the epoch graph.
-    ctx.view = None;
-    cell.set_view(None);
+    ctx.drop_view(cell);
     // Clean shutdown: capture everything in a final checkpoint and
     // compact the WAL directly — the update lane is already closed, so
     // no append can race the rename. The watermark is still clamped to
@@ -2742,5 +2807,85 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&crash_copy);
+    }
+
+    /// Runs `wait` on a thread of its own and fails the test if it has
+    /// not returned within `secs` seconds.
+    fn within<R: Send + 'static>(
+        secs: u64,
+        what: &str,
+        wait: impl FnOnce() -> R + Send + 'static,
+    ) -> R {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(wait());
+        });
+        rx.recv_timeout(Duration::from_secs(secs))
+            .unwrap_or_else(|_| panic!("{what} hung past {secs} s"))
+    }
+
+    /// A panic in the view upkeep after a publish drops the view and
+    /// counts a restart, and the mutator applies every later batch.
+    #[test]
+    fn a_panicking_view_upkeep_drops_the_view_and_the_mutator_goes_on() {
+        let core = core_with(ServeConfig {
+            warm: vec![WarmSpec::new(AlgSpec::Sssp, 0)],
+            faults: FaultPlan::seeded(1).with_view_panics(1.0),
+            ..ServeConfig::default()
+        });
+        viewed(&core);
+        for batch in batches(4) {
+            core.enqueue_updates(batch).unwrap();
+        }
+        let c = Arc::clone(&core);
+        within(60, "quiesce", move || c.quiesce());
+        let s = core.stats_snapshot();
+        assert_eq!((s.batches_applied, s.mutator_errors), (4, 0));
+        assert_eq!(s.mutator_restarts, 1, "one view to lose");
+        let (ep, view) = core.epoch.pin_with_view();
+        assert!(view.is_none(), "the view went with the panic");
+        // Source-rooted queries run on the epoch graph, as before a view.
+        let q = core.execute_query(query(AlgSpec::Sssp, vec![3])).unwrap();
+        assert_eq!((q.epoch.epoch, ep.epoch), (4, 4));
+        assert_eq!(q.states[3], 0.0);
+        core.enqueue_updates(batches(5).remove(4)).unwrap();
+        core.settle().unwrap();
+        assert_eq!(core.stats_snapshot().batches_applied, 5);
+        core.shutdown();
+    }
+
+    /// Once the mutator thread is gone, a batch is refused before the
+    /// WAL logs it, and a wait for a batch it never took fails instead
+    /// of spinning.
+    #[test]
+    fn an_ended_mutator_refuses_batches_and_fails_the_wait() {
+        let dir = tmp_dir("ended-mutator");
+        let core = core_with(ServeConfig {
+            warm: vec![WarmSpec::new(AlgSpec::Sssp, 0)],
+            durability: Some(DurabilityConfig::new(&dir)),
+            ..ServeConfig::default()
+        });
+        // End the thread the way a panic outside its supervisor would:
+        // its receiver goes, the lane stays.
+        let lane = crate::lock_unpoisoned(&core.update_lane);
+        lane.as_ref().unwrap().tx.send(MutatorMsg::Stop).unwrap();
+        drop(lane);
+        let c = Arc::clone(&core);
+        within(60, "the mutator's end", move || {
+            while !c.mutator_ended() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let appends = core.stats_snapshot().wal_appends;
+        let refused = core.enqueue_updates(batches(1).remove(0));
+        assert!(matches!(refused, Err(ServeError::Closed)), "{refused:?}");
+        assert_eq!(core.stats_snapshot().wal_appends, appends, "never logged");
+        // A batch sent just before the end, never taken.
+        core.stats.batches_enqueued.fetch_add(1, Ordering::Relaxed);
+        let c = Arc::clone(&core);
+        let settled = within(60, "settle", move || c.settle());
+        assert!(matches!(settled, Err(ServeError::Closed)), "{settled:?}");
+        core.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

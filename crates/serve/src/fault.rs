@@ -44,6 +44,7 @@ const KIND_FOLLOWER_CRASH: u64 = 7;
 const KIND_ACK_DELAY: u64 = 8;
 const KIND_CORRUPT: u64 = 9;
 const KIND_PROBE_DELAY: u64 = 10;
+const KIND_VIEW_PANIC: u64 = 11;
 
 /// A seeded, deterministic schedule of injected faults. The default
 /// ([`FaultPlan::none`]) injects nothing and costs one branch per
@@ -65,6 +66,7 @@ pub struct FaultPlan {
     corrupt_state_rate: f64,
     probe_delay_rate: f64,
     probe_delay: Duration,
+    view_panic_rate: f64,
 }
 
 impl Default for FaultPlan {
@@ -98,6 +100,7 @@ impl FaultPlan {
             corrupt_state_rate: 0.0,
             probe_delay_rate: 0.0,
             probe_delay: Duration::ZERO,
+            view_panic_rate: 0.0,
         }
     }
 
@@ -180,6 +183,14 @@ impl FaultPlan {
         self
     }
 
+    /// Panic the mutator's view upkeep after it publishes batch `seq`'s
+    /// epoch, at this rate — a panic outside the batch itself, which the
+    /// supervisor must survive without rolling anything back.
+    pub fn with_view_panics(mut self, rate: f64) -> FaultPlan {
+        self.view_panic_rate = rate.clamp(0.0, 1.0);
+        self
+    }
+
     /// True when no fault kind is armed (the hot-path short-circuit).
     pub fn is_none(&self) -> bool {
         self.mutator_panic_rate == 0.0
@@ -192,6 +203,7 @@ impl FaultPlan {
             && self.ack_delay_rate == 0.0
             && self.corrupt_state_rate == 0.0
             && self.probe_delay_rate == 0.0
+            && self.view_panic_rate == 0.0
     }
 
     /// Should the mutator panic before applying batch `seq`?
@@ -203,6 +215,11 @@ impl FaultPlan {
     pub fn mutator_panic_mid(&self, seq: u64) -> bool {
         self.mutator_panic_mid_rate > 0.0
             && unit(self.seed, KIND_PANIC_MID, seq) < self.mutator_panic_mid_rate
+    }
+
+    /// Should the view upkeep after batch `seq` panic?
+    pub fn view_panic(&self, seq: u64) -> bool {
+        self.view_panic_rate > 0.0 && unit(self.seed, KIND_VIEW_PANIC, seq) < self.view_panic_rate
     }
 
     /// Should reply number `k` be dropped (connection severed)?

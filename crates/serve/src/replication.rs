@@ -168,7 +168,7 @@ impl ReplicaPuller {
             for (seq, updates) in records.iter().take(records.len() / 2) {
                 self.apply(*seq, updates.clone())?;
             }
-            self.core.quiesce();
+            self.settle()?;
             self.resync()?;
             return Ok(StepOutcome::Crashed);
         }
@@ -184,7 +184,7 @@ impl ReplicaPuller {
                 self.apply(*seq, updates.clone())?;
                 last = *seq;
             }
-            self.core.quiesce();
+            self.settle()?;
             self.acked_seq = last;
             return Ok(StepOutcome::LinkDropped);
         }
@@ -197,13 +197,13 @@ impl ReplicaPuller {
         }
         // Fingerprints are only meaningful once the mutator has settled
         // every shipped batch.
-        self.core.quiesce();
+        self.settle()?;
         self.acked_seq = last;
 
         if let Some(d) = faults.ack_delay(k) {
             std::thread::sleep(d);
         }
-        // `quiesce` returned, so the probe at our watermark is recorded.
+        // `settle` returned, so the probe at our watermark is recorded.
         // One that is not `known` is never a fingerprint vector to send:
         // skip the ack (the primary sees a stale one, as after a dropped
         // link) and let the caller retry.
@@ -238,6 +238,14 @@ impl ReplicaPuller {
         self.core
             .replicate_batch(seq, updates)
             .map_err(|e| ClientError::Protocol(format!("replicate_batch(seq {seq}): {e}")))
+    }
+
+    /// Waits until the follower core has settled every batch handed to
+    /// it.
+    fn settle(&self) -> Result<(), ClientError> {
+        self.core
+            .settle()
+            .map_err(|e| ClientError::Protocol(format!("settle: {e}")))
     }
 
     /// Fetches the primary's checkpoint and resets the follower

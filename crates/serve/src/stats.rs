@@ -121,8 +121,10 @@ stats_table! {
         /// Update batches the mutator failed to apply (skipped after
         /// rollback).
         mutator_errors: counter,
-        /// Times the supervisor rolled the mutator back to its pre-batch
-        /// state after a panic or engine error.
+        /// Times the supervisor caught a failure: a panic or engine error
+        /// in a batch, rolled back to the pre-batch state, or a panic in
+        /// the upkeep around one (view, checkpoint, fingerprint), whose
+        /// step was skipped.
         mutator_restarts: counter,
         /// 1 while the last batch application failed and no epoch has been
         /// published since; 0 once publication resumes.

@@ -17,13 +17,16 @@
 //! its pipeline adopts a full reorder. After every other applied batch
 //! it derives the next view from the last one
 //! (`ProcessingView::next`): the batch, in view ids, patches only the
-//! row blocks it lands in, and the current order is composed into view
-//! ids. Consecutive views share every block a batch left alone, as
-//! consecutive epochs do. A batch the mutator rolls back leaves the view
-//! as it was. The mutator publishes each epoch before deriving its view,
-//! so no batch waits on a view to become visible; a source-rooted query
-//! that pins the epoch in between runs on the epoch graph. A stopping
-//! mutator drops the view before it encodes its final checkpoint.
+//! row blocks it lands in, and the moves the batch made to the order are
+//! made to the view's order too, with only the moved vertices mapped
+//! into view ids. Consecutive views share every block a batch left
+//! alone, as consecutive epochs do. A batch the mutator rolls back
+//! leaves the view as it was, and a panic while deriving or building it
+//! drops the view. The mutator publishes each epoch before deriving its
+//! view, so no batch waits on a view to become visible; a source-rooted
+//! query that pins the epoch in between runs on the epoch graph. A
+//! stopping mutator drops the view before it encodes its final
+//! checkpoint.
 //!
 //! Only source-rooted queries run on the view: SSSP, BFS, SSWP and
 //! their multi-source unions ([`AlgSpec::needs_sources`]). Their initial
@@ -37,7 +40,7 @@
 //!
 //! [`AlgSpec::needs_sources`]: crate::AlgSpec::needs_sources
 
-use gograph_graph::{CsrGraph, EdgeUpdate, Permutation, VertexId};
+use gograph_graph::{CsrGraph, EdgeUpdate, OrderPatch, Permutation, VertexId};
 use std::sync::Arc;
 
 /// An epoch graph relabelled into a frozen processing order, with the
@@ -69,12 +72,17 @@ impl ProcessingView {
         }
     }
 
-    /// The view after `batch` was applied to this view's graph and the
-    /// processing order became `order`: the batch's edges, self-loops
+    /// The view after `batch` was applied to this view's graph and
+    /// `moves` to its processing order: the batch's edges, self-loops
     /// skipped as the streaming pipeline skips them, are patched into
-    /// the view's graph in view ids, and `order` is composed into view
-    /// ids. The labels stay. `O(touched blocks + |V|)`.
-    pub(crate) fn next(&self, order: &Permutation, batch: &[EdgeUpdate]) -> ProcessingView {
+    /// the view's graph in view ids, and the moves, their vertices in
+    /// view ids, into the view's order. The labels stay. `O(touched
+    /// blocks + d)` for `d` moves, plus copies of the order.
+    ///
+    /// # Panics
+    /// Panics if `moves` was not made from an order of this view's
+    /// length.
+    pub(crate) fn next(&self, moves: &OrderPatch, batch: &[EdgeUpdate]) -> ProcessingView {
         let updates: Vec<EdgeUpdate> = batch
             .iter()
             .filter(|u| u.src() != u.dst())
@@ -98,9 +106,11 @@ impl ProcessingView {
         ProcessingView {
             labels: Arc::clone(&self.labels),
             graph,
-            order: Arc::new(Permutation::from_order(
-                order.order().iter().map(|&v| self.view_id(v)).collect(),
-            )),
+            order: if moves.is_empty() {
+                Arc::clone(&self.order)
+            } else {
+                Arc::new(self.order.patched(&moves.relabeled(|v| self.view_id(v))))
+            },
         }
     }
 
@@ -176,13 +186,63 @@ mod tests {
             EdgeUpdate::remove(4, 40),
         ];
         let g2 = g.apply_updates(&batch[..1]).apply_updates(&batch[2..]);
-        let order2 = Permutation::from_order(vec![7, 6, 0, 1, 2, 3, 4, 5]);
-        let next = view.next(&order2, &batch);
+        // 3 moves to the head, 1 to the tail; 6 and 7 are new.
+        let moves = OrderPatch::new(6, vec![1, 2], vec![(0, 3), (6, 6), (6, 1), (6, 7)]);
+        let order2 = order.patched(&moves);
+        assert_eq!(order2.order(), &[3, 5, 0, 2, 4, 6, 1, 7]);
+        let next = view.next(&moves, &batch);
         assert_eq!(next.graph.num_vertices(), 8);
         assert_view_of(&next, &g2, &order2);
         assert!(Arc::ptr_eq(&next.labels, &view.labels));
 
+        // A batch that moves nothing keeps the view's order.
+        let still = next.next(&OrderPatch::none(8), &[EdgeUpdate::insert(2, 2)]);
+        assert!(Arc::ptr_eq(&still.order, &next.order));
+        assert_view_of(&still, &g2, &order2);
+
         let states: Vec<f64> = (0..8).map(f64::from).collect();
         assert_eq!(next.states_out(&next.states_in(&states)), states);
+    }
+
+    /// The moves a real maintainer makes, in a batch that also grows the
+    /// graph, carried into view ids batch after batch.
+    #[test]
+    fn a_view_follows_a_pipeline_whose_batch_moves_and_grows() {
+        use gograph_engine::{Mode, Sssp, StreamingPipeline};
+        use gograph_graph::generators::{planted_partition, PlantedPartitionConfig};
+
+        let g = planted_partition(PlantedPartitionConfig {
+            num_vertices: 300,
+            num_edges: 1500,
+            communities: 6,
+            p_intra: 0.8,
+            gamma: 2.4,
+            seed: 3,
+        });
+        let mut sp = StreamingPipeline::over(&g)
+            .mode(Mode::Async)
+            .algorithm(Sssp::new(0))
+            .build()
+            .unwrap();
+        let mut view = ProcessingView::build(sp.graph(), sp.shared_order());
+        let mut grown = false;
+        for k in 0..12u32 {
+            let n = sp.graph().num_vertices() as VertexId;
+            let batch: Vec<EdgeUpdate> = (0..16)
+                .map(|i| EdgeUpdate::insert((k * 37 + i * 101) % n, (k * 53 + i * 29 + 7) % n))
+                .chain([
+                    EdgeUpdate::insert(k * 11 % n, n),
+                    EdgeUpdate::insert(n + 1, 5),
+                ])
+                .collect();
+            sp.apply_batch(&batch).unwrap();
+            let moves = sp.order_moves().unwrap();
+            assert_eq!(moves.from_len(), n as usize);
+            grown |= moves.moved() > 2;
+            view = view.next(moves, &batch);
+            assert_view_of(&view, sp.graph(), sp.order());
+        }
+        assert!(grown, "some batch moved old vertices besides the new ones");
+        assert_eq!(view.graph.num_vertices(), 300 + 24);
     }
 }

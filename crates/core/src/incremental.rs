@@ -3,41 +3,48 @@
 //!
 //! A full GoGraph run costs a partitioning plus O(|E|) greedy insertion;
 //! re-running it on every edge arrival is wasteful. [`IncrementalGoGraph`]
-//! seeds from a full run and then maintains the order under edge
-//! insertions by *locally repositioning* the affected endpoints: moving a
-//! single vertex only flips the signs of its own incident edges, so
-//! re-running `GetOptVal` for that vertex (remove + optimal re-insert)
-//! can never decrease `M` — giving a monotone-metric maintenance
-//! guarantee with O(degree · log degree) work per update.
+//! seeds from a full run and then maintains the order under batches of
+//! edge insertions and deletions by *locally repositioning* the affected
+//! endpoints: moving a single vertex only flips the signs of its own
+//! incident edges, so re-running `GetOptVal` for that vertex (remove +
+//! optimal re-insert) can never decrease `M` — a monotone-metric
+//! maintenance guarantee.
+//!
+//! The maintainer owns the graph it orders. A batch patches it once
+//! ([`CsrGraph::apply_updates`]), then repositions every endpoint of an
+//! edge the batch added or took away, once each, in order of first
+//! appearance, against the patched rows: a vertex sees its whole batch's
+//! neighbourhood. So a batch of `|U|` updates costs one CSR patch plus,
+//! for each of its at most `2|U|` endpoints, one `GetOptVal` over that
+//! vertex's rows (`O(deg · log deg)`).
 
 use crate::gograph::GoGraph;
 use crate::insertion::{InsertionOrder, NeighborLink};
-use gograph_graph::{CsrGraph, EdgeUpdate, GraphBuilder, OrderPatch, Permutation, VertexId};
+use gograph_graph::{CsrGraph, EdgeUpdate, OrderPatch, Permutation, VertexId};
 use gograph_reorder::Reorderer;
+use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Streaming order maintainer.
+/// Streaming order maintainer over the graph it owns.
 ///
 /// ```
 /// use gograph_core::{metric, IncrementalGoGraph};
+/// use gograph_graph::EdgeUpdate;
 ///
 /// let mut inc = IncrementalGoGraph::new(4);
-/// // Edges arrive in an adversarial order...
-/// inc.add_edge(2, 3);
-/// inc.add_edge(1, 2);
-/// inc.add_edge(0, 1);
+/// // Edges arrive one batch at a time, in an adversarial order...
+/// for (u, v) in [(2, 3), (1, 2), (0, 1)] {
+///     inc.apply_updates(&[EdgeUpdate::insert(u, v)]);
+/// }
 /// // ...yet local repositioning keeps the chain fully positive.
-/// let g = inc.to_graph();
-/// assert_eq!(metric(&g, &inc.current_order()), 3);
+/// assert_eq!(metric(inc.graph(), &inc.current_order()), 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IncrementalGoGraph {
-    out: Vec<Vec<VertexId>>,
-    in_: Vec<Vec<VertexId>>,
+    graph: CsrGraph,
     order: InsertionOrder,
-    num_edges: usize,
-    /// `M(O)`: ingested edges whose source precedes their target, kept
-    /// current by every method that adds, drops or re-signs an edge.
+    /// `M(O)`: edges of `graph` whose source precedes their target, kept
+    /// current by every batch and reposition.
     positive: usize,
     /// The order as of the last [`IncrementalGoGraph::commit_order`]
     /// (empty before the first): what the next one patches.
@@ -63,20 +70,13 @@ impl IncrementalGoGraph {
         Self::over(g, io)
     }
 
-    /// A maintainer of `order` over `g`'s edges.
+    /// A maintainer of `order` over `g`, which it shares
+    /// ([`CsrGraph::snapshot`]): one sweep counts `M`, nothing is copied
+    /// per edge.
     fn over(g: &CsrGraph, order: InsertionOrder) -> Self {
-        let n = g.num_vertices();
-        let mut out = vec![Vec::new(); n];
-        let mut in_ = vec![Vec::new(); n];
-        for e in g.edges() {
-            out[e.src as usize].push(e.dst);
-            in_[e.dst as usize].push(e.src);
-        }
         let mut inc = IncrementalGoGraph {
-            out,
-            in_,
+            graph: g.snapshot(),
             order,
-            num_edges: g.num_edges(),
             positive: 0,
             committed: Arc::new(Permutation::identity(0)),
         };
@@ -137,117 +137,89 @@ impl IncrementalGoGraph {
         Self::over(g, InsertionOrder::from_saved(vals, min_val, max_val))
     }
 
+    /// The graph the order is maintained over: the seed graph with every
+    /// batch applied.
+    pub fn graph(&self) -> &CsrGraph {
+        &self.graph
+    }
+
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.out.len()
+        self.graph.num_vertices()
     }
 
-    /// Number of edges ingested.
+    /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.graph.num_edges()
     }
 
-    /// Appends a new vertex at the tail of the order; returns its id.
-    pub fn add_vertex(&mut self) -> VertexId {
-        let id = self.out.len() as VertexId;
-        self.out.push(Vec::new());
-        self.in_.push(Vec::new());
-        self.order.grow_one();
-        id
-    }
-
-    /// Ingests a directed edge and locally repositions both endpoints if
-    /// that increases their positive-edge contribution. Duplicate edges
-    /// are ignored.
-    pub fn add_edge(&mut self, u: VertexId, v: VertexId) {
-        assert!((u as usize) < self.out.len() && (v as usize) < self.out.len());
-        if u == v || self.out[u as usize].contains(&v) {
+    /// Folds a batch of [`EdgeUpdate`]s into the graph and the order.
+    /// Self-loops are neither positive nor negative and are dropped
+    /// first; the rest patch the graph as [`CsrGraph::apply_updates`]
+    /// reads them (in sequence; insert endpoints beyond the vertex count
+    /// grow it, and new vertices join the order at its tail). Every
+    /// endpoint of a pair the batch added or took away is then
+    /// repositioned once, in order of first appearance, against the
+    /// patched graph; a duplicate insert, a remove of an absent edge or
+    /// an insert and remove of one pair moves nothing. Weights are
+    /// ignored by the order: `M` counts edges, not weight.
+    pub fn apply_updates(&mut self, updates: &[EdgeUpdate]) {
+        let updates: Vec<EdgeUpdate> = (updates.iter().copied())
+            .filter(|u| u.src() != u.dst())
+            .collect();
+        if updates.is_empty() {
             return;
         }
-        self.out[u as usize].push(v);
-        self.in_[v as usize].push(u);
-        self.num_edges += 1;
-        self.positive += usize::from(self.precedes(u, v));
-        self.reposition(u);
-        self.reposition(v);
-    }
-
-    /// Removes a directed edge, then locally repositions both endpoints:
-    /// with the edge gone their optimal positions may have shifted, and
-    /// re-running `GetOptVal` for each endpoint can only improve its
-    /// contribution to `M` on the surviving edge set. Returns `false`
-    /// (and leaves the order untouched) when the edge was not present.
-    pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if (u as usize) >= self.out.len() || (v as usize) >= self.out.len() {
-            return false;
+        let patched = self.graph.apply_updates(&updates);
+        let before = std::mem::replace(&mut self.graph, patched);
+        for _ in self.order.vals().len()..self.graph.num_vertices() {
+            self.order.grow_one();
         }
-        let Some(pos) = self.out[u as usize].iter().position(|&x| x == v) else {
-            return false;
-        };
-        self.positive -= usize::from(self.precedes(u, v));
-        self.out[u as usize].swap_remove(pos);
-        let in_pos = self.in_[v as usize]
-            .iter()
-            .position(|&x| x == u)
-            .expect("in-adjacency out of sync with out-adjacency");
-        self.in_[v as usize].swap_remove(in_pos);
-        self.num_edges -= 1;
-        self.reposition(u);
-        self.reposition(v);
-        true
-    }
-
-    /// Folds a batch of [`EdgeUpdate`]s into the maintained order.
-    /// Insert endpoints beyond the current vertex count grow the graph
-    /// (via [`IncrementalGoGraph::add_vertex`]); weights are ignored —
-    /// the metric `M` counts edges, not weight. Self-loops are neither
-    /// positive nor negative and are skipped, matching
-    /// [`IncrementalGoGraph::add_edge`].
-    pub fn apply_updates(&mut self, updates: &[EdgeUpdate]) {
-        for up in updates {
-            match *up {
-                EdgeUpdate::Insert { src, dst, .. } => {
-                    while self.out.len() <= src.max(dst) as usize {
-                        self.add_vertex();
-                    }
-                    self.add_edge(src, dst);
-                }
-                EdgeUpdate::Remove { src, dst } => {
-                    self.remove_edge(src, dst);
-                }
+        let mut pairs = HashSet::with_capacity(updates.len());
+        let mut seen = HashSet::with_capacity(2 * updates.len());
+        let mut endpoints: Vec<VertexId> = Vec::with_capacity(2 * updates.len());
+        for (u, v) in updates.iter().map(|up| (up.src(), up.dst())) {
+            let now = has_edge(&self.graph, u, v);
+            if !pairs.insert((u, v)) || has_edge(&before, u, v) == now {
+                continue;
             }
+            let positive = usize::from(self.precedes(u, v));
+            if now {
+                self.positive += positive;
+            } else {
+                self.positive -= positive;
+            }
+            endpoints.extend([u, v].into_iter().filter(|&w| seen.insert(w)));
+        }
+        for w in endpoints {
+            self.reposition(w);
         }
     }
 
-    /// `M(O) / |E|` of the maintained order over the ingested edges —
-    /// the drift signal streaming callers compare against the fraction a
-    /// full re-run achieved. `O(1)`: `M(O)` is a counter every mutation
-    /// adjusts by the signs it changed, not a sweep. An empty edge set
-    /// reports 1.0 (nothing can be negative).
+    /// `M(O) / |E|` of the maintained order over the graph — the drift
+    /// signal streaming callers compare against the fraction a full
+    /// re-run achieved. `O(1)`: `M(O)` is a counter every batch adjusts
+    /// by the signs it changed, not a sweep. An empty edge set reports
+    /// 1.0 (nothing can be negative).
     pub fn positive_fraction(&self) -> f64 {
         debug_assert_eq!(self.positive, self.count_positive());
-        if self.num_edges == 0 {
+        if self.num_edges() == 0 {
             return 1.0;
         }
-        self.positive as f64 / self.num_edges as f64
+        self.positive as f64 / self.num_edges() as f64
     }
 
-    /// True when `u` precedes `v` in the order: an edge `(u, v)` is positive.
+    /// True when `u` precedes `v` in the order — by key, ties by id, as
+    /// the committed order sorts them: an edge `(u, v)` is positive.
     fn precedes(&self, u: VertexId, v: VertexId) -> bool {
-        self.order.val(u as usize) < self.order.val(v as usize)
+        self.order.key_cmp(u as usize, v as usize).is_lt()
     }
 
     /// `M(O)` by a sweep over every edge — what `positive` must equal.
     fn count_positive(&self) -> usize {
-        self.out
-            .iter()
-            .enumerate()
-            .map(|(u, outs)| {
-                outs.iter()
-                    .filter(|&&v| self.precedes(u as VertexId, v))
-                    .count()
-            })
-            .sum()
+        (self.graph.edges())
+            .filter(|e| self.precedes(e.src, e.dst))
+            .count()
     }
 
     /// Removes `w` and re-inserts it at its optimal position (monotone in
@@ -270,34 +242,29 @@ impl IncrementalGoGraph {
 
     /// Positive edges incident to `w` under the order.
     fn local_positive(&self, w: VertexId) -> usize {
-        let outs = self.out[w as usize].iter();
-        let ins = self.in_[w as usize].iter();
+        let outs = self.graph.out_neighbors(w).iter();
+        let ins = self.graph.in_neighbors(w).iter();
         outs.filter(|&&x| self.precedes(w, x)).count()
             + ins.filter(|&&x| self.precedes(x, w)).count()
     }
 
+    /// `w`'s neighbours with their edge counts each way: one merge of
+    /// its sorted in-row and out-row. Reads only a patched graph, which
+    /// is flat.
     fn links_of(&self, w: VertexId) -> Vec<NeighborLink> {
-        let mut links: Vec<NeighborLink> =
-            Vec::with_capacity(self.out[w as usize].len() + self.in_[w as usize].len());
-        // Position of each neighbor id already in `links` — keeps this
-        // O(deg) where a linear rescan per out-edge would be O(deg²) on
-        // hubs, which dominates batch ingestion on power-law graphs.
-        let mut slot: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::with_capacity(links.capacity());
-        for &x in &self.in_[w as usize] {
-            slot.insert(x as usize, links.len());
-            links.push(NeighborLink::new(x as usize, 1.0, 0.0));
+        let (ins, outs) = (self.graph.in_neighbors(w), self.graph.out_neighbors(w));
+        let mut links = Vec::with_capacity(ins.len() + outs.len());
+        let (mut i, mut o) = (0, 0);
+        let count = |hit: bool| if hit { 1.0 } else { 0.0 };
+        loop {
+            let Some(&x) = ins.get(i).into_iter().chain(outs.get(o)).min() else {
+                return links;
+            };
+            let (is_in, is_out) = (ins.get(i) == Some(&x), outs.get(o) == Some(&x));
+            i += usize::from(is_in);
+            o += usize::from(is_out);
+            links.push(NeighborLink::new(x as usize, count(is_in), count(is_out)));
         }
-        for &x in &self.out[w as usize] {
-            match slot.get(&(x as usize)) {
-                Some(&i) => links[i].out_weight += 1.0,
-                None => {
-                    slot.insert(x as usize, links.len());
-                    links.push(NeighborLink::new(x as usize, 0.0, 1.0));
-                }
-            }
-        }
-        links
     }
 
     /// The maintained processing order: the committed one with the
@@ -335,24 +302,17 @@ impl IncrementalGoGraph {
     pub fn committed_order(&self) -> &Arc<Permutation> {
         &self.committed
     }
+}
 
-    /// Materializes the ingested edges as a [`CsrGraph`] (for metric
-    /// checks and engine runs).
-    pub fn to_graph(&self) -> CsrGraph {
-        let mut b = GraphBuilder::with_capacity(self.out.len(), self.num_edges);
-        b.reserve_vertices(self.out.len());
-        for (u, outs) in self.out.iter().enumerate() {
-            for &v in outs {
-                b.add_edge(u as u32, v, 1.0);
-            }
-        }
-        b.build()
-    }
+/// Whether `g` holds the edge `(u, v)`; false for an endpoint it lacks.
+fn has_edge(g: &CsrGraph, u: VertexId, v: VertexId) -> bool {
+    (u as usize) < g.num_vertices() && g.has_edge(u, v)
 }
 
 /// As a [`Reorderer`], the incremental maintainer orders a graph by
-/// *streaming* its edges through local repositioning from an empty seed —
-/// the §VI evolving-graph strategy applied as a one-shot method. This is
+/// folding its edges into an empty maintainer as one batch — every
+/// vertex with an edge repositioned once, against the whole graph: the
+/// §VI evolving-graph strategy applied as a one-shot method. This is
 /// what lets it slot into `Pipeline::reorder(...)` interchangeably with
 /// the batch methods; the maintainer's own streamed state (if any) is not
 /// consulted, so one instance can order many graphs.
@@ -363,9 +323,11 @@ impl Reorderer for IncrementalGoGraph {
 
     fn reorder(&self, g: &CsrGraph) -> Permutation {
         let mut inc = IncrementalGoGraph::new(g.num_vertices());
-        for e in g.edges() {
-            inc.add_edge(e.src, e.dst);
-        }
+        let edges: Vec<EdgeUpdate> = g
+            .edges()
+            .map(|e| EdgeUpdate::insert(e.src, e.dst))
+            .collect();
+        inc.apply_updates(&edges);
         inc.current_order()
     }
 }
@@ -375,17 +337,30 @@ mod tests {
     use super::*;
     use crate::metric::metric;
     use gograph_graph::generators::{planted_partition, shuffle_labels, PlantedPartitionConfig};
+    use gograph_graph::GraphBuilder;
     use rand::{Rng, SeedableRng};
+
+    /// Folds one update as a batch of its own.
+    fn insert(inc: &mut IncrementalGoGraph, u: VertexId, v: VertexId) {
+        inc.apply_updates(&[EdgeUpdate::insert(u, v)]);
+    }
+
+    fn remove(inc: &mut IncrementalGoGraph, u: VertexId, v: VertexId) {
+        inc.apply_updates(&[EdgeUpdate::remove(u, v)]);
+    }
 
     #[test]
     fn streaming_chain_stays_optimal() {
         let mut inc = IncrementalGoGraph::new(10);
         for v in 0..9u32 {
-            inc.add_edge(v, v + 1);
+            insert(&mut inc, v, v + 1);
         }
-        let g = inc.to_graph();
         let order = inc.current_order();
-        assert_eq!(metric(&g, &order), 9, "chain must stay fully positive");
+        assert_eq!(
+            metric(inc.graph(), &order),
+            9,
+            "chain must stay fully positive"
+        );
     }
 
     #[test]
@@ -394,11 +369,10 @@ mod tests {
         // repositioning must still untangle the chain.
         let mut inc = IncrementalGoGraph::new(10);
         for v in (0..9u32).rev() {
-            inc.add_edge(v, v + 1);
+            insert(&mut inc, v, v + 1);
         }
-        let g = inc.to_graph();
         let order = inc.current_order();
-        let m = metric(&g, &order);
+        let m = metric(inc.graph(), &order);
         assert!(m >= 8, "streamed-reversed chain only reached M = {m}");
     }
 
@@ -424,12 +398,12 @@ mod tests {
             edges.swap(i, j);
         }
         for (u, v) in edges {
-            inc.add_edge(u, v);
+            insert(&mut inc, u, v);
         }
-        let built = inc.to_graph();
+        let built = inc.graph();
         let order = inc.current_order();
         order.validate().unwrap();
-        let m = metric(&built, &order);
+        let m = metric(built, &order);
         assert!(
             2 * m >= built.num_edges(),
             "incremental order violates the |E|/2 bound: {m} of {}",
@@ -461,11 +435,11 @@ mod tests {
         let seed_graph = b.build();
         let mut inc = IncrementalGoGraph::from_graph(&seed_graph);
         for &(u, v) in &edges[half..] {
-            inc.add_edge(u, v);
+            insert(&mut inc, u, v);
         }
-        let final_graph = inc.to_graph();
-        let m_inc = metric(&final_graph, &inc.current_order());
-        let m_full = metric(&final_graph, &GoGraph::default().run(&final_graph));
+        let final_graph = inc.graph();
+        let m_inc = metric(final_graph, &inc.current_order());
+        let m_full = metric(final_graph, &GoGraph::default().run(final_graph));
         assert!(
             m_inc as f64 >= 0.8 * m_full as f64,
             "incremental M {m_inc} fell far below full rerun {m_full}"
@@ -473,16 +447,14 @@ mod tests {
     }
 
     #[test]
-    fn add_vertex_extends_order() {
+    fn growing_inserts_extend_order() {
         let mut inc = IncrementalGoGraph::new(2);
-        inc.add_edge(0, 1);
-        let v = inc.add_vertex();
-        assert_eq!(v, 2);
-        inc.add_edge(1, v);
+        insert(&mut inc, 0, 1);
+        insert(&mut inc, 1, 2);
+        assert_eq!(inc.num_vertices(), 3);
         let order = inc.current_order();
         assert_eq!(order.len(), 3);
-        let g = inc.to_graph();
-        assert_eq!(metric(&g, &order), 2);
+        assert_eq!(metric(inc.graph(), &order), 2);
     }
 
     #[test]
@@ -516,29 +488,31 @@ mod tests {
     #[test]
     fn duplicate_and_self_edges_ignored() {
         let mut inc = IncrementalGoGraph::new(3);
-        inc.add_edge(0, 1);
-        inc.add_edge(0, 1);
-        inc.add_edge(2, 2);
+        insert(&mut inc, 0, 1);
+        insert(&mut inc, 0, 1);
+        insert(&mut inc, 2, 2);
         assert_eq!(inc.num_edges(), 1);
+        assert!(!inc.graph().has_edge(2, 2));
     }
 
     #[test]
-    fn remove_edge_deletes_and_reports() {
+    fn removes_delete_and_absent_ones_are_no_ops() {
         let mut inc = IncrementalGoGraph::new(4);
-        inc.add_edge(0, 1);
-        inc.add_edge(1, 2);
-        inc.add_edge(2, 3);
-        assert!(inc.remove_edge(1, 2));
+        for v in 0..3 {
+            insert(&mut inc, v, v + 1);
+        }
+        remove(&mut inc, 1, 2);
         assert_eq!(inc.num_edges(), 2);
-        assert!(!inc.remove_edge(1, 2), "second removal is a no-op");
-        assert!(!inc.remove_edge(3, 0), "absent edge is a no-op");
-        assert!(!inc.remove_edge(9, 0), "out-of-range is a no-op");
-        let g = inc.to_graph();
-        assert_eq!(g.num_edges(), 2);
+        remove(&mut inc, 1, 2); // second removal
+        remove(&mut inc, 3, 0); // absent edge
+        remove(&mut inc, 9, 0); // out of range
+        assert_eq!(inc.num_edges(), 2);
+        assert_eq!(inc.num_vertices(), 4, "a remove never grows the graph");
+        let g = inc.graph();
         assert!(!g.has_edge(1, 2));
         let order = inc.current_order();
         order.validate().unwrap();
-        assert_eq!(metric(&g, &order), 2, "survivors stay positive");
+        assert_eq!(metric(g, &order), 2, "survivors stay positive");
     }
 
     #[test]
@@ -546,18 +520,17 @@ mod tests {
         // 0 -> 1 plus a heavy bundle pulling 1 before 0: once the bundle
         // is deleted, repositioning must recover the 0 -> 1 edge.
         let mut inc = IncrementalGoGraph::new(6);
-        inc.add_edge(0, 1);
+        insert(&mut inc, 0, 1);
         for hub in 2..6u32 {
-            inc.add_edge(1, hub);
-            inc.add_edge(hub, 0);
+            insert(&mut inc, 1, hub);
+            insert(&mut inc, hub, 0);
         }
         for hub in 2..6u32 {
-            inc.remove_edge(1, hub);
-            inc.remove_edge(hub, 0);
+            remove(&mut inc, 1, hub);
+            remove(&mut inc, hub, 0);
         }
-        let g = inc.to_graph();
-        assert_eq!(g.num_edges(), 1);
-        assert_eq!(metric(&g, &inc.current_order()), 1);
+        assert_eq!(inc.num_edges(), 1);
+        assert_eq!(metric(inc.graph(), &inc.current_order()), 1);
     }
 
     #[test]
@@ -592,10 +565,9 @@ mod tests {
             .collect();
         inc.apply_updates(&churn[..60]);
 
-        let snapshot_graph = inc.to_graph();
         let (vals, lo, hi) = inc.order_state();
         let mut resumed =
-            IncrementalGoGraph::from_graph_with_saved_order(&snapshot_graph, &vals, lo, hi);
+            IncrementalGoGraph::from_graph_with_saved_order(inc.graph(), &vals, lo, hi);
         assert_eq!(resumed.current_order(), inc.current_order());
 
         // A permutation-seeded rebuild is NOT enough: its integer vals
@@ -626,13 +598,42 @@ mod tests {
             EdgeUpdate::insert_weighted(3, 0, 2.5),
             EdgeUpdate::remove(3, 0),
             EdgeUpdate::insert(2, 2), // self-loop: skipped
+            EdgeUpdate::insert(6, 6), // a self-loop grows nothing
+            EdgeUpdate::insert(0, 1), // duplicate
+            EdgeUpdate::remove(2, 0), // absent
+            EdgeUpdate::remove(1, 3),
+            EdgeUpdate::insert(1, 3), // removed, then back
         ]);
         assert_eq!(inc.num_vertices(), 4);
         assert_eq!(inc.num_edges(), 2);
-        let g = inc.to_graph();
+        let g = inc.graph();
         assert!(g.has_edge(0, 1) && g.has_edge(1, 3));
         assert!(!g.has_edge(3, 0));
         inc.current_order().validate().unwrap();
+        let m = metric(g, &inc.current_order());
+        assert_eq!(inc.positive_fraction(), m as f64 / 2.0);
+
+        // A batch that changes no edge moves no vertex.
+        inc.commit_order();
+        inc.apply_updates(&[
+            EdgeUpdate::insert(0, 2),
+            EdgeUpdate::remove(0, 2),
+            EdgeUpdate::insert(0, 1),
+            EdgeUpdate::remove(3, 1),
+        ]);
+        assert!(inc.commit_order().unwrap().is_empty());
+    }
+
+    #[test]
+    fn tied_keys_count_an_edge_by_the_id_tie_break() {
+        // Two vertices on one key: the committed order puts the lower id
+        // first, so the edge from it is positive, and `M` must say so.
+        let g = CsrGraph::from_edges(2, [(0, 1)]);
+        let mut inc = IncrementalGoGraph::from_graph_with_saved_order(&g, &[1.0, 1.0], 1.0, 1.0);
+        inc.commit_order();
+        let m = metric(inc.graph(), inc.committed_order());
+        assert_eq!(m, 1);
+        assert_eq!(inc.positive_fraction(), m as f64 / g.num_edges() as f64);
     }
 
     #[test]
@@ -649,11 +650,13 @@ mod tests {
             3,
         );
         let mut inc = IncrementalGoGraph::new(150);
-        for e in g.edges() {
-            inc.add_edge(e.src, e.dst);
-        }
-        let built = inc.to_graph();
-        let expected = metric(&built, &inc.current_order()) as f64 / built.num_edges() as f64;
+        let edges: Vec<EdgeUpdate> = g
+            .edges()
+            .map(|e| EdgeUpdate::insert(e.src, e.dst))
+            .collect();
+        inc.apply_updates(&edges);
+        let built = inc.graph();
+        let expected = metric(built, &inc.current_order()) as f64 / built.num_edges() as f64;
         assert!((inc.positive_fraction() - expected).abs() < 1e-12);
         assert_eq!(IncrementalGoGraph::new(3).positive_fraction(), 1.0);
     }

@@ -334,7 +334,7 @@ impl InsertionOrder {
     }
 
     /// The order's sort key: `val` ascending, ties by id.
-    fn key_cmp(&self, a: usize, b: usize) -> std::cmp::Ordering {
+    pub(crate) fn key_cmp(&self, a: usize, b: usize) -> std::cmp::Ordering {
         #[cfg(test)]
         KEY_CMPS.with(|c| c.set(c.get() + 1));
         self.vals[a]

@@ -6,11 +6,12 @@
 //!
 //! Per batch it
 //!
-//! 1. folds the updates into an [`IncrementalGoGraph`], which maintains
-//!    the positive-edge-maximizing processing order by local
-//!    repositioning instead of a full GoGraph re-run;
-//! 2. patches the CSR through [`CsrGraph::apply_updates`] (untouched
-//!    row spans copied whole, touched rows merged);
+//! 1. patches the CSR through [`CsrGraph::apply_updates`] (untouched
+//!    row blocks shared, touched rows merged);
+//! 2. repositions the endpoints of the changed edges against the patched
+//!    rows: the [`IncrementalGoGraph`] that owns the CSR maintains the
+//!    positive-edge-maximizing processing order by local repositioning
+//!    instead of a full GoGraph re-run;
 //! 3. when the maintained order's positive-edge fraction `M(O)/|E|` has
 //!    drifted more than a configurable threshold below its baseline,
 //!    runs a full — optionally parallel — GoGraph reorder and adopts it
@@ -226,7 +227,6 @@ impl StreamingPipelineBuilder {
                 ..Counters::default()
             },
             inc,
-            graph,
             moves: None,
         };
 
@@ -236,7 +236,7 @@ impl StreamingPipelineBuilder {
             .map(|spec| {
                 let mut track = Track::new(spec);
                 let stats = track.run(&shared, None)?;
-                track.absorb(&shared.graph, stats, None);
+                track.absorb(shared.inc.graph(), stats, None);
                 Ok(track)
             })
             .collect::<Result<Vec<Track>, EngineError>>()?;
@@ -275,7 +275,7 @@ impl StreamingPipelineBuilder {
             .zip(images)
             .map(|(spec, image)| {
                 let mut track = Track::new(spec);
-                track.adopt(&shared.graph, image);
+                track.adopt(shared.inc.graph(), image);
                 track
             })
             .collect();
@@ -474,12 +474,11 @@ pub struct StreamingPipeline {
     tracks: Vec<Track>,
 }
 
-/// The algorithm-independent part of a pipeline: graph, maintained
-/// order and drift baseline.
+/// The algorithm-independent part of a pipeline: the order maintainer,
+/// which owns the graph, and the drift baseline.
 struct Shared {
     policy: OrderPolicy,
     inc: IncrementalGoGraph,
-    graph: CsrGraph,
     /// The moves the last batch made to the order (see
     /// [`StreamingPipeline::order_moves`]).
     moves: Option<OrderPatch>,
@@ -560,7 +559,7 @@ impl StreamingPipeline {
         updates: &[EdgeUpdate],
         mut before_track: impl FnMut(usize),
     ) -> Result<BatchResult, EngineError> {
-        let vertices = self.shared.graph.num_vertices();
+        let vertices = self.shared.inc.graph().num_vertices();
         check_batch(updates, vertices).map_err(EngineError::InvalidBatch)?;
         let grown = grown_vertices(vertices, updates);
         let t = Instant::now();
@@ -572,7 +571,7 @@ impl StreamingPipeline {
         let lost_support = self.shared.maintain(&updates);
         // The count a service admitting batches ahead of this one holds
         // the next batch to.
-        debug_assert_eq!(self.shared.graph.num_vertices(), grown);
+        debug_assert_eq!(self.shared.inc.graph().num_vertices(), grown);
         let reorder = t.elapsed();
 
         let t = Instant::now();
@@ -603,7 +602,7 @@ impl StreamingPipeline {
         let shared = &self.shared;
         let (order_vals, order_min_val, order_max_val) = shared.inc.order_state();
         ResumableState {
-            graph: shared.graph.snapshot(),
+            graph: shared.inc.graph().snapshot(),
             order_vals,
             order_min_val,
             order_max_val,
@@ -626,9 +625,11 @@ impl StreamingPipeline {
     /// happened since, a batch that panicked between two tracks
     /// included. Going forward it behaves bit-identically to a pipeline
     /// that never applied those batches: it rebuilds exactly as
-    /// [`StreamingPipelineBuilder::resume`] does, the order maintainer
-    /// from the saved keys and the dependence levels from the saved
-    /// states, at `O(|E|)` per track — a cost paid only on rollback. As
+    /// [`StreamingPipelineBuilder::resume`] does. The order maintainer
+    /// takes the saved keys over the saved graph, which it shares, and
+    /// counts `M` in one sweep of the edges, copying none; the dependence
+    /// levels are rebuilt from the saved states at `O(|E|)` per track —
+    /// a cost paid only on rollback. As
     /// after a resume, each [`Track::last_run`] then reads 0 rounds with
     /// the saved `converged` flag.
     ///
@@ -642,13 +643,13 @@ impl StreamingPipeline {
         let (shared, images) = Shared::resume(self.shared.policy, state);
         self.shared = shared;
         for (track, image) in self.tracks.iter_mut().zip(images) {
-            track.adopt(&self.shared.graph, image);
+            track.adopt(self.shared.inc.graph(), image);
         }
     }
 
     /// The current graph (after all applied batches).
     pub fn graph(&self) -> &CsrGraph {
-        &self.shared.graph
+        self.shared.inc.graph()
     }
 
     /// The maintained processing order.
@@ -732,8 +733,8 @@ impl Shared {
     }
 
     /// The shared part of a resumed pipeline — the order maintainer
-    /// rebuilt from its saved keys, the rest adopted as saved — and the
-    /// tracks' part, handed back for [`Track::adopt`].
+    /// rebuilt over the saved graph from its saved keys, the rest adopted
+    /// as saved — and the tracks' part, handed back for [`Track::adopt`].
     fn resume(policy: OrderPolicy, state: ResumableState) -> (Shared, Vec<TrackState>) {
         let mut inc = IncrementalGoGraph::from_graph_with_saved_order(
             &state.graph,
@@ -745,7 +746,6 @@ impl Shared {
         let shared = Shared {
             policy,
             inc,
-            graph: state.graph,
             moves: None,
             baseline_fraction: state.baseline_fraction,
             counters: Counters {
@@ -756,7 +756,7 @@ impl Shared {
         (shared, state.tracks)
     }
 
-    /// Folds a (self-loop-free) batch into the order and the CSR and
+    /// Folds a (self-loop-free) batch into the CSR and the order and
     /// hands the order on. Returns the heads of edges the batch took
     /// away or re-weighted (a duplicate insert keeps the smaller weight,
     /// which narrows a widest path): the only vertices whose state can
@@ -768,9 +768,9 @@ impl Shared {
             self.moves = Some(OrderPatch::none(self.order().len()));
             return Vec::new();
         }
+        let before = self.inc.graph().snapshot();
         self.inc.apply_updates(updates);
-        let patched = self.graph.apply_updates(updates);
-        let before = &self.graph;
+        let patched = self.inc.graph();
         let lost_support = updates
             .iter()
             .filter_map(|u| {
@@ -782,8 +782,6 @@ impl Shared {
                 (had.is_some() && had != patched.edge_weight(src, dst)).then_some(dst)
             })
             .collect();
-        self.graph = patched;
-        debug_assert_eq!(self.inc.num_vertices(), self.graph.num_vertices());
         if self.baseline_fraction - self.inc.positive_fraction() > self.policy.drift_threshold {
             self.repair_order();
         }
@@ -800,8 +798,8 @@ impl Shared {
     fn repair_order(&mut self) {
         let order = GoGraph::default()
             .parallelism(self.policy.reorder_threads)
-            .run(&self.graph);
-        let fresh = IncrementalGoGraph::from_graph_with_order(&self.graph, &order);
+            .run(self.inc.graph());
+        let fresh = IncrementalGoGraph::from_graph_with_order(self.inc.graph(), &order);
         if fresh.positive_fraction() > self.inc.positive_fraction() {
             self.inc = fresh;
             self.counters.full_reorders += 1;
@@ -912,7 +910,7 @@ impl Track {
     /// `start` is `None`.
     fn run(&self, shared: &Shared, start: Option<WarmStart>) -> Result<RunStats, EngineError> {
         execute(
-            &shared.graph,
+            shared.inc.graph(),
             self.algorithm(),
             self.spec.mode,
             shared.order(),
@@ -934,7 +932,7 @@ impl Track {
         updates: &[EdgeUpdate],
         lost_support: &[VertexId],
     ) -> Result<(), EngineError> {
-        let g = &shared.graph;
+        let g = shared.inc.graph();
         let n = g.num_vertices();
         if self.states.len() < n {
             let old = self.states.len() as VertexId;
@@ -1147,8 +1145,8 @@ impl std::fmt::Debug for StreamingPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (policy, counters) = (self.shared.policy, self.shared.counters);
         f.debug_struct("StreamingPipeline")
-            .field("vertices", &self.shared.graph.num_vertices())
-            .field("edges", &self.shared.graph.num_edges())
+            .field("vertices", &self.shared.inc.graph().num_vertices())
+            .field("edges", &self.shared.inc.graph().num_edges())
             .field("tracks", &self.tracks)
             .field("batches_applied", &counters.batches_applied)
             .field("full_reorders", &counters.full_reorders)

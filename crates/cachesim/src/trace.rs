@@ -81,47 +81,38 @@ pub fn cache_misses_of_order(g: &CsrGraph, order: &Permutation, rounds: usize) -
     simulate_pagerank_rounds(&relabeled, &mut h, rounds)
 }
 
-/// Replays the access pattern of a dense pull round on the
-/// **compressed** CSR backend (`CsrStorage::Compressed`): per vertex
-/// `v` the gather reads the out-of-band degree entry, streams the
-/// delta-varint row bytes sequentially, and per decoded in-neighbor
-/// `u` reads `state[u]` plus the 4-byte `out_degrees[u]` entry (the
-/// compressed backend keeps a degree array, not offset pairs), then
-/// writes `state[v]`.
+/// Replays the access pattern of a dense pull round over rows as they
+/// are stored — on a compressed graph, delta-varint runs in packed row
+/// blocks: per vertex `v` the gather reads the row's byte offset (4
+/// bytes, inline in its block, sequential), streams the row's stored
+/// bytes sequentially, and per decoded in-neighbor `u` reads `state[u]`
+/// plus the 4-byte `out_degrees[u]` entry (the graph keeps a degree
+/// array, not offset pairs), then writes `state[v]`.
 ///
 /// Two locality effects vs the flat trace: the neighbor stream shrinks
 /// from 4 bytes per edge to the encoded gap width (≈1 byte after a
 /// locality-aware reorder), and the degree lookup halves. The random
 /// `state[u]` reads are identical — so orderings are compared on the
 /// same footing as the hardware counters in paper Figs. 9–10.
-///
-/// Panics if `g` is not on the compressed backend.
 pub fn simulate_compressed_pull_rounds(
     g: &CsrGraph,
     hierarchy: &mut CacheHierarchy,
     rounds: usize,
 ) -> HierarchyStats {
-    let adj = g
-        .compressed_in_adjacency()
-        .expect("simulate_compressed_pull_rounds requires compressed storage");
+    let rows = g.in_rows();
     let lay = layout(g);
-    let degrees_base = 4 * PAD;
-    let n = g.num_vertices();
     for _ in 0..rounds {
-        // Dense sweep: rows are consecutive within shards and shards
-        // consecutive in memory, so the payload cursor just advances.
+        // Dense sweep: the rows' bytes are laid out in row order, so the
+        // stream cursor just advances.
         let mut byte_cursor = 0u64;
-        for v in 0..n as u32 {
-            // Out-of-band degree of the row being decoded (4 bytes,
-            // sequential).
-            hierarchy.access(degrees_base + 4 * v as u64);
-            let row_len = adj.row_bytes(v).len() as u64;
-            // Sequential byte-stream decode of the row.
+        for v in g.vertices() {
+            hierarchy.access(lay.in_offsets_base + 4 * v as u64);
+            let row_len = rows.stored_bytes(v) as u64;
             for b in 0..row_len {
                 hierarchy.access(lay.in_sources_base + byte_cursor + b);
             }
             byte_cursor += row_len;
-            adj.for_each(v, |u| {
+            rows.for_each_edge(v, false, |u, _| {
                 // Random state read — the locality-critical access.
                 hierarchy.access(lay.state_base + 8 * u as u64);
                 // Neighbor out-degree (single 4-byte entry).

@@ -5,7 +5,7 @@
 //! [`Permutation`], which is all an engine needs. `PartitionedOrder`
 //! keeps the structure for callers that want more: which partition each
 //! vertex belongs to, the contiguous residual-rank range each partition
-//! occupies (where compressed shards or row blocks can be cut), and each
+//! occupies (a file or a placement policy can cut storage there), and each
 //! partition's contribution to the metric `M(O)` at construction time.
 
 use gograph_graph::{CsrGraph, Permutation, VertexId};

@@ -212,47 +212,24 @@ pub(crate) use dispatch_delta;
 
 /// Prebuilt per-run gather inputs: the in-adjacency rows plus the
 /// graph's cached out-degree array — so the per-edge loop walks one
-/// row slice per vertex, and the PageRank-family `out_degree(u)`
-/// lookup is one load. Algorithms whose gather is weight-free
-/// ([`IterativeAlgorithm::uses_edge_weights`] `== false`) skip the
-/// weight stream entirely.
-///
-/// The streams come in two variants matching the graph's storage
-/// backend: the row blocks of the uncompressed CSR (one block lookup
-/// per vertex, then plain slices per edge), or a decode-per-row view
-/// of the compressed adjacency ([`gograph_graph::CompressedAdjacency`])
-/// whose varint blocks are decoded inline in the gather loop — no
-/// materialized adjacency, same fold order, bit-identical results.
+/// row per vertex ([`Rows::for_each_edge`], in either row-block
+/// encoding: plain slices, or a delta-varint row decoded inline — same
+/// fold order, bit-identical results), and the PageRank-family
+/// `out_degree(u)` lookup is one load. Algorithms whose gather is
+/// weight-free ([`IterativeAlgorithm::uses_edge_weights`] `== false`)
+/// skip the weights entirely.
 ///
 /// Construction is `O(1)`: the context borrows the graph's own storage.
 pub struct GatherContext<'g> {
-    streams: GatherStreams<'g>,
+    rows: Rows<'g>,
     pub(crate) out_degrees: &'g [u32],
 }
 
-/// The per-backend in-edge streams of a [`GatherContext`].
-enum GatherStreams<'g> {
-    Flat(Rows<'g>),
-    Compressed {
-        adj: &'g gograph_graph::CompressedAdjacency,
-        /// `(offsets, weights)` parallel to the decoded rows; `None` for
-        /// unit-weight graphs (every edge weight is `1.0`).
-        weights: Option<(&'g [usize], &'g [Weight])>,
-    },
-}
-
 impl<'g> GatherContext<'g> {
-    /// Builds the context for `g` (either storage backend).
+    /// Builds the context for `g` (either encoding).
     pub fn new(g: &'g CsrGraph) -> Self {
-        let streams = match g.compressed_in_adjacency() {
-            Some(adj) => GatherStreams::Compressed {
-                adj,
-                weights: g.compressed_in_weight_streams(),
-            },
-            None => GatherStreams::Flat(g.in_rows()),
-        };
         GatherContext {
-            streams,
+            rows: g.in_rows(),
             out_degrees: g.out_degrees(),
         }
     }
@@ -280,7 +257,7 @@ impl<'g> GatherContext<'g> {
     /// sequential kernels (plain `&[f64]` reads) and the block-parallel
     /// kernel (atomic loads). With a concrete `A` everything inlines,
     /// the `uses_edge_weights` branch constant-folds, and weight-free
-    /// algorithms never touch the weight stream.
+    /// algorithms never touch the weights.
     #[inline(always)]
     pub fn gather_with<A: IterativeAlgorithm + ?Sized>(
         &self,
@@ -288,80 +265,26 @@ impl<'g> GatherContext<'g> {
         v: VertexId,
         read: impl Fn(usize) -> f64,
     ) -> f64 {
-        match &self.streams {
-            GatherStreams::Flat(rows) => {
-                let mut acc = alg.gather_identity();
-                if alg.uses_edge_weights() {
-                    let (ids, weights) = rows.row(v);
-                    for (&u, &w) in ids.iter().zip(weights) {
-                        let u = u as usize;
-                        acc = alg.gather(acc, read(u), w, self.out_degrees[u] as usize);
-                    }
-                } else {
-                    for &u in rows.ids(v) {
-                        let u = u as usize;
-                        acc = alg.gather(acc, read(u), 1.0, self.out_degrees[u] as usize);
-                    }
-                }
-                acc
-            }
-            GatherStreams::Compressed { adj, weights } => {
-                let mut acc = alg.gather_identity();
-                if alg.uses_edge_weights() {
-                    match weights {
-                        Some((offsets, ws)) => {
-                            // Weighted graph: walk the flat weight stream
-                            // in lockstep with the decoded id stream.
-                            let mut i = offsets[v as usize];
-                            adj.for_each(v, |u| {
-                                let u = u as usize;
-                                acc = alg.gather(acc, read(u), ws[i], self.out_degrees[u] as usize);
-                                i += 1;
-                            });
-                        }
-                        None => {
-                            // Weight streams are dropped exactly when
-                            // every weight is 1.0, so the constant is the
-                            // true per-edge weight here.
-                            adj.for_each(v, |u| {
-                                let u = u as usize;
-                                acc = alg.gather(acc, read(u), 1.0, self.out_degrees[u] as usize);
-                            });
-                        }
-                    }
-                } else {
-                    adj.for_each(v, |u| {
-                        let u = u as usize;
-                        acc = alg.gather(acc, read(u), 1.0, self.out_degrees[u] as usize);
-                    });
-                }
-                acc
-            }
-        }
+        let mut acc = alg.gather_identity();
+        self.rows.for_each_edge(v, alg.uses_edge_weights(), |u, w| {
+            let u = u as usize;
+            acc = alg.gather(acc, read(u), w, self.out_degrees[u] as usize);
+        });
+        acc
     }
 }
 
 /// Prebuilt per-run scatter inputs — the push-direction counterpart of
-/// [`GatherContext`]: the out-adjacency streams plus the cached
-/// out-degree array, so a push round walks an active vertex's out-edges
-/// as one contiguous stream (a row slice, or a row decoded from the
-/// compressed out-adjacency inline). Construction is `O(1)` (borrows
-/// the graph's storage). Holds only shared borrows, so the
-/// block-parallel engine scatters through one context from many workers
-/// concurrently (target-cell races are resolved by its CAS relaxation
-/// loop, not here).
+/// [`GatherContext`]: the out-adjacency rows plus the cached out-degree
+/// array, so a push round walks an active vertex's out-edges as one
+/// stream in either encoding. Construction is `O(1)` (borrows the
+/// graph's storage). Holds only shared borrows, so the block-parallel
+/// engine scatters through one context from many workers concurrently
+/// (target-cell races are resolved by its CAS relaxation loop, not
+/// here).
 pub struct ScatterContext<'g> {
-    streams: ScatterStreams<'g>,
+    rows: Rows<'g>,
     pub(crate) out_degrees: &'g [u32],
-}
-
-/// The per-backend out-edge streams of a [`ScatterContext`].
-enum ScatterStreams<'g> {
-    Flat(Rows<'g>),
-    Compressed {
-        adj: &'g gograph_graph::CompressedAdjacency,
-        weights: Option<(&'g [usize], &'g [Weight])>,
-    },
 }
 
 // Compile-time thread-safety audit: the parallel kernel and snapshot
@@ -374,17 +297,10 @@ const _: () = {
 };
 
 impl<'g> ScatterContext<'g> {
-    /// Builds the context for `g` (either storage backend).
+    /// Builds the context for `g` (either encoding).
     pub fn new(g: &'g CsrGraph) -> Self {
-        let streams = match g.compressed_out_adjacency() {
-            Some(adj) => ScatterStreams::Compressed {
-                adj,
-                weights: g.compressed_out_weight_streams(),
-            },
-            None => ScatterStreams::Flat(g.out_rows()),
-        };
         ScatterContext {
-            streams,
+            rows: g.out_rows(),
             out_degrees: g.out_degrees(),
         }
     }
@@ -401,7 +317,7 @@ impl<'g> ScatterContext<'g> {
     /// folds the candidate into the target's state with `apply` — sound
     /// exactly when [`IterativeAlgorithm::supports_push`] holds. With a
     /// concrete `A` the `uses_edge_weights` branch constant-folds and
-    /// weight-free algorithms never touch the weight stream.
+    /// weight-free algorithms compute the candidate once.
     #[inline(always)]
     pub fn scatter<A: IterativeAlgorithm + ?Sized>(
         &self,
@@ -410,43 +326,17 @@ impl<'g> ScatterContext<'g> {
         state_u: f64,
         mut visit: impl FnMut(VertexId, f64),
     ) {
-        let ui = u as usize;
-        let du = self.out_degrees[ui] as usize;
+        let du = self.out_degrees[u as usize] as usize;
         let identity = alg.gather_identity();
-        match &self.streams {
-            ScatterStreams::Flat(rows) => {
-                if alg.uses_edge_weights() {
-                    let (targets, weights) = rows.row(u);
-                    for (&v, &w) in targets.iter().zip(weights) {
-                        visit(v, alg.gather(identity, state_u, w, du));
-                    }
-                } else {
-                    let cand = alg.gather(identity, state_u, 1.0, du);
-                    for &v in rows.ids(u) {
-                        visit(v, cand);
-                    }
-                }
-            }
-            ScatterStreams::Compressed { adj, weights } => {
-                if alg.uses_edge_weights() {
-                    match weights {
-                        Some((offsets, ws)) => {
-                            let mut i = offsets[ui];
-                            adj.for_each(u, |v| {
-                                visit(v, alg.gather(identity, state_u, ws[i], du));
-                                i += 1;
-                            });
-                        }
-                        None => {
-                            let cand = alg.gather(identity, state_u, 1.0, du);
-                            adj.for_each(u, |v| visit(v, cand));
-                        }
-                    }
-                } else {
-                    let cand = alg.gather(identity, state_u, 1.0, du);
-                    adj.for_each(u, |v| visit(v, cand));
-                }
-            }
+        if alg.uses_edge_weights() {
+            // `visit` moves into the walk: borrowed into it, it was left
+            // a call, and SSSP push rounds ran ~9 % slower.
+            self.rows.for_each_edge(u, true, move |v, w| {
+                visit(v, alg.gather(identity, state_u, w, du));
+            });
+        } else {
+            let cand = alg.gather(identity, state_u, 1.0, du);
+            self.rows.for_each_edge(u, false, |v, _| visit(v, cand));
         }
     }
 }
@@ -506,9 +396,8 @@ mod tests {
 
     #[test]
     fn compressed_contexts_match_flat_contexts() {
-        // Weighted and unit-weight graphs, across shard counts: the
-        // decode-per-row gather/scatter must reproduce the flat streams'
-        // folds bit for bit.
+        // Weighted and unit-weight graphs: the decode-per-row
+        // gather/scatter must reproduce the flat rows' folds bit for bit.
         let weighted = CsrGraph::from_edges(
             5,
             [
@@ -525,31 +414,29 @@ mod tests {
             let flat_g = GatherContext::new(g);
             let flat_s = ScatterContext::new(g);
             let states = vec![0.3, 1.0, 7.0, 2.0, 0.9];
-            for shards in [&[][..], &[2][..], &[1, 2, 3, 4][..]] {
-                let c = g.compress_with_shards(shards);
-                let ctx = GatherContext::new(&c);
-                let sctx = ScatterContext::new(&c);
-                let algs: Vec<Box<dyn IterativeAlgorithm>> = vec![
-                    Box::new(Sssp::new(0)),
-                    Box::new(PageRank::default()),
-                    Box::new(Bfs::new(0)),
-                ];
-                for alg in &algs {
-                    let alg = alg.as_ref();
-                    for v in g.vertices() {
-                        assert_eq!(
-                            ctx.gather(alg, v, &states).to_bits(),
-                            flat_g.gather(alg, v, &states).to_bits(),
-                            "{} gather at {v}",
-                            alg.name()
-                        );
-                        let mut got = Vec::new();
-                        sctx.scatter(alg, v, states[v as usize], |t, cand| got.push((t, cand)));
-                        let mut want = Vec::new();
-                        flat_s.scatter(alg, v, states[v as usize], |t, cand| want.push((t, cand)));
-                        assert_eq!(got, want, "{} scatter at {v}", alg.name());
-                        assert_eq!(sctx.out_degree(v), flat_s.out_degree(v));
-                    }
+            let c = g.compress();
+            let ctx = GatherContext::new(&c);
+            let sctx = ScatterContext::new(&c);
+            let algs: Vec<Box<dyn IterativeAlgorithm>> = vec![
+                Box::new(Sssp::new(0)),
+                Box::new(PageRank::default()),
+                Box::new(Bfs::new(0)),
+            ];
+            for alg in &algs {
+                let alg = alg.as_ref();
+                for v in g.vertices() {
+                    assert_eq!(
+                        ctx.gather(alg, v, &states).to_bits(),
+                        flat_g.gather(alg, v, &states).to_bits(),
+                        "{} gather at {v}",
+                        alg.name()
+                    );
+                    let mut got = Vec::new();
+                    sctx.scatter(alg, v, states[v as usize], |t, cand| got.push((t, cand)));
+                    let mut want = Vec::new();
+                    flat_s.scatter(alg, v, states[v as usize], |t, cand| want.push((t, cand)));
+                    assert_eq!(got, want, "{} scatter at {v}", alg.name());
+                    assert_eq!(sctx.out_degree(v), flat_s.out_degree(v));
                 }
             }
         }

@@ -7,41 +7,35 @@
 //! which makes `has_edge` a binary search and keeps all downstream
 //! algorithms deterministic.
 //!
-//! A graph lives in one of two storage backends behind `CsrStorage`:
+//! Each direction's rows are cut into one table of fixed-height **row
+//! blocks** of [`BLOCK_ROWS`] rows, each block one `Arc`. A block holds
+//! its rows in one of two encodings:
 //!
-//! - **Uncompressed** — each direction's rows cut into fixed-height
-//!   **row blocks** of [`BLOCK_ROWS`] rows, each block one `Arc` holding
-//!   block-local offsets, neighbor ids and weights. The default, and the
-//!   only backend the reordering pipeline accepts. A batch of updates
-//!   ([`CsrGraph::apply_updates`]) re-splices only the blocks it touches
-//!   and shares every other block with its input, so successive versions
-//!   of an evolving graph share every row a batch left alone;
-//! - **Compressed** — per-vertex delta-varint neighbor blocks
-//!   ([`crate::compressed`]) sharded by contiguous vertex ranges, at a
-//!   few bytes per edge after a locality-improving reorder. Produced by
-//!   [`CsrGraph::compress`]; the engines decode rows on the fly, so
-//!   iterative algorithms run without ever materializing the flat
-//!   adjacency.
+//! - **raw** — neighbor ids and weights as plain arrays. Every graph is
+//!   built this way, and it is the only encoding the slice accessors
+//!   ([`CsrGraph::out_neighbors`], [`Rows::row`], …) and the reordering
+//!   pipeline read;
+//! - **packed** — each row one delta-varint byte run
+//!   ([`crate::compressed`]) with the weights beside it, dropped when
+//!   every weight in the block is `1.0`: a few bytes per edge after a
+//!   locality-improving reorder. [`CsrGraph::compress`] packs every
+//!   block, [`CsrGraph::decompress`] unpacks them.
 //!
-//! Slice-returning accessors ([`CsrGraph::out_neighbors`],
-//! [`CsrGraph::in_rows`], …) require uncompressed storage and panic
-//! otherwise; streaming accessors ([`CsrGraph::in_edges`],
-//! [`CsrGraph::out_edges`], [`CsrGraph::for_each_out_neighbor`], …) work
-//! on both backends.
+//! All blocks of a graph share one encoding. A batch of updates
+//! ([`CsrGraph::apply_updates`]) re-splices only the blocks it touches,
+//! in that encoding, and shares every other block with its input, so
+//! successive versions of an evolving graph share every row a batch left
+//! alone, compressed or not. Every accessor that does not return a slice
+//! ([`Rows::for_each_edge`], [`CsrGraph::in_edges`],
+//! [`CsrGraph::for_each_out_neighbor`], …) reads both encodings; the
+//! slice accessors panic on a packed graph.
 
 use crate::builder::GraphBuilder;
-use crate::compressed::CompressedAdjacency;
+use crate::compressed::{decode_row_with, encode_row};
 use crate::permutation::Permutation;
 use crate::types::{Direction, Edge, EdgeUpdate, VertexId, Weight};
+use std::borrow::Cow;
 use std::sync::Arc;
-
-/// Vertices per shard when [`CsrGraph::compress`] picks boundaries
-/// itself (callers with a partition pass theirs to
-/// [`CsrGraph::compress_with_shards`]).
-const DEFAULT_SHARD_VERTICES: usize = 1 << 16;
-
-/// Upper bound on auto-picked shard count.
-const MAX_DEFAULT_SHARDS: usize = 64;
 
 /// `log2` of [`BLOCK_ROWS`].
 const BLOCK_SHIFT: u32 = 6;
@@ -73,17 +67,19 @@ pub const BLOCK_ROWS: usize = 1 << BLOCK_SHIFT;
 /// A `CsrGraph` is immutable once built (every "mutation" —
 /// [`CsrGraph::apply_updates`], [`CsrGraph::relabeled`] — produces a new
 /// graph), so **`clone` is O(1)**: it shares storage instead of
-/// deep-copying. On uncompressed storage a graph is one table of row
-/// blocks per direction plus the out-degree array, each block behind
-/// its own [`Arc`]. [`CsrGraph::apply_updates`] builds new blocks only
-/// where the batch lands and shares every other block with its input:
-/// that is what makes publishing an epoch snapshot of an evolving graph
-/// cheap, and what lets many pinned versions cost one graph plus the
-/// blocks their batches rewrote — see [`CsrGraph::snapshot`] and
+/// deep-copying. A graph is one table of row blocks per direction plus
+/// the out-degree array, each block behind its own [`Arc`].
+/// [`CsrGraph::apply_updates`] builds new blocks only where the batch
+/// lands and shares every other block with its input: that is what
+/// makes publishing an epoch snapshot of an evolving graph cheap, and
+/// what lets many pinned versions cost one graph plus the blocks their
+/// batches rewrote — see [`CsrGraph::snapshot`] and
 /// [`CsrGraph::shared_bytes_with`].
 ///
-/// The block cut depends only on the vertex count, so equal graphs have
-/// equal layouts and `==` compares content however either was built.
+/// The block cut depends only on the vertex count and the encoding is
+/// deterministic, so equal graphs in one encoding have equal layouts and
+/// `==` compares content however either was built; a packed graph never
+/// equals a raw one.
 ///
 /// ```
 /// use gograph_graph::CsrGraph;
@@ -98,57 +94,75 @@ pub const BLOCK_ROWS: usize = 1 << BLOCK_SHIFT;
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrGraph {
     num_vertices: usize,
+    num_edges: usize,
+    /// True when every block is packed (see [`CsrGraph::compress`]); the
+    /// encoding of the blocks a batch adds.
+    packed: bool,
     /// Cached per-vertex out-degrees. Engines read `out_degree(u)` once
     /// per *edge* (PageRank-family normalization), so serving it from one
     /// contiguous array instead of a block lookup matters in the gather
-    /// inner loop. Present for both backends (compressed rows are
-    /// degree-delimited, so this array is load-bearing there too).
+    /// inner loop.
     out_degrees: Arc<Vec<u32>>,
-    storage: CsrStorage,
-}
-
-/// The two storage backends of a [`CsrGraph`].
-#[derive(Debug, Clone, PartialEq)]
-enum CsrStorage {
-    Uncompressed(BlockCsr),
-    Compressed(CompressedCsr),
+    out: BlockTable,
+    inc: BlockTable,
 }
 
 /// One direction's rows, block by block.
 type BlockTable = Arc<Vec<Arc<RowBlock>>>;
 
-/// The row-block tables of both directions (the uncompressed backend).
-#[derive(Debug, Clone, PartialEq)]
-struct BlockCsr {
-    num_edges: usize,
-    out: BlockTable,
-    inc: BlockTable,
-}
-
 /// Up to [`BLOCK_ROWS`] consecutive rows of one direction: row `r` of
-/// the block is `ids[offsets[r]..offsets[r + 1]]`, sorted ascending,
-/// with `weights` parallel to `ids`. The offsets live inline, in the
-/// block's own allocation, and entries past `rows` repeat the end: a
-/// row lookup is one load from the block, with no bounds check.
-#[derive(Debug, PartialEq)]
+/// the block spans `offsets[r]..offsets[r + 1]` of its payload — of the
+/// ids and weights when raw, of the byte runs when packed. The offsets
+/// live inline, in the block's own allocation, and entries past `rows`
+/// repeat the end: a row lookup is one load from the block, with no
+/// bounds check.
+#[derive(Debug, Clone, PartialEq)]
 struct RowBlock {
     rows: usize,
     offsets: [u32; BLOCK_ROWS + 1],
-    ids: Vec<VertexId>,
+    payload: Payload,
+}
+
+/// The rows of a [`RowBlock`] in one of the two encodings.
+#[derive(Debug, Clone, PartialEq)]
+enum Payload {
+    /// Neighbor ids, ascending within a row, and the weights parallel
+    /// to them.
+    Raw {
+        ids: Vec<VertexId>,
+        weights: Vec<Weight>,
+    },
+    /// Each row's [`encode_row`] run, and the block's weights unless
+    /// every one of them is `1.0`.
+    Packed {
+        bytes: Vec<u8>,
+        weights: Option<Box<PackedWeights>>,
+    },
+}
+
+/// The weights of a packed block: row `r`'s are
+/// `weights[starts[r]..starts[r + 1]]`, in neighbor order.
+#[derive(Debug, Clone, PartialEq)]
+struct PackedWeights {
+    starts: [u32; BLOCK_ROWS + 1],
     weights: Vec<Weight>,
+}
+
+/// `offsets` (a block's `rows + 1` leading entries) padded to the
+/// inline array, entries past the end repeating it.
+fn inline_offsets(offsets: &[u32]) -> [u32; BLOCK_ROWS + 1] {
+    let mut inline = [offsets[offsets.len() - 1]; BLOCK_ROWS + 1];
+    inline[..offsets.len()].copy_from_slice(offsets);
+    inline
 }
 
 impl RowBlock {
     /// A block of `offsets.len() - 1` rows.
-    fn new(offsets: &[u32], ids: Vec<VertexId>, weights: Vec<Weight>) -> RowBlock {
-        let rows = offsets.len() - 1;
-        let mut inline = [offsets[rows]; BLOCK_ROWS + 1];
-        inline[..=rows].copy_from_slice(offsets);
+    fn new(offsets: &[u32], payload: Payload) -> RowBlock {
         RowBlock {
-            rows,
-            offsets: inline,
-            ids,
-            weights,
+            rows: offsets.len() - 1,
+            offsets: inline_offsets(offsets),
+            payload,
         }
     }
 
@@ -157,13 +171,159 @@ impl RowBlock {
         &self.offsets[..=self.rows]
     }
 
-    /// Bytes of the ids and offsets.
-    fn structure_bytes(&self) -> usize {
-        std::mem::size_of_val(&self.offsets) + self.ids.capacity() * std::mem::size_of::<u32>()
+    fn is_packed(&self) -> bool {
+        matches!(self.payload, Payload::Packed { .. })
     }
 
+    /// Row `r`'s span of the payload.
+    #[inline(always)]
+    fn span(&self, r: usize) -> std::ops::Range<usize> {
+        self.offsets[r] as usize..self.offsets[r + 1] as usize
+    }
+
+    /// The ids and weights of a raw block.
+    #[inline(always)]
+    fn raw_payload(&self) -> Option<(&[VertexId], &[Weight])> {
+        match &self.payload {
+            Payload::Raw { ids, weights } => Some((ids, weights)),
+            Payload::Packed { .. } => None,
+        }
+    }
+
+    /// Row `r`'s ids and weights, when the block is raw.
+    #[inline(always)]
+    fn raw_row(&self, r: usize) -> Option<(&[VertexId], &[Weight])> {
+        let (ids, weights) = self.raw_payload()?;
+        Some((&ids[self.span(r)], &weights[self.span(r)]))
+    }
+
+    /// Calls `f(neighbor, weight)` for each edge of row `r`, which is
+    /// vertex `v`, in ascending neighbor order. With `weighted == false`
+    /// the weight passed is `1.0` and no weight is read.
+    #[inline(always)]
+    fn for_each_edge(
+        &self,
+        v: VertexId,
+        r: usize,
+        weighted: bool,
+        mut f: impl FnMut(VertexId, Weight),
+    ) {
+        let (s, e) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
+        match &self.payload {
+            Payload::Raw { ids, weights } => {
+                if weighted {
+                    for (&u, &w) in ids[s..e].iter().zip(&weights[s..e]) {
+                        f(u, w);
+                    }
+                } else {
+                    for &u in &ids[s..e] {
+                        f(u, 1.0);
+                    }
+                }
+            }
+            Payload::Packed { bytes, weights } => match weights.as_deref().filter(|_| weighted) {
+                Some(pw) => {
+                    let mut i = pw.starts[r] as usize;
+                    decode_row_with(v, &bytes[s..e], |u| {
+                        f(u, pw.weights[i]);
+                        i += 1;
+                    });
+                }
+                // Weights are dropped exactly when every one is 1.0, so
+                // the constant is the true weight here.
+                None => decode_row_with(v, &bytes[s..e], |u| f(u, 1.0)),
+            },
+        }
+    }
+
+    /// Row `r`'s neighbor count: two offset loads, except in a packed
+    /// block without weights, where the row (vertex `v`) is decoded.
+    #[inline]
+    fn degree(&self, v: VertexId, r: usize) -> usize {
+        let span = |o: &[u32; BLOCK_ROWS + 1]| (o[r + 1] - o[r]) as usize;
+        match &self.payload {
+            Payload::Raw { .. } => span(&self.offsets),
+            Payload::Packed {
+                weights: Some(pw), ..
+            } => span(&pw.starts),
+            Payload::Packed { weights: None, .. } => {
+                let mut d = 0;
+                self.for_each_edge(v, r, false, |_, _| d += 1);
+                d
+            }
+        }
+    }
+
+    /// The block in the raw encoding: itself, or its rows decoded.
+    /// `base` is the id of its first row.
+    fn raw(&self, base: usize) -> Cow<'_, RowBlock> {
+        if !self.is_packed() {
+            return Cow::Borrowed(self);
+        }
+        let mut offsets = Vec::with_capacity(self.rows + 1);
+        let (mut ids, mut weights) = (Vec::new(), Vec::new());
+        offsets.push(0);
+        for r in 0..self.rows {
+            self.for_each_edge((base + r) as VertexId, r, true, |u, w| {
+                ids.push(u);
+                weights.push(w);
+            });
+            offsets.push(ids.len() as u32);
+        }
+        Cow::Owned(RowBlock::new(&offsets, Payload::Raw { ids, weights }))
+    }
+
+    /// The block in the packed encoding: every row of a raw block
+    /// encoded, its weights kept unless all are `1.0`. `base` is the id
+    /// of its first row.
+    fn packed(&self, base: usize) -> RowBlock {
+        let Payload::Raw { ids, weights } = &self.payload else {
+            return self.clone();
+        };
+        let mut bytes = Vec::with_capacity(ids.len() * 2);
+        let mut offsets = Vec::with_capacity(self.rows + 1);
+        offsets.push(0);
+        for (r, w) in self.row_offsets().windows(2).enumerate() {
+            let row = &ids[w[0] as usize..w[1] as usize];
+            encode_row((base + r) as VertexId, row, &mut bytes);
+            offsets.push(u32::try_from(bytes.len()).expect("row block exceeds u32 offsets"));
+        }
+        // Trim the encoder's growth slack so `memory_bytes` reports the
+        // true footprint.
+        bytes.shrink_to_fit();
+        let weights = weights.iter().any(|&w| w != 1.0).then(|| {
+            Box::new(PackedWeights {
+                starts: self.offsets,
+                weights: weights.clone(),
+            })
+        });
+        RowBlock::new(&offsets, Payload::Packed { bytes, weights })
+    }
+
+    /// Bytes of the ids or byte runs and the offsets.
+    fn structure_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.offsets)
+            + match &self.payload {
+                Payload::Raw { ids, .. } => ids.capacity() * std::mem::size_of::<VertexId>(),
+                Payload::Packed { bytes, .. } => bytes.capacity(),
+            }
+    }
+
+    /// Bytes of the weights (and, packed, of their row starts).
     fn weight_bytes(&self) -> usize {
-        self.weights.capacity() * std::mem::size_of::<Weight>()
+        let weights = match &self.payload {
+            Payload::Raw { weights, .. } => weights,
+            Payload::Packed {
+                weights: Some(pw), ..
+            } => &pw.weights,
+            Payload::Packed { weights: None, .. } => return 0,
+        };
+        let starts = if self.is_packed() {
+            std::mem::size_of::<[u32; BLOCK_ROWS + 1]>()
+        } else {
+            0
+        };
+        starts + weights.capacity() * std::mem::size_of::<Weight>()
     }
 }
 
@@ -190,10 +350,19 @@ fn shared_table_bytes(a: &BlockTable, b: &BlockTable) -> usize {
         .sum()
 }
 
-/// One direction's row blocks filled edge by edge from known row
+/// Indices of the blocks of `a` that are not the very allocation `b`
+/// holds at that index.
+fn unshared_table_blocks(a: &BlockTable, b: &BlockTable) -> Vec<usize> {
+    (0..a.len())
+        .filter(|&i| b.get(i).is_none_or(|q| !Arc::ptr_eq(&a[i], q)))
+        .collect()
+}
+
+/// One direction's raw row blocks filled edge by edge from known row
 /// degrees: every block is allocated at its exact size up front.
 struct BlockFill {
-    blocks: Vec<RowBlock>,
+    /// Per block: row offsets, ids, weights.
+    blocks: Vec<(Vec<u32>, Vec<VertexId>, Vec<Weight>)>,
     /// Next free block-local slot of each row.
     cursor: Vec<u32>,
 }
@@ -212,19 +381,19 @@ impl BlockFill {
                     end = end.checked_add(d).expect("row block exceeds u32 offsets");
                     offsets.push(end);
                 }
-                RowBlock::new(&offsets, Vec::new(), Vec::new())
+                (offsets, Vec::new(), Vec::new())
             })
-            .collect::<Vec<RowBlock>>();
+            .collect::<Vec<_>>();
         // Every block's ids first, then every block's weights: allocated
         // in this order, the ids of consecutive blocks lie next to each
         // other as a flat array's would, and a sweep over the rows
         // streams through them (weights in between would triple the
         // span it walks).
-        for b in &mut blocks {
-            b.ids = vec![0; b.offsets[BLOCK_ROWS] as usize];
+        for (offsets, ids, _) in &mut blocks {
+            *ids = vec![0; offsets[offsets.len() - 1] as usize];
         }
-        for b in &mut blocks {
-            b.weights = vec![0.0; b.ids.len()];
+        for (_, ids, weights) in &mut blocks {
+            *weights = vec![0.0; ids.len()];
         }
         BlockFill { blocks, cursor }
     }
@@ -236,48 +405,35 @@ impl BlockFill {
         let row = row as usize;
         let slot = self.cursor[row] as usize;
         self.cursor[row] += 1;
-        let block = &mut self.blocks[row >> BLOCK_SHIFT];
-        block.ids[slot] = id;
-        block.weights[slot] = weight;
+        let (_, ids, weights) = &mut self.blocks[row >> BLOCK_SHIFT];
+        ids[slot] = id;
+        weights[slot] = weight;
     }
 
     fn finish(self) -> BlockTable {
-        Arc::new(self.blocks.into_iter().map(Arc::new).collect())
+        Arc::new(
+            (self.blocks.into_iter())
+                .map(|(offsets, ids, weights)| {
+                    Arc::new(RowBlock::new(&offsets, Payload::Raw { ids, weights }))
+                })
+                .collect(),
+        )
     }
-}
-
-/// Prefix-sum of a degree array back into CSR offsets.
-fn offsets_from_degrees(degrees: &[u32]) -> Vec<usize> {
-    let mut offsets = Vec::with_capacity(degrees.len() + 1);
-    let mut acc = 0usize;
-    offsets.push(0);
-    for &d in degrees {
-        acc += d as usize;
-        offsets.push(acc);
-    }
-    offsets
-}
-
-/// One direction's weights concatenated row by row — the flat weight
-/// stream a compressed graph keeps beside each direction.
-fn concat_weights(table: &BlockTable) -> Vec<Weight> {
-    table
-        .iter()
-        .flat_map(|b| b.weights.iter().copied())
-        .collect()
 }
 
 /// The block table of one adjacency direction with `overrides` spliced
-/// in, grown to `num_rows` rows. `overrides` holds `(row, neighbor,
-/// state)` sorted by `(row, neighbor)` with each pair at most once and
-/// every row below `num_rows`; `Some(w)` sets the pair's weight, `None`
-/// drops the pair. A block no override lands in and whose row count
-/// stays the same is shared with `blocks`; every other block is
-/// re-spliced by [`splice_rows`].
+/// in, grown to `num_rows` rows, every rebuilt block in the packed
+/// encoding when `packed`. `overrides` holds `(row, neighbor, state)`
+/// sorted by `(row, neighbor)` with each pair at most once and every row
+/// below `num_rows`; `Some(w)` sets the pair's weight, `None` drops the
+/// pair. A block no override lands in and whose row count stays the
+/// same is shared with `blocks`; every other block is re-spliced by
+/// [`splice_rows`], a packed one through its decoded rows.
 fn splice_blocks(
     num_rows: usize,
     blocks: &[Arc<RowBlock>],
     overrides: &[(VertexId, VertexId, Option<Weight>)],
+    packed: bool,
 ) -> BlockTable {
     let mut i = 0;
     let table = (0..num_rows.div_ceil(BLOCK_ROWS))
@@ -291,18 +447,13 @@ fn splice_blocks(
             match blocks.get(b) {
                 Some(old) if start == i && old.rows == rows => Arc::clone(old),
                 old => {
-                    let (offsets, ids, weights) = match old {
-                        Some(o) => (o.row_offsets(), &o.ids[..], &o.weights[..]),
-                        None => (&[0u32][..], &[][..], &[][..]),
-                    };
-                    Arc::new(splice_rows(
-                        rows,
-                        base,
-                        offsets,
-                        ids,
-                        weights,
-                        &overrides[start..i],
-                    ))
+                    let old = old.map(|o| o.raw(base));
+                    let spliced = splice_rows(rows, base, old.as_deref(), &overrides[start..i]);
+                    Arc::new(if packed {
+                        spliced.packed(base)
+                    } else {
+                        spliced
+                    })
                 }
             }
         })
@@ -310,18 +461,25 @@ fn splice_blocks(
     Arc::new(table)
 }
 
-/// One row block with `overrides` spliced in, grown to `num_rows`
-/// rows. Rows are block-local: override row `r` is block row
-/// `r - base`. Spans of rows between overridden rows are copied whole;
-/// an overridden row is merged neighbor by neighbor.
+/// The raw row block `old` (none: no rows) with `overrides` spliced
+/// in, grown to `num_rows` rows. Rows are block-local: override row `r`
+/// is block row `r - base`. Spans of rows between overridden rows are
+/// copied whole; an overridden row is merged neighbor by neighbor.
 fn splice_rows(
     num_rows: usize,
     base: usize,
-    offsets: &[u32],
-    ids: &[VertexId],
-    weights: &[Weight],
+    old: Option<&RowBlock>,
     overrides: &[(VertexId, VertexId, Option<Weight>)],
 ) -> RowBlock {
+    let (offsets, ids, weights) = match old {
+        Some(
+            block @ RowBlock {
+                payload: Payload::Raw { ids, weights },
+                ..
+            },
+        ) => (block.row_offsets(), &ids[..], &weights[..]),
+        _ => (&[0u32][..], &[][..], &[][..]),
+    };
     let old_rows = offsets.len() - 1;
     let mut new_offsets: Vec<u32> = Vec::with_capacity(num_rows + 1);
     let mut new_ids = Vec::with_capacity(ids.len() + overrides.len());
@@ -374,74 +532,151 @@ fn splice_rows(
     }
     let end = u32::try_from(new_ids.len()).expect("row block exceeds u32 offsets");
     new_offsets.push(end);
-    RowBlock::new(&new_offsets, new_ids, new_weights)
+    RowBlock::new(
+        &new_offsets,
+        Payload::Raw {
+            ids: new_ids,
+            weights: new_weights,
+        },
+    )
 }
 
-/// A borrowed view of one adjacency direction of an uncompressed
-/// [`CsrGraph`], row by row — what the engines' gather and scatter
-/// kernels walk ([`CsrGraph::in_rows`], [`CsrGraph::out_rows`]). A row
-/// never spans two blocks, so reading one costs a single block lookup
-/// and then plain slices.
+/// A borrowed view of one adjacency direction of a [`CsrGraph`], row by
+/// row — what the engines' gather and scatter kernels walk
+/// ([`CsrGraph::in_rows`], [`CsrGraph::out_rows`]). A row never spans
+/// two blocks, so reading one costs a single block lookup; then
+/// [`Rows::for_each_edge`] walks it in either encoding.
 #[derive(Debug, Clone, Copy)]
 pub struct Rows<'g> {
     blocks: &'g [Arc<RowBlock>],
 }
 
+/// What a slice accessor says about a packed graph.
+const NEEDS_RAW: &str = "row slices need flat (uncompressed) CSR storage; call decompress() first";
+
 impl<'g> Rows<'g> {
-    /// The block holding `v` and `v`'s span in it.
+    /// The block holding `v` and `v`'s row in it.
     #[inline(always)]
-    fn span(self, v: VertexId) -> (&'g RowBlock, usize, usize) {
+    fn locate(self, v: VertexId) -> (&'g RowBlock, usize) {
         let v = v as usize;
         let block = &*self.blocks[v >> BLOCK_SHIFT];
         let r = v & (BLOCK_ROWS - 1);
         debug_assert!(r < block.rows, "vertex {v} out of range");
-        (
-            block,
-            block.offsets[r] as usize,
-            block.offsets[r + 1] as usize,
-        )
+        (block, r)
     }
 
     /// The neighbor ids of `v`, sorted ascending.
+    ///
+    /// # Panics
+    /// Panics on a packed (compressed) graph.
     #[inline(always)]
     pub fn ids(self, v: VertexId) -> &'g [VertexId] {
-        let (block, s, e) = self.span(v);
-        &block.ids[s..e]
+        let (block, r) = self.locate(v);
+        &block.raw_payload().expect(NEEDS_RAW).0[block.span(r)]
     }
 
     /// The neighbor ids of `v` and the weights parallel to them.
+    ///
+    /// # Panics
+    /// Panics on a packed (compressed) graph.
     #[inline(always)]
     pub fn row(self, v: VertexId) -> (&'g [VertexId], &'g [Weight]) {
-        let (block, s, e) = self.span(v);
-        (&block.ids[s..e], &block.weights[s..e])
+        let (block, r) = self.locate(v);
+        block.raw_row(r).expect(NEEDS_RAW)
+    }
+
+    /// Calls `f(neighbor, weight)` for each edge of `v`'s row in
+    /// ascending neighbor order, in either encoding: the one per-row
+    /// edge walk of the engines' kernels. With `weighted == false` the
+    /// weight passed is `1.0` and no weight is read; a constant
+    /// `weighted` folds the branch away.
+    #[inline(always)]
+    pub fn for_each_edge(self, v: VertexId, weighted: bool, f: impl FnMut(VertexId, Weight)) {
+        let (block, r) = self.locate(v);
+        block.for_each_edge(v, r, weighted, f);
+    }
+
+    /// The number of neighbors of `v` (decodes the row of a packed block
+    /// that keeps no weights).
+    #[inline]
+    pub fn degree(self, v: VertexId) -> usize {
+        let (block, r) = self.locate(v);
+        block.degree(v, r)
+    }
+
+    /// Bytes `v`'s neighbor ids occupy in storage: four per id in a raw
+    /// block, the row's byte run in a packed one.
+    #[inline]
+    pub fn stored_bytes(self, v: VertexId) -> usize {
+        let (block, r) = self.locate(v);
+        let span = (block.offsets[r + 1] - block.offsets[r]) as usize;
+        match block.payload {
+            Payload::Raw { .. } => span * std::mem::size_of::<VertexId>(),
+            Payload::Packed { .. } => span,
+        }
+    }
+
+    /// Each packed block's row offsets and byte runs, in row order (the
+    /// sections of the compressed file format).
+    ///
+    /// # Panics
+    /// Panics on a raw block.
+    pub(crate) fn packed_blocks(self) -> impl Iterator<Item = (&'g [u32], &'g [u8])> {
+        self.blocks.iter().map(|b| match &b.payload {
+            Payload::Packed { bytes, .. } => (b.row_offsets(), &bytes[..]),
+            Payload::Raw { .. } => panic!("packed_blocks needs a compressed graph"),
+        })
     }
 }
 
-/// Delta-varint compressed backend: both adjacency directions as sharded
-/// byte blocks, plus flat weight streams when the graph is weighted.
-/// Unit-weight graphs (every weight exactly `1.0`) drop the weight
-/// streams entirely — engines substitute the constant — which is where
-/// the order-of-magnitude footprint win comes from on generated graphs.
-#[derive(Debug, Clone, PartialEq)]
-struct CompressedCsr {
-    out: Arc<CompressedAdjacency>,
-    inc: Arc<CompressedAdjacency>,
-    weights: Option<Arc<WeightStreams>>,
+/// One direction of a packed graph as a file holds it: per row its
+/// degree and its [`encode_row`] run, and the weights of every row in
+/// row order, or `None` when all are `1.0`. The runs must be valid.
+pub(crate) struct PackedRows<'a> {
+    pub degrees: &'a [u32],
+    pub runs: Vec<&'a [u8]>,
+    pub weights: Option<&'a [Weight]>,
 }
 
-/// Flat per-direction weight arrays for a compressed graph, indexed by
-/// degree-prefix offsets (weights compress poorly, so they stay as f64
-/// streams parallel to the *decoded* neighbor order).
-#[derive(Debug, Clone, PartialEq)]
-struct WeightStreams {
-    out_offsets: Arc<Vec<usize>>,
-    out_weights: Arc<Vec<Weight>>,
-    in_offsets: Arc<Vec<usize>>,
-    in_weights: Arc<Vec<Weight>>,
+impl PackedRows<'_> {
+    /// The packed block table of these rows, or why a block's runs or
+    /// neighbor count overflow its `u32` offsets.
+    fn table(&self) -> Result<BlockTable, String> {
+        let too_big = |b: usize| format!("row block {b} exceeds u32 offsets");
+        let mut next_weight = 0usize;
+        let blocks = (self
+            .runs
+            .chunks(BLOCK_ROWS)
+            .zip(self.degrees.chunks(BLOCK_ROWS)))
+        .enumerate()
+        .map(|(b, (runs, degrees))| {
+            let mut offsets = vec![0u32];
+            let mut starts = vec![0u32];
+            let mut bytes = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
+            for (run, &d) in runs.iter().zip(degrees) {
+                bytes.extend_from_slice(run);
+                offsets.push(u32::try_from(bytes.len()).map_err(|_| too_big(b))?);
+                starts.push(starts[starts.len() - 1].checked_add(d).ok_or(too_big(b))?);
+            }
+            let count = starts[starts.len() - 1] as usize;
+            let weights = self.weights.map(|ws| &ws[next_weight..next_weight + count]);
+            next_weight += count;
+            let weights = weights.filter(|ws| ws.iter().any(|&w| w != 1.0)).map(|ws| {
+                Box::new(PackedWeights {
+                    starts: inline_offsets(&starts),
+                    weights: ws.to_vec(),
+                })
+            });
+            let payload = Payload::Packed { bytes, weights };
+            Ok(Arc::new(RowBlock::new(&offsets, payload)))
+        })
+        .collect::<Result<_, String>>()?;
+        Ok(Arc::new(blocks))
+    }
 }
 
-/// `(neighbor, weight)` stream over either backend: borrowed zip of the
-/// row slices, or a decoded row buffer for compressed storage.
+/// `(neighbor, weight)` stream over either encoding: borrowed zip of
+/// the row slices, or a decoded row buffer for a packed row.
 enum EdgePairs<'g> {
     Flat(
         std::iter::Zip<
@@ -472,43 +707,39 @@ impl Iterator for EdgePairs<'_> {
 }
 
 impl<'g> EdgePairs<'g> {
-    fn of_row((ids, weights): (&'g [VertexId], &'g [Weight])) -> Self {
-        EdgePairs::Flat(ids.iter().copied().zip(weights.iter().copied()))
-    }
-}
-
-/// Decodes one compressed row into `(neighbor, weight)` pairs.
-fn decoded_pairs(
-    adj: &CompressedAdjacency,
-    weights: Option<(&[usize], &[Weight])>,
-    v: VertexId,
-) -> Vec<(VertexId, Weight)> {
-    let ids = adj.decode_row(v);
-    match weights {
-        Some((offsets, ws)) => {
-            let s = offsets[v as usize];
-            ids.into_iter().zip(ws[s..].iter().copied()).collect()
+    /// The edges of `v`'s row in `rows`.
+    #[inline]
+    fn of_row(rows: Rows<'g>, v: VertexId) -> Self {
+        let (block, r) = rows.locate(v);
+        match block.raw_row(r) {
+            Some((ids, weights)) => {
+                EdgePairs::Flat(ids.iter().copied().zip(weights.iter().copied()))
+            }
+            None => {
+                let mut row = Vec::new();
+                block.for_each_edge(v, r, true, |u, w| row.push((u, w)));
+                EdgePairs::Decoded(row.into_iter())
+            }
         }
-        None => ids.into_iter().map(|w| (w, 1.0)).collect(),
     }
 }
 
 impl CsrGraph {
-    /// Assembles an uncompressed graph from its two block tables.
+    /// Assembles a graph from its two block tables.
     fn from_blocks(
         num_edges: usize,
+        packed: bool,
         out: BlockTable,
         inc: BlockTable,
         out_degrees: Arc<Vec<u32>>,
     ) -> CsrGraph {
         CsrGraph {
             num_vertices: out_degrees.len(),
+            num_edges,
+            packed,
             out_degrees,
-            storage: CsrStorage::Uncompressed(BlockCsr {
-                num_edges,
-                out,
-                inc,
-            }),
+            out,
+            inc,
         }
     }
 
@@ -538,48 +769,24 @@ impl CsrGraph {
             out.push(e.src, e.dst, e.weight);
             inc.push(e.dst, e.src, e.weight);
         }
-        CsrGraph::from_blocks(m, out.finish(), inc.finish(), Arc::new(out_degrees))
+        CsrGraph::from_blocks(m, false, out.finish(), inc.finish(), Arc::new(out_degrees))
     }
 
-    /// Reassembles a compressed graph from deserialized adjacencies (the
-    /// [`crate::io`] loader). `weights` carries `(out_order, in_order)`
-    /// flat weight streams, or `None` for a unit-weight graph. Structural
-    /// consistency is checked here; callers must have run
-    /// [`CompressedAdjacency::validate`] on both directions first.
-    pub(crate) fn from_compressed_adjacency(
-        out: CompressedAdjacency,
-        inc: CompressedAdjacency,
-        weights: Option<(Vec<Weight>, Vec<Weight>)>,
+    /// Assembles a packed graph from the rows of a compressed file (the
+    /// [`crate::io`] loader, which has validated every run), or says
+    /// which row block overflows its offsets.
+    pub(crate) fn from_packed_rows(
+        num_edges: usize,
+        out: PackedRows<'_>,
+        inc: PackedRows<'_>,
     ) -> Result<CsrGraph, String> {
-        if out.num_vertices() != inc.num_vertices() {
-            return Err("adjacency direction vertex counts differ".into());
-        }
-        if out.num_targets() != inc.num_targets() {
-            return Err("adjacency direction edge counts differ".into());
-        }
-        let weights = match weights {
-            Some((ow, iw)) => {
-                if ow.len() != out.num_targets() || iw.len() != inc.num_targets() {
-                    return Err("weight stream length mismatch".into());
-                }
-                Some(Arc::new(WeightStreams {
-                    out_offsets: Arc::new(offsets_from_degrees(out.degrees())),
-                    out_weights: Arc::new(ow),
-                    in_offsets: Arc::new(offsets_from_degrees(inc.degrees())),
-                    in_weights: Arc::new(iw),
-                }))
-            }
-            None => None,
-        };
-        Ok(CsrGraph {
-            num_vertices: out.num_vertices(),
-            out_degrees: out.degrees_arc(),
-            storage: CsrStorage::Compressed(CompressedCsr {
-                out: Arc::new(out),
-                inc: Arc::new(inc),
-                weights,
-            }),
-        })
+        Ok(CsrGraph::from_blocks(
+            num_edges,
+            true,
+            out.table()?,
+            inc.table()?,
+            Arc::new(out.degrees.to_vec()),
+        ))
     }
 
     /// Builds a graph with `num_vertices` vertices from an edge list.
@@ -602,18 +809,6 @@ impl CsrGraph {
         CsrGraph::from_sorted_edges(num_vertices, std::iter::empty::<Edge>())
     }
 
-    /// The block tables, or a panic on compressed storage — the shared
-    /// guard behind every slice-returning accessor.
-    #[inline]
-    fn blocks(&self) -> &BlockCsr {
-        match &self.storage {
-            CsrStorage::Uncompressed(f) => f,
-            CsrStorage::Compressed(_) => panic!(
-                "operation requires flat (uncompressed) CSR storage; call decompress() first"
-            ),
-        }
-    }
-
     /// An O(1) storage-sharing copy of the graph — the epoch-publication
     /// entry point. Since `CsrGraph` is immutable, this is exactly
     /// `clone()`; the named method exists to make call sites that *rely*
@@ -626,64 +821,41 @@ impl CsrGraph {
         self.clone()
     }
 
-    /// True when `self` and `other` share every block of storage: on
-    /// uncompressed storage, both directions hold the very same row
-    /// blocks at every index (one is a [`CsrGraph::snapshot`] of the
-    /// other, or an update batch that touched no block lies between
-    /// them). Graphs on different backends never share.
+    /// True when `self` and `other` share every block of storage: both
+    /// directions hold the very same row blocks at every index (one is a
+    /// [`CsrGraph::snapshot`] of the other, or an update batch that
+    /// touched no block lies between them). Graphs in different
+    /// encodings never share.
     pub fn shares_storage_with(&self, other: &CsrGraph) -> bool {
-        match (&self.storage, &other.storage) {
-            (CsrStorage::Uncompressed(a), CsrStorage::Uncompressed(b)) => {
-                let same = |x: &BlockTable, y: &BlockTable| {
-                    x.len() == y.len() && x.iter().zip(y.iter()).all(|(p, q)| Arc::ptr_eq(p, q))
-                };
-                same(&a.out, &b.out) && same(&a.inc, &b.inc)
-            }
-            (CsrStorage::Compressed(a), CsrStorage::Compressed(b)) => {
-                a.out.shares_storage_with(&b.out)
-                    && a.inc.shares_storage_with(&b.inc)
-                    && match (&a.weights, &b.weights) {
-                        (Some(x), Some(y)) => Arc::ptr_eq(x, y),
-                        (None, None) => true,
-                        _ => false,
-                    }
-            }
-            _ => false,
-        }
+        self.packed == other.packed
+            && self.out.len() == other.out.len()
+            && self.rebuilt_blocks(other) == (vec![], vec![])
+    }
+
+    /// Indices of the row blocks of each direction, `(out, in)`, that
+    /// `self` does not share with `base`: the blocks an update batch
+    /// from `base` to `self` rebuilt, and every block past `base`'s.
+    pub fn rebuilt_blocks(&self, base: &CsrGraph) -> (Vec<usize>, Vec<usize>) {
+        (
+            unshared_table_blocks(&self.out, &base.out),
+            unshared_table_blocks(&self.inc, &base.inc),
+        )
     }
 
     /// Heap bytes of `self`'s storage that are the very allocations of
     /// `other`'s — the part of [`CsrGraph::memory_bytes`] that holding
     /// both costs only once. `g.shared_bytes_with(&g) ==
-    /// g.memory_bytes()`; on uncompressed storage a block counts when
-    /// both graphs hold it at the same index of the same direction.
-    /// Graphs on different backends share nothing.
+    /// g.memory_bytes()`; a block counts when both graphs hold it at the
+    /// same index of the same direction.
     pub fn shared_bytes_with(&self, other: &CsrGraph) -> usize {
-        match (&self.storage, &other.storage) {
-            (CsrStorage::Uncompressed(a), CsrStorage::Uncompressed(b)) => {
-                let degrees = if Arc::ptr_eq(&self.out_degrees, &other.out_degrees) {
-                    self.out_degrees.capacity() * std::mem::size_of::<u32>()
-                } else {
-                    0
-                };
-                degrees + shared_table_bytes(&a.out, &b.out) + shared_table_bytes(&a.inc, &b.inc)
-            }
-            (CsrStorage::Compressed(a), CsrStorage::Compressed(b)) => {
-                let adjacency = |x: &CompressedAdjacency, y: &CompressedAdjacency| {
-                    if x.shares_storage_with(y) {
-                        x.memory_bytes()
-                    } else {
-                        0
-                    }
-                };
-                let weights = match (&a.weights, &b.weights) {
-                    (Some(x), Some(y)) if Arc::ptr_eq(x, y) => self.weight_bytes(),
-                    _ => 0,
-                };
-                adjacency(&a.out, &b.out) + adjacency(&a.inc, &b.inc) + weights
-            }
-            _ => 0,
-        }
+        let degrees = if Arc::ptr_eq(&self.out_degrees, &other.out_degrees) {
+            self.out_degrees.capacity() * std::mem::size_of::<u32>()
+        } else {
+            0
+        };
+        degrees
+            + shared_table_bytes(&self.out, &other.out)
+            + shared_table_bytes(&self.inc, &other.inc)
     }
 
     /// Number of vertices.
@@ -695,10 +867,7 @@ impl CsrGraph {
     /// Number of directed edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        match &self.storage {
-            CsrStorage::Uncompressed(f) => f.num_edges,
-            CsrStorage::Compressed(c) => c.out.num_targets(),
-        }
+        self.num_edges
     }
 
     /// Iterator over all vertex ids `0..n`.
@@ -708,27 +877,17 @@ impl CsrGraph {
     }
 
     /// The out-rows, block by block — the engines' push (scatter)
-    /// kernels read these. Flat storage only.
-    ///
-    /// # Panics
-    /// Panics on compressed storage.
+    /// kernels read these.
     #[inline]
     pub fn out_rows(&self) -> Rows<'_> {
-        Rows {
-            blocks: &self.blocks().out,
-        }
+        Rows { blocks: &self.out }
     }
 
     /// The in-rows, block by block — the engines' gather kernels read
-    /// these. Flat storage only.
-    ///
-    /// # Panics
-    /// Panics on compressed storage.
+    /// these.
     #[inline]
     pub fn in_rows(&self) -> Rows<'_> {
-        Rows {
-            blocks: &self.blocks().inc,
-        }
+        Rows { blocks: &self.inc }
     }
 
     /// Out-neighbors of `v`, sorted ascending.
@@ -770,33 +929,19 @@ impl CsrGraph {
         }
     }
 
-    /// Calls `f` for every out-neighbor of `v` in ascending order, on
-    /// either backend — the storage-agnostic replacement for iterating
+    /// Calls `f` for every out-neighbor of `v` in ascending order, in
+    /// either encoding — the storage-agnostic replacement for iterating
     /// [`CsrGraph::out_neighbors`] in engine frontier-expansion loops.
     #[inline]
     pub fn for_each_out_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, mut f: F) {
-        match &self.storage {
-            CsrStorage::Uncompressed(_) => {
-                for &w in self.out_neighbors(v) {
-                    f(w);
-                }
-            }
-            CsrStorage::Compressed(c) => c.out.for_each(v, f),
-        }
+        self.out_rows().for_each_edge(v, false, |w, _| f(w));
     }
 
-    /// Calls `f` for every in-neighbor of `v` in ascending order, on
-    /// either backend.
+    /// Calls `f` for every in-neighbor of `v` in ascending order, in
+    /// either encoding.
     #[inline]
     pub fn for_each_in_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, mut f: F) {
-        match &self.storage {
-            CsrStorage::Uncompressed(_) => {
-                for &w in self.in_neighbors(v) {
-                    f(w);
-                }
-            }
-            CsrStorage::Compressed(c) => c.inc.for_each(v, f),
-        }
+        self.in_rows().for_each_edge(v, false, |w, _| f(w));
     }
 
     /// Out-degree of `v` (served from the cached degree array: one load
@@ -816,38 +961,26 @@ impl CsrGraph {
 
     /// In-edges of `v` as a zipped `(source, weight)` iterator — one
     /// logical stream for gather loops instead of two parallel slices.
-    /// Works on both backends (compressed rows are decoded into a
-    /// buffer; hot paths use the engine contexts instead).
+    /// Works in both encodings (a packed row is decoded into a buffer;
+    /// hot paths use [`Rows::for_each_edge`] instead).
     #[inline]
     pub fn in_edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        match &self.storage {
-            CsrStorage::Uncompressed(_) => EdgePairs::of_row(self.in_rows().row(v)),
-            CsrStorage::Compressed(c) => EdgePairs::Decoded(
-                decoded_pairs(&c.inc, self.compressed_in_weight_streams(), v).into_iter(),
-            ),
-        }
+        EdgePairs::of_row(self.in_rows(), v)
     }
 
     /// Out-edges of `v` as a zipped `(target, weight)` iterator — the
-    /// push-direction counterpart of [`CsrGraph::in_edges`]. Works on
-    /// both backends.
+    /// push-direction counterpart of [`CsrGraph::in_edges`]. Works in
+    /// both encodings.
     #[inline]
     pub fn out_edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        match &self.storage {
-            CsrStorage::Uncompressed(_) => EdgePairs::of_row(self.out_rows().row(v)),
-            CsrStorage::Compressed(c) => EdgePairs::Decoded(
-                decoded_pairs(&c.out, self.compressed_out_weight_streams(), v).into_iter(),
-            ),
-        }
+        EdgePairs::of_row(self.out_rows(), v)
     }
 
-    /// In-degree of `v`.
+    /// In-degree of `v` (on a compressed graph without weights, one row
+    /// decode).
     #[inline]
     pub fn in_degree(&self, v: VertexId) -> usize {
-        match &self.storage {
-            CsrStorage::Uncompressed(_) => self.in_neighbors(v).len(),
-            CsrStorage::Compressed(c) => c.inc.degree(v),
-        }
+        self.in_rows().degree(v)
     }
 
     /// Total degree (in + out) of `v`.
@@ -861,32 +994,24 @@ impl CsrGraph {
         self.edge_weight(u, v).is_some()
     }
 
-    /// Weight of edge `(u, v)` if present.
+    /// Weight of edge `(u, v)` if present: a binary search of a raw row,
+    /// a walk of a packed one.
     pub fn edge_weight(&self, u: VertexId, v: VertexId) -> Option<Weight> {
-        match &self.storage {
-            CsrStorage::Uncompressed(_) => {
-                let (ids, weights) = self.out_rows().row(u);
-                ids.binary_search(&v).ok().map(|i| weights[i])
-            }
-            CsrStorage::Compressed(c) => {
-                let mut hit: Option<usize> = None;
-                let mut i = 0usize;
-                c.out.for_each(u, |w| {
-                    if w == v {
-                        hit = Some(i);
-                    }
-                    i += 1;
-                });
-                hit.map(|i| match &c.weights {
-                    Some(ws) => ws.out_weights[ws.out_offsets[u as usize] + i],
-                    None => 1.0,
-                })
-            }
+        let (block, r) = self.out_rows().locate(u);
+        if let Some((ids, weights)) = block.raw_row(r) {
+            return ids.binary_search(&v).ok().map(|i| weights[i]);
         }
+        let mut hit = None;
+        block.for_each_edge(u, r, true, |w, weight| {
+            if w == v {
+                hit = Some(weight);
+            }
+        });
+        hit
     }
 
-    /// Iterator over all edges in CSR (source-major) order. Works on both
-    /// backends.
+    /// Iterator over all edges in CSR (source-major) order. Works in
+    /// both encodings.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         (0..self.num_vertices as VertexId)
             .flat_map(move |u| self.out_edges(u).map(move |(w, wt)| Edge::new(u, w, wt)))
@@ -901,41 +1026,19 @@ impl CsrGraph {
         }
     }
 
-    /// The transposed graph (every edge reversed). The adjacency storage
-    /// is shared with `self` (swapped roles), not copied; only the
-    /// degree cache is swapped/recomputed. Works on both backends.
+    /// The transposed graph (every edge reversed). The row blocks are
+    /// shared with `self` (swapped roles), not copied; only the degree
+    /// cache is recomputed. Works in both encodings.
     pub fn reversed(&self) -> CsrGraph {
-        match &self.storage {
-            CsrStorage::Uncompressed(f) => {
-                let out_degrees = f
-                    .inc
-                    .iter()
-                    .flat_map(|b| b.row_offsets().windows(2).map(|w| w[1] - w[0]))
-                    .collect();
-                CsrGraph::from_blocks(
-                    f.num_edges,
-                    Arc::clone(&f.inc),
-                    Arc::clone(&f.out),
-                    Arc::new(out_degrees),
-                )
-            }
-            CsrStorage::Compressed(c) => CsrGraph {
-                num_vertices: self.num_vertices,
-                out_degrees: c.inc.degrees_arc(),
-                storage: CsrStorage::Compressed(CompressedCsr {
-                    out: Arc::clone(&c.inc),
-                    inc: Arc::clone(&c.out),
-                    weights: c.weights.as_ref().map(|w| {
-                        Arc::new(WeightStreams {
-                            out_offsets: Arc::clone(&w.in_offsets),
-                            out_weights: Arc::clone(&w.in_weights),
-                            in_offsets: Arc::clone(&w.out_offsets),
-                            in_weights: Arc::clone(&w.out_weights),
-                        })
-                    }),
-                }),
-            },
-        }
+        let rows = self.in_rows();
+        let out_degrees = self.vertices().map(|v| rows.degree(v) as u32).collect();
+        CsrGraph::from_blocks(
+            self.num_edges,
+            self.packed,
+            Arc::clone(&self.inc),
+            Arc::clone(&self.out),
+            Arc::new(out_degrees),
+        )
     }
 
     /// Relabels every vertex `v` to `perm.new_id(v)` and rebuilds the CSR.
@@ -949,8 +1052,8 @@ impl CsrGraph {
     /// into row blocks sized from the old degrees. The rows come out in
     /// `(src, dst)` order with no pair twice (`perm` is a bijection), so
     /// neither a sort of all `|E|` edges nor an edge list is needed. The
-    /// result is always on the uncompressed backend;
-    /// re-[`CsrGraph::compress`] afterwards if needed.
+    /// result is always flat; re-[`CsrGraph::compress`] afterwards if
+    /// needed.
     ///
     /// # Panics
     /// Panics if `perm.len() != self.num_vertices()`.
@@ -980,6 +1083,7 @@ impl CsrGraph {
         }
         CsrGraph::from_blocks(
             self.num_edges(),
+            false,
             out.finish(),
             inc.finish(),
             Arc::new(out_degrees),
@@ -1008,12 +1112,11 @@ impl CsrGraph {
     /// `O(|V| + |E|)`, and the input and the result share every
     /// untouched row.
     ///
-    /// The result is always on the uncompressed backend (a compressed
-    /// input is decompressed first).
+    /// The result keeps the input's encoding: a rebuilt block of a
+    /// compressed graph is decoded, spliced and packed again, so
+    /// `g.compress().apply_updates(b) == g.apply_updates(b).compress()`.
     pub fn apply_updates(&self, updates: &[EdgeUpdate]) -> CsrGraph {
         use std::collections::HashMap;
-        let base = self.decompress();
-        let f = base.blocks();
         let n_old = self.num_vertices;
         // Fold the batch into the final state of each touched pair:
         // `Some(w)` = present with weight `w`, `None` = absent.
@@ -1024,12 +1127,11 @@ impl CsrGraph {
             match *up {
                 EdgeUpdate::Insert { src, dst, weight } => {
                     num_vertices = num_vertices.max(src as usize + 1).max(dst as usize + 1);
-                    let existing = if (src as usize) < n_old {
-                        base.edge_weight(src, dst)
-                    } else {
-                        None
-                    };
-                    let slot = overrides.entry((src, dst)).or_insert(existing);
+                    let slot = overrides.entry((src, dst)).or_insert_with(|| {
+                        ((src as usize) < n_old)
+                            .then(|| self.edge_weight(src, dst))
+                            .flatten()
+                    });
                     *slot = Some(match *slot {
                         Some(w0) => w0.min(weight),
                         None => weight,
@@ -1057,19 +1159,19 @@ impl CsrGraph {
             .collect();
         by_dst.sort_unstable_by_key(|&(dst, src, _)| (dst, src));
 
-        let out = splice_blocks(num_vertices, &f.out, &by_src);
-        let inc = splice_blocks(num_vertices, &f.inc, &by_dst);
+        let out = splice_blocks(num_vertices, &self.out, &by_src, self.packed);
+        let inc = splice_blocks(num_vertices, &self.inc, &by_dst, self.packed);
         let mut out_degrees = Vec::with_capacity(num_vertices);
-        out_degrees.extend_from_slice(&base.out_degrees);
+        out_degrees.extend_from_slice(&self.out_degrees);
         out_degrees.resize(num_vertices, 0);
-        let mut num_edges = f.num_edges;
+        let mut num_edges = self.num_edges;
         let rows = Rows { blocks: &out };
         for &(src, _, _) in &by_src {
-            let d = rows.ids(src).len() as u32;
+            let d = rows.degree(src) as u32;
             let old = std::mem::replace(&mut out_degrees[src as usize], d);
             num_edges = num_edges - old as usize + d as usize;
         }
-        CsrGraph::from_blocks(num_edges, out, inc, Arc::new(out_degrees))
+        CsrGraph::from_blocks(num_edges, self.packed, out, inc, Arc::new(out_degrees))
     }
 
     /// Extracts the subgraph induced by `vertices`.
@@ -1149,197 +1251,89 @@ impl CsrGraph {
         )
     }
 
-    // ---- compressed backend -------------------------------------------
+    // ---- encodings ----------------------------------------------------
 
-    /// True when the graph is on the compressed backend.
+    /// True when the graph's blocks are packed (compressed).
     #[inline]
     pub fn is_compressed(&self) -> bool {
-        matches!(self.storage, CsrStorage::Compressed(_))
+        self.packed
     }
 
     /// `"compressed"` or `"uncompressed"` — for stats/report headers.
     pub fn storage_kind(&self) -> &'static str {
-        match &self.storage {
-            CsrStorage::Uncompressed(_) => "uncompressed",
-            CsrStorage::Compressed(_) => "compressed",
+        if self.packed {
+            "compressed"
+        } else {
+            "uncompressed"
         }
     }
 
-    /// Number of shards of the compressed backend (1 for flat storage:
-    /// one contiguous range).
-    pub fn num_shards(&self) -> usize {
-        match &self.storage {
-            CsrStorage::Uncompressed(_) => 1,
-            CsrStorage::Compressed(c) => c.out.num_shards(),
-        }
-    }
-
-    /// Compresses the graph into delta-varint sharded storage with
-    /// evenly split vertex-range shards (~65 536 vertices each). See
-    /// [`CsrGraph::compress_with_shards`] to shard along a partition's
-    /// ranges instead.
-    pub fn compress(&self) -> CsrGraph {
-        let k = (self.num_vertices / DEFAULT_SHARD_VERTICES).clamp(1, MAX_DEFAULT_SHARDS);
-        let starts: Vec<VertexId> = (1..k)
-            .map(|i| (i * self.num_vertices / k) as VertexId)
-            .collect();
-        self.compress_with_shards(&starts)
-    }
-
-    /// Compresses the graph, splitting shards at the given ascending
-    /// interior vertex ids (`0` and `n` are implied) — pass a
-    /// `PartitionedOrder`'s range starts so shards align with partition
-    /// boundaries and can be serialized/placed independently.
-    ///
-    /// Weights are kept as flat streams unless every edge weight is
-    /// exactly `1.0`, in which case they are dropped and reads yield the
-    /// constant. Compressing an already-compressed graph re-shards it
-    /// (via [`CsrGraph::decompress`]).
-    pub fn compress_with_shards(&self, shard_starts: &[VertexId]) -> CsrGraph {
-        if self.is_compressed() {
-            return self.decompress().compress_with_shards(shard_starts);
-        }
-        let f = self.blocks();
-        let unit = f.out.iter().all(|b| b.weights.iter().all(|&w| w == 1.0));
-        let n = self.num_vertices;
-        let (out_rows, in_rows) = (self.out_rows(), self.in_rows());
-        let out = CompressedAdjacency::from_rows(n, |v| out_rows.ids(v as VertexId), shard_starts);
-        let inc = CompressedAdjacency::from_rows(n, |v| in_rows.ids(v as VertexId), shard_starts);
-        let weights = (!unit).then(|| {
-            Arc::new(WeightStreams {
-                out_offsets: Arc::new(offsets_from_degrees(out.degrees())),
-                out_weights: Arc::new(concat_weights(&f.out)),
-                in_offsets: Arc::new(offsets_from_degrees(inc.degrees())),
-                in_weights: Arc::new(concat_weights(&f.inc)),
-            })
-        });
+    /// The graph with every block in the packed encoding when `packed`,
+    /// else raw. Blocks already in that encoding are shared.
+    fn recoded(&self, packed: bool) -> CsrGraph {
+        let recode = |table: &BlockTable| -> BlockTable {
+            Arc::new(
+                (table.iter().enumerate())
+                    .map(|(b, block)| match (block.is_packed(), packed) {
+                        (false, true) => Arc::new(block.packed(b << BLOCK_SHIFT)),
+                        (true, false) => Arc::new(block.raw(b << BLOCK_SHIFT).into_owned()),
+                        _ => Arc::clone(block),
+                    })
+                    .collect(),
+            )
+        };
         CsrGraph {
-            num_vertices: n,
-            out_degrees: out.degrees_arc(),
-            storage: CsrStorage::Compressed(CompressedCsr {
-                out: Arc::new(out),
-                inc: Arc::new(inc),
-                weights,
-            }),
+            packed,
+            out: recode(&self.out),
+            inc: recode(&self.inc),
+            ..self.clone()
         }
     }
 
-    /// Decodes a compressed graph back to row blocks (identity clone on
-    /// flat storage). `decompress(compress(g)) == g`.
+    /// Compresses the graph: every row block packed into delta-varint
+    /// rows, its weights dropped when every one is exactly `1.0` (reads
+    /// then yield the constant). A compressed graph stays compressed
+    /// under [`CsrGraph::apply_updates`]; compressing one again shares
+    /// all of it.
+    pub fn compress(&self) -> CsrGraph {
+        self.recoded(true)
+    }
+
+    /// [`CsrGraph::compress`]; the cut points are ignored, because a
+    /// compressed graph is cut into row blocks like a flat one. Kept for
+    /// callers that pass a partition's range starts.
+    pub fn compress_with_shards(&self, _cuts: &[VertexId]) -> CsrGraph {
+        self.compress()
+    }
+
+    /// Decodes a compressed graph back to raw row blocks (identity clone
+    /// on flat storage). `decompress(compress(g)) == g`.
     pub fn decompress(&self) -> CsrGraph {
-        let c = match &self.storage {
-            CsrStorage::Uncompressed(_) => return self.clone(),
-            CsrStorage::Compressed(c) => c,
-        };
-        let direction = |adj: &CompressedAdjacency, weights: Option<&[Weight]>| {
-            let mut fill = BlockFill::new(adj.degrees());
-            let mut i = 0;
-            for v in 0..self.num_vertices as VertexId {
-                adj.for_each(v, |w| {
-                    fill.push(v, w, weights.map_or(1.0, |ws| ws[i]));
-                    i += 1;
-                });
-            }
-            fill.finish()
-        };
-        let weights = c.weights.as_deref();
-        CsrGraph::from_blocks(
-            c.out.num_targets(),
-            direction(&c.out, weights.map(|w| &w.out_weights[..])),
-            direction(&c.inc, weights.map(|w| &w.in_weights[..])),
-            Arc::clone(&self.out_degrees),
-        )
-    }
-
-    /// The compressed out-adjacency, when on the compressed backend —
-    /// consumed by the engines' scatter contexts and the io writer.
-    #[inline]
-    pub fn compressed_out_adjacency(&self) -> Option<&CompressedAdjacency> {
-        match &self.storage {
-            CsrStorage::Uncompressed(_) => None,
-            CsrStorage::Compressed(c) => Some(&c.out),
-        }
-    }
-
-    /// The compressed in-adjacency, when on the compressed backend —
-    /// consumed by the engines' gather contexts and the io writer.
-    #[inline]
-    pub fn compressed_in_adjacency(&self) -> Option<&CompressedAdjacency> {
-        match &self.storage {
-            CsrStorage::Uncompressed(_) => None,
-            CsrStorage::Compressed(c) => Some(&c.inc),
-        }
-    }
-
-    /// Flat `(offsets, weights)` streams parallel to the decoded
-    /// out-adjacency of a compressed weighted graph. `None` on flat
-    /// storage or when the graph is unit-weight (read `1.0` then).
-    #[inline]
-    pub fn compressed_out_weight_streams(&self) -> Option<(&[usize], &[Weight])> {
-        match &self.storage {
-            CsrStorage::Compressed(c) => c
-                .weights
-                .as_ref()
-                .map(|w| (w.out_offsets.as_slice(), w.out_weights.as_slice())),
-            CsrStorage::Uncompressed(_) => None,
-        }
-    }
-
-    /// Flat `(offsets, weights)` streams parallel to the decoded
-    /// in-adjacency of a compressed weighted graph. `None` on flat
-    /// storage or when the graph is unit-weight.
-    #[inline]
-    pub fn compressed_in_weight_streams(&self) -> Option<(&[usize], &[Weight])> {
-        match &self.storage {
-            CsrStorage::Compressed(c) => c
-                .weights
-                .as_ref()
-                .map(|w| (w.in_offsets.as_slice(), w.in_weights.as_slice())),
-            CsrStorage::Uncompressed(_) => None,
-        }
+        self.recoded(false)
     }
 
     // ---- footprint accounting -----------------------------------------
 
-    /// Heap bytes of the adjacency *structure* (neighbor ids, offsets,
-    /// block tables, degree caches — everything except edge-weight
-    /// payloads). This is the quantity compression shrinks, and the
-    /// numerator of bytes-per-edge reporting.
+    /// Heap bytes of the adjacency *structure* (neighbor ids or byte
+    /// runs, offsets, block tables, degree cache — everything except
+    /// edge-weight payloads). This is the quantity compression shrinks,
+    /// and the numerator of bytes-per-edge reporting.
     pub fn adjacency_bytes(&self) -> usize {
-        match &self.storage {
-            CsrStorage::Uncompressed(f) => {
-                let table = |t: &BlockTable| {
-                    t.capacity() * std::mem::size_of::<Arc<RowBlock>>()
-                        + t.iter().map(|b| b.structure_bytes()).sum::<usize>()
-                };
-                table(&f.out)
-                    + table(&f.inc)
-                    + self.out_degrees.capacity() * std::mem::size_of::<u32>()
-            }
-            CsrStorage::Compressed(c) => c.out.memory_bytes() + c.inc.memory_bytes(),
-        }
+        let table = |t: &BlockTable| {
+            t.capacity() * std::mem::size_of::<Arc<RowBlock>>()
+                + t.iter().map(|b| b.structure_bytes()).sum::<usize>()
+        };
+        table(&self.out)
+            + table(&self.inc)
+            + self.out_degrees.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Heap bytes of edge-weight payloads (zero for a unit-weight
-    /// compressed graph, which stores no weight streams).
+    /// Heap bytes of edge-weight payloads (zero for a compressed graph
+    /// whose weights are all `1.0`).
     pub fn weight_bytes(&self) -> usize {
-        match &self.storage {
-            CsrStorage::Uncompressed(f) => f
-                .out
-                .iter()
-                .chain(f.inc.iter())
-                .map(|b| b.weight_bytes())
-                .sum(),
-            CsrStorage::Compressed(c) => match &c.weights {
-                Some(w) => {
-                    (w.out_weights.capacity() + w.in_weights.capacity())
-                        * std::mem::size_of::<Weight>()
-                        + (w.out_offsets.capacity() + w.in_offsets.capacity())
-                            * std::mem::size_of::<usize>()
-                }
-                None => 0,
-            },
-        }
+        (self.out.iter().chain(self.inc.iter()))
+            .map(|b| b.weight_bytes())
+            .sum()
     }
 
     /// Total heap bytes used by the graph's storage (for Fig. 11
@@ -1541,18 +1535,6 @@ mod tests {
         )
     }
 
-    /// Indices of the blocks of each direction `a` holds as the very
-    /// allocation `b` holds at that index.
-    fn unshared_blocks(a: &CsrGraph, b: &CsrGraph) -> (Vec<usize>, Vec<usize>) {
-        let (fa, fb) = (a.blocks(), b.blocks());
-        let unshared = |x: &BlockTable, y: &BlockTable| {
-            (0..x.len())
-                .filter(|&i| y.get(i).is_none_or(|q| !Arc::ptr_eq(&x[i], q)))
-                .collect()
-        };
-        (unshared(&fa.out, &fb.out), unshared(&fa.inc, &fb.inc))
-    }
-
     #[test]
     fn one_edge_batch_rebuilds_only_the_blocks_it_lands_in() {
         let n = 5 * BLOCK_ROWS as u32 + 9;
@@ -1566,17 +1548,17 @@ mod tests {
             let patched = g.apply_updates(&batch);
             let block = |v: u32| v as usize / BLOCK_ROWS;
             assert_eq!(
-                unshared_blocks(&patched, &g),
+                patched.rebuilt_blocks(&g),
                 (vec![block(src)], vec![block(dst)]),
                 "{batch:?}"
             );
             assert!(!patched.shares_storage_with(&g));
             let expected = patched.memory_bytes()
-                - patched.blocks().out[block(src)].structure_bytes()
-                - patched.blocks().out[block(src)].weight_bytes()
-                - patched.blocks().inc[block(dst)].structure_bytes()
-                - patched.blocks().inc[block(dst)].weight_bytes()
-                - (patched.blocks().out.capacity() + patched.blocks().inc.capacity())
+                - patched.out[block(src)].structure_bytes()
+                - patched.out[block(src)].weight_bytes()
+                - patched.inc[block(dst)].structure_bytes()
+                - patched.inc[block(dst)].weight_bytes()
+                - (patched.out.capacity() + patched.inc.capacity())
                     * std::mem::size_of::<Arc<RowBlock>>()
                 - patched.out_degrees.capacity() * std::mem::size_of::<u32>();
             assert_eq!(patched.shared_bytes_with(&g), expected);
@@ -1585,7 +1567,7 @@ mod tests {
         // (it gains a row) and nothing else.
         let grown = g.apply_updates(&[EdgeUpdate::insert(0, n)]);
         let last = (n as usize) / BLOCK_ROWS;
-        assert_eq!(unshared_blocks(&grown, &g), (vec![0, last], vec![last]));
+        assert_eq!(grown.rebuilt_blocks(&g), (vec![0, last], vec![last]));
     }
 
     #[test]
@@ -1610,13 +1592,12 @@ mod tests {
                 })
                 .collect();
             let next = prev.apply_updates(&batch);
-            let (out, inc) = unshared_blocks(&next, prev);
+            let (out, inc) = next.rebuilt_blocks(prev);
             assert!(out.len() <= 4 && inc.len() <= 4, "{out:?} {inc:?}");
-            let f = next.blocks();
             touched_bytes += out
                 .iter()
-                .map(|&b| &f.out[b])
-                .chain(inc.iter().map(|&b| &f.inc[b]))
+                .map(|&b| &next.out[b])
+                .chain(inc.iter().map(|&b| &next.inc[b]))
                 .map(|b| b.structure_bytes() + b.weight_bytes())
                 .sum::<usize>();
             versions.push(next);
@@ -1624,14 +1605,13 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let mut distinct = 0usize;
         for v in &versions {
-            let f = v.blocks();
-            for b in f.out.iter().chain(f.inc.iter()) {
+            for b in v.out.iter().chain(v.inc.iter()) {
                 if seen.insert(Arc::as_ptr(b)) {
                     distinct += b.structure_bytes() + b.weight_bytes();
                 }
             }
         }
-        let first = versions[0].blocks();
+        let first = &versions[0];
         let one_graph: usize = first
             .out
             .iter()
@@ -1786,7 +1766,7 @@ mod tests {
         assert_eq!(g.in_edges(0).count(), 0);
     }
 
-    // ---- compressed backend -------------------------------------------
+    // ---- compressed (packed) blocks -----------------------------------
 
     #[test]
     fn compress_decompress_roundtrips() {
@@ -1803,9 +1783,16 @@ mod tests {
 
     #[test]
     fn compressed_streaming_accessors_match_flat() {
-        let g = weighted();
-        for shards in [&[][..], &[2][..], &[1, 2, 3, 4][..]] {
-            let c = g.compress_with_shards(shards);
+        // One block, and several blocks with a partial tail; weighted and
+        // unit-weight blocks.
+        let unit = CsrGraph::from_edges(
+            3 * BLOCK_ROWS + 5,
+            multi_block(3 * BLOCK_ROWS as u32 + 5)
+                .edges()
+                .map(|e| (e.src, e.dst)),
+        );
+        for g in [weighted(), multi_block(3 * BLOCK_ROWS as u32 + 5), unit] {
+            let c = g.compress();
             for v in g.vertices() {
                 assert_eq!(
                     c.in_edges(v).collect::<Vec<_>>(),
@@ -1823,38 +1810,58 @@ mod tests {
                 let mut ins = Vec::new();
                 c.for_each_in_neighbor(v, |w| ins.push(w));
                 assert_eq!(ins, g.in_neighbors(v));
-                for w in g.vertices() {
+                for w in g.vertices().take(70) {
                     assert_eq!(c.has_edge(v, w), g.has_edge(v, w));
                     assert_eq!(c.edge_weight(v, w), g.edge_weight(v, w));
                 }
+                let (block, r) = (v as usize / BLOCK_ROWS, v as usize % BLOCK_ROWS);
+                assert_eq!(
+                    c.out_rows().stored_bytes(v),
+                    (c.out[block].offsets[r + 1] - c.out[block].offsets[r]) as usize
+                );
+                assert_eq!(g.out_rows().stored_bytes(v), 4 * g.out_degree(v));
             }
             assert_eq!(c.edges().collect::<Vec<_>>(), g.edges().collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn compress_with_shards_controls_shard_count() {
-        let g = weighted();
-        assert_eq!(g.num_shards(), 1, "flat graph reports one range");
-        assert_eq!(g.compress_with_shards(&[]).num_shards(), 1);
-        assert_eq!(g.compress_with_shards(&[2]).num_shards(), 2);
-        assert_eq!(g.compress_with_shards(&[1, 2, 3, 4]).num_shards(), 5);
-        // Re-compressing re-shards.
-        let c = g.compress_with_shards(&[2]);
-        assert_eq!(c.compress_with_shards(&[1, 3]).num_shards(), 3);
+    fn compress_with_shards_forwards_to_compress() {
+        let g = multi_block(2 * BLOCK_ROWS as u32 + 3);
+        for cuts in [&[][..], &[2][..], &[1, 2, 3, 4][..]] {
+            assert_eq!(g.compress_with_shards(cuts), g.compress());
+        }
+        // Compressing a compressed graph shares every block.
+        let c = g.compress();
+        assert!(c.compress().shares_storage_with(&c));
     }
 
     #[test]
     fn unit_weight_graphs_drop_weight_streams() {
         let unit = diamond().compress();
-        assert!(unit.compressed_out_weight_streams().is_none());
-        assert!(unit.compressed_in_weight_streams().is_none());
         assert_eq!(unit.weight_bytes(), 0);
         assert_eq!(unit.edge_weight(0, 1), Some(1.0));
         let w = weighted().compress();
-        assert!(w.compressed_out_weight_streams().is_some());
-        assert!(w.compressed_in_weight_streams().is_some());
         assert!(w.weight_bytes() > 0);
+        // Per block: a weighted graph whose first block is all 1.0 keeps
+        // weights only in the others.
+        let n = 2 * BLOCK_ROWS as u32;
+        let mixed = CsrGraph::from_edges(
+            n as usize,
+            (0..n).map(|v| {
+                (
+                    v,
+                    (v + 1) % n,
+                    if v < BLOCK_ROWS as u32 { 1.0 } else { 2.0 },
+                )
+            }),
+        )
+        .compress();
+        let kept = |t: &BlockTable| t.iter().map(|b| b.weight_bytes() > 0).collect::<Vec<_>>();
+        assert_eq!(kept(&mixed.out), vec![false, true]);
+        assert_eq!(mixed.edge_weight(0, 1), Some(1.0));
+        assert_eq!(mixed.edge_weight(n - 1, 0), Some(2.0));
+        assert_eq!(mixed.decompress().compress(), mixed);
     }
 
     #[test]
@@ -1875,7 +1882,7 @@ mod tests {
         let snap = c.snapshot();
         assert_eq!(snap, c);
         assert!(snap.shares_storage_with(&c));
-        // Mixed backends never share or compare equal, even for the
+        // Mixed encodings never share or compare equal, even for the
         // same logical graph.
         let g = weighted();
         assert!(!c.shares_storage_with(&g));
@@ -1887,7 +1894,7 @@ mod tests {
     }
 
     #[test]
-    fn compressed_mutations_return_flat_graphs() {
+    fn compressed_updates_stay_compressed_and_relabels_go_flat() {
         let g = weighted();
         let c = g.compress();
         let relabeled = c.relabeled(&Permutation::from_order(vec![4, 3, 2, 1, 0]));
@@ -1896,9 +1903,19 @@ mod tests {
             relabeled,
             g.relabeled(&Permutation::from_order(vec![4, 3, 2, 1, 0]))
         );
-        let updated = c.apply_updates(&[EdgeUpdate::remove(0, 1)]);
-        assert!(!updated.is_compressed());
-        assert_eq!(updated, g.apply_updates(&[EdgeUpdate::remove(0, 1)]));
+        let batch = [
+            EdgeUpdate::remove(0, 1),
+            EdgeUpdate::insert_weighted(2, 6, 0.5),
+        ];
+        let updated = c.apply_updates(&batch);
+        assert!(updated.is_compressed());
+        assert_eq!(updated, g.apply_updates(&batch).compress());
+        // An empty compressed graph grows compressed too.
+        let grown = CsrGraph::empty(0)
+            .compress()
+            .apply_updates(&[EdgeUpdate::insert(0, 1)]);
+        assert!(grown.is_compressed());
+        assert_eq!(grown.decompress(), CsrGraph::from_edges(2, [(0u32, 1u32)]));
     }
 
     #[test]
@@ -1934,6 +1951,6 @@ mod tests {
     #[should_panic(expected = "flat")]
     fn row_accessors_panic_on_compressed() {
         let c = diamond().compress();
-        let _ = c.in_rows();
+        let _ = c.in_rows().ids(0);
     }
 }

@@ -4,8 +4,8 @@
 
 use crate::builder::GraphBuilder;
 use crate::codec::{le_f64, le_u32, DecodeError, Reader, Writer};
-use crate::compressed::{AdjacencyShard, CompressedAdjacency};
-use crate::csr::CsrGraph;
+use crate::compressed::validate_row;
+use crate::csr::{CsrGraph, PackedRows, BLOCK_ROWS};
 use crate::types::{Edge, VertexId};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -201,23 +201,25 @@ const COMPRESSED_VERSION: u32 = 1;
 /// streams after the adjacency sections.
 const FLAG_WEIGHTED: u8 = 1;
 
-/// Serializes a graph in the sharded compressed binary format. A graph
-/// still on the flat backend is compressed first (default shard split);
-/// an already-compressed graph keeps its shard boundaries.
+/// Serializes a graph in the compressed binary format, one shard
+/// section per row block. A flat graph is compressed first.
 ///
 /// Layout (all little-endian):
 ///
 /// ```text
 /// magic "GOGRPHC1" | u32 version | u8 flags | u64 n | u64 m | u64 k
-/// shard_starts: (k+1) × u32
+/// shard cuts: (k+1) × u32 (ascending, 0 first, n last)
 /// out_degrees: n × u32 | in_degrees: n × u32
 /// k out-shard sections, then k in-shard sections, each:
 ///     offsets (shard_len+1) × u32 | u64 byte_len | bytes | u32 crc
 /// [flags & WEIGHTED] out_weights m × f64 | in_weights m × f64
 /// ```
 ///
-/// Each shard section is independently framed and CRC-32'd, so shards
-/// can be streamed/placed independently and corruption is localized.
+/// A shard is a contiguous vertex range; the writer cuts at the row
+/// blocks (`k = ⌈n / BLOCK_ROWS⌉`), and [`compressed_from_binary`]
+/// accepts any ascending cut. Each shard section is independently
+/// framed and CRC-32'd, so corruption is localized. The weights are
+/// written when any edge weight is not `1.0`.
 pub fn compressed_to_binary(g: &CsrGraph) -> Vec<u8> {
     let compressed;
     let g = if g.is_compressed() {
@@ -226,47 +228,46 @@ pub fn compressed_to_binary(g: &CsrGraph) -> Vec<u8> {
         compressed = g.compress();
         &compressed
     };
-    let out = g
-        .compressed_out_adjacency()
-        .expect("compressed storage present");
-    let inc = g
-        .compressed_in_adjacency()
-        .expect("compressed storage present");
-    let weighted = g.compressed_out_weight_streams().is_some();
-
-    let mut w = Writer::with_capacity(
-        64 + 8 * g.num_vertices() + out.payload_bytes() + inc.payload_bytes(),
-    );
+    let n = g.num_vertices();
+    let directions = [g.out_rows(), g.in_rows()];
+    let weighted = g.weight_bytes() > 0;
+    let mut w = Writer::with_capacity(64 + 12 * n + g.adjacency_bytes());
     w.bytes(COMPRESSED_MAGIC);
     w.u32(COMPRESSED_VERSION);
     w.u8(if weighted { FLAG_WEIGHTED } else { 0 });
-    w.u64(g.num_vertices() as u64);
+    w.u64(n as u64);
     w.u64(g.num_edges() as u64);
-    w.u64(out.num_shards() as u64);
-    w.u32s(out.shard_starts());
-    w.u32s(out.degrees());
-    w.u32s(inc.degrees());
-    for adj in [out, inc] {
-        for shard in adj.shards() {
+    w.u64(n.div_ceil(BLOCK_ROWS) as u64);
+    for start in (0..n).step_by(BLOCK_ROWS).chain([n]) {
+        w.u32(start as u32);
+    }
+    for rows in directions {
+        for v in g.vertices() {
+            w.u32(rows.degree(v) as u32);
+        }
+    }
+    for rows in directions {
+        for (offsets, bytes) in rows.packed_blocks() {
             let section_start = w.len();
-            w.u32s(shard.offsets());
-            w.u64(shard.byte_len() as u64);
-            w.bytes(shard.bytes());
+            w.u32s(offsets);
+            w.u64(bytes.len() as u64);
+            w.bytes(bytes);
             let crc = crc32(&w[section_start..]);
             w.u32(crc);
         }
     }
     if weighted {
-        let (_, ow) = g.compressed_out_weight_streams().expect("weighted");
-        let (_, iw) = g.compressed_in_weight_streams().expect("weighted");
-        w.f64s(ow);
-        w.f64s(iw);
+        for rows in directions {
+            for v in g.vertices() {
+                rows.for_each_edge(v, true, |_, weight| w.f64(weight));
+            }
+        }
     }
     w.into_vec()
 }
 
-/// Deserializes a graph written by [`compressed_to_binary`], onto the
-/// compressed backend.
+/// Deserializes a graph written by [`compressed_to_binary`] (at any
+/// shard cut), onto compressed storage.
 ///
 /// Every row of both adjacency directions is fully decode-checked
 /// (strictly ascending, in range, exact degree and byte consumption),
@@ -293,10 +294,10 @@ pub fn compressed_from_binary(data: &[u8]) -> io::Result<CsrGraph> {
         return Err(r.invalid("shard count", "more shards than vertices").into());
     }
     let (n, k) = (n as usize, k as usize);
-    let shard_starts: Vec<VertexId> = r.u32s(k + 1, "shard starts")?;
-    if shard_starts.first() != Some(&0)
-        || shard_starts.last().map(|&s| s as usize) != Some(n)
-        || shard_starts.windows(2).any(|w| w[0] >= w[1]) && k > 0
+    let cuts: Vec<VertexId> = r.u32s(k + 1, "shard starts")?;
+    if cuts.first() != Some(&0)
+        || cuts.last().map(|&s| s as usize) != Some(n)
+        || cuts.windows(2).any(|w| w[0] >= w[1]) && k > 0
     {
         return Err(r
             .invalid("shard starts", "malformed shard boundaries")
@@ -306,40 +307,65 @@ pub fn compressed_from_binary(data: &[u8]) -> io::Result<CsrGraph> {
     let out_degrees = r.u32s(n, "out-degrees")?;
     let in_degrees = r.u32s(n, "in-degrees")?;
 
-    let mut read_shards = |direction: &str| -> Result<Vec<AdjacencyShard>, DecodeError> {
-        let mut shards = Vec::with_capacity(k);
-        for (si, w) in shard_starts.windows(2).enumerate() {
+    // Each direction's row runs, sliced out of its shard sections.
+    let mut read_runs = |direction: &str| -> Result<Vec<&[u8]>, DecodeError> {
+        let mut runs = Vec::with_capacity(n);
+        for (si, w) in cuts.windows(2).enumerate() {
             // The CRC covers the section as written: offsets, length, bytes.
             let section_start = r.offset();
             let offsets = r.u32s((w[1] - w[0]) as usize + 1, "shard offsets")?;
             let byte_len = r.u64("shard byte length")?;
-            let bytes = r.slice(byte_len as usize, "shard bytes")?.to_vec();
+            let bytes = r.slice(byte_len as usize, "shard bytes")?;
             let section = &data[section_start..r.offset()];
             let stored_crc = r.u32("shard crc")?;
-            let bad =
-                |why: String| r.error_at(section_start, "shard", format!("{direction} {why}"));
+            let bad = |why: &str| {
+                r.error_at(
+                    section_start,
+                    "shard",
+                    format!("{direction} shard {si} {why}"),
+                )
+            };
             if crc32(section) != stored_crc {
-                return Err(bad(format!("shard {si} CRC mismatch")));
+                return Err(bad("CRC mismatch"));
             }
-            let shard = AdjacencyShard::from_parts(offsets, bytes)
-                .map_err(|why| bad(format!("shard {si} malformed: {why}")))?;
-            shards.push(shard);
+            if offsets[0] != 0
+                || offsets.windows(2).any(|p| p[0] > p[1])
+                || offsets[offsets.len() - 1] as usize != bytes.len()
+            {
+                return Err(bad(
+                    "malformed: offsets must run from 0 up to the payload length",
+                ));
+            }
+            runs.extend(
+                offsets
+                    .windows(2)
+                    .map(|p| &bytes[p[0] as usize..p[1] as usize]),
+            );
         }
-        Ok(shards)
+        Ok(runs)
     };
-    let out_shards = read_shards("out")?;
-    let in_shards = read_shards("in")?;
-
-    let build = |degrees: Vec<u32>, shards: Vec<AdjacencyShard>, direction: &str| {
-        CompressedAdjacency::from_raw_parts(n, m, degrees, shard_starts.clone(), shards)
-            .and_then(|adj| adj.validate().map(|()| adj))
-            .map_err(|why| {
-                let why = format!("{direction} adjacency: {why}");
-                r.error_at(degrees_at, "degrees", why)
+    let out_runs = read_runs("out")?;
+    let in_runs = read_runs("in")?;
+    for (direction, degrees, runs) in [
+        ("out", &out_degrees, &out_runs),
+        ("in", &in_degrees, &in_runs),
+    ] {
+        let total: u64 = degrees.iter().map(|&d| u64::from(d)).sum();
+        (0..n as VertexId)
+            .try_for_each(|v| validate_row(v, degrees[v as usize], runs[v as usize], n))
+            .and_then(|()| {
+                (total == m as u64)
+                    .then_some(())
+                    .ok_or_else(|| format!("degree sum {total} != declared edge count {m}"))
             })
-    };
-    let out_adj = build(out_degrees, out_shards, "out")?;
-    let in_adj = build(in_degrees, in_shards, "in")?;
+            .map_err(|why| {
+                r.error_at(
+                    degrees_at,
+                    "degrees",
+                    format!("{direction} adjacency: {why}"),
+                )
+            })?;
+    }
 
     let weights = if flags & FLAG_WEIGHTED != 0 {
         Some((r.f64s(m, "out-weights")?, r.f64s(m, "in-weights")?))
@@ -347,11 +373,21 @@ pub fn compressed_from_binary(data: &[u8]) -> io::Result<CsrGraph> {
         None
     };
     r.finish()?;
-
-    CsrGraph::from_compressed_adjacency(out_adj, in_adj, weights).map_err(|why| {
-        r.error_at(degrees_at, "degrees", format!("inconsistent: {why}"))
-            .into()
-    })
+    let (out_weights, in_weights) = weights.as_ref().map(|(o, i)| (&o[..], &i[..])).unzip();
+    CsrGraph::from_packed_rows(
+        m,
+        PackedRows {
+            degrees: &out_degrees,
+            runs: out_runs,
+            weights: out_weights,
+        },
+        PackedRows {
+            degrees: &in_degrees,
+            runs: in_runs,
+            weights: in_weights,
+        },
+    )
+    .map_err(|why| r.error_at(degrees_at, "degrees", why).into())
 }
 
 /// Writes the compressed binary format to disk (compressing a flat
@@ -360,8 +396,7 @@ pub fn write_compressed_file<P: AsRef<Path>>(g: &CsrGraph, path: P) -> io::Resul
     std::fs::write(path, compressed_to_binary(g))
 }
 
-/// Reads a compressed binary graph from disk onto the compressed
-/// backend.
+/// Reads a compressed binary graph from disk onto compressed storage.
 pub fn read_compressed_file<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
     compressed_from_binary(&std::fs::read(path)?)
 }
@@ -669,8 +704,7 @@ mod tests {
         for cuts in [vec![], vec![4], vec![2, 4, 6]] {
             let c = g.compress_with_shards(&cuts);
             let back = compressed_from_binary(&compressed_to_binary(&c)).unwrap();
-            assert!(back.is_compressed());
-            assert_eq!(back.num_shards(), c.num_shards());
+            assert_eq!(back, c, "a round trip restores the very blocks");
             assert_same_graph(&g, &back);
             // In-direction weights survive too.
             for v in 0..g.num_vertices() as u32 {
@@ -696,12 +730,13 @@ mod tests {
             ],
         );
         let c = g.compress();
-        assert!(c.compressed_out_weight_streams().is_none());
+        assert_eq!(c.weight_bytes(), 0);
         let bytes = compressed_to_binary(&c);
         let back = compressed_from_binary(&bytes).unwrap();
         // The unit-weight optimization survives the roundtrip: no
         // weight payload written, none materialized on load.
-        assert!(back.compressed_out_weight_streams().is_none());
+        assert_eq!(bytes[12], 0, "no weight flag");
+        assert_eq!(back.weight_bytes(), 0);
         assert_same_graph(&g, &back);
     }
 
@@ -777,7 +812,7 @@ mod tests {
         let g = sample_weighted_graph().compress();
         let bytes = compressed_to_binary(&g).to_vec();
         // out_degrees start after magic+version+flags+counts+starts.
-        let starts = g.num_shards() + 1;
+        let starts = g.num_vertices().div_ceil(BLOCK_ROWS) + 1;
         let deg0 = 8 + 4 + 1 + 24 + starts * 4;
         let mut bad = bytes.clone();
         bad[deg0..deg0 + 4].copy_from_slice(&100u32.to_le_bytes());
@@ -797,7 +832,7 @@ mod tests {
         write_compressed_file(&g, &path).unwrap();
         let back = read_compressed_file(&path).unwrap();
         assert_same_graph(&sample_weighted_graph(), &back);
-        assert_eq!(back.num_shards(), g.num_shards());
+        assert_eq!(back, g);
         std::fs::remove_file(&path).ok();
     }
 }

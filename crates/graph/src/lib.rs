@@ -7,9 +7,9 @@
 //! Provides:
 //! - [`csr::CsrGraph`] — CSR storage with both out- and in-adjacency,
 //!   cut into `Arc`'d row blocks that an update batch copies only where
-//!   it lands,
-//! - [`compressed::CompressedAdjacency`] — delta-varint sharded neighbor
-//!   blocks behind [`csr::CsrGraph::compress`],
+//!   it lands; a block holds raw ids or, after
+//!   [`csr::CsrGraph::compress`], delta-varint rows,
+//! - [`compressed`] — that delta-varint row encoding,
 //! - [`builder::GraphBuilder`] — edge-stream construction with dedup,
 //! - [`frontier::Frontier`] — hybrid sparse/dense active-vertex sets,
 //! - [`permutation::Permutation`] — processing orders / ordinal numbers,
@@ -37,7 +37,6 @@ pub mod traversal;
 pub mod types;
 
 pub use builder::GraphBuilder;
-pub use compressed::CompressedAdjacency;
 pub use csr::CsrGraph;
 pub use frontier::Frontier;
 pub use permutation::{OrderPatch, Permutation};
@@ -53,7 +52,6 @@ pub use types::{
 const _: () = {
     const fn require_send_sync<T: Send + Sync>() {}
     require_send_sync::<CsrGraph>();
-    require_send_sync::<CompressedAdjacency>();
     require_send_sync::<Permutation>();
     require_send_sync::<Frontier>();
 };

@@ -57,20 +57,17 @@ pub fn degree_stats(g: &CsrGraph) -> DegreeStats {
 }
 
 /// Storage footprint of a graph's in-memory representation, split the
-/// way the compressed backend changes it: adjacency structure vs.
-/// weight payload. Makes compression wins visible in every report, not
+/// way compression changes it: adjacency structure vs. weight payload. Makes compression wins visible in every report, not
 /// just the bench tables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryFootprint {
     /// `"uncompressed"` or `"compressed"` (see [`CsrGraph::storage_kind`]).
     pub storage_kind: &'static str,
-    /// Shard count of the adjacency structure (1 for flat storage).
-    pub num_shards: usize,
-    /// Heap bytes of the adjacency structure (offsets + targets, or
-    /// delta-varint payload + offset tables + degrees).
+    /// Heap bytes of the adjacency structure (row offsets and ids or
+    /// delta-varint runs, block tables, out-degrees).
     pub adjacency_bytes: usize,
-    /// Heap bytes of edge-weight payloads (0 when the compressed
-    /// backend drops unit weights).
+    /// Heap bytes of edge-weight payloads (0 when compression drops
+    /// unit weights).
     pub weight_bytes: usize,
     /// Adjacency bytes per directed edge — the compression headline.
     /// Counts both CSR directions; flat storage costs ~8 bytes/edge in
@@ -89,28 +86,23 @@ impl std::fmt::Display for MemoryFootprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} storage, {} shard(s), {:.2} bytes/edge ({} adjacency + {} weight bytes)",
-            self.storage_kind,
-            self.num_shards,
-            self.bytes_per_edge,
-            self.adjacency_bytes,
-            self.weight_bytes
+            "{} storage, {:.2} bytes/edge ({} adjacency + {} weight bytes)",
+            self.storage_kind, self.bytes_per_edge, self.adjacency_bytes, self.weight_bytes
         )
     }
 }
 
-/// Computes the [`MemoryFootprint`] of `g`'s current backend.
+/// Computes the [`MemoryFootprint`] of `g` in its current encoding.
 pub fn memory_footprint(g: &CsrGraph) -> MemoryFootprint {
     MemoryFootprint {
         storage_kind: g.storage_kind(),
-        num_shards: g.num_shards(),
         adjacency_bytes: g.adjacency_bytes(),
         weight_bytes: g.weight_bytes(),
         bytes_per_edge: bytes_per_edge(g),
     }
 }
 
-/// Adjacency bytes per directed edge on the current backend (both CSR
+/// Adjacency bytes per directed edge in the current encoding (both CSR
 /// directions counted). `0.0` for an edgeless graph.
 pub fn bytes_per_edge(g: &CsrGraph) -> f64 {
     if g.num_edges() == 0 {
@@ -232,7 +224,6 @@ mod tests {
         let g = chain(2000);
         let flat = memory_footprint(&g);
         assert_eq!(flat.storage_kind, "uncompressed");
-        assert_eq!(flat.num_shards, 1);
         assert_eq!(flat.total_bytes(), g.memory_bytes());
         // Flat CSR: ≥8 bytes of 4-byte ids per edge (both directions)
         // before offsets.

@@ -261,7 +261,7 @@ proptest! {
     /// global sort and merge of every edge — on weighted graphs over
     /// several row blocks whose last quarter of vertices is isolated,
     /// under a random, the identity and the reversed permutation, from
-    /// either backend.
+    /// either encoding.
     #[test]
     fn relabeled_equals_the_builder_path(
         (n, edges) in (1usize..3 * BLOCK_ROWS).prop_flat_map(|n| {
@@ -317,15 +317,48 @@ proptest! {
         let (flat, updates) = splice_case(n, &edges, &ops, (sweep, grow, empty_rows, ends));
         let g = if compressed { flat.compress() } else { flat.clone() };
         let expected = rebuilt(&flat, &updates);
-        assert_same_rows(&g.apply_updates(&updates), &expected);
+        // A batch keeps the graph's encoding.
+        let check = |spliced: CsrGraph| {
+            assert_eq!(spliced.is_compressed(), compressed);
+            assert_same_rows(&spliced.decompress(), &expected);
+        };
+        check(g.apply_updates(&updates));
         if grow {
             assert!(expected.num_vertices().div_ceil(BLOCK_ROWS) >= n.div_ceil(BLOCK_ROWS) + 2);
         }
         // Two chained batches land on the same graph as the one batch.
         let (first, second) = updates.split_at(cut.min(updates.len()));
-        assert_same_rows(&g.apply_updates(first).apply_updates(second), &expected);
+        check(g.apply_updates(first).apply_updates(second));
         // The input is never disturbed.
         prop_assert_eq!(g.decompress(), flat);
+    }
+
+    #[test]
+    fn compressed_batches_equal_flat_batches(
+        (n, edges, ops, (sweep, _, grow, empty_rows, ends), _) in arb_splice_case()
+    ) {
+        let (flat, updates) = splice_case(n, &edges, &ops, (sweep, grow, empty_rows, ends));
+        let c = flat.compress();
+        let got = c.apply_updates(&updates);
+        prop_assert!(got.is_compressed());
+        prop_assert_eq!(&got, &flat.apply_updates(&updates).compress());
+        // Every block the result does not share with its input is one a
+        // batch update names, or the old last block and the new ones of
+        // a graph that grew.
+        let old_blocks = n.div_ceil(BLOCK_ROWS);
+        let grew = got.num_vertices() > n;
+        let named = |b: usize, end: fn(&EdgeUpdate) -> u32| {
+            (grew && b + 1 >= old_blocks)
+                || updates.iter().any(|u| end(u) as usize / BLOCK_ROWS == b)
+        };
+        let (out, inc) = got.rebuilt_blocks(&c);
+        for b in out {
+            prop_assert!(named(b, EdgeUpdate::src), "out block {} rebuilt", b);
+        }
+        for b in inc {
+            prop_assert!(named(b, EdgeUpdate::dst), "in block {} rebuilt", b);
+        }
+        prop_assert_eq!(c.decompress(), flat);
     }
 
     #[test]
@@ -345,6 +378,56 @@ proptest! {
         prop_assert!(gograph_graph::traversal::topological_sort(&dag).is_some());
         // Sizes sum to n.
         prop_assert_eq!(scc.sizes().iter().sum::<usize>(), n);
+    }
+}
+
+/// A compressed 20 000-vertex planted graph through 2 000 batches of 32
+/// updates, checked against a flat copy taking the same batches every
+/// 100 batches. Ignored in debug runs, which would take minutes:
+/// `cargo test -p gograph-graph --release -- --ignored`.
+#[test]
+#[ignore]
+fn compressed_updates_at_scale_match_a_flat_copy() {
+    use gograph_graph::generators::{planted_partition, PlantedPartitionConfig};
+    use rand::{Rng, SeedableRng};
+    let mut flat = planted_partition(PlantedPartitionConfig {
+        num_vertices: 20_000,
+        num_edges: 120_000,
+        communities: 40,
+        p_intra: 0.9,
+        gamma: 2.5,
+        seed: 44,
+    });
+    let mut compressed = flat.compress();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+    for batch in 1..=2_000 {
+        // Inserts may grow the graph a little; removes take an existing
+        // edge or name an absent one.
+        let n = flat.num_vertices() as u32;
+        let updates: Vec<EdgeUpdate> = (0..32)
+            .map(|_| {
+                let src = rng.random_range(0..n);
+                match rng.random_range(0..4u32) {
+                    0 => match flat.out_neighbors(src).first() {
+                        Some(&dst) => EdgeUpdate::remove(src, dst),
+                        None => EdgeUpdate::remove(src, rng.random_range(0..n)),
+                    },
+                    1 => EdgeUpdate::remove(src, rng.random_range(0..n)),
+                    _ => EdgeUpdate::insert_weighted(
+                        src,
+                        rng.random_range(0..n + 2),
+                        f64::from(rng.random_range(1..4u32)),
+                    ),
+                }
+            })
+            .collect();
+        flat = flat.apply_updates(&updates);
+        compressed = compressed.apply_updates(&updates);
+        if batch % 100 == 0 {
+            assert!(compressed.is_compressed());
+            assert_eq!(compressed.decompress(), flat, "batch {batch}");
+            assert_eq!(flat.compress(), compressed, "batch {batch}");
+        }
     }
 }
 

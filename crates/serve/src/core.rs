@@ -1239,7 +1239,19 @@ impl ServeCore {
     /// This node's own probe fingerprints at `at_seq`, or at the
     /// newest settled watermark when `None`. Works on both roles (the
     /// CI smoke compares a primary's and a follower's reports).
+    ///
+    /// The mutator counts a batch applied (or failed) a moment before it
+    /// records the batch's probe, so `None` first waits for the probe of
+    /// every batch those counters held when the call began — unless the
+    /// mutator has ended, as [`settle`](Self::settle) gives up.
     pub fn probe(&self, at_seq: Option<u64>) -> ProbeReport {
+        if at_seq.is_none() {
+            let counted = self.stats.batches_applied.load(Ordering::Relaxed)
+                + self.stats.mutator_errors.load(Ordering::Relaxed);
+            while self.settled_seq() < counted && !self.mutator_ended() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
         match self.repl.probe_at(at_seq) {
             Some(p) => ProbeReport {
                 seq: p.seq,

@@ -1,7 +1,8 @@
-//! Differential suite for the compressed CSR backend (ISSUE 9): for
+//! Differential suite for compressed (packed row block) storage: for
 //! {PageRank, SSSP, CC, BFS} × {async, worklist, parallel(1,2)} ×
-//! {Auto, PullOnly, PushOnly} × several shard splits, running on
-//! compressed storage must reproduce the flat-storage states
+//! {Auto, PullOnly, PushOnly} × graph sizes around the row-block
+//! height, running on a compressed graph that took one update batch
+//! must reproduce the states of the flat graph that took it
 //! **bit-identically** — the delta-varint decoder yields neighbors in
 //! exactly the flat order, so every float op sequence is unchanged.
 //! (Sole exception: sum-norm PageRank under the racing block-parallel
@@ -22,11 +23,19 @@ use proptest::prelude::*;
 /// Fixed-seed weighted power-law community workload under a GoGraph
 /// order (positions ≠ ids), same shape as the direction suite.
 fn workload() -> (CsrGraph, Permutation) {
-    let g = with_random_weights(
+    let g = weighted_graph(500);
+    let order = GoGraph::default().run(&g);
+    (g, order)
+}
+
+/// A weighted power-law community graph of `n` vertices and `7.2 n`
+/// edges, labels shuffled.
+fn weighted_graph(n: usize) -> CsrGraph {
+    with_random_weights(
         &shuffle_labels(
             &planted_partition(PlantedPartitionConfig {
-                num_vertices: 500,
-                num_edges: 3_600,
+                num_vertices: n,
+                num_edges: n * 36 / 5,
                 communities: 7,
                 p_intra: 0.8,
                 gamma: 2.4,
@@ -37,9 +46,25 @@ fn workload() -> (CsrGraph, Permutation) {
         1.0,
         5.0,
         0x12,
+    )
+}
+
+/// One update batch over `g`: removes every fifth edge, re-weights
+/// every ninth, and inserts a chord from every seventh vertex.
+fn batch(g: &CsrGraph) -> Vec<EdgeUpdate> {
+    let n = g.num_vertices() as u32;
+    let mut updates: Vec<EdgeUpdate> = (g.edges().step_by(5))
+        .map(|e| EdgeUpdate::remove(e.src, e.dst))
+        .collect();
+    updates.extend(
+        (g.edges().skip(1).step_by(9)).map(|e| EdgeUpdate::insert_weighted(e.src, e.dst, 0.5)),
     );
-    let order = GoGraph::default().run(&g);
-    (g, order)
+    updates.extend(
+        (0..n)
+            .step_by(7)
+            .map(|v| EdgeUpdate::insert_weighted(v, (v * 31 + 11) % n, 2.5)),
+    );
+    updates
 }
 
 fn algorithms() -> Vec<(&'static str, Box<dyn IterativeAlgorithm>, bool)> {
@@ -53,11 +78,9 @@ fn algorithms() -> Vec<(&'static str, Box<dyn IterativeAlgorithm>, bool)> {
     ]
 }
 
-/// Shard splits to cross with the matrix: default single shard, a mid
-/// split, and an uneven many-shard split.
-fn shard_splits() -> Vec<Vec<VertexId>> {
-    vec![vec![], vec![250], vec![50, 200, 201, 400]]
-}
+/// Graph sizes to cross with the matrix: one row short of a row block,
+/// one block, one row past it, and three blocks with a partial tail.
+const SIZES: [usize; 4] = [63, 64, 65, 200];
 
 fn run_with(
     g: &CsrGraph,
@@ -75,7 +98,21 @@ fn run_with(
 
 #[test]
 fn compressed_storage_matches_flat_across_the_engine_matrix() {
-    let (g, order) = workload();
+    // Each graph takes one batch in both encodings before the runs.
+    let graphs: Vec<(CsrGraph, CsrGraph, Permutation)> = SIZES
+        .iter()
+        .map(|&n| {
+            let g = weighted_graph(n);
+            let updates = batch(&g);
+            let (flat, c) = (
+                g.apply_updates(&updates),
+                g.compress().apply_updates(&updates),
+            );
+            assert!(c.is_compressed());
+            let order = GoGraph::default().run(&flat);
+            (flat, c, order)
+        })
+        .collect();
     for mode in [
         Mode::Async,
         Mode::Worklist,
@@ -89,17 +126,11 @@ fn compressed_storage_matches_flat_across_the_engine_matrix() {
                 policies.push(DirectionPolicy::PushOnly);
             }
             for policy in policies {
-                let flat = run_with(&g, &order, mode, alg, policy);
-                assert!(flat.converged, "{name}/{}/{policy:?} flat", mode.name());
-                for cuts in shard_splits() {
-                    let c = g.compress_with_shards(&cuts);
-                    assert!(c.is_compressed());
-                    let got = run_with(&c, &order, mode, alg, policy);
-                    let label = format!(
-                        "{name}/{}/{policy:?}/shards={}",
-                        mode.name(),
-                        c.num_shards()
-                    );
+                for (g, c, order) in &graphs {
+                    let flat = run_with(g, order, mode, alg, policy);
+                    let label = format!("{name}/{}/{policy:?}/n={}", mode.name(), g.num_vertices());
+                    assert!(flat.converged, "{label} flat");
+                    let got = run_with(c, order, mode, alg, policy);
                     assert!(got.converged, "{label}");
                     // The racing accumulates of sum-norm PageRank at
                     // >1 block are the one tolerance carve-out.
@@ -208,7 +239,7 @@ proptest! {
         let mut bytes = Vec::new();
         encode_row(v, &raw, &mut bytes);
         let mut back = Vec::with_capacity(raw.len());
-        decode_row_with(v, raw.len() as u32, &bytes, |u| back.push(u));
+        decode_row_with(v, &bytes, |u| back.push(u));
         prop_assert_eq!(raw, back);
     }
 
@@ -218,7 +249,7 @@ proptest! {
     #[test]
     fn corrupt_compressed_sections_are_err(seed in 0u64..50, cut_at in 0usize..500, flip in 0usize..2_000) {
         let g = with_random_weights(&erdos_renyi(60, 220, seed), 1.0, 4.0, seed ^ 1)
-            .compress_with_shards(&[20, 40]);
+            .compress();
         let bytes = compressed_to_binary(&g);
         let cut = cut_at.min(bytes.len().saturating_sub(1));
         prop_assert!(compressed_from_binary(&bytes[..cut]).is_err());

@@ -12,6 +12,7 @@
 //! there.
 
 use gograph_engine::{ConnectedComponents, Sssp, StreamingPipeline};
+use gograph_graph::csr::BLOCK_ROWS;
 use gograph_graph::io::{
     compressed_from_binary, compressed_to_binary, from_binary, permutation_from_binary,
     permutation_to_binary, to_binary,
@@ -93,7 +94,12 @@ fn flat_graph() {
 
 #[test]
 fn compressed_graph() {
-    let g = graph().compress_with_shards(&[4]);
+    // Three row blocks, the last one partial, with weights.
+    let g = CsrGraph::from_edges(
+        2 * BLOCK_ROWS + 22,
+        (0..2 * BLOCK_ROWS as u32 + 22).map(|v| (v, (v * 7 + 3) % 150, 0.5 + f64::from(v % 5))),
+    )
+    .compress();
     damage(
         "compressed graph",
         &compressed_to_binary(&g),
@@ -101,6 +107,48 @@ fn compressed_graph() {
         compressed_from_binary,
         compressed_to_binary,
     );
+}
+
+/// `graph().compress_with_shards(&[4])` as an earlier build wrote it:
+/// one shard section for rows 0..4 and one for 4..9, not one per row
+/// block. Files in that layout must go on loading.
+const SHARDED_GOGRPHC1: [u8; 437] = [
+    0x47, 0x4f, 0x47, 0x52, 0x50, 0x48, 0x43, 0x31, 0x01, 0x00, 0x00, 0x00, 0x01, 0x09, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x01, 0x02, 0x02, 0x02, 0x77, 0x86, 0x26, 0x6f, 0x00, 0x00,
+    0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x05, 0x00,
+    0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x09,
+    0x06, 0x02, 0x07, 0xc3, 0x81, 0x23, 0x87, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02,
+    0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x0a, 0x01, 0x03, 0x01, 0x01, 0x05, 0xbf, 0xaa, 0xb9, 0x24, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+    0x00, 0x04, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x01,
+    0x01, 0x49, 0x74, 0xa1, 0x8e, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x04, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x08, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0xf8, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x40, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0xd0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x10, 0x40,
+];
+
+#[test]
+fn compressed_graph_written_with_a_shard_cut_still_loads() {
+    let g = compressed_from_binary(&SHARDED_GOGRPHC1).expect("loads");
+    assert!(g.is_compressed());
+    assert_eq!(g, graph().compress());
+    assert_eq!(g.decompress(), graph());
 }
 
 #[test]

@@ -826,6 +826,38 @@ fn late_probes_never_read_as_divergence() {
     }
 }
 
+/// A batch counts as settled in the stats a moment before its probe is
+/// recorded; with that moment stretched to 50 ms, `probe(None)` asked
+/// once the counters show the batch must still report the batch's seq,
+/// not the one before it.
+#[test]
+fn newest_probe_waits_for_the_settled_counters() {
+    let core = ServeCore::start(
+        &graph(),
+        ServeConfig {
+            faults: FaultPlan::seeded(7).with_probe_delay(1.0, Duration::from_millis(50)),
+            ..base_config()
+        },
+    )
+    .unwrap();
+    for k in 1..=2u64 {
+        core.enqueue_updates(batch(k)).unwrap();
+        loop {
+            let s = core.stats_snapshot();
+            if s.batches_applied + s.mutator_errors >= k {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let p = core.probe(None);
+        assert!(p.known, "batch {k}");
+        assert_eq!(p.seq, k, "batch {k}: probe trails the settled counters");
+    }
+    core.shutdown();
+    // With the mutator gone, nothing is left to wait for.
+    assert_eq!(core.probe(None).seq, 2);
+}
+
 /// End-to-end crash recovery over TCP: kill the server abruptly (the
 /// OS process stays, but the durable directory is copied out mid-run,
 /// exactly what `kill -9` preserves), restart from the copy, and the
